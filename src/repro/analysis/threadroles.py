@@ -484,20 +484,30 @@ class _Extractor:
     def _record_spawn(self, node: ast.Call, info: _FuncInfo) -> None:
         target_key: Optional[Key] = None
         raw_name: Optional[str] = None
+        passed: List[Optional[Key]] = []
         for kw in node.keywords:
             if kw.arg == "target":
                 target_key = self._resolve_target(kw.value)
             elif kw.arg == "name":
                 raw_name = _literal_name_stem(kw.value)
+            elif kw.arg == "args" and isinstance(kw.value, ast.Tuple):
+                # Bound methods handed to a shared loop helper
+                # (``target=run_loop, args=(..., self.step, ...)``) are
+                # what the thread runs.
+                passed = [self._resolve_target(elt) for elt in kw.value.elts
+                          if isinstance(elt, ast.Attribute)
+                          and elt.attr in self.method_names]
+        targets = [target_key] if target_key is not None else passed or [None]
         if raw_name:
             role = canonical_role(raw_name)
-        elif target_key is not None:
-            role = canonical_role(target_key[1].split(".")[-1])
+        elif targets[0] is not None:
+            role = canonical_role(targets[0][1].split(".")[-1])
         else:
             role = UNKNOWN_ROLE
-        self.spawns.append(SpawnSite(
-            path=self.source.path, line=node.lineno, symbol=info.qualname,
-            role=role, target=target_key))
+        for target in targets:
+            self.spawns.append(SpawnSite(
+                path=self.source.path, line=node.lineno,
+                symbol=info.qualname, role=role, target=target))
 
     def _resolve_target(self, expr: ast.expr) -> Optional[Key]:
         if isinstance(expr, ast.Name):

@@ -10,7 +10,7 @@ Offline-friendly subcommands::
     python -m repro.cli trace <task-id>      # per-stage latency breakdown
     python -m repro.cli metrics              # render an exported registry
     python -m repro.cli lint                 # fabric static analyzer
-    python -m repro.cli bench --quick        # batched vs per-message A/B
+    python -m repro.cli bench --quick        # e2e tasks/s + round-trip latency
     python -m repro.cli bench --backpressure # credit-flow overload plateau
     python -m repro.cli bench --result-stream  # push vs poll result delivery
     python -m repro.cli bench --shard-scale  # service-plane shard scaling
@@ -309,8 +309,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    """A/B the batched, event-driven fabric against per-message polling."""
-    from repro.perf import LEGACY_POLL_INTERVAL, compare_modes
+    """Throughput and round-trip latency of a live deployment."""
+    from repro.perf import measure_e2e
 
     if args.backpressure:
         return _bench_backpressure(quick=args.quick)
@@ -319,22 +319,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.shard_scale:
         return _bench_shard_scale(quick=args.quick)
     if args.quick:
-        tasks, samples, pairs = 16, 6, 1
+        tasks, samples, runs = 16, 6, 1
     else:
-        tasks, samples, pairs = args.tasks, args.samples, args.pairs
-    comparison = compare_modes(
+        tasks, samples, runs = args.tasks, args.samples, 2
+    result = measure_e2e(
         tasks=tasks, samples=samples, latency=args.latency,
-        transfer_cost=args.transfer_cost, pairs=pairs)
-    throughput = comparison["throughput"]
-    latency = comparison["latency"]
-    print(f"{'mode':<12s} {'tasks/s':>9s} {'p50(ms)':>9s} {'p99(ms)':>9s}")
-    for mode in ("per-message", "batched"):
-        print(f"{mode:<12s} {throughput[mode]['tasks_per_second']:9,.0f} "
-              f"{latency[mode]['p50_s'] * 1e3:9.2f} "
-              f"{latency[mode]['p99_s'] * 1e3:9.2f}")
-    print(f"speedup: {comparison['speedup']:.2f}x  "
-          f"p50 improvement: {comparison['p50_improvement_s'] * 1e3:.2f}ms "
-          f"(legacy poll quantum {LEGACY_POLL_INTERVAL * 1e3:.0f}ms)")
+        transfer_cost=args.transfer_cost, runs=runs)
+    baseline = result["baseline"]
+    measured = {**result["throughput"], **result["latency"]}
+    print(f"{'fabric':<22s} {'tasks/s':>9s} {'p50(ms)':>9s} {'p99(ms)':>9s}")
+    for label, row in (("this checkout", measured),
+                       (f"per-message @{baseline['commit']}", baseline)):
+        print(f"{label:<22s} {row['tasks_per_second']:9,.0f} "
+              f"{row['p50_s'] * 1e3:9.2f} {row['p99_s'] * 1e3:9.2f}")
+    print(f"speedup: {result['speedup']:.2f}x  "
+          f"p50 improvement: {result['p50_improvement_s'] * 1e3:.2f}ms "
+          "(baseline frozen at 128 tasks, 1ms latency, 1ms transfer cost)")
     print("full gate: PYTHONPATH=src:. python -m pytest "
           "benchmarks/bench_e2e_throughput.py")
     return 0
@@ -485,8 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="A/B the batched, event-driven dispatch fabric against "
-             "per-message polling on a live deployment")
+        help="measure the dispatch fabric's tasks/s and round-trip latency "
+             "on a live deployment")
     bench.add_argument("--quick", action="store_true",
                        help="scaled-down run finishing in a few seconds")
     bench.add_argument("--tasks", type=int, default=96,
@@ -494,22 +494,19 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--samples", type=int, default=20,
                        help="sequential round trips for latency percentiles "
                             "(default: 20)")
-    bench.add_argument("--pairs", type=int, default=2,
-                       help="interleaved A/B repetitions, best-of per mode "
-                            "(default: 2)")
     bench.add_argument("--latency", type=float, default=0.001,
                        help="one-way channel latency in seconds (default: 1 ms)")
     bench.add_argument("--backpressure", action="store_true",
                        help="run the credit-flow overload benchmark instead "
-                            "of the batching A/B")
+                            "of the throughput/latency one")
     bench.add_argument("--result-stream", dest="result_stream",
                        action="store_true",
                        help="run the push-vs-poll result delivery benchmark "
-                            "instead of the batching A/B")
+                            "instead of the throughput/latency one")
     bench.add_argument("--shard-scale", dest="shard_scale",
                        action="store_true",
                        help="run the service-plane shard-scaling benchmark "
-                            "instead of the A/B comparison")
+                            "instead of the throughput/latency one")
     bench.add_argument("--transfer-cost", dest="transfer_cost", type=float,
                        default=0.001,
                        help="serial per-transfer link occupancy in seconds "

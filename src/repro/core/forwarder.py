@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import logging
 import threading
-import time
 from collections import deque
 from typing import Any, Callable
 
@@ -36,7 +35,7 @@ from repro.transport.messages import (
     TaskBatchMessage,
     TaskMessage,
 )
-from repro.transport.wakeup import Wakeup
+from repro.transport.wakeup import Wakeup, run_loop
 
 _logger = logging.getLogger(__name__)
 
@@ -65,31 +64,20 @@ class Forwarder:
         the forwarder re-dispatches any task whose result hasn't arrived
         in time.  Duplicated execution is safe: the service keeps the
         first completion (at-least-once semantics).  ``None`` disables.
-    batching:
-        Coalesce each ``lease_many`` batch into one
-        :class:`TaskBatchMessage` with function-buffer deduplication
-        (each distinct body ships once per batch, then is cached
-        per-agent-incarnation).  Disabling reproduces the per-message
-        seed behavior.
-    event_driven:
-        Block the :meth:`start` loop on a :class:`Wakeup` fed by channel
-        deliveries and task-queue puts instead of sleep-polling; the
-        poll interval becomes a liveness fallback only.
-    flow_control:
-        Enforce the endpoint's advertised credit window (piggybacked on
-        agent heartbeats): never hold more open leases than the window,
-        so overload sheds into the service-side queue — bounded and
-        observable — instead of ballooning agent/manager in-flight
-        tables.  An endpoint that never reports credit (window ``-1``)
-        is treated as unlimited, the pre-credit behavior.
-    adaptive_batching:
-        Size dispatch waves with the adaptive Nagle policy
+    wave_policy:
+        The adaptive Nagle policy sizing dispatch waves
         (:class:`~repro.core.flowcontrol.WavePolicy`): hold a wave up to
         T seconds or N tasks, T scaled from the link's transfer cost and
         N from the observed arrival rate, with holds scheduled through
-        the existing :class:`Wakeup` (no new polling).  On a
-        zero-transfer-cost link the hold collapses to zero, reproducing
-        plain batching exactly.
+        the :class:`Wakeup` (no polling).  Defaults to one reading the
+        channel's transfer cost; on a zero-cost link the hold is zero.
+
+    Every wave ships as one :class:`TaskBatchMessage` (each distinct
+    function body once per batch, then cached per agent incarnation),
+    capped by the endpoint's credit window from the agent's heartbeats:
+    overload sheds into the service-side queue — bounded and observable
+    — instead of ballooning agent/manager in-flight tables.  A window of
+    ``-1`` (not reported by this peer) is unlimited.
     """
 
     def __init__(
@@ -101,13 +89,8 @@ class Forwarder:
         heartbeat_grace: int = 3,
         max_dispatch_per_step: int = 1024,
         lease_timeout: float | None = None,
-        batching: bool = True,
-        event_driven: bool = True,
-        flow_control: bool = True,
-        adaptive_batching: bool = True,
         wave_policy: WavePolicy | None = None,
         clock: Callable[[], float] | None = None,
-        sleeper: Callable[[float], None] | None = None,
     ):
         self.service = service
         self.endpoint_id = endpoint_id
@@ -118,24 +101,19 @@ class Forwarder:
         self.shard_index = service.shard_map.shard_for_endpoint(endpoint_id)
         self.channel = channel_end
         self._clock = clock or service.now  # clock-domain: monotonic
-        self._sleep = sleeper or time.sleep
         self.heartbeats = HeartbeatTracker(
             period=heartbeat_period, grace_periods=heartbeat_grace, clock=self._clock
         )
         self._heartbeat_period = heartbeat_period
         self.max_dispatch_per_step = max_dispatch_per_step
         self.lease_timeout = lease_timeout
-        self.batching = batching
-        self.event_driven = event_driven
-        self.flow_control = flow_control
-        self.adaptive_batching = adaptive_batching
         self._wave_policy = wave_policy or WavePolicy(
             link_cost=lambda: channel_end.transfer_cost)
         self._wakeup = Wakeup(clock=self._clock)
         self._agent_connected = False     # guarded-by: self._lock
         self._agent_name: str | None = None  # guarded-by: self._lock
         # The endpoint's advertised credit window (from the latest agent
-        # heartbeat); -1 = unreported = unlimited.  Enforced locally
+        # heartbeat); -1 = not yet reported = unlimited.  Enforced locally
         # against the open-lease table, so dispatch never overshoots
         # even when heartbeats are dropped or reordered.
         self._credit_window = -1          # guarded-by: self._lock
@@ -300,8 +278,6 @@ class Forwarder:
             elif isinstance(message, ResultBatchMessage):
                 for result in message.results:
                     self._on_result(result)
-            elif isinstance(message, ResultMessage):
-                self._on_result(message)
         return count
 
     def _on_agent_registered(self, message: Registration) -> None:
@@ -352,7 +328,7 @@ class Forwarder:
             with self._lock:
                 was_connected = self._agent_connected
                 self._agent_connected = True
-                if self.flow_control and message.credit != self._credit_window:
+                if message.credit != self._credit_window:
                     self._credit_window = message.credit
                     window_changed = True
                 else:
@@ -466,7 +442,7 @@ class Forwarder:
         with self._lock:
             window = self._credit_window
             in_flight = len(self._open_leases)
-        if self.flow_control and window >= 0:
+        if window >= 0:
             budget = min(budget, max(0, window - in_flight))
             if budget == 0:
                 depth = queue.depth
@@ -491,75 +467,37 @@ class Forwarder:
         every lease behind it until the visibility timeout, or forever
         when leases don't expire.
 
-        With flow control the wave is capped by the endpoint's remaining
-        credit; with adaptive batching the wave may additionally be held
-        (bounded, via ``Wakeup.set_at`` — no polling) to fill closer to
-        the arrival rate × hold-budget product before paying the link's
-        per-transfer cost.
+        The wave is capped by the endpoint's remaining credit and may
+        additionally be held (bounded, via ``Wakeup.set_at`` — no
+        polling) to fill closer to the arrival rate × hold-budget product
+        before paying the link's per-transfer cost.
         """
         queue = self.service.task_queue(self.endpoint_id)
         budget, window, in_flight = self._wave_budget(queue)
         if budget <= 0:
             return 0
-        if self.adaptive_batching:
-            decision = self._wave_policy.decide(
-                depth=queue.depth, budget=budget,
-                enqueued_total=queue.total_enqueued, now=self._clock())
-            if decision.size <= 0:
-                if decision.hold_until is not None:
-                    # Wave held to fill; re-evaluate when the hold ripens.
-                    self._wakeup.set_at(decision.hold_until)
-                return 0
-            budget = min(budget, decision.size)
-            self._h_wave_hold.observe(decision.held_for)
-        pending = deque(queue.lease_many(budget,
+        decision = self._wave_policy.decide(
+            depth=queue.depth, budget=budget,
+            enqueued_total=queue.total_enqueued, now=self._clock())
+        if decision.size <= 0:
+            if decision.hold_until is not None:
+                # Wave held to fill; re-evaluate when the hold ripens.
+                self._wakeup.set_at(decision.hold_until)
+            return 0
+        self._h_wave_hold.observe(decision.held_for)
+        pending = deque(queue.lease_many(min(budget, decision.size),
                                          lease_timeout=self.lease_timeout))
         if not pending:
             return 0
-        if self.batching:
-            dispatched = self._dispatch_batch(queue, pending)
-            self._note_wave(dispatched, in_flight, window)
-            return dispatched
-        # Per-batch function-buffer memo: N tasks sharing a function hit
-        # the service store once per step, not once per task, even on the
-        # per-message fallback path.
-        memo: dict[str, bytes] = {}
-        dispatched = 0
-        lease = None
-        try:
-            while pending:
-                lease = pending.popleft()
-                dispatched += self._dispatch_one(queue, lease, memo)
-        except Exception:
-            # An unexpected failure mid-batch: the in-flight lease was
-            # popped but may have escaped _dispatch_one undisposed (e.g.
-            # mark_dispatched raced a forget_task), so nack it unless it
-            # already reached _open_leases, then return every unprocessed
-            # lease so the tasks redeliver next step instead of hanging
-            # open against a crashed dispatch loop.
-            if lease is not None:
-                with self._lock:
-                    registered = self._open_leases.get(lease.item) is lease
-                if not registered:
-                    queue.nack(lease.lease_id)
-            for unprocessed in pending:
-                queue.nack(unprocessed.lease_id)
-            raise
-        self._note_wave(dispatched, in_flight, window)
-        return dispatched
-
-    def _note_wave(self, size: int, in_flight: int, window: int) -> None:
-        """Emit the ``flow.wave`` probe for a committed dispatch wave.
-
-        ``size`` is the count actually sent (orphaned leases a wave acks
-        in passing are not in flight); ``in_flight``/``window`` are the
-        values the wave's budget was computed from, so the bounded-in-
-        flight invariant can re-check ``size <= window - in_flight``
-        exactly as the forwarder saw it.
-        """
-        if size > 0:
-            self._emit("flow.wave", size=size, in_flight=in_flight,
+        dispatched = self._dispatch_batch(queue, pending)
+        if dispatched > 0:
+            # The count actually sent (orphans acked in passing are not
+            # in flight) beside the values the budget was computed from,
+            # so the bounded-in-flight invariant can re-check
+            # ``size <= window - in_flight`` exactly as the forwarder saw it.
+            self._emit("flow.wave", size=dispatched, in_flight=in_flight,
                        window=window)
+        return dispatched
 
     def _dispatch_batch(self, queue: ReliableQueue,
                         pending: "deque[Lease]") -> int:
@@ -687,58 +625,6 @@ class Forwarder:
             self._c_coalesced.inc(len(prepared))
         return dispatched
 
-    def _dispatch_one(self, queue: ReliableQueue, lease: Lease,
-                      memo: dict[str, bytes] | None = None) -> int:
-        """Send one leased task; returns 1 if dispatched, 0 otherwise."""
-        task_id: str = lease.item
-        try:
-            task = self.service.task_by_id(task_id)
-        except TaskNotFound:
-            # The record behind this queue entry is gone (forget_task /
-            # TTL purge raced the dispatch).  Ack the lease so the orphan
-            # id stops cycling through the queue.
-            queue.ack(lease.lease_id)
-            self._c_orphans.inc()
-            self._emit("forwarder.orphan_lease", task_id=task_id)
-            return 0
-        if task.state.terminal:
-            queue.ack(lease.lease_id)  # cancelled/failed while queued
-            return 0
-        buffer = memo.get(task.function_id) if memo is not None else None
-        if buffer is None:
-            buffer = self.service.function_buffer(task.function_id)
-            if memo is not None:
-                memo[task.function_id] = buffer
-        trace = self.service.traces.context_for(task_id)
-        message = TaskMessage(
-            sender=f"forwarder:{self.endpoint_id}",
-            task_id=task.task_id,
-            function_id=task.function_id,
-            function_buffer=buffer,
-            payload_buffer=task.payload_buffer,
-            container_image=self._site_container(task.container_image),
-            submitted_at=task.state_times.get("received", self._clock()),
-            trace=trace,
-        )
-        if not self.channel.send(message):
-            # Message dropped (peer down mid-step).  The task was never
-            # marked dispatched, so only the queue lease needs returning.
-            queue.nack(lease.lease_id)
-            return 0
-        # Order matters: mark dispatched *before* registering the lease so
-        # an exception can never leave a lease both registered here and
-        # nacked by the _dispatch_tasks outer handler.
-        self.service.mark_dispatched(task_id)
-        with self._lock:
-            self._open_leases[task_id] = lease
-        if trace is not None:
-            trace.record("forwarder.dispatch", f"forwarder:{self.endpoint_id[:8]}",
-                         start=lease.enqueued_at, end=self._clock(),
-                         attempt=task.attempts, shard=self.shard_index)
-        self._c_forwarded.inc()
-        self._h_batch_size.observe(1.0)
-        return 1
-
     def _site_container(self, container_image: str | None) -> str | None:
         """Convert a container key to the endpoint's site technology.
 
@@ -763,48 +649,23 @@ class Forwarder:
     # ------------------------------------------------------------------
     # threaded operation (live fabric)
     # ------------------------------------------------------------------
-    def start(self, poll_interval: float | None = None) -> None:
+    def start(self) -> None:
         """Run the forwarder loop on a thread.
 
-        Event-driven (the default): the loop blocks on a wakeup fed by
-        agent-channel deliveries and task-queue puts, and
-        ``poll_interval`` (default: half the heartbeat period) is only
-        the liveness/lease-reclaim fallback.  With ``event_driven``
-        disabled the loop sleep-polls at ``poll_interval`` (default
-        2 ms), the seed behavior.
+        The loop blocks on a wakeup fed by agent-channel deliveries and
+        task-queue puts; half the heartbeat period is only the
+        liveness/lease-reclaim fallback.
         """
         if self._thread is not None:
             raise RuntimeError("forwarder already started")
-        if poll_interval is None:
-            poll_interval = (max(0.001, 0.5 * self._heartbeat_period)
-                             if self.event_driven else 0.002)
-        fallback = poll_interval
         self._stop.clear()
-        if self.event_driven:
-            # Wire the wakeup sources: messages ripening on the agent
-            # channel and tasks landing in the endpoint's queue.
-            self.channel.wakeup = self._wakeup.set_at
-            self.service.task_queue(self.endpoint_id).wakeup = self._wakeup.set
-
-        def loop() -> None:
-            import logging
-
-            while not self._stop.is_set():
-                try:
-                    events = self.step()
-                except Exception:
-                    logging.getLogger(__name__).exception(
-                        "forwarder step failed; continuing"
-                    )
-                    events = 0
-                if events == 0:
-                    if self.event_driven:
-                        self._wakeup.wait(fallback)
-                    else:
-                        self._sleep(fallback)
-
+        self.channel.wakeup = self._wakeup.set_at
+        self.service.task_queue(self.endpoint_id).wakeup = self._wakeup.set
         self._thread = threading.Thread(
-            target=loop, name=f"forwarder-{self.endpoint_id[:8]}", daemon=True
+            target=run_loop, name=f"forwarder-{self.endpoint_id[:8]}",
+            daemon=True,
+            args=(f"forwarder:{self.endpoint_id}", self.step, self._stop,
+                  self._wakeup, max(0.001, 0.5 * self._heartbeat_period)),
         )
         self._thread.start()
 
@@ -812,6 +673,6 @@ class Forwarder:
         if self._thread is None:
             return
         self._stop.set()
-        self._wakeup.set()  # unblock an idle event-driven loop promptly
+        self._wakeup.set()  # unblock an idle loop promptly
         self._thread.join(timeout)
         self._thread = None

@@ -78,8 +78,6 @@ class ShardMap:
         self._ring_vals = [p[1] for p in points]
 
     def _lookup(self, key: str) -> int:
-        if self.shards == 1:
-            return 0
         position = bisect.bisect(self._ring_keys, _ring_hash(key))
         if position == len(self._ring_keys):
             position = 0  # wrap around the ring
@@ -97,8 +95,6 @@ class ShardMap:
         ring, which is deterministic — an unknown id misses consistently
         on the same shard and surfaces as ``TaskNotFound``.
         """
-        if self.shards == 1:
-            return 0
         base, sep, suffix = task_id.rpartition(_SHARD_TAG)
         if sep and base and suffix.isdigit():
             index = int(suffix)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import replace
 from typing import Callable
 
 from repro.endpoint.config import EndpointConfig
@@ -41,7 +40,7 @@ from repro.transport.messages import (
     TaskBatchMessage,
     TaskMessage,
 )
-from repro.transport.wakeup import Wakeup
+from repro.transport.wakeup import Wakeup, run_loop
 
 
 class FuncXAgent:
@@ -86,13 +85,11 @@ class FuncXAgent:
         scheduler: SchedulingPolicy | None = None,
         clock: Callable[[], float] | None = None,
         metrics: MetricsRegistry | None = None,
-        sleeper: Callable[[float], None] | None = None,
     ):
         self.endpoint_id = endpoint_id
         self.forwarder = forwarder_channel
         self.config = config or EndpointConfig()
         self._clock = clock or time.monotonic  # clock-domain: monotonic
-        self._sleep = sleeper or time.sleep
         self.scheduler = scheduler or scheduler_by_name(
             self.config.scheduler_policy, seed=self.config.seed
         )
@@ -107,16 +104,15 @@ class FuncXAgent:
         self._pending: deque[TaskMessage] = deque()
         # task_id -> (manager_id, message, agent-side attempt count)
         self._assigned: dict[str, tuple[str, TaskMessage, int]] = {}
-        # Function-buffer table: bodies arrive once per batch (or attached
-        # to legacy per-message tasks) and are reattached on dispatch.
+        # Function-buffer table: bodies arrive in batch envelopes and are
+        # shipped on to each manager once per registration.
         self._buffers: dict[str, bytes] = {}
         # Per-manager record of which buffer version (digest) each manager
         # already holds; reset when the manager (re-)registers.
         self._manager_shipped: dict[str, dict[str, int]] = {}
         self._lock = threading.RLock()
         self._wakeup = Wakeup(clock=self._clock)
-        if self.config.event_driven:
-            forwarder_channel.wakeup = self._wakeup.set_at
+        forwarder_channel.wakeup = self._wakeup.set_at
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
         # register_with_forwarder() touches these before the loop thread
@@ -146,8 +142,7 @@ class FuncXAgent:
         self.metrics.gauge("agent.pending_tasks",
                            endpoint=endpoint_id).set_function(self.pending_count)
         self.metrics.gauge("agent.credit_window",
-                           endpoint=endpoint_id).set_function(
-            lambda: max(0, self.credit_window()))
+                           endpoint=endpoint_id).set_function(self.credit_window)
         # The credit window carried by the most recent heartbeat; a
         # change (manager membership / suspension) triggers an immediate
         # beat so the forwarder's window tracks capacity without waiting
@@ -208,8 +203,7 @@ class FuncXAgent:
 
     def attach_manager(self, manager_id: str, channel: ChannelEnd) -> None:
         """Attach the agent side of a manager's channel."""
-        if self.config.event_driven:
-            channel.wakeup = self._wakeup.set_at
+        channel.wakeup = self._wakeup.set_at
         with self._lock:
             self._manager_channels[manager_id] = channel
 
@@ -268,10 +262,9 @@ class FuncXAgent:
 
         This is the endpoint-wide in-flight bound the agent forwards
         upstream on its heartbeats: the forwarder keeps at most this
-        many tasks leased against the endpoint.  ``-1`` (unlimited) when
-        flow control is disabled.  The value is *absolute*, not a
-        running remainder, so a lost or reordered heartbeat can never
-        corrupt the books — the next beat re-states the truth.
+        many tasks leased against the endpoint.  The value is *absolute*,
+        not a running remainder, so a lost or reordered heartbeat can
+        never corrupt the books — the next beat re-states the truth.
 
         The window is the sum of the live managers' windows *plus an
         agent-side buffer* of ``pipeline_depth`` node-windows (the
@@ -286,8 +279,6 @@ class FuncXAgent:
         an elasticity controller can observe it, bounded, ready for the
         first manager that registers.
         """
-        if not self.config.flow_control:
-            return -1
         prefetch = (self.config.prefetch_capacity
                     if self.config.internal_batching else 1)
         node_window = self.config.workers_per_node + prefetch
@@ -340,21 +331,17 @@ class FuncXAgent:
                         self._buffers.update(message.function_buffers)
                 for task in message.tasks:
                     self._admit_task(task)
-            elif isinstance(message, TaskMessage):
-                self._admit_task(message)
             elif isinstance(message, CommandMessage) and message.command == "shutdown":
                 self._stop.set()
         return count
 
     def _admit_task(self, message: TaskMessage) -> None:
         with self._lock:
-            if message.function_buffer:
-                self._buffers[message.function_id] = message.function_buffer
             known = message.function_id in self._buffers
         if not known:
-            # Stripped task whose body never arrived (its envelope was
-            # dropped or reordered past it); drop it — the forwarder's
-            # lease timeout redelivers it with the body force-shipped.
+            # Task whose body never arrived (its envelope was dropped or
+            # reordered past it); drop it — the forwarder's lease timeout
+            # redelivers it with the body force-shipped.
             self._c_buffer_miss.inc()
             return
         if message.trace is not None:
@@ -381,9 +368,6 @@ class FuncXAgent:
                     for result in message.results:
                         self._record_result(manager_id, result)
                         results.append(result)
-                elif isinstance(message, ResultMessage):
-                    self._record_result(manager_id, message)
-                    results.append(message)
         if results:
             self._forward_results(results)
         return count
@@ -428,13 +412,10 @@ class FuncXAgent:
 
     def _forward_results(self, results: list[ResultMessage]) -> None:
         """Ship a step's worth of results upstream as one transfer."""
-        if self.config.message_batching and len(results) > 1:
-            self.forwarder.send(
-                ResultBatchMessage(sender=self.name, results=tuple(results)))
+        self.forwarder.send(
+            ResultBatchMessage(sender=self.name, results=tuple(results)))
+        if len(results) > 1:
             self._c_coalesced.inc(len(results))
-        else:
-            for result in results:
-                self.forwarder.send(result)
         self._h_result_batch.observe(float(len(results)))
         self._c_results.inc(len(results))
 
@@ -475,7 +456,7 @@ class FuncXAgent:
     def _fail_task(self, message: TaskMessage, reason: str) -> None:
         wrapper = RemoteExceptionWrapper(RuntimeError(reason))
         buffer = self._serializer.serialize(wrapper, routing_tag=message.task_id)
-        self.forwarder.send(
+        self._forward_results([
             ResultMessage(
                 sender=self.name,
                 task_id=message.task_id,
@@ -486,19 +467,16 @@ class FuncXAgent:
                 completed_at=self._clock(),
                 trace=message.trace,
             )
-        )
+        ])
 
     # -- dispatch -------------------------------------------------------------
     def _dispatch(self) -> int:
         """Route pending tasks to managers.
 
         Phase 1 runs the scheduling policy per task (taking the lock per
-        iteration so receive paths interleave).  With message batching on,
-        sends are deferred and phase 2 ships each manager's share as one
-        :class:`TaskBatchMessage`; otherwise each task is sent as it is
-        scheduled (the seed behavior).
+        iteration so receive paths interleave); phase 2 ships each
+        manager's share as one :class:`TaskBatchMessage`.
         """
-        batching = self.config.message_batching
         assignments: dict[str, list[TaskMessage]] = {}
         channels: dict[str, ChannelEnd] = {}
         dispatched = 0
@@ -525,31 +503,12 @@ class FuncXAgent:
                 attempts = self._assigned.get(message.task_id, ("", message, 0))[2]
                 self._assigned[message.task_id] = (chosen.manager_id, message, attempts + 1)
                 chosen.outstanding += 1
-            if batching:
-                assignments.setdefault(chosen.manager_id, []).append(message)
-                channels[chosen.manager_id] = channel
-                continue
-            if not channel.send(self._with_buffer(message)):
-                # manager channel just went down; watchdog will requeue
-                continue
-            if message.trace is not None:
-                message.trace.end("agent", at=self._clock(),
-                                  manager=chosen.manager_id)
-            self._c_dispatched.inc()
-            self._h_dispatch_batch.observe(1.0)
-            dispatched += 1
+            assignments.setdefault(chosen.manager_id, []).append(message)
+            channels[chosen.manager_id] = channel
         for manager_id, messages in assignments.items():
             dispatched += self._send_task_batch(
                 manager_id, channels[manager_id], messages)
         return dispatched
-
-    def _with_buffer(self, message: TaskMessage) -> TaskMessage:
-        """Reattach the function body to a stripped task (legacy path)."""
-        if message.function_buffer:
-            return message
-        with self._lock:
-            buffer = self._buffers.get(message.function_id, b"")
-        return replace(message, function_buffer=buffer)
 
     def _send_task_batch(
         self,
@@ -563,24 +522,17 @@ class FuncXAgent:
         when this manager has not already been shipped the same version
         (digest tracked per manager registration).
         """
-        outgoing: list[TaskMessage] = []
         needed: dict[str, bytes] = {}
         with self._lock:
             shipped = self._manager_shipped.setdefault(manager_id, {})
             for message in messages:
                 buffer = self._buffers.get(message.function_id)
-                if buffer is None and message.function_buffer:
-                    buffer = message.function_buffer
-                    self._buffers[message.function_id] = buffer
                 if buffer is not None and message.function_id not in needed:
                     if shipped.get(message.function_id) != hash(buffer):
                         needed[message.function_id] = buffer
-                if message.function_buffer:
-                    message = replace(message, function_buffer=b"")
-                outgoing.append(message)
         batch = TaskBatchMessage(
             sender=self.name,
-            tasks=tuple(outgoing),
+            tasks=tuple(messages),
             function_buffers=needed,
             incarnation=self.incarnation,
         )
@@ -592,14 +544,14 @@ class FuncXAgent:
             for function_id, buffer in needed.items():
                 shipped[function_id] = hash(buffer)
         now = self._clock()
-        for message in outgoing:
+        for message in messages:
             if message.trace is not None:
                 message.trace.end("agent", at=now, manager=manager_id)
-        self._c_dispatched.inc(len(outgoing))
-        self._h_dispatch_batch.observe(float(len(outgoing)))
-        if len(outgoing) > 1:
-            self._c_coalesced.inc(len(outgoing))
-        return len(outgoing)
+        self._c_dispatched.inc(len(messages))
+        self._h_dispatch_batch.observe(float(len(messages)))
+        if len(messages) > 1:
+            self._c_coalesced.inc(len(messages))
+        return len(messages)
 
     # -- heartbeats to the forwarder ----------------------------------------------
     def _maybe_heartbeat(self) -> None:
@@ -613,63 +565,39 @@ class FuncXAgent:
         # window 0 for a full period before the forwarder may dispatch.
         # Skewed agents stay silent: the skew fault injection must delay
         # *all* beats, credit updates included.
-        dirty = (self.config.flow_control
-                 and credit != self._last_credit_sent
-                 and self.heartbeat_skew == 0)
+        dirty = credit != self._last_credit_sent and self.heartbeat_skew == 0
         if not due and not dirty:
             return
         self._last_heartbeat = now
         self._last_credit_sent = credit
-        try:
-            self.forwarder.send(
-                Heartbeat(
-                    sender=self.name,
-                    timestamp=now,
-                    outstanding_tasks=self.outstanding_count(),
-                    incarnation=self.incarnation,
-                    credit=credit,
-                )
+        self.forwarder.send(
+            Heartbeat(
+                sender=self.name,
+                timestamp=now,
+                outstanding_tasks=self.outstanding_count(),
+                incarnation=self.incarnation,
+                credit=credit,
             )
-        except Exception:
-            pass  # disconnected from forwarder; reconnection re-registers
+        )
 
     # ------------------------------------------------------------------
     # threaded operation
     # ------------------------------------------------------------------
-    def start(self, poll_interval: float | None = None) -> None:
+    def start(self) -> None:
         """Run the agent loop in a thread.
 
-        Event-driven agents block on the wakeup (channel deliveries from
-        the forwarder and managers latch it) and use ``poll_interval``
-        only as a heartbeat/watchdog liveness fallback, defaulting to
-        half the heartbeat period.
+        The loop blocks on the wakeup (channel deliveries from the
+        forwarder and managers latch it); half the heartbeat period is
+        only the heartbeat/watchdog liveness fallback.
         """
         if self._thread is not None:
             raise RuntimeError("agent already started")
-        event_driven = self.config.event_driven
-        if poll_interval is None:
-            poll_interval = (
-                max(0.001, 0.5 * self.config.heartbeat_period)
-                if event_driven else 0.002
-            )
-        fallback = poll_interval
         self._stop.clear()
         self.register_with_forwarder()
-
-        def loop() -> None:
-            while not self._stop.is_set():
-                try:
-                    events = self.step()
-                except Exception:
-                    events = 0
-                if events == 0:
-                    if event_driven:
-                        self._wakeup.wait(fallback)
-                    else:
-                        self._sleep(fallback)
-
         self._thread = threading.Thread(
-            target=loop, name=f"agent-{self.endpoint_id[:8]}", daemon=True
+            target=run_loop, name=f"agent-{self.endpoint_id[:8]}", daemon=True,
+            args=(self.name, self.step, self._stop, self._wakeup,
+                  max(0.001, 0.5 * self.config.heartbeat_period)),
         )
         self._thread.start()
 

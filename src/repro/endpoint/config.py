@@ -36,30 +36,6 @@ class EndpointConfig:
     internal_batching:
         Whether managers lease many tasks per request (§4.7 "internal
         batching"); disabling reproduces the §5.5.2 baseline.
-    message_batching:
-        Whether the forwarder/agent/manager coalesce tasks and results
-        into batch envelopes with function-buffer deduplication (one
-        channel transfer per step instead of one per message).
-        Disabling reproduces the per-message seed behavior.
-    event_driven:
-        Whether the forwarder/agent/manager loops block on wakeups
-        (channel deliveries, queue puts, worker completions) instead of
-        sleep-polling; the poll interval becomes a liveness/heartbeat
-        fallback only.
-    adaptive_batching:
-        Whether the forwarder's dispatch waves are sized by the adaptive
-        Nagle policy (hold a wave up to T seconds or N tasks, T/N
-        derived from the link's transfer cost and the observed arrival
-        rate — see docs/PERFORMANCE.md).  Disabling reproduces the
-        lease-whatever-is-there wave sizing of the plain batching path.
-    flow_control:
-        Whether credit-based backpressure is active end to end: workers
-        grant credits to their manager, managers advertise credit
-        windows, the agent forwards the aggregate window on its
-        heartbeat, and the forwarder never holds more open leases than
-        the advertised window.  Disabling reproduces the unbounded
-        in-flight behavior (backlog pools at the agent/manager instead
-        of the service-side queue).
     pipeline_depth:
         Agent-side pipeline buffer, in units of one node's credit
         window, added to the advertised aggregate.  Keeps the
@@ -88,10 +64,6 @@ class EndpointConfig:
     heartbeat_grace: int = 3
     prefetch_capacity: int = 4
     internal_batching: bool = True
-    message_batching: bool = True
-    event_driven: bool = True
-    adaptive_batching: bool = True
-    flow_control: bool = True
     pipeline_depth: int = 2
     scheduler_policy: str = "randomized"
     scale_cold_start: float = 1.0

@@ -74,7 +74,6 @@ class Endpoint:
             config=self.config,
             clock=self._clock,
             metrics=self.metrics,
-            sleeper=sleeper,
         )
         self.managers: dict[str, Manager] = {}
         # Called with each new Manager before it starts (scale_out
@@ -131,14 +130,16 @@ class Endpoint:
             manager.stop()
 
     def wait_ready(self, timeout: float = 10.0) -> bool:
-        """Block until every manager has registered capacity with the agent."""
+        """Block until a manager has registered capacity with the agent.
+
+        An endpoint with no managers (scale-from-zero) is ready at once.
+        """
         deadline = self._clock() + timeout
-        expected = len(self.managers)
-        while self._clock() < deadline:
-            if len(self.agent.manager_ids()) >= expected and self.agent.total_capacity() > 0:
-                return True
+        while self.managers and self.agent.total_capacity() == 0:
+            if self._clock() >= deadline:
+                return False
             self._sleep(0.005)
-        return False
+        return True
 
     # ------------------------------------------------------------------
     # elasticity hooks

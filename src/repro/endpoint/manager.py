@@ -49,15 +49,15 @@ from repro.transport.messages import (
     TaskBatchMessage,
     TaskMessage,
 )
-from repro.transport.wakeup import Wakeup
+from repro.transport.wakeup import Wakeup, run_loop
 
 
 class _NotifyingQueue(_queue.Queue):
     """Worker-results queue that pokes the manager's wakeup on put.
 
-    Workers complete tasks on their own threads; without the poke an
-    event-driven manager would sleep through completions until its
-    heartbeat fallback fired.
+    Workers complete tasks on their own threads; without the poke the
+    manager would sleep through completions until its heartbeat
+    fallback fired.
     """
 
     def __init__(self, notify: Callable[[], None]):
@@ -113,8 +113,7 @@ class Manager:
         self.warm_pool = WarmPool(ttl=config.warm_ttl)
 
         self._wakeup = Wakeup(clock=self._clock)
-        if config.event_driven:
-            channel.wakeup = self._wakeup.set_at
+        channel.wakeup = self._wakeup.set_at
         self._results: "_queue.Queue[tuple[str, ResultMessage]]" = _NotifyingQueue(
             self._wakeup.set)
         self._workers: dict[str, Worker] = {}
@@ -157,7 +156,7 @@ class Manager:
         ).set_function(lambda: self.credits.available)
         self.metrics.gauge(
             "manager.credit_window", manager=manager_id
-        ).set_function(lambda: max(0, self.credit_window()))
+        ).set_function(self.credit_window)
 
     # -- registry-backed counters (compat with the former int attributes) ----
     @property
@@ -250,8 +249,6 @@ class Manager:
                         self._buffers.update(message.function_buffers)
                 for task in message.tasks:
                     self._admit_task(task)
-            elif isinstance(message, TaskMessage):
-                self._admit_task(message)
             elif isinstance(message, CommandMessage):
                 self._on_command(message)
         events += self._collect_results()
@@ -263,8 +260,6 @@ class Manager:
         if message.trace is not None:
             message.trace.begin("manager", self.manager_id, at=self._clock())
         with self._lock:
-            if message.function_buffer:
-                self._buffers[message.function_id] = message.function_buffer
             self._pending.append(message)
 
     def _collect_results(self) -> int:
@@ -280,18 +275,17 @@ class Manager:
             collected.append(result)
         if not collected:
             return 0
-        if self.config.message_batching and len(collected) > 1:
-            # One coalesced transfer for the whole step's completions.
-            self.channel.send(
-                ResultBatchMessage(sender=self.manager_id,
-                                   results=tuple(collected)))
-            self._c_coalesced.inc(len(collected))
-        else:
-            for result in collected:
-                self.channel.send(result)
-        self._h_result_batch.observe(float(len(collected)))
+        self._send_results(collected)
         self._advertise()  # capacity freed: advertise immediately
         return len(collected)
+
+    def _send_results(self, results: list[ResultMessage]) -> None:
+        """One transfer for a step's completions (or one failure)."""
+        self.channel.send(
+            ResultBatchMessage(sender=self.manager_id, results=tuple(results)))
+        if len(results) > 1:
+            self._c_coalesced.inc(len(results))
+        self._h_result_batch.observe(float(len(results)))
 
     def _dispatch_pending(self) -> int:
         dispatched = 0
@@ -303,12 +297,10 @@ class Manager:
                 if not self._pending:
                     break
                 message = self._pending[0]
-                buffer = b""
-                if not message.function_buffer:
-                    buffer = self._buffers.get(message.function_id, b"")
-                    if not buffer:
-                        self._pending.popleft()
-            if not message.function_buffer and not buffer:
+                buffer = self._buffers.get(message.function_id, b"")
+                if not buffer:
+                    self._pending.popleft()
+            if not buffer:
                 self._fail_unresolvable(message)
                 dispatched += 1
                 continue
@@ -321,8 +313,7 @@ class Manager:
                 self._pending.popleft()
                 self._idle.discard(worker.worker_id)
             self.credits.consume(1)  # the slot's credit rides the task
-            if buffer:
-                message = replace(message, function_buffer=buffer)
+            message = replace(message, function_buffer=buffer)
             if message.trace is not None:
                 message.trace.end("manager", at=self._clock(),
                                   worker=worker.worker_id)
@@ -331,7 +322,7 @@ class Manager:
         return dispatched
 
     def _fail_unresolvable(self, message: TaskMessage) -> None:
-        """A stripped task whose function body never reached this node.
+        """A task whose function body never reached this node.
 
         Reported as a failure result so the task is not silently lost;
         the client (or agent retry machinery) can resubmit.
@@ -343,7 +334,7 @@ class Manager:
         buffer = self._serializer.serialize(wrapper, routing_tag=message.task_id)
         if message.trace is not None:
             message.trace.end("manager", at=self._clock(), error="buffer_miss")
-        self.channel.send(
+        self._send_results([
             ResultMessage(
                 sender=self.manager_id,
                 task_id=message.task_id,
@@ -354,7 +345,7 @@ class Manager:
                 completed_at=self._clock(),
                 trace=message.trace,
             )
-        )
+        ])
 
     def _worker_for(self, container_image: str | None) -> Worker | None:
         """An idle worker deployed in a suitable container (§4.5).
@@ -415,12 +406,10 @@ class Manager:
         with self._lock:
             idle = len(self._idle)
             queued = len(self._pending)
-        if self.config.flow_control:
-            # The credit ledger leads the idle set: workers release their
-            # credit the instant execution finishes, before the collect
-            # pass re-marks them idle, so freed capacity advertises one
-            # hop earlier.
-            idle = max(idle, self.credits.available)
+        # The credit ledger leads the idle set: workers release their
+        # credit the instant execution finishes, before the collect pass
+        # re-marks them idle, so freed capacity advertises one hop earlier.
+        idle = max(idle, self.credits.available)
         if not self.config.internal_batching:
             return min(1, idle) if not queued else 0
         prefetch = self.config.prefetch_capacity
@@ -432,31 +421,27 @@ class Manager:
         The window is the total task population the node is willing to
         hold at once — every worker slot plus the prefetch allowance
         (one without internal batching, matching the one-task-per-round-
-        trip §5.5.2 baseline).  ``-1`` when flow control is disabled
-        (window unreported = unlimited to the receiver).
+        trip §5.5.2 baseline).
         """
-        if not self.config.flow_control:
-            return -1
         extra = (self.config.prefetch_capacity
                  if self.config.internal_batching else 1)
         return len(self._workers) + extra
 
     def _advertise(self, force: bool = False) -> None:
-        capacity = self.advertised_capacity()
-        containers = self.deployed_containers()
-        state = (capacity, containers)
-        if not force and state == self._last_advertised:
-            return
-        self._last_advertised = state
-        self.channel.send(
-            Advertisement(
-                sender=self.manager_id,
-                manager_id=self.manager_id,
-                idle_workers=self.idle_count,
-                prefetch_capacity=max(0, capacity - self.idle_count),
-                deployed_containers=containers,
-                credit_window=self.credit_window(),
-            )
+        state = (self.advertised_capacity(), self.deployed_containers())
+        if force or state != self._last_advertised:
+            self.channel.send(self._advertisement(*state))
+
+    def _advertisement(self, capacity: int,
+                       containers: tuple[str, ...]) -> Advertisement:
+        self._last_advertised = (capacity, containers)
+        return Advertisement(
+            sender=self.manager_id,
+            manager_id=self.manager_id,
+            idle_workers=self.idle_count,
+            prefetch_capacity=max(0, capacity - self.idle_count),
+            deployed_containers=containers,
+            credit_window=self.credit_window(),
         )
 
     def _maybe_heartbeat(self) -> None:
@@ -469,23 +454,10 @@ class Manager:
             sender=self.manager_id, timestamp=now,
             outstanding_tasks=self.outstanding)
         self.warm_pool.evict_expired(now)
-        if not self.config.message_batching:
-            self.channel.send(beat)
-            self._advertise(force=True)
-            return
         # Piggyback the periodic advertisement on the heartbeat: one
         # coalesced transfer instead of two back-to-back messages.
-        capacity = self.advertised_capacity()
-        containers = self.deployed_containers()
-        self._last_advertised = (capacity, containers)
-        advert = Advertisement(
-            sender=self.manager_id,
-            manager_id=self.manager_id,
-            idle_workers=self.idle_count,
-            prefetch_capacity=max(0, capacity - self.idle_count),
-            deployed_containers=containers,
-            credit_window=self.credit_window(),
-        )
+        advert = self._advertisement(
+            self.advertised_capacity(), self.deployed_containers())
         self.channel.send_many((beat, advert))
         self._c_coalesced.inc(2)
 
@@ -503,47 +475,32 @@ class Manager:
                     idle_workers=0,
                     prefetch_capacity=0,
                     deployed_containers=self.deployed_containers(),
-                    credit_window=0 if self.config.flow_control else -1,
+                    credit_window=0,
                 )
             )
 
     # ------------------------------------------------------------------
     # threaded operation
     # ------------------------------------------------------------------
-    def start(self, poll_interval: float | None = None) -> None:
+    def start(self) -> None:
         """Run the manager loop in a thread.
 
-        Event-driven managers block on the wakeup (channel deliveries and
-        worker completions latch it) and use ``poll_interval`` only as a
-        heartbeat liveness fallback, defaulting to half the heartbeat
-        period.
+        The loop blocks on the wakeup (channel deliveries and worker
+        completions latch it); half the heartbeat period is only the
+        heartbeat liveness fallback.
         """
         if self._thread is not None:
             raise RuntimeError("manager already started")
-        event_driven = self.config.event_driven
-        if poll_interval is None:
-            poll_interval = (
-                max(0.001, 0.5 * self.config.heartbeat_period)
-                if event_driven else 0.002
-            )
-        fallback = poll_interval
         self._stop.clear()
         for worker in self._workers.values():
             worker.start()
         self.register()
-
-        def loop() -> None:
-            while not self._stop.is_set():
-                if self.step() == 0:
-                    if event_driven:
-                        self._wakeup.wait(fallback)
-                    else:
-                        self._sleep(fallback)
-
         # Thread-lifecycle handoffs: start()/join() supply the
         # happens-before edges for these ownership transfers.
         self._thread = threading.Thread(  # handoff
-            target=loop, name=f"manager-{self.manager_id}", daemon=True
+            target=run_loop, name=f"manager-{self.manager_id}", daemon=True,
+            args=(self.manager_id, self.step, self._stop, self._wakeup,
+                  max(0.001, 0.5 * self.config.heartbeat_period)),
         )
         self._thread.start()
 

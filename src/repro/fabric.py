@@ -196,10 +196,6 @@ class LocalDeployment:
             channel_end=channel.left,
             heartbeat_period=config.heartbeat_period,
             heartbeat_grace=config.heartbeat_grace,
-            batching=config.message_batching,
-            event_driven=config.event_driven,
-            flow_control=config.flow_control,
-            adaptive_batching=config.adaptive_batching,
         )
         endpoint = Endpoint(
             endpoint_id=endpoint_id,
@@ -260,13 +256,18 @@ class LocalDeployment:
         if start:
             forwarder.start()
             endpoint.start()
-            endpoint.wait_ready()
+            if not endpoint.wait_ready():
+                raise RuntimeError(
+                    f"endpoint {name!r}: none of its {nodes} manager(s) "
+                    "registered capacity with the agent within 10 s")
             # Also wait for the agent's registration to reach the forwarder
             # so the endpoint is observably connected before we return.
             deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                if self.service.endpoints.get(endpoint_id).connected:
-                    break
+            while not self.service.endpoints.get(endpoint_id).connected:
+                if time.monotonic() >= deadline:
+                    raise RuntimeError(
+                        f"endpoint {name!r}: the agent's registration did "
+                        "not reach its forwarder within 10 s")
                 time.sleep(0.005)
         return endpoint_id
 

@@ -5,35 +5,34 @@ Drives a full :class:`~repro.fabric.LocalDeployment` (service → forwarder
 measures throughput (tasks/s over a submission wave) and round-trip
 latency percentiles for sequential single tasks.
 
-Two modes are compared:
-
-* **batched** — the default fabric: ``message_batching=True`` coalesces
-  task/result waves into batch envelopes with function-buffer dedup, and
-  ``event_driven=True`` makes every loop block on a wakeup instead of
-  sleep-polling.
-* **per-message** — the pre-batching behavior: one transfer per message
-  and fixed-interval polling loops.
-
 The interesting knob is ``transfer_cost``: each transfer occupies the
-receiving link serially, so N individual sends pay N × cost while one
-coalesced batch pays it once.  Used by
-``benchmarks/bench_e2e_throughput.py`` (which gates the ≥2x speedup) and
-the ``repro bench`` CLI subcommand.
+receiving link serially, so N individual sends would pay N × cost while
+the fabric's one coalesced batch pays it once.  The per-message,
+sleep-polling fabric this one replaced is kept only as the recorded
+:data:`PER_MESSAGE_BASELINE` row.  Used by
+``benchmarks/bench_e2e_throughput.py`` (which gates the ≥2x speedup over
+that row) and the ``repro bench`` CLI subcommand.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from repro.endpoint.config import EndpointConfig
 from repro.errors import TaskPending
 from repro.fabric import DeploymentTimings, LocalDeployment
 
-#: The legacy fixed poll interval (s) of the forwarder/agent/manager
-#: loops.  Round-trip latency in per-message mode is quantized by this;
-#: the event-driven fabric must not be.
-LEGACY_POLL_INTERVAL = 0.002
+#: The last measurement of the per-message fabric (one transfer per
+#: task/result, bodies inline, 2 ms sleep-polling loops) before it was
+#: deleted: 128 tasks, 4 workers, 1 ms one-way latency, 1 ms transfer
+#: cost.  Both numbers are set by the modelled transfer cost and the
+#: poll quantum rather than by the host, so they carry across machines.
+PER_MESSAGE_BASELINE = {
+    "commit": "2ffdbd3",
+    "tasks_per_second": 893.37,
+    "p50_s": 0.010736,
+    "p99_s": 0.012982,
+}
 
 
 def _identity(x):
@@ -47,17 +46,8 @@ def _sleep_for(seconds):
     return seconds
 
 
-def _mode_name(batched: bool) -> str:
-    return "batched" if batched else "per-message"
-
-
-def _config(batched: bool, workers: int) -> EndpointConfig:
-    return EndpointConfig(
-        workers_per_node=workers,
-        heartbeat_period=0.2,
-        message_batching=batched,
-        event_driven=batched,
-    )
+def _config(workers: int) -> EndpointConfig:
+    return EndpointConfig(workers_per_node=workers, heartbeat_period=0.2)
 
 
 def _timings(latency: float, transfer_cost: float) -> DeploymentTimings:
@@ -67,48 +57,23 @@ def _timings(latency: float, transfer_cost: float) -> DeploymentTimings:
     )
 
 
-@dataclass
-class ThroughputSample:
-    """One throughput run: a wave of trivial tasks, submit → all results."""
-
-    mode: str
-    tasks: int
-    seconds: float
-
-    @property
-    def tasks_per_second(self) -> float:
-        return self.tasks / self.seconds if self.seconds > 0 else float("inf")
-
-
-@dataclass
-class LatencySample:
-    """Sequential single-task round trips through a live deployment."""
-
-    mode: str
-    samples: int
-    p50: float
-    p99: float
-    mean: float
-
-
 def _percentile(sorted_values: list[float], q: float) -> float:
     idx = min(len(sorted_values) - 1, round(q * (len(sorted_values) - 1)))
     return sorted_values[idx]
 
 
 def measure_throughput(
-    batched: bool,
     *,
     tasks: int = 128,
     latency: float = 0.001,
     transfer_cost: float = 0.0005,
     workers: int = 4,
-) -> ThroughputSample:
-    """Tasks/s for one wave of ``tasks`` trivial calls."""
+) -> float:
+    """Seconds from submit to last result for one wave of trivial calls."""
     with LocalDeployment(timings=_timings(latency, transfer_cost)) as deployment:
         client = deployment.client()
         ep = deployment.create_endpoint(
-            "perf", nodes=1, config=_config(batched, workers))
+            "perf", nodes=1, config=_config(workers))
         fid = client.register_function(_identity, public=True)
         # Warm-up: ships the function body and spins up the worker pool
         # so the measured wave sees a steady-state fabric.
@@ -117,23 +82,21 @@ def measure_throughput(
         futures = [client.submit(fid, ep, i) for i in range(tasks)]
         for future in futures:
             future.result(timeout=120)
-        elapsed = time.perf_counter() - start
-    return ThroughputSample(mode=_mode_name(batched), tasks=tasks, seconds=elapsed)
+        return time.perf_counter() - start
 
 
 def measure_latency(
-    batched: bool,
     *,
     samples: int = 30,
     latency: float = 0.001,
     transfer_cost: float = 0.0,
     workers: int = 2,
-) -> LatencySample:
+) -> dict:
     """Round-trip percentiles for sequential single-task submissions."""
     with LocalDeployment(timings=_timings(latency, transfer_cost)) as deployment:
         client = deployment.client()
         ep = deployment.create_endpoint(
-            "perf", nodes=1, config=_config(batched, workers))
+            "perf", nodes=1, config=_config(workers))
         fid = client.register_function(_identity, public=True)
         client.submit(fid, ep, -1).result(timeout=30)  # warm-up
         durations: list[float] = []
@@ -142,13 +105,12 @@ def measure_latency(
             client.submit(fid, ep, i).result(timeout=30)
             durations.append(time.perf_counter() - start)
     durations.sort()
-    return LatencySample(
-        mode=_mode_name(batched),
-        samples=samples,
-        p50=_percentile(durations, 0.50),
-        p99=_percentile(durations, 0.99),
-        mean=sum(durations) / len(durations),
-    )
+    return {
+        "samples": samples,
+        "p50_s": _percentile(durations, 0.50),
+        "p99_s": _percentile(durations, 0.99),
+        "mean_s": sum(durations) / len(durations),
+    }
 
 
 def measure_backpressure(
@@ -266,7 +228,7 @@ def measure_result_stream(
     with LocalDeployment(timings=_timings(latency, 0.0)) as deployment:
         client = deployment.client()
         ep = deployment.create_endpoint(
-            "stream", nodes=1, config=_config(True, workers))
+            "stream", nodes=1, config=_config(workers))
         fid = client.register_function(_identity, public=True)
 
         # --- push mode: executor + subscription stream -----------------
@@ -534,37 +496,28 @@ def measure_shard_scale(
     }
 
 
-def compare_modes(
+def measure_e2e(
     *,
     tasks: int = 128,
     samples: int = 30,
     latency: float = 0.001,
     transfer_cost: float = 0.0005,
     workers: int = 4,
-    pairs: int = 3,
+    runs: int = 3,
 ) -> dict:
-    """Interleaved A/B comparison of per-message vs batched dispatch.
+    """Throughput and latency of the fabric against the frozen baseline.
 
-    Throughput runs are interleaved ``pairs`` times (best-of per mode so
-    a GC pause or scheduler hiccup in one run cannot decide the verdict);
-    latency percentiles come from one sequential-sample run per mode.
-    Returns a plain dict ready for JSON serialization.
+    The throughput wave is repeated ``runs`` times and the best kept, so
+    a GC pause or scheduler hiccup in one run cannot decide the verdict;
+    latency percentiles come from one sequential-sample run.  Returns a
+    plain dict ready for JSON serialization.
     """
-    best: dict[str, ThroughputSample] = {}
-    for _ in range(pairs):
-        for batched in (False, True):
-            sample = measure_throughput(
-                batched, tasks=tasks, latency=latency,
-                transfer_cost=transfer_cost, workers=workers)
-            prior = best.get(sample.mode)
-            if prior is None or sample.seconds < prior.seconds:
-                best[sample.mode] = sample
-    lat = {
-        _mode_name(batched): measure_latency(
-            batched, samples=samples, latency=latency, workers=workers)
-        for batched in (False, True)
-    }
-    unbatched, batched_ = best["per-message"], best["batched"]
+    seconds = min(
+        measure_throughput(tasks=tasks, latency=latency,
+                           transfer_cost=transfer_cost, workers=workers)
+        for _ in range(runs))
+    rate = tasks / seconds
+    lat = measure_latency(samples=samples, latency=latency, workers=workers)
     return {
         "params": {
             "tasks": tasks,
@@ -572,26 +525,15 @@ def compare_modes(
             "channel_latency_s": latency,
             "transfer_cost_s": transfer_cost,
             "workers": workers,
-            "pairs": pairs,
-            "legacy_poll_interval_s": LEGACY_POLL_INTERVAL,
+            "runs": runs,
         },
         "throughput": {
-            sample.mode: {
-                "tasks": sample.tasks,
-                "seconds": sample.seconds,
-                "tasks_per_second": sample.tasks_per_second,
-            }
-            for sample in best.values()
+            "tasks": tasks,
+            "seconds": seconds,
+            "tasks_per_second": rate,
         },
-        "latency": {
-            sample.mode: {
-                "samples": sample.samples,
-                "p50_s": sample.p50,
-                "p99_s": sample.p99,
-                "mean_s": sample.mean,
-            }
-            for sample in lat.values()
-        },
-        "speedup": batched_.tasks_per_second / unbatched.tasks_per_second,
-        "p50_improvement_s": lat["per-message"].p50 - lat["batched"].p50,
+        "latency": lat,
+        "baseline": dict(PER_MESSAGE_BASELINE),
+        "speedup": rate / PER_MESSAGE_BASELINE["tasks_per_second"],
+        "p50_improvement_s": PER_MESSAGE_BASELINE["p50_s"] - lat["p50_s"],
     }

@@ -143,14 +143,6 @@ class ChannelEnd:
             channel.coalesced_count += len(messages)
         return len(messages)
 
-    def _deliver(self, deliver_at: float, message: Any) -> None:
-        with self._lock:
-            heapq.heappush(self._inbox, (deliver_at, next(self._seq), message))
-            self._lock.notify()
-        wakeup = self.wakeup
-        if wakeup is not None:
-            wakeup(deliver_at)
-
     def _deliver_batch(self, now: float, latency: float, cost: float,
                        messages: tuple) -> None:
         """Deliver one transfer: occupy the incoming link for ``cost``

@@ -26,6 +26,9 @@ class Message:
 class TaskMessage(Message):
     """A task dispatched toward a worker.
 
+    An element of a :class:`TaskBatchMessage`, never sent bare: the only
+    receiver that sees one on its own is a worker's in-process inbox.
+
     Attributes
     ----------
     task_id:
@@ -33,7 +36,9 @@ class TaskMessage(Message):
     function_id:
         Registered function UUID.
     function_buffer:
-        Serialized function body (routed buffer bytes).
+        Serialized function body (routed buffer bytes).  Empty on the
+        wire — bodies travel in the envelope's ``function_buffers`` —
+        and reattached by the manager before the task reaches a worker.
     payload_buffer:
         Serialized ``(args, kwargs)`` (routed buffer bytes).
     container_image:
@@ -55,8 +60,11 @@ class TaskMessage(Message):
 
 
 @dataclass(frozen=True)
-class ResultMessage(Message):
+class ResultMessage(Message):  # lint: ignore[handler-exhaustiveness]
     """A completed task's outcome heading back to the service.
+
+    An element of a :class:`ResultBatchMessage`, never sent bare, so no
+    receiver dispatches on the type (hence the waiver above).
 
     ``trace`` carries the task's trace context back up the stack so the
     forwarder can stamp the result-return span and the service can
@@ -87,7 +95,8 @@ class ResultMessage(Message):
 class TaskBatchMessage(Message):
     """N tasks coalesced into one channel transfer (§4.7, §5.5.2).
 
-    ``tasks`` usually carry an empty ``function_buffer``: each distinct
+    Every task travels in one of these, a lone task as an envelope of
+    one.  ``tasks`` carry an empty ``function_buffer``: each distinct
     function body is shipped at most once per batch in
     ``function_buffers`` (keyed by ``function_id``) and cached by the
     receiver for the rest of the sender's incarnation, so repeated
@@ -114,7 +123,8 @@ class TaskBatchMessage(Message):
 @dataclass(frozen=True)
 class ResultBatchMessage(Message):
     """N results coalesced into one channel transfer (symmetric to
-    :class:`TaskBatchMessage` on the return path).
+    :class:`TaskBatchMessage` on the return path; a lone result is an
+    envelope of one).
 
     The same envelope carries the service→client result *stream*
     (push-based delivery): there ``delivery_id`` identifies the batch for
@@ -139,9 +149,8 @@ class Heartbeat(Message):
 
     ``credit`` piggybacks the sender's aggregate credit window (the total
     in-flight population its downstream pool can absorb) on the liveness
-    beat, so flow control costs no extra messages.  ``-1`` means the
-    sender does not report credit (legacy peers): the receiver treats the
-    window as unlimited.
+    beat, so flow control costs no extra messages.  ``-1`` means "not
+    reported by this peer": the receiver treats the window as unlimited.
     """
 
     timestamp: float = 0.0
@@ -180,8 +189,8 @@ class Advertisement(Message):
     task population (workers + prefetch allowance) it is willing to hold
     at once, independent of momentary idleness.  The agent sums windows
     over live managers and forwards the aggregate upstream on its
-    heartbeat.  ``-1`` means the manager does not report a window
-    (legacy peers).
+    heartbeat.  ``-1`` means "not reported by this peer": the agent keeps
+    the window it already holds for the manager.
     """
 
     manager_id: str = ""

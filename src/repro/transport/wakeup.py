@@ -1,14 +1,14 @@
 """Wakeup: the event-driven replacement for sleep-polling loops.
 
-The forwarder, agent, and manager loops used to sleep a fixed poll
-interval whenever a step processed nothing, quantizing every hop's
-latency by the poll period.  A :class:`Wakeup` lets a loop block until
-something actually happens: channels fire :meth:`set_at` with each
-transfer's delivery time (messages ripen *later* than they arrive, so
-the waiter must wake when the message becomes receivable, not when it
-was enqueued), queues and worker pools fire :meth:`set` the moment an
-item is available.  The loop's poll interval survives only as a
-liveness/heartbeat fallback timeout on :meth:`wait`.
+A :class:`Wakeup` lets the forwarder, agent, and manager loops block
+until something actually happens instead of sleeping a poll interval
+that would quantize every hop's latency: channels fire :meth:`set_at`
+with each transfer's delivery time (messages ripen *later* than they
+arrive, so the waiter must wake when the message becomes receivable,
+not when it was enqueued), queues and worker pools fire :meth:`set` the
+moment an item is available.  :func:`run_loop` is the one loop body all
+three components run on their threads; its timeout on :meth:`wait` is
+only a liveness/heartbeat fallback.
 
 The internal condition is a *leaf* lock: nothing else is ever acquired
 while it is held, so wiring wakeups across components cannot create
@@ -18,9 +18,12 @@ lock-order cycles.
 from __future__ import annotations
 
 import heapq
+import logging
 import threading
 import time
 from typing import Callable
+
+_logger = logging.getLogger(__name__)
 
 
 class Wakeup:
@@ -80,3 +83,28 @@ class Wakeup:
                 if self._wake_heap:
                     remaining = min(remaining, self._wake_heap[0] - now)
                 self._lock.wait(remaining)
+
+
+def run_loop(
+    name: str,
+    step: Callable[[], int],
+    stop: threading.Event,
+    wakeup: Wakeup,
+    fallback: float,
+) -> None:
+    """Step a component until ``stop`` is set, blocking while it is idle.
+
+    ``step`` returns the number of events it processed; on zero the loop
+    waits on ``wakeup`` for at most ``fallback`` seconds.  A raising step
+    is logged under the component's ``name`` and counted as idle: one
+    bad message must not silently kill the thread that serves every
+    later one.
+    """
+    while not stop.is_set():
+        try:
+            events = step()
+        except Exception:
+            _logger.exception("%s: step failed; continuing", name)
+            events = 0
+        if events == 0:
+            wakeup.wait(fallback)

@@ -118,39 +118,33 @@ def test_reintroduced_unlocked_pending_access_is_flagged():
 
 
 def test_reintroduced_leaked_lease_in_forwarder_is_flagged():
-    """Restoring the pre-PR-4 ``_dispatch_tasks`` exception handler —
-    which nacked only the leases still in ``pending`` and let the popped
-    in-flight lease leak on an unexpected error — must produce a
-    lease-ack finding anchored at the ``lease_many`` acquisition."""
+    """Restoring the pre-PR-4 ``_dispatch_tasks`` shape — a pop-and-send
+    loop whose exception handler nacked only the leases still in
+    ``pending`` and let the popped in-flight lease leak on an unexpected
+    error — must produce a lease-ack finding anchored at the
+    ``lease_many`` acquisition."""
     path = REPO_ROOT / "src/repro/core/forwarder.py"
     text = path.read_text(encoding="utf-8")
-    fixed = """        dispatched = 0
-        lease = None
-        try:
-            while pending:
-                lease = pending.popleft()
-                dispatched += self._dispatch_one(queue, lease, memo)
-        except Exception:"""
-    assert fixed in text, "forwarder.py changed; update this regression test"
-    start = text.index(fixed)
-    end = text.index("        return dispatched", start)
+    fixed = "        dispatched = self._dispatch_batch(queue, pending)\n"
+    assert text.count(fixed) == 1, (
+        "forwarder.py changed; update this regression test")
     old_handler = """        dispatched = 0
         try:
             while pending:
                 lease = pending.popleft()
-                dispatched += self._dispatch_one(queue, lease, memo)
+                dispatched += self._dispatch_one(queue, lease)
         except Exception:
             for lease in pending:
                 queue.nack(lease.lease_id)
             raise
 """
-    broken = text[:start] + old_handler + text[end:]
+    broken = text.replace(fixed, old_handler)
     source = parse_source(broken, path="src/repro/core/forwarder.py",
                           module="repro.core.forwarder")
     findings = [f for f in analyze_source(source) if f.check == "lease-ack"]
     assert findings, "leaked in-flight lease was not flagged"
     lease_line = next(i for i, line in enumerate(broken.splitlines(), start=1)
-                      if "queue.lease_many(budget" in line)
+                      if "queue.lease_many(" in line)
     assert any(f.line == lease_line for f in findings), (
         f"finding not anchored at the lease_many acquisition "
         f"(line {lease_line}): {[f.line for f in findings]}")

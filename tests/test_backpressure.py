@@ -388,22 +388,6 @@ class TestLiveCreditFlow:
             assert agent.pending_count() + agent.outstanding_count() <= 6
             assert forwarder.outstanding <= 6
 
-    def test_flow_control_off_reproduces_uncredited_dispatch(self):
-        # PR 5 compatibility: with both gates off the forwarder never
-        # learns a window, never stalls, and dispatches the whole burst.
-        config = EndpointConfig(workers_per_node=2, heartbeat_period=0.05,
-                                flow_control=False, adaptive_batching=False)
-        with LocalDeployment() as dep:
-            ep = dep.create_endpoint("legacy", nodes=1, config=config)
-            forwarder = dep.forwarder(ep)
-            client = dep.client()
-            fid = client.register_function(double)
-            futures = [client.submit(fid, ep, i) for i in range(20)]
-            assert [f.result(timeout=10) for f in futures] == \
-                [i * 2 for i in range(20)]
-            assert forwarder.credit_window == -1
-            assert forwarder.credit_stalls == 0
-
     def test_adaptive_batching_keeps_serial_link_throughput(self):
         # A costed serial link is exactly where nagling should win (or
         # at least never lose): the burst still completes promptly.

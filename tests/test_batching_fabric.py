@@ -8,6 +8,7 @@ and envelope behavior across faulty channels.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 
@@ -18,8 +19,16 @@ from repro.errors import Disconnected
 from repro.fabric import DeploymentTimings, LocalDeployment
 from repro.store.queues import ReliableQueue
 from repro.transport.channel import Channel
-from repro.transport.messages import TaskBatchMessage, TaskMessage
-from repro.transport.wakeup import Wakeup
+from repro.transport.messages import (
+    Advertisement,
+    CommandMessage,
+    Heartbeat,
+    Registration,
+    ResultBatchMessage,
+    TaskBatchMessage,
+    TaskMessage,
+)
+from repro.transport.wakeup import Wakeup, run_loop
 
 
 class TestWakeup:
@@ -142,6 +151,37 @@ class TestCoalescedTransfers:
         assert fired == [0.5, 0.5]
 
 
+class TestRunLoop:
+    def test_raising_step_is_logged_once_and_the_loop_keeps_serving(
+            self, caplog):
+        stop, wakeup = threading.Event(), Wakeup()
+        served = threading.Event()
+        calls = []
+
+        def step() -> int:
+            calls.append(len(calls))
+            if len(calls) == 1:
+                raise RuntimeError("bad message")
+            if len(calls) == 3:
+                served.set()
+            return 0
+
+        thread = threading.Thread(
+            target=run_loop, args=("agent:ep-1", step, stop, wakeup, 0.005),
+            daemon=True)
+        with caplog.at_level(logging.ERROR, logger="repro.transport.wakeup"):
+            thread.start()
+            assert served.wait(5.0), "the loop died with the raising step"
+            stop.set()
+            wakeup.set()
+            thread.join(5.0)
+        assert not thread.is_alive()
+        failures = [r for r in caplog.records if r.exc_info]
+        assert len(failures) == 1
+        assert "agent:ep-1" in failures[0].getMessage()
+        assert "bad message" in str(failures[0].exc_info[1])
+
+
 class TestBatchEnvelopesUnderFaults:
     def _envelope(self):
         task = TaskMessage(sender="f", task_id="t1", function_id="fn")
@@ -208,17 +248,6 @@ def _double(x):
 
 
 class TestDeploymentBatchingModes:
-    def test_unbatched_polling_deployment_still_completes(self):
-        config = EndpointConfig(
-            message_batching=False, event_driven=False, heartbeat_period=0.05)
-        with LocalDeployment() as deployment:
-            client = deployment.client()
-            ep = deployment.create_endpoint("legacy", nodes=1, config=config)
-            fid = client.register_function(_double)
-            futures = [client.submit(fid, ep, i) for i in range(8)]
-            assert [f.result(timeout=10) for f in futures] == [
-                2 * i for i in range(8)]
-
     def test_batched_deployment_coalesces_and_records_metrics(self):
         timings = DeploymentTimings(service_endpoint_latency=0.001)
         with LocalDeployment(timings=timings) as deployment:
@@ -240,3 +269,75 @@ class TestDeploymentBatchingModes:
                 "dispatch.batch_size", component="forwarder", endpoint=ep)
             assert batch_hist.count >= 1
             assert batch_hist.summary()["max"] >= 2
+
+
+def _nap(seconds):
+    import time
+
+    time.sleep(seconds)
+    return seconds
+
+
+class TestOnlyEnvelopesOnTheWire:
+    """Tasks and results cross every link inside batch envelopes — a
+    lone task, a burst, and the agent's own failure result alike."""
+
+    def test_no_bare_task_or_result_crosses_any_channel(self):
+        config = EndpointConfig(
+            workers_per_node=2, heartbeat_period=0.1, heartbeat_grace=3,
+            max_retries_on_loss=0)
+        crossed = []
+        with LocalDeployment() as deployment:
+            client = deployment.client()
+            ep = deployment.create_endpoint(
+                "wire", nodes=1, config=config, start=False)
+            for channel in deployment.network.channels:
+                for end in (channel.left, channel.right):
+                    def tap(now, latency, cost, messages, _real=end._deliver_batch):
+                        crossed.extend(messages)
+                        _real(now, latency, cost, messages)
+                    end._deliver_batch = tap
+            endpoint = deployment.endpoint(ep)
+            deployment.forwarder(ep).start()
+            endpoint.start()
+            assert endpoint.wait_ready()
+
+            double = client.register_function(_double)
+            assert client.submit(double, ep, 21).result(timeout=10) == 42
+            burst = [client.submit(double, ep, i) for i in range(32)]
+            assert [f.result(timeout=10) for f in burst] == [
+                2 * i for i in range(32)]
+
+            # Manager lost with the re-execution budget at zero: the
+            # agent itself reports the task failed (``_fail_task``).
+            nap = client.register_function(_nap)
+            doomed = client.submit(nap, ep, 1.0)
+            agent = endpoint.agent
+            deadline = time.monotonic() + 5.0
+            while agent.outstanding_count() == 0:
+                assert time.monotonic() < deadline, "task never reached a manager"
+                time.sleep(0.002)
+            killed = endpoint.kill_manager(agent.manager_ids()[0])
+            try:
+                with pytest.raises(Exception, match="retries exhausted"):
+                    doomed.result(timeout=10)
+            finally:
+                killed.stop()
+
+        envelopes = [m for m in crossed
+                     if isinstance(m, (TaskBatchMessage, ResultBatchMessage))]
+        tasks = sum(len(m.tasks) for m in envelopes
+                    if isinstance(m, TaskBatchMessage))
+        results = [r for m in envelopes if isinstance(m, ResultBatchMessage)
+                   for r in m.results]
+        # service→agent and agent→manager for each of the 34 tasks; every
+        # result twice too, except the agent's own, which crosses once.
+        assert tasks == 2 * 34
+        assert len(results) == 2 * 33 + 1
+        assert [r.sender for r in results if not r.success] == [agent.name]
+        assert all(not task.function_buffer for m in envelopes
+                   if isinstance(m, TaskBatchMessage) for task in m.tasks)
+        others = [m for m in crossed if m not in envelopes]
+        assert others, "no control traffic was observed"
+        assert {type(m) for m in others} <= {
+            Registration, Advertisement, Heartbeat, CommandMessage}

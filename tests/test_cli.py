@@ -33,6 +33,7 @@ class TestParser:
         assert args.tasks == 96
         assert args.latency == pytest.approx(0.001)
         assert args.transfer_cost == pytest.approx(0.001)
+        assert not hasattr(args, "pairs")  # there is one fabric to measure
 
 
 class TestCommands:
@@ -66,7 +67,11 @@ class TestCommands:
     def test_bench_quick(self, capsys):
         assert main(["bench", "--quick"]) == 0
         out = capsys.readouterr().out
-        assert "per-message" in out and "batched" in out
+        rows = [line for line in out.splitlines() if "@" in line
+                or line.startswith("this checkout")]
+        assert [row.split()[0] for row in rows] == ["this", "per-message"]
+        assert "893" in rows[1]  # the frozen baseline row
+        assert "batched" not in out
         assert "speedup:" in out and "p50 improvement:" in out
 
     def test_bench_backpressure_quick(self, capsys):

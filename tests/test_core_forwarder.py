@@ -19,9 +19,9 @@ from repro.transport.channel import Channel
 from repro.transport.messages import (
     Heartbeat,
     Registration,
+    ResultBatchMessage,
     ResultMessage,
     TaskBatchMessage,
-    TaskMessage,
 )
 
 
@@ -29,14 +29,19 @@ def unwrap_tasks(messages):
     """Expand batch envelopes into per-task messages, bodies reattached."""
     tasks = []
     for message in messages:
-        if isinstance(message, TaskBatchMessage):
-            for task in message.tasks:
-                buffer = task.function_buffer or message.function_buffers.get(
-                    task.function_id, b"")
-                tasks.append(replace(task, function_buffer=buffer))
-        elif isinstance(message, TaskMessage):
-            tasks.append(message)
+        assert isinstance(message, TaskBatchMessage)
+        for task in message.tasks:
+            assert not task.function_buffer  # bodies ride the envelope only
+            tasks.append(replace(
+                task,
+                function_buffer=message.function_buffers.get(
+                    task.function_id, b"")))
     return tasks
+
+
+def send_results(agent_end, *results):
+    """Results only ever cross the wire inside an envelope."""
+    agent_end.send(ResultBatchMessage(sender="agent:x", results=results))
 
 
 @pytest.fixture
@@ -130,12 +135,10 @@ class TestResults:
         world.forwarder.step()
         world.agent.recv_all_ready()
         result_buf = world.serializer.serialize(42, routing_tag=task_id)
-        world.agent.send(
-            ResultMessage(
-                sender="w0", task_id=task_id, success=True, result_buffer=result_buf,
-                execution_time=0.1, completed_at=world.clock(),
-            )
-        )
+        send_results(world.agent, ResultMessage(
+            sender="w0", task_id=task_id, success=True, result_buffer=result_buf,
+            execution_time=0.1, completed_at=world.clock(),
+        ))
         world.forwarder.step()
         assert world.service.task_by_id(task_id).state is TaskState.SUCCESS
         assert world.service.get_result(world.token, task_id) == result_buf
@@ -153,10 +156,9 @@ class TestResults:
         except ValueError as exc:
             wrapper = RemoteExceptionWrapper(exc)
         buf = world.serializer.serialize(wrapper, routing_tag=task_id)
-        world.agent.send(
-            ResultMessage(sender="w0", task_id=task_id, success=False,
-                          result_buffer=buf, completed_at=world.clock())
-        )
+        send_results(world.agent, ResultMessage(
+            sender="w0", task_id=task_id, success=False,
+            result_buffer=buf, completed_at=world.clock()))
         world.forwarder.step()
         task = world.service.task_by_id(task_id)
         assert task.state is TaskState.FAILED
@@ -220,11 +222,10 @@ class TestHeartbeatsAndLoss:
         world.agent.recv_all_ready()
         completed_at = world.clock()
         world.clock.advance(0.5)
-        world.agent.send(
-            ResultMessage(sender="w", task_id=task_id, success=True,
-                          result_buffer=world.serializer.serialize(1),
-                          completed_at=completed_at)
-        )
+        send_results(world.agent, ResultMessage(
+            sender="w", task_id=task_id, success=True,
+            result_buffer=world.serializer.serialize(1),
+            completed_at=completed_at))
         world.forwarder.step()
         task = world.service.task_by_id(task_id)
         assert task.metadata["result_return_time"] == pytest.approx(0.5)

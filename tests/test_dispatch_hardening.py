@@ -24,7 +24,12 @@ from repro.core.tasks import TaskState
 from repro.errors import PayloadTooLarge
 from repro.serialize import FuncXSerializer
 from repro.transport.channel import Channel
-from repro.transport.messages import Heartbeat, Registration, ResultMessage
+from repro.transport.messages import (
+    Heartbeat,
+    Registration,
+    ResultBatchMessage,
+    ResultMessage,
+)
 
 
 @pytest.fixture
@@ -75,9 +80,14 @@ def submit(w, value=1):
     return w.service.submit(w.token, w.function_id, w.endpoint_id, payload)
 
 
+def send_result(w, result):
+    """Results only ever cross the wire inside an envelope."""
+    w.agent.send(ResultBatchMessage(sender="agent:x", results=(result,)))
+
+
 def complete(w, task_id, value=42):
     buf = w.serializer.serialize(value, routing_tag=task_id)
-    w.agent.send(ResultMessage(
+    send_result(w, ResultMessage(
         sender="w0", task_id=task_id, success=True, result_buffer=buf,
         execution_time=0.1, completed_at=w.clock(),
     ))
@@ -193,7 +203,7 @@ class TestDuplicateResults:
 
         world.clock.advance(5.0)
         duplicate_buf = world.serializer.serialize(-1, routing_tag=task_id)
-        world.agent.send(ResultMessage(
+        send_result(world, ResultMessage(
             sender="w1", task_id=task_id, success=False,
             result_buffer=duplicate_buf, execution_time=9.9,
             completed_at=world.clock(),
@@ -220,7 +230,7 @@ class TestDuplicateResults:
 
         # duplicate with different bytes must not overwrite the memo entry
         bad = world.serializer.serialize(-1, routing_tag=task_id)
-        world.agent.send(ResultMessage(
+        send_result(world, ResultMessage(
             sender="w1", task_id=task_id, success=True, result_buffer=bad,
             execution_time=0.1, completed_at=world.clock(),
         ))

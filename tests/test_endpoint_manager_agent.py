@@ -34,27 +34,29 @@ SERIALIZER = FuncXSerializer()
 
 def unwrap_tasks(messages):
     """Expand batch envelopes into per-task messages, bodies reattached."""
-    tasks = []
-    for message in messages:
-        if isinstance(message, TaskBatchMessage):
-            for task in message.tasks:
-                buffer = task.function_buffer or message.function_buffers.get(
-                    task.function_id, b"")
-                tasks.append(replace(task, function_buffer=buffer))
-        elif isinstance(message, TaskMessage):
-            tasks.append(message)
-    return tasks
+    return [
+        replace(task, function_buffer=message.function_buffers.get(
+            task.function_id, b""))
+        for message in messages if isinstance(message, TaskBatchMessage)
+        for task in message.tasks
+    ]
 
 
 def unwrap_results(messages):
     """Expand result batch envelopes into individual result messages."""
-    results = []
-    for message in messages:
-        if isinstance(message, ResultBatchMessage):
-            results.extend(message.results)
-        elif isinstance(message, ResultMessage):
-            results.append(message)
-    return results
+    return [result for message in messages
+            if isinstance(message, ResultBatchMessage)
+            for result in message.results]
+
+
+def task_batch(*tasks):
+    """The wire form of ``tasks``: one envelope, bodies shipped beside."""
+    return TaskBatchMessage(
+        sender="test",
+        tasks=tuple(replace(task, function_buffer=b"") for task in tasks),
+        function_buffers={task.function_id: task.function_buffer
+                          for task in tasks},
+    )
 
 
 def task_message(func, args=(), task_id="t1", container=None):
@@ -109,21 +111,19 @@ class TestManager:
         manager, agent_end = manager_world
         manager.register()
         agent_end.recv_all_ready()
-        agent_end.send(task_message(add_one, (41,)))
+        agent_end.send(task_batch(task_message(add_one, (41,))))
         assert pump(manager.step, lambda: manager.tasks_completed >= 1)
 
     def test_result_round_trip(self, manager_world):
         manager, agent_end = manager_world
         manager.register()
         agent_end.recv_all_ready()
-        agent_end.send(task_message(add_one, (41,), task_id="tx"))
+        agent_end.send(task_batch(task_message(add_one, (41,), task_id="tx")))
         collected = []
 
         def drain():
             manager.step()
-            collected.extend(
-                m for m in agent_end.recv_all_ready() if isinstance(m, ResultMessage)
-            )
+            collected.extend(unwrap_results(agent_end.recv_all_ready()))
 
         assert pump(drain, lambda: len(collected) >= 1)
         result = collected[0]
@@ -135,7 +135,7 @@ class TestManager:
         manager.register()
         agent_end.recv_all_ready()
         for i in range(6):
-            agent_end.send(task_message(add_one, (i,), task_id=f"t{i}"))
+            agent_end.send(task_batch(task_message(add_one, (i,), task_id=f"t{i}")))
         collected = []
 
         def drain():
@@ -163,14 +163,12 @@ class TestManager:
         manager.register()
         agent_end.recv_all_ready()
         key = f"{ContainerTechnology.DOCKER.value}:sci-image"
-        agent_end.send(task_message(add_one, (1,), task_id="ct", container=key))
+        agent_end.send(task_batch(task_message(add_one, (1,), task_id="ct", container=key)))
         collected = []
 
         def drain():
             manager.step()
-            collected.extend(
-                m for m in agent_end.recv_all_ready() if isinstance(m, ResultMessage)
-            )
+            collected.extend(unwrap_results(agent_end.recv_all_ready()))
 
         assert pump(drain, lambda: len(collected) == 1)
         assert collected[0].success
@@ -186,13 +184,11 @@ class TestManager:
 
         def drain():
             manager.step()
-            collected.extend(
-                m for m in agent_end.recv_all_ready() if isinstance(m, ResultMessage)
-            )
+            collected.extend(unwrap_results(agent_end.recv_all_ready()))
 
-        agent_end.send(task_message(add_one, (1,), task_id="c1", container=key))
+        agent_end.send(task_batch(task_message(add_one, (1,), task_id="c1", container=key)))
         assert pump(drain, lambda: len(collected) == 1)
-        agent_end.send(task_message(add_one, (2,), task_id="c2", container=key))
+        agent_end.send(task_batch(task_message(add_one, (2,), task_id="c2", container=key)))
         assert pump(drain, lambda: len(collected) == 2)
         # Second task found the container already deployed on a worker.
         assert manager.cold_starts == 1
@@ -240,7 +236,7 @@ class TestAgent:
         agent, forwarder_end, manager_end = agent_world
         manager_end.send(Advertisement(sender="mgr1", manager_id="mgr1", idle_workers=2))
         agent.step()
-        forwarder_end.send(task_message(add_one, (1,), task_id="t1"))
+        forwarder_end.send(task_batch(task_message(add_one, (1,), task_id="t1")))
         agent.step()
         delivered = manager_end.recv_all_ready()
         assert len(delivered) == 1
@@ -251,7 +247,7 @@ class TestAgent:
 
     def test_queues_when_no_capacity(self, agent_world):
         agent, forwarder_end, manager_end = agent_world
-        forwarder_end.send(task_message(add_one, (1,)))
+        forwarder_end.send(task_batch(task_message(add_one, (1,))))
         agent.step()
         assert manager_end.recv_all_ready() == []
         assert agent.pending_count() == 1
@@ -260,15 +256,14 @@ class TestAgent:
         agent, forwarder_end, manager_end = agent_world
         manager_end.send(Advertisement(sender="mgr1", manager_id="mgr1", idle_workers=2))
         agent.step()
-        forwarder_end.send(task_message(add_one, (1,), task_id="t1"))
+        forwarder_end.send(task_batch(task_message(add_one, (1,), task_id="t1")))
         agent.step()
         manager_end.recv_all_ready()
-        manager_end.send(
+        manager_end.send(ResultBatchMessage(sender="mgr1", results=(
             ResultMessage(sender="w", task_id="t1", success=True,
-                          result_buffer=SERIALIZER.serialize(2))
-        )
+                          result_buffer=SERIALIZER.serialize(2)),)))
         agent.step()
-        out = [m for m in forwarder_end.recv_all_ready() if isinstance(m, ResultMessage)]
+        out = unwrap_results(forwarder_end.recv_all_ready())
         assert len(out) == 1
         assert agent.outstanding_count() == 0
 
@@ -278,7 +273,7 @@ class TestAgent:
         manager_end.send(Advertisement(sender="mgr1", manager_id="mgr1", idle_workers=2))
         manager_end.send(Heartbeat(sender="mgr1"))
         agent.step()
-        forwarder_end.send(task_message(add_one, (1,), task_id="t1"))
+        forwarder_end.send(task_batch(task_message(add_one, (1,), task_id="t1")))
         agent.step()
         assert len(manager_end.recv_all_ready()) == 1
         # Attach a second manager, then let mgr1 go silent past the grace.
@@ -309,14 +304,12 @@ class TestAgent:
         manager_end.send(Advertisement(sender="mgr1", manager_id="mgr1", idle_workers=2))
         manager_end.send(Heartbeat(sender="mgr1"))
         agent.step()
-        forwarder_end.send(task_message(add_one, (1,), task_id="doomed"))
+        forwarder_end.send(task_batch(task_message(add_one, (1,), task_id="doomed")))
         agent.step()
         manager_end.recv_all_ready()
         time.sleep(0.05)  # silence exceeds 1 × 0.01s grace
         agent.step()
-        failures = [
-            m for m in forwarder_end.recv_all_ready() if isinstance(m, ResultMessage)
-        ]
+        failures = unwrap_results(forwarder_end.recv_all_ready())
         assert len(failures) == 1 and not failures[0].success
 
     def test_suspend_manager_stops_scheduling(self, agent_world):
@@ -327,11 +320,9 @@ class TestAgent:
         agent.suspend_manager("mgr1")
         cmd = [m for m in manager_end.recv_all_ready() if isinstance(m, CommandMessage)]
         assert cmd and cmd[0].command == "suspend"
-        forwarder_end.send(task_message(add_one, (1,)))
+        forwarder_end.send(task_batch(task_message(add_one, (1,))))
         agent.step()
-        assert all(
-            not isinstance(m, TaskMessage) for m in manager_end.recv_all_ready()
-        )
+        assert unwrap_tasks(manager_end.recv_all_ready()) == []
         assert agent.pending_count() == 1
 
     def test_shutdown_manager_detaches(self, agent_world):

@@ -213,9 +213,14 @@ def test_wire_module_without_a_dispatch_layer_stays_quiet():
 
 def test_real_wire_module_is_fully_consumed_by_src():
     """Tier-1: every concrete wire message type is dispatch-consumed
-    somewhere in src/ (the whole-tree run must stay clean)."""
+    somewhere in src/ — except ``ResultMessage``, which only ever
+    travels inside a ``ResultBatchMessage`` and says so with a waiver on
+    its class line (the whole-tree run must stay clean)."""
     sources = _src_sources()
-    assert [f.message for f in check_handler_exhaustiveness(sources)] == []
+    unconsumed = list(check_handler_exhaustiveness(sources))
+    assert [f.message.split()[3] for f in unconsumed] == ["ResultMessage"]
+    wire = next(s for s in sources if s.path == unconsumed[0].path)
+    assert wire.is_ignored(unconsumed[0].line, "handler-exhaustiveness")
 
 
 # ----------------------------------------------------------------------

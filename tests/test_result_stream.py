@@ -398,12 +398,14 @@ class TestStreamChaos:
                 futures = [executor.submit(lambda x: x + 1, i)
                            for i in range(20)]
                 assert dropped.wait(timeout=10)
-                # Reconnect after the drop; the nacked batch redelivers.
+                # Reconnect once the server has detached the erroring
+                # consumer (attaching any earlier would be undone by that
+                # detach); the nacked batch then redelivers.
                 deadline = time.monotonic() + 10
-                while executor.subscription.consumer is None:
-                    executor.subscription.attach(flaky)
-                    if time.monotonic() > deadline:
-                        break
+                while executor.subscription.consumer is not None:
+                    assert time.monotonic() < deadline, "never detached"
+                    time.sleep(0.001)
+                executor.subscription.attach(flaky)
                 results = [f.result(timeout=30) for f in futures]
             assert results == [i + 1 for i in range(20)]
             assert dep.metrics.counter("stream.redeliveries").value >= 1

@@ -72,10 +72,12 @@ class TestShardMap:
         with pytest.raises(ValueError):
             ShardMap(0)
 
-    def test_single_shard_fast_path(self):
+    def test_one_shard_ring_routes_everything_to_shard_zero(self):
         smap = ShardMap(1)
         assert smap.shard_for_endpoint("anything") == 0
-        assert smap.shard_for_task("whatever") == 0
+        assert smap.shard_for_task(smap.tag("tagged", 0)) == 0
+        assert smap.shard_for_task("untagged") == 0
+        assert smap.shard_for_task("abc-s9") == 0  # tag out of range
 
     def test_placement_is_stable_across_instances(self):
         a, b = ShardMap(4), ShardMap(4)

@@ -155,6 +155,35 @@ class Inner:
         findings = list(check_thread_roles([_parse(text)]))
         assert [f for f in findings if f.severity == "error"] == []
 
+    def test_bound_method_passed_to_a_loop_helper_gets_the_spawn_role(self):
+        text = '''
+import threading
+
+from repro.transport.wakeup import run_loop
+
+
+class Engine:
+    def __init__(self):
+        self.jobs = 0
+
+    def start(self):
+        thread = threading.Thread(
+            target=run_loop, name="manager-m1",
+            args=("m1", self.step, threading.Event()))
+        thread.start()
+
+    def step(self):
+        self._work()
+
+    def _work(self):
+        self.jobs += 1
+'''
+        report = build_role_report([_parse(text)])
+        assert "manager-loop" in report.roles_of("Engine", "step")
+        assert "manager-loop" in report.roles_of("Engine", "_work")
+        # handed to the thread, not registered as somebody's callback
+        assert "callback" not in report.roles_of("Engine", "step")
+
     def test_unresolvable_spawn_is_an_error(self):
         text = '''
 import threading
