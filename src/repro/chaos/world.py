@@ -170,11 +170,16 @@ class ChaosWorld:
 
         forwarder.start()
         endpoint.start()
-        endpoint.wait_ready()
+        if not endpoint.wait_ready():
+            raise RuntimeError(
+                f"endpoint {name!r}: none of its {nodes} manager(s) "
+                "registered capacity with the agent within 10 s")
         deadline = self._clock() + 10.0
-        while self._clock() < deadline:
-            if self.deployment.service.endpoints.get(endpoint_id).connected:
-                break
+        while not self.deployment.service.endpoints.get(endpoint_id).connected:
+            if self._clock() >= deadline:
+                raise RuntimeError(
+                    f"endpoint {name!r}: the agent's registration did "
+                    "not reach its forwarder within 10 s")
             self._sleep(0.005)
         channel.drop_probability = drop_probability
 

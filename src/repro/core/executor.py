@@ -260,6 +260,7 @@ class FuncXExecutor:
             return 0
         self._h_wave.observe(float(len(task_ids)))
         self._c_submitted.inc(len(task_ids))
+        watched: dict[str, FuncXFuture] = {}
         for entry, task_id in zip(live, task_ids):
             entry.future.task_id = task_id
             if entry.future.done():
@@ -273,18 +274,21 @@ class FuncXExecutor:
                             "late cancel propagation failed for %s", task_id)
                 continue
             entry.future.bind_canceller(self.client.cancel)
-            with self._lock:
-                self._futures[task_id] = entry.future
-            self.subscription.watch(task_id)
+            watched[task_id] = entry.future
+        # Futures first: a result may stream back the moment it is watched.
+        with self._lock:
+            self._futures.update(watched)
+        self.subscription.watch_many(watched)
         return len(task_ids)
 
     # ------------------------------------------------------------------
     # result stream consumer
     # ------------------------------------------------------------------
     def _on_result_batch(self, batch: ResultBatchMessage) -> None:
-        for message in batch.results:
-            with self._lock:
-                future = self._futures.pop(message.task_id, None)
+        with self._lock:
+            futures = [self._futures.pop(message.task_id, None)
+                       for message in batch.results]
+        for message, future in zip(batch.results, futures):
             if future is None or future.done():
                 # Cancelled locally (or a redelivered duplicate): the
                 # outcome is suppressed, not an error.

@@ -22,7 +22,8 @@ from typing import Any, Callable
 
 from repro.core.flowcontrol import WavePolicy
 from repro.core.service import FuncXService
-from repro.errors import TaskNotFound
+from repro.core.shard import ServiceShard
+from repro.core.tasks import Task
 from repro.metrics.registry import COUNT_BUCKETS
 from repro.store.queues import Lease, ReliableQueue
 from repro.transport.channel import ChannelEnd
@@ -98,7 +99,11 @@ class Forwarder:
         # placement, fixed for the endpoint's lifetime).  One forwarder loop
         # drains one shard's queue, so dispatch parallelism scales with the
         # shard count; the index tags trace spans for per-shard attribution.
-        self.shard_index = service.shard_map.shard_for_endpoint(endpoint_id)
+        self._shard: ServiceShard = service.shard_for_endpoint(endpoint_id)
+        self.shard_index = self._shard.index
+        self._queue: ReliableQueue = service.task_queue(endpoint_id)
+        self._sender = f"forwarder:{endpoint_id}"
+        self._span_component = f"forwarder:{endpoint_id[:8]}"
         self.channel = channel_end
         self._clock = clock or service.now  # clock-domain: monotonic
         self.heartbeats = HeartbeatTracker(
@@ -155,7 +160,7 @@ class Forwarder:
         metrics.gauge("forwarder.credit_window",
                       endpoint=endpoint_id).set_function(
             lambda: self.credit_window)
-        task_queue = service.task_queue(endpoint_id)
+        task_queue = self._queue
         metrics.gauge("queue.depth", queue=task_queue.name).set_function(
             lambda: task_queue.depth)
         metrics.gauge("queue.high_watermark",
@@ -244,7 +249,7 @@ class Forwarder:
 
     def _reclaim_expired_leases(self) -> int:
         """Roll back tasks whose dispatch lease timed out (lossy links)."""
-        queue = self.service.task_queue(self.endpoint_id)
+        queue = self._queue
         now = self._clock()
         with self._lock:
             expired = [
@@ -276,8 +281,7 @@ class Forwarder:
             elif isinstance(message, Heartbeat):
                 self._on_heartbeat(message)
             elif isinstance(message, ResultBatchMessage):
-                for result in message.results:
-                    self._on_result(result)
+                self._on_results(message.results)
         return count
 
     def _on_agent_registered(self, message: Registration) -> None:
@@ -345,40 +349,42 @@ class Forwarder:
                            alive=True, incarnation=self.incarnation,
                            via="heartbeat")
 
-    def _on_result(self, message: ResultMessage) -> None:
+    def _on_results(self, results: tuple[ResultMessage, ...]) -> None:
+        """Retire one result envelope: its leases in one ``ack_many``,
+        its outcomes in one ``complete_tasks`` on this endpoint's shard."""
         with self._lock:
-            lease = self._open_leases.pop(message.task_id, None)
-        queue = self.service.task_queue(self.endpoint_id)
-        if lease is not None:
-            queue.ack(lease.lease_id)
+            leases = [self._open_leases.pop(message.task_id, None)
+                      for message in results]
+        self._queue.ack_many(
+            lease.lease_id for lease in leases if lease is not None)
         now = self._clock()
-        return_time = max(0.0, now - message.completed_at)
-        trace = message.trace or self.service.traces.context_for(message.task_id)
-        if trace is not None:
-            trace.record("result_return", f"forwarder:{self.endpoint_id[:8]}",
-                         start=message.completed_at, end=now,
-                         worker_id=message.worker_id)
-        try:
-            applied = self.service.complete_task(
-                message.task_id,
-                success=message.success,
-                result_buffer=message.result_buffer,
-                exception_text=None if message.success else self._failure_text(message),
-                execution_time=message.execution_time,
-                result_return_time=return_time,
-            )
-        except TaskNotFound:
-            # The task record was administratively purged while the result
-            # was in flight; the lease (if any) is already acked above.
-            self._c_orphans.inc()
-            self._emit("forwarder.orphan_result", task_id=message.task_id)
-            return
-        if applied:
-            self._c_results.inc()
-        else:
-            self._c_duplicates.inc()
-            self._emit("forwarder.duplicate_result", task_id=message.task_id,
-                       success=message.success)
+        outcomes = []
+        for message in results:
+            trace = message.trace or self.service.traces.context_for(
+                message.task_id)
+            if trace is not None:
+                trace.record("result_return", self._span_component,
+                             start=message.completed_at, end=now,
+                             worker_id=message.worker_id)
+            outcomes.append((
+                message.task_id, message.success, message.result_buffer,
+                None if message.success else self._failure_text(message),
+                message.execution_time,
+                max(0.0, now - message.completed_at)))
+        verdicts = self.service.complete_tasks(self._shard, outcomes)
+        self._c_results.inc(verdicts.count(True))
+        for message, applied in zip(results, verdicts):
+            if applied:
+                continue
+            if applied is None:
+                # The task record was administratively purged while the
+                # result was in flight; its lease (if any) is acked above.
+                self._c_orphans.inc()
+                self._emit("forwarder.orphan_result", task_id=message.task_id)
+            else:
+                self._c_duplicates.inc()
+                self._emit("forwarder.duplicate_result",
+                           task_id=message.task_id, success=message.success)
 
     @staticmethod
     def _failure_text(message: ResultMessage) -> str:
@@ -414,7 +420,7 @@ class Forwarder:
         self._requeue_outstanding("agent heartbeat lost")
 
     def _requeue_outstanding(self, reason: str) -> None:
-        queue = self.service.task_queue(self.endpoint_id)
+        queue = self._queue
         with self._lock:
             leases = dict(self._open_leases)
             self._open_leases.clear()
@@ -472,7 +478,7 @@ class Forwarder:
         polling) to fill closer to the arrival rate × hold-budget product
         before paying the link's per-transfer cost.
         """
-        queue = self.service.task_queue(self.endpoint_id)
+        queue = self._queue
         budget, window, in_flight = self._wave_budget(queue)
         if budget <= 0:
             return 0
@@ -510,20 +516,24 @@ class Forwarder:
         """
         memo: dict[str, bytes] = {}
         ship: dict[str, bytes] = {}
-        prepared: list[tuple[Lease, TaskMessage, Any, Any]] = []
+        prepared: list[tuple[Lease, TaskMessage, Task]] = []
         lease: Lease | None = None
         try:
+            # One table read for the wave; each record rides along from
+            # here, so no later step looks its task up again.
+            tasks = iter(self._shard.get_tasks(
+                [leased.item for leased in pending]))
             while pending:
                 lease = pending.popleft()
-                entry = self._prepare_task(queue, lease, memo, ship)
+                entry = self._prepare_task(queue, lease, next(tasks), memo, ship)
                 if entry is not None:
                     prepared.append(entry)
                 lease = None
             if not prepared:
                 return 0
             batch = TaskBatchMessage(
-                sender=f"forwarder:{self.endpoint_id}",
-                tasks=tuple(message for _, message, _t, _k in prepared),
+                sender=self._sender,
+                tasks=tuple(message for _, message, _task in prepared),
                 function_buffers=dict(ship),
                 incarnation=self._registered_incarnation,
             )
@@ -533,7 +543,7 @@ class Forwarder:
                 for entry in prepared:
                     queue.nack(entry[0].lease_id)
                 return 0
-            return self._commit_batch(queue, prepared, ship)
+            return self._commit_batch(prepared, ship)
         except Exception:
             if lease is not None:
                 queue.nack(lease.lease_id)
@@ -548,23 +558,21 @@ class Forwarder:
             raise
 
     def _prepare_task(self, queue: ReliableQueue, lease: Lease,
-                      memo: dict[str, bytes], ship: dict[str, bytes]):
+                      task: Task | None, memo: dict[str, bytes],
+                      ship: dict[str, bytes]):
         """Resolve one lease into a stripped task message for the batch.
 
-        Returns ``(lease, message, trace, task)`` or ``None`` when the
-        lease was disposed here (orphaned or terminal task).  The task's
-        function body is added to ``ship`` unless this agent incarnation
-        already holds it; redeliveries always ship the body so a cache
-        divergence (an envelope lost after the cache recorded it) heals
-        on the retry.
+        Returns ``(lease, message, task)`` or ``None`` when the lease
+        was disposed here (``task`` is ``None``: its record was purged;
+        or it went terminal while queued).  The task's function body is
+        added to ``ship`` unless this agent incarnation already holds
+        it; redeliveries always ship the body so a cache divergence (an
+        envelope lost after the cache recorded it) heals on the retry.
         """
-        task_id: str = lease.item
-        try:
-            task = self.service.task_by_id(task_id)
-        except TaskNotFound:
+        if task is None:
             queue.ack(lease.lease_id)
             self._c_orphans.inc()
-            self._emit("forwarder.orphan_lease", task_id=task_id)
+            self._emit("forwarder.orphan_lease", task_id=lease.item)
             return None
         if task.state.terminal:
             queue.ack(lease.lease_id)  # cancelled/failed while queued
@@ -580,50 +588,43 @@ class Forwarder:
                 cached = self._shipped_buffers.get(function_id) == digest
             if not cached or lease.deliveries > 1:
                 ship[function_id] = buffer
-        trace = self.service.traces.context_for(task_id)
         message = TaskMessage(
-            sender=f"forwarder:{self.endpoint_id}",
+            sender=self._sender,
             task_id=task.task_id,
             function_id=function_id,
             function_buffer=b"",  # shipped once per batch, cached after
             payload_buffer=task.payload_buffer,
             container_image=self._site_container(task.container_image),
             submitted_at=task.state_times.get("received", self._clock()),
-            trace=trace,
+            trace=task.trace,
         )
-        return lease, message, trace, task
+        return lease, message, task
 
-    def _commit_batch(self, queue: ReliableQueue, prepared: list,
-                      ship: dict[str, bytes]) -> int:
-        """Post-send bookkeeping for a delivered batch envelope."""
+    def _commit_batch(self, prepared: list, ship: dict[str, bytes]) -> int:
+        """Post-send bookkeeping for a delivered batch envelope.
+
+        The envelope is with the agent, so every lease is registered
+        before any task is marked: a record that refuses the transition
+        (a shard kill rolled it back mid-send) must not send the leases
+        of tasks already in flight back to the queue.
+        """
         now = self._clock()
-        dispatched = 0
-        for lease, message, trace, task in prepared:
-            try:
-                self.service.mark_dispatched(message.task_id)
-            except TaskNotFound:
-                # forget_task raced the send; the agent will produce an
-                # orphan result the service ignores.
-                queue.ack(lease.lease_id)
-                self._c_orphans.inc()
-                self._emit("forwarder.orphan_lease", task_id=message.task_id)
-                continue
-            with self._lock:
-                self._open_leases[message.task_id] = lease
-            if trace is not None:
-                trace.record("forwarder.dispatch",
-                             f"forwarder:{self.endpoint_id[:8]}",
-                             start=lease.enqueued_at, end=now,
-                             attempt=task.attempts, shard=self.shard_index)
-            self._c_forwarded.inc()
-            dispatched += 1
         with self._lock:
+            for lease, _message, task in prepared:
+                self._open_leases[task.task_id] = lease
             for function_id, buffer in ship.items():
                 self._shipped_buffers[function_id] = hash(buffer)
+        self.service.tasks_dispatched([task for _, _message, task in prepared])
+        for lease, _message, task in prepared:
+            if task.trace is not None:
+                task.trace.record("forwarder.dispatch", self._span_component,
+                                  start=lease.enqueued_at, end=now,
+                                  attempt=task.attempts, shard=self.shard_index)
+        self._c_forwarded.inc(len(prepared))
         self._h_batch_size.observe(float(len(prepared)))
         if len(prepared) > 1:
             self._c_coalesced.inc(len(prepared))
-        return dispatched
+        return len(prepared)
 
     def _site_container(self, container_image: str | None) -> str | None:
         """Convert a container key to the endpoint's site technology.

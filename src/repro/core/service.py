@@ -31,10 +31,15 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.auth.scopes import Scope
-from repro.auth.service import AuthService, Identity
+from repro.auth.service import AuthService
 from repro.core.admission import AdmissionController
 from repro.core.memoization import Memoizer
-from repro.core.registry import EndpointRecord, EndpointRegistry, FunctionRegistry
+from repro.core.registry import (
+    EndpointRecord,
+    EndpointRegistry,
+    FunctionRecord,
+    FunctionRegistry,
+)
 from repro.core.shard import ServiceShard, ShardMap
 from repro.core.stream import (
     DEFAULT_SPILL_THRESHOLD,
@@ -49,11 +54,15 @@ from repro.errors import (
     TaskNotFound,
     TaskPending,
 )
-from repro.metrics.registry import MetricsRegistry
+from repro.metrics.registry import Histogram, MetricsRegistry
 from repro.observability.trace import TraceStore
 from repro.store.kvstore import KVStore
 from repro.store.pubsub import PubSub
 from repro.store.queues import ReliableQueue
+
+#: One task outcome as a forwarder reports it: ``(task_id, success,
+#: result_buffer, exception_text, execution_time, result_return_time)``.
+Outcome = tuple[str, bool, bytes, str | None, float, float]
 
 
 @dataclass(frozen=True)
@@ -158,6 +167,9 @@ class FuncXService:
         self._c_cancelled = self.metrics.counter("service.tasks_cancelled")
         self._c_post_cancel = self.metrics.counter("service.post_cancel_results")
         self._c_shard_rejects = self.metrics.counter("shard.draining_rejects")
+        # Bound once: looking a histogram up by name sorts its labels.
+        self._h_total = self.metrics.histogram("task.total_seconds")
+        self._h_stage: dict[str, Histogram] = {}  # filled per stage seen
         # Observation hook: ``probe(event, fields)`` for task lifecycle
         # events (chaos invariant probes attach here).  Declared before
         # the shards — their accounting probes read it through us.
@@ -169,6 +181,8 @@ class FuncXService:
         # independent partition (lock, task table, queues, stream
         # delivery thread, store pacer) per shard.
         self.shard_map = ShardMap(self.config.shards)
+        # endpoint id -> its home shard, resolved once at registration.
+        self._endpoint_shards: dict[str, ServiceShard] = {}
         self.shards: list[ServiceShard] = [
             ServiceShard(
                 index=index,
@@ -240,7 +254,10 @@ class FuncXService:
         return self._clock()
 
     def shard_for_endpoint(self, endpoint_id: str) -> ServiceShard:
-        return self.shards[self.shard_map.shard_for_endpoint(endpoint_id)]
+        shard = self._endpoint_shards.get(endpoint_id)
+        if shard is None:  # not registered here: wherever the ring puts it
+            shard = self.shards[self.shard_map.shard_for_endpoint(endpoint_id)]
+        return shard
 
     def shard_for_task(self, task_id: str) -> ServiceShard:
         return self.shards[self.shard_map.shard_for_task(task_id)]
@@ -310,8 +327,10 @@ class FuncXService:
         # Endpoint affinity: the consistent-hash map pins both queues
         # (and every task addressed here) to one shard, so the
         # endpoint's forwarder drains exactly one partition.
-        self.shard_for_endpoint(record.endpoint_id).add_endpoint(
-            record.endpoint_id, weight_for=self.admission.weight_for)
+        shard = self.shard_for_endpoint(record.endpoint_id)
+        shard.add_endpoint(record.endpoint_id,
+                           weight_for=self.admission.weight_for)
+        self._endpoint_shards[record.endpoint_id] = shard
         return record.endpoint_id
 
     # ------------------------------------------------------------------
@@ -327,19 +346,9 @@ class FuncXService:
         max_retries: int | None = None,
     ) -> str:
         """Submit one task; returns its task id (figure 3, steps 1-3)."""
-        received_at = self._clock()
-        identity = self.auth.authorize(token, Scope.EXECUTE)
-        self._spend_overhead()
-        self._check_accepting(endpoint_id)
-        self.admission.admit(identity.identity_id)
-        try:
-            return self._submit_authorized(
-                identity, function_id, endpoint_id, payload_buffer, memoize,
-                max_retries, received_at=received_at,
-            )
-        except BaseException:
-            self.admission.release(identity.identity_id)
-            raise
+        return self._submit_wave(
+            token, [(function_id, endpoint_id, payload_buffer)], memoize,
+            max_retries)[0]
 
     def submit_batch(
         self,
@@ -358,104 +367,139 @@ class FuncXService:
         is enqueued, so a rejected member cannot leave a partial batch
         behind with the caller holding no task ids.
         """
+        return self._submit_wave(token, requests, memoize, None)
+
+    def _submit_wave(
+        self,
+        token: str,
+        requests: list[tuple[str, str, bytes]],
+        memoize: bool,
+        max_retries: int | None,
+    ) -> list[str]:
+        """Admit, record and enqueue one wave of submissions.
+
+        Each distinct (function, endpoint) pair is validated and resolved
+        to its record and shard once; each endpoint's share of the wave
+        is inserted under one shard-lock hold and enqueued with one
+        ``put_many`` (one forwarder wake-up) and one publish.
+        """
         received_at = self._clock()
         identity = self.auth.authorize(token, Scope.EXECUTE)
-        self._spend_overhead()  # one overhead for the whole batch
-        for fid, eid, payload in requests:
-            if len(payload) > self.config.payload_limit:
-                raise PayloadTooLarge(len(payload), self.config.payload_limit)
-            self.functions.check_invocable(fid, identity.identity_id)
-            self.endpoints.check_usable(eid, identity.identity_id)
-            self._check_accepting(eid)
-        self.admission.admit(identity.identity_id, count=len(requests))
-        submitted: list[str] = []
+        self._spend_overhead()  # one overhead for the whole wave
+        owner = identity.identity_id
+        limit = self.config.payload_limit
+        if max_retries is None:
+            max_retries = self.config.default_max_retries
+        # Nothing below touches shared state until the whole wave has
+        # been checked and admitted: a Task is only an object until then.
+        resolved: dict[tuple[str, str], tuple[FunctionRecord, ServiceShard]] = {}
+        waves: dict[str, tuple[ServiceShard, list[Task]]] = {}
+        tasks: list[Task] = []
+        for function_id, endpoint_id, payload in requests:
+            if len(payload) > limit:
+                raise PayloadTooLarge(len(payload), limit)
+            checked = resolved.get((function_id, endpoint_id))
+            if checked is None:
+                function = self.functions.check_invocable(function_id, owner)
+                self.endpoints.check_usable(endpoint_id, owner)
+                shard = self.shard_for_endpoint(endpoint_id)
+                if shard.draining:
+                    self._c_shard_rejects.inc()
+                    raise ShardDraining(shard.index)
+                checked = resolved[function_id, endpoint_id] = (function, shard)
+            function, shard = checked
+            task = Task(
+                function_id=function_id,
+                endpoint_id=endpoint_id,
+                payload_buffer=payload,
+                container_image=function.container_image,
+                owner_id=owner,
+                max_retries=max_retries,
+            )
+            # Embed the owning shard in the id: every later lookup
+            # (status, result, ack, stream watch) routes in O(1) without
+            # a directory.
+            task.task_id = self.shard_map.tag(task.task_id, shard.index)
+            task.state_times[TaskState.RECEIVED.value] = received_at  # born RECEIVED
+            tasks.append(task)
+            waves.setdefault(endpoint_id, (shard, []))[1].append(task)
+        self.admission.admit(owner, count=len(tasks))
+        entered = 0
         try:
-            for fid, eid, payload in requests:
-                submitted.append(
-                    self._submit_authorized(identity, fid, eid, payload,
-                                            memoize, None,
-                                            received_at=received_at))
+            for endpoint_id, (shard, wave) in waves.items():
+                shard.insert_tasks(wave)
+                entered += len(wave)
+                self._enqueue_wave(shard, endpoint_id, wave, memoize,
+                                   received_at)
         except BaseException:
             # Validation passed, so this is unexpected; return the quota
             # of the members that never made it in.
-            self.admission.release(identity.identity_id,
-                                   count=len(requests) - len(submitted))
+            self.admission.release(owner, count=len(tasks) - entered)
             raise
-        return submitted
+        return [task.task_id for task in tasks]
 
-    def _check_accepting(self, endpoint_id: str) -> None:
-        """Reject submissions aimed at a draining shard (503 shape)."""
-        shard = self.shard_for_endpoint(endpoint_id)
-        if shard.draining:
-            self._c_shard_rejects.inc()
-            raise ShardDraining(shard.index)
-
-    def _submit_authorized(
+    def _enqueue_wave(
         self,
-        identity: Identity,
-        function_id: str,
+        shard: ServiceShard,
         endpoint_id: str,
-        payload_buffer: bytes,
+        wave: list[Task],
         memoize: bool,
-        max_retries: int | None,
-        received_at: float | None = None,
-    ) -> str:
-        if len(payload_buffer) > self.config.payload_limit:
-            raise PayloadTooLarge(len(payload_buffer), self.config.payload_limit)
-        function = self.functions.check_invocable(function_id, identity.identity_id)
-        self.endpoints.check_usable(endpoint_id, identity.identity_id)
-        shard = self.shard_for_endpoint(endpoint_id)
-
-        now = received_at if received_at is not None else self._clock()
-        task = Task(
-            function_id=function_id,
-            endpoint_id=endpoint_id,
-            payload_buffer=payload_buffer,
-            container_image=function.container_image,
-            owner_id=identity.identity_id,
-            max_retries=(
-                max_retries if max_retries is not None else self.config.default_max_retries
-            ),
-        )
-        # Embed the owning shard in the id: every later lookup (status,
-        # result, ack, stream watch) routes in O(1) without a directory.
-        task.task_id = self.shard_map.tag(task.task_id, shard.index)
-        task.state_times[TaskState.RECEIVED.value] = now  # born RECEIVED
-        shard.insert_task(task)
-        self._c_received.inc()
-        trace = self.traces.open(task.task_id, at=now)
-        if trace is not None:
-            task.metadata["trace_id"] = trace.trace_id
-        self.store.hset("tasks", task.task_id, task.to_record())
-        shard.pacer.charge()  # the task-record store write
-        self._emit("task.submitted", task_id=task.task_id,
-                   endpoint_id=endpoint_id, shard=shard.index)
-
+        received_at: float,
+    ) -> None:
+        """Trace, memo-check and enqueue one endpoint's inserted tasks."""
+        self._c_received.inc(len(wave))
+        probe = self.probe
+        for task in wave:
+            trace = task.trace = self.traces.open(task.task_id, at=received_at)
+            if trace is not None:
+                task.metadata["trace_id"] = trace.trace_id
+            if probe is not None:
+                probe("task.submitted", {"task_id": task.task_id,
+                                         "endpoint_id": endpoint_id,
+                                         "shard": shard.index})
+        shard.pacer.charge(len(wave))  # the task-record store writes
         if memoize:
-            cached = self.memoizer.lookup(function.function_buffer, payload_buffer)
-            if cached is not None:
-                task.memo_hit = True
-                done = self._clock()
-                if trace is not None:
-                    trace.record("service", "service", start=now, end=done,
-                                 memo_hit=True, shard=shard.index)
-                self._complete(task, success=True, result_buffer=cached,
-                               execution_time=0.0, now=done)
-                self._c_memo.inc()
-                return task.task_id
-            task.metadata["memoize"] = True
-
-        queue = shard.task_queue(endpoint_id)
+            wave = self._serve_memo_hits(shard, wave, received_at)
+            if not wave:
+                return
         queued_at = self._clock()
-        task.advance(TaskState.QUEUED, queued_at)
-        if trace is not None:
-            trace.record("service", "service", start=now, end=queued_at,
-                         shard=shard.index)
+        for task in wave:
+            task.advance(TaskState.QUEUED, queued_at)
+            if task.trace is not None:
+                task.trace.record("service", "service", start=received_at,
+                                  end=queued_at, shard=shard.index)
+        task_ids = [task.task_id for task in wave]
         # The tenant lane makes dequeue DRR-fair across identities
         # sharing this endpoint.
-        queue.put(task.task_id, lane=identity.identity_id)
-        self.pubsub.publish(f"endpoint.{endpoint_id}.queued", task.task_id)
-        return task.task_id
+        shard.task_queue(endpoint_id).put_many(task_ids, lane=wave[0].owner_id)
+        self.pubsub.publish(f"endpoint.{endpoint_id}.queued", task_ids)
+
+    def _serve_memo_hits(
+        self,
+        shard: ServiceShard,
+        wave: list[Task],
+        received_at: float,
+    ) -> list[Task]:
+        """Complete the wave's memoized members; returns the rest."""
+        misses: list[Task] = []
+        hits: list[Task] = []
+        for task in wave:
+            cached = self.memoizer.lookup(
+                self.function_buffer(task.function_id), task.payload_buffer)
+            if cached is None:
+                task.metadata["memoize"] = True
+                misses.append(task)
+                continue
+            task.memo_hit = True
+            done = self._clock()
+            if task.trace is not None:
+                task.trace.record("service", "service", start=received_at,
+                                  end=done, memo_hit=True, shard=shard.index)
+            self._settle(task, success=True, result_buffer=cached, now=done)
+            hits.append(task)
+        self._c_memo.inc(len(hits))
+        self._retire(shard, hits)
+        return misses
 
     # ------------------------------------------------------------------
     # monitoring / results API
@@ -478,9 +522,7 @@ class FuncXService:
                 self.shard_map.shard_for_task(task_id), []).append(task_id)
         states: dict[str, str] = {}
         for index, ids in by_shard.items():
-            shard = self.shards[index]
-            for task_id in ids:
-                task = shard.get_task(task_id)
+            for task_id, task in zip(ids, self.shards[index].get_tasks(ids)):
                 if task is None:
                     raise TaskNotFound(task_id)
                 states[task_id] = task.state.value
@@ -535,7 +577,7 @@ class FuncXService:
     # ------------------------------------------------------------------
     def task_queue(self, endpoint_id: str) -> ReliableQueue:
         self.endpoints.get(endpoint_id)  # existence check
-        return self._queue_for(endpoint_id)
+        return self.shard_for_endpoint(endpoint_id).task_queue(endpoint_id)
 
     def result_queue(self, endpoint_id: str) -> ReliableQueue:
         self.endpoints.get(endpoint_id)
@@ -556,39 +598,62 @@ class FuncXService:
         execution_time: float = 0.0,
         result_return_time: float = 0.0,
     ) -> bool:
-        """Record a task outcome arriving from a forwarder (fig 3, step 5).
+        """Record one task outcome: :meth:`complete_tasks` for a wave of
+        one, routed by the task id.  Raises :class:`TaskNotFound` for an
+        unknown id."""
+        [applied] = self.complete_tasks(self.shard_for_task(task_id), [(
+            task_id, success, result_buffer, exception_text, execution_time,
+            result_return_time)])
+        if applied is None:
+            raise TaskNotFound(task_id)
+        return applied
 
-        Returns ``True`` when the outcome was applied.  A result for an
-        already-terminal task (the at-least-once delivery path redelivers
-        on requeue races) is counted and reported but must not mutate the
-        recorded outcome, metadata, or memo store — first result wins.
+    def complete_tasks(
+        self, shard: ServiceShard, outcomes: list[Outcome]
+    ) -> list[bool | None]:
+        """Record a wave of outcomes arriving from a forwarder (fig 3,
+        step 5), all for tasks on ``shard``.
+
+        Returns one verdict per outcome, in order: ``True`` when it was
+        applied, ``None`` when the task record is unknown (purged while
+        the result was in flight), ``False`` for a result that arrives
+        for an already-terminal task (the at-least-once delivery path
+        redelivers on requeue races) — counted and reported, but it must
+        not mutate the recorded outcome, metadata, or memo store: first
+        result wins, within a wave as across waves.
         """
-        task = self._get_task(task_id)
-        if task.state is TaskState.CANCELLED:
-            # The client cancelled while the task was in flight; the
-            # worker's result arrives late and is suppressed (counted
-            # apart from redelivery duplicates — different pathology).
-            self._c_post_cancel.inc()
-            self._emit("task.post_cancel_result", task_id=task_id, success=success)
-            return False
-        if task.state.terminal:
-            self._c_duplicate_results.inc()
-            self._emit("task.duplicate_result", task_id=task_id, success=success)
-            return False
+        tasks = shard.get_tasks([outcome[0] for outcome in outcomes])
         now = self._clock()
-        task.metadata["result_return_time"] = result_return_time
-        if success and task.metadata.get("memoize"):
-            function = self.functions.get(task.function_id)
-            self.memoizer.store(function.function_buffer, task.payload_buffer, result_buffer)
-        self._complete(
-            task,
-            success=success,
-            result_buffer=result_buffer,
-            exception_text=exception_text,
-            execution_time=execution_time,
-            now=now,
-        )
-        return True
+        verdicts: list[bool | None] = []
+        finished: list[Task] = []
+        for task, (task_id, success, result_buffer, exception_text,
+                   execution_time, result_return_time) in zip(tasks, outcomes):
+            if task is None:
+                verdicts.append(None)
+            elif task.state is TaskState.CANCELLED:
+                # The client cancelled while the task was in flight; the
+                # worker's result arrives late and is suppressed (counted
+                # apart from redelivery duplicates — different pathology).
+                self._c_post_cancel.inc()
+                self._emit("task.post_cancel_result", task_id=task_id,
+                           success=success)
+                verdicts.append(False)
+            elif task.state.terminal:
+                self._c_duplicate_results.inc()
+                self._emit("task.duplicate_result", task_id=task_id,
+                           success=success)
+                verdicts.append(False)
+            else:
+                task.metadata["result_return_time"] = result_return_time
+                if success and task.metadata.get("memoize"):
+                    self.memoizer.store(self.function_buffer(task.function_id),
+                                        task.payload_buffer, result_buffer)
+                self._settle(task, success, result_buffer, exception_text,
+                             execution_time, now)
+                finished.append(task)
+                verdicts.append(True)
+        self._retire(shard, finished)
+        return verdicts
 
     def cancel_task(self, token: str, task_id: str) -> bool:
         """Cancel a not-yet-finished task (the journal SDK's addition).
@@ -605,25 +670,17 @@ class FuncXService:
         """
         self.auth.authorize(token, Scope.EXECUTE)
         self._spend_overhead()
-        task = self._get_task(task_id)
+        shard, task = self._locate(task_id)
         if task.state.terminal:
             return False
         now = self._clock()
         task.advance(TaskState.CANCELLED, now)
         task.exception_text = f"task {task_id} cancelled by client"
         self._c_cancelled.inc()
-        trace = self.traces.finalize(task_id, at=now)
-        if trace is not None:
-            total = trace.total()
-            if total is not None:
-                self.metrics.histogram("task.total_seconds").observe(total)
+        if task.trace is not None:
+            task.trace.close(now)
         self._emit("task.cancelled", task_id=task_id, state=task.state.value)
-        self.store.hset("tasks", task_id, task.to_record())
-        self.pubsub.publish(f"task.{task_id}", task.state.value)
-        shard = self.shard_for_task(task_id)
-        shard.note_terminal(task)
-        self.admission.release(task.owner_id)
-        shard.result_stream.on_task_terminal(task)
+        self._retire(shard, [task])
         return True
 
     def requeue_task(self, task_id: str, reason: str = "", enqueue: bool = True) -> bool:
@@ -635,32 +692,38 @@ class FuncXService:
         for callers (the forwarder) that separately nack a queue lease,
         which re-inserts the task id itself.
         """
-        task = self._get_task(task_id)
+        shard, task = self._locate(task_id)
         if task.state.terminal:
             return False
         if task.attempts > task.max_retries:
             self._emit("task.retries_exhausted", task_id=task_id, reason=reason,
                        attempts=task.attempts)
-            self._complete(
+            self._settle(
                 task,
                 success=False,
                 exception_text=f"retries exhausted after {task.attempts} attempts ({reason})",
                 now=self._clock(),
             )
+            self._retire(shard, [task])
             return False
         if task.state is not TaskState.QUEUED:
             task.advance(TaskState.QUEUED, self._clock())
         task.metadata.setdefault("requeue_reasons", []).append(reason)
         self._emit("task.requeued", task_id=task_id, reason=reason)
         if enqueue:
-            self._queue_for(task.endpoint_id).put(task.task_id,
-                                                  lane=task.owner_id)
+            shard.task_queue(task.endpoint_id).put(task.task_id,
+                                                   lane=task.owner_id)
         return True
 
     def mark_dispatched(self, task_id: str) -> None:
-        task = self._get_task(task_id)
-        task.attempts += 1
-        task.advance(TaskState.DISPATCHED, self._clock())
+        self.tasks_dispatched([self._get_task(task_id)])
+
+    def tasks_dispatched(self, tasks: list[Task]) -> None:
+        """A forwarder sent this wave to its agent (fig 3, step 4)."""
+        now = self._clock()
+        for task in tasks:
+            task.attempts += 1
+            task.advance(TaskState.DISPATCHED, now)
 
     def mark_running(self, task_id: str, started_at: float | None = None) -> None:
         task = self._get_task(task_id)
@@ -709,7 +772,6 @@ class FuncXService:
             return False
         if not task.state.terminal:
             self.admission.release(task.owner_id)
-        self.store.hdel("tasks", task_id)
         self._c_forgotten.inc()
         self._emit("task.forgotten", task_id=task_id, state=task.state.value)
         return True
@@ -733,16 +795,17 @@ class FuncXService:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _queue_for(self, endpoint_id: str) -> ReliableQueue:
-        return self.shard_for_endpoint(endpoint_id).task_queue(endpoint_id)
-
-    def _get_task(self, task_id: str) -> Task:
-        task = self.shard_for_task(task_id).get_task(task_id)
+    def _locate(self, task_id: str) -> tuple[ServiceShard, Task]:
+        shard = self.shard_for_task(task_id)
+        task = shard.get_task(task_id)
         if task is None:
             raise TaskNotFound(task_id)
-        return task
+        return shard, task
 
-    def _complete(
+    def _get_task(self, task_id: str) -> Task:
+        return self._locate(task_id)[1]
+
+    def _settle(
         self,
         task: Task,
         success: bool,
@@ -751,38 +814,60 @@ class FuncXService:
         execution_time: float = 0.0,
         now: float = 0.0,
     ) -> None:
+        """Move one live task to SUCCESS/FAILED and close its trace — the
+        per-task half of a completion; the caller then :meth:`_retire`s
+        the wave it settled."""
         # Tolerate completion from any live state (worker may finish after
         # a requeue decision raced it; first completion wins).
-        if task.state.terminal:
-            self._emit("task.duplicate_completion", task_id=task.task_id,
-                       success=success)
-            return
-        if task.state in (TaskState.RECEIVED, TaskState.QUEUED, TaskState.DISPATCHED):
+        target = TaskState.SUCCESS if success else TaskState.FAILED
+        if task.state is TaskState.RUNNING:
+            task.advance(target, now)
+        else:
             # fast paths (memo hits complete straight from RECEIVED)
-            target = TaskState.SUCCESS if success else TaskState.FAILED
             task.state_times.setdefault("running", now)
             task.state = target
             task.state_times.setdefault(target.value, now)
-        else:
-            task.advance(TaskState.SUCCESS if success else TaskState.FAILED, now)
         task.result_buffer = result_buffer or None
         task.exception_text = exception_text
         task.metadata["execution_time"] = execution_time
         self._c_completed.inc()
-        trace = self.traces.finalize(task.task_id, at=now)
-        if trace is not None:
-            for stage, duration in trace.breakdown().items():
-                self.metrics.histogram("task.stage_seconds", stage=stage).observe(duration)
-            total = trace.total()
-            if total is not None:
-                self.metrics.histogram("task.total_seconds").observe(total)
-        self._emit("task.completed", task_id=task.task_id, success=success,
-                   state=task.state.value)
-        self.store.hset("tasks", task.task_id, task.to_record())
+        if task.trace is not None:
+            task.trace.close(now)
+        probe = self.probe
+        if probe is not None:
+            probe("task.completed", {"task_id": task.task_id,
+                                     "success": success,
+                                     "state": task.state.value})
         self.store.set(f"result:{task.task_id}", result_buffer, ttl=None)
-        shard = self.shard_for_task(task.task_id)
-        shard.note_terminal(task)
-        self.admission.release(task.owner_id)
-        shard.pacer.charge()  # the completion store write
-        self.pubsub.publish(f"task.{task.task_id}", task.state.value)
-        shard.result_stream.on_task_terminal(task)
+
+    def _retire(self, shard: ServiceShard, tasks: list[Task]) -> None:
+        """The per-wave half of reaching a terminal state: the closed
+        traces' stage times into their histograms, shard accounting,
+        tenant quota, the store writes' occupancy, and one notification
+        per watcher."""
+        if not tasks:
+            return
+        stages: dict[str, list[float]] = {}
+        totals: list[float] = []
+        for task in tasks:
+            if task.trace is not None:
+                for stage, duration in task.trace.breakdown().items():
+                    stages.setdefault(stage, []).append(duration)
+                totals.append(task.trace.total())
+        for stage, durations in stages.items():
+            histogram = self._h_stage.get(stage)
+            if histogram is None:
+                histogram = self._h_stage[stage] = self.metrics.histogram(
+                    "task.stage_seconds", stage=stage)
+            histogram.observe_many(durations)
+        self._h_total.observe_many(totals)
+        shard.note_terminal(tasks)
+        owners: dict[str, int] = {}
+        for task in tasks:
+            owners[task.owner_id] = owners.get(task.owner_id, 0) + 1
+        for owner, count in owners.items():
+            self.admission.release(owner, count)
+        shard.pacer.charge(len(tasks))  # the terminal store writes
+        for task in tasks:
+            self.pubsub.publish(f"task.{task.task_id}", task.state.value)
+        shard.result_stream.on_tasks_terminal(tasks)

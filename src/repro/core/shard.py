@@ -32,7 +32,7 @@ import bisect
 import threading
 import time
 import zlib
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.core.stream import DEFAULT_SPILL_THRESHOLD, ResultStreamServer
 from repro.core.tasks import Task, TaskState
@@ -214,11 +214,6 @@ class ServiceShard:
         # even though role inference sees a single role.
         self.draining = False  # guarded-by: self._lock  # lint: ignore[threadroles]
         self.pacer = _ShardPacer(op_cost, clock=self._clock, sleeper=sleeper)
-        # Per-shard push delivery: its own thread, named by shard so
-        # thread-role inference and the runtime recorder agree.
-        self.result_stream = ResultStreamServer(
-            service, clock=self._clock, spill_threshold=spill_threshold,
-            tag=str(index))
         metrics = service.metrics
         self._c_received = metrics.counter("shard.tasks_received",
                                            shard=str(index))
@@ -226,40 +221,51 @@ class ServiceShard:
                                              shard=str(index))
         metrics.gauge("shard.open_tasks", shard=str(index)).set_function(
             self.open_tasks)
+        # Per-shard push delivery: its own thread, named by shard so
+        # thread-role inference and the runtime recorder agree.  Built
+        # last: it reads its tasks straight from this shard's table.
+        self.result_stream = ResultStreamServer(
+            self, clock=self._clock, spill_threshold=spill_threshold,
+            tag=str(index))
 
     # -- probe ---------------------------------------------------------------
-    def _emit_accounting(self, event: str, **fields: Any) -> None:  # guarded-by: self._lock
-        """Emit a ``shard.accounting`` snapshot (caller holds the lock)."""
-        probe = self.service.probe
-        if probe is None:
-            return
-        probe(
-            "shard.accounting",
-            {
-                "shard": self.index,
-                "cause": event,
-                "received": self._received,
-                "terminated": self._terminated,
-                "forgotten_open": self._forgotten_open,
-                "open": self._open,
-                **fields,
-            },
-        )
+    def _accounting(self, cause: str, task_id: str) -> dict[str, Any]:  # guarded-by: self._lock
+        """A ``shard.accounting`` snapshot (caller holds the lock)."""
+        return {
+            "shard": self.index,
+            "cause": cause,
+            "received": self._received,
+            "terminated": self._terminated,
+            "forgotten_open": self._forgotten_open,
+            "open": self._open,
+            "task_id": task_id,
+        }
 
     # -- task table ----------------------------------------------------------
-    def insert_task(self, task: Task) -> None:
+    # The table is the paper's Redis task hash: the one place a task
+    # record lives.  Its entry points take the wave their caller was
+    # handed (a lone task is a wave of one) and hold the lock once.
+    def insert_tasks(self, tasks: list[Task]) -> None:
         with self._lock:
-            self._tasks[task.task_id] = task
-            self._received += 1
-            self._open += 1
-            self._outstanding[task.endpoint_id] = (
-                self._outstanding.get(task.endpoint_id, 0) + 1)
-            self._emit_accounting("insert", task_id=task.task_id)
-        self._c_received.inc()
+            probe = self.service.probe
+            for task in tasks:
+                self._tasks[task.task_id] = task
+                self._received += 1
+                self._open += 1
+                self._outstanding[task.endpoint_id] = (
+                    self._outstanding.get(task.endpoint_id, 0) + 1)
+                if probe is not None:
+                    probe("shard.accounting",
+                          self._accounting("insert", task.task_id))
+        self._c_received.inc(len(tasks))
+
+    def get_tasks(self, task_ids: Iterable[str]) -> list[Task | None]:
+        """The records for ``task_ids``, in order; ``None`` where unknown."""
+        with self._lock:
+            return [self._tasks.get(task_id) for task_id in task_ids]
 
     def get_task(self, task_id: str) -> Task | None:
-        with self._lock:
-            return self._tasks.get(task_id)
+        return self.get_tasks((task_id,))[0]
 
     def pop_task(self, task_id: str) -> Task | None:
         """Remove a task record (forget path); fixes up open counters."""
@@ -274,20 +280,28 @@ class ServiceShard:
                 self._forgotten_open += 1
                 self._open -= 1
                 self._dec_outstanding(task.endpoint_id)
-            self._emit_accounting("forget", task_id=task_id)
+            probe = self.service.probe
+            if probe is not None:
+                probe("shard.accounting", self._accounting("forget", task_id))
             return task
 
-    def note_terminal(self, task: Task) -> None:
+    def note_terminal(self, tasks: Iterable[Task]) -> None:
         """Called exactly once per task, when it first reaches a
         terminal state (complete / fail / cancel)."""
+        count = 0
         with self._lock:
-            if task.task_id not in self._tasks:
-                return  # forgotten while completing; already accounted
-            self._terminated += 1
-            self._open -= 1
-            self._dec_outstanding(task.endpoint_id)
-            self._emit_accounting("terminal", task_id=task.task_id)
-        self._c_terminated.inc()
+            probe = self.service.probe
+            for task in tasks:
+                if task.task_id not in self._tasks:
+                    continue  # forgotten while completing; already accounted
+                self._terminated += 1
+                self._open -= 1
+                self._dec_outstanding(task.endpoint_id)
+                count += 1
+                if probe is not None:
+                    probe("shard.accounting",
+                          self._accounting("terminal", task.task_id))
+        self._c_terminated.inc(count)
 
     def _dec_outstanding(self, endpoint_id: str) -> None:  # guarded-by: self._lock
         count = self._outstanding.get(endpoint_id, 0) - 1

@@ -37,11 +37,10 @@ import logging
 import threading
 import time
 import uuid
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.core.flowcontrol import CreditLedger
 from repro.core.tasks import TaskState
-from repro.errors import TaskNotFound
 from repro.metrics.registry import COUNT_BUCKETS
 from repro.staging.transfer import DataStore, register_store, unregister_store
 from repro.store.queues import Lease, ReliableQueue
@@ -50,6 +49,7 @@ from repro.transport.wakeup import Wakeup
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.service import FuncXService
+    from repro.core.shard import ServiceShard
     from repro.core.tasks import Task
 
 logger = logging.getLogger(__name__)
@@ -98,17 +98,22 @@ class ResultSubscription:
 
     # -- client side ---------------------------------------------------------
     def watch(self, task_id: str) -> None:
-        """Register interest in ``task_id``; delivery follows completion.
+        """Register interest in ``task_id``; delivery follows completion."""
+        self.watch_many((task_id,))
+
+    def watch_many(self, task_ids: Iterable[str]) -> None:
+        """Register interest in a wave of tasks under one lock hold.
 
         Watching an already-terminal task (memo hits complete before the
         watch lands) enqueues it immediately.
         """
+        task_ids = list(task_ids)
         with self._lock:
             if self._closed:
                 raise RuntimeError(
                     f"subscription {self.subscriber_id} is closed")
-            self._watched.add(task_id)
-        self._server.register_interest(self, task_id)
+            self._watched.update(task_ids)
+        self._server.register_interest(self, task_ids)
 
     def attach(self, consumer: Consumer) -> None:
         """Connect the client's delivery callback (or reconnect it)."""
@@ -132,17 +137,16 @@ class ResultSubscription:
     def ack(self, delivery_id: str) -> int:
         """Acknowledge a delivered batch; returns results retired.
 
-        Retires the queue leases, releases the batch's credits (opening
-        the window for the next wave) and deletes any payloads spilled
-        for the batch.
+        Retires the queue leases, forgets the batch's task ids (a
+        long-lived subscription does not grow with the tasks it has
+        seen), releases the batch's credits (opening the window for the
+        next wave) and deletes any payloads spilled for the batch.
         """
         with self._lock:
             leases = self._unacked.pop(delivery_id, None)
         if leases is None:
             return 0
-        for lease in leases:
-            self.queue.ack(lease.lease_id)
-            self._server.drop_spill(self.subscriber_id, lease.item)
+        self.retire(leases)
         self.credits.release(len(leases))
         self._server.kick()
         return len(leases)
@@ -171,15 +175,29 @@ class ResultSubscription:
         return count
 
     # -- server side ---------------------------------------------------------
-    def task_ready(self, task_id: str) -> None:
-        """A watched task reached a terminal state; enqueue once."""
+    def tasks_ready(self, task_ids: Iterable[str]) -> None:
+        """Watched tasks reached a terminal state; enqueue each once."""
         with self._lock:
-            if self._closed or task_id not in self._watched:
+            if self._closed:
                 return
-            if task_id in self._enqueued:
-                return
-            self._enqueued.add(task_id)
-        self.queue.put(task_id)
+            fresh = [task_id for task_id in task_ids
+                     if task_id in self._watched
+                     and task_id not in self._enqueued]
+            self._enqueued.update(fresh)
+        self.queue.put_many(fresh)
+
+    def retire(self, leases: list[Lease]) -> None:
+        """Finish with delivered (or undeliverable) results for good:
+        ack their leases, drop their spills, forget their ids.  Until
+        then ``_enqueued`` keeps a second terminal notification from
+        queueing a result twice."""
+        self.queue.ack_many(lease.lease_id for lease in leases)
+        with self._lock:
+            for lease in leases:
+                self._watched.discard(lease.item)
+                self._enqueued.discard(lease.item)
+        for lease in leases:
+            self._server.drop_spill(self.subscriber_id, lease.item)
 
     def note_delivered(self, delivery_id: str, leases: list[Lease]) -> None:
         """Record an in-flight batch awaiting the client's ack."""
@@ -244,21 +262,22 @@ class ResultSubscription:
 class ResultStreamServer:
     """Streams ResultBatchMessages to subscribed clients, credit-bounded.
 
-    Owned by the :class:`~repro.core.service.FuncXService`; the service
-    notifies :meth:`on_task_terminal` from its completion path.  The
+    Owned by a :class:`~repro.core.shard.ServiceShard`; the service
+    notifies :meth:`on_tasks_terminal` from its completion path.  The
     delivery thread starts lazily with the first subscription and is
     shut down by :meth:`close` (wired into the deployment's shutdown).
     """
 
     def __init__(
         self,
-        service: "FuncXService",
+        shard: "ServiceShard",
         clock: Callable[[], float] | None = None,
         spill_threshold: int = DEFAULT_SPILL_THRESHOLD,
         poll_fallback: float = 0.05,
         tag: str = "0",
     ):
-        self.service = service
+        # The shard whose task table this server delivers from.
+        self._shard = shard
         # Shard tag: distinguishes the per-shard delivery threads and
         # metrics when the service plane runs more than one shard.
         self.tag = tag
@@ -281,7 +300,7 @@ class ResultStreamServer:
         # deployments in one process never collide in the global registry.
         self.spill = DataStore(f"result-spill-{uuid.uuid4().hex[:8]}")
         register_store(self.spill)
-        metrics = service.metrics
+        metrics = shard.service.metrics
         self._h_batch = metrics.histogram(
             "stream.batch_size", buckets=COUNT_BUCKETS)
         self._h_delivery = metrics.histogram("stream.delivery_seconds")
@@ -326,16 +345,17 @@ class ResultStreamServer:
             for watchers in self._interest.values():
                 watchers.discard(sub.subscriber_id)
 
-    def register_interest(self, sub: ResultSubscription, task_id: str) -> None:
-        """Bind ``task_id`` to ``sub``; fast-path already-terminal tasks."""
+    def register_interest(self, sub: ResultSubscription,
+                          task_ids: list[str]) -> None:
+        """Bind ``task_ids`` to ``sub``; fast-path already-terminal tasks."""
         with self._lock:
-            self._interest.setdefault(task_id, set()).add(sub.subscriber_id)
-        try:
-            task = self.service.task_by_id(task_id)
-        except TaskNotFound:
-            return
-        if task.state.terminal:
-            sub.task_ready(task_id)
+            interest = self._interest
+            for task_id in task_ids:
+                interest.setdefault(task_id, set()).add(sub.subscriber_id)
+        ready = [task.task_id for task in self._shard.get_tasks(task_ids)
+                 if task is not None and task.state.terminal]
+        if ready:
+            sub.tasks_ready(ready)
 
     def subscription_count(self) -> int:
         with self._lock:
@@ -346,17 +366,18 @@ class ResultStreamServer:
         self._wakeup.set()
 
     # -- service side --------------------------------------------------------
-    def on_task_terminal(self, task: "Task") -> None:
-        """Completion-path hook: fan the terminal task to its watchers."""
+    def on_tasks_terminal(self, tasks: list["Task"]) -> None:
+        """Completion-path hook: fan a wave of terminal tasks to their
+        watchers — one enqueue (and one wake-up) per subscription."""
+        ready: dict[ResultSubscription, list[str]] = {}
         with self._lock:
-            watcher_ids = self._interest.pop(task.task_id, None)
-            if not watcher_ids:
-                return
-            watchers = [
-                self._subs[sid] for sid in watcher_ids if sid in self._subs
-            ]
-        for sub in watchers:
-            sub.task_ready(task.task_id)
+            for task in tasks:
+                for subscriber_id in self._interest.pop(task.task_id, ()):
+                    sub = self._subs.get(subscriber_id)
+                    if sub is not None:
+                        ready.setdefault(sub, []).append(task.task_id)
+        for sub, task_ids in ready.items():
+            sub.tasks_ready(task_ids)
 
     # -- delivery ------------------------------------------------------------
     def step(self) -> int:
@@ -383,16 +404,22 @@ class ResultStreamServer:
         now = self._clock()
         results: list[ResultMessage] = []
         kept: list[Lease] = []
-        for lease in leases:
-            message = self._result_message(sub, lease, now)
-            if message is None:
+        delivered: list["Task"] = []
+        vanished: list[Lease] = []
+        for lease, task in zip(leases, self._shard.get_tasks(
+                [lease.item for lease in leases])):
+            if task is None or not task.state.terminal:
                 # Task record vanished (forgotten); nothing to deliver.
-                sub.queue.ack(lease.lease_id)
+                # (Only terminal ids enqueue; the state test is defensive.)
+                vanished.append(lease)
                 continue
             if lease.deliveries > 1:
                 self._c_redelivered.inc()
-            results.append(message)
+            results.append(self._result_message(sub, task, now))
             kept.append(lease)
+            delivered.append(task)
+        if vanished:
+            sub.retire(vanished)
         if not results:
             return 0
         sub.credits.consume(len(kept))
@@ -419,38 +446,30 @@ class ResultStreamServer:
             return 0
         self._c_batches.inc()
         self._c_delivered.inc(len(results))
-        for message in results:
-            elapsed = max(0.0, now - message.completed_at)
-            self._h_delivery.observe(elapsed)
-            trace = self.service.traces.context_for(message.task_id)
-            if trace is not None:
-                trace.record_late(
+        self._h_delivery.observe_many(
+            max(0.0, now - message.completed_at) for message in results)
+        for message, task in zip(results, delivered):
+            if task.trace is not None:
+                task.trace.record_late(
                     "result_stream", "service",
                     start=message.completed_at, end=now,
                     subscriber=sub.subscriber_id)
         return len(results)
 
     def _result_message(
-        self, sub: ResultSubscription, lease: Lease, now: float
-    ) -> ResultMessage | None:
-        task_id = lease.item
-        try:
-            task = self.service.task_by_id(task_id)
-        except TaskNotFound:
-            return None
-        if not task.state.terminal:  # defensive; only terminal ids enqueue
-            return None
+        self, sub: ResultSubscription, task: "Task", now: float
+    ) -> ResultMessage:
         buffer = task.result_buffer or b""
         ref: dict | None = None
         if len(buffer) >= self.spill_threshold:
             data_ref = self.spill.put(
-                buffer, key=f"{sub.subscriber_id}:{task_id}")
+                buffer, key=f"{sub.subscriber_id}:{task.task_id}")
             ref = data_ref.as_argument()
             buffer = b""
             self._c_spilled.inc()
         return ResultMessage(
             sender="result-stream",
-            task_id=task_id,
+            task_id=task.task_id,
             success=task.state is TaskState.SUCCESS,
             result_buffer=buffer,
             execution_time=float(task.metadata.get("execution_time", 0.0)),
@@ -551,12 +570,17 @@ class RoutedSubscription:
             for shard in service.shards
         ]
 
-    def _leg_for_task(self, task_id: str) -> ResultSubscription:
-        return self._legs[self._service.shard_map.shard_for_task(task_id)]
-
     # -- client surface (mirrors ResultSubscription) ---------------------
     def watch(self, task_id: str) -> None:
-        self._leg_for_task(task_id).watch(task_id)
+        self.watch_many((task_id,))
+
+    def watch_many(self, task_ids: Iterable[str]) -> None:
+        shard_for_task = self._service.shard_map.shard_for_task
+        by_leg: dict[int, list[str]] = {}
+        for task_id in task_ids:
+            by_leg.setdefault(shard_for_task(task_id), []).append(task_id)
+        for index, ids in by_leg.items():
+            self._legs[index].watch_many(ids)
 
     def attach(self, consumer: Consumer) -> None:
         for leg in self._legs:

@@ -2,7 +2,8 @@
 
 A *task* is one invocation of a registered function.  Its path is:
 
-1. received by the web service and stored (Redis hashset substitute);
+1. received by the web service and stored in its shard's task table
+   (the Redis task-hash substitute);
 2. queued on the target endpoint's task queue;
 3. dispatched by the forwarder to the connected agent;
 4. executed in a container by a worker;
@@ -88,6 +89,9 @@ class Task:
     memo_hit: bool = False
     state_times: dict[str, float] = field(default_factory=dict)
     metadata: dict[str, Any] = field(default_factory=dict)
+    #: The task's :class:`~repro.observability.trace.TraceContext`
+    #: (``None`` with tracing off), held here so no hop looks it up.
+    trace: Any = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     def advance(self, new_state: TaskState, now: float) -> None:
@@ -161,7 +165,7 @@ class Task:
         return max(0, self.max_retries - max(0, self.attempts - 1))
 
     def to_record(self) -> dict[str, Any]:
-        """Flat dict stored in the service's task hashset."""
+        """Flat dict of the record, as ``task_info`` reports it."""
         return {
             "task_id": self.task_id,
             "function_id": self.function_id,

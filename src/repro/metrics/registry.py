@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import json
 import threading
+from bisect import bisect_left
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 LabelKey = tuple[tuple[str, str], ...]
 
@@ -140,17 +141,21 @@ class Histogram:
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
+        self.observe_many((value,))
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Record a wave of observations under one lock hold."""
         with self._lock:
-            self._count += 1
-            self._sum += value
-            self._min = min(self._min, value)
-            self._max = max(self._max, value)
-            self._samples.append(value)
-            for index, bound in enumerate(self.buckets):
-                if value <= bound:
-                    self._bucket_counts[index] += 1
-                    return
-            self._bucket_counts[-1] += 1
+            for value in values:
+                self._count += 1
+                self._sum += value
+                if value < self._min:
+                    self._min = value
+                if value > self._max:
+                    self._max = value
+                self._samples.append(value)
+                # First bucket whose bound is >= value; past the last, +inf.
+                self._bucket_counts[bisect_left(self.buckets, value)] += 1
 
     @property
     def count(self) -> int:

@@ -39,6 +39,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
+#: Entries one ``TraceStore.open`` may examine when evicting.
+_EVICT_SCAN = 4
+
 #: Canonical stage order of the figure-4 latency decomposition.
 STAGES: tuple[str, ...] = (
     "service",
@@ -288,11 +291,24 @@ class TraceStore:
         return ctx.trace_id if ctx is not None else None
 
     def _evict_locked(self) -> None:
-        if len(self._traces) <= self.capacity:
-            return
-        excess = len(self._traces) - self.capacity
-        for task_id in [t for t, c in self._traces.items() if c.closed][:excess]:
-            del self._traces[task_id]
+        """Drop the oldest finalized traces while over capacity.
+
+        Looks at no more than ``_EVICT_SCAN`` entries from the old end
+        per call, so an ``open`` on a full store costs the same as on
+        an empty one.  A live trace found there moves to the young end
+        (it is never dropped, and is not looked at again until the
+        store has turned over), so the store may sit over capacity by
+        the number of live traces.
+        """
+        traces = self._traces
+        for _ in range(_EVICT_SCAN):
+            if len(traces) <= self.capacity:
+                return
+            task_id = next(iter(traces))
+            if traces[task_id].closed:
+                del traces[task_id]
+            else:
+                traces.move_to_end(task_id)
 
     # -- export --------------------------------------------------------------
     def all_contexts(self) -> list[TraceContext]:

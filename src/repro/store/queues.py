@@ -179,40 +179,35 @@ class ReliableQueue:
 
     # -- producer side -------------------------------------------------------
     def put(self, item: Any, lane: str = "") -> None:
-        with self._lock:
-            if self._closed:
-                raise RuntimeError(f"queue {self.name} is closed")
-            self._ready_push((item, self._clock(), 0, lane))
-            self.total_enqueued += 1
-            self._note_depth()
-            self._emit("queue.put")
-            self._lock.notify()
-        self._fire_wakeup()
+        self.put_many((item,), lane)
 
     def put_many(self, items: Iterable[Any], lane: str = "") -> int:
-        """Enqueue a batch; returns the number enqueued."""
+        """Enqueue a wave under one lock hold and fire one wake-up;
+        returns the number enqueued.  An attached probe still sees one
+        ``queue.put`` snapshot per item."""
         count = 0
         with self._lock:
             if self._closed:
                 raise RuntimeError(f"queue {self.name} is closed")
             now = self._clock()
+            probed = self.probe is not None
             for item in items:
                 self._ready_push((item, now, 0, lane))
+                self.total_enqueued += 1
                 count += 1
-            self.total_enqueued += count
-            self._note_depth()
+                if probed:
+                    self._emit("queue.put")
             if count:
-                self._emit("queue.put_many", count=count)
+                self._note_depth()
                 self._lock.notify(count)
         if count:
             self._fire_wakeup()
         return count
 
     # -- consumer side ---------------------------------------------------------
-    def _lease_entry(self, lease_timeout: float | None) -> Lease:  # guarded-by: self._lock
+    def _lease_entry(self, lease_timeout: float | None, now: float) -> Lease:  # guarded-by: self._lock
         """Pop one ready entry into the lease table (caller holds lock)."""
         item, enq_at, deliveries, lane = self._ready_pop()
-        now = self._clock()
         effective = lease_timeout if lease_timeout is not None else self._default_timeout
         lease = Lease(
             lease_id=next(self._lease_ids),
@@ -250,7 +245,7 @@ class ReliableQueue:
         with self._lock:
             if not self._wait_for_item(timeout):
                 return None
-            lease = self._lease_entry(lease_timeout)
+            lease = self._lease_entry(lease_timeout, self._clock())
             self._emit("queue.lease", deliveries=lease.deliveries)
             return lease
 
@@ -258,23 +253,36 @@ class ReliableQueue:
         """Non-blocking bulk lease of up to ``max_items`` (executor batching)."""
         leases: list[Lease] = []
         with self._lock:
+            now = self._clock()
             for _ in range(max_items):
                 if not self._ready_len():
                     break
-                leases.append(self._lease_entry(lease_timeout))
+                leases.append(self._lease_entry(lease_timeout, now))
             if leases:
                 self._emit("queue.lease_many", count=len(leases))
         return leases
 
     def ack(self, lease_id: int) -> bool:
         """Complete a lease; the item will never be redelivered."""
+        return self.ack_many((lease_id,)) == 1
+
+    def ack_many(self, lease_ids: Iterable[int]) -> int:
+        """Complete a wave of leases under one lock hold; returns how
+        many were still open.  An attached probe still sees one
+        ``queue.ack`` (or ``queue.ack_rejected``) snapshot per lease."""
+        acked = 0
         with self._lock:
-            if self._leases.pop(lease_id, None) is None:
-                self._emit("queue.ack_rejected", lease_id=lease_id)
-                return False
-            self.total_acked += 1
-            self._emit("queue.ack")
-            return True
+            probed = self.probe is not None
+            for lease_id in lease_ids:
+                if self._leases.pop(lease_id, None) is None:
+                    if probed:
+                        self._emit("queue.ack_rejected", lease_id=lease_id)
+                    continue
+                self.total_acked += 1
+                acked += 1
+                if probed:
+                    self._emit("queue.ack")
+        return acked
 
     def nack(self, lease_id: int) -> bool:
         """Return a leased item to the front of the queue for redelivery."""

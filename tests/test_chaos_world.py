@@ -326,3 +326,36 @@ class TestShardKillMidStorm:
         assert client.submit(fid, ep, 21).result(timeout=30) == 42
         report = world.check_final()
         assert report.ok, report.describe()
+
+
+class TestAddEndpointFailsLoud:
+    """``add_endpoint`` used to drop both of its 10 s waits' results and
+    hand back an endpoint that was not there."""
+
+    def test_unreachable_forwarder_raises_naming_it(self, chaos_world, clock,
+                                                    monkeypatch):
+        from repro.core.forwarder import Forwarder
+
+        # The forwarder never runs, so the agent's registration is never
+        # read; the world's own clock and sleeper make the 10 s instant.
+        monkeypatch.setattr(Forwarder, "start", lambda self: None)
+        sleeps = []
+
+        def sleeper(seconds):
+            sleeps.append(seconds)
+            clock.advance(seconds)
+
+        world = chaos_world(seed=3, clock=clock, sleeper=sleeper)
+        with pytest.raises(RuntimeError, match="'ep'.*did not reach its forwarder"):
+            world.add_endpoint("ep")
+        assert clock() >= 10.0 and sleeps
+        assert "ep" not in world.hooks
+
+    def test_unready_managers_raise_naming_them(self, chaos_world, monkeypatch):
+        from repro.endpoint.endpoint import Endpoint
+
+        monkeypatch.setattr(Endpoint, "wait_ready", lambda self: False)
+        world = chaos_world(seed=3)
+        with pytest.raises(RuntimeError, match="'ep'.*2 manager"):
+            world.add_endpoint("ep", nodes=2)
+        assert "ep" not in world.hooks

@@ -174,8 +174,8 @@ class TestSubscription:
         service.complete_task(task_id, success=True, result_buffer=b"r")
         # A second terminal notification (requeue race) must not enqueue
         # the result twice.
-        service.result_stream.on_task_terminal(service.task_by_id(task_id))
-        sub.task_ready(task_id)
+        service.result_stream.on_tasks_terminal([service.task_by_id(task_id)])
+        sub.tasks_ready([task_id])
         assert service.result_stream.step() == 1
         assert service.result_stream.step() == 0
 
