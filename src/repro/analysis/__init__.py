@@ -1,55 +1,38 @@
 """repro.analysis: a repo-specific static analyzer for the fabric.
 
-The chaos harness (PR 1) and dispatch hardening (PR 2) kept re-finding
-the same two bug classes by hand: shared state touched outside its lock
-and nondeterminism leaking past the injectable clock/RNG boundary, which
-silently breaks byte-for-byte chaos replay.  This package makes both
-classes unmergeable with AST-based checks (stdlib :mod:`ast` only); PR 4
-added a statement-level CFG + forward-dataflow engine (:mod:`cfg`,
-:mod:`dataflow`) for the flow-sensitive checks:
+Shared state touched outside its lock, and nondeterminism leaking past
+the injectable clock/RNG boundary (which silently breaks byte-for-byte
+chaos replay), kept being re-found by hand; this package makes those
+bug classes — and the reliability protocols around them — unmergeable.
+Stdlib :mod:`ast` + :mod:`tokenize` only.  ``repro lint --explain
+<check>`` prints what each check enforces; ``docs/ANALYSIS.md`` has the
+annotation syntax, the baseline workflow and how to add a check.
 
-``guarded-by``
-    Attributes annotated ``# guarded-by: self._lock`` (or declared in a
-    per-class ``_GUARDED`` registry) may only be touched inside a
-    ``with self._lock:`` scope of that class.
-``determinism``
-    Direct ``time.time()`` / ``time.monotonic()`` / ``time.sleep()`` /
-    ``random.*`` / ``datetime.now()`` calls are forbidden in
-    ``repro.core``, ``repro.endpoint``, ``repro.transport``,
-    ``repro.store`` and ``repro.chaos`` — those modules must route
-    through the injectable clock/RNG.
-``wire-compat``
-    Every ``transport.messages`` dataclass field must be a
-    serializer-safe type, and every field added after the seed must
-    carry a default so old artifacts keep replaying.
-``blocking-under-lock``
-    No sleep, channel send/recv, or queue operation while holding a
-    lock.
-``clock-domain``
-    Values from clocks marked ``# clock-domain: monotonic`` and
-    ``# clock-domain: wall`` must never meet in the same arithmetic.
-``lease-ack``
-    Every ``ReliableQueue.lease``/``lease_many`` value reaches
-    ``ack``/``nack`` on every path (escape to field/return/call waives).
-``span-lifecycle``
-    Every ``TraceContext`` span begun is finished on every path (or
-    somewhere in the owning class for cross-method pairs).
-``lock-order``
-    Cross-file: the global lock-acquisition-order graph (lexical nesting
-    plus call-through edges) must stay acyclic.  Its runtime twin is
-    :mod:`repro.analysis.sanitizer` (``SanitizedLock``), opt-in via
-    ``LocalDeployment(sanitize_locks=True)``.
-``threadroles``
-    Cross-file: infer which thread *roles* (forwarder-loop, agent-loop,
-    worker, ...) can execute each method from the ``threading.Thread``
-    spawn sites, then flag attributes written from ≥ 2 roles with no
-    common lock and no ``guarded-by`` annotation (and, as info-level
-    findings, annotations whose attribute only one role ever touches).
-    Waivers: ``# thread-confined: <role>`` and ``# handoff``.  Runtime
-    twin: :class:`repro.analysis.sanitizer.AccessRecorder`.
+Module map:
 
-See ``docs/ANALYSIS.md`` for the annotation syntax, baseline workflow
-(``repro lint --update-baseline``) and how to add a check.
+:mod:`source`, :mod:`findings`, :mod:`baseline`, :mod:`sarif`, :mod:`runner`
+    Parsed files with their comment markers (``# guarded-by``,
+    ``# clock-domain``, ``# thread-confined``, ``# handoff``,
+    ``# lint: ignore``), findings and fingerprints, and the driver.
+:mod:`model`
+    The one program model: class table, receiver typing, call and lock
+    resolution, and the held-lock walk.  Read by ``guarded-by``,
+    ``blocking-under-lock``, ``lock-order``, ``credit-balance`` and
+    ``threadroles``.
+:mod:`checks`
+    The lexical checks: ``guarded-by``, ``determinism``,
+    ``wire-compat``, ``blocking-under-lock``, ``clock-domain``.
+:mod:`cfg`, :mod:`dataflow`, :mod:`protocols`
+    Statement-level CFGs, forward dataflow, and the typestate registry
+    on top: ``lease-ack``, ``subscription-lifecycle``,
+    ``spill-lifecycle``, ``future-resolution``, ``span-lifecycle``, plus
+    the cross-file ``credit-balance`` and ``handler-exhaustiveness``.
+:mod:`lockorder`, :mod:`threadroles`
+    The cross-file lock-acquisition-order graph and the thread-role
+    race inference.
+:mod:`sanitizer`
+    Their runtime twins (``SanitizedLock`` and the three recorders),
+    opt-in via ``LocalDeployment(sanitize_locks=True)``.
 """
 
 from repro.analysis.baseline import Baseline, BaselineEntry

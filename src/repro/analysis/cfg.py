@@ -79,11 +79,6 @@ class CFG:
             if edge.src == index:
                 yield edge
 
-    def predecessors(self, index: int) -> Iterator[Edge]:
-        for edge in self.edges:
-            if edge.dst == index:
-                yield edge
-
 
 # A "frontier" is the set of dangling exits of the region built so far:
 # (node index, cond, branch) triples waiting to be wired to the next

@@ -1,37 +1,35 @@
-"""The fabric checks: five lexical, two flow-sensitive.
+"""The lexical fabric checks.
 
 Each per-file check is a function ``(SourceFile) -> Iterator[Finding]``;
 the runner composes them and applies per-line waivers and the baseline.
-The flow-sensitive checks (lease-ack, span-lifecycle) run a forward
-dataflow over the CFGs built by :mod:`repro.analysis.cfg`; the global
-lock-order check lives in :mod:`repro.analysis.lockorder` because it
-needs every source file at once.  Check ids are stable — they appear in
-baselines and waiver comments.
+The two lock-aware checks (guarded-by, blocking-under-lock) are queries
+over the records of the program model's held-lock walk
+(:mod:`repro.analysis.model`); the flow-sensitive checks are specs on
+the typestate engine in :mod:`repro.analysis.protocols` (lease-ack
+keeps its entry point here), and the cross-file checks live with their
+engines.  Check ids are stable — they appear in baselines and waiver
+comments.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Iterator
 
-from repro.analysis.cfg import build_cfg, header_parts
-from repro.analysis.dataflow import Facts, ForwardAnalysis, run_forward
 from repro.analysis.findings import Finding
-from repro.analysis.lockscope import (
-    ClassLockInfo,
-    iter_classes,
-    visit_with_lock_state,
+from repro.analysis.model import file_model, is_self_attr, looks_like_lock
+from repro.analysis.protocols import (
+    LEASE_PROTOCOL,
+    WIRE_MODULE,
+    run_value_protocol,
 )
-from repro.analysis.protocols import LEASE_PROTOCOL, run_value_protocol
-from repro.analysis.source import SourceFile, dotted_name, enclosing_symbol
+from repro.analysis.source import SourceFile, dotted_name
 
 GUARDED_BY = "guarded-by"
 DETERMINISM = "determinism"
 WIRE_COMPAT = "wire-compat"
 BLOCKING_UNDER_LOCK = "blocking-under-lock"
 CLOCK_DOMAIN = "clock-domain"
-LEASE_ACK = "lease-ack"
-SPAN_LIFECYCLE = "span-lifecycle"
 
 #: Packages whose modules must route time/randomness through the
 #: injectable clock/RNG boundary (repro.workloads and benchmarks are
@@ -43,23 +41,6 @@ DETERMINISM_SCOPE = (
     "repro.store",
     "repro.chaos",
 )
-
-WIRE_MODULE = "repro.transport.messages"
-
-
-def _finding(source: SourceFile, check: str, node: ast.AST, message: str,
-             hint: str) -> Finding:
-    lineno = getattr(node, "lineno", 1)
-    return Finding(
-        check=check,
-        path=source.path,
-        line=lineno,
-        col=getattr(node, "col_offset", 0),
-        symbol=enclosing_symbol(source.tree, lineno),
-        message=message,
-        hint=hint,
-        line_text=source.line_text(lineno),
-    )
 
 
 # ======================================================================
@@ -73,53 +54,25 @@ def check_guarded_by(source: SourceFile) -> Iterator[Finding]:
     self.<lock>:`` block, a held-marker method, or ``__init__`` (the
     object is not yet shared during construction).
     """
-    for info in iter_classes(source):
-        if not info.guards:
+    for cls in file_model(source).classes:
+        if not cls.guards:
             continue
-        for method in _direct_methods(info.node):
+        for method in cls.methods:
             if method.name == "__init__":
                 continue
-            yield from _scan_method_guards(source, info, method)
-
-
-def _direct_methods(node: ast.ClassDef) -> list[ast.FunctionDef]:
-    return [s for s in node.body
-            if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))]
-
-
-def _scan_method_guards(source: SourceFile, info: ClassLockInfo,
-                        method: ast.FunctionDef) -> Iterator[Finding]:
-    findings: list[Finding] = []
-
-    def on_node(node: ast.AST, held: frozenset[str]) -> None:
-        if not (isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-                and node.attr in info.guards):
-            return
-        lock = info.guards[node.attr]
-        if lock in held:
-            return
-        qual = f"{info.qualname}.{method.name}"
-        findings.append(Finding(
-            check=GUARDED_BY,
-            path=source.path,
-            line=node.lineno,
-            col=node.col_offset,
-            symbol=qual,
-            message=(f"self.{node.attr} is guarded by self.{lock} but accessed "
-                     f"without holding it"),
-            hint=(f"wrap the access in `with self.{lock}:` (or mark the method "
-                  f"`# guarded-by: self.{lock}` if every caller already holds it)"),
-            line_text=source.line_text(node.lineno),
-        ))
-
-    initial = info.held_markers.get(method, frozenset())
-    visit_with_lock_state(
-        method, initial, info.lock_names, on_node,
-        nested_initial=lambda d: info.held_markers.get(d, frozenset()),
-    )
-    yield from findings
+            for fn in method.tree():
+                for node, held in fn.accesses:
+                    lock = cls.guards.get(node.attr)
+                    if lock is None or any(h.name == lock for h in held):
+                        continue
+                    yield source.finding(
+                        GUARDED_BY, node,
+                        f"self.{node.attr} is guarded by self.{lock} but "
+                        f"accessed without holding it",
+                        f"wrap the access in `with self.{lock}:` (or mark the "
+                        f"method `# guarded-by: self.{lock}` if every caller "
+                        f"already holds it)",
+                        symbol=method.qualname)
 
 
 # ======================================================================
@@ -165,7 +118,7 @@ def check_determinism(source: SourceFile) -> Iterator[Finding]:
             continue
         message = _determinism_violation(canonical)
         if message is not None:
-            yield _finding(source, DETERMINISM, node, message, _DETERMINISM_HINT)
+            yield source.finding(DETERMINISM, node, message, _DETERMINISM_HINT)
 
 
 def _import_aliases(tree: ast.Module) -> dict[str, str]:
@@ -260,16 +213,16 @@ def check_wire_compat(source: SourceFile) -> Iterator[Finding]:
                 continue
             field_name = stmt.target.id
             if not _wire_safe_annotation(stmt.annotation):
-                yield _finding(
-                    source, WIRE_COMPAT, stmt,
+                yield source.finding(
+                    WIRE_COMPAT, stmt,
                     f"{node.name}.{field_name} has a non-serializer-safe "
                     f"type annotation "
                     f"({ast.unparse(stmt.annotation)})",
                     _WIRE_TYPE_HINT,
                 )
             if stmt.value is None and (node.name, field_name) not in _SEED_REQUIRED_FIELDS:
-                yield _finding(
-                    source, WIRE_COMPAT, stmt,
+                yield source.finding(
+                    WIRE_COMPAT, stmt,
                     f"{node.name}.{field_name} was added without a default",
                     _WIRE_DEFAULT_HINT,
                 )
@@ -343,49 +296,20 @@ def check_blocking_under_lock(source: SourceFile) -> Iterator[Finding]:
     ``dict.get`` is deliberately not treated as a queue op — only the
     unambiguous queue verbs are.
     """
-    for info in iter_classes(source):
-        for method in _direct_methods(info.node):
-            initial = info.held_markers.get(method, frozenset())
-            yield from _scan_blocking(source, info.qualname, method, initial,
-                                      info.lock_names, info)
-    for func in _module_functions(source.tree):
-        yield from _scan_blocking(source, func.name, func, frozenset(),
-                                  frozenset(), None)
-
-
-def _module_functions(tree: ast.Module) -> list[ast.FunctionDef]:
-    return [s for s in tree.body
-            if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))]
-
-
-def _scan_blocking(source: SourceFile, qualname: str, func: ast.FunctionDef,
-                   initial: frozenset[str], known_locks: frozenset[str],
-                   info: ClassLockInfo | None) -> Iterator[Finding]:
-    findings: list[Finding] = []
-
-    def on_node(node: ast.AST, held: frozenset[str]) -> None:
-        if not held or not isinstance(node, ast.Call):
-            return
-        label = _blocking_call(node, known_locks)
-        if label is None:
-            return
-        locks = ", ".join(sorted(f"self.{l}" for l in held))
-        symbol = qualname if qualname.endswith(func.name) else f"{qualname}.{func.name}"
-        findings.append(Finding(
-            check=BLOCKING_UNDER_LOCK,
-            path=source.path,
-            line=node.lineno,
-            col=node.col_offset,
-            symbol=symbol,
-            message=f"{label} while holding {locks}",
-            hint=_BLOCKING_HINT,
-            line_text=source.line_text(node.lineno),
-        ))
-
-    nested = (lambda d: info.held_markers.get(d, frozenset())) if info else None
-    visit_with_lock_state(func, initial, known_locks, on_node,
-                          nested_initial=nested)
-    yield from findings
+    model = file_model(source)
+    methods = [m for cls in model.classes for m in cls.methods]
+    for method in methods + model.module_level:
+        known_locks = method.cls.lock_names if method.cls else frozenset()
+        for fn in method.tree():
+            for node, _callee, held in fn.calls:
+                label = _blocking_call(node, known_locks) if held else None
+                if label is None:
+                    continue
+                locks = ", ".join(sorted({f"self.{h.name}" for h in held}))
+                yield source.finding(
+                    BLOCKING_UNDER_LOCK, node,
+                    f"{label} while holding {locks}", _BLOCKING_HINT,
+                    symbol=method.qualname)
 
 
 def _blocking_call(node: ast.Call, known_locks: frozenset[str]) -> str | None:
@@ -397,8 +321,7 @@ def _blocking_call(node: ast.Call, known_locks: frozenset[str]) -> str | None:
     receiver = dotted_name(func.value)
     if receiver is not None:
         last = receiver.split(".")[-1]
-        lowered = last.lower()
-        if "lock" in lowered or "cond" in lowered or last in known_locks:
+        if looks_like_lock(last) or last in known_locks:
             return None  # Condition.wait/notify release or need the lock
     attr = func.attr
     if attr == "sleep" or (isinstance(func.value, ast.Name)
@@ -449,8 +372,8 @@ def check_clock_domain(source: SourceFile) -> Iterator[Finding]:
         seen = [s for s in sides if s]
         merged = set().union(*seen) if seen else set()
         if len(merged) > 1 and any(len(s) < len(merged) for s in seen):
-            yield _finding(
-                source, CLOCK_DOMAIN, node,
+            yield source.finding(
+                CLOCK_DOMAIN, node,
                 f"expression mixes clock domains {sorted(merged)}",
                 _CLOCK_DOMAIN_HINT,
             )
@@ -467,9 +390,7 @@ def _declared_domains(source: SourceFile) -> dict[tuple[str, str], str]:
             continue
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]
         for target in targets:
-            if (isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"):
+            if is_self_attr(target):
                 declared[("attr", target.attr)] = domain
             elif isinstance(target, ast.Name):
                 declared[("name", target.id)] = domain
@@ -479,9 +400,7 @@ def _declared_domains(source: SourceFile) -> dict[tuple[str, str], str]:
 def _subtree_domains(node: ast.expr, declared: dict[tuple[str, str], str]) -> set[str]:
     found: set[str] = set()
     for sub in ast.walk(node):
-        if (isinstance(sub, ast.Attribute)
-                and isinstance(sub.value, ast.Name)
-                and sub.value.id == "self"):
+        if is_self_attr(sub):
             domain = declared.get(("attr", sub.attr))
         elif isinstance(sub, ast.Name):
             domain = declared.get(("name", sub.id))
@@ -499,10 +418,6 @@ def _subtree_domains(node: ast.expr, declared: dict[tuple[str, str], str]) -> se
 # the original hand-written typestate check (PR 4) and is now one
 # declarative ProtocolSpec on the shared engine — same facts, same
 # waivers, same findings.
-_OPEN = "open"
-_DONE = "done"
-
-
 def check_lease_ack(source: SourceFile) -> Iterator[Finding]:
     """Every lease obtained from ``ReliableQueue.lease``/``lease_many``
     must reach ``ack``/``nack`` on *every* path to function exit.
@@ -517,131 +432,3 @@ def check_lease_ack(source: SourceFile) -> Iterator[Finding]:
     are understood flow-sensitively.
     """
     yield from run_value_protocol(source, LEASE_PROTOCOL)
-
-
-def _all_functions(tree: ast.Module) -> List[ast.FunctionDef]:
-    return [n for n in ast.walk(tree)
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
-
-
-# ======================================================================
-# 7. span lifecycle (flow-sensitive)
-# ======================================================================
-_SPAN_HINT = (
-    "every begun span must be finished on all paths — call .end(name) "
-    "before each return/raise (a finally block is the usual shape), or "
-    "use .record(name, ...) for one-shot stages; cross-method pairs are "
-    "fine as long as the class ends what it begins"
-)
-
-
-def check_span_lifecycle(source: SourceFile) -> Iterator[Finding]:
-    """Every ``TraceContext`` span begun must be finished.
-
-    Within one function that both begins and ends a span name, the end
-    must be reachable on *every* path (flow-sensitive).  A span begun in
-    one method and ended in another is the fabric's normal shape (the
-    agent begins "agent" on dispatch, ends it on completion) — those are
-    checked at class scope: a name begun somewhere in the class must
-    have an ``.end(name)`` somewhere in the same class (module scope for
-    free functions).  ``record(...)`` is one-shot and always safe.
-    """
-    module_ends = _span_calls(source.tree, "end")
-    class_ends: Dict[ast.ClassDef, Set[str]] = {}
-    owner_of: Dict[ast.FunctionDef, ast.ClassDef] = {}
-    for node in ast.walk(source.tree):
-        if isinstance(node, ast.ClassDef):
-            class_ends[node] = _span_calls(node, "end")
-            for func in _direct_methods(node):
-                owner_of[func] = node
-    for func in _all_functions(source.tree):
-        begins = _span_call_sites(func, "begin")
-        if not begins:
-            continue
-        ends_here = _span_calls(func, "end")
-        owner = owner_of.get(func)
-        outer_ends = class_ends.get(owner, set()) if owner else module_ends
-        flow_names = {name for name in begins if name in ends_here}
-        if flow_names:
-            yield from _scan_span_flow(source, func, flow_names)
-        for name, sites in begins.items():
-            if name in ends_here or name in outer_ends:
-                continue
-            scope = owner.name if owner else source.module
-            for site in sites:
-                yield _finding(
-                    source, SPAN_LIFECYCLE, site,
-                    f'span "{name}" is begun here but never finished '
-                    f"anywhere in {scope}",
-                    _SPAN_HINT,
-                )
-
-
-def _span_name(node: ast.Call, attr: str) -> Optional[str]:
-    if (isinstance(node.func, ast.Attribute) and node.func.attr == attr
-            and node.args and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str)):
-        return node.args[0].value
-    return None
-
-
-def _span_calls(scope: ast.AST, attr: str) -> Set[str]:
-    names: Set[str] = set()
-    for node in ast.walk(scope):
-        if isinstance(node, ast.Call):
-            name = _span_name(node, attr)
-            if name is not None:
-                names.add(name)
-    return names
-
-
-def _span_call_sites(scope: ast.AST, attr: str) -> Dict[str, List[ast.Call]]:
-    sites: Dict[str, List[ast.Call]] = {}
-    for node in ast.walk(scope):
-        if isinstance(node, ast.Call):
-            name = _span_name(node, attr)
-            if name is not None:
-                sites.setdefault(name, []).append(node)
-    return sites
-
-
-class _SpanAnalysis(ForwardAnalysis):
-    """Facts: span name -> {(begin_line, "open"|"done")}."""
-
-    def __init__(self, names: Set[str]) -> None:
-        self._names = names
-
-    def transfer(self, stmt: ast.AST, facts: Facts) -> Facts:
-        facts = dict(facts)
-        for part in header_parts(stmt):
-            for node in ast.walk(part):
-                if not isinstance(node, ast.Call):
-                    continue
-                begun = _span_name(node, "begin")
-                if begun in self._names:
-                    facts[begun] = frozenset({(node.lineno, _OPEN)})
-                ended = _span_name(node, "end")
-                if ended in self._names and ended in facts:
-                    facts[ended] = frozenset(
-                        (o, _DONE) for o, _ in facts[ended])
-        return facts
-
-
-def _scan_span_flow(source: SourceFile, func: ast.FunctionDef,
-                    names: Set[str]) -> Iterator[Finding]:
-    cfg = build_cfg(func)
-    in_facts = run_forward(cfg, _SpanAnalysis(names))
-    exit_facts = in_facts.get(cfg.exit, {})
-    for name in sorted(names):
-        open_lines = sorted({o for o, state in exit_facts.get(name, frozenset())
-                             if state == _OPEN})
-        for line in open_lines:
-            synthetic = ast.Pass()
-            synthetic.lineno = line
-            synthetic.col_offset = 0
-            yield _finding(
-                source, SPAN_LIFECYCLE, synthetic,
-                f'span "{name}" begun here is not finished on every path '
-                f"through {func.name}()",
-                _SPAN_HINT,
-            )

@@ -12,13 +12,11 @@ in the tree:
   directly comparable.
 * **Direct edges** come from lexically nested ``with`` scopes (and the
   left-to-right items of ``with a, b:``).
-* **Call-through edges** come from a fixpoint over a one-level call
-  summary: if a method calls ``self.other()`` or ``self.attr.m()``
-  while holding lock A, every lock the callee (transitively) acquires
-  gets an ``A -> lock`` edge.  Receiver types are resolved from
-  ``self.attr = ClassName(...)`` constructor assignments, annotated
-  parameters, and local ``x = ClassName(...)`` bindings; unresolvable
-  receivers are skipped.
+* **Call-through edges** come from a fixpoint over the call sites the
+  program model (:mod:`repro.analysis.model`) resolved: if a method
+  calls ``self.other()`` or ``self.attr.m()`` while holding lock A,
+  every lock the callee (transitively) acquires gets an ``A -> lock``
+  edge.  Unresolvable receivers are skipped.
 * **Self-loops are ignored**: re-acquiring ``self._lock`` is legal for
   RLocks, and two *instances* of the same class collapse onto one node
   (the runtime sanitizer distinguishes instances and catches real
@@ -30,13 +28,18 @@ witness (file:line) per edge so both halves of the inversion are shown.
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.findings import Finding
-from repro.analysis.lockscope import iter_classes
-from repro.analysis.source import SourceFile, dotted_name
+from repro.analysis.model import (
+    Key,
+    Program,
+    build_program,
+    propagate,
+    resolved,
+)
+from repro.analysis.source import SourceFile
 
 LOCK_ORDER = "lock-order"
 
@@ -167,247 +170,57 @@ def _find_cycle_path(graph: LockOrderGraph, start: str,
 # ======================================================================
 # Static extraction
 # ======================================================================
-@dataclass
-class _MethodSummary:
-    qualname: str
-    path: str = ""
-    direct_locks: Set[str] = field(default_factory=set)
-    # (ordered held locks at the call site, callee key, line)
-    calls: List[Tuple[Tuple[str, ...], Tuple[str, str], int]] = field(
-        default_factory=list)
-
-
-def _looks_like_lock(name: str) -> bool:
-    lowered = name.lower()
-    return "lock" in lowered or "cond" in lowered or "mutex" in lowered
-
-
-class _ClassExtractor:
-    """Walks one class (or module scope) collecting acquisitions, nested
-    edges, and call-sites-under-lock."""
-
-    def __init__(self, source: SourceFile, class_name: Optional[str],
-                 guard_locks: FrozenSet[str], attr_types: Dict[str, str],
-                 known_classes: Set[str], graph: LockOrderGraph,
-                 summaries: Dict[Tuple[str, str], _MethodSummary]) -> None:
-        self.source = source
-        self.class_name = class_name
-        self.guard_locks = guard_locks
-        self.attr_types = attr_types
-        self.known_classes = known_classes
-        self.graph = graph
-        self.summaries = summaries
-
-    def scan_function(self, func: ast.AST, qualname: str,
-                      initial_held: Tuple[str, ...]) -> _MethodSummary:
-        summary = _MethodSummary(qualname=qualname, path=self.source.path)
-        key = (self.class_name or self.source.module, getattr(func, "name", "<lambda>"))
-        self.summaries[key] = summary
-        self._local_types = _local_constructor_types(func, self.known_classes)
-        for stmt in getattr(func, "body", []):
-            self._walk(stmt, initial_held, summary, qualname)
-        return summary
-
-    def _walk(self, node: ast.AST, held: Tuple[str, ...],
-              summary: _MethodSummary, qualname: str) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            # Closures run later, typically after the lock is released.
-            for child in ast.iter_child_nodes(node):
-                self._walk(child, (), summary, qualname)
-            return
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            current = held
-            for item in node.items:
-                lock = self._resolve_lock(item.context_expr)
-                if lock is not None:
-                    summary.direct_locks.add(lock)
-                    witness = Witness(
-                        path=self.source.path,
-                        line=item.context_expr.lineno,
-                        symbol=qualname,
-                        detail=f"acquires {lock} while holding "
-                               f"{', '.join(current) if current else 'nothing'}",
-                    )
-                    for outer in current:
-                        self.graph.add_edge(outer, lock, witness)
-                    current = current + (lock,)
-                self._walk(item.context_expr, held, summary, qualname)
-            for stmt in node.body:
-                self._walk(stmt, current, summary, qualname)
-            return
-        if isinstance(node, ast.Call):
-            callee = self._resolve_callee(node)
-            if callee is not None:
-                summary.calls.append((held, callee, node.lineno))
-        for child in ast.iter_child_nodes(node):
-            self._walk(child, held, summary, qualname)
-
-    def _resolve_lock(self, expr: ast.expr) -> Optional[str]:
-        dotted = dotted_name(expr)
-        if dotted is None:
-            return None
-        parts = dotted.split(".")
-        attr = parts[-1]
-        if not (_looks_like_lock(attr) or attr in self.guard_locks):
-            return None
-        if parts[0] == "self" and self.class_name is not None:
-            if len(parts) == 2:
-                return f"{self.class_name}.{attr}"
-            if len(parts) == 3:
-                owner = self.attr_types.get(parts[1])
-                if owner is not None:
-                    return f"{owner}.{attr}"
-            return None
-        if len(parts) == 1:
-            return f"{self.source.module}.{attr}"
-        if len(parts) == 2:
-            owner = self._local_types.get(parts[0])
-            if owner is not None:
-                return f"{owner}.{attr}"
-        return None
-
-    def _resolve_callee(self, node: ast.Call) -> Optional[Tuple[str, str]]:
-        func = node.func
-        if not isinstance(func, ast.Attribute):
-            # Bare ClassName(...) constructor call.
-            if isinstance(func, ast.Name) and func.id in self.known_classes:
-                return (func.id, "__init__")
-            return None
-        dotted = dotted_name(func)
-        if dotted is None:
-            return None
-        parts = dotted.split(".")
-        if parts[0] == "self" and self.class_name is not None:
-            if len(parts) == 2:
-                return (self.class_name, parts[1])
-            if len(parts) == 3:
-                owner = self.attr_types.get(parts[1])
-                if owner is not None:
-                    return (owner, parts[2])
-            return None
-        if len(parts) == 2:
-            owner = self._local_types.get(parts[0])
-            if owner is not None:
-                return (owner, parts[1])
-        return None
-
-
-def _local_constructor_types(func: ast.AST,
-                             known_classes: Set[str]) -> Dict[str, str]:
-    types: Dict[str, str] = {}
-    for node in ast.walk(func):
-        if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and isinstance(node.value, ast.Call)
-                and isinstance(node.value.func, ast.Name)
-                and node.value.func.id in known_classes):
-            types[node.targets[0].id] = node.value.func.id
-    return types
-
-
-def _attribute_types(node: ast.ClassDef,
-                     known_classes: Set[str]) -> Dict[str, str]:
-    """self.attr -> ClassName from constructor assignments and annotated
-    parameters assigned through (``def __init__(self, q: ReliableQueue):
-    self._q = q``)."""
-    types: Dict[str, str] = {}
-    param_types: Dict[str, str] = {}
-    for method in node.body:
-        if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for arg in list(method.args.args) + list(method.args.kwonlyargs):
-            if arg.annotation is not None:
-                ann = dotted_name(arg.annotation)
-                if ann is not None and ann.split(".")[-1] in known_classes:
-                    param_types[arg.arg] = ann.split(".")[-1]
-        for sub in ast.walk(method):
-            if not (isinstance(sub, ast.Assign) and len(sub.targets) == 1):
-                continue
-            target = sub.targets[0]
-            if not (isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"):
-                continue
-            value = sub.value
-            if (isinstance(value, ast.Call)
-                    and isinstance(value.func, ast.Name)
-                    and value.func.id in known_classes):
-                types[target.attr] = value.func.id
-            elif isinstance(value, ast.Name) and value.id in param_types:
-                types[target.attr] = param_types[value.id]
-    return types
-
-
 def extract_lock_graph(sources: Sequence[SourceFile]) -> LockOrderGraph:
     """Build the global static lock-order graph over ``sources``."""
     graph = LockOrderGraph()
-    summaries: Dict[Tuple[str, str], _MethodSummary] = {}
-    known_classes: Set[str] = set()
-    for source in sources:
-        for node in ast.walk(source.tree):
-            if isinstance(node, ast.ClassDef):
-                known_classes.add(node.name)
-
-    for source in sources:
-        class_nodes = set()
-        for info in iter_classes(source):
-            class_nodes.add(info.node)
-            attr_types = _attribute_types(info.node, known_classes)
-            extractor = _ClassExtractor(
-                source, info.node.name, info.lock_names, attr_types,
-                known_classes, graph, summaries)
-            for method in info.node.body:
-                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                initial = tuple(
-                    f"{info.node.name}.{lock}"
-                    for lock in sorted(info.held_markers.get(method, frozenset())))
-                extractor.scan_function(
-                    method, f"{info.qualname}.{method.name}", initial)
-        extractor = _ClassExtractor(
-            source, None, frozenset(), {}, known_classes, graph, summaries)
-        for stmt in source.tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                extractor.scan_function(stmt, stmt.name, ())
-
-    _propagate_call_locks(graph, summaries)
+    program = build_program(sources)
+    for fn in program.all_functions:
+        for lock, held, node in fn.acquires:
+            outer = resolved(held)
+            witness = Witness(
+                path=fn.file.source.path,
+                line=node.lineno,
+                symbol=fn.qualname,
+                detail=f"acquires {lock} while holding "
+                       f"{', '.join(outer) if outer else 'nothing'}",
+            )
+            for held_lock in outer:
+                graph.add_edge(held_lock, lock, witness)
+    _propagate_call_locks(graph, program)
     return graph
 
 
-def _propagate_call_locks(
-        graph: LockOrderGraph,
-        summaries: Dict[Tuple[str, str], _MethodSummary]) -> None:
+def _propagate_call_locks(graph: LockOrderGraph, program: Program) -> None:
     """Fixpoint: locks(m) = direct(m) ∪ locks(callees); then add edges
-    held-at-call-site -> every lock the callee acquires."""
-    all_locks: Dict[Tuple[str, str], Set[str]] = {
-        key: set(summary.direct_locks) for key, summary in summaries.items()}
-    changed = True
-    rounds = 0
-    while changed and rounds < 50:
-        changed = False
-        rounds += 1
-        for key, summary in summaries.items():
-            for _held, callee, _line in summary.calls:
-                acquired = all_locks.get(callee)
-                if acquired and not acquired <= all_locks[key]:
-                    all_locks[key] |= acquired
-                    changed = True
+    held-at-call-site -> every lock the callee acquires.  A function
+    also counts as reaching the closures it defines (with nothing held):
+    whoever it hands them to usually runs them on its behalf."""
+    functions = program.functions
+    all_locks: Dict[Key, Set[str]] = {
+        key: {acquire.lock for acquire in fn.acquires}
+        for key, fn in functions.items()}
+    propagate(all_locks, [
+        (callee, key) for key, fn in functions.items()
+        for callee in [call.callee for call in fn.calls
+                       if call.callee in all_locks]
+        + list(fn.closures.values())])
 
-    for key, summary in sorted(summaries.items()):
-        for held, callee, line in summary.calls:
-            if not held:
+    for key in sorted(functions):
+        fn = functions[key]
+        for node, callee, held in fn.calls:
+            outer = resolved(held)
+            if not outer or callee not in all_locks:
                 continue
-            acquired = all_locks.get(callee, set())
-            for lock in sorted(acquired):
+            for lock in sorted(all_locks[callee]):
                 witness = Witness(
-                    path=summary.path,
-                    line=line,
-                    symbol=summary.qualname,
+                    path=fn.file.source.path,
+                    line=node.lineno,
+                    symbol=fn.qualname,
                     detail=(f"call to {callee[0]}.{callee[1]}() acquires {lock} "
-                            f"while holding {', '.join(held)}"),
+                            f"while holding {', '.join(outer)}"),
                 )
-                for outer in held:
-                    graph.add_edge(outer, lock, witness)
+                for held_lock in outer:
+                    graph.add_edge(held_lock, lock, witness)
 
 
 # ======================================================================
@@ -426,7 +239,6 @@ def check_lock_order(sources: Sequence[SourceFile]) -> Iterator[Finding]:
     by_path = {source.path: source for source in sources}
     for cycle in graph.cycles():
         first_witness = graph.edges[cycle[0]][0]
-        source = by_path.get(first_witness.path)
         legs = []
         for src, dst in cycle:
             witness = graph.edges[(src, dst)][0]
@@ -434,13 +246,7 @@ def check_lock_order(sources: Sequence[SourceFile]) -> Iterator[Finding]:
             more = f" (+{extra} more witness{'es' if extra > 1 else ''})" if extra else ""
             legs.append(f"{src} -> {dst} at {witness.format()}{more}")
         names = " -> ".join([cycle[0][0]] + [dst for _, dst in cycle])
-        yield Finding(
-            check=LOCK_ORDER,
-            path=first_witness.path,
-            line=first_witness.line,
-            col=0,
-            symbol=first_witness.symbol,
-            message=f"lock-order cycle {names}: " + "; ".join(legs),
-            hint=_LOCK_ORDER_HINT,
-            line_text=(source.line_text(first_witness.line) if source else ""),
-        )
+        yield by_path[first_witness.path].finding(
+            LOCK_ORDER, first_witness.line,
+            f"lock-order cycle {names}: " + "; ".join(legs),
+            _LOCK_ORDER_HINT, symbol=first_witness.symbol)

@@ -14,7 +14,7 @@ Engine semantics (identical to the PR 4 lease analysis, parameterized):
 * **Acquire** — a call whose method name matches ``acquire_methods``
   (optionally constrained to receivers whose last segment is in
   ``acquire_receivers``), or a bare constructor call in
-  ``acquire_constructors``; transparent sequence ``wrappers``
+  ``acquire_constructors``; transparent sequence wrappers
   (``list(q.lease_many(n))``) see through to the inner call.  The bound
   variable's facts are ``{(origin_line, open)}``; aliases inherit the
   origin, tuple-unpack binds every element name.
@@ -35,14 +35,21 @@ Engine semantics (identical to the PR 4 lease analysis, parameterized):
   exactly how the PR 7 ``_future_for`` subscription leak class is
   caught mechanically.
 
+* ``keyed`` — effect protocols (``trace.begin("agent")`` /
+  ``trace.end("agent")``) have no bound value: facts are keyed on the
+  call's first constant-string argument instead, and only keys the
+  function itself also releases are tracked (cross-method pairs are the
+  owning check's containment rule, :func:`check_span_lifecycle`).
+
 A leak is reported at the acquisition line when any path reaches the
 function exit with the resource still open.  Two protocols do not fit
 the per-value shape and run as cross-file (global) checks:
 
 * :func:`check_credit_balance` keys facts on the *receiver* spelling
   (``self.credits``) instead of a bound value, with lightweight
-  interprocedural must-release summaries (one-level call-through, the
-  same receiver-typing machinery the lock-order graph uses).
+  interprocedural must-release summaries (one-level call-through over
+  the call sites the program model resolved — the same typing and
+  callee resolution the lock-order graph and thread-roles read).
 * :func:`check_handler_exhaustiveness` checks that every concrete
   ``repro.transport.messages`` type is consumed by an ``isinstance``
   (or ``match``) dispatch somewhere in the analyzed set.
@@ -57,9 +64,11 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 from repro.analysis.cfg import build_cfg, header_parts
 from repro.analysis.dataflow import Facts, ForwardAnalysis, run_forward
 from repro.analysis.findings import Finding
-from repro.analysis.source import SourceFile, enclosing_symbol
+from repro.analysis.model import FunctionModel, Key, build_program
+from repro.analysis.source import SourceFile, dotted_name
 
 LEASE_ACK = "lease-ack"
+SPAN_LIFECYCLE = "span-lifecycle"
 CREDIT_BALANCE = "credit-balance"
 SUBSCRIPTION_LIFECYCLE = "subscription-lifecycle"
 SPILL_LIFECYCLE = "spill-lifecycle"
@@ -73,7 +82,7 @@ _OPEN = "open"
 _DONE = "done"
 
 #: Transparent sequence wrappers acquire through: ``list(q.lease_many(n))``.
-_DEFAULT_WRAPPERS = frozenset({"deque", "list", "sorted", "tuple", "reversed"})
+_WRAPPERS = frozenset({"deque", "list", "sorted", "tuple", "reversed"})
 
 
 @dataclass(frozen=True)
@@ -93,8 +102,6 @@ class ProtocolSpec:
         receiver's last segment is in this set (``self.spill.put``).
     acquire_constructors:
         Bare constructor names that acquire (``FuncXFuture``).
-    wrappers:
-        Sequence wrappers that see through to an inner acquire call.
     release_methods:
         Method names that dispose the resource when invoked *on* it
         (receiver-based release: ``future.set_result(...)``).
@@ -103,6 +110,12 @@ class ProtocolSpec:
     waive_on_raise:
         Treat an explicit ``raise`` statement as disposing every open
         resource (for values that are garbage-collectable unreleased).
+    keyed:
+        Key facts on the first constant-string argument of the
+        ``acquire_methods``/``release_methods`` calls instead of a bound
+        value (span names).
+    leak_message:
+        Finding text; ``{names}`` is what holds the leaked resource.
     hint:
         Fix guidance appended to each finding.
     """
@@ -114,9 +127,12 @@ class ProtocolSpec:
     acquire_methods: FrozenSet[str] = frozenset()
     acquire_receivers: FrozenSet[str] = frozenset()
     acquire_constructors: FrozenSet[str] = frozenset()
-    wrappers: FrozenSet[str] = _DEFAULT_WRAPPERS
     release_methods: FrozenSet[str] = frozenset()
     waive_on_raise: bool = False
+    keyed: bool = False
+    leak_message: str = (
+        "{resource} acquired here (held in {names}) may reach the exit of "
+        "{func}() without {release_verbs} on some path")
 
 
 LEASE_PROTOCOL = ProtocolSpec(
@@ -178,12 +194,29 @@ FUTURE_PROTOCOL = ProtocolSpec(
     ),
 )
 
-#: The declarative registry: per-value typestate protocols the shared
-#: engine runs as per-file checks.
+SPAN_PROTOCOL = ProtocolSpec(
+    check_id=SPAN_LIFECYCLE,
+    resource="span",
+    release_verbs="end",
+    acquire_methods=frozenset({"begin"}),
+    release_methods=frozenset({"end"}),
+    keyed=True,
+    leak_message=('span "{names}" begun here is not finished on every path '
+                  "through {func}()"),
+    hint=(
+        "every begun span must be finished on all paths — call .end(name) "
+        "before each return/raise (a finally block is the usual shape), or "
+        "use .record(name, ...) for one-shot stages; cross-method pairs are "
+        "fine as long as the class ends what it begins"
+    ),
+)
+
+#: The declarative registry: the typestate protocols the shared engine
+#: runs as per-file checks.
 VALUE_PROTOCOLS: Dict[str, ProtocolSpec] = {
     spec.check_id: spec
     for spec in (LEASE_PROTOCOL, SUBSCRIPTION_PROTOCOL, SPILL_PROTOCOL,
-                 FUTURE_PROTOCOL)
+                 FUTURE_PROTOCOL, SPAN_PROTOCOL)
 }
 
 #: Receiver-effect / global protocol ids handled by dedicated engines
@@ -191,30 +224,9 @@ VALUE_PROTOCOLS: Dict[str, ProtocolSpec] = {
 RECEIVER_PROTOCOLS: Tuple[str, ...] = (CREDIT_BALANCE, HANDLER_EXHAUSTIVENESS)
 
 
-def _finding(source: SourceFile, check: str, node: ast.AST, message: str,
-             hint: str) -> Finding:
-    lineno = getattr(node, "lineno", 1)
-    return Finding(
-        check=check,
-        path=source.path,
-        line=lineno,
-        col=getattr(node, "col_offset", 0),
-        symbol=enclosing_symbol(source.tree, lineno),
-        message=message,
-        hint=hint,
-        line_text=source.line_text(lineno),
-    )
-
-
-def _all_functions(tree: ast.Module) -> List[ast.FunctionDef]:
-    # Cached on the tree node: every value protocol (and lease-ack)
-    # walks the same parsed module, so pay for the walk once.
-    cached = getattr(tree, "_protocol_functions", None)
-    if cached is None:
-        cached = [n for n in ast.walk(tree)
-                  if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        tree._protocol_functions = cached
-    return cached
+def _all_functions(source: SourceFile) -> List[ast.FunctionDef]:
+    return [node for node, _qualname in source.definitions()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
 
 
 def _call_names(func: ast.FunctionDef) -> Tuple[FrozenSet[str], FrozenSet[str]]:
@@ -248,13 +260,24 @@ def _last_segment(expr: ast.expr) -> Optional[str]:
     return None
 
 
-def _dotted(expr: ast.expr) -> Optional[str]:
-    """``self.credits`` for an Attribute/Name chain, else None."""
-    if isinstance(expr, ast.Name):
-        return expr.id
-    if isinstance(expr, ast.Attribute):
-        base = _dotted(expr.value)
-        return None if base is None else f"{base}.{expr.attr}"
+def keyed_sites(scope: ast.AST,
+                methods: FrozenSet[str]) -> Dict[str, List[ast.Call]]:
+    """Constant first argument → the ``methods`` calls in ``scope``
+    carrying it (``{"agent": [<trace.begin("agent", ...)>]}``)."""
+    sites: Dict[str, List[ast.Call]] = {}
+    for node in ast.walk(scope):
+        key = _call_key(node, methods)
+        if key is not None:
+            sites.setdefault(key, []).append(node)
+    return sites
+
+
+def _call_key(node: ast.AST, methods: FrozenSet[str]) -> Optional[str]:
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in methods and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)):
+        return node.args[0].value
     return None
 
 
@@ -270,7 +293,7 @@ def _is_acquire(expr: ast.expr, spec: ProtocolSpec) -> Optional[ast.Call]:
     if isinstance(func, ast.Name):
         if func.id in spec.acquire_constructors:
             return expr
-        if func.id in spec.wrappers and len(expr.args) == 1:
+        if func.id in _WRAPPERS and len(expr.args) == 1:
             return _is_acquire(expr.args[0], spec)
     return None
 
@@ -278,18 +301,21 @@ def _is_acquire(expr: ast.expr, spec: ProtocolSpec) -> Optional[ast.Call]:
 class _TypestateAnalysis(ForwardAnalysis):
     """Facts: var -> {(origin_line, "open"|"done")}, per ``spec``."""
 
-    def __init__(self, spec: ProtocolSpec):
+    def __init__(self, spec: ProtocolSpec,
+                 keys: FrozenSet[str] = frozenset()):
         self.spec = spec
+        self.keys = keys    # keyed specs: the keys tracked in this function
 
     def transfer(self, stmt: ast.AST, facts: Facts) -> Facts:
         facts = dict(facts)
+        if self.spec.keyed:
+            self._keyed_events(stmt, facts)
+            return facts
         self._dispose_events(stmt, facts)
         if isinstance(stmt, ast.Assign):
             self._bind(stmt.targets, stmt.value, facts)
         elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
             self._bind([stmt.target], stmt.value, facts)
-        elif isinstance(stmt, ast.AugAssign):
-            pass  # dispose_events already handled the RHS call, if any
         elif isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
                 if item.optional_vars is not None:
@@ -298,6 +324,19 @@ class _TypestateAnalysis(ForwardAnalysis):
             for var, pairs in list(facts.items()):
                 facts[var] = frozenset((o, _DONE) for o, _ in pairs)
         return facts
+
+    def _keyed_events(self, stmt: ast.AST, facts: Facts) -> None:
+        spec = self.spec
+        for part in header_parts(stmt):
+            for node in ast.walk(part):
+                if _call_key(node, spec.acquire_methods) in self.keys:
+                    facts[node.args[0].value] = frozenset(
+                        {(node.lineno, _OPEN)})
+                    continue
+                ended = _call_key(node, spec.release_methods)
+                if ended in self.keys and ended in facts:
+                    facts[ended] = frozenset(
+                        (o, _DONE) for o, _ in facts[ended])
 
     def _bind(self, targets: List[ast.expr], value: ast.expr,
               facts: Facts) -> None:
@@ -435,31 +474,75 @@ def scan_protocol(source: SourceFile, func: ast.FunctionDef,
     if not (attr_calls & spec.acquire_methods
             or name_calls & spec.acquire_constructors):
         return
-    cfg = build_cfg(func)
-    in_facts = run_forward(cfg, _TypestateAnalysis(spec))
-    exit_facts = in_facts.get(cfg.exit, {})
-    leaked: Dict[int, Set[str]] = {}
-    for var, pairs in exit_facts.items():
-        for origin, state in pairs:
-            if state == _OPEN:
-                leaked.setdefault(origin, set()).add(var)
+    keys: FrozenSet[str] = frozenset()
+    if spec.keyed:
+        keys = frozenset(
+            keyed_sites(func, spec.acquire_methods).keys()
+            & keyed_sites(func, spec.release_methods).keys())
+        if not keys:
+            return
+    leaked = _open_at_exit(func, _TypestateAnalysis(spec, keys))
     for origin in sorted(leaked):
-        synthetic = ast.Pass()
-        synthetic.lineno = origin
-        synthetic.col_offset = 0
-        names = ", ".join(sorted(leaked[origin]))
-        yield _finding(
-            source, spec.check_id, synthetic,
-            f"{spec.resource} acquired here (held in {names}) may reach the "
-            f"exit of {func.name}() without {spec.release_verbs} on some path",
+        yield source.finding(
+            spec.check_id, origin,
+            spec.leak_message.format(
+                resource=spec.resource, names=", ".join(sorted(leaked[origin])),
+                func=func.name, release_verbs=spec.release_verbs),
             spec.hint,
         )
 
 
+def _open_at_exit(func: ast.AST,
+                  analysis: ForwardAnalysis) -> Dict[int, Set[str]]:
+    """Origin line → the fact keys still open there at function exit."""
+    cfg = build_cfg(func)
+    leaked: Dict[int, Set[str]] = {}
+    for key, pairs in run_forward(cfg, analysis).get(cfg.exit, {}).items():
+        for origin, state in pairs:
+            if state == _OPEN:
+                leaked.setdefault(origin, set()).add(key)
+    return leaked
+
+
 def run_value_protocol(source: SourceFile,
                        spec: ProtocolSpec) -> Iterator[Finding]:
-    for func in _all_functions(source.tree):
+    for func in _all_functions(source):
         yield from scan_protocol(source, func, spec)
+
+
+def check_span_lifecycle(source: SourceFile) -> Iterator[Finding]:
+    """Every ``TraceContext`` span begun must be finished.
+
+    Within one function that both begins and ends a span name, the end
+    must be reachable on *every* path (flow-sensitive).  A span begun in
+    one method and ended in another is the fabric's normal shape (the
+    agent begins "agent" on dispatch, ends it on completion) — those are
+    checked at class scope: a name begun somewhere in the class must
+    have an ``.end(name)`` somewhere in the same class (module scope for
+    free functions).  ``record(...)`` is one-shot and always safe.
+    """
+    spec = SPAN_PROTOCOL
+    yield from run_value_protocol(source, spec)
+    owner_of = {func: node for node, _qualname in source.definitions()
+                if isinstance(node, ast.ClassDef) for func in node.body}
+    ended_in: Dict[ast.AST, Dict[str, List[ast.Call]]] = {}
+    for func in _all_functions(source):
+        if not (_call_names(func)[0] & spec.acquire_methods):
+            continue
+        owner = owner_of.get(func)
+        scope = owner if owner is not None else source.tree
+        if scope not in ended_in:
+            ended_in[scope] = keyed_sites(scope, spec.release_methods)
+        for name, sites in keyed_sites(func, spec.acquire_methods).items():
+            if name in ended_in[scope]:
+                continue
+            for site in sites:
+                yield source.finding(
+                    spec.check_id, site,
+                    f'span "{name}" is begun here but never finished '
+                    f"anywhere in {owner.name if owner else source.module}",
+                    spec.hint,
+                )
 
 
 def check_subscription_lifecycle(source: SourceFile) -> Iterator[Finding]:
@@ -521,144 +604,57 @@ _CREDIT_HINT = (
 )
 
 
-def _annotation_name(node: Optional[ast.expr]) -> Optional[str]:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value.split(".")[-1].strip()
-    return None
+def _is_credit_receiver(fn: FunctionModel, recv: ast.expr) -> bool:
+    """Spelled ``credits``, or typed ``CreditLedger`` by the model."""
+    return (_last_segment(recv) == _CREDIT_SPELLING
+            or fn.instance_type(recv) == _CREDIT_CLASS)
 
 
-def _class_attr_types(classdef: ast.ClassDef,
-                      known_classes: Set[str]) -> Dict[str, str]:
-    """``self.attr = ClassName(...)`` / ``attr: ClassName`` bindings."""
-    types: Dict[str, str] = {}
-    for node in ast.walk(classdef):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            callee = node.value.func
-            if isinstance(callee, ast.Name) and callee.id in known_classes:
-                for target in node.targets:
-                    if (isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == "self"):
-                        types[target.attr] = callee.id
-        elif isinstance(node, ast.AnnAssign):
-            name = _annotation_name(node.annotation)
-            if name in known_classes and isinstance(node.target, ast.Name):
-                types[node.target.id] = name
-    return types
-
-
-def _local_obj_types(func: ast.FunctionDef,
-                     known_classes: Set[str]) -> Dict[str, str]:
-    """``x = ClassName(...)`` locals plus ``x: ClassName`` parameters."""
-    types: Dict[str, str] = {}
-    args = func.args
-    for arg in (list(args.posonlyargs) + list(args.args)
-                + list(args.kwonlyargs)):
-        name = _annotation_name(arg.annotation)
-        if name in known_classes:
-            types[arg.arg] = name
-    for node in ast.walk(func):
-        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
-                and isinstance(node.value.func, ast.Name)
-                and node.value.func.id in known_classes):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    types[target.id] = node.value.func.id
-    return types
-
-
-def _is_credit_receiver(recv: ast.expr, local_types: Dict[str, str],
-                        attr_types: Dict[str, str]) -> bool:
-    last = _last_segment(recv)
-    if last == _CREDIT_SPELLING:
-        return True
-    if isinstance(recv, ast.Name):
-        return local_types.get(recv.id) == _CREDIT_CLASS
-    if (isinstance(recv, ast.Attribute) and isinstance(recv.value, ast.Name)
-            and recv.value.id == "self"):
-        return attr_types.get(recv.attr) == _CREDIT_CLASS
-    return False
-
-
-def _iter_class_functions(tree: ast.Module):
-    """Yield (classdef-or-None, func) pairs, innermost class wins."""
-
-    def walk(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                yield from walk(child, child)
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield owner, child
-                yield from walk(child, owner)
-            else:
-                yield from walk(child, owner)
-
-    yield from walk(tree, None)
-
-
-def _direct_credit_releases(func: ast.FunctionDef,
-                            local_types: Dict[str, str],
-                            attr_types: Dict[str, str]) -> bool:
-    for node in ast.walk(func):
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _CREDIT_RELEASES
-                and _is_credit_receiver(node.func.value, local_types,
-                                        attr_types)):
-            return True
-    return False
+def _credit_sweep(sources: List[SourceFile]):
+    """One pass over the model's call sites: the functions that directly
+    release/revoke a ledger (the must-release summaries), the containment
+    universe of released spellings, and the consume sites per function."""
+    releasing: List[FunctionModel] = []
+    released_spellings: Set[str] = set()
+    consuming: List[Tuple[FunctionModel, List[ast.Call]]] = []
+    for fn in build_program(sources).all_functions:
+        consumes: List[ast.Call] = []
+        releases = False
+        for node, _callee, _held in fn.calls:
+            func = node.func
+            if not (isinstance(func, ast.Attribute)
+                    and _is_credit_receiver(fn, func.value)):
+                continue
+            if func.attr in _CREDIT_RELEASES:
+                releases = True
+                released_spellings.add(_last_segment(func.value) or "")
+            elif func.attr == "consume":
+                consumes.append(node)
+        if releases:
+            releasing.append(fn)
+        if consumes:
+            consuming.append((fn, consumes))
+    return releasing, released_spellings, consuming
 
 
 def _release_summaries(sources: List[SourceFile],
-                       known_classes: Set[str]) -> Set[Tuple]:
+                       known_classes: Optional[Set[str]] = None) -> Set[Tuple]:
     """Must-release summaries: (class, method) pairs — and
     (None, function) for module-level functions — that directly
     release/revoke a credit ledger.  One level only: summaries come
-    from direct releases, and callers get one call-through."""
-    releasing: Set[Tuple] = set()
-    for source in sources:
-        for owner, func in _iter_class_functions(source.tree):
-            attr_types = (_class_attr_types(owner, known_classes)
-                          if owner is not None else {})
-            local_types = _local_obj_types(func, known_classes)
-            if _direct_credit_releases(func, local_types, attr_types):
-                key = owner.name if owner is not None else None
-                releasing.add((key, func.name))
-    return releasing
+    from direct releases, and callers get one call-through.
+    (``known_classes`` is unused: the model derives the class table
+    from ``sources``.)"""
+    return {(fn.cls.name if fn.cls is not None else None, fn.name)
+            for fn in _credit_sweep(sources)[0]}
 
 
 class _CreditFlow(ForwardAnalysis):
     """Facts: receiver spelling -> {(consume_line, "open"|"done")}."""
 
-    def __init__(self, local_types, attr_types, obj_types, owner_name,
-                 summaries):
-        self.local_types = local_types
-        self.attr_types = attr_types
-        self.obj_types = obj_types        # name/attr -> class (any class)
-        self.owner_name = owner_name
-        self.summaries = summaries
-
-    def _callee_releases(self, call: ast.Call) -> bool:
-        func = call.func
-        if isinstance(func, ast.Attribute):
-            recv = func.value
-            if isinstance(recv, ast.Name) and recv.id == "self":
-                return (self.owner_name, func.attr) in self.summaries
-            cls = None
-            if isinstance(recv, ast.Name):
-                cls = self.obj_types.get(recv.id)
-            elif (isinstance(recv, ast.Attribute)
-                  and isinstance(recv.value, ast.Name)
-                  and recv.value.id == "self"):
-                cls = self.obj_types.get(recv.attr)
-            return cls is not None and (cls, func.attr) in self.summaries
-        if isinstance(func, ast.Name):
-            return (None, func.id) in self.summaries
-        return False
+    def __init__(self, fn: FunctionModel, releasing: Set[Key]):
+        self.fn = fn
+        self.releasing = releasing
 
     def transfer(self, stmt: ast.AST, facts: Facts) -> Facts:
         facts = dict(facts)
@@ -668,8 +664,8 @@ class _CreditFlow(ForwardAnalysis):
                     continue
                 func = node.func
                 if isinstance(func, ast.Attribute) and _is_credit_receiver(
-                        func.value, self.local_types, self.attr_types):
-                    spelling = _dotted(func.value) or func.attr
+                        self.fn, func.value):
+                    spelling = dotted_name(func.value) or func.attr
                     if func.attr == "consume":
                         facts[spelling] = (facts.get(spelling, frozenset())
                                            | {(node.lineno, _OPEN)})
@@ -679,7 +675,7 @@ class _CreditFlow(ForwardAnalysis):
                             (o, _DONE)
                             for o, _ in facts.get(spelling, frozenset()))
                         continue
-                if self._callee_releases(node):
+                if self.fn.resolve(func) in self.releasing:
                     # One-level call-through: a helper whose summary says
                     # it releases closes every open consume (coarse on
                     # purpose — one ledger per function in practice).
@@ -704,81 +700,18 @@ def check_credit_balance(sources: List[SourceFile]) -> Iterator[Finding]:
       global: some release/revoke on a same-named ledger must exist in
       the analyzed set, or the consume is a permanent credit leak.
     """
-    known_classes = {
-        node.name
-        for source in sources
-        for node in ast.walk(source.tree)
-        if isinstance(node, ast.ClassDef)
-    }
-
-    # One pass over every function: per-class attr types are computed
-    # once per ClassDef (not once per method — that made the check
-    # quadratic in class size), and the same sweep yields the
-    # must-release summaries, the containment universe of released
-    # spellings, and the consume sites.
-    attr_cache: Dict[int, Dict[str, str]] = {}
-
-    def attrs_for(owner: Optional[ast.ClassDef]) -> Dict[str, str]:
-        if owner is None:
-            return {}
-        cached = attr_cache.get(id(owner))
-        if cached is None:
-            cached = attr_cache[id(owner)] = _class_attr_types(
-                owner, known_classes)
-        return cached
-
-    summaries: Set[Tuple] = set()
-    released_spellings: Set[str] = set()
-    per_function: List[Tuple] = []
-    for source in sources:
-        for owner, func in _iter_class_functions(source.tree):
-            attr_types = attrs_for(owner)
-            local_types = _local_obj_types(func, known_classes)
-            consumes = []
-            direct_release = False
-            for node in ast.walk(func):
-                if (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and _is_credit_receiver(node.func.value, local_types,
-                                                attr_types)):
-                    if node.func.attr in _CREDIT_RELEASES:
-                        direct_release = True
-                        released_spellings.add(
-                            _last_segment(node.func.value) or "")
-                    elif node.func.attr == "consume":
-                        consumes.append(node)
-            if direct_release:
-                summaries.add((owner.name if owner is not None else None,
-                               func.name))
-            if consumes:
-                per_function.append(
-                    (source, owner, func, local_types, attr_types, consumes,
-                     direct_release))
-
-    for (source, owner, func, local_types, attr_types, consumes,
-         direct_release) in per_function:
-        if direct_release:
-            obj_types = dict(attrs_for(owner))
-            obj_types.update(_local_obj_types(func, known_classes))
-            analysis = _CreditFlow(
-                local_types, attr_types, obj_types,
-                owner.name if owner is not None else None, summaries)
-            cfg = build_cfg(func)
-            exit_facts = run_forward(cfg, analysis).get(cfg.exit, {})
-            leaked: Dict[int, str] = {}
-            for spelling, pairs in exit_facts.items():
-                for origin, state in pairs:
-                    if state == _OPEN:
-                        leaked[origin] = spelling
+    releasing_fns, released_spellings, consuming = _credit_sweep(sources)
+    releasing = {fn.key for fn in releasing_fns}
+    for fn, consumes in consuming:
+        source = fn.file.source
+        if fn.key in releasing:
+            leaked = _open_at_exit(fn.node, _CreditFlow(fn, releasing))
             for origin in sorted(leaked):
-                synthetic = ast.Pass()
-                synthetic.lineno = origin
-                synthetic.col_offset = 0
-                yield _finding(
-                    source, CREDIT_BALANCE, synthetic,
-                    f"credit(s) consumed here ({leaked[origin]}) may reach "
-                    f"the exit of {func.name}() without release/revoke on "
-                    f"some path",
+                yield source.finding(
+                    CREDIT_BALANCE, origin,
+                    f"credit(s) consumed here "
+                    f"({', '.join(sorted(leaked[origin]))}) may reach the "
+                    f"exit of {fn.name}() without release/revoke on some path",
                     _CREDIT_HINT,
                 )
         else:
@@ -786,11 +719,11 @@ def check_credit_balance(sources: List[SourceFile]) -> Iterator[Finding]:
                 spelling = _last_segment(node.func.value) or ""
                 if spelling in released_spellings:
                     continue
-                yield _finding(
-                    source, CREDIT_BALANCE, node,
-                    f"credit(s) consumed here ({_dotted(node.func.value) or spelling}) "
-                    f"are never released or revoked anywhere in the analyzed "
-                    f"sources",
+                yield source.finding(
+                    CREDIT_BALANCE, node,
+                    f"credit(s) consumed here "
+                    f"({dotted_name(node.func.value) or spelling}) are never "
+                    f"released or revoked anywhere in the analyzed sources",
                     _CREDIT_HINT,
                 )
 
@@ -877,8 +810,8 @@ def check_handler_exhaustiveness(sources: List[SourceFile]) -> Iterator[Finding]
         return  # no dispatch layer in this set: not armed
     for name in sorted(set(universe) - consumed):
         source, cls = universe[name]
-        yield _finding(
-            source, HANDLER_EXHAUSTIVENESS, cls,
+        yield source.finding(
+            HANDLER_EXHAUSTIVENESS, cls,
             f"wire message type {name} is never consumed by an isinstance/"
             f"match dispatch anywhere in the analyzed sources",
             _HANDLER_HINT,

@@ -13,7 +13,6 @@ from repro.analysis.checks import (
     check_determinism,
     check_guarded_by,
     check_lease_ack,
-    check_span_lifecycle,
     check_wire_compat,
 )
 from repro.analysis.findings import Finding, sort_findings
@@ -22,6 +21,7 @@ from repro.analysis.protocols import (
     check_credit_balance,
     check_future_resolution,
     check_handler_exhaustiveness,
+    check_span_lifecycle,
     check_spill_lifecycle,
     check_subscription_lifecycle,
 )
@@ -155,6 +155,8 @@ def analyze_paths(paths: list[Path], repo_root: Path | None = None,
                              else GLOBAL_CHECKS)
         if "threadroles" in global_checks:
             global_checks["threadroles"] = make_thread_roles_check(roles)
+    if checks is None and global_checks is None:
+        global_checks = GLOBAL_CHECKS
     report = AnalysisReport()
     sources: list[SourceFile] = []
     for root in paths:
@@ -166,20 +168,19 @@ def analyze_paths(paths: list[Path], repo_root: Path | None = None,
                 rel_path = file_path.as_posix()
             module = module_name_for(rel_path) or file_path.stem
             try:
-                source = load_source(file_path, rel_path, module)
+                sources.append(load_source(file_path, rel_path, module))
             except (SyntaxError, UnicodeDecodeError) as exc:
                 report.errors.append(f"{rel_path}: {exc}")
-                continue
-            report.files_analyzed += 1
-            sources.append(source)
-            report.findings.extend(analyze_source(
-                source, checks if checks is not None else ALL_CHECKS))
-    if checks is None and global_checks is None:
-        # Global (cross-file) checks run once over the whole tree so the
-        # lock-order graph sees every edge, not one file at a time.
-        report.findings.extend(_run_global_checks(sources))
-    elif global_checks is not None:
+    report.files_analyzed = len(sources)
+    # The cross-file checks go first: they build the program model over
+    # the whole tree (so the lock-order graph sees every edge), and the
+    # per-file lock checks then read the same per-file models instead of
+    # building their own against a one-file context.
+    if global_checks:
         report.findings.extend(_run_global_checks(sources, global_checks))
+    for source in sources:
+        report.findings.extend(analyze_source(
+            source, checks if checks is not None else ALL_CHECKS))
     report.infos = sort_findings(
         [f for f in report.findings if f.severity != "error"])
     report.findings = sort_findings(

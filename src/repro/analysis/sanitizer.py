@@ -1,28 +1,13 @@
-"""Runtime lock-order sanitizer: the dynamic half of the lock-order check.
+"""Runtime twins of the static lock-order, protocol and thread-role passes.
 
-The static extractor (:mod:`repro.analysis.lockorder`) sees every
-*lexical* acquisition; this module observes the *actual* ones.  A
-:class:`SanitizedLock` wraps a ``threading.Lock``/``RLock``/``Condition``
-and reports each acquire/release to a :class:`LockOrderRecorder`, which
-
-* keeps a per-thread acquisition stack,
-* records instance-level order edges (held -> newly acquired) with the
-  acquiring thread and a monotonic timestamp as witness,
-* detects cycles **live** on every new edge (a cycle means two threads
-  have demonstrably acquired the same locks in opposite orders),
-* flags lock-hold-time outliers against a configurable threshold, and
-* exports acquisition/contention counters and wait/hold histograms
-  through the shared :class:`repro.metrics.registry.MetricsRegistry`.
-
-Edges are recorded per *instance* (two ``ReliableQueue`` locks are
-different nodes, so a real A-then-B / B-then-A inversion between two
-queues is caught) but exported per *class* via :meth:`class_graph`, in
-the same ``ClassName.attr`` node vocabulary the static graph uses —
-``runtime_graph.is_subgraph_of(static_graph)`` is the chaos-suite
-acceptance gate.  Class-level self-edges are dropped on export to match
-the static side, which cannot tell instances apart.
-
-Opt in with ``LocalDeployment(sanitize_locks=True)`` or
+Each static pass sees every *lexical* site; its twin observes what a
+live fabric *actually* does, in the vocabulary the static side exports.
+All three sit behind one interface, :class:`RuntimeRecorder`:
+thread-safe event counts, one ``sanitizer.*`` metric, and the
+acceptance gate ``recorder.escapes(sources) == []`` (runtime ⊆ static)
+the chaos suite asserts.  The ``sanitize_*`` functions are the
+instrumentation points.  Opt in with
+``LocalDeployment(sanitize_locks=True)`` or
 ``ChaosWorld(..., sanitize_locks=True)``; see docs/CHAOS.md.
 """
 
@@ -30,16 +15,58 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.lockorder import LockOrderGraph, Witness
-from repro.analysis.threadroles import role_for_thread
+from repro.analysis.lockorder import LockOrderGraph, Witness, extract_lock_graph
+from repro.analysis.protocols import protocol_sites
+from repro.analysis.source import SourceFile
+from repro.analysis.threadroles import build_role_report, role_for_thread
+from repro.metrics.registry import MetricsRegistry
 
-DEFAULT_HOLD_OUTLIER_SECONDS = 0.25
+#: A lock held longer than this is reported as a hold-time outlier.
+HOLD_OUTLIER_SECONDS = 0.25
 #: Wait longer than this counts as contention (a free lock acquires in
 #: nanoseconds; anything visible means another thread held it).
 CONTENTION_WAIT_SECONDS = 0.001
+
+
+class RuntimeRecorder:
+    """What the three twins share: event counts keyed in the static
+    pass's vocabulary, one metrics counter, and the acceptance gate."""
+
+    #: name of the ``sanitizer.*`` counter every recorded event bumps
+    counter_name = ""
+
+    def __init__(self, metrics=None) -> None:
+        self._metrics = metrics if metrics is not None else MetricsRegistry()
+        self._mutex = threading.Lock()   # guards every table of a recorder
+        self._events: Dict[tuple, int] = {}
+        self._c_events = self._metrics.counter(self.counter_name)
+
+    def record(self, key: tuple, amount: int = 1) -> None:
+        if amount <= 0:
+            return
+        with self._mutex:
+            self._events[key] = self._events.get(key, 0) + amount
+        self._c_events.inc(amount)
+
+    def events(self) -> Dict[tuple, int]:
+        with self._mutex:
+            return dict(sorted(self._events.items()))
+
+    def observed(self) -> set:
+        """The distinct runtime facts, in the static vocabulary."""
+        raise NotImplementedError
+
+    def static(self, sources: Sequence[SourceFile]) -> set:
+        """The same facts as the static pass derives them."""
+        raise NotImplementedError
+
+    def escapes(self, sources: Sequence[SourceFile]) -> list:
+        """Runtime facts the static pass over ``sources`` does not know;
+        the acceptance gate is ``escapes(sources) == []``."""
+        return sorted(self.observed() - self.static(sources))
 
 
 @dataclass(frozen=True)
@@ -62,40 +89,40 @@ class HoldOutlier:
     thread: str
 
 
-@dataclass
-class _EdgeInfo:
-    count: int = 0
-    threads: set = field(default_factory=set)
-    first_line: int = 0
+class LockOrderRecorder(RuntimeRecorder):
+    """The dynamic half of the lock-order check, fed by
+    :class:`SanitizedLock`.
 
+    Keeps a per-thread acquisition stack, records order edges (held ->
+    newly acquired) with the acquiring thread as witness, detects cycles
+    **live** on every new edge (a cycle means two threads have
+    demonstrably acquired the same locks in opposite orders), flags
+    lock-hold-time outliers, and exports acquisition/contention counters
+    and wait/hold histograms.  Edges are kept per *instance* (two
+    ``ReliableQueue`` locks are different nodes, so a real A-then-B /
+    B-then-A inversion between two queues is caught); the recorded
+    events are the per-*class* edges, exported by :meth:`class_graph` in
+    the ``ClassName.attr`` vocabulary of the static graph (class-level
+    self-edges dropped: the static side cannot tell instances apart).
+    """
 
-class LockOrderRecorder:
-    """Collects acquisition stacks and order edges from SanitizedLocks."""
+    counter_name = "sanitizer.lock_acquisitions"
 
-    def __init__(self, metrics=None, clock=None,
-                 hold_outlier_seconds: float = DEFAULT_HOLD_OUTLIER_SECONDS) -> None:
+    def __init__(self, metrics=None, clock=None) -> None:
+        super().__init__(metrics)
         self._clock = clock or time.monotonic  # clock-domain: monotonic
-        self._metrics = metrics
-        self._hold_outlier_seconds = hold_outlier_seconds
         self._tls = threading.local()
-        self._mutex = threading.Lock()  # guards the edge/cycle tables
-        self._instance_edges: Dict[Tuple[str, str], _EdgeInfo] = {}
-        self._class_edges: Dict[Tuple[str, str], _EdgeInfo] = {}
+        self._instance_edges: Dict[Tuple[str, str], int] = {}
+        self._edge_threads: Dict[Tuple[str, str], set] = {}
         self._instance_counter = 0
         self.cycles: List[CycleReport] = []
         self.outliers: List[HoldOutlier] = []
         self.acquisitions = 0
-        if metrics is not None:
-            self._c_acquired = metrics.counter("sanitizer.lock_acquisitions")
-            self._c_contended = metrics.counter("sanitizer.lock_contention")
-            self._c_cycles = metrics.counter("sanitizer.lock_order_cycles")
-            self._c_outliers = metrics.counter("sanitizer.lock_hold_outliers")
-            self._h_wait = metrics.histogram("sanitizer.lock_wait_seconds")
-            self._h_hold = metrics.histogram("sanitizer.lock_hold_seconds")
-        else:
-            self._c_acquired = self._c_contended = None
-            self._c_cycles = self._c_outliers = None
-            self._h_wait = self._h_hold = None
+        self._c_contended = self._metrics.counter("sanitizer.lock_contention")
+        self._c_cycles = self._metrics.counter("sanitizer.lock_order_cycles")
+        self._c_outliers = self._metrics.counter("sanitizer.lock_hold_outliers")
+        self._h_wait = self._metrics.histogram("sanitizer.lock_wait_seconds")
+        self._h_hold = self._metrics.histogram("sanitizer.lock_hold_seconds")
 
     # -- wiring ---------------------------------------------------------------
     def next_instance_id(self) -> int:
@@ -121,11 +148,10 @@ class LockOrderRecorder:
                     continue  # RLock re-entry: not an order edge
                 self._add_edge(held, lock, thread)
         stack.append((lock, self._clock()))
-        if self._c_acquired is not None:
-            self._c_acquired.inc()
-            self._h_wait.observe(waited)
-            if waited >= CONTENTION_WAIT_SECONDS:
-                self._c_contended.inc()
+        self._c_events.inc()
+        self._h_wait.observe(waited)
+        if waited >= CONTENTION_WAIT_SECONDS:
+            self._c_contended.inc()
 
     def on_released(self, lock: "SanitizedLock") -> None:
         stack = self._stack()
@@ -138,28 +164,23 @@ class LockOrderRecorder:
         if acquired_at is None:
             return
         held_for = self._clock() - acquired_at
-        if self._h_hold is not None:
-            self._h_hold.observe(held_for)
-        if held_for >= self._hold_outlier_seconds:
+        self._h_hold.observe(held_for)
+        if held_for >= HOLD_OUTLIER_SECONDS:
             outlier = HoldOutlier(lock=lock.class_name, seconds=held_for,
                                   thread=threading.current_thread().name)
             with self._mutex:
                 self.outliers.append(outlier)
-            if self._c_outliers is not None:
-                self._c_outliers.inc()
+            self._c_outliers.inc()
 
     def _add_edge(self, held: "SanitizedLock", acquired: "SanitizedLock",
                   thread: str) -> None:
         # caller holds self._mutex
         ikey = (held.instance_name, acquired.instance_name)
         fresh = ikey not in self._instance_edges
-        info = self._instance_edges.setdefault(ikey, _EdgeInfo())
-        info.count += 1
-        info.threads.add(thread)
+        self._instance_edges[ikey] = self._instance_edges.get(ikey, 0) + 1
         ckey = (held.class_name, acquired.class_name)
-        cinfo = self._class_edges.setdefault(ckey, _EdgeInfo())
-        cinfo.count += 1
-        cinfo.threads.add(thread)
+        self._events[ckey] = self._events.get(ckey, 0) + 1
+        self._edge_threads.setdefault(ckey, set()).add(thread)
         if fresh:
             cycle = self._find_cycle(ikey)
             if cycle is not None:
@@ -168,8 +189,7 @@ class LockOrderRecorder:
                     edges=tuple(zip(cycle, cycle[1:] + [cycle[0]])),
                     thread=thread,
                 ))
-                if self._c_cycles is not None:
-                    self._c_cycles.inc()
+                self._c_cycles.inc()
 
     def _find_cycle(self, new_edge: Tuple[str, str]) -> Optional[List[str]]:
         """A path acquired -> ... -> held closes a cycle through the new
@@ -197,21 +217,24 @@ class LockOrderRecorder:
         nodes (self-edges dropped) for comparison with the static graph."""
         graph = LockOrderGraph()
         with self._mutex:
-            for (src, dst), info in sorted(self._class_edges.items()):
-                if src == dst:
-                    continue
+            for (src, dst), count in sorted(self._events.items()):
                 graph.add_edge(src, dst, Witness(
                     path="<runtime>",
                     line=0,
-                    symbol=",".join(sorted(info.threads)),
-                    detail=f"observed {info.count}x at runtime",
+                    symbol=",".join(sorted(self._edge_threads[(src, dst)])),
+                    detail=f"observed {count}x at runtime",
                 ))
         return graph
 
     def instance_edges(self) -> Dict[Tuple[str, str], int]:
         with self._mutex:
-            return {key: info.count
-                    for key, info in sorted(self._instance_edges.items())}
+            return dict(sorted(self._instance_edges.items()))
+
+    def observed(self) -> set:
+        return set(self.class_graph().edges)
+
+    def static(self, sources: Sequence[SourceFile]) -> set:
+        return set(extract_lock_graph(sources).edges)
 
 
 class SanitizedLock:
@@ -293,44 +316,27 @@ def sanitize_lock(obj, recorder: LockOrderRecorder, attr: str = "_lock",
     return wrapped
 
 
-# ==========================================================================
-# ProtocolRecorder: runtime twin of the resource-protocol (typestate) checks
-# ==========================================================================
-class ProtocolRecorder:
+class ProtocolRecorder(RuntimeRecorder):
     """Counts runtime acquire/release events per resource protocol.
 
     The static engine (:mod:`repro.analysis.protocols`) proves every
-    *lexical* acquire reaches a release; this records the *actual*
-    events a live fabric performs — credit ledger transitions, pubsub
-    subscribe/unsubscribe, stream subscription open/close — keyed as
-    ``(protocol, verb)`` in the same vocabulary
-    :func:`repro.analysis.protocols.protocol_sites` exports from the
-    sources.  The chaos acceptance gate asserts ``observed() ⊆ static
-    sites`` (every runtime event has a lexical site the checker
-    analyzed), mirroring the lock-graph subset gate, plus the balance
-    laws the checks promise: per-ledger ``released <= consumed`` and
-    ``unsubscribes <= subscribes``.
-
-    Opt in with ``LocalDeployment(sanitize_locks=True)`` or
-    ``ChaosWorld(..., sanitize_locks=True)``; the recorder rides along
-    the lock sanitizer as ``deployment.protocol_recorder``.
+    *lexical* acquire reaches a release; this records the events a live
+    fabric performs — credit ledger transitions, pubsub
+    subscribe/unsubscribe, stream subscription open/close — keyed
+    ``(protocol, verb)`` like :func:`~repro.analysis.protocols.
+    protocol_sites`.  Beside the subset gate, chaos runs assert the
+    balance laws the checks promise: per-ledger ``released <= consumed``
+    and ``unsubscribes <= subscribes``.
     """
 
+    counter_name = "sanitizer.protocol_events"
+
     def __init__(self, metrics=None):
-        self._mutex = threading.Lock()
-        self._events: Dict[Tuple[str, str], int] = {}  # guarded-by: self._mutex
+        super().__init__(metrics)
         self._ledgers: List["RecordedLedger"] = []     # guarded-by: self._mutex
-        self._c_events = (metrics.counter("sanitizer.protocol_events")
-                          if metrics is not None else None)
 
     def record(self, protocol: str, verb: str, amount: int = 1) -> None:
-        if amount <= 0:
-            return
-        with self._mutex:
-            key = (protocol, verb)
-            self._events[key] = self._events.get(key, 0) + amount
-        if self._c_events is not None:
-            self._c_events.inc(amount)
+        super().record((protocol, verb), amount)
 
     def register_ledger(self, ledger: "RecordedLedger") -> None:
         """Track a fully-wrapped ledger for the strict balance check."""
@@ -338,14 +344,14 @@ class ProtocolRecorder:
             self._ledgers.append(ledger)
 
     # -- views ----------------------------------------------------------------
-    def events(self) -> Dict[Tuple[str, str], int]:
-        with self._mutex:
-            return dict(self._events)
-
     def observed(self) -> set:
         """The distinct ``(protocol, verb)`` pairs seen at runtime."""
-        with self._mutex:
-            return set(self._events)
+        return set(self.events())
+
+    def static(self, sources: Sequence[SourceFile]) -> set:
+        return {(protocol, verb)
+                for protocol, verbs in protocol_sites(list(sources)).items()
+                for verb in verbs}
 
     def count(self, protocol: str, verb: str) -> int:
         with self._mutex:
@@ -425,81 +431,60 @@ def sanitize_ledger(obj, recorder: ProtocolRecorder, attr: str = "credits",
     return wrapped
 
 
-# ==========================================================================
-# AccessRecorder: runtime twin of the thread-role inference pass
-# ==========================================================================
-class AccessRecorder:
+class AccessRecorder(RuntimeRecorder):
     """Tags attribute accesses on guarded classes with thread identity.
 
     The static pass (:mod:`repro.analysis.threadroles`) infers which
     ``ClassName.attr`` slots are reachable from several thread *roles*;
-    this recorder observes the accesses a live fabric actually performs,
-    mapping each accessing thread onto the same role taxonomy via
-    :func:`repro.analysis.threadroles.role_for_thread`.  The chaos
-    acceptance gate asserts every attribute observed from ≥ 2 roles at
-    runtime is already in the static shared-set
-    (:meth:`repro.analysis.threadroles.RoleReport.shared_attrs`) — the
-    same runtime ⊆ static sandwich the lock-order and protocol twins
-    use.
-
-    ``sample_every`` thins the per-access *counters* (the hot-path cost
-    knob); the role evidence itself — which roles touched which attr —
-    is exact, never sampled, because a dropped first-sighting would
-    make the gate unsound.
+    this records the accesses a live fabric performs, as exact counts
+    keyed ``(Class.attr, role, kind)``, mapping each accessing thread
+    onto the same taxonomy via :func:`~repro.analysis.threadroles.
+    role_for_thread`.  Every attribute observed from ≥ 2 roles must be
+    in the static shared-set (:meth:`~repro.analysis.threadroles.
+    RoleReport.shared_attrs`).
     """
 
-    def __init__(self, metrics=None, sample_every: int = 1):
-        self._mutex = threading.Lock()
-        self._sample_every = max(1, int(sample_every))
-        self._roles: Dict[str, set] = {}        # "Class.attr" -> roles seen
-        self._writer_roles: Dict[str, set] = {}  # "Class.attr" -> writing roles
-        self._ticks: Dict[str, int] = {}
-        self._counts: Dict[Tuple[str, str, str], int] = {}  # (key, role, kind)
+    counter_name = "sanitizer.attr_accesses"
+
+    def __init__(self, metrics=None):
+        super().__init__(metrics)
         #: per-recorder cache of tracked subclasses, keyed (class, attrs)
         self._class_cache: Dict[Tuple[type, frozenset], type] = {}
-        self._c_accesses = (metrics.counter("sanitizer.attr_accesses")
-                            if metrics is not None else None)
 
     def observe(self, class_name: str, attr: str, kind: str) -> None:
         role = role_for_thread(threading.current_thread().name)
-        key = f"{class_name}.{attr}"
-        sampled = False
-        with self._mutex:
-            tick = self._ticks.get(key, 0)
-            self._ticks[key] = tick + 1
-            self._roles.setdefault(key, set()).add(role)
-            if kind == "write":
-                self._writer_roles.setdefault(key, set()).add(role)
-            if tick % self._sample_every == 0:
-                sampled = True
-                ckey = (key, role, kind)
-                self._counts[ckey] = self._counts.get(ckey, 0) + 1
-        if sampled and self._c_accesses is not None:
-            self._c_accesses.inc()
+        self.record((f"{class_name}.{attr}", role, kind))
 
     # -- views ----------------------------------------------------------------
+    def _roles(self, kinds: Tuple[str, ...]) -> Dict[str, frozenset]:
+        roles: Dict[str, set] = {}
+        for key, role, kind in self.events():
+            if kind in kinds:
+                roles.setdefault(key, set()).add(role)
+        return {key: frozenset(seen) for key, seen in roles.items()}
+
     def observed_roles(self) -> Dict[str, frozenset]:
         """``ClassName.attr`` → the roles that touched it."""
-        with self._mutex:
-            return {key: frozenset(roles)
-                    for key, roles in sorted(self._roles.items())}
+        return self._roles(("read", "write"))
 
     def cross_role_attrs(self) -> set:
         """Attributes observed from ≥ 2 distinct roles (any access kind)."""
-        with self._mutex:
-            return {key for key, roles in self._roles.items()
-                    if len(roles) >= 2}
+        return {key for key, roles in self.observed_roles().items()
+                if len(roles) >= 2}
 
     def cross_role_writers(self) -> set:
         """Attributes *written* from ≥ 2 distinct roles."""
-        with self._mutex:
-            return {key for key, roles in self._writer_roles.items()
-                    if len(roles) >= 2}
+        return {key for key, roles in self._roles(("write",)).items()
+                if len(roles) >= 2}
 
     def counts(self) -> Dict[Tuple[str, str, str], int]:
-        """Sampled access counts keyed ``(Class.attr, role, kind)``."""
-        with self._mutex:
-            return dict(sorted(self._counts.items()))
+        """Access counts keyed ``(Class.attr, role, kind)``."""
+        return self.events()
+
+    observed = cross_role_attrs
+
+    def static(self, sources: Sequence[SourceFile]) -> set:
+        return build_role_report(sources).shared_attrs()
 
 
 def _tracked_subclass(cls: type, tracked: frozenset, class_name: str,

@@ -35,6 +35,9 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
+
+from repro.analysis.findings import Finding
 
 _GUARDED_BY_RE = re.compile(r"#\s*guarded-by:\s*(?:self\.)?([A-Za-z_]\w*)")
 _CLOCK_DOMAIN_RE = re.compile(r"#\s*clock-domain:\s*(monotonic|wall)\b")
@@ -59,41 +62,42 @@ class SourceFile:
     handoff_lines: set[int] = field(default_factory=set)
 
     #: Lazily-built derived structures shared by every pass that looks at
-    #: this file (class defs, symbol intervals, lockscope info, ...) so the
-    #: fourth global pass costs walks, not re-walks.  Keyed by the deriving
-    #: helper; see :meth:`derived`.
+    #: this file (class defs, symbol intervals, the program model, ...) so
+    #: the fourth global pass costs walks, not re-walks.  Keyed by the
+    #: deriving helper; see :meth:`derived`.
     _derived: dict = field(default_factory=dict, repr=False)
 
-    def derived(self, key: str, build):
-        """Cache ``build()`` under ``key`` for the life of this parse."""
+    def derived(self, key: str, build, still_valid=None):
+        """Cache ``build()`` under ``key`` for the life of this parse
+        (rebuilt when ``still_valid(cached)`` says the entry is stale)."""
         cached = self._derived.get(key)
-        if cached is None:
+        if cached is None or (still_valid is not None
+                              and not still_valid(cached)):
             cached = self._derived[key] = build()
         return cached
 
-    def class_defs(self) -> list[ast.ClassDef]:
-        """Every class definition in the module (cached full-tree walk)."""
-        return self.derived("class_defs", lambda: [
-            node for node in ast.walk(self.tree)
-            if isinstance(node, ast.ClassDef)])
+    def definitions(self) -> list[tuple[ast.AST, str]]:
+        """Every def/class with its qualified name, outermost first in
+        source order (cached; one statement-level walk serves the class
+        table, the function list and :meth:`symbol_at`)."""
+        return self.derived(
+            "definitions", lambda: _definitions(self.tree.body, ""))
 
     def symbol_at(self, lineno: int) -> str:
-        """Qualified name of the innermost def/class containing ``lineno``
-        (cached interval table; the uncached helper walks the whole tree
-        once per finding)."""
-        table = self.derived("symbol_intervals", lambda: _symbol_intervals(self.tree))
+        """Qualified name of the innermost def/class containing ``lineno``."""
         best = "<module>"
         best_span = None
-        for start, end, qname in table:
-            if start <= lineno <= end:
-                span = end - start
+        for node, qname in self.definitions():
+            end = getattr(node, "end_lineno", node.lineno)
+            if node.lineno <= lineno <= end:
+                span = end - node.lineno
                 if best_span is None or span <= best_span:
                     best, best_span = qname, span
         return best
 
     @property
     def lines(self) -> list[str]:
-        return self.text.splitlines()
+        return self.derived("lines", self.text.splitlines)
 
     def line_text(self, lineno: int) -> str:
         lines = self.lines
@@ -106,6 +110,25 @@ class SourceFile:
         if waived is None:
             return False
         return "*" in waived or check in waived
+
+    def finding(self, check: str, where: ast.AST | int, message: str,
+                hint: str, symbol: str | None = None,
+                severity: str = "error") -> Finding:
+        """A finding anchored at ``where``: an AST node, or a bare line
+        number (column 0).  ``symbol`` defaults to the innermost def or
+        class around it."""
+        lineno = where if isinstance(where, int) else getattr(where, "lineno", 1)
+        return Finding(
+            check=check,
+            path=self.path,
+            line=lineno,
+            col=getattr(where, "col_offset", 0),
+            symbol=symbol or self.symbol_at(lineno),
+            message=message,
+            hint=hint,
+            line_text=self.line_text(lineno),
+            severity=severity,
+        )
 
 
 def parse_source(text: str, path: str, module: str) -> SourceFile:
@@ -209,48 +232,30 @@ def dotted_name(node: ast.expr) -> str | None:
     return None
 
 
-def qualified_symbols(tree: ast.Module) -> dict[int, str]:
-    """Map every function/class definition line to its qualified name."""
-    table: dict[int, str] = {}
+#: Where a statement keeps nested statements (``handlers`` and ``cases``
+#: hold ExceptHandler / match_case nodes, which have a ``body`` too).
+_BLOCKS = ("body", "orelse", "finalbody", "handlers", "cases")
 
-    def visit(node: ast.AST, prefix: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                name = f"{prefix}.{child.name}" if prefix else child.name
-                table[child.lineno] = name
-                visit(child, name)
-            else:
-                visit(child, prefix)
-
-    visit(tree, "")
-    return table
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _symbol_intervals(tree: ast.Module) -> list[tuple[int, int, str]]:
-    """(start, end, qualified name) for every def/class in the module."""
-    table: list[tuple[int, int, str]] = []
-
-    def walk(node: ast.AST, prefix: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                qname = f"{prefix}.{child.name}" if prefix else child.name
-                end = getattr(child, "end_lineno", child.lineno)
-                table.append((child.lineno, end, qname))
-                walk(child, qname)
-            else:
-                walk(child, prefix)
-
-    walk(tree, "")
-    return table
+def iter_statements(body) -> Iterator[ast.AST]:
+    """Every statement under ``body`` in source order — nested blocks and
+    nested def/class bodies included, expressions never entered."""
+    for stmt in body:
+        yield stmt
+        for block in _BLOCKS:
+            yield from iter_statements(getattr(stmt, block, ()))
 
 
-def enclosing_symbol(tree: ast.Module, lineno: int) -> str:
-    """Qualified name of the innermost def/class containing ``lineno``."""
-    best = "<module>"
-    best_span = None
-    for start, end, qname in _symbol_intervals(tree):
-        if start <= lineno <= end:
-            span = end - start
-            if best_span is None or span <= best_span:
-                best, best_span = qname, span
-    return best
+def _definitions(body, prefix: str) -> list[tuple[ast.AST, str]]:
+    found: list[tuple[ast.AST, str]] = []
+    for stmt in body:
+        if isinstance(stmt, _DEFINITIONS):
+            qname = f"{prefix}.{stmt.name}" if prefix else stmt.name
+            found.append((stmt, qname))
+            found.extend(_definitions(stmt.body, qname))
+        else:
+            for block in _BLOCKS:
+                found.extend(_definitions(getattr(stmt, block, ()), prefix))
+    return found

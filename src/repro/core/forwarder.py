@@ -25,6 +25,7 @@ from repro.core.service import FuncXService
 from repro.core.shard import ServiceShard
 from repro.core.tasks import Task
 from repro.metrics.registry import COUNT_BUCKETS
+from repro.serialize import FuncXSerializer, RemoteExceptionWrapper
 from repro.store.queues import Lease, ReliableQueue
 from repro.transport.channel import ChannelEnd
 from repro.transport.heartbeat import HeartbeatTracker
@@ -104,6 +105,7 @@ class Forwarder:
         self._queue: ReliableQueue = service.task_queue(endpoint_id)
         self._sender = f"forwarder:{endpoint_id}"
         self._span_component = f"forwarder:{endpoint_id[:8]}"
+        self._serializer = FuncXSerializer()   # failure path only
         self.channel = channel_end
         self._clock = clock or service.now  # clock-domain: monotonic
         self.heartbeats = HeartbeatTracker(
@@ -386,17 +388,18 @@ class Forwarder:
                 self._emit("forwarder.duplicate_result",
                            task_id=message.task_id, success=message.success)
 
-    @staticmethod
-    def _failure_text(message: ResultMessage) -> str:
+    def _failure_text(self, message: ResultMessage) -> str:
         try:
-            from repro.serialize import FuncXSerializer
-            from repro.serialize.traceback import RemoteExceptionWrapper
-
-            obj = FuncXSerializer().deserialize(message.result_buffer)
-            if isinstance(obj, RemoteExceptionWrapper):
-                return obj.format()
-        except Exception:
-            pass
+            obj = self._serializer.deserialize(message.result_buffer)
+        except Exception as exc:
+            # Keep the fallback text: raising here would strand the rest
+            # of the wave's acks.  But say which task lost its traceback.
+            _logger.warning(
+                "forwarder %s: failure buffer of task %s is undecodable (%s)",
+                self.endpoint_id, message.task_id, type(exc).__name__)
+            return "remote execution failed"
+        if isinstance(obj, RemoteExceptionWrapper):
+            return obj.format()
         return "remote execution failed"
 
     # -- liveness ---------------------------------------------------------------

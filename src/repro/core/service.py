@@ -579,10 +579,6 @@ class FuncXService:
         self.endpoints.get(endpoint_id)  # existence check
         return self.shard_for_endpoint(endpoint_id).task_queue(endpoint_id)
 
-    def result_queue(self, endpoint_id: str) -> ReliableQueue:
-        self.endpoints.get(endpoint_id)
-        return self.shard_for_endpoint(endpoint_id).result_queue(endpoint_id)
-
     def task_by_id(self, task_id: str) -> Task:
         return self._get_task(task_id)
 

@@ -5,13 +5,13 @@ state and running one forwarder per partition (journal paper §5).  This
 module is that partitioning for the reproduction:
 
 * :class:`ShardMap` — a consistent-hash ring placing *endpoints* on
-  shards (so one endpoint's task and result queues live wholly on one
-  shard and its forwarder drains exactly one partition), plus O(1)
+  shards (so one endpoint's task queue and result stream live wholly on
+  one shard and its forwarder drains exactly one partition), plus O(1)
   task-id routing: every task id minted by the facade carries a
   ``-s<shard>`` suffix, so status/result/ack paths jump straight to the
   owning shard without a directory lookup.
 * :class:`ServiceShard` — one partition: its own lock, task table,
-  per-endpoint :class:`~repro.store.queues.ReliableQueue` pair, its own
+  per-endpoint task :class:`~repro.store.queues.ReliableQueue`, its own
   :class:`~repro.core.stream.ResultStreamServer` delivery thread, and
   incrementally-maintained counters (open tasks, per-endpoint
   outstanding) so the hot paths that used to scan the global task table
@@ -176,7 +176,6 @@ class ServiceShard:
     _GUARDED = {
         "_tasks": "_lock",
         "_task_queues": "_lock",  # lint: ignore[threadroles]
-        "_result_queues": "_lock",  # lint: ignore[threadroles]
         "_outstanding": "_lock",
         "_received": "_lock",
         "_terminated": "_lock",
@@ -199,9 +198,6 @@ class ServiceShard:
         self._lock = threading.RLock()
         self._tasks: dict[str, Task] = {}
         self._task_queues: dict[str, ReliableQueue] = {}
-        # Result-queue creation currently happens on one role, but the
-        # map shares _lock with _tasks/_task_queues deliberately.
-        self._result_queues: dict[str, ReliableQueue] = {}  # lint: ignore[threadroles]
         # O(1) accounting (satellite: the old tasks.open gauge and
         # outstanding_tasks() both scanned the full task table).
         self._received = 0
@@ -339,7 +335,7 @@ class ServiceShard:
         endpoint_id: str,
         weight_for: Callable[[str], float] | None = None,
     ) -> None:
-        """Allocate the endpoint's queue pair on this shard.
+        """Allocate the endpoint's task queue on this shard.
 
         The task queue is lane-fair: submissions are tagged with the
         tenant id and dequeued deficit-round-robin so one tenant cannot
@@ -349,8 +345,6 @@ class ServiceShard:
             self._task_queues[endpoint_id] = FairReliableQueue(
                 name=f"tasks:{endpoint_id}", clock=self._clock,
                 weight_for=weight_for)
-            self._result_queues[endpoint_id] = ReliableQueue(
-                name=f"results:{endpoint_id}", clock=self._clock)
 
     def task_queue(self, endpoint_id: str) -> ReliableQueue:
         with self._lock:
@@ -358,10 +352,6 @@ class ServiceShard:
         if queue is None:
             raise TaskNotFound(f"task queue for endpoint {endpoint_id}")
         return queue
-
-    def result_queue(self, endpoint_id: str) -> ReliableQueue:
-        with self._lock:
-            return self._result_queues[endpoint_id]
 
     def endpoint_ids(self) -> list[str]:
         with self._lock:
@@ -383,8 +373,7 @@ class ServiceShard:
         """
         with self._lock:
             self.draining = True
-            queues = list(self._task_queues.values()) + list(
-                self._result_queues.values())
+            queues = list(self._task_queues.values())
         yanked = 0
         for queue in queues:
             yanked += queue.nack_all()

@@ -25,17 +25,8 @@ import dataclasses
 import threading
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.analysis.sanitizer import (
-    AccessRecorder,
-    LockOrderRecorder,
-    ProtocolRecorder,
-    sanitize_access,
-    sanitize_ledger,
-    sanitize_lock,
-    sanitize_pubsub,
-    sanitize_result_stream,
-)
 from repro.auth.service import AuthService, Identity
 from repro.core.client import FuncXClient
 from repro.core.forwarder import Forwarder
@@ -45,6 +36,13 @@ from repro.endpoint.endpoint import Endpoint
 from repro.metrics.registry import MetricsRegistry
 from repro.providers.base import ExecutionProvider
 from repro.transport.channel import Network
+
+if TYPE_CHECKING:  # the analyzer loads only for a sanitized deployment
+    from repro.analysis.sanitizer import (
+        AccessRecorder,
+        LockOrderRecorder,
+        ProtocolRecorder,
+    )
 
 
 @dataclass
@@ -130,6 +128,15 @@ class LocalDeployment:
         self.protocol_recorder: ProtocolRecorder | None = None
         self.access_recorder: AccessRecorder | None = None
         if sanitize_locks:
+            from repro.analysis.sanitizer import (
+                AccessRecorder,
+                LockOrderRecorder,
+                ProtocolRecorder,
+                sanitize_lock,
+                sanitize_pubsub,
+                sanitize_result_stream,
+            )
+
             self.lock_recorder = LockOrderRecorder(metrics=self.metrics)
             # The service plane's state locks live on the shards now; the
             # facade itself is stateless.
@@ -210,6 +217,12 @@ class LocalDeployment:
         )
         handle = _EndpointHandle(endpoint=endpoint, forwarder=forwarder)
         if self.lock_recorder is not None:
+            from repro.analysis.sanitizer import (
+                sanitize_access,
+                sanitize_ledger,
+                sanitize_lock,
+            )
+
             # Wrap before any thread starts — the swap is not atomic.
             recorder = self.lock_recorder
             sanitize_lock(forwarder, recorder, class_name="Forwarder._lock")
@@ -229,8 +242,6 @@ class LocalDeployment:
 
             endpoint.on_manager_created = _on_manager
             sanitize_lock(self.service.task_queue(endpoint_id), recorder,
-                          class_name="ReliableQueue._lock")
-            sanitize_lock(self.service.result_queue(endpoint_id), recorder,
                           class_name="ReliableQueue._lock")
             access = self.access_recorder
             if access is not None:

@@ -240,6 +240,7 @@ class TestSanitizedChaosRun:
         assert not extra, (
             f"runtime cross-role attribute accesses unknown to the static "
             f"shared-set: {sorted(extra)}")
+        assert recorder.escapes(sources) == []
 
 
 class TestArtifactReplay:

@@ -164,6 +164,42 @@ class TestResults:
         assert task.state is TaskState.FAILED
         assert "remote boom" in task.exception_text
 
+    def test_undecodable_failure_buffer_is_logged_and_does_not_strand_the_wave(
+            self, world, caplog):
+        """Fail loud: the task whose failure buffer cannot be decoded keeps
+        the fallback text, the log names it, and its neighbours in the
+        same envelope are still applied."""
+        first, garbled, last = (submit(world, i) for i in range(3))
+        connect_agent(world)
+        world.forwarder.step()
+        world.agent.recv_all_ready()
+
+        def ok(task_id, value):
+            return ResultMessage(
+                sender="w0", task_id=task_id, success=True,
+                result_buffer=world.serializer.serialize(
+                    value, routing_tag=task_id),
+                completed_at=world.clock())
+
+        send_results(
+            world.agent, ok(first, 10),
+            ResultMessage(sender="w0", task_id=garbled, success=False,
+                          result_buffer=b"\x00not a buffer",
+                          completed_at=world.clock()),
+            ok(last, 30))
+        with caplog.at_level("WARNING", logger="repro.core.forwarder"):
+            world.forwarder.step()
+        assert world.service.task_by_id(first).state is TaskState.SUCCESS
+        assert world.service.task_by_id(last).state is TaskState.SUCCESS
+        failed = world.service.task_by_id(garbled)
+        assert failed.state is TaskState.FAILED
+        assert failed.exception_text == "remote execution failed"
+        assert world.forwarder.outstanding == 0
+        records = [r for r in caplog.records if garbled in r.getMessage()]
+        assert len(records) == 1 and records[0].levelname == "WARNING"
+        assert not any(first in r.getMessage() or last in r.getMessage()
+                       for r in caplog.records)
+
 
 class TestHeartbeatsAndLoss:
     def test_heartbeat_marks_endpoint_connected(self, world):

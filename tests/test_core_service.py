@@ -71,7 +71,6 @@ class TestRegistration:
 
     def test_register_endpoint_allocates_queues(self, service, endpoint_id):
         assert service.task_queue(endpoint_id) is not None
-        assert service.result_queue(endpoint_id) is not None
 
     def test_endpoint_token_cannot_execute(self, service, ep_token, function_id, endpoint_id):
         with pytest.raises(AuthorizationFailed):

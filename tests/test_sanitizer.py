@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -9,6 +12,7 @@ from repro.analysis.lockorder import LockOrderGraph, Witness, extract_lock_graph
 from repro.analysis.runner import iter_python_files
 from repro.analysis.protocols import protocol_sites
 from repro.analysis.sanitizer import (
+    HOLD_OUTLIER_SECONDS,
     LockOrderRecorder,
     ProtocolRecorder,
     RecordedLedger,
@@ -111,11 +115,10 @@ class TestMetricsExport:
     def test_hold_time_outlier_flagged(self):
         metrics = MetricsRegistry()
         clock = FakeClock()
-        recorder = LockOrderRecorder(metrics=metrics, clock=clock,
-                                     hold_outlier_seconds=0.25)
+        recorder = LockOrderRecorder(metrics=metrics, clock=clock)
         (a,) = _locks(recorder, "A._lock")
         a.acquire()
-        clock.now += 10.0
+        clock.now += 40 * HOLD_OUTLIER_SECONDS
         a.release()
         assert len(recorder.outliers) == 1
         assert recorder.outliers[0].lock == "A._lock"
@@ -226,10 +229,47 @@ class TestDeploymentIntegration:
         assert runtime.is_subgraph_of(static), (
             f"runtime lock-order edges unknown to the static graph: "
             f"{runtime.missing_from(static)}")
+        # the same gate through the recorders' shared interface
+        assert recorder.escapes(sources) == []
 
     def test_unsanitized_deployment_has_no_recorder(self):
         with LocalDeployment() as deployment:
             assert deployment.lock_recorder is None
+
+    def test_plain_deployment_never_imports_the_analyzer(self):
+        """A deployment that does not sanitize pays nothing for the
+        linter: no ``repro.analysis`` module is loaded."""
+        code = (
+            "import sys\n"
+            "import repro.fabric\n"
+            "from repro.fabric import LocalDeployment\n"
+            "LocalDeployment().shutdown()\n"
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m.startswith('repro.analysis'))\n"
+            "assert not loaded, loaded\n")
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    def test_sanitized_deployment_and_chaos_world_get_all_three_recorders(self):
+        from repro.analysis.sanitizer import AccessRecorder
+        from repro.chaos import ChaosWorld
+
+        world = ChaosWorld(seed=3, sanitize_locks=True)
+        try:
+            deployments = [world.deployment]
+            with LocalDeployment(sanitize_locks=True) as plain:
+                deployments.append(plain)
+                for deployment in deployments:
+                    assert isinstance(deployment.lock_recorder,
+                                      LockOrderRecorder)
+                    assert isinstance(deployment.protocol_recorder,
+                                      ProtocolRecorder)
+                    assert isinstance(deployment.access_recorder,
+                                      AccessRecorder)
+        finally:
+            world.close()
 
 
 class TestProtocolRecorderUnits:
@@ -309,6 +349,7 @@ class TestProtocolRecorderIntegration:
         for protocol, verb in sorted(observed):
             assert sites[protocol].get(verb), (
                 f"runtime event ({protocol}, {verb}) has no static site")
+        assert recorder.escapes(sources) == []
 
     def test_unsanitized_deployment_has_no_protocol_recorder(self):
         with LocalDeployment() as deployment:
@@ -317,7 +358,7 @@ class TestProtocolRecorderIntegration:
 
 class TestAccessRecorderUnits:
     """The thread-role runtime twin: class-swap tracking, role tagging,
-    sampling, and idempotency."""
+    exact counts, and idempotency."""
 
     def _tracked_counter(self, recorder):
         from repro.analysis.sanitizer import sanitize_access
@@ -376,19 +417,16 @@ class TestAccessRecorderUnits:
         assert recorder.observed_roles()["Counter.value"] == frozenset(
             {"callback"})
 
-    def test_sampling_thins_counts_but_never_roles(self):
+    def test_counts_are_exact_per_role_and_kind(self):
         from repro.analysis.sanitizer import AccessRecorder
 
-        recorder = AccessRecorder(sample_every=10)
+        recorder = AccessRecorder()
         counter = self._tracked_counter(recorder)
         for _ in range(30):
             counter.bump()
-        # 30 bumps = 30 reads + 30 writes on one key: ticks 0..59, every
-        # 10th sampled -> 6 sampled accesses total
-        assert sum(recorder.counts().values()) == 6
-        # but the role evidence is exact
-        assert recorder.observed_roles()["Counter.value"] == frozenset(
-            {"main"})
+        assert recorder.counts() == {
+            ("Counter.value", "main", "read"): 30,
+            ("Counter.value", "main", "write"): 30}
 
     def test_sanitize_access_is_idempotent(self):
         from repro.analysis.sanitizer import AccessRecorder, sanitize_access
