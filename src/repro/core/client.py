@@ -211,7 +211,12 @@ class FuncXClient:
         return {task_id: TaskState(value) for task_id, value in states.items()}
 
     def get_result(self, task_id: str, timeout: float = 0.0) -> Any:
-        """Fetch and deserialize a result; re-raise remote exceptions."""
+        """Fetch and deserialize a result; re-raise remote exceptions.
+
+        Raises :class:`~repro.errors.ResultPurged` once the result has
+        left the service: released after a result stream delivered and
+        acked it, or expired ``result_ttl`` after its last retrieval.
+        """
         buffer = self.service.get_result(self._token(), task_id, timeout=timeout)
         value = self.serializer.deserialize(buffer)
         if isinstance(value, RemoteExceptionWrapper):

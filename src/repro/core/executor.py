@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.core.futures import FuncXFuture, wait_all
 from repro.core.stream import DEFAULT_WINDOW, ResultSubscription
-from repro.errors import TaskCancelled, TaskExecutionFailed
+from repro.errors import ResultPurged, TaskCancelled, TaskExecutionFailed
 from repro.metrics.registry import COUNT_BUCKETS
 from repro.staging.transfer import fetch_ref
 from repro.transport.messages import ResultBatchMessage, ResultMessage
@@ -303,6 +303,8 @@ class FuncXExecutor:
                 outcome: Any = TaskCancelled(
                     message.exception_text or
                     f"task {message.task_id} cancelled")
+            elif message.purged:
+                outcome = ResultPurged(message.task_id)
             else:
                 buffer = message.result_buffer
                 if message.result_ref is not None:

@@ -26,6 +26,7 @@ from repro.errors import (
     FuncXError,
     NotFoundError,
     PayloadTooLarge,
+    ResultPurged,
     ShardDraining,
     TaskPending,
     ThrottleExceeded,
@@ -72,7 +73,7 @@ class RestApi:
     POST      /api/v1/batch                  submit a task batch
     POST      /api/v1/tasks/status           batch task status (any shard)
     GET       /api/v1/tasks/<id>/status      task status
-    GET       /api/v1/tasks/<id>/result      task result (202 while pending)
+    GET       /api/v1/tasks/<id>/result      task result (202 pending, 410 purged)
     ========  =============================  =====================================
     """
 
@@ -124,6 +125,8 @@ class RestApi:
                 return Response(413, {"error": str(exc)})
             except TaskPending as exc:
                 return Response(202, {"status": exc.status, "task_id": exc.task_id})
+            except ResultPurged as exc:
+                return Response(410, {"error": str(exc), "task_id": exc.task_id})
             except ThrottleExceeded as exc:
                 return Response(429, {
                     "error": str(exc),

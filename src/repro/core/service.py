@@ -49,8 +49,10 @@ from repro.core.stream import (
 from repro.core.tasks import Task, TaskState
 from repro.errors import (
     PayloadTooLarge,
+    ResultPurged,
     ShardDraining,
     TaskCancelled,
+    TaskExecutionFailed,
     TaskNotFound,
     TaskPending,
 )
@@ -76,8 +78,12 @@ class ServiceConfig:
         paper restricts in-band data "for performance and cost reasons"
         (section 4.6) and directs larger data out of band.
     result_ttl:
-        Seconds a retrieved result survives before the periodic purge
-        (section 4.1) removes it.
+        Seconds a terminal task's record survives after the later of its
+        terminal time and its last ``get_result`` (section 4.1: results
+        are purged "once they have been retrieved").  Expired records
+        are swept on the completion path and by :meth:`FuncXService.purge`;
+        result *bytes* leave earlier, when the last result-stream
+        watcher acks its delivery.
     request_overhead:
         Synchronous per-request processing time (authentication, Redis
         round trips).  Zero by default; the Table 1 benchmark sets it to
@@ -532,11 +538,20 @@ class FuncXService:
         """Retrieve a completed task's serialized result (figure 3, step 6).
 
         Blocks up to ``timeout`` seconds for completion; raises
-        :class:`TaskPending` if still incomplete.  Successfully retrieved
-        results are scheduled for purge (section 4.1).
+        :class:`TaskPending` if still incomplete.  A retrieval re-arms
+        the record's ``result_ttl`` expiry (section 4.1).  Raises
+        :class:`ResultPurged` when the result bytes were released (the
+        last stream watcher acked them) or the record has expired.
         """
         self.auth.authorize(token, Scope.RESULTS)
-        task = self._get_task(task_id)
+        shard = self.shard_for_task(task_id)
+        task = shard.get_task(task_id)
+        if task is None:
+            # An id this plane minted names a record that has since left
+            # its table; any other id never was a task here.
+            if self.shard_map.minted(task_id):
+                raise ResultPurged(task_id)
+            raise TaskNotFound(task_id)
         if not task.state.terminal and timeout > 0:
             deadline = self._clock() + timeout
             done = threading.Event()
@@ -548,20 +563,19 @@ class FuncXService:
                 self.pubsub.unsubscribe(sub)
         if not task.state.terminal:
             raise TaskPending(task_id, task.state.value)
+        shard.note_retrieved(task)
         if task.state is TaskState.CANCELLED:
             raise TaskCancelled(task.exception_text or f"task {task_id} cancelled")
+        buffer = task.result_buffer  # read once: a stream ack may release it
+        if buffer is None and task.result_size:
+            raise ResultPurged(task_id)
         if task.state is TaskState.SUCCESS:
-            assert task.result_buffer is not None
-            self.store.expire(f"result:{task_id}", self.config.result_ttl)
-            return task.result_buffer
+            assert buffer is not None
         # FAILED: hand back the serialized exception wrapper when the
         # worker produced one — the SDK re-raises the original exception
         # type on the caller's stack; otherwise raise the recorded text.
-        if task.state is TaskState.FAILED and task.result_buffer:
-            self.store.expire(f"result:{task_id}", self.config.result_ttl)
-            return task.result_buffer
-        from repro.errors import TaskExecutionFailed
-
+        if buffer:
+            return buffer
         raise TaskExecutionFailed(task.exception_text or task.state.value)
 
     def task_info(self, token: str, task_id: str) -> dict[str, Any]:
@@ -753,8 +767,10 @@ class FuncXService:
             shard.close()
 
     def purge(self) -> int:
-        """Run the periodic store purge; returns evicted entries."""
-        return self.store.purge_expired()
+        """Drop every terminal record whose ``result_ttl`` has run out —
+        the sweep each completion wave also runs; returns records
+        dropped."""
+        return sum(shard.sweep() for shard in self.shards)
 
     def forget_task(self, task_id: str) -> bool:
         """Administratively purge a task record (TTL eviction, GDPR wipe).
@@ -824,6 +840,7 @@ class FuncXService:
             task.state = target
             task.state_times.setdefault(target.value, now)
         task.result_buffer = result_buffer or None
+        task.result_size = len(result_buffer)
         task.exception_text = exception_text
         task.metadata["execution_time"] = execution_time
         self._c_completed.inc()
@@ -834,11 +851,11 @@ class FuncXService:
             probe("task.completed", {"task_id": task.task_id,
                                      "success": success,
                                      "state": task.state.value})
-        self.store.set(f"result:{task.task_id}", result_buffer, ttl=None)
 
     def _retire(self, shard: ServiceShard, tasks: list[Task]) -> None:
         """The per-wave half of reaching a terminal state: the closed
-        traces' stage times into their histograms, shard accounting,
+        traces' stage times into their histograms, shard accounting
+        (where the argument bytes leave and expired records are swept),
         tenant quota, the store writes' occupancy, and one notification
         per watcher."""
         if not tasks:

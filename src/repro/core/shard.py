@@ -14,8 +14,10 @@ module is that partitioning for the reproduction:
   per-endpoint task :class:`~repro.store.queues.ReliableQueue`, its own
   :class:`~repro.core.stream.ResultStreamServer` delivery thread, and
   incrementally-maintained counters (open tasks, per-endpoint
-  outstanding) so the hot paths that used to scan the global task table
-  are O(1).
+  outstanding, retained payload bytes) so the hot paths that used to
+  scan the global task table are O(1).  Bytes and records leave here:
+  arguments at the terminal state, results on the last stream ack, the
+  record ``result_ttl`` later.
 * :class:`_ShardPacer` — a virtual-time serial resource modeling the
   shard's backing store (Redis round trips).  Each shard has its own
   pacer, so N shards really do N store operations concurrently — the
@@ -32,6 +34,7 @@ import bisect
 import threading
 import time
 import zlib
+from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.core.stream import DEFAULT_SPILL_THRESHOLD, ResultStreamServer
@@ -101,6 +104,12 @@ class ShardMap:
             if index < self.shards:
                 return index
         return self._lookup(task_id)
+
+    def minted(self, task_id: str) -> bool:
+        """Whether ``task_id`` carries the tag of the shard it routes to:
+        the facade minted it, so a record existed under it once."""
+        return task_id.endswith(
+            f"{_SHARD_TAG}{self.shard_for_task(task_id)}")
 
     def tag(self, task_id: str, shard_index: int) -> str:
         """Embed the owning shard into a freshly-minted task id."""
@@ -181,6 +190,8 @@ class ServiceShard:
         "_terminated": "_lock",
         "_forgotten_open": "_lock",
         "_open": "_lock",
+        "_retained": "_lock",
+        "_expiry": "_lock",
     }
 
     def __init__(
@@ -205,6 +216,12 @@ class ServiceShard:
         self._forgotten_open = 0
         self._open = 0
         self._outstanding: dict[str, int] = {}  # endpoint_id -> open tasks
+        self._retained = 0  # argument + result bytes the records hold
+        # (deadline, task_id), in deadline order since the clock only
+        # moves forward and ``result_ttl`` is one constant.  An entry is
+        # live while it equals its record's ``expires_at``: a retrieval
+        # re-arms the record and strands the older entry.
+        self._expiry: deque[tuple[float, str]] = deque()
         # Submitting threads read this while chaos/admin threads flip
         # it; both classify as role "main", so the lock is load-bearing
         # even though role inference sees a single role.
@@ -217,6 +234,10 @@ class ServiceShard:
                                              shard=str(index))
         metrics.gauge("shard.open_tasks", shard=str(index)).set_function(
             self.open_tasks)
+        metrics.gauge("service.retained_bytes", shard=str(index)).set_function(
+            self.retained_bytes)
+        self._c_purged = metrics.counter("service.results_purged")
+        self._c_expired = metrics.counter("service.records_expired")
         # Per-shard push delivery: its own thread, named by shard so
         # thread-role inference and the runtime recorder agree.  Built
         # last: it reads its tasks straight from this shard's table.
@@ -248,6 +269,7 @@ class ServiceShard:
                 self._tasks[task.task_id] = task
                 self._received += 1
                 self._open += 1
+                self._retained += task.payload_size
                 self._outstanding[task.endpoint_id] = (
                     self._outstanding.get(task.endpoint_id, 0) + 1)
                 if probe is not None:
@@ -266,38 +288,99 @@ class ServiceShard:
     def pop_task(self, task_id: str) -> Task | None:
         """Remove a task record (forget path); fixes up open counters."""
         with self._lock:
-            task = self._tasks.pop(task_id, None)
-            if task is None:
-                return None
-            if not task.state.terminal:
-                # Forgetting an open task removes it from the conserved
-                # population — tracked separately so the accounting
-                # identity still closes.
-                self._forgotten_open += 1
-                self._open -= 1
-                self._dec_outstanding(task.endpoint_id)
-            probe = self.service.probe
-            if probe is not None:
-                probe("shard.accounting", self._accounting("forget", task_id))
-            return task
+            return self._drop(task_id, "forget")
+
+    def _drop(self, task_id: str, cause: str) -> Task | None:  # guarded-by: self._lock
+        """The one way a record leaves the table (forget or expiry)."""
+        task = self._tasks.pop(task_id, None)
+        if task is None:
+            return None
+        if not task.state.terminal:
+            # Forgetting an open task removes it from the conserved
+            # population — tracked separately so the accounting
+            # identity still closes.
+            self._forgotten_open += 1
+            self._open -= 1
+            self._dec_outstanding(task.endpoint_id)
+        self._retained -= len(task.payload_buffer)
+        if task.expires_at is not None and task.result_buffer is not None:
+            self._retained -= task.result_size
+        probe = self.service.probe
+        if probe is not None:
+            probe("shard.accounting", self._accounting(cause, task_id))
+        return task
 
     def note_terminal(self, tasks: Iterable[Task]) -> None:
         """Called exactly once per task, when it first reaches a
-        terminal state (complete / fail / cancel)."""
+        terminal state (complete / fail / cancel).  The argument buffer
+        goes (nothing dispatches a terminal task), the result buffer
+        starts counting, the record is given its expiry — and the wave
+        sweeps what has expired, so the table is bounded by completion
+        rate times ``result_ttl`` with no thread and no timer."""
         count = 0
         with self._lock:
             probe = self.service.probe
+            now = self._clock()
             for task in tasks:
                 if task.task_id not in self._tasks:
                     continue  # forgotten while completing; already accounted
                 self._terminated += 1
                 self._open -= 1
                 self._dec_outstanding(task.endpoint_id)
+                self._retained -= len(task.payload_buffer)
+                task.payload_buffer = b""
+                if task.result_buffer is not None:
+                    self._retained += task.result_size
+                self._arm(task, now)
                 count += 1
                 if probe is not None:
                     probe("shard.accounting",
                           self._accounting("terminal", task.task_id))
+            due = bool(self._expiry) and self._expiry[0][0] <= now
         self._c_terminated.inc(count)
+        if due:
+            self.sweep()
+
+    def _arm(self, task: Task, now: float) -> None:  # guarded-by: self._lock
+        task.expires_at = deadline = now + self.service.config.result_ttl
+        self._expiry.append((deadline, task.task_id))
+
+    def sweep(self) -> int:
+        """Drop every expired terminal record; returns how many."""
+        expired = 0
+        with self._lock:
+            expiry = self._expiry
+            now = self._clock()
+            while expiry and expiry[0][0] <= now:
+                deadline, task_id = expiry.popleft()
+                task = self._tasks.get(task_id)
+                if task is not None and task.expires_at == deadline:
+                    self._drop(task_id, "expire")
+                    expired += 1
+        self._c_expired.inc(expired)
+        return expired
+
+    def note_retrieved(self, task: Task) -> None:
+        """``get_result`` read a terminal task: its record now expires
+        ``result_ttl`` after this retrieval."""
+        with self._lock:
+            if task.expires_at is not None:
+                self._arm(task, self._clock())
+
+    def release_results(self, task_ids: Iterable[str]) -> None:
+        """The last stream watcher of each task acked: the result bytes
+        go, the record stays until it expires.  A task ``note_terminal``
+        has not reached yet is left to the expiry sweep."""
+        released = 0
+        with self._lock:
+            for task_id in task_ids:
+                task = self._tasks.get(task_id)
+                if (task is not None and task.expires_at is not None
+                        and task.result_buffer is not None):
+                    self._retained -= task.result_size
+                    task.result_buffer = None
+                    released += 1
+        self._c_purged.inc(released)
 
     def _dec_outstanding(self, endpoint_id: str) -> None:  # guarded-by: self._lock
         count = self._outstanding.get(endpoint_id, 0) - 1
@@ -318,6 +401,10 @@ class ServiceShard:
     def outstanding(self, endpoint_id: str) -> int:
         with self._lock:
             return self._outstanding.get(endpoint_id, 0)
+
+    def retained_bytes(self) -> int:
+        with self._lock:
+            return self._retained
 
     def counters(self) -> dict[str, int]:
         """Accounting snapshot (cross-shard conservation checks)."""

@@ -25,6 +25,11 @@ futures from.  This module is the service side of that stream:
   ``repro.staging`` store and delivered as a ``DataRef`` record, so one
   huge payload cannot head-of-line-block a batch; the spilled object is
   deleted when the batch is acked.
+* The ack is where result bytes leave the service: the server keeps,
+  per task, the subscriptions that still owe an ack, and the ack that
+  empties the set releases the buffer on the task record (a redelivery
+  before that re-spills from it).  A task watched after its release is
+  delivered as a ``purged`` result.
 
 Consumers are plain callables (in-process stand-ins for a client's
 WebSocket); one that raises is detached and its batch is nacked for
@@ -140,7 +145,8 @@ class ResultSubscription:
         Retires the queue leases, forgets the batch's task ids (a
         long-lived subscription does not grow with the tasks it has
         seen), releases the batch's credits (opening the window for the
-        next wave) and deletes any payloads spilled for the batch.
+        next wave), deletes any payloads spilled for the batch and
+        releases the result bytes of tasks this was the last watcher of.
         """
         with self._lock:
             leases = self._unacked.pop(delivery_id, None)
@@ -188,16 +194,17 @@ class ResultSubscription:
 
     def retire(self, leases: list[Lease]) -> None:
         """Finish with delivered (or undeliverable) results for good:
-        ack their leases, drop their spills, forget their ids.  Until
-        then ``_enqueued`` keeps a second terminal notification from
-        queueing a result twice."""
+        ack their leases, drop their spills, forget their ids and tell
+        the server this reader is done with them.  Until then
+        ``_enqueued`` keeps a second terminal notification from queueing
+        a result twice."""
         self.queue.ack_many(lease.lease_id for lease in leases)
         with self._lock:
             for lease in leases:
                 self._watched.discard(lease.item)
                 self._enqueued.discard(lease.item)
-        for lease in leases:
-            self._server.drop_spill(self.subscriber_id, lease.item)
+        self._server.reader_done(
+            self.subscriber_id, [lease.item for lease in leases])
 
     def note_delivered(self, delivery_id: str, leases: list[Lease]) -> None:
         """Record an in-flight batch awaiting the client's ack."""
@@ -287,6 +294,9 @@ class ResultStreamServer:
         self._wakeup = Wakeup(clock=self._clock)
         self._lock = threading.Lock()
         self._subs: dict[str, ResultSubscription] = {}  # guarded-by: self._lock
+        # task id -> subscriptions that still owe an ack for it, from
+        # watch() to retire(); the retire that empties it releases the
+        # task's result bytes.
         # subscribe()/unsubscribe() race from multiple client threads
         # that all classify as role "main" (same story as _thread below).
         self._interest: dict[str, set[str]] = {}        # guarded-by: self._lock  # lint: ignore[threadroles]
@@ -339,11 +349,15 @@ class ResultStreamServer:
         return sub
 
     def forget(self, sub: ResultSubscription) -> None:
-        """Drop a closed subscription and its interest entries."""
+        """Drop a closed subscription and its interest entries.  What it
+        never acked stays on the record for ``get_result`` until the
+        record expires."""
         with self._lock:
             self._subs.pop(sub.subscriber_id, None)
-            for watchers in self._interest.values():
+            for task_id, watchers in list(self._interest.items()):
                 watchers.discard(sub.subscriber_id)
+                if not watchers:
+                    del self._interest[task_id]
 
     def register_interest(self, sub: ResultSubscription,
                           task_ids: list[str]) -> None:
@@ -372,7 +386,7 @@ class ResultStreamServer:
         ready: dict[ResultSubscription, list[str]] = {}
         with self._lock:
             for task in tasks:
-                for subscriber_id in self._interest.pop(task.task_id, ()):
+                for subscriber_id in self._interest.get(task.task_id, ()):
                     sub = self._subs.get(subscriber_id)
                     if sub is not None:
                         ready.setdefault(sub, []).append(task.task_id)
@@ -459,7 +473,9 @@ class ResultStreamServer:
     def _result_message(
         self, sub: ResultSubscription, task: "Task", now: float
     ) -> ResultMessage:
-        buffer = task.result_buffer or b""
+        buffer = task.result_buffer  # read once: an ack may release it
+        purged = buffer is None and task.result_size > 0
+        buffer = buffer or b""
         ref: dict | None = None
         if len(buffer) >= self.spill_threshold:
             data_ref = self.spill.put(
@@ -477,11 +493,29 @@ class ResultStreamServer:
             result_ref=ref,
             cancelled=task.state is TaskState.CANCELLED,
             exception_text=task.exception_text or "",
+            purged=purged,
         )
 
     def drop_spill(self, subscriber_id: str, task_id: str) -> None:
         """Delete a spilled payload once its batch is acked."""
         self.spill.delete(f"{subscriber_id}:{task_id}")
+
+    def reader_done(self, subscriber_id: str, task_ids: list[str]) -> None:
+        """A subscription retired these results: drop what was spilled
+        for it and release the bytes of tasks it was the last watcher of."""
+        last: list[str] = []
+        with self._lock:
+            for task_id in task_ids:
+                watchers = self._interest.get(task_id)
+                if watchers is not None:
+                    watchers.discard(subscriber_id)
+                    if not watchers:
+                        del self._interest[task_id]
+                        last.append(task_id)
+        for task_id in task_ids:
+            self.drop_spill(subscriber_id, task_id)
+        if last:
+            self._shard.release_results(last)
 
     # -- delivery thread -----------------------------------------------------
     def _ensure_thread(self) -> None:

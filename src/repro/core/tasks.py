@@ -64,7 +64,14 @@ class Task:
     function_id, endpoint_id:
         What to run and where.
     payload_buffer:
-        Serialized ``(args, kwargs)`` routed buffer.
+        Serialized ``(args, kwargs)`` routed buffer; dropped at the
+        terminal state, ``payload_size`` keeps its length.
+    result_buffer:
+        Serialized result; dropped (``released``) when the last stream
+        watcher acks its delivery, ``result_size`` keeps its length.
+    expires_at:
+        When the terminal record leaves its shard's table: ``result_ttl``
+        after the later of its terminal time and its last ``get_result``.
     container_image:
         Container key required by the function, or ``None`` for bare.
     owner_id:
@@ -85,6 +92,9 @@ class Task:
     max_retries: int = 1
     attempts: int = 0
     result_buffer: bytes | None = None
+    payload_size: int = 0
+    result_size: int = 0
+    expires_at: float | None = None
     exception_text: str | None = None
     memo_hit: bool = False
     state_times: dict[str, float] = field(default_factory=dict)
@@ -92,6 +102,14 @@ class Task:
     #: The task's :class:`~repro.observability.trace.TraceContext`
     #: (``None`` with tracing off), held here so no hop looks it up.
     trace: Any = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.payload_size = len(self.payload_buffer)
+
+    @property
+    def released(self) -> bool:
+        """Whether the task produced result bytes that have since left."""
+        return self.result_buffer is None and self.result_size > 0
 
     # ------------------------------------------------------------------
     def advance(self, new_state: TaskState, now: float) -> None:
@@ -176,5 +194,8 @@ class Task:
             "attempts": self.attempts,
             "memo_hit": self.memo_hit,
             "exception": self.exception_text,
+            "payload_size": self.payload_size,
+            "result_size": self.result_size,
+            "released": self.released,
             "state_times": dict(self.state_times),
         }

@@ -55,11 +55,11 @@ def execute_task_message(
             if function_cache is not None:
                 function_cache[message.function_id] = (digest, func)
 
-        if serializer.routing_tag(message.payload_buffer) == MAP_TAG:
-            items = serializer.deserialize(message.payload_buffer)
-            value: Any = apply_batch(func, items)
+        tag, payload = serializer.unpack(message.payload_buffer)
+        if tag == MAP_TAG:
+            value: Any = apply_batch(func, payload)
         else:
-            args, kwargs = serializer.deserialize(message.payload_buffer)
+            args, kwargs = payload
             value = func(*args, **kwargs)
 
         result_buffer = serializer.serialize(value, routing_tag=message.task_id)

@@ -167,6 +167,17 @@ class TaskCancelled(TaskError):
     """The task was cancelled before completion."""
 
 
+class ResultPurged(TaskError):
+    """The task finished but the service no longer holds its result: the
+    last stream watcher acked it, or the record expired ``result_ttl``
+    after its last retrieval (paper §4.1)."""
+
+    def __init__(self, task_id: str):
+        super().__init__(f"the result of task {task_id} was delivered and "
+                         "released, or has expired")
+        self.task_id = task_id
+
+
 class MaxRetriesExceeded(TaskError):
     """A task failed more times than its retry budget permits."""
 

@@ -1,4 +1,6 @@
-"""Latency statistics (vectorized with NumPy).
+"""Latency statistics (vectorized with NumPy, imported on first use:
+``repro.metrics`` is on every deployment's import path, the statistics
+only on a bench's).
 
 Every evaluation table reports means and standard deviations of latency
 samples; these helpers centralize that computation so benches, tests and
@@ -9,9 +11,10 @@ ddof=1, matching how the paper reports "Std. Dev.").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,8 @@ class SummaryStats:
 
 def summarize(samples: Iterable[float] | Sequence[float] | np.ndarray) -> SummaryStats:
     """Compute :class:`SummaryStats` over a sample of latencies."""
+    import numpy as np
+
     arr = np.asarray(list(samples) if not isinstance(samples, np.ndarray) else samples,
                      dtype=float)
     if arr.size == 0:
@@ -92,6 +97,8 @@ class LatencyRecorder:
             return sorted(self._samples)
 
     def samples(self, label: str) -> np.ndarray:
+        import numpy as np
+
         with self._lock:
             return np.asarray(self._samples.get(label, ()), dtype=float)
 

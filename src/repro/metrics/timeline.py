@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import bisect
 import threading
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 
 class Timeline:
@@ -35,6 +36,8 @@ class Timeline:
 
     def series(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """The raw (times, values) arrays for one series."""
+        import numpy as np  # on first use: a deployment records, a bench reads
+
         with self._lock:
             times, values = self._series.get(name, ([], []))
             return np.asarray(times, dtype=float), np.asarray(values, dtype=float)
@@ -55,6 +58,8 @@ class Timeline:
         before g (0 before the first record) — the natural view for "number
         of active pods" style series.
         """
+        import numpy as np
+
         times, values = self.series(name)
         grid_arr = np.asarray(list(grid), dtype=float)
         if times.size == 0:
@@ -67,6 +72,8 @@ class Timeline:
         """Mean value per time bin (for latency-over-time plots)."""
         if bin_width <= 0:
             raise ValueError("bin_width must be positive")
+        import numpy as np
+
         times, values = self.series(name)
         if times.size == 0:
             return np.array([]), np.array([])

@@ -54,8 +54,8 @@ def pack_buffer(method: str, routing_tag: str, payload: bytes) -> bytes:
     return header + payload
 
 
-def peek_header(buffer: bytes) -> BufferHeader:
-    """Decode only the header of a packed buffer (no payload copy)."""
+def _parse_header(buffer: bytes) -> tuple[BufferHeader, int]:
+    """The decoded header and the offset its payload starts at."""
     end = buffer.find(_END, 0, _MAX_HEADER)
     if end < 0:
         raise DeserializationError("buffer header terminator not found")
@@ -72,20 +72,29 @@ def peek_header(buffer: bytes) -> BufferHeader:
         raise DeserializationError(f"corrupt buffer header: {exc}") from exc
     if len(method) != 2 or length < 0:
         raise DeserializationError(f"invalid buffer header fields: {header!r}")
-    return BufferHeader(method=method, routing_tag=tag, payload_length=length)
+    return BufferHeader(method=method, routing_tag=tag,
+                        payload_length=length), end + 1
 
 
-def unpack_buffer(buffer: bytes) -> tuple[BufferHeader, bytes]:
-    """Split a packed buffer into its header and payload bytes.
+def peek_header(buffer: bytes) -> BufferHeader:
+    """Decode only the header of a packed buffer (no payload copy)."""
+    return _parse_header(buffer)[0]
+
+
+def unpack_buffer(buffer: bytes) -> tuple[BufferHeader, memoryview]:
+    """Split a packed buffer into its header and a view of its payload.
+
+    One header parse and no copy: the payload is a ``memoryview`` over
+    ``buffer`` (it compares equal to the bytes it covers and keeps
+    ``buffer`` alive while referenced).
 
     Raises
     ------
     DeserializationError
         If the header is malformed or the payload is truncated.
     """
-    header = peek_header(buffer)
-    start = buffer.find(_END) + 1
-    payload = buffer[start : start + header.payload_length]
+    header, start = _parse_header(buffer)
+    payload = memoryview(buffer)[start : start + header.payload_length]
     if len(payload) != header.payload_length:
         raise DeserializationError(
             f"truncated payload: expected {header.payload_length} bytes, "

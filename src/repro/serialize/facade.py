@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from repro.errors import DeserializationError, SerializationError
-from repro.serialize.buffers import pack_buffer, unpack_buffer
+from repro.serialize.buffers import pack_buffer, peek_header, unpack_buffer
 from repro.serialize.methods import (
     DEFAULT_CODE_METHODS,
     DEFAULT_DATA_METHODS,
@@ -75,18 +75,20 @@ class FuncXSerializer:
             f"{type(obj).__name__}; tried: {'; '.join(errors)}"
         )
 
-    def deserialize(self, buffer: bytes) -> Any:
-        """Decode a routed buffer back into the original object."""
+    def unpack(self, buffer: bytes) -> tuple[str, Any]:
+        """Routing tag and decoded object from one parse of the header."""
         header, payload = unpack_buffer(buffer)
         method = self._by_id.get(header.method)
         if method is None:
             raise DeserializationError(f"unknown serialization method {header.method!r}")
-        return method.deserialize(payload)
+        return header.routing_tag, method.deserialize(payload)
+
+    def deserialize(self, buffer: bytes) -> Any:
+        """Decode a routed buffer back into the original object."""
+        return self.unpack(buffer)[1]
 
     def routing_tag(self, buffer: bytes) -> str:
         """Read the routing tag without deserializing the payload."""
-        from repro.serialize.buffers import peek_header
-
         return peek_header(buffer).routing_tag
 
     # ------------------------------------------------------------------

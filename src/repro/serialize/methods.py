@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import marshal
 import pickle
+import sys
 import types
 from abc import ABC, abstractmethod
 from typing import Any
@@ -53,8 +54,10 @@ class SerializationMethod(ABC):
         """Encode ``obj``; raise :class:`SerializationError` if unsupported."""
 
     @abstractmethod
-    def deserialize(self, payload: bytes) -> Any:
-        """Decode ``payload``; raise :class:`DeserializationError` on corrupt data."""
+    def deserialize(self, payload: bytes | memoryview) -> Any:
+        """Decode ``payload`` (any bytes-like: the facade hands over a
+        view, not a copy); raise :class:`DeserializationError` on corrupt
+        data."""
 
 
 class JsonMethod(SerializationMethod):
@@ -64,6 +67,12 @@ class JsonMethod(SerializationMethod):
     for_code = False
 
     def serialize(self, obj: Any) -> bytes:
+        # A top-level tuple decays to a list and bytes are not JSON at
+        # all: every ``(args, kwargs)`` payload is refused here, by type,
+        # before paying for a dumps + loads + compare that must fail.
+        if isinstance(obj, (tuple, bytes, bytearray)):
+            raise SerializationError(
+                f"a top-level {type(obj).__name__} does not survive JSON")
         try:
             text = json.dumps(obj, separators=(",", ":"), allow_nan=False)
         except (TypeError, ValueError) as exc:
@@ -74,9 +83,9 @@ class JsonMethod(SerializationMethod):
             raise SerializationError("object does not survive JSON round-trip")
         return text.encode("utf-8")
 
-    def deserialize(self, payload: bytes) -> Any:
+    def deserialize(self, payload: bytes | memoryview) -> Any:
         try:
-            return json.loads(payload.decode("utf-8"))
+            return json.loads(str(payload, "utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DeserializationError(f"corrupt JSON payload: {exc}") from exc
 
@@ -93,7 +102,7 @@ class PickleMethod(SerializationMethod):
         except Exception as exc:  # pickle raises many types
             raise SerializationError(f"not picklable: {exc}") from exc
 
-    def deserialize(self, payload: bytes) -> Any:
+    def deserialize(self, payload: bytes | memoryview) -> Any:
         try:
             return pickle.loads(payload)
         except Exception as exc:
@@ -133,9 +142,9 @@ class SourceCodeMethod(SerializationMethod):
         record = {"name": obj.__name__, "source": source}
         return json.dumps(record).encode("utf-8")
 
-    def deserialize(self, payload: bytes) -> Any:
+    def deserialize(self, payload: bytes | memoryview) -> Any:
         try:
-            record = json.loads(payload.decode("utf-8"))
+            record = json.loads(str(payload, "utf-8"))
             namespace: dict[str, Any] = {}
             exec(record["source"], namespace)  # noqa: S102 - core mechanism
             return namespace[record["name"]]
@@ -178,7 +187,7 @@ class CodePickleMethod(SerializationMethod):
         except Exception as exc:
             raise SerializationError(f"code-pickle failed: {exc}") from exc
 
-    def deserialize(self, payload: bytes) -> Any:
+    def deserialize(self, payload: bytes | memoryview) -> Any:
         try:
             name, code_bytes, defaults_b, closure_b = pickle.loads(payload)
             code = marshal.loads(code_bytes)
@@ -216,9 +225,10 @@ class NumpyMethod(SerializationMethod):
     _SEP = b"\x00"
 
     def serialize(self, obj: Any) -> bytes:
-        import numpy as np
-
-        if not isinstance(obj, np.ndarray):
+        # An object cannot be an ndarray of a module nobody has loaded:
+        # a deployment that never sees an array never imports NumPy.
+        np = sys.modules.get("numpy")
+        if np is None or not isinstance(obj, np.ndarray):
             raise SerializationError("not a numpy array")
         if obj.dtype.hasobject:
             raise SerializationError("object arrays are not buffer-safe")
@@ -228,11 +238,11 @@ class NumpyMethod(SerializationMethod):
         shape = ",".join(str(d) for d in obj.shape).encode("ascii")
         return dtype + self._SEP + shape + self._SEP + obj.tobytes()
 
-    def deserialize(self, payload: bytes) -> Any:
+    def deserialize(self, payload: bytes | memoryview) -> Any:
         import numpy as np
 
         try:
-            dtype_b, rest = payload.split(self._SEP, 1)
+            dtype_b, rest = bytes(payload).split(self._SEP, 1)
             shape_b, raw = rest.split(self._SEP, 1)
             dtype = np.dtype(dtype_b.decode("ascii"))
             shape = tuple(int(d) for d in shape_b.decode("ascii").split(",") if d)
@@ -256,7 +266,7 @@ class TracebackMethod(SerializationMethod):
         except Exception as exc:
             raise SerializationError(f"traceback not picklable: {exc}") from exc
 
-    def deserialize(self, payload: bytes) -> Any:
+    def deserialize(self, payload: bytes | memoryview) -> Any:
         try:
             return RemoteExceptionWrapper.from_record(pickle.loads(payload))
         except Exception as exc:

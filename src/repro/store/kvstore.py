@@ -23,9 +23,11 @@ class KVStore:
 
     Notes
     -----
-    The funcX service "periodically purge[s] results from the Redis store
-    once they have been retrieved" (section 4.1); :meth:`purge_expired`
-    implements that sweep and is also invoked lazily on reads.
+    The service keeps registered function bodies here.  Task records and
+    their results live on the shard tables, which run the paper's purge
+    of retrieved results (section 4.1) themselves — see
+    :meth:`repro.core.shard.ServiceShard.sweep`; :meth:`purge_expired`
+    is this store's own TTL sweep, also invoked lazily on reads.
     """
 
     def __init__(self, clock: Callable[[], float] | None = None):

@@ -89,6 +89,10 @@ class ResultMessage(Message):  # lint: ignore[handler-exhaustiveness]
     #: Failure text for FAILED tasks whose worker produced no serialized
     #: exception wrapper (e.g. retries exhausted inside the service).
     exception_text: str = ""
+    #: Set on the client-facing result stream when the result bytes were
+    #: released before this delivery (every earlier watcher had acked);
+    #: receivers resolve the handle with ``ResultPurged``.
+    purged: bool = False
 
 
 @dataclass(frozen=True)

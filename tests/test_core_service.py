@@ -171,8 +171,11 @@ class TestCompletionAndResults:
         service.complete_task(task_id, success=True, result_buffer=b"r")
         service.get_result(user_token, task_id)  # retrieval arms the TTL
         clock.advance(config.result_ttl + 1)
-        assert service.purge() >= 1
-        assert not service.store.exists(f"result:{task_id}")
+        assert service.purge() == 1
+        assert service.iter_tasks() == []  # the record left, not a mirror
+        assert service.shards[0].retained_bytes() == 0
+        with pytest.raises(TaskNotFound):
+            service.task_by_id(task_id)
 
     def test_completion_publishes(self, service, user_token, function_id, endpoint_id):
         task_id = submit_one(service, user_token, function_id, endpoint_id)

@@ -59,6 +59,21 @@ class TestExecuteTaskMessage:
         assert isinstance(wrapper, RemoteExceptionWrapper)
         assert "worker saw 9" in wrapper.format()
 
+    def test_each_buffer_header_is_parsed_once(self, monkeypatch):
+        from repro.serialize import buffers
+
+        parsed = []
+        real = buffers._parse_header
+        monkeypatch.setattr(
+            buffers, "_parse_header",
+            lambda buffer: parsed.append(buffer) or real(buffer))
+        for message in (task_message(add, (1,)),
+                        task_message(add, payload=SERIALIZER.serialize(
+                            [[1], [2]], routing_tag=MAP_TAG))):
+            del parsed[:]
+            assert execute_task_message(message, SERIALIZER).success
+            assert parsed == [message.function_buffer, message.payload_buffer]
+
     def test_function_cache_reused_for_same_body(self):
         cache = {}
         msg = task_message(add, (1,))

@@ -188,3 +188,31 @@ class TestTopLevelApi:
         for name in ("LocalDeployment", "FuncXClient", "FederatedExecutor",
                      "UsageLedger", "TaskEventLog", "Dashboard", "RestApi"):
             assert name in repro.__all__
+
+    def test_a_deployment_that_sees_no_array_never_imports_numpy(self):
+        """Importing the fabric, standing a deployment up and running a
+        task load no NumPy: the statistics helpers import it on first
+        use and ``NumpyMethod`` asks ``sys.modules`` before it does."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = (
+            "import sys\n"
+            "import repro.fabric\n"
+            "from repro.fabric import LocalDeployment\n"
+            "def inc(x):\n"
+            "    return x + 1\n"
+            "with LocalDeployment() as deployment:\n"
+            "    client = deployment.client()\n"
+            "    endpoint = deployment.create_endpoint('e', nodes=1)\n"
+            "    executor = client.executor(endpoint)\n"
+            "    assert executor.submit(inc, 1).result(timeout=30) == 2\n"
+            "    executor.shutdown()\n"
+            "assert 'numpy' not in sys.modules\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr

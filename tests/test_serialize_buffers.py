@@ -38,6 +38,11 @@ class TestPackUnpack:
         _, out = unpack_buffer(pack_buffer("01", "big", payload))
         assert out == payload
 
+    def test_payload_is_a_view_not_a_copy(self):
+        buf = pack_buffer("01", "big", bytes(range(256)) * 512)
+        _, out = unpack_buffer(buf)
+        assert isinstance(out, memoryview) and out.obj is buf
+
 
 class TestValidation:
     def test_bad_method_length(self):

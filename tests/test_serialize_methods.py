@@ -37,6 +37,27 @@ class TestJsonMethod:
         with pytest.raises(SerializationError):
             JsonMethod().serialize({1, 2})
 
+    def test_top_level_tuple_is_refused_before_any_encoding(self, monkeypatch):
+        # Every (args, kwargs) payload is one: it must cost a type test,
+        # not a dumps + loads + compare that can only fail.
+        import json
+
+        calls = []
+        real = json.dumps
+        monkeypatch.setattr(
+            json, "dumps", lambda *a, **k: calls.append(a) or real(*a, **k))
+        for obj in (([1], {}), (), b"raw", bytearray(b"raw")):
+            with pytest.raises(SerializationError):
+                JsonMethod().serialize(obj)
+        assert calls == []
+        with pytest.raises(SerializationError):  # nested: the exact check
+            JsonMethod().serialize([(1, 2)])
+        assert len(calls) == 1
+
+    def test_deserializes_a_view(self):
+        m = JsonMethod()
+        assert m.deserialize(memoryview(m.serialize({"a": [1]}))) == {"a": [1]}
+
     def test_rejects_custom_object(self):
         class Thing:
             pass
@@ -216,6 +237,7 @@ class TestNumpyMethod:
 
         m = self._method()
         arr = np.arange(12.0).reshape(3, 4)
+        assert (m.deserialize(memoryview(m.serialize(arr))) == arr).all()
         out = m.deserialize(m.serialize(arr))
         assert out.dtype == arr.dtype and out.shape == arr.shape
         assert (out == arr).all()
