@@ -11,7 +11,8 @@ a tier-1 pre-commit step.  The warm best-of-N (parsed sources and models
 cached) and the per-check seconds of a warm run are recorded beside it,
 not gated.
 
-Artifact: ``BENCH_lint_runtime.json`` at the repo root.
+Artifact: ``BENCH_lint_runtime.json`` at the repo root (full runs only;
+a ``REPRO_BENCH_QUICK=1`` run gates and prints, and writes nothing).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import time
 from pathlib import Path
 
-from benchmarks.harness import ExperimentReport, quick_mode
+from benchmarks.harness import ExperimentReport, persist, quick_mode
 from repro.analysis import run_analysis
 from repro.analysis import source as analysis_source
 from repro.analysis.runner import ALL_CHECKS, GLOBAL_CHECKS
@@ -62,7 +63,7 @@ def test_lint_runtime_gate():
         list(check(sources))
         per_check[check_id] = time.perf_counter() - start
 
-    RESULT_JSON.write_text(json.dumps({
+    persist(RESULT_JSON, json.dumps({
         "runs": runs,
         "seconds_per_run": times,
         "first_seconds": first,
@@ -71,7 +72,6 @@ def test_lint_runtime_gate():
         "max_seconds": MAX_SECONDS,
         "files_analyzed": report_obj.files_analyzed,
         "findings": len(report_obj.findings),
-        "quick": quick_mode(),
     }, indent=2, sort_keys=True) + "\n")
 
     report = ExperimentReport(

@@ -10,7 +10,8 @@ speeding up or slowing down).
 
 Artifacts: ``BENCH_trace_overhead.json`` at the repo root (the per-stage
 aggregate every live task exposes, plus the A/B timings) and the usual
-``benchmarks/results`` text report.
+``benchmarks/results`` text report — both written by full runs only; a
+``REPRO_BENCH_QUICK=1`` run gates and prints, and writes nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from benchmarks.harness import ExperimentReport, quick_mode
+from benchmarks.harness import ExperimentReport, persist, quick_mode
 from repro import EndpointConfig, LocalDeployment, ServiceConfig
 from repro.observability.trace import STAGES, aggregate_breakdowns
 
@@ -94,7 +95,7 @@ def test_trace_overhead_gate():
         }
         for stage, values in stage_durations.items()
     }
-    RESULT_JSON.write_text(json.dumps({
+    persist(RESULT_JSON, json.dumps({
         "tasks": tasks,
         "pairs": PAIRS,
         "traced_seconds": traced,
@@ -103,7 +104,6 @@ def test_trace_overhead_gate():
         "overhead_per_task_s": per_task,
         "max_overhead_per_task_s": MAX_OVERHEAD_PER_TASK,
         "stage_ms": stage_ms,
-        "quick": quick_mode(),
     }, indent=2, sort_keys=True) + "\n")
 
     report = ExperimentReport(

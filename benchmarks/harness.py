@@ -4,7 +4,10 @@ Every benchmark regenerates one table or figure from the paper's
 evaluation section.  Results are printed (visible with ``pytest -s``)
 and written to ``benchmarks/results/<experiment>.txt`` so a full
 ``pytest benchmarks/ --benchmark-only`` run leaves the complete set of
-regenerated tables/series on disk.
+regenerated tables/series on disk.  A ``REPRO_BENCH_QUICK=1`` run
+measures a shrunken workload and writes nothing: the committed
+artifacts are full-size numbers, and CI's quick runs leave the checkout
+clean.
 """
 
 from __future__ import annotations
@@ -45,12 +48,10 @@ class ExperimentReport:
         self.line(f"note: {text}")
 
     def finish(self) -> str:
-        """Print and persist the report; returns the text."""
+        """Print the report and persist it (full runs); returns the text."""
         text = self._buf.getvalue()
         print("\n" + text)
-        RESULTS_DIR.mkdir(exist_ok=True)
-        path = RESULTS_DIR / f"{self.experiment_id}.txt"
-        path.write_text(text)
+        persist(RESULTS_DIR / f"{self.experiment_id}.txt", text)
         return text
 
 
@@ -69,3 +70,11 @@ def _fmt(cell) -> str:
 def quick_mode() -> bool:
     """Honour REPRO_BENCH_QUICK=1 to shrink the heavy sweeps (CI use)."""
     return os.environ.get("REPRO_BENCH_QUICK", "0") == "1"
+
+
+def persist(path: Path, text: str) -> None:
+    """Write a committed artifact — unless this is a quick run."""
+    if quick_mode():
+        return
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(text)

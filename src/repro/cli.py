@@ -10,16 +10,13 @@ Offline-friendly subcommands::
     python -m repro.cli trace <task-id>      # per-stage latency breakdown
     python -m repro.cli metrics              # render an exported registry
     python -m repro.cli lint                 # fabric static analyzer
-    python -m repro.cli bench --quick        # e2e tasks/s + round-trip latency
-    python -m repro.cli bench --backpressure # credit-flow overload plateau
-    python -m repro.cli bench --result-stream  # push vs poll result delivery
-    python -m repro.cli bench --shard-scale  # service-plane shard scaling
 
 ``demo --trace-out traces.jsonl --metrics-out metrics.jsonl`` exports the
 observability artifacts the ``trace``/``metrics`` subcommands consume.
 
 Each prints the same rows the corresponding benchmark regenerates, at a
-smaller default scale suited to interactive use.
+smaller default scale suited to interactive use.  Performance is measured
+from outside the package, by the checkout's ``python3 bench/run.py``.
 """
 
 from __future__ import annotations
@@ -308,115 +305,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Throughput and round-trip latency of a live deployment."""
-    from repro.perf import measure_e2e
-
-    if args.backpressure:
-        return _bench_backpressure(quick=args.quick)
-    if args.result_stream:
-        return _bench_result_stream(quick=args.quick)
-    if args.shard_scale:
-        return _bench_shard_scale(quick=args.quick)
-    if args.quick:
-        tasks, samples, runs = 16, 6, 1
-    else:
-        tasks, samples, runs = args.tasks, args.samples, 2
-    result = measure_e2e(
-        tasks=tasks, samples=samples, latency=args.latency,
-        transfer_cost=args.transfer_cost, runs=runs)
-    baseline = result["baseline"]
-    measured = {**result["throughput"], **result["latency"]}
-    print(f"{'fabric':<22s} {'tasks/s':>9s} {'p50(ms)':>9s} {'p99(ms)':>9s}")
-    for label, row in (("this checkout", measured),
-                       (f"per-message @{baseline['commit']}", baseline)):
-        print(f"{label:<22s} {row['tasks_per_second']:9,.0f} "
-              f"{row['p50_s'] * 1e3:9.2f} {row['p99_s'] * 1e3:9.2f}")
-    print(f"speedup: {result['speedup']:.2f}x  "
-          f"p50 improvement: {result['p50_improvement_s'] * 1e3:.2f}ms "
-          "(baseline frozen at 128 tasks, 1ms latency, 1ms transfer cost)")
-    print("full gate: PYTHONPATH=src:. python -m pytest "
-          "benchmarks/bench_e2e_throughput.py")
-    return 0
-
-
-def _bench_backpressure(quick: bool) -> int:
-    """Overload a credited endpoint; report the in-flight plateau."""
-    from repro.perf import measure_backpressure
-
-    if quick:
-        result = measure_backpressure(tasks=24, task_duration=0.01)
-    else:
-        result = measure_backpressure()
-    print(f"{'metric':<22s} {'value':>10s}")
-    print(f"{'credit window':<22s} {result['window']:>10d}")
-    print(f"{'peak in-flight':<22s} {result['peak_in_flight']:>10d}")
-    print(f"{'plateau (1st/2nd)':<22s} "
-          f"{result['first_half_peak']:>4d}/{result['second_half_peak']:<5d}")
-    print(f"{'queue high watermark':<22s} {result['queue_high_watermark']:>10d}")
-    print(f"{'credit stalls':<22s} {result['credit_stalls']:>10d}")
-    print(f"{'tasks/s':<22s} {result['tasks_per_second']:>10.1f}")
-    bounded = result["peak_in_flight"] <= result["window"]
-    print(f"bounded in flight: {'yes' if bounded else 'NO'} "
-          f"({result['mismatch']:.0f}:1 offered/window mismatch)")
-    print("full gate: PYTHONPATH=src:. python -m pytest "
-          "benchmarks/bench_backpressure.py")
-    return 0 if bounded else 1
-
-
-def _bench_result_stream(quick: bool) -> int:
-    """Push-based result delivery vs the polling client."""
-    from repro.perf import measure_result_stream
-
-    if quick:
-        result = measure_result_stream(tasks=16, samples=8)
-    else:
-        result = measure_result_stream()
-    poll_floor = result["params"]["poll_interval_s"]
-    print(f"{'path':<8s} {'p50(ms)':>9s} {'p99(ms)':>9s} {'mean(ms)':>9s}")
-    for mode in ("poll", "push"):
-        stats = result[mode]
-        print(f"{mode:<8s} {stats['p50_s'] * 1e3:9.2f} "
-              f"{stats['p99_s'] * 1e3:9.2f} {stats['mean_s'] * 1e3:9.2f}")
-    stream = result["stream"]
-    print(f"push wave: {result['throughput']['tasks_per_second']:,.0f} tasks/s "
-          f"({stream['results_delivered']} results in "
-          f"{stream['batches_delivered']} batches, "
-          f"mean {stream['mean_batch_size']:.1f}/batch)")
-    below_floor = result["push"]["p50_s"] < poll_floor
-    print(f"push p50 below the {poll_floor * 1e3:.0f}ms poll floor: "
-          f"{'yes' if below_floor else 'NO'} "
-          f"({result['p50_speedup']:.1f}x faster than polling)")
-    print("full gate: PYTHONPATH=src:. python -m pytest "
-          "benchmarks/bench_result_stream.py")
-    return 0 if below_floor else 1
-
-
-def _bench_shard_scale(quick: bool) -> int:
-    """Aggregate tasks/s 1 → 4 shards + 10:1 tenant fairness."""
-    from repro.perf import measure_shard_scale
-
-    if quick:
-        result = measure_shard_scale(tasks=128, fairness_rounds=30)
-    else:
-        result = measure_shard_scale()
-    print(f"{'shards':<8s} {'tasks':>7s} {'seconds':>9s} {'tasks/s':>9s}")
-    for run in result["scaling"]["runs"]:
-        print(f"{run['shards']:<8d} {run['tasks']:>7d} "
-              f"{run['seconds']:>9.3f} {run['tasks_per_second']:>9,.0f}")
-    fairness = result["fairness"]
-    speedup = result["scaling"]["speedup"]
-    print(f"speedup 1->{result['params']['shard_counts'][-1]}: {speedup:.2f}x")
-    print(f"fairness p99 gap: {fairness['p99_gap']:.3f} "
-          f"(polite share {fairness['polite_share']:.2f} of service vs "
-          f"{1 / (result['params']['fairness_mix'] + 1):.2f} of arrivals)")
-    scaled = speedup >= 2.5 and fairness["p99_gap"] <= 0.35
-    print(f"near-linear and fair: {'yes' if scaled else 'NO'}")
-    print("full gate: PYTHONPATH=src:. python -m pytest "
-          "benchmarks/bench_shard_scale.py")
-    return 0 if scaled else 1
-
-
 def _cmd_platforms(args: argparse.Namespace) -> int:
     from repro.sim.platform import PLATFORMS
 
@@ -482,36 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     plats = sub.add_parser("platforms", help="list platform models")
     plats.set_defaults(func=_cmd_platforms)
-
-    bench = sub.add_parser(
-        "bench",
-        help="measure the dispatch fabric's tasks/s and round-trip latency "
-             "on a live deployment")
-    bench.add_argument("--quick", action="store_true",
-                       help="scaled-down run finishing in a few seconds")
-    bench.add_argument("--tasks", type=int, default=96,
-                       help="tasks per throughput wave (default: 96)")
-    bench.add_argument("--samples", type=int, default=20,
-                       help="sequential round trips for latency percentiles "
-                            "(default: 20)")
-    bench.add_argument("--latency", type=float, default=0.001,
-                       help="one-way channel latency in seconds (default: 1 ms)")
-    bench.add_argument("--backpressure", action="store_true",
-                       help="run the credit-flow overload benchmark instead "
-                            "of the throughput/latency one")
-    bench.add_argument("--result-stream", dest="result_stream",
-                       action="store_true",
-                       help="run the push-vs-poll result delivery benchmark "
-                            "instead of the throughput/latency one")
-    bench.add_argument("--shard-scale", dest="shard_scale",
-                       action="store_true",
-                       help="run the service-plane shard-scaling benchmark "
-                            "instead of the throughput/latency one")
-    bench.add_argument("--transfer-cost", dest="transfer_cost", type=float,
-                       default=0.001,
-                       help="serial per-transfer link occupancy in seconds "
-                            "(default: 1 ms); what coalescing amortizes")
-    bench.set_defaults(func=_cmd_bench)
 
     lint = sub.add_parser(
         "lint",

@@ -16,9 +16,9 @@ a thin stateless facade routing over ``config.shards`` independent
 its queues and every task addressed to it) on one shard; task ids carry
 their owning shard as a ``-s<idx>`` suffix so the status/result/ack
 paths route in O(1).  Each shard has its own lock, task table, queue
-pair per endpoint, result-stream delivery thread, and store pacer —
-dispatch, credit accounting, and result delivery on different shards
-never contend.  In front of the facade sits per-tenant admission
+pair per endpoint, and result-stream delivery thread — dispatch,
+credit accounting, and result delivery on different shards never
+contend.  In front of the facade sits per-tenant admission
 control (:mod:`repro.core.admission`): token-bucket rate limits,
 max-outstanding quotas, and DRR-fair dequeue across tenant lanes.
 """
@@ -102,12 +102,6 @@ class ServiceConfig:
     shards:
         Number of independent service-plane partitions.  ``1`` (the
         default) behaves exactly like the unsharded service.
-    shard_op_cost:
-        Modeled backing-store occupancy (seconds) charged per shard
-        store operation (task insert, completion write).  Each shard
-        pays it on its *own* pacer, so N shards absorb N times the
-        store traffic — the effect the shard-scale benchmark measures.
-        ``0`` disables pacing.
     """
 
     payload_limit: int = 512 * 1024
@@ -118,7 +112,6 @@ class ServiceConfig:
     trace_capacity: int = 100_000
     stream_spill_threshold: int = DEFAULT_SPILL_THRESHOLD
     shards: int = 1
-    shard_op_cost: float = 0.0
 
 
 class FuncXService:
@@ -185,7 +178,7 @@ class FuncXService:
         self.admission.metrics = self.metrics
         # The sharded service plane: consistent-hash placement plus one
         # independent partition (lock, task table, queues, stream
-        # delivery thread, store pacer) per shard.
+        # delivery thread) per shard.
         self.shard_map = ShardMap(self.config.shards)
         # endpoint id -> its home shard, resolved once at registration.
         self._endpoint_shards: dict[str, ServiceShard] = {}
@@ -194,8 +187,6 @@ class FuncXService:
                 index=index,
                 service=self,
                 clock=self._clock,
-                sleeper=self._sleep,
-                op_cost=self.config.shard_op_cost,
                 spill_threshold=self.config.stream_spill_threshold,
             )
             for index in range(self.config.shards)
@@ -463,7 +454,6 @@ class FuncXService:
                 probe("task.submitted", {"task_id": task.task_id,
                                          "endpoint_id": endpoint_id,
                                          "shard": shard.index})
-        shard.pacer.charge(len(wave))  # the task-record store writes
         if memoize:
             wave = self._serve_memo_hits(shard, wave, received_at)
             if not wave:
@@ -474,11 +464,10 @@ class FuncXService:
             if task.trace is not None:
                 task.trace.record("service", "service", start=received_at,
                                   end=queued_at, shard=shard.index)
-        task_ids = [task.task_id for task in wave]
         # The tenant lane makes dequeue DRR-fair across identities
         # sharing this endpoint.
-        shard.task_queue(endpoint_id).put_many(task_ids, lane=wave[0].owner_id)
-        self.pubsub.publish(f"endpoint.{endpoint_id}.queued", task_ids)
+        shard.task_queue(endpoint_id).put_many(
+            [task.task_id for task in wave], lane=wave[0].owner_id)
 
     def _serve_memo_hits(
         self,
@@ -880,7 +869,6 @@ class FuncXService:
             owners[task.owner_id] = owners.get(task.owner_id, 0) + 1
         for owner, count in owners.items():
             self.admission.release(owner, count)
-        shard.pacer.charge(len(tasks))  # the terminal store writes
         for task in tasks:
             self.pubsub.publish(f"task.{task.task_id}", task.state.value)
         shard.result_stream.on_tasks_terminal(tasks)

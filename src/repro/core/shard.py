@@ -1,4 +1,4 @@
-"""The sharded service plane: shard map, per-shard state, pacing.
+"""The sharded service plane: shard map and per-shard state.
 
 The hosted funcX service scaled by partitioning its Redis-backed task
 state and running one forwarder per partition (journal paper §5).  This
@@ -18,10 +18,6 @@ module is that partitioning for the reproduction:
   scan the global task table are O(1).  Bytes and records leave here:
   arguments at the terminal state, results on the last stream ack, the
   record ``result_ttl`` later.
-* :class:`_ShardPacer` — a virtual-time serial resource modeling the
-  shard's backing store (Redis round trips).  Each shard has its own
-  pacer, so N shards really do N store operations concurrently — the
-  mechanism the shard-scale benchmark measures.
 
 The facade (:class:`~repro.core.service.FuncXService`) owns every
 policy decision (auth, validation, memoization, tracing, completion
@@ -116,53 +112,6 @@ class ShardMap:
         return f"{task_id}{_SHARD_TAG}{shard_index}"
 
 
-class _ShardPacer:
-    """A virtual-time serial resource: the shard's backing store.
-
-    Each charged operation occupies the resource for ``op_cost``
-    seconds; concurrent callers queue behind ``busy_until`` and sleep
-    out their wait *outside* the pacer lock (the sleep models a store
-    round trip, which releases the GIL).  One pacer per shard is what
-    makes the sharded plane scale: four shards serve four store
-    operations in the time one shard serves one.
-
-    ``op_cost=0`` (the default) disables pacing entirely — production
-    configs measure real store latency instead of modeling it.
-    """
-
-    # charge() races from the *multiple* shard-driver threads of the
-    # scaling bench, which all classify as role "main"; the lock is
-    # load-bearing even though role inference sees a single role.
-    _GUARDED = {
-        "_busy_until": "_lock",  # lint: ignore[threadroles]
-    }
-
-    def __init__(
-        self,
-        op_cost: float,
-        clock: Callable[[], float] | None = None,
-        sleeper: Callable[[float], None] | None = None,
-    ):
-        self.op_cost = op_cost
-        self._clock = clock or time.monotonic  # clock-domain: monotonic
-        self._sleep = sleeper or time.sleep
-        self._lock = threading.Lock()
-        self._busy_until = 0.0
-
-    def charge(self, ops: int = 1) -> None:
-        """Occupy the resource for ``ops`` operations; blocks the caller
-        (never the shard lock) until its operations would have finished."""
-        if self.op_cost <= 0.0 or ops <= 0:
-            return
-        with self._lock:
-            now = self._clock()
-            start = max(now, self._busy_until)
-            self._busy_until = start + ops * self.op_cost
-            wait = self._busy_until - now
-        if wait > 0:
-            self._sleep(wait)
-
-
 class ServiceShard:
     """One partition of the service plane's task state.
 
@@ -199,8 +148,6 @@ class ServiceShard:
         index: int,
         service: "FuncXService",
         clock: Callable[[], float] | None = None,
-        sleeper: Callable[[float], None] | None = None,
-        op_cost: float = 0.0,
         spill_threshold: int = DEFAULT_SPILL_THRESHOLD,
     ):
         self.index = index
@@ -226,7 +173,6 @@ class ServiceShard:
         # it; both classify as role "main", so the lock is load-bearing
         # even though role inference sees a single role.
         self.draining = False  # guarded-by: self._lock  # lint: ignore[threadroles]
-        self.pacer = _ShardPacer(op_cost, clock=self._clock, sleeper=sleeper)
         metrics = service.metrics
         self._c_received = metrics.counter("shard.tasks_received",
                                            shard=str(index))

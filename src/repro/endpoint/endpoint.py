@@ -40,9 +40,6 @@ class Endpoint:
         live fabric provisions managers directly as threads).
     manager_latency:
         One-way agent↔manager channel latency, seconds.
-    manager_transfer_cost:
-        Per-transfer serial link occupancy on agent↔manager channels,
-        seconds (amortized by message coalescing).
     """
 
     def __init__(
@@ -54,7 +51,6 @@ class Endpoint:
         nodes: int = 1,
         provider: ExecutionProvider | None = None,
         manager_latency: float = 0.0,
-        manager_transfer_cost: float = 0.0,
         clock: Callable[[], float] | None = None,
         metrics: MetricsRegistry | None = None,
         sleeper: Callable[[float], None] | None = None,
@@ -64,7 +60,6 @@ class Endpoint:
         self.network = network or Network(clock=clock)
         self.provider = provider
         self.manager_latency = manager_latency
-        self.manager_transfer_cost = manager_transfer_cost
         self._clock = clock or time.monotonic  # clock-domain: monotonic
         self._sleep = sleeper or time.sleep
         self.metrics = metrics or MetricsRegistry(clock=self._clock)
@@ -89,9 +84,7 @@ class Endpoint:
     def _create_manager(self) -> Manager:
         manager_id = f"{self.endpoint_id[:8]}-mgr{next(self._node_seq)}"
         channel = self.network.create_channel(
-            f"agent<->{manager_id}", latency=self.manager_latency,
-            transfer_cost=self.manager_transfer_cost,
-        )
+            f"agent<->{manager_id}", latency=self.manager_latency)
         manager = Manager(
             manager_id=manager_id,
             channel=channel.left,

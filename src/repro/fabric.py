@@ -60,8 +60,6 @@ class DeploymentTimings:
         what message batching amortizes.
     manager_latency:
         One-way agent↔manager latency, s.
-    manager_transfer_cost:
-        Per-transfer serial occupancy of agent↔manager links, s.
     service_overhead:
         Synchronous per-request web-service processing time, s (the ts
         component: auth + store round trips).
@@ -70,7 +68,6 @@ class DeploymentTimings:
     service_endpoint_latency: float = 0.0
     service_endpoint_transfer_cost: float = 0.0
     manager_latency: float = 0.0
-    manager_transfer_cost: float = 0.0
     service_overhead: float = 0.0
 
 
@@ -212,7 +209,6 @@ class LocalDeployment:
             nodes=nodes,
             provider=provider,
             manager_latency=self.timings.manager_latency,
-            manager_transfer_cost=self.timings.manager_transfer_cost,
             metrics=self.metrics,
         )
         handle = _EndpointHandle(endpoint=endpoint, forwarder=forwarder)

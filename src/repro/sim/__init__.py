@@ -3,7 +3,7 @@
 The paper's scale experiments run on Theta (4392 KNL nodes) and Cori
 (9688 KNL nodes) with up to 131,072 concurrent containers — hardware this
 reproduction does not have.  Per the substitution rule, this package
-drives the *same protocol logic* (hierarchical queueing, advertisements,
+models the paper's protocol logic (hierarchical queueing, advertisements,
 prefetching, internal batching, heartbeats, failure recovery,
 memoization) under a discrete-event kernel with platform models
 calibrated to the paper's measured ceilings, so every scaling, elasticity

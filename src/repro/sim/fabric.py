@@ -17,7 +17,6 @@ the event count stays linear in tasks, not tasks × managers.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -43,7 +42,6 @@ class SimTask:
         "dispatched",
         "started",
         "completed",
-        "delivered",
         "attempts",
         "memo_hit",
     )
@@ -59,18 +57,12 @@ class SimTask:
         self.dispatched = -1.0
         self.started = -1.0
         self.completed = -1.0
-        self.delivered = -1.0
         self.attempts = 0
         self.memo_hit = False
 
     @property
     def latency(self) -> float:
         return self.completed - self.created
-
-    @property
-    def delivery_latency(self) -> float:
-        """Client-observed latency (result-delivery runs only)."""
-        return self.delivered - self.created
 
 
 @dataclass(frozen=True)
@@ -97,10 +89,6 @@ class SimReport:
     events_processed: int
     memo_hits: int = 0
     reexecutions: int = 0
-    #: Client-observed latencies (``delivered - created``); ``None``
-    #: unless the fabric models result delivery (push or poll).
-    delivery_latencies: np.ndarray | None = None
-    results_delivered: int = 0
 
     def latency_timeline(self, bin_width: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
         """Mean task latency per completion-time bin (figures 7 and 8)."""
@@ -160,15 +148,6 @@ class SimFabric:
         When False the advertisement requests exactly ``prefetch`` tasks
         per cycle — the §5.5.5 experiment, whose x-axis is the per-node
         prefetch count itself.
-    adaptive_batching:
-        Nagle-style wave hold-down, the same policy the live forwarder
-        runs: when the pending backlog is below the fill target
-        (dispatch chunk ∧ aggregate manager credit) the agent defers the
-        wave by ``hold_scale × agent_dispatch_overhead`` so trickling
-        arrivals coalesce into fuller, fewer dispatch events.  Off by
-        default so the published figure experiments replay unchanged.
-    hold_scale:
-        The hold budget as a multiple of the per-task dispatch overhead.
     memoize:
         Enable the service-side memoization cache.
     memo_prewarmed:
@@ -177,19 +156,6 @@ class SimFabric:
         a deterministic 1 s function always hit.
     heartbeat_period, heartbeat_grace:
         Failure-detection parameters (§5.4).
-    result_delivery:
-        ``None`` (default) stops the clock when the result lands at the
-        agent, matching the published figure experiments.  ``"push"``
-        mirrors the live result stream: the client sees the result one
-        ``result_latency`` after it reaches the service.  ``"poll"``
-        quantizes visibility to the client's next poll tick — the result
-        becomes observable at the first multiple of ``poll_interval``
-        at or after its arrival, adding ``poll_interval/2`` expected
-        delay on top of the link latency.
-    result_latency:
-        One-way service → client link latency (seconds).
-    poll_interval:
-        The polling client's period (seconds; ``"poll"`` mode only).
     """
 
     #: Max tasks dispatched per agent event (bounds event count; the
@@ -204,36 +170,19 @@ class SimFabric:
         prefetch: int = 0,
         internal_batching: bool = True,
         advertise_idle: bool = True,
-        adaptive_batching: bool = False,
-        hold_scale: float = 4.0,
         memoize: bool = False,
         memo_prewarmed: bool = True,
         heartbeat_period: float = 1.0,
         heartbeat_grace: int = 3,
         seed: int | None = None,
-        result_delivery: str | None = None,
-        result_latency: float = 0.001,
-        poll_interval: float = 0.01,
-        service_shards: int = 1,
     ):
         if managers < 1:
             raise ValueError("need at least one manager")
-        if service_shards < 1:
-            raise ValueError("need at least one service shard")
-        if result_delivery not in (None, "push", "poll"):
-            raise ValueError("result_delivery must be None, 'push' or 'poll'")
-        if result_delivery == "poll" and poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
         self.platform = platform
         self.loop = EventLoop()
         self.prefetch = prefetch
         self.internal_batching = internal_batching
         self.advertise_idle = advertise_idle
-        self.adaptive_batching = adaptive_batching
-        self.hold_scale = hold_scale
-        self._flush_at: float | None = None
-        self.waves_dispatched = 0
-        self.waves_held = 0
         self.memoize = memoize
         self.memo_prewarmed = memo_prewarmed
         self.heartbeat_period = heartbeat_period
@@ -247,14 +196,7 @@ class SimFabric:
         self.endpoint_alive = True
         self._service_held: deque[SimTask] = deque()
         self._agent_busy = False
-        # Sharded service plane mirror: each shard is an independent
-        # serialized pipeline, so N shards give N-way admission
-        # parallelism (the live fabric's ``ServiceConfig.shards``).
-        # Arrivals round-robin across shards — the analytic analogue of
-        # hashing task ids over the consistent-hash ring.
-        self.service_shards = service_shards
-        self._service_available_at = [0.0] * service_shards
-        self._next_shard = 0
+        self._service_available_at = 0.0
         self._memo_cache: set[int] = set()
         self._memo_seen: set[int] = set()
         # results
@@ -263,10 +205,6 @@ class SimFabric:
         self.memo_hits = 0
         self.reexecutions = 0
         self._first_submit: float | None = None
-        self.result_delivery = result_delivery
-        self.result_latency = result_latency
-        self.poll_interval = poll_interval
-        self.results_delivered = 0
 
     # ------------------------------------------------------------------
     # configuration helpers
@@ -338,14 +276,11 @@ class SimFabric:
                 self.pending.append(task)
             self._try_dispatch()
             return
-        # Serialized service pipeline(s): each request costs
-        # service_overhead on its shard; shards proceed independently.
+        # Serialized service pipeline: each request costs service_overhead.
         overhead = self.platform.service_overhead
         for task in tasks:
-            shard = self._next_shard
-            self._next_shard = (shard + 1) % self.service_shards
-            t = max(now, self._service_available_at[shard]) + overhead
-            self._service_available_at[shard] = t
+            t = max(now, self._service_available_at) + overhead
+            self._service_available_at = t
             if self.memoize and task.memo_key is not None and self._memo_lookup(task):
                 task.memo_hit = True
                 self.memo_hits += 1
@@ -368,7 +303,6 @@ class SimFabric:
         task.service_done = self.loop.now
         task.completed = self.loop.now
         self.completed.append(task)
-        self._schedule_delivery(task)
 
     def _enter_pending(self, task: SimTask) -> None:
         task.service_done = self.loop.now
@@ -381,35 +315,9 @@ class SimFabric:
     # ------------------------------------------------------------------
     # agent dispatch pipeline
     # ------------------------------------------------------------------
-    def _aggregate_credit(self) -> int:
-        """Endpoint-wide credit: the in-flight budget across live nodes."""
-        return sum(m.credit for m in self.managers if m.alive)
-
     def _try_dispatch(self) -> None:
         if self._agent_busy or not self.endpoint_alive or not self.pending:
             return
-        if self.adaptive_batching:
-            if self._flush_at is not None:
-                return  # a held wave is already scheduled to flush
-            hold = self.hold_scale * self.platform.agent_dispatch_overhead
-            fill = min(self.DISPATCH_CHUNK, max(1, self._aggregate_credit()))
-            if hold > 0 and len(self.pending) < fill:
-                # Underfilled wave: hold it (bounded) so trickling
-                # arrivals coalesce into one dispatch event.
-                self._flush_at = self.loop.now + hold
-                self.waves_held += 1
-                self.loop.schedule(hold, self._flush_wave)
-                return
-        self._dispatch_wave()
-
-    def _flush_wave(self) -> None:
-        """A hold expired: dispatch whatever filled in, no re-holding."""
-        self._flush_at = None
-        if self._agent_busy or not self.endpoint_alive or not self.pending:
-            return
-        self._dispatch_wave()
-
-    def _dispatch_wave(self) -> None:
         assignments: list[tuple[SimTask, _SimManager]] = []
         ready = self._ready
         while self.pending and len(assignments) < self.DISPATCH_CHUNK and ready:
@@ -427,7 +335,6 @@ class SimFabric:
         if not assignments:
             return
         self._agent_busy = True
-        self.waves_dispatched += 1
         cost = len(assignments) * self.platform.agent_dispatch_overhead
         self.loop.schedule(cost, self._finish_dispatch, assignments)
 
@@ -516,27 +423,6 @@ class SimFabric:
             self._memo_cache.add(task.memo_key)
         task.completed = self.loop.now
         self.completed.append(task)
-        self._schedule_delivery(task)
-
-    # ------------------------------------------------------------------
-    # result delivery to the client (push stream vs poll loop)
-    # ------------------------------------------------------------------
-    def _schedule_delivery(self, task: SimTask) -> None:
-        if self.result_delivery is None:
-            return
-        visible = self.loop.now + self.result_latency
-        if self.result_delivery == "poll":
-            # The client only looks at poll ticks: visibility rounds up
-            # to the next multiple of the poll interval.
-            ticks = math.ceil(visible / self.poll_interval - 1e-12)
-            visible = max(visible, ticks * self.poll_interval)
-        self.loop.at(visible, self._deliver_result, task)
-
-    def _deliver_result(self, task: SimTask) -> None:
-        if task.delivered >= 0:
-            return  # duplicate delivery from a superseded attempt
-        task.delivered = self.loop.now
-        self.results_delivered += 1
 
     # ------------------------------------------------------------------
     # failure injection (§5.4)
@@ -643,12 +529,6 @@ class SimFabric:
         start = self._first_submit or 0.0
         end = float(completions.max()) if completions.size else start
         span = max(end - start, 1e-12)
-        delivery = None
-        if self.result_delivery is not None:
-            delivery = np.array(
-                [t.delivery_latency for t in self.completed if t.delivered >= 0],
-                dtype=float,
-            )
         return SimReport(
             completion_time=end - start,
             tasks_completed=len(self.completed),
@@ -658,6 +538,4 @@ class SimFabric:
             events_processed=self.loop.events_processed,
             memo_hits=self.memo_hits,
             reexecutions=self.reexecutions,
-            delivery_latencies=delivery,
-            results_delivered=self.results_delivered,
         )

@@ -1,9 +1,9 @@
 """Topic-based publish/subscribe for monitoring streams.
 
 The funcX service exposes task-state monitoring; internally we fan state
-transitions out on topics (``task.<id>``, ``endpoint.<id>``) so that
-clients, the elasticity strategy, and test instrumentation can observe the
-system without polling the store.
+transitions out on ``task.<id>`` topics so that clients, the event log,
+the usage ledger and test instrumentation can observe the system without
+polling the store.
 """
 
 from __future__ import annotations

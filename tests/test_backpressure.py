@@ -12,9 +12,9 @@ the in-flight population without bound.  This module proves it three ways:
   releases from lease-timeout redelivery and manager death), and the
   wave policy's hold is always bounded so a stalled consumer can never
   deadlock dispatch (liveness via injectable clocks);
-* live/sim parity — the same policy on a real :class:`LocalDeployment`
-  and in the DES, plus the flow-control-off configuration reproducing
-  the pre-credit behavior exactly.
+* live credit flow — the same policy on a real :class:`LocalDeployment`:
+  the forwarder's window converges to the agent's advertisement and a
+  mismatch sheds into the service queue.
 
 Selected with ``pytest -m chaos`` alongside the fault-plan runs.
 """
@@ -30,10 +30,7 @@ from hypothesis import strategies as st
 from repro import DeploymentTimings, EndpointConfig, LocalDeployment
 from repro.chaos import FaultPlan, FaultStep
 from repro.core.flowcontrol import CreditLedger, WavePolicy
-from repro.sim import SimFabric
-from repro.sim.platform import THETA
 from repro.store.queues import ReliableQueue
-from repro.workloads.generators import uniform_rate_arrivals
 
 pytestmark = pytest.mark.chaos
 
@@ -400,37 +397,3 @@ class TestLiveCreditFlow:
             futures = [client.submit(fid, ep, i) for i in range(30)]
             assert [f.result(timeout=15) for f in futures] == \
                 [i * 2 for i in range(30)]
-
-
-class TestSimAdaptiveParity:
-    """The DES exercises the same hold-down policy (opt-in)."""
-
-    def test_adaptive_sim_coalesces_trickling_arrivals(self):
-        def build(adaptive):
-            fab = SimFabric(THETA, managers=2, workers_per_manager=4,
-                            prefetch=4, adaptive_batching=adaptive)
-            fab.submit_stream(uniform_rate_arrivals(
-                rate=2000, total=200, duration=0.001))
-            return fab
-
-        plain = build(adaptive=False)
-        plain_report = plain.run()
-        adaptive = build(adaptive=True)
-        adaptive_report = adaptive.run()
-
-        assert plain_report.tasks_completed == 200
-        assert adaptive_report.tasks_completed == 200
-        # The hold-down actually engaged and produced fewer, fuller waves.
-        assert adaptive.waves_held > 0
-        assert adaptive.waves_dispatched < plain.waves_dispatched
-        # Coalescing trades a bounded hold for batching, not throughput:
-        # the run may not finish meaningfully later than the eager one.
-        assert adaptive_report.completion_time <= \
-            plain_report.completion_time * 1.2 + 0.05
-
-    def test_adaptive_off_by_default(self):
-        fab = SimFabric(THETA, managers=1)
-        assert fab.adaptive_batching is False
-        fab.submit_batch(10, duration=0.0)
-        fab.run()
-        assert fab.waves_held == 0

@@ -325,14 +325,17 @@ class TestDispatchBatching:
 class TestFunctionBufferCache:
     """Batch dispatch ships each function body once and caches per agent."""
 
-    def test_buffer_shipped_once_per_batch(self, world):
-        for i in range(5):
+    # 128 is the wave the retired 2x e2e gate drove: what made it fast is
+    # this count — one transfer and one body for the whole wave.
+    @pytest.mark.parametrize("count", [5, 128])
+    def test_buffer_shipped_once_per_batch(self, world, count):
+        for i in range(count):
             submit(world, i)
         connect_agent(world)
         world.forwarder.step()
         (envelope,) = [m for m in world.agent.recv_all_ready()
                        if isinstance(m, TaskBatchMessage)]
-        assert len(envelope.tasks) == 5
+        assert len(envelope.tasks) == count
         assert list(envelope.function_buffers) == [world.function_id]
         assert all(t.function_buffer == b"" for t in envelope.tasks)
 

@@ -1,17 +1,25 @@
-"""Guard on the endpoint's configuration space.
+"""Guard on the configuration space.
 
 ``EndpointConfig`` carries the switches the paper ablates and no others:
 every extra on/off field doubles the configurations the tests and
-benchmarks would have to cover.
+benchmarks would have to cover.  The same holds for the options that
+existed only to be measured by a retired gate (``shard_op_cost``), that
+nothing ever set (``manager_transfer_cost``) or that hand-copied a live
+policy into the simulator: they are gone, not defaulted.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import pytest
 
+from repro import DeploymentTimings
+from repro.core.service import ServiceConfig
 from repro.endpoint.config import EndpointConfig
+from repro.sim import SimFabric
+from repro.sim.platform import CORI
 
 REMOVED = ("message_batching", "event_driven", "adaptive_batching",
            "flow_control")
@@ -27,3 +35,19 @@ def test_internal_batching_is_the_only_boolean_field():
 def test_removed_compatibility_switches_are_rejected(name):
     with pytest.raises(TypeError):
         EndpointConfig(**{name: True})
+
+
+REMOVED_ELSEWHERE = [
+    (ServiceConfig, "shard_op_cost"),
+    (DeploymentTimings, "manager_transfer_cost"),
+    *((functools.partial(SimFabric, CORI, managers=1), name)
+      for name in ("adaptive_batching", "hold_scale", "result_delivery",
+                   "result_latency", "poll_interval", "service_shards")),
+]
+
+
+@pytest.mark.parametrize("build, name", REMOVED_ELSEWHERE,
+                         ids=[name for _build, name in REMOVED_ELSEWHERE])
+def test_removed_measurement_and_mirror_options_are_rejected(build, name):
+    with pytest.raises(TypeError):
+        build(**{name: 1})

@@ -2,9 +2,10 @@
 
 Covers the consistent-hash :class:`~repro.core.shard.ShardMap`, the
 per-shard O(1) accounting block (the satellite fix for the old
-full-table scans), drain/kill/restart lifecycle, and the facade's
-cross-shard routing — including a live multi-shard deployment pushing
-results through the stream router.
+full-table scans), drain/kill/restart lifecycle, shard independence
+(one shard's task lifecycle takes no other shard's lock), and the
+facade's cross-shard routing — including a live multi-shard deployment
+pushing results through the stream router.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ import uuid
 
 import pytest
 
+from repro.analysis.sanitizer import LockOrderRecorder, sanitize_lock
 from repro.auth import AuthService
 from repro.core.service import FuncXService, ServiceConfig
-from repro.core.shard import ShardMap, _ShardPacer
+from repro.core.shard import ShardMap
 from repro.core.tasks import TaskState
 from repro.errors import ShardDraining, TaskNotFound
 from repro.serialize import FuncXSerializer
@@ -106,26 +108,6 @@ class TestShardMap:
         smap = ShardMap(2)
         # "-s9" looks like a tag but names a shard that does not exist.
         assert 0 <= smap.shard_for_task("abc-s9") < 2
-
-
-# ----------------------------------------------------------------------
-# _ShardPacer
-# ----------------------------------------------------------------------
-class TestShardPacer:
-    def test_zero_cost_never_sleeps(self):
-        sleeps: list[float] = []
-        pacer = _ShardPacer(0.0, clock=lambda: 0.0, sleeper=sleeps.append)
-        pacer.charge()
-        pacer.charge(10)
-        assert sleeps == []
-
-    def test_serial_occupancy_accumulates(self):
-        sleeps: list[float] = []
-        pacer = _ShardPacer(0.5, clock=lambda: 0.0, sleeper=sleeps.append)
-        pacer.charge()      # busy until 0.5
-        pacer.charge()      # queues behind: busy until 1.0
-        pacer.charge(2)     # two ops: busy until 2.0
-        assert sleeps == [0.5, 1.0, 2.0]
 
 
 # ----------------------------------------------------------------------
@@ -246,6 +228,42 @@ class TestShardedFacade:
         assert totals["received"] == service.tasks_received == 12
         assert totals["terminated"] == 5
         assert totals["open"] == len(service.iter_tasks()) - 5
+
+
+# ----------------------------------------------------------------------
+# nothing in the plane serializes: one shard's traffic is one shard's work
+# ----------------------------------------------------------------------
+class TestShardIndependence:
+    def test_lifecycle_on_one_shard_never_touches_the_others(self):
+        service = make_service(4)
+        token = user_token(service)
+        fid = register_noop(service, token)
+        eps = [endpoint_on(service, index) for index in range(4)]
+        # Recorders go on after setup: registering an endpoint takes its
+        # home shard's lock once, which is not per-task work.
+        busy, idle = LockOrderRecorder(), LockOrderRecorder()
+        sanitize_lock(service.shards[0], busy)
+        for shard in service.shards[1:]:
+            sanitize_lock(shard, idle)
+
+        payload = FuncXSerializer().serialize(([1], {}))
+        ids = service.submit_batch(token, [(fid, eps[0], payload)] * 32)
+        queue = service.task_queue(eps[0])
+        leases = queue.lease_many(32)
+        assert [lease.item for lease in leases] == ids
+        shard = service.shards[0]
+        service.tasks_dispatched(shard.get_tasks(ids))
+        verdicts = service.complete_tasks(
+            shard, [(task_id, True, b"r", None, 0.0, 0.0) for task_id in ids])
+        assert verdicts == [True] * 32
+        assert queue.ack_many([lease.lease_id for lease in leases]) == 32
+
+        assert busy.acquisitions > 0
+        assert idle.acquisitions == 0
+        assert shard.counters() == {
+            "received": 32, "terminated": 32, "forgotten_open": 0, "open": 0}
+        for other in service.shards[1:]:
+            assert set(other.counters().values()) == {0}
 
 
 # ----------------------------------------------------------------------

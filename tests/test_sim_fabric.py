@@ -284,56 +284,3 @@ class TestRecoveryRaces:
         report = fab.run()
         assert report.tasks_completed == 80
         assert len({t.task_id for t in fab.completed}) == 80
-
-
-class TestResultDelivery:
-    """The DES mirror of the push vs poll result paths."""
-
-    @staticmethod
-    def _run(mode, **kwargs):
-        fab = SimFabric(THETA, managers=1, workers_per_manager=4,
-                        result_delivery=mode, result_latency=0.001,
-                        poll_interval=0.01, **kwargs)
-        fab.submit_batch(100, duration=0.01)
-        return fab.run()
-
-    def test_default_models_no_delivery(self):
-        fab = SimFabric(THETA, managers=1, workers_per_manager=4)
-        fab.submit_batch(10, duration=0.01)
-        report = fab.run()
-        # Published figures replay unchanged: no delivery leg by default.
-        assert report.delivery_latencies is None
-        assert report.results_delivered == 0
-        assert all(t.delivered < 0 for t in fab.completed)
-
-    def test_push_adds_exactly_the_link_latency(self):
-        report = self._run("push")
-        assert report.results_delivered == 100
-        extra = report.delivery_latencies - report.latencies
-        assert extra == pytest.approx(0.001)
-
-    def test_poll_quantizes_to_the_next_tick(self):
-        report = self._run("poll")
-        assert report.results_delivered == 100
-        # Deliveries land at or after the result is visible at the
-        # client, within one full tick of it.
-        extra = report.delivery_latencies - report.latencies
-        assert (extra >= 0.001 - 1e-9).all()
-        assert extra.max() <= 0.001 + 0.01 + 1e-9  # link + one full tick
-
-    def test_push_beats_poll(self):
-        push = self._run("push")
-        poll = self._run("poll")
-        import numpy as np
-        assert (np.median(push.delivery_latencies)
-                < np.median(poll.delivery_latencies))
-        # Poll pays about half a tick extra on average.
-        assert (poll.delivery_latencies.mean() - push.delivery_latencies.mean()
-                > 0.001)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SimFabric(THETA, managers=1, result_delivery="websocket")
-        with pytest.raises(ValueError):
-            SimFabric(THETA, managers=1, result_delivery="poll",
-                      poll_interval=0.0)

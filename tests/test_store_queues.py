@@ -1,10 +1,14 @@
-"""Unit tests for the reliable (at-least-once) queue."""
+"""Unit tests for the reliable (at-least-once) queue and its lane-fair
+subclass."""
 
 from __future__ import annotations
 
 import threading
 
+import pytest
+
 from repro.store import ReliableQueue
+from repro.store.queues import FairReliableQueue
 
 
 class TestBasicFifo:
@@ -242,3 +246,51 @@ class TestLeaseExpirySemantics:
             assert q.conservation_delta() == 0
         assert q.total_acked == 4
         assert q.total_acked + len(q) + q.in_flight == q.total_enqueued
+
+
+class TestFairDequeue:
+    """Deficit-round-robin across lanes, as exact dequeue counts."""
+
+    @pytest.mark.parametrize("weights, share", [
+        ({}, (6, 6)),
+        ({"aggressive": 3.0}, (9, 3)),
+    ], ids=["equal", "3:1"])
+    def test_backlogged_lanes_split_every_window_by_weight(
+            self, clock, weights, share):
+        q = FairReliableQueue(
+            clock=clock, weight_for=lambda lane: weights.get(lane, 1.0))
+        # Offered load is 10:1; service must follow the weights instead.
+        for i in range(60):
+            q.put_many([f"a{i}.{j}" for j in range(10)], lane="aggressive")
+            q.put(f"p{i}", lane="polite")
+        # polite holds 60 items and gets at most 6 of a window's 12, so
+        # both lanes are backlogged through all ten windows.
+        for _ in range(10):
+            lanes = [lease.lane for lease in q.lease_many(12)]
+            assert (lanes.count("aggressive"), lanes.count("polite")) == share
+
+    def test_nack_returns_to_the_front_of_its_own_lane(self, clock):
+        q = FairReliableQueue(clock=clock)
+        q.put_many(["a1", "a2"], lane="a")
+        q.put_many(["b1", "b2"], lane="b")
+        first = q.lease()
+        assert first.item == "a1"
+        q.nack(first.lease_id)
+        leases = q.lease_many(4)
+        assert [l.item for l in leases if l.lane == "a"] == ["a1", "a2"]
+        assert [l.item for l in leases if l.lane == "b"] == ["b1", "b2"]
+        assert {l.item: l.deliveries for l in leases}["a1"] == 2
+
+    def test_drained_lane_forfeits_its_deficit(self, clock):
+        q = FairReliableQueue(
+            clock=clock, weight_for={"heavy": 3.0, "light": 1.0}.get)
+        q.put_many([f"l{i}" for i in range(8)], lane="light")
+        q.put("h0", lane="heavy")
+        # heavy earns 3 slots, spends 1 on h0 and runs dry with 2 unspent.
+        assert [l.lane for l in q.lease_many(2)] == ["light", "heavy"]
+        q.put_many([f"h{i}" for i in range(1, 7)], lane="heavy")
+        # It comes back as a new lane would: it waits for a top-up, then
+        # takes exactly its 3 per round.  Banked slots would put "h"
+        # second, or make the first run 5 long.
+        order = "".join(lease.lane[0] for lease in q.lease_many(9))
+        assert order == "llhhhlhhh"
