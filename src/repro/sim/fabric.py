@@ -10,9 +10,12 @@ Reproduces the agent-level behaviour the paper evaluates at scale:
 * heartbeat-based failure detection with task re-execution for manager
   and endpoint failures (§5.4).
 
-The simulation tracks each task individually (a 1.3M-task weak-scaling
-run processes a few million events) but dispatches in bounded chunks so
-the event count stays linear in tasks, not tasks × managers.
+The simulation tracks each task individually — a 1.3M-task weak-scaling
+run fires 5.3M logical events, four per task — but moves tasks through
+every hop (arrival, finish, result, credit return) as the wave they were
+dispatched in, so the heap sees ~100k entries for that run: five per
+dispatch chunk, not four per task.  Tasks whose timings differ travel as
+waves of one; the schedule is the same either way.
 """
 
 from __future__ import annotations
@@ -95,10 +98,12 @@ class SimReport:
         if self.completion_times.size == 0:
             return np.array([]), np.array([])
         bins = np.floor(self.completion_times / bin_width).astype(int)
-        unique = np.unique(bins)
-        centers = (unique + 0.5) * bin_width
-        means = np.array([self.latencies[bins == b].mean() for b in unique])
-        return centers, means
+        first = bins.min()
+        bins -= first
+        counts = np.bincount(bins)
+        occupied = np.flatnonzero(counts)
+        sums = np.bincount(bins, weights=self.latencies)[occupied]
+        return (occupied + first + 0.5) * bin_width, sums / counts[occupied]
 
 
 class _SimManager:
@@ -341,88 +346,125 @@ class SimFabric:
     def _finish_dispatch(self, assignments: list[tuple[SimTask, _SimManager]]) -> None:
         self._agent_busy = False
         now = self.loop.now
+        join = self.loop.join
         travel = self.platform.dispatch_latency
         for task, manager in assignments:
             task.dispatched = now
             task.attempts += 1
             self._outstanding[task] = manager
-            self.loop.schedule(travel, self._arrive_at_manager, task, manager, task.attempts)
+            join(travel, self._arrive_at_managers, (task, manager, task.attempts))
         self._try_dispatch()
 
     # ------------------------------------------------------------------
     # manager / worker behaviour
     # ------------------------------------------------------------------
-    def _arrive_at_manager(self, task: SimTask, manager: _SimManager, attempt: int) -> None:
-        if task.attempts != attempt or task.completed >= 0:
-            return  # stale delivery from a pre-failure dispatch
-        if not manager.alive or not self.endpoint_alive:
-            # Delivered into a component that already failed: the failure
-            # sweep has run, so the watchdog reclaims it on its next pass.
-            self._outstanding.pop(task, None)
-            self.loop.schedule(self.detection_delay, self._reexecute,
-                               [(task, task.attempts)])
-            return
-        cold = 0.0
-        if task.container_key not in manager.deployed:
-            manager.deployed.add(task.container_key)
-            cold = self.platform.container_cold_start
-        if manager.idle > 0:
-            manager.idle -= 1
-            self._start_task(task, manager, cold)
-        else:
-            manager.queue.append(task)
+    # The handlers below take a wave — the items ``EventLoop.join`` put on
+    # one heap entry because they fire at the same instant — and walk it in
+    # schedule order: a dispatch chunk when durations are equal, a single
+    # task when they differ.
+    def _arrive_at_managers(self, wave: list[tuple[SimTask, _SimManager, int]]) -> None:
+        for task, manager, attempt in wave:
+            if task.attempts != attempt or task.completed >= 0:
+                continue  # stale delivery from a pre-failure dispatch
+            if not manager.alive or not self.endpoint_alive:
+                # Delivered into a component that already failed: the failure
+                # sweep has run, so the watchdog reclaims it on its next pass.
+                self._outstanding.pop(task, None)
+                self.loop.schedule(self.detection_delay, self._reexecute,
+                                   [(task, task.attempts)])
+                continue
+            cold = 0.0
+            if task.container_key not in manager.deployed:
+                manager.deployed.add(task.container_key)
+                cold = self.platform.container_cold_start
+            if manager.idle > 0:
+                manager.idle -= 1
+                self.loop.join(self._start_task(task, manager, cold),
+                               self._finish_tasks, (task, manager))
+            else:
+                manager.queue.append(task)
 
-    def _start_task(self, task: SimTask, manager: _SimManager, cold: float = 0.0) -> None:
+    def _start_task(self, task: SimTask, manager: _SimManager, cold: float = 0.0) -> float:
+        """Occupy a worker now; returns the delay to the task's finish."""
         task.started = self.loop.now
         manager.running.add(task)
-        runtime = cold + task.duration + self.platform.worker_overhead
-        self.loop.schedule(runtime, self._finish_task, task, manager, task.attempts)
+        return cold + task.duration + self.platform.worker_overhead
 
-    def _finish_task(self, task: SimTask, manager: _SimManager, attempt: int) -> None:
-        if task not in manager.running:
-            return  # lost with a failed component; the slot was reset
-        # The worker genuinely ran this attempt, so the slot is always
-        # freed; the *result* is sent even for superseded attempts (a real
-        # worker cannot know it was re-dispatched) and deduplicated at the
-        # agent — first completion wins (at-least-once semantics).
-        manager.running.discard(task)
-        self.loop.schedule(
-            self.platform.dispatch_latency + self.platform.agent_result_overhead,
-            self._result_at_agent,
-            task,
-        )
-        # The freed slot's capacity becomes visible to the agent after an
-        # advertisement round trip; a queued (prefetched) task starts now.
-        if manager.queue:
-            next_task = manager.queue.popleft()
-            self._start_task(next_task, manager)
-        else:
-            manager.idle += 1
+    def _finish_tasks(self, wave: list[tuple[SimTask, _SimManager]]) -> None:
+        # State changes task by task, in wave order; only the *scheduling*
+        # is grouped by kind — results, then the finishes of queued tasks
+        # that start now, then credit returns — so that a wave's results
+        # ride on one event and its credits on another.  ``seq`` order
+        # shows only between events that fire at the same instant.
+        # Results may go first whatever ties: a hand-off to the agent
+        # schedules nothing and touches only ``_outstanding``/``completed``/
+        # ``_memo_cache``, which no finish or credit return reads.  A
+        # finish may go ahead of the credit returns only if it fires at
+        # another instant; one that fires *with* them keeps its place
+        # (the flush in the loop).  docs/PERFORMANCE.md §13 has the argument.
+        join = self.loop.join
+        result_delay = self.platform.dispatch_latency + self.platform.agent_result_overhead
         refill = (
             self.platform.manager_cycle
             if self.internal_batching
             else self.platform.single_task_cycle
         )
-        self.loop.schedule(refill, self._return_credit, manager)
+        started: list[tuple[float, tuple[SimTask, _SimManager]]] = []
+        freed: list[_SimManager] = []
 
-    def _return_credit(self, manager: _SimManager) -> None:
-        if not manager.alive:
-            return
-        cap = self._initial_credit(manager.workers)
-        before = manager.credit
-        manager.credit = min(cap, manager.credit + 1)
-        if before == 0 and manager.credit > 0:
-            self._ready.append(manager)
-        self._try_dispatch()
+        def flush() -> None:
+            for runtime, item in started:
+                join(runtime, self._finish_tasks, item)
+            for manager in freed:
+                join(refill, self._return_credits, manager)
+            started.clear()
+            freed.clear()
 
-    def _result_at_agent(self, task: SimTask) -> None:
-        self._outstanding.pop(task, None)
-        if task.completed >= 0:
-            return  # duplicate result from a superseded attempt
-        if self.memoize and task.memo_key is not None:
-            self._memo_cache.add(task.memo_key)
-        task.completed = self.loop.now
-        self.completed.append(task)
+        for task, manager in wave:
+            if task not in manager.running:
+                continue  # lost with a failed component; the slot was reset
+            # The worker genuinely ran this attempt, so the slot is always
+            # freed; the *result* is sent even for superseded attempts (a
+            # real worker cannot know it was re-dispatched) and
+            # deduplicated at the agent — first completion wins
+            # (at-least-once semantics).
+            manager.running.discard(task)
+            join(result_delay, self._results_at_agent, task)
+            # The freed slot's capacity becomes visible to the agent after
+            # an advertisement round trip; a queued (prefetched) task
+            # starts now.
+            if manager.queue:
+                queued = manager.queue.popleft()
+                runtime = self._start_task(queued, manager)
+                if runtime == refill:
+                    flush()
+                started.append((runtime, (queued, manager)))
+            else:
+                manager.idle += 1
+            freed.append(manager)
+        flush()
+
+    def _return_credits(self, wave: list[_SimManager]) -> None:
+        for manager in wave:
+            if not manager.alive:
+                continue
+            cap = self._initial_credit(manager.workers)
+            before = manager.credit
+            manager.credit = min(cap, manager.credit + 1)
+            if before == 0 and manager.credit > 0:
+                self._ready.append(manager)
+            self._try_dispatch()
+
+    def _results_at_agent(self, wave: list[SimTask]) -> None:
+        now = self.loop.now
+        for task in wave:
+            self._outstanding.pop(task, None)
+            if task.completed >= 0:
+                continue  # duplicate result from a superseded attempt
+            if self.memoize and task.memo_key is not None:
+                self._memo_cache.add(task.memo_key)
+            task.completed = now
+            self.completed.append(task)
 
     # ------------------------------------------------------------------
     # failure injection (§5.4)
