@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any
-
-from repro.core.service import FuncXService
-from repro.core.tasks import TaskState
+from repro.core.service import TERMINAL_TOPIC, FuncXService
+from repro.core.tasks import Task, TaskState
 
 
 @dataclass
@@ -96,24 +94,20 @@ class UsageLedger:
             raise RuntimeError("ledger already attached")
         self._service = service
 
-        def on_task_event(topic: str, state: Any) -> None:
-            if state not in (TaskState.SUCCESS.value, TaskState.FAILED.value):
-                return
-            task_id = topic.split(".", 1)[1]
-            try:
-                task = service.task_by_id(task_id)
-            except Exception:
-                return
-            self.charge(
-                user_id=task.owner_id,
-                function_id=task.function_id,
-                endpoint_id=task.endpoint_id,
-                execution_seconds=float(task.metadata.get("execution_time", 0.0)),
-                failed=(state == TaskState.FAILED.value),
-                memo_hit=task.memo_hit,
-            )
+        def on_wave(_topic: str, tasks: list[Task]) -> None:
+            for task in tasks:
+                if task.state is TaskState.CANCELLED:
+                    continue  # never ran to an outcome: nothing to bill
+                self.charge(
+                    user_id=task.owner_id,
+                    function_id=task.function_id,
+                    endpoint_id=task.endpoint_id,
+                    execution_seconds=float(task.metadata.get("execution_time", 0.0)),
+                    failed=task.state is TaskState.FAILED,
+                    memo_hit=task.memo_hit,
+                )
 
-        self._subscription = service.pubsub.subscribe_prefix("task.", on_task_event)
+        self._subscription = service.pubsub.subscribe(TERMINAL_TOPIC, on_wave)
 
     def detach(self) -> None:
         if self._service is not None and self._subscription is not None:

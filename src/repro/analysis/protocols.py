@@ -152,7 +152,7 @@ SUBSCRIPTION_PROTOCOL = ProtocolSpec(
     check_id=SUBSCRIPTION_LIFECYCLE,
     resource="subscription(s)",
     release_verbs="unsubscribe/detach",
-    acquire_methods=frozenset({"subscribe", "subscribe_prefix"}),
+    acquire_methods=frozenset({"subscribe"}),
     release_methods=frozenset({"unsubscribe", "detach", "close"}),
     hint=(
         "every path to exit — error and raise paths included — must "
@@ -546,10 +546,9 @@ def check_span_lifecycle(source: SourceFile) -> Iterator[Finding]:
 
 
 def check_subscription_lifecycle(source: SourceFile) -> Iterator[Finding]:
-    """Every subscription opened via ``pubsub.subscribe``/
-    ``subscribe_prefix`` or a stream ``subscribe`` must reach
-    ``unsubscribe``/``detach``/``close`` on *every* path to function
-    exit — error and raise paths included.
+    """Every subscription opened via ``pubsub.subscribe`` or a stream
+    ``subscribe`` must reach ``unsubscribe``/``detach``/``close`` on
+    *every* path to function exit — error and raise paths included.
 
     A leaked pubsub token keeps delivering into a dead callback forever
     (the PR 7 ``_future_for`` leak class); a leaked stream subscription
@@ -849,8 +848,7 @@ def protocol_sites(sources: List[SourceFile]) -> Dict[str, Dict[str, List[str]]]
             if recv == _CREDIT_SPELLING and attr in {
                     "grant", "revoke", "consume", "release"}:
                 add("credit", attr, source, node)
-            elif recv == "pubsub" and attr in {"subscribe",
-                                               "subscribe_prefix"}:
+            elif recv == "pubsub" and attr == "subscribe":
                 add("subscription", "subscribe", source, node)
             elif recv == "pubsub" and attr == "unsubscribe":
                 add("subscription", "unsubscribe", source, node)

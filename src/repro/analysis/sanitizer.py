@@ -531,24 +531,18 @@ def sanitize_access(obj, recorder: AccessRecorder, attrs,
 def sanitize_pubsub(pubsub, recorder: ProtocolRecorder):
     """Record subscription-protocol events on a ``PubSub`` (idempotent).
 
-    Instance-level rebinds of ``subscribe``/``subscribe_prefix``/
-    ``unsubscribe``; an unsubscribe only counts when it actually removed
-    a token (the call is idempotent by contract), so the balance law
+    Instance-level rebinds of ``subscribe``/``unsubscribe``; an
+    unsubscribe only counts when it actually removed a token (the call
+    is idempotent by contract), so the balance law
     ``unsubscribes <= subscribes`` holds exactly.
     """
     if getattr(pubsub, "_protocol_recorder", None) is not None:
         return pubsub
     inner_subscribe = pubsub.subscribe
-    inner_prefix = pubsub.subscribe_prefix
     inner_unsubscribe = pubsub.unsubscribe
 
     def subscribe(topic, callback):
         token = inner_subscribe(topic, callback)
-        recorder.record("subscription", "subscribe")
-        return token
-
-    def subscribe_prefix(prefix, callback):
-        token = inner_prefix(prefix, callback)
         recorder.record("subscription", "subscribe")
         return token
 
@@ -559,7 +553,6 @@ def sanitize_pubsub(pubsub, recorder: ProtocolRecorder):
         return removed
 
     pubsub.subscribe = subscribe
-    pubsub.subscribe_prefix = subscribe_prefix
     pubsub.unsubscribe = unsubscribe
     pubsub._protocol_recorder = recorder
     return pubsub

@@ -22,8 +22,7 @@ from repro.auth.service import AuthClient, Identity
 from repro.core.batch import MAP_TAG, MapResult, partition_iterator
 from repro.core.futures import FuncXFuture
 from repro.core.service import FuncXService
-from repro.core.tasks import TaskState
-from repro.errors import TaskPending
+from repro.core.tasks import Task, TaskState
 from repro.serialize import FuncXSerializer
 from repro.serialize.traceback import RemoteExceptionWrapper
 
@@ -51,13 +50,11 @@ class FuncXClient:
         identity: Identity,
         scopes: Iterable[Scope] | None = None,
         clock: Callable[[], float] | None = None,
-        sleeper: Callable[[float], None] | None = None,
     ):
         self.service = service
         self._auth_client = AuthClient(service.auth, identity, scopes=scopes)
         self.serializer = FuncXSerializer()
         self._clock = clock or time.monotonic  # clock-domain: monotonic
-        self._sleep = sleeper or time.sleep
 
     @property
     def identity(self) -> Identity:
@@ -204,7 +201,7 @@ class FuncXClient:
 
         The service fans the lookup out across its shards (tasks in one
         batch routinely live on different shards — the shard map keys on
-        the target endpoint), so a polling client pays one round trip
+        the target endpoint), so the caller pays one round trip
         regardless of how the batch scattered.
         """
         states = self.service.status_batch(self._token(), task_ids)
@@ -235,7 +232,7 @@ class FuncXClient:
         future = FuncXFuture(task_id)
         future.bind_canceller(self.cancel)
 
-        def resolve(_topic: str, _message: Any) -> None:
+        def resolve(_task: Task) -> None:
             if future.done():
                 return
             try:
@@ -246,31 +243,9 @@ class FuncXClient:
                 except RuntimeError:
                     pass
 
-        token = self.service.pubsub.subscribe(f"task.{task_id}", resolve)
-        try:
-            future.add_done_callback(
-                lambda _f: self.service.pubsub.unsubscribe(token))
-            # The task may have completed before we subscribed (memo hits
-            # do).
-            task = self.service.task_by_id(task_id)
-            if task.state.terminal and not future.done():
-                try:
-                    future.set_result(self._fetch_value(task_id))
-                except RuntimeError:
-                    pass
-                except Exception as exc:
-                    try:
-                        future.set_exception(exc)
-                    except RuntimeError:
-                        pass
-        except BaseException:
-            # Nothing above may leak the subscription: if the done-callback
-            # never registered, nothing else will ever unsubscribe it.
-            # Unconditional on purpose — unsubscribe is idempotent, and a
-            # future that resolved *before* add_done_callback raised has no
-            # callback registered either.
-            self.service.pubsub.unsubscribe(token)
-            raise
+        # Fires from the completing wave — or right here if the task is
+        # already terminal (memo hits are).
+        self.service.shard_for_task(task_id).when_terminal(task_id, resolve)
         return future
 
     def _fetch_value(self, task_id: str) -> Any:
@@ -285,52 +260,21 @@ class FuncXClient:
         return FuncXExecutor(self, endpoint_id, **kwargs)
 
     # ------------------------------------------------------------------
-    def wait_for(self, task_id: str, timeout: float = 30.0, poll: float = 0.01) -> Any:
-        """Poll until the task completes; returns the deserialized result.
+    def wait_for(self, task_id: str, timeout: float = 30.0) -> Any:
+        """Block until the task completes; returns the deserialized
+        result, or raises :class:`~repro.errors.TaskPending` once
+        ``timeout`` seconds have passed."""
+        return self.get_result(task_id, timeout=timeout)
 
-        The per-iteration block is clamped to the *remaining* budget so
-        the call returns within ``timeout`` of being made, and one final
-        non-blocking check runs after the deadline — a task completing
-        exactly at the deadline yields its result, not ``TaskPending``.
-        """
-        deadline = self._clock() + timeout
-        while True:
-            remaining = deadline - self._clock()
-            if remaining <= 0:
-                break
-            try:
-                return self.get_result(task_id, timeout=min(0.5, remaining))
-            except TaskPending:
-                remaining = deadline - self._clock()
-                if remaining <= 0:
-                    break
-                self._sleep(min(poll, remaining))
-        try:
-            return self.get_result(task_id, timeout=0.0)
-        except TaskPending:
-            pass
-        raise TaskPending(task_id, self.get_status(task_id).value)
-
-    def wait_all(self, task_ids: list[str], timeout: float = 30.0,
-                 poll: float = 0.01) -> list[Any]:
+    def wait_all(self, task_ids: list[str], timeout: float = 30.0) -> list[Any]:
         """Wait for many tasks (any mix of shards); results in order.
 
-        Polls with :meth:`get_status_batch` — one fan-out request per
-        iteration instead of one request per task — then fetches each
-        result.  Raises :class:`TaskPending` for the first unfinished
-        task at the deadline.
+        One deadline covers the whole list.  Raises
+        :class:`~repro.errors.TaskPending` for the first task still
+        unfinished when it passes.
         """
         deadline = self._clock() + timeout
-        pending = set(task_ids)
-        while pending:
-            states = self.get_status_batch(sorted(pending))
-            pending = {tid for tid, state in states.items()
-                       if not state.terminal}
-            if not pending:
-                break
-            remaining = deadline - self._clock()
-            if remaining <= 0:
-                tid = sorted(pending)[0]
-                raise TaskPending(tid, self.get_status(tid).value)
-            self._sleep(min(poll, remaining))
-        return [self.get_result(tid, timeout=0.0) for tid in task_ids]
+        return [
+            self.get_result(tid, timeout=max(0.0, deadline - self._clock()))
+            for tid in task_ids
+        ]

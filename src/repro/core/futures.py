@@ -3,7 +3,8 @@
 "Functions are executed asynchronously: each invocation returns an
 identifier via which progress may be monitored and results retrieved"
 (paper section 3).  :class:`FuncXFuture` is the SDK-side handle: it
-resolves when the service publishes the task's terminal state.
+resolves when the wave that completes its task fires the waiter the
+client left on the record, or when the executor's stream delivers.
 """
 
 from __future__ import annotations
@@ -140,9 +141,9 @@ class FuncXFuture:
                     "cancel propagation failed for task %s", self.task_id)
         with self._lock:
             if self._event.is_set():
-                # The pubsub notification for our own cancellation can
-                # resolve the future before we re-acquire the lock; that
-                # is still *this* call's cancel, not a lost race.
+                # The waiter fired by our own cancellation can resolve
+                # the future before we re-acquire the lock; that is
+                # still *this* call's cancel, not a lost race.
                 if isinstance(self._exception, TaskCancelled):
                     self._cancelled = True
                     return True

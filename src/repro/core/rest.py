@@ -34,6 +34,11 @@ from repro.errors import (
 )
 
 
+#: Longest a ``GET .../result`` may park its server thread, seconds
+#: (``FuncXClient.wait_for``'s default budget).
+MAX_LONG_POLL = 30.0
+
+
 @dataclass(frozen=True)
 class Response:
     """An HTTP-shaped response."""
@@ -222,10 +227,11 @@ class RestApi:
     def _result(self, token: str, body: dict[str, Any], tid: str) -> Response:
         from repro.errors import TaskExecutionFailed
 
+        timeout = float(body.get("timeout", 0.0))
+        if not 0.0 <= timeout <= MAX_LONG_POLL:  # also refuses nan and inf
+            raise ValueError(f"timeout must be within 0..{MAX_LONG_POLL:g} s")
         try:
-            buffer = self.service.get_result(
-                token, tid, timeout=float(body.get("timeout", 0.0))
-            )
+            buffer = self.service.get_result(token, tid, timeout=timeout)
         except TaskExecutionFailed as exc:
             # Text-only failure (no serialized wrapper to hand back).
             return Response(200, {"task_id": tid, "status": "failed",

@@ -25,6 +25,7 @@ max-outstanding quotas, and DRR-fair dequeue across tenant lanes.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from dataclasses import dataclass
@@ -58,9 +59,14 @@ from repro.errors import (
 )
 from repro.metrics.registry import Histogram, MetricsRegistry
 from repro.observability.trace import TraceStore
-from repro.store.kvstore import KVStore
 from repro.store.pubsub import PubSub
 from repro.store.queues import ReliableQueue
+
+logger = logging.getLogger(__name__)
+
+#: The one monitoring topic: :meth:`FuncXService._retire` publishes each
+#: wave's terminal :class:`Task` records on it, once per wave.
+TERMINAL_TOPIC = "tasks.terminal"
 
 #: One task outcome as a forwarder reports it: ``(task_id, success,
 #: result_buffer, exception_text, execution_time, result_return_time)``.
@@ -151,7 +157,6 @@ class FuncXService:
         self._sleep = sleeper or time.sleep
         self.functions = FunctionRegistry(auth=self.auth)
         self.endpoints = EndpointRegistry()
-        self.store = KVStore(clock=self._clock)
         self.pubsub = PubSub()
         self.memoizer = Memoizer()
         # observability fabric: per-task traces + registry-backed counters
@@ -289,7 +294,6 @@ class FuncXService:
             description=description,
             now=self._clock(),
         )
-        self.store.hset("functions", record.function_id, function_buffer)
         return record.function_id
 
     def update_function(self, token: str, function_id: str, function_buffer: bytes) -> int:
@@ -297,7 +301,6 @@ class FuncXService:
         identity = self.auth.authorize(token, Scope.REGISTER_FUNCTION)
         self._spend_overhead()
         record = self.functions.update_body(function_id, identity, function_buffer)
-        self.store.hset("functions", record.function_id, function_buffer)
         # A changed body must not serve stale memoized results.
         self.memoizer.invalidate_function(function_buffer)
         return record.version
@@ -507,8 +510,7 @@ class FuncXService:
         """States for many tasks in one authenticated request.
 
         The facade fans the lookup out shard-by-shard (one routing pass,
-        then per-shard table reads) — the batch analogue of ``status``
-        that a sharded ``wait_for`` polls with.
+        then per-shard table reads) — the batch analogue of ``status``.
         """
         self.auth.authorize(token, Scope.MONITOR)
         by_shard: dict[int, list[str]] = {}
@@ -542,14 +544,14 @@ class FuncXService:
                 raise ResultPurged(task_id)
             raise TaskNotFound(task_id)
         if not task.state.terminal and timeout > 0:
-            deadline = self._clock() + timeout
             done = threading.Event()
-            sub = self.pubsub.subscribe(f"task.{task_id}", lambda _t, _m: done.set())
-            try:
-                if not task.state.terminal:
-                    done.wait(max(0.0, deadline - self._clock()))
-            finally:
-                self.pubsub.unsubscribe(sub)
+
+            def wake(_task: Task) -> None:
+                done.set()
+
+            shard.when_terminal(task_id, wake)
+            if not done.wait(timeout):
+                shard.withdraw(task, wake)
         if not task.state.terminal:
             raise TaskPending(task_id, task.state.value)
         shard.note_retrieved(task)
@@ -845,8 +847,9 @@ class FuncXService:
         """The per-wave half of reaching a terminal state: the closed
         traces' stage times into their histograms, shard accounting
         (where the argument bytes leave and expired records are swept),
-        tenant quota, the store writes' occupancy, and one notification
-        per watcher."""
+        tenant quota, then the announcements: each waiter on a record
+        of the wave, one publish for the monitors, one call to the
+        result stream."""
         if not tasks:
             return
         stages: dict[str, list[float]] = {}
@@ -863,12 +866,17 @@ class FuncXService:
                     "task.stage_seconds", stage=stage)
             histogram.observe_many(durations)
         self._h_total.observe_many(totals)
-        shard.note_terminal(tasks)
+        waiting = shard.note_terminal(tasks)
         owners: dict[str, int] = {}
         for task in tasks:
             owners[task.owner_id] = owners.get(task.owner_id, 0) + 1
         for owner, count in owners.items():
             self.admission.release(owner, count)
-        for task in tasks:
-            self.pubsub.publish(f"task.{task.task_id}", task.state.value)
+        # After the quota is back: a waiter that resubmits is admitted.
+        for task, waiter in waiting:
+            try:
+                waiter(task)
+            except Exception:  # isolate a bad waiter, as publish does a monitor
+                logger.exception("waiter for task %s failed", task.task_id)
+        self.pubsub.publish(TERMINAL_TOPIC, tasks)
         shard.result_stream.on_tasks_terminal(tasks)

@@ -34,7 +34,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.core.stream import DEFAULT_SPILL_THRESHOLD, ResultStreamServer
-from repro.core.tasks import Task, TaskState
+from repro.core.tasks import Task, TaskState, Waiter
 from repro.errors import TaskNotFound
 from repro.store.queues import FairReliableQueue, ReliableQueue
 
@@ -256,18 +256,52 @@ class ServiceShard:
             probe("shard.accounting", self._accounting(cause, task_id))
         return task
 
-    def note_terminal(self, tasks: Iterable[Task]) -> None:
+    def when_terminal(self, task_id: str, callback: Waiter) -> None:
+        """Call ``callback(task)`` once, when the task is terminal: from
+        the completing wave (:meth:`note_terminal` hands it back), or
+        here and now if that wave has already been through.  The test is
+        the expiry it armed, not ``state.terminal`` — the state is
+        written before the wave takes this lock, and a waiter arriving
+        in between rides the wave (so it runs after the tenant's quota
+        is back) instead of being called early.  Raises
+        :class:`TaskNotFound` for a record that has left the table."""
+        with self._lock:
+            task = self._tasks.get(task_id)
+            if task is None:
+                raise TaskNotFound(task_id)
+            if task.expires_at is None:
+                if task.waiters is None:
+                    task.waiters = []
+                task.waiters.append(callback)
+                return
+        callback(task)
+
+    def withdraw(self, task: Task, callback: Waiter) -> None:
+        """A waiter gave up (its timeout ran out); a no-op once fired."""
+        with self._lock:
+            if task.waiters is not None and callback in task.waiters:
+                task.waiters.remove(callback)
+                if not task.waiters:
+                    task.waiters = None
+
+    def note_terminal(self, tasks: Iterable[Task]) -> list[tuple[Task, Waiter]]:
         """Called exactly once per task, when it first reaches a
         terminal state (complete / fail / cancel).  The argument buffer
         goes (nothing dispatches a terminal task), the result buffer
         starts counting, the record is given its expiry — and the wave
         sweeps what has expired, so the table is bounded by completion
-        rate times ``result_ttl`` with no thread and no timer."""
+        rate times ``result_ttl`` with no thread and no timer.  Returns
+        the wave's ``(task, waiter)`` pairs for the caller to fire once
+        it holds no lock."""
         count = 0
+        waiting: list[tuple[Task, Waiter]] = []
         with self._lock:
             probe = self.service.probe
             now = self._clock()
             for task in tasks:
+                if task.waiters is not None:
+                    waiting.extend((task, waiter) for waiter in task.waiters)
+                    task.waiters = None
                 if task.task_id not in self._tasks:
                     continue  # forgotten while completing; already accounted
                 self._terminated += 1
@@ -286,6 +320,7 @@ class ServiceShard:
         self._c_terminated.inc(count)
         if due:
             self.sweep()
+        return waiting
 
     def _arm(self, task: Task, now: float) -> None:  # guarded-by: self._lock
         task.expires_at = deadline = now + self.service.config.result_ttl

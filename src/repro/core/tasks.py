@@ -19,7 +19,7 @@ from __future__ import annotations
 import uuid
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, Callable
 
 
 class TaskState(str, Enum):
@@ -53,6 +53,10 @@ _TRANSITIONS: dict[TaskState, frozenset[TaskState]] = {
     TaskState.FAILED: frozenset(),
     TaskState.CANCELLED: frozenset(),
 }
+
+
+#: What a shard calls, once, with the record that turned terminal.
+Waiter = Callable[["Task"], None]
 
 
 @dataclass
@@ -102,6 +106,11 @@ class Task:
     #: The task's :class:`~repro.observability.trace.TraceContext`
     #: (``None`` with tracing off), held here so no hop looks it up.
     trace: Any = field(default=None, repr=False, compare=False)
+    #: ``callback(task)``s to fire when the task turns terminal, ``None``
+    #: while nobody waits.  Registered, withdrawn and collected only by
+    #: the owning :class:`~repro.core.shard.ServiceShard`, under its lock.
+    waiters: list[Waiter] | None = field(  # guarded-by: ServiceShard._lock
+        default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.payload_size = len(self.payload_buffer)

@@ -16,8 +16,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core.service import FuncXService
-from repro.core.tasks import TaskState
+from repro.core.service import TERMINAL_TOPIC, FuncXService
+from repro.core.tasks import Task, TaskState
 
 
 @dataclass(frozen=True)
@@ -56,29 +56,26 @@ class TaskEventLog:
 
     # ------------------------------------------------------------------
     def attach(self, service: FuncXService) -> None:
-        """Record every task state transition ``service`` publishes."""
+        """Record every terminal transition ``service`` publishes."""
         if self._service is not None:
             raise RuntimeError("event log already attached")
         self._service = service
 
-        def on_event(topic: str, state: object) -> None:
-            task_id = topic.split(".", 1)[1]
-            try:
-                task = service.task_by_id(task_id)
-            except Exception:
-                return
-            self.record(
-                TaskEvent(
-                    timestamp=self._clock(),
-                    task_id=task_id,
-                    state=str(state),
-                    endpoint_id=task.endpoint_id,
-                    function_id=task.function_id,
-                    owner_id=task.owner_id,
+        def on_wave(_topic: str, tasks: list[Task]) -> None:
+            now = self._clock()
+            for task in tasks:
+                self.record(
+                    TaskEvent(
+                        timestamp=now,
+                        task_id=task.task_id,
+                        state=task.state.value,
+                        endpoint_id=task.endpoint_id,
+                        function_id=task.function_id,
+                        owner_id=task.owner_id,
+                    )
                 )
-            )
 
-        self._subscription = service.pubsub.subscribe_prefix("task.", on_event)
+        self._subscription = service.pubsub.subscribe(TERMINAL_TOPIC, on_wave)
 
     def detach(self) -> None:
         if self._service is not None and self._subscription is not None:

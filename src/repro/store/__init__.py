@@ -1,17 +1,17 @@
-"""In-memory data store (AWS ElastiCache Redis / RDS substitute).
+"""In-memory data store (AWS ElastiCache Redis substitute).
 
-The funcX service keeps serialized functions and task records in a Redis
-hashset and one task queue + one result queue per endpoint (paper section
-4.1).  This package provides thread-safe equivalents:
+The funcX service keeps one task queue per endpoint in Redis and lets
+monitors follow task state (paper section 4.1).  This package provides
+thread-safe equivalents of those two (task records live in
+:mod:`repro.core.shard`, functions in :mod:`repro.core.registry`):
 
-* :class:`KVStore` — hashsets, plain keys, TTL expiry and purge.
 * :class:`ReliableQueue` — FIFO queue with lease/ack semantics giving the
   at-least-once delivery the hierarchical queueing architecture requires.
-* :class:`PubSub` — lightweight topic fan-out used for monitoring streams.
+* :class:`PubSub` — exact-topic fan-out; the service publishes each
+  completion wave's terminal records on one monitoring topic.
 """
 
-from repro.store.kvstore import KVStore
 from repro.store.queues import Lease, ReliableQueue
 from repro.store.pubsub import PubSub
 
-__all__ = ["KVStore", "ReliableQueue", "Lease", "PubSub"]
+__all__ = ["ReliableQueue", "Lease", "PubSub"]

@@ -60,7 +60,7 @@ class ReliableQueue:
         forwarder explicitly nacks on disconnect instead).
     """
 
-    # All queue state moves together under the condition's lock — the
+    # All queue state moves together under the queue's lock — the
     # conservation invariant (enqueued = acked + in_flight + ready) only
     # holds if no counter is ever torn from the containers.  Enforced by
     # `repro lint` (guarded-by).
@@ -81,7 +81,7 @@ class ReliableQueue:
     ):
         self.name = name
         self._clock = clock or time.monotonic  # clock-domain: monotonic
-        self._lock = threading.Condition()
+        self._lock = threading.Lock()
         self._items: deque[_Entry] = deque()
         self._leases: dict[int, Lease] = {}
         self._lease_ids = itertools.count(1)
@@ -199,7 +199,6 @@ class ReliableQueue:
                     self._emit("queue.put")
             if count:
                 self._note_depth()
-                self._lock.notify(count)
         if count:
             self._fire_wakeup()
         return count
@@ -223,27 +222,14 @@ class ReliableQueue:
             self.total_redelivered += 1
         return lease
 
-    def lease(
-        self,
-        timeout: float | None = 0.0,
-        lease_timeout: float | None = None,
-    ) -> Lease | None:
-        """Dequeue the oldest item under a lease.
-
-        Parameters
-        ----------
-        timeout:
-            How long to block waiting for an item. ``0`` polls; ``None``
-            blocks indefinitely.
-        lease_timeout:
-            Overrides the queue's default visibility timeout.
-
-        Returns
-        -------
-        The :class:`Lease`, or ``None`` if no item arrived in time.
-        """
+    def lease(self, lease_timeout: float | None = None) -> Lease | None:
+        """Dequeue the oldest item under a lease, or ``None`` when the
+        ready backlog is empty — it never blocks; a consumer that wants
+        to sleep until there is work points :attr:`wakeup` at its own
+        event.  ``lease_timeout`` overrides the queue's default
+        visibility timeout."""
         with self._lock:
-            if not self._wait_for_item(timeout):
+            if not self._ready_len():
                 return None
             lease = self._lease_entry(lease_timeout, self._clock())
             self._emit("queue.lease", deliveries=lease.deliveries)
@@ -296,7 +282,6 @@ class ReliableQueue:
             )
             self._note_depth()
             self._emit("queue.nack")
-            self._lock.notify()
         self._fire_wakeup()
         return True
 
@@ -317,7 +302,6 @@ class ReliableQueue:
             self._note_depth()
             if count:
                 self._emit("queue.nack_all", count=count)
-                self._lock.notify(count)
         if count:
             self._fire_wakeup()
         return count
@@ -338,7 +322,6 @@ class ReliableQueue:
             self._note_depth()
             if expired:
                 self._emit("queue.requeue_expired", count=len(expired))
-                self._lock.notify(len(expired))
         if expired:
             self._fire_wakeup()
         return len(expired)
@@ -347,7 +330,6 @@ class ReliableQueue:
     def close(self) -> None:
         with self._lock:
             self._closed = True
-            self._lock.notify_all()
 
     # -- introspection -------------------------------------------------------------
     def __len__(self) -> int:
@@ -376,23 +358,6 @@ class ReliableQueue:
         with self._lock:
             now = self._clock()
             return [now - enq for (_, enq, _, _) in self._ready_entries()]
-
-    # -- internals ---------------------------------------------------------------
-    def _wait_for_item(self, timeout: float | None) -> bool:  # guarded-by: self._lock
-        """Wait until an item is available; caller holds the lock."""
-        if self._ready_len():
-            return True
-        if timeout == 0.0:
-            return False
-        deadline = None if timeout is None else self._clock() + timeout
-        while not self._ready_len():
-            if self._closed:
-                return False
-            remaining = None if deadline is None else deadline - self._clock()
-            if remaining is not None and remaining <= 0:
-                return False
-            self._lock.wait(remaining)
-        return True
 
 
 class FairReliableQueue(ReliableQueue):

@@ -15,7 +15,7 @@ class Client:
         pubsub.unsubscribe(token)
 
     def leak_on_early_return(self, pubsub, prefix, callback, armed):
-        token = pubsub.subscribe_prefix(prefix, callback)  # EXPECT: subscription-lifecycle
+        token = pubsub.subscribe(prefix, callback)  # EXPECT: subscription-lifecycle
         if not armed:
             return None  # leaks the token
         pubsub.unsubscribe(token)

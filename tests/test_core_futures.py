@@ -100,9 +100,9 @@ class TestCancelPropagation:
         assert f.result() == "winner"
 
     def test_own_cancellation_echo_still_counts(self):
-        # The service publishes the CANCELLED transition and a pubsub
-        # callback resolves the future with TaskCancelled before
-        # cancel() re-acquires the lock — that is still our cancel.
+        # The service retires the CANCELLED task and the waiter on its
+        # record resolves the future with TaskCancelled before cancel()
+        # re-acquires the lock — that is still our cancel.
         f = FuncXFuture("t")
         f.bind_canceller(
             lambda _tid: f.set_exception(TaskCancelled("echoed back")))

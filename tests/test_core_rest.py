@@ -136,6 +136,47 @@ class TestTaskRoutes:
         assert response.status == 202
         assert response.body["task_id"] == tid
 
+    @pytest.mark.parametrize("timeout", ["1e400", "NaN", "-1", "1e9", "30.5",
+                                         '"soon"', "null"])
+    def test_result_timeout_out_of_range_400(self, world, timeout):
+        """``request`` never raises and never parks a server thread past
+        ``MAX_LONG_POLL``: JSON ``1e400`` parses to ``inf``, which
+        ``Event.wait`` answers with ``OverflowError``."""
+        import json
+
+        dep, api, token, _ep, serializer, func_b64 = world
+        lazy_ep = dep.create_endpoint("never-started", nodes=1, start=False)
+        fid = self._register(api, token, func_b64)
+        payload = b64(serializer.serialize(([1], {})))
+        tid = api.request(
+            "POST", "/api/v1/tasks", token=token,
+            body={"function_id": fid, "endpoint_id": lazy_ep, "payload": payload},
+        ).body["task_id"]
+        body = json.loads('{"timeout": %s}' % timeout)
+        response = api.request("GET", f"/api/v1/tasks/{tid}/result",
+                               token=token, body=body)
+        assert response.status == 400
+        assert "error" in response.body
+        shard = dep.service.shard_for_task(tid)
+        assert all(task.waiters is None for task in shard.iter_tasks())
+
+    def test_result_timeout_at_the_bounds_is_accepted(self, world):
+        from repro.core.rest import MAX_LONG_POLL
+
+        _dep, api, token, ep_id, serializer, func_b64 = world
+        fid = self._register(api, token, func_b64)
+        payload = b64(serializer.serialize(([4], {})))
+        tid = api.request(
+            "POST", "/api/v1/tasks", token=token,
+            body={"function_id": fid, "endpoint_id": ep_id, "payload": payload},
+        ).body["task_id"]
+        done = api.request("GET", f"/api/v1/tasks/{tid}/result", token=token,
+                           body={"timeout": MAX_LONG_POLL})
+        assert done.status == 200
+        again = api.request("GET", f"/api/v1/tasks/{tid}/result", token=token,
+                            body={"timeout": 0})
+        assert again.status == 200
+
     def test_batch_submission(self, world):
         _dep, api, token, ep_id, serializer, func_b64 = world
         fid = self._register(api, token, func_b64)
@@ -349,4 +390,6 @@ class TestShardedErrorPaths:
         slow_ep = service.register_endpoint(etok.token, name="ep-slow")
         pending = client.run(fid, slow_ep, 99)
         with pytest.raises(TaskPending):
-            client.wait_all(task_ids + [pending], timeout=0.05, poll=0.01)
+            client.wait_all(task_ids + [pending], timeout=0.05)
+        # ... and the waiter that timed out withdrew itself
+        assert all(task.waiters is None for task in service.iter_tasks())

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.auth import AuthService, Scope
-from repro.core.service import FuncXService, ServiceConfig
+from repro.core.service import TERMINAL_TOPIC, FuncXService, ServiceConfig
 from repro.core.tasks import TaskState
 from repro.errors import (
     AuthorizationFailed,
@@ -60,8 +60,11 @@ class TestRegistration:
     def test_register_function_returns_uuid(self, function_id):
         assert len(function_id) == 36
 
-    def test_function_stored_in_kv(self, service, function_id):
-        assert service.store.hget("functions", function_id) is not None
+    def test_function_stored_in_registry(self, service, function_id):
+        record = service.functions.get(function_id)
+        assert record.function_buffer
+        assert service.function_buffer(function_id) == record.function_buffer
+        assert not hasattr(service, "store")  # no write-only mirror beside it
 
     def test_register_requires_scope(self, service, endpoint_id):
         identity = service.auth.register_identity("weak")
@@ -180,10 +183,12 @@ class TestCompletionAndResults:
     def test_completion_publishes(self, service, user_token, function_id, endpoint_id):
         task_id = submit_one(service, user_token, function_id, endpoint_id)
         seen = []
-        service.pubsub.subscribe(f"task.{task_id}", lambda _t, m: seen.append(m))
+        service.pubsub.subscribe(TERMINAL_TOPIC, lambda _t, m: seen.append(m))
         service.mark_dispatched(task_id)
         service.complete_task(task_id, success=True, result_buffer=b"r")
-        assert seen == ["success"]
+        # one message for the wave, carrying the record itself
+        assert seen == [[service.task_by_id(task_id)]]
+        assert seen[0][0].state is TaskState.SUCCESS
 
     def test_task_info(self, service, user_token, function_id, endpoint_id):
         task_id = submit_one(service, user_token, function_id, endpoint_id)

@@ -11,7 +11,13 @@ import pytest
 from repro import LocalDeployment, ServiceConfig
 from repro.core.client import FuncXClient
 from repro.core.executor import AtomicController, FuncXExecutor
-from repro.errors import TaskCancelled, TaskPending
+from repro.core.service import TERMINAL_TOPIC
+from repro.errors import (
+    TaskCancelled,
+    TaskExecutionFailed,
+    TaskNotFound,
+    TaskPending,
+)
 
 from tests.conftest import FakeClock
 
@@ -185,94 +191,136 @@ class TestExecutor:
 
 
 class ScriptedClient(FuncXClient):
-    """A client stub with a scripted result path for deterministic
-    wait_for tests: get_result never blocks; only the sleeper advances
-    the fake clock."""
+    """A client whose ``get_result`` blocks on the fake clock: each task
+    has a time it becomes ready (``None`` = never); a wait either reaches
+    it or spends its whole timeout."""
 
-    def __init__(self, clock, ready_at=None, value=b"done"):
+    def __init__(self, clock, ready_at):
         self._clock = clock
-        self._sleep = lambda seconds: clock.advance(seconds)
         self.ready_at = ready_at
-        self.value = value
         self.timeouts_seen: list[float] = []
 
     def get_result(self, task_id, timeout=0.0):
         self.timeouts_seen.append(timeout)
-        if self.ready_at is not None and self._clock() >= self.ready_at:
-            return self.value
+        ready = self.ready_at[task_id]
+        if ready is not None and self._clock() + timeout >= ready:
+            self._clock.advance(max(0.0, ready - self._clock()))
+            return f"done:{task_id}"
+        self._clock.advance(timeout)
         raise TaskPending(task_id, "running")
-
-    def get_status(self, task_id):
-        from repro.core.tasks import TaskState
-
-        return TaskState.RUNNING
 
 
 class TestWaitForDeadline:
+    """``wait_for`` is ``get_result(timeout=)`` and ``wait_all`` is
+    ``get_result`` in order against one deadline: the deadline
+    properties the old sleep-poll loops were patched to have."""
+
     def test_returns_within_budget(self):
         clock = FakeClock()
-        stub = ScriptedClient(clock, ready_at=None)
+        stub = ScriptedClient(clock, {"a": 1.5, "b": None, "c": None})
+        with pytest.raises(TaskPending) as pending:
+            stub.wait_all(["a", "b", "c"], timeout=2.0)
+        assert pending.value.task_id == "b"  # the first still unfinished
+        # One deadline for the whole list, not one timeout per task.
+        assert clock.now == pytest.approx(2.0)
+        clock = FakeClock()
         with pytest.raises(TaskPending):
-            stub.wait_for("t", timeout=2.0, poll=0.5)
-        # The old loop overshot by up to a full blocking interval; the
-        # clamped loop never sleeps past the deadline.
+            ScriptedClient(clock, {"t": None}).wait_for("t", timeout=2.0)
         assert clock.now == pytest.approx(2.0)
 
     def test_block_clamped_to_remaining(self):
         clock = FakeClock()
-        stub = ScriptedClient(clock, ready_at=None)
+        stub = ScriptedClient(clock, {"a": 0.1, "b": 0.25, "c": 0.25, "d": None})
         with pytest.raises(TaskPending):
-            stub.wait_for("t", timeout=0.3, poll=0.5)
-        # Every blocking call fits the remaining budget (old code always
-        # passed the full 0.5 s block).
-        assert all(t <= 0.3 for t in stub.timeouts_seen)
+            stub.wait_all(["a", "b", "c", "d"], timeout=0.3)
+        # Every block fits what is left of the budget when it starts.
+        assert stub.timeouts_seen == pytest.approx([0.3, 0.2, 0.05, 0.05])
         assert clock.now == pytest.approx(0.3)
-
-    def test_result_at_deadline_returned(self):
+        # Past the deadline the rest are non-blocking checks, never
+        # negative timeouts.
         clock = FakeClock()
-        # Ready exactly at the deadline: the post-loop check must return
-        # the result instead of raising TaskPending.
-        stub = ScriptedClient(clock, ready_at=2.0)
-        assert stub.wait_for("t", timeout=2.0, poll=0.5) == b"done"
-        assert stub.timeouts_seen[-1] == 0.0  # resolved by the final check
+        stub = ScriptedClient(clock, {"a": 9.0, "b": 0.0})
+        assert stub.wait_all(["b"], timeout=0.0) == ["done:b"]
+        with pytest.raises(TaskPending):
+            stub.wait_all(["a", "b"], timeout=0.0)
+        assert stub.timeouts_seen == [0.0, 0.0]
+
+    def test_result_at_deadline_returned(self, deployment, client, monkeypatch):
+        # Ready exactly at the deadline: returned, not TaskPending.
+        clock = FakeClock()
+        stub = ScriptedClient(clock, {"a": 2.0, "b": 2.0})
+        assert stub.wait_for("a", timeout=2.0) == "done:a"
+        assert stub.wait_all(["a", "b"], timeout=0.0) == ["done:a", "done:b"]
+        assert stub.timeouts_seen[-1] == 0.0  # b: the non-blocking check
+        # The same in the service: the completion lands as the wait runs
+        # out (``Event.wait`` says "timed out"); the state decides.
+        fid = client.register_function(double, public=True)
+        lazy = deployment.create_endpoint("never-started", nodes=1, start=False)
+        task_id = client.run(fid, lazy, 21)
+        service = deployment.service
+
+        class ExpiringEvent(threading.Event):
+            def wait(self, timeout=None):
+                service.complete_task(
+                    task_id, success=True,
+                    result_buffer=client.serializer.serialize(42))
+                return False
+
+        monkeypatch.setattr("repro.core.service.threading.Event", ExpiringEvent)
+        assert client.wait_for(task_id, timeout=2.0) == 42
+        assert service.task_by_id(task_id).waiters is None
 
     def test_result_mid_wait_returned(self):
         clock = FakeClock()
-        stub = ScriptedClient(clock, ready_at=0.9)
-        assert stub.wait_for("t", timeout=5.0, poll=0.3) == b"done"
-        assert clock.now < 5.0
+        stub = ScriptedClient(clock, {"t": 0.9})
+        assert stub.wait_for("t", timeout=5.0) == "done:t"
+        assert clock.now == pytest.approx(0.9)
+
+
+def _waiters(service) -> int:
+    return sum(len(task.waiters or ()) for task in service.iter_tasks())
 
 
 class TestFutureForSubscriptionLeak:
+    """The PR-7 leak class, by construction: a client future is no
+    longer a pubsub subscription that every exit path must remember to
+    drop, it is a waiter on the task record — fired and cleared by the
+    completing wave, or never registered when the wave has been."""
+
     def test_memo_hit_fast_path_does_not_leak(self, deployment, client,
                                               endpoint_id):
         fid = client.register_function(double, public=True)
         # Prime the memo cache through the live path.
         client.submit(fid, endpoint_id, 7, memoize=True).result(timeout=30)
-        pubsub = deployment.service.pubsub
-        before = pubsub.live_subscriptions()
+        assert _waiters(deployment.service) == 0
         for _ in range(10):
-            # Memo hits complete before _future_for subscribes; the
-            # terminal fast-path resolves the future, and its
-            # done-callback must still tear the subscription down.
-            assert client.submit(
-                fid, endpoint_id, 7, memoize=True).result(timeout=30) == 14
-        assert pubsub.live_subscriptions() == before
+            # A memo hit is terminal before ``_future_for`` runs: the
+            # future resolves inside ``submit`` and registers nothing.
+            future = client.submit(fid, endpoint_id, 7, memoize=True)
+            assert future.done() and future.result(timeout=0) == 14
+        assert _waiters(deployment.service) == 0
+        assert deployment.service.pubsub.subscriber_count(TERMINAL_TOPIC) == 0
 
-    def test_error_path_does_not_leak(self, deployment, client, endpoint_id,
-                                      monkeypatch):
+    def test_error_path_does_not_leak(self, deployment, client, endpoint_id):
         fid = client.register_function(double, public=True)
         task_id = client.run(fid, endpoint_id, 7)
-
-        def explode(_task_id):
-            raise RuntimeError("task lookup failed")
-
-        pubsub = deployment.service.pubsub
-        before = pubsub.live_subscriptions()
-        monkeypatch.setattr(deployment.service, "task_by_id", explode)
-        with pytest.raises(RuntimeError):
+        client.wait_for(task_id, timeout=30)
+        assert deployment.service.forget_task(task_id)
+        # The record is gone: registration refuses, and there is no
+        # record left for a waiter to be stranded on.
+        with pytest.raises(TaskNotFound):
             client._future_for(task_id)
-        assert pubsub.live_subscriptions() == before
+        assert _waiters(deployment.service) == 0
+        # A result fetch that fails resolves the future with the error
+        # and the waiter is consumed all the same.
+        lazy = deployment.create_endpoint("never-started", nodes=1, start=False)
+        future = client.submit(fid, lazy, 7)
+        assert _waiters(deployment.service) == 1
+        deployment.service.complete_task(
+            future.task_id, success=False, exception_text="boom")
+        with pytest.raises(TaskExecutionFailed):
+            future.result(timeout=0)
+        assert _waiters(deployment.service) == 0
 
 
 class TestClientCancel:

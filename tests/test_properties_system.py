@@ -9,15 +9,6 @@ from repro.containers import ContainerRuntime, ContainerSpec, WarmPool
 from repro.providers import SimpleScalingStrategy
 from repro.sim import FailureSchedule, SimFabric
 from repro.sim.platform import THETA
-from repro.store.kvstore import KVStore
-
-
-class _StepClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
 
 
 # ---------------------------------------------------------------------------
@@ -70,34 +61,6 @@ class TestWarmPoolProperties:
             assert got is inst
         else:
             assert got is None
-
-
-# ---------------------------------------------------------------------------
-# KV store TTL
-# ---------------------------------------------------------------------------
-class TestKVStoreProperties:
-    @given(
-        entries=st.lists(
-            st.tuples(st.text(min_size=1, max_size=8), st.integers(),
-                      st.one_of(st.none(), st.floats(min_value=0.1, max_value=50.0))),
-            min_size=1, max_size=30,
-        ),
-        advance=st.floats(min_value=0.0, max_value=100.0),
-    )
-    @settings(max_examples=60)
-    def test_expiry_is_exactly_ttl_bounded(self, entries, advance):
-        clock = _StepClock()
-        kv = KVStore(clock=clock)
-        expected: dict[str, tuple[int, float | None]] = {}
-        for key, value, ttl in entries:
-            kv.set(key, value, ttl=ttl)
-            expected[key] = (value, ttl)
-        clock.now = advance
-        for key, (value, ttl) in expected.items():
-            if ttl is None or advance < ttl:
-                assert kv.get(key) == value
-            else:
-                assert kv.get(key) is None
 
 
 # ---------------------------------------------------------------------------

@@ -237,8 +237,8 @@ def test_protocol_sites_cover_the_fabric_modules():
     assert "repro.endpoint.manager" in modules("credit", "consume")
     assert "repro.endpoint.worker" in modules("credit", "release")
     assert "repro.core.stream" in modules("credit", "release")
-    assert "repro.core.client" in modules("subscription", "subscribe")
-    assert "repro.core.client" in modules("subscription", "unsubscribe")
+    assert "repro.monitoring" in modules("subscription", "subscribe")
+    assert "repro.monitoring" in modules("subscription", "unsubscribe")
     assert "repro.core.executor" in modules("stream", "subscribe")
     assert "repro.core.executor" in modules("stream", "close")
     assert "repro.core.stream" in modules("stream", "detach")
@@ -256,7 +256,7 @@ def test_every_protocol_call_site_module_is_in_the_export():
                for site in site_list}
     patterns = [
         re.compile(r"\bcredits\.(grant|revoke|consume|release)\("),
-        re.compile(r"\bpubsub\.(subscribe|subscribe_prefix|unsubscribe)\("),
+        re.compile(r"\bpubsub\.(subscribe|unsubscribe)\("),
         re.compile(r"\bresult_stream\.subscribe\("),
     ]
     for source in sources:

@@ -24,6 +24,7 @@ from repro.analysis.sanitizer import (
 from repro.analysis.source import load_source, module_name_for
 from repro.fabric import LocalDeployment
 from repro.metrics.registry import MetricsRegistry
+from repro.monitoring import TaskEventLog
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -325,9 +326,15 @@ class TestProtocolRecorderIntegration:
             client = deployment.client()
             ep = deployment.create_endpoint("protocols", nodes=1)
             fid = client.register_function(add)
+            # The monitors are the pubsub's subscribers now (a client
+            # future is a waiter on the task record, not a token).
+            log = TaskEventLog()
+            log.attach(deployment.service)
             assert client.submit(fid, ep, 2, 3).result(timeout=30) == 5
             with client.executor(ep) as pool:
                 assert pool.submit(fid, 4, 5).result(timeout=30) == 9
+            log.detach()
+            assert len(log) == 2
             recorder = deployment.protocol_recorder
             assert recorder is not None
             observed = recorder.observed()

@@ -32,27 +32,33 @@ class TestExactTopics:
         assert PubSub().publish("nobody", 1) == 0
 
 
-class TestPrefixTopics:
-    def test_prefix_matches(self):
-        ps = PubSub()
-        seen = []
-        ps.subscribe_prefix("endpoint.", lambda t, m: seen.append(t))
-        ps.publish("endpoint.abc.queued", 1)
-        ps.publish("task.1", 1)
-        assert seen == ["endpoint.abc.queued"]
+class TestTopicsAreExact:
+    """There is one monitoring topic, so a topic is matched whole."""
 
-    def test_empty_prefix_matches_everything(self):
+    def test_a_shared_prefix_is_not_a_match(self):
         ps = PubSub()
         seen = []
-        ps.subscribe_prefix("", lambda t, m: seen.append(t))
+        ps.subscribe("endpoint.", lambda t, m: seen.append(t))
+        assert ps.publish("endpoint.abc.queued", 1) == 0
+        assert ps.publish("endpoint.", 1) == 1
+        assert seen == ["endpoint."]
+
+    def test_empty_topic_matches_only_itself(self):
+        ps = PubSub()
+        seen = []
+        ps.subscribe("", lambda t, m: seen.append(t))
         ps.publish("anything", 1)
-        assert seen == ["anything"]
+        assert seen == []
+        ps.publish("", 1)
+        assert seen == [""]
 
-    def test_subscriber_count_includes_prefix(self):
+    def test_subscriber_count_is_per_topic(self):
         ps = PubSub()
         ps.subscribe("a.b", lambda t, m: None)
-        ps.subscribe_prefix("a.", lambda t, m: None)
-        assert ps.subscriber_count("a.b") == 2
+        ps.subscribe("a.", lambda t, m: None)
+        assert ps.subscriber_count("a.b") == 1
+        assert ps.subscriber_count("a.") == 1
+        assert ps.subscriber_count("a") == 0
 
 
 class TestUnsubscribeAndErrors:
@@ -67,11 +73,16 @@ class TestUnsubscribeAndErrors:
     def test_unsubscribe_unknown_token(self):
         assert not PubSub().unsubscribe(12345)
 
-    def test_unsubscribe_prefix(self):
+    def test_unsubscribe_leaves_the_topics_other_subscriber(self):
         ps = PubSub()
-        token = ps.subscribe_prefix("x.", lambda t, m: None)
+        seen = []
+        token = ps.subscribe("x.y", lambda t, m: seen.append("gone"))
+        ps.subscribe("x.y", lambda t, m: seen.append("kept"))
         assert ps.unsubscribe(token)
-        assert ps.subscriber_count("x.y") == 0
+        assert not ps.unsubscribe(token)  # idempotent
+        assert ps.subscriber_count("x.y") == 1
+        assert ps.publish("x.y", 1) == 1
+        assert seen == ["kept"]
 
     def test_bad_subscriber_is_isolated(self):
         ps = PubSub()

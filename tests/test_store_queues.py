@@ -28,7 +28,7 @@ class TestBasicFifo:
 
     def test_empty_poll_returns_none(self, clock):
         q = ReliableQueue(clock=clock)
-        assert q.lease(timeout=0.0) is None
+        assert q.lease() is None
 
     def test_put_many(self, clock):
         q = ReliableQueue(clock=clock)
@@ -121,12 +121,19 @@ class TestRedelivery:
 
 
 class TestBlockingAndLifecycle:
+    # Nobody blocks *inside* the queue: ``lease`` never waits.  A
+    # consumer parks on its own event and points ``wakeup`` at it, as
+    # the forwarder and the stream delivery thread do.
     def test_blocking_lease_wakes_on_put(self):
         q = ReliableQueue()
+        ready = threading.Event()
+        q.wakeup = ready.set
         result = []
 
         def consumer():
-            lease = q.lease(timeout=5.0)
+            assert q.lease() is None  # empty: returns at once
+            ready.wait(timeout=5.0)
+            lease = q.lease()
             result.append(lease.item if lease else None)
 
         t = threading.Thread(target=consumer)
@@ -136,17 +143,42 @@ class TestBlockingAndLifecycle:
         assert result == ["wake"]
 
     def test_close_unblocks_waiters(self):
+        """``close`` wakes nobody — it only refuses later puts.  Whoever
+        closes the queue sets its consumer's event (``Forwarder.stop``
+        does), and the consumer finds nothing to lease."""
         q = ReliableQueue()
+        stop = threading.Event()
+        fired = []
+        q.wakeup = lambda: fired.append(1)
         result = []
 
         def consumer():
-            result.append(q.lease(timeout=10.0))
+            stop.wait(timeout=10.0)
+            result.append(q.lease())
 
         t = threading.Thread(target=consumer)
         t.start()
         q.close()
+        assert fired == []
+        stop.set()
         t.join(timeout=5.0)
         assert result == [None]
+
+    def test_every_requeue_path_fires_the_wakeup(self, clock):
+        q = ReliableQueue(clock=clock, default_lease_timeout=1.0)
+        fired = []
+        q.wakeup = lambda: fired.append(1)
+        q.put_many(["a", "b", "c"])
+        assert len(fired) == 1  # one per wave, not per item
+        first = q.lease()
+        q.nack(first.lease_id)
+        assert len(fired) == 2
+        q.lease_many(3)
+        assert q.nack_all() == 3 and len(fired) == 3
+        q.lease_many(3)
+        clock.advance(2.0)
+        assert q.requeue_expired() == 3 and len(fired) == 4
+        assert q.requeue_expired() == 0 and len(fired) == 4
 
     def test_put_after_close_raises(self):
         q = ReliableQueue()
