@@ -10,10 +10,10 @@ polling.  This module is that shape on this codebase:
   and cached) or a registered function id, appends the call to a pending
   wave, and returns a :class:`~repro.core.futures.FuncXFuture`.
 * A background batching thread — woken by the
-  :class:`AtomicController`'s 0→1 edge, held briefly so a burst
-  coalesces — drains pending calls into ``submit_batch`` waves (one
-  authenticated request per wave, amortizing per-request overhead,
-  §5.2.4).
+  :class:`AtomicController`'s 0→1 edge, held briefly once a burst has
+  shown itself so the rest of it coalesces — drains pending calls into
+  ``submit_batch`` waves (one authenticated request per wave,
+  amortizing per-request overhead, §5.2.4).
 * Task ids returned by the wave are watched on the executor's
   :class:`~repro.core.stream.ResultSubscription`; completions stream
   back as ``ResultBatchMessage``\\ s and resolve the futures.  No
@@ -37,7 +37,7 @@ from repro.errors import ResultPurged, TaskCancelled, TaskExecutionFailed
 from repro.metrics.registry import COUNT_BUCKETS
 from repro.staging.transfer import fetch_ref
 from repro.transport.messages import ResultBatchMessage, ResultMessage
-from repro.transport.wakeup import Wakeup
+from repro.transport.wakeup import IDLE_FALLBACK, Wakeup
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.client import FuncXClient
@@ -109,8 +109,9 @@ class FuncXExecutor:
     batch_size:
         Cap on calls per ``submit_batch`` wave.
     batch_interval:
-        Nagle hold: after the first call arrives the batcher waits this
-        long before draining, so a burst coalesces into one wave.
+        Nagle hold, a ceiling: the longest a call waits for company.  The
+        batcher sleeps it only after a wave that carried more than one
+        call; a call that travels alone is submitted at once.
     window:
         Credit window for the result subscription (delivered-unacked
         results the stream may hold against this executor).
@@ -138,7 +139,6 @@ class FuncXExecutor:
         self.memoize = memoize
         self._clock = clock or time.monotonic  # clock-domain: monotonic
         self._sleep = sleeper or time.sleep
-        self._heartbeat = 0.05
         self._wakeup = Wakeup(clock=self._clock)
         self._lock = threading.Lock()
         self._pending: list[_PendingCall] = []          # guarded-by: self._lock
@@ -151,6 +151,7 @@ class FuncXExecutor:
         metrics = client.service.metrics
         self._h_wave = metrics.histogram(
             "executor.submit_batch_size", buckets=COUNT_BUCKETS)
+        self._h_hold = metrics.histogram("executor.wave_hold_seconds")
         self._c_submitted = metrics.counter("executor.tasks_submitted")
         self._c_suppressed = metrics.counter("executor.suppressed_deliveries")
         # Stream wiring: the subscription delivers straight into
@@ -220,16 +221,20 @@ class FuncXExecutor:
     # batching thread
     # ------------------------------------------------------------------
     def _batcher(self) -> None:
+        # Evidence that a burst is under way: the last wave had company.
+        company = False
         while True:
-            self._wakeup.wait(self._heartbeat)
+            self._wakeup.wait(IDLE_FALLBACK)
             with self._lock:
                 have_pending = bool(self._pending)
                 stopping = self._shutdown
             if have_pending:
-                if self.batch_interval > 0 and not stopping:
+                hold = self.batch_interval if company and not stopping else 0.0
+                if hold > 0:
                     # Nagle hold: let the burst finish joining the wave.
-                    self._sleep(self.batch_interval)
-                self._drain()
+                    self._sleep(hold)
+                self._h_hold.observe(hold)
+                company = self._drain() > 1
             elif stopping:
                 return
 

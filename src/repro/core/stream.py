@@ -11,10 +11,11 @@ futures from.  This module is the service side of that stream:
   same lease/ack machinery the dispatch path uses, so delivery is
   at-least-once and a dropped batch is redelivered without bookkeeping
   of its own.
-* A single delivery thread (woken by queue puts, acks, and attaches via
-  the shared :class:`~repro.transport.wakeup.Wakeup`) coalesces every
-  subscriber's ready results into one
-  :class:`~repro.transport.messages.ResultBatchMessage` per pass.
+* A single delivery thread per shard serves a *ready set*: a queue put,
+  an attach, a recover and an ack that leaves a backlog behind mark
+  their own subscription and wake the thread; a pass visits only the
+  marked subscriptions and coalesces each one's ready results into one
+  :class:`~repro.transport.messages.ResultBatchMessage`.
 * Each subscription carries a :class:`~repro.core.flowcontrol.
   CreditLedger` window: a credit is consumed per delivered-unacked
   result and released on the client's ack, so a slow or stalled client
@@ -42,6 +43,7 @@ import logging
 import threading
 import time
 import uuid
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.core.flowcontrol import CreditLedger
@@ -50,7 +52,7 @@ from repro.metrics.registry import COUNT_BUCKETS
 from repro.staging.transfer import DataStore, register_store, unregister_store
 from repro.store.queues import Lease, ReliableQueue
 from repro.transport.messages import ResultBatchMessage, ResultMessage
-from repro.transport.wakeup import Wakeup
+from repro.transport.wakeup import IDLE_FALLBACK, Wakeup, run_loop
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.service import FuncXService
@@ -127,7 +129,7 @@ class ResultSubscription:
                 raise RuntimeError(
                     f"subscription {self.subscriber_id} is closed")
             self._consumer = consumer
-        self._server.kick()
+        self._server.mark(self)
 
     def detach(self) -> None:
         """Disconnect the consumer; delivery pauses, backlog accumulates."""
@@ -154,7 +156,10 @@ class ResultSubscription:
             return 0
         self.retire(leases)
         self.credits.release(len(leases))
-        self._server.kick()
+        if self.queue.depth:
+            # Credits came back with results still queued; an empty
+            # backlog needs no pass (the next put marks us itself).
+            self._server.mark(self)
         return len(leases)
 
     def recover(self) -> int:
@@ -176,8 +181,6 @@ class ResultSubscription:
                 self._server.drop_spill(self.subscriber_id, lease.item)
                 count += 1
             self.credits.release(len(leases))
-        if count:
-            self._server.kick()
         return count
 
     # -- server side ---------------------------------------------------------
@@ -280,7 +283,6 @@ class ResultStreamServer:
         shard: "ServiceShard",
         clock: Callable[[], float] | None = None,
         spill_threshold: int = DEFAULT_SPILL_THRESHOLD,
-        poll_fallback: float = 0.05,
         tag: str = "0",
     ):
         # The shard whose task table this server delivers from.
@@ -290,10 +292,12 @@ class ResultStreamServer:
         self.tag = tag
         self._clock = clock or time.monotonic  # clock-domain: monotonic
         self.spill_threshold = spill_threshold
-        self._poll_fallback = poll_fallback
         self._wakeup = Wakeup(clock=self._clock)
         self._lock = threading.Lock()
         self._subs: dict[str, ResultSubscription] = {}  # guarded-by: self._lock
+        # Subscriptions with something to deliver, in marking order: the
+        # only ones a pass visits.
+        self._ready: dict[ResultSubscription, None] = {}  # guarded-by: self._lock
         # task id -> subscriptions that still owe an ack for it, from
         # watch() to retire(); the retire that empties it releases the
         # task's result bytes.
@@ -339,7 +343,7 @@ class ResultStreamServer:
             raise ValueError("window must be positive")
         sub = ResultSubscription(
             self, subscriber_id or uuid.uuid4().hex[:12], window, self._clock)
-        sub.queue.wakeup = self._wakeup.set
+        sub.queue.wakeup = partial(self.mark, sub)
         with self._lock:
             if self._closed:
                 raise RuntimeError("result stream is closed")
@@ -354,6 +358,7 @@ class ResultStreamServer:
         record expires."""
         with self._lock:
             self._subs.pop(sub.subscriber_id, None)
+            self._ready.pop(sub, None)
             for task_id, watchers in list(self._interest.items()):
                 watchers.discard(sub.subscriber_id)
                 if not watchers:
@@ -375,8 +380,12 @@ class ResultStreamServer:
         with self._lock:
             return len(self._subs)
 
-    def kick(self) -> None:
-        """Wake the delivery thread (ack freed credits, new consumer)."""
+    def mark(self, sub: ResultSubscription) -> None:
+        """``sub`` may have something to deliver (results queued, a
+        consumer attached, credits freed over a backlog): put it in the
+        next pass and wake the delivery thread."""
+        with self._lock:
+            self._ready[sub] = None
         self._wakeup.set()
 
     # -- service side --------------------------------------------------------
@@ -395,12 +404,20 @@ class ResultStreamServer:
 
     # -- delivery ------------------------------------------------------------
     def step(self) -> int:
-        """One delivery pass over every subscription; returns results sent."""
+        """One delivery pass over the marked subscriptions; returns
+        results sent."""
         with self._lock:
-            subs = list(self._subs.values())
+            if not self._ready:
+                return 0
+            ready, self._ready = iter(self._ready), {}
         total = 0
-        for sub in subs:
-            total += self._deliver(sub)
+        for sub in ready:
+            try:
+                total += self._deliver(sub)
+            except Exception:
+                with self._lock:  # the unvisited keep their mark
+                    self._ready.update(dict.fromkeys(ready))
+                raise
         return total
 
     def _deliver(self, sub: ResultSubscription) -> int:
@@ -415,23 +432,36 @@ class ResultStreamServer:
         leases = sub.queue.lease_many(budget)
         if not leases:
             return 0
+        if len(leases) == budget and sub.backlog:
+            # Stopped at MAX_BATCH or the window, not at an empty queue.
+            self.mark(sub)
         now = self._clock()
         results: list[ResultMessage] = []
         kept: list[Lease] = []
         delivered: list["Task"] = []
         vanished: list[Lease] = []
-        for lease, task in zip(leases, self._shard.get_tasks(
-                [lease.item for lease in leases])):
-            if task is None or not task.state.terminal:
-                # Task record vanished (forgotten); nothing to deliver.
-                # (Only terminal ids enqueue; the state test is defensive.)
-                vanished.append(lease)
-                continue
-            if lease.deliveries > 1:
-                self._c_redelivered.inc()
-            results.append(self._result_message(sub, task, now))
-            kept.append(lease)
-            delivered.append(task)
+        try:
+            for lease, task in zip(leases, self._shard.get_tasks(
+                    [lease.item for lease in leases])):
+                if task is None or not task.state.terminal:
+                    # Task record vanished (forgotten); nothing to deliver.
+                    # (Only terminal ids enqueue; the state test is
+                    # defensive.)
+                    vanished.append(lease)
+                    continue
+                if lease.deliveries > 1:
+                    self._c_redelivered.inc()
+                results.append(self._result_message(sub, task, now))
+                kept.append(lease)
+                delivered.append(task)
+        except Exception:
+            # No credit consumed, nothing recorded yet: hand the leases
+            # back in order (the nack re-marks ``sub``), drop what was
+            # spilled for them and let ``run_loop`` log the pass.
+            for lease in reversed(leases):
+                sub.queue.nack(lease.lease_id)
+                self.drop_spill(sub.subscriber_id, lease.item)
+            raise
         if vanished:
             sub.retire(vanished)
         if not results:
@@ -523,15 +553,12 @@ class ResultStreamServer:
             if self._thread is not None or self._closed:
                 return
             thread = threading.Thread(
-                target=self._loop, name=f"result-stream-{self.tag}",
-                daemon=True)
+                target=run_loop, name=f"result-stream-{self.tag}",
+                daemon=True,
+                args=(f"result-stream:{self.tag}", self.step, self._stop,
+                      self._wakeup, IDLE_FALLBACK))
             self._thread = thread
         thread.start()
-
-    def _loop(self) -> None:
-        while not self._stop.is_set():
-            if self.step() == 0:
-                self._wakeup.wait(self._poll_fallback)
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
@@ -542,6 +569,7 @@ class ResultStreamServer:
             thread = self._thread
             subs = list(self._subs.values())
             self._subs.clear()
+            self._ready.clear()
             self._interest.clear()
         self._stop.set()
         self._wakeup.set()
@@ -710,10 +738,6 @@ class ResultStreamRouter:
         """Drive one delivery pass on every shard (deterministic tests)."""
         return sum(
             shard.result_stream.step() for shard in self._service.shards)
-
-    def kick(self) -> None:
-        for shard in self._service.shards:
-            shard.result_stream.kick()
 
     def close(self) -> None:
         for shard in self._service.shards:

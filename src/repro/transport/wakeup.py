@@ -25,6 +25,11 @@ from typing import Callable
 
 _logger = logging.getLogger(__name__)
 
+#: Liveness fallback for loops that have no heartbeat of their own to
+#: keep (result stream, executor batcher): half the default heartbeat
+#: period, what an idle forwarder, agent or manager wakes at.
+IDLE_FALLBACK = 0.25
+
 
 class Wakeup:
     """A latching alarm clock for event-driven loops.

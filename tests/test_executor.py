@@ -30,6 +30,19 @@ def boom():
     raise KeyError("remote failure")
 
 
+def gate_drain(executor):
+    """Park the batcher in front of its drain until the gate is set."""
+    gate = threading.Event()
+    drain = executor._drain
+
+    def gated():
+        assert gate.wait(30)
+        return drain()
+
+    executor._drain = gated
+    return gate
+
+
 @pytest.fixture
 def deployment():
     with LocalDeployment() as dep:
@@ -118,12 +131,15 @@ class TestExecutor:
             executor.submit(double, 1)
 
     def test_pre_dispatch_cancel_never_submits(self, client, endpoint_id):
-        # A long Nagle hold keeps the call in the pending wave; cancelling
-        # there is a true stdlib cancel — the task never exists.
-        with client.executor(endpoint_id, batch_interval=2.0) as executor:
+        # With the batcher parked in front of its drain the call stays in
+        # the pending wave; cancelling there is a true stdlib cancel —
+        # the task never exists.
+        with client.executor(endpoint_id) as executor:
+            gate = gate_drain(executor)
             future = executor.submit(double, 1)
             assert future.cancel() is True
             assert future.cancelled
+            gate.set()
             with pytest.raises(TaskCancelled):
                 future.result(timeout=5)
             follow_up = executor.submit(double, 21)
@@ -132,10 +148,14 @@ class TestExecutor:
             "executor.tasks_submitted").value == 1  # only the follow-up
 
     def test_shutdown_cancel_futures_drops_pending(self, client, endpoint_id):
-        executor = client.executor(endpoint_id, batch_interval=2.0)
+        executor = client.executor(endpoint_id)
+        gate = gate_drain(executor)
         future = executor.submit(double, 1)
+        future.add_done_callback(lambda _future: gate.set())
         executor.shutdown(wait=True, cancel_futures=True)
         assert future.cancelled
+        assert client.service.metrics.counter(
+            "executor.tasks_submitted").value == 0
 
     def test_post_dispatch_cancel_propagates(self, client, endpoint_id):
         def slow(x):
