@@ -242,7 +242,8 @@ class FuncXExecutor:
         with self._lock:
             wave = self._pending
             self._pending = []
-        self.controller.reset()
+            # Same hold as the swap: a later call increments from zero.
+            self.controller.reset()
         total = 0
         for start in range(0, len(wave), self.batch_size):
             total += self._submit_chunk(wave[start:start + self.batch_size])

@@ -157,8 +157,7 @@ class ResultSubscription:
         self.retire(leases)
         self.credits.release(len(leases))
         if self.queue.depth:
-            # Credits came back with results still queued; an empty
-            # backlog needs no pass (the next put marks us itself).
+            # An empty backlog needs no pass: the next put marks us itself.
             self._server.mark(self)
         return len(leases)
 
@@ -181,6 +180,8 @@ class ResultSubscription:
                 self._server.drop_spill(self.subscriber_id, lease.item)
                 count += 1
             self.credits.release(len(leases))
+        if count:  # the nacks' marks may be spent on a still-closed window
+            self._server.mark(self)
         return count
 
     # -- server side ---------------------------------------------------------
@@ -407,17 +408,20 @@ class ResultStreamServer:
         """One delivery pass over the marked subscriptions; returns
         results sent."""
         with self._lock:
-            if not self._ready:
-                return 0
-            ready, self._ready = iter(self._ready), {}
+            ready, self._ready = self._ready, {}
         total = 0
+        failure: Exception | None = None
         for sub in ready:
             try:
                 total += self._deliver(sub)
-            except Exception:
-                with self._lock:  # the unvisited keep their mark
-                    self._ready.update(dict.fromkeys(ready))
-                raise
+            except Exception as exc:
+                # The others still get their turn; this one keeps its mark
+                # but wakes nobody, so the idle fallback paces the retry.
+                with self._lock:
+                    self._ready[sub] = None
+                failure = failure or exc
+        if failure is not None:
+            raise failure
         return total
 
     def _deliver(self, sub: ResultSubscription) -> int:
@@ -445,8 +449,7 @@ class ResultStreamServer:
                     [lease.item for lease in leases])):
                 if task is None or not task.state.terminal:
                     # Task record vanished (forgotten); nothing to deliver.
-                    # (Only terminal ids enqueue; the state test is
-                    # defensive.)
+                    # (Only terminal ids enqueue; the test is defensive.)
                     vanished.append(lease)
                     continue
                 if lease.deliveries > 1:
@@ -455,11 +458,10 @@ class ResultStreamServer:
                 kept.append(lease)
                 delivered.append(task)
         except Exception:
-            # No credit consumed, nothing recorded yet: hand the leases
-            # back in order (the nack re-marks ``sub``), drop what was
-            # spilled for them and let ``run_loop`` log the pass.
+            # No credit consumed, nothing recorded yet: hand the leases back
+            # in order, unannounced (``step`` re-marks), and drop their spills.
             for lease in reversed(leases):
-                sub.queue.nack(lease.lease_id)
+                sub.queue.nack(lease.lease_id, wake=False)
                 self.drop_spill(sub.subscriber_id, lease.item)
             raise
         if vanished:

@@ -270,8 +270,9 @@ class ReliableQueue:
                     self._emit("queue.ack")
         return acked
 
-    def nack(self, lease_id: int) -> bool:
-        """Return a leased item to the front of the queue for redelivery."""
+    def nack(self, lease_id: int, wake: bool = True) -> bool:
+        """Return a leased item to the front of the queue for redelivery;
+        ``wake=False`` for a consumer handing back its own failed pass."""
         with self._lock:
             lease = self._leases.pop(lease_id, None)
             if lease is None:
@@ -282,7 +283,8 @@ class ReliableQueue:
             )
             self._note_depth()
             self._emit("queue.nack")
-        self._fire_wakeup()
+        if wake:
+            self._fire_wakeup()
         return True
 
     def nack_all(self) -> int:

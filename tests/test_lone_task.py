@@ -17,6 +17,7 @@ and nothing sleeps to synchronise:
 from __future__ import annotations
 
 import logging
+import sys
 import threading
 
 import pytest
@@ -25,6 +26,7 @@ from repro import LocalDeployment
 from repro.auth import AuthService
 from repro.core.service import FuncXService
 from repro.serialize import FuncXSerializer
+from repro.transport.wakeup import IDLE_FALLBACK, run_loop
 
 WAIT = 30.0
 
@@ -150,6 +152,35 @@ class TestExecutorHold:
         assert set(holds(deployment)) <= {0.0, 0.001}
         assert sleeps == [hold for hold in holds(deployment) if hold]
         assert sum(wave_sizes(deployment)) == 64
+
+    def test_call_landing_behind_the_drain_keeps_its_edge(
+            self, deployment, endpoint_id):
+        # A call appended between the batcher's swap and the controller's
+        # reset would count 1 -> 2 (no edge) and then be zeroed: pending,
+        # nothing latched.  The executor's clock stands still, so the
+        # idle fallback never rescues it — a lost edge is a hang.
+        client = deployment.client()
+        executor = client.executor(endpoint_id, clock=lambda: 0.0)
+        reset = executor.controller.reset
+        locked = []
+
+        def reset_under_the_swap():
+            locked.append(executor._lock.locked())
+            return reset()
+
+        executor.controller.reset = reset_under_the_swap
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with executor:
+                for i in range(200):
+                    pair = [executor.submit(double, i),
+                            executor.submit(double, -i)]
+                    assert [f.result(timeout=WAIT) for f in pair] == [
+                        2 * i, -2 * i]
+        finally:
+            sys.setswitchinterval(interval)
+        assert locked and all(locked)
 
 
 # ======================================================================
@@ -312,6 +343,31 @@ class TestOnePassOneSubscription:
         assert consumer.task_ids == task_ids
         assert service.metrics.counter("stream.credit_stalls").value >= 1
 
+    def test_recover_marks_after_the_credits_are_back(self, service, submit):
+        # A pass that runs between recover()'s nacks and its release of
+        # their credits finds the window closed and spends the nacks'
+        # marks; recover must leave a mark behind the release.
+        server = service.result_stream
+        sub = server.subscribe(window=3, auto_deliver=False)
+        consumer = Consumer(sub, ack=False)
+        task_ids = [submit() for _ in range(3)]
+        sub.watch_many(task_ids)
+        for task_id in task_ids:
+            complete(service, task_id)
+        assert server.step() == 3 and sub.credits.available == 0
+        release = sub.credits.release
+        early = []
+
+        def pass_then_release(count):
+            early.append(server.step())     # the delivery thread got in first
+            return release(count)
+
+        sub.credits.release = pass_then_release
+        assert sub.recover() == 3
+        assert early == [0]
+        assert server.step() == 3
+        assert sorted(consumer.task_ids[3:]) == sorted(task_ids)
+
     def test_batch_cap_keeps_the_subscription_marked(self, service, submit,
                                                      monkeypatch):
         monkeypatch.setattr("repro.core.stream.MAX_BATCH", 2)
@@ -332,8 +388,6 @@ class TestNoLostWakeUp:
         # acks and from the delivery thread's own; a mark lost between a
         # pass taking the set and a credit coming back would strand a
         # result (the idle fallback serves only what is marked).
-        import sys
-
         server = service.result_stream
         subs = [server.subscribe(window=2) for _ in range(4)]
         consumers = [Consumer(sub, ack=bool(index % 2))
@@ -372,7 +426,7 @@ class TestNoLostWakeUp:
 
 class TestRaisingPass:
     def test_thread_survives_and_nothing_is_released_twice(
-            self, service, submit, caplog):
+            self, service, submit, monkeypatch):
         server = service.result_stream
         big = b"x" * server.spill_threshold
         sub = server.subscribe()
@@ -391,27 +445,31 @@ class TestRaisingPass:
             return message
 
         server._result_message = full_store
-        with caplog.at_level(logging.ERROR, logger="repro.transport.wakeup"):
-            service.complete_tasks(service.shards[0], [
-                (task_id, True, big, None, 0.0, 0.0) for task_id in task_ids])
-            batch = consumer.await_batch()
-        assert raised == [2]
-        assert [m.task_id for m in batch.results] == task_ids
-        assert any("result-stream:0: step failed" in record.getMessage()
-                   for record in caplog.records)
+        failed = threading.Event()
+        log = logging.getLogger("repro.transport.wakeup")
+        monkeypatch.setattr(
+            log, "exception", lambda *args, **kw: failed.set())
+        service.complete_tasks(service.shards[0], [
+            (task_id, True, big, None, 0.0, 0.0) for task_id in task_ids])
+        assert failed.wait(WAIT)
+        assert raised == [2] and server._thread.is_alive()
+        # The failed pass gave back its leases and spills and woke
+        # nobody; the next result's wake-up is the next pass, served by
+        # the same thread, and it carries the two it owes.
+        healthy = submit()
+        sub.watch(healthy)
+        complete(service, healthy)
+        delivered = []
+        while len(delivered) < 3:
+            delivered += [m.task_id for m in consumer.await_batch().results]
+        assert delivered == task_ids + [healthy]
         assert server._thread.is_alive()
-        # The failed pass gave back its leases and spills; the retry
-        # consumed the window once and the ack returned all of it.
+        # Nothing released twice: the retry consumed the window once and
+        # the acks returned all of it.
         assert service.metrics.counter("stream.redeliveries").value == 2
         assert sub.credits.available == sub.window
         assert sub.backlog == 0 and sub.unacked_results == 0
         assert len(server.spill) == 0
-        # The next healthy result is served by the same thread.
-        healthy = submit()
-        sub.watch(healthy)
-        complete(service, healthy)
-        assert [m.task_id for m in consumer.await_batch().results] == [healthy]
-        assert server._thread.is_alive()
 
     def test_raise_leaves_other_marked_subscriptions_their_turn(
             self, service, submit):
@@ -434,7 +492,45 @@ class TestRaisingPass:
         server._result_message = raise_once
         with pytest.raises(OSError):
             server.step()
-        assert bad.backlog == 1 and good.backlog == 1
-        assert server.step() == 2
+        # The pass went on to the subscription behind the one that raised.
+        assert bad.backlog == 1 and good_consumer.task_ids == [good_task]
+        assert server.step() == 1
         assert bad_consumer.task_ids == [bad_task]
-        assert good_consumer.task_ids == [good_task]
+
+    def test_persistent_failure_is_paced_by_the_idle_fallback(
+            self, service, submit):
+        # A pass that raises every time hands its leases back without a
+        # wake-up: each failing pass is followed by a full idle wait, not
+        # by an immediate retry.
+        server = service.result_stream
+        sub = server.subscribe(auto_deliver=False)
+        Consumer(sub)
+        server.step()
+        task_id = submit()
+        sub.watch(task_id)
+        complete(service, task_id)
+        builds = []
+
+        def always_full(sub_, task, now):
+            builds.append(task.task_id)
+            raise OSError("spill store full")
+
+        server._result_message = always_full
+        stop = threading.Event()
+        latched = []
+
+        class Idle:
+            """``run_loop``'s wake-up: was anything latched, and for how
+            long would the loop have slept?"""
+
+            def wait(self, timeout):
+                latched.append((server._wakeup.wait(0), timeout))
+                if len(latched) == 3:
+                    stop.set()
+
+        assert server._wakeup.wait(0)       # the put's wake-up: pass one
+        run_loop("result-stream:test", server.step, stop, Idle(),
+                 IDLE_FALLBACK)
+        assert latched == [(False, IDLE_FALLBACK)] * 3
+        assert builds == [task_id] * 3      # retried once per idle wait
+        assert sub.backlog == 1 and sub.credits.available == sub.window
