@@ -18,16 +18,21 @@ The manager implements two paper optimizations:
 and the on-demand container deployment algorithm of §4.5: a task needing
 a container the node hasn't deployed triggers a (warm-pool-mediated)
 worker redeployment.
+
+Prefetching exists so that a worker which frees up starts at once: a
+worker that has reported a result takes the head of the prefetched queue
+itself (:meth:`Manager._next_for`), by the routine the loop uses for its
+idle workers (:meth:`Manager._claim_head`).  The loop is on a task's
+path only for an idle worker, a redeploy or a missing body.
 """
 
 from __future__ import annotations
 
-import queue as _queue
 import threading
 import time
 from collections import deque
-from dataclasses import replace
-from typing import Callable
+from queue import Empty, SimpleQueue
+from typing import Callable, Iterable
 
 from repro.containers.runtime import ContainerRuntime
 from repro.containers.spec import ContainerSpec, ContainerTechnology
@@ -50,23 +55,6 @@ from repro.transport.messages import (
     TaskMessage,
 )
 from repro.transport.wakeup import Wakeup, run_loop
-
-
-class _NotifyingQueue(_queue.Queue):
-    """Worker-results queue that pokes the manager's wakeup on put.
-
-    Workers complete tasks on their own threads; without the poke the
-    manager would sleep through completions until its heartbeat
-    fallback fired.
-    """
-
-    def __init__(self, notify: Callable[[], None]):
-        super().__init__()
-        self._notify = notify
-
-    def put(self, item, block: bool = True, timeout: float | None = None) -> None:
-        super().put(item, block, timeout)
-        self._notify()
 
 
 class Manager:
@@ -114,14 +102,15 @@ class Manager:
 
         self._wakeup = Wakeup(clock=self._clock)
         channel.wakeup = self._wakeup.set_at
-        self._results: "_queue.Queue[tuple[str, ResultMessage]]" = _NotifyingQueue(
-            self._wakeup.set)
+        self._results: "SimpleQueue[ResultMessage]" = SimpleQueue()
         self._workers: dict[str, Worker] = {}
         self._lock = threading.RLock()
-        self._idle: set[str] = set()                 # guarded-by: self._lock
+        # Longest idle first: the order a match and a redeploy victim are
+        # chosen in (a set of id strings would order by PYTHONHASHSEED).
+        self._idle: dict[str, Worker] = {}           # guarded-by: self._lock
         self._pending: deque[TaskMessage] = deque()  # guarded-by: self._lock
         # Function-buffer table: bodies arrive once per batch envelope and
-        # are reattached before a task reaches a worker's inbox.
+        # are reattached as a task is claimed for a worker.
         self._buffers: dict[str, bytes] = {}         # guarded-by: self._lock
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
@@ -136,6 +125,8 @@ class Manager:
             "manager.cold_starts", manager=manager_id)
         self._c_buffer_miss = self.metrics.counter(
             "manager.buffer_misses", manager=manager_id)
+        self._c_self_claimed = self.metrics.counter(
+            "manager.tasks_self_claimed", manager=manager_id)
         self._c_coalesced = self.metrics.counter(
             "channel.coalesced_messages", component="manager", manager=manager_id)
         self._h_result_batch = self.metrics.histogram(
@@ -177,16 +168,17 @@ class Manager:
             container = self.runtime.instantiate(ContainerSpec.bare(), now=self._clock())
             worker = Worker(
                 worker_id=worker_id,
-                inbox=_queue.Queue(),
+                inbox=SimpleQueue(),
                 results=self._results,
                 container=container,
                 clock=self._clock,
                 credits=self.credits,
+                next_task=self._next_for,
             )
             self._workers[worker_id] = worker
             self.credits.grant(1)  # the slot's execution credit
             with self._lock:
-                self._idle.add(worker_id)
+                self._idle[worker_id] = worker
 
     def register(self) -> None:
         """Register with the agent once all workers are connected (§4.3)."""
@@ -199,7 +191,7 @@ class Manager:
                 metadata={"workers": len(self._workers)},
             )
         )
-        self._advertise(force=True)
+        self._advertise()
 
     # ------------------------------------------------------------------
     # state views
@@ -229,8 +221,8 @@ class Manager:
     def tracked_task_ids(self) -> list[str]:
         """Ids of tasks queued on this node (chaos accounting probes).
 
-        Tasks already handed to a worker's inbox are not listed; at
-        quiescence (idle workers) the pending deque is the full picture.
+        Tasks a worker already holds are not listed; at quiescence
+        (idle workers) the pending deque is the full picture.
         """
         with self._lock:
             return [m.task_id for m in self._pending]
@@ -244,11 +236,7 @@ class Manager:
         for message in self.channel.recv_all_ready(self.MAX_DRAIN):
             events += 1
             if isinstance(message, TaskBatchMessage):
-                if message.function_buffers:
-                    with self._lock:
-                        self._buffers.update(message.function_buffers)
-                for task in message.tasks:
-                    self._admit_task(task)
+                self._admit(message)
             elif isinstance(message, CommandMessage):
                 self._on_command(message)
         events += self._collect_results()
@@ -256,68 +244,122 @@ class Manager:
         self._maybe_heartbeat()
         return events
 
-    def _admit_task(self, message: TaskMessage) -> None:
-        if message.trace is not None:
-            message.trace.begin("manager", self.manager_id, at=self._clock())
+    def _admit(self, batch: TaskBatchMessage) -> None:
+        """Queue one envelope's tasks; a finishing worker may take the
+        head from here on, before this step's own dispatch pass."""
+        for task in batch.tasks:
+            if task.trace is not None:
+                task.trace.begin("manager", self.manager_id, at=self._clock())
         with self._lock:
-            self._pending.append(message)
+            self._buffers.update(batch.function_buffers)
+            self._pending.extend(batch.tasks)
 
     def _collect_results(self) -> int:
         collected: list[ResultMessage] = []
-        while True:
-            try:
-                worker_id, result = self._results.get_nowait()
-            except _queue.Empty:
-                break
-            self._c_completed.inc()
-            with self._lock:
-                self._idle.add(worker_id)
-            collected.append(result)
-        if not collected:
-            return 0
-        self._send_results(collected)
-        self._advertise()  # capacity freed: advertise immediately
+        try:
+            while True:
+                collected.append(self._results.get_nowait())
+        except Empty:
+            pass
+        if collected:
+            self._c_completed.inc(len(collected))
+            self._send_results(collected)
         return len(collected)
 
     def _send_results(self, results: list[ResultMessage]) -> None:
-        """One transfer for a step's completions (or one failure)."""
-        self.channel.send(
-            ResultBatchMessage(sender=self.manager_id, results=tuple(results)))
+        """One transfer for a step's completions (or one failure) and the
+        advertisement the capacity they free causes."""
+        batch = ResultBatchMessage(sender=self.manager_id, results=tuple(results))
+        state = (self.advertised_capacity(), self.deployed_containers())
+        if state != self._last_advertised:
+            self.channel.send_many((batch, self._advertisement(*state)))
+        else:
+            self.channel.send(batch)
         if len(results) > 1:
             self._c_coalesced.inc(len(results))
         self._h_result_batch.observe(float(len(results)))
 
+    # ------------------------------------------------------------------
+    # starting tasks: one routine, two callers
+    # ------------------------------------------------------------------
+    def _claim_head(  # guarded-by: self._lock
+        self, candidates: Iterable[Worker],
+    ) -> tuple[Worker, TaskMessage] | None:
+        """Start the head of the queue on the first of ``candidates``
+        deployed in its container, or start nothing.
+
+        The only way a task leaves ``_pending`` for a worker: the loop
+        offers its idle workers, a finishing worker offers itself.  The
+        head only (FIFO), only with its body on the node, never once
+        ``_stop`` is set.
+        """
+        if not self._pending or self._stop.is_set():
+            return None
+        head = self._pending[0]
+        body = self._buffers.get(head.function_id)
+        if not body:
+            return None
+        key = head.container_image or "RAW"
+        for worker in candidates:
+            if worker.container.key == key:
+                break
+        else:
+            return None
+        self._pending.popleft()
+        self._idle.pop(worker.worker_id, None)
+        self.credits.consume(1)  # the slot's credit rides the task
+        if head.trace is not None:
+            head.trace.end("manager", at=self._clock(), worker=worker.worker_id)
+        # A copy takes the body: the agent keeps the empty-bodied message
+        # it sent, for re-execution.  (dataclasses.replace costs 1.4x this.)
+        return worker, TaskMessage(**{**vars(head), "function_buffer": body})
+
+    def _next_for(self, worker: Worker) -> TaskMessage | None:
+        """A worker's hand-off after it reported a result (its thread).
+
+        It takes the head exactly when the loop would have handed it
+        that task anyway; otherwise it goes idle and the head — a
+        redeploy (§4.5), a missing body — is the loop's decision.  The
+        loop is woken either way (a result waits), after the marking.
+        """
+        with self._lock:
+            claim = self._claim_head((worker,))
+            if claim is None:
+                self._idle[worker.worker_id] = worker
+        self._wakeup.set()
+        if claim is None:
+            return None
+        self._c_self_claimed.inc()
+        return claim[1]
+
     def _dispatch_pending(self) -> int:
+        """The loop's share: the head to the longest-idle worker in its
+        container, else that container to the longest-idle worker."""
         dispatched = 0
         while True:
-            # Peek/pop under the manager lock: the pending deque is shared
-            # with the agent-facing receive path, and a torn peek-vs-pop
-            # would dispatch one message twice or skip one entirely.
+            victim = None
             with self._lock:
-                if not self._pending:
-                    break
-                message = self._pending[0]
-                buffer = self._buffers.get(message.function_id, b"")
-                if not buffer:
-                    self._pending.popleft()
-            if not buffer:
-                self._fail_unresolvable(message)
-                dispatched += 1
+                claim = self._claim_head(self._idle.values())
+                if claim is None:
+                    if not self._pending or self._stop.is_set():
+                        break
+                    head = self._pending[0]
+                    if not self._buffers.get(head.function_id):
+                        self._pending.popleft()
+                    elif self._idle:
+                        victim = next(iter(self._idle.values()))
+                    else:
+                        break
+            if claim is not None:
+                worker, message = claim
+                worker.inbox.put(message)
+            elif victim is not None:
+                # Outside the lock (a cold start sleeps); the next pass
+                # finds the head matched, or taken by a finishing worker.
+                self._redeploy(victim, head.container_image or "RAW")
                 continue
-            worker = self._worker_for(message.container_image)
-            if worker is None:
-                break
-            with self._lock:
-                if not self._pending or self._pending[0] is not message:
-                    continue  # raced: re-evaluate from the top
-                self._pending.popleft()
-                self._idle.discard(worker.worker_id)
-            self.credits.consume(1)  # the slot's credit rides the task
-            message = replace(message, function_buffer=buffer)
-            if message.trace is not None:
-                message.trace.end("manager", at=self._clock(),
-                                  worker=worker.worker_id)
-            worker.inbox.put(message)
+            else:
+                self._fail_unresolvable(head)
             dispatched += 1
         return dispatched
 
@@ -347,27 +389,10 @@ class Manager:
             )
         ])
 
-    def _worker_for(self, container_image: str | None) -> Worker | None:
-        """An idle worker deployed in a suitable container (§4.5).
-
-        Prefers a matching idle worker; otherwise redeploys an idle
-        worker into the required container (warm pool first, else a cold
-        start whose modelled duration is physically applied).
-        """
-        key = container_image or "RAW"
-        with self._lock:
-            idle_workers = [self._workers[w] for w in self._idle]
-        if not idle_workers:
-            return None
-        for worker in idle_workers:
-            if worker.container.key == key:
-                return worker
-        # No matching container: redeploy one idle worker.
-        victim = idle_workers[0]
-        self._redeploy(victim, key)
-        return victim
-
     def _redeploy(self, worker: Worker, key: str) -> None:
+        """Move an idle worker into container ``key`` (§4.5): warm pool
+        first, else a cold start whose modelled duration is physically
+        applied."""
         now = self._clock()
         released = worker.container
         self.warm_pool.release(released, now)
@@ -385,13 +410,18 @@ class Manager:
                 self._sleep(delay)
             worker.container = instance
         worker._function_cache.clear()  # new environment, no stale modules
-        self._advertise(force=True)
+        self._advertise()
 
     def _spec_for_key(self, key: str) -> ContainerSpec:
         if key == "RAW":
             return ContainerSpec.bare()
         tech_name, _, image = key.partition(":")
-        return ContainerSpec(image=image, technology=ContainerTechnology(tech_name))
+        spec = ContainerSpec(image=image, technology=ContainerTechnology(tech_name))
+        if spec.key != key:
+            # "none:x" is bare: no worker would ever answer to the key,
+            # and the dispatch pass redeploys until one does.
+            raise ValueError(f"container key {key!r} deploys as {spec.key!r}")
+        return spec
 
     # ------------------------------------------------------------------
     # advertisement & heartbeats
@@ -427,10 +457,10 @@ class Manager:
                  if self.config.internal_batching else 1)
         return len(self._workers) + extra
 
-    def _advertise(self, force: bool = False) -> None:
-        state = (self.advertised_capacity(), self.deployed_containers())
-        if force or state != self._last_advertised:
-            self.channel.send(self._advertisement(*state))
+    def _advertise(self) -> None:
+        """Unconditionally; a collect's rides with its results."""
+        self.channel.send(self._advertisement(
+            self.advertised_capacity(), self.deployed_containers()))
 
     def _advertisement(self, capacity: int,
                        containers: tuple[str, ...]) -> Advertisement:
@@ -515,10 +545,15 @@ class Manager:
 
     def kill(self) -> None:
         """Abrupt failure (for the §5.4 experiments): drop the channel and
-        stop processing without draining anything."""
-        self._stop.set()
+        stop processing without draining anything.  Nothing in
+        ``_pending`` starts once this returns; each worker thread exits
+        after the task it is running (not joined)."""
+        with self._lock:  # a claim in progress ends before kill returns
+            self._stop.set()
         self._wakeup.set()
         self.channel.disconnect()
+        for worker in self._workers.values():
+            worker.inbox.put(Worker.STOP)
         if self._thread is not None:
             self._thread.join(1.0)
             self._thread = None  # handoff

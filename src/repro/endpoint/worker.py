@@ -8,14 +8,16 @@ returned via the manager."
 
 :func:`execute_task_message` is the pure execution core (also used
 directly by tests and the breakdown bench); :class:`Worker` wraps it in
-the blocking receive loop run on a thread by the live fabric.
+the blocking receive loop run on a thread by the live fabric.  Before it
+blocks again a worker asks its manager for the next task (``next_task``):
+the manager prefetches (§4.7) so that a freed worker starts at once.
 """
 
 from __future__ import annotations
 
-import queue as _queue
 import threading
 import time
+from queue import SimpleQueue
 from typing import Any, Callable
 
 from repro.containers.runtime import ContainerInstance
@@ -95,8 +97,7 @@ class Worker:
         Queue the manager pushes :class:`TaskMessage` (or the ``STOP``
         sentinel) into — the worker's blocking receive.
     results:
-        Queue the worker pushes :class:`ResultMessage` into, tagged with
-        its own id so the manager can mark it idle.
+        Queue the worker pushes each :class:`ResultMessage` into.
     container:
         The container instance this worker persists within.
     credits:
@@ -105,6 +106,10 @@ class Worker:
         result even reaches the manager's collect pass, so freed
         capacity propagates upstream as early as possible (§4.7
         transfer/compute overlap).
+    next_task:
+        Called with the worker, on its thread, once each result is in
+        ``results``: the task to run next (``Manager._next_for``), or
+        ``None`` to send the worker back to its inbox.
     """
 
     STOP = object()
@@ -112,17 +117,19 @@ class Worker:
     def __init__(
         self,
         worker_id: str,
-        inbox: "_queue.Queue[Any]",
-        results: "_queue.Queue[tuple[str, ResultMessage]]",
+        inbox: "SimpleQueue[Any]",
+        results: "SimpleQueue[ResultMessage]",
         container: ContainerInstance,
         clock: Callable[[], float] | None = None,
         credits: CreditLedger | None = None,
+        next_task: "Callable[[Worker], TaskMessage | None] | None" = None,
     ):
         self.worker_id = worker_id
         self.inbox = inbox
         self.results = results
         self.container = container
         self.credits = credits
+        self._next_task = next_task
         self._clock = clock or time.monotonic  # clock-domain: monotonic
         self.serializer = FuncXSerializer()
         self._function_cache: dict[str, tuple[int, Callable[..., Any]]] = {}
@@ -154,24 +161,27 @@ class Worker:
 
     # ------------------------------------------------------------------
     def _run(self) -> None:
+        next_task = self._next_task
         while True:
             item = self.inbox.get()  # blocking receive (paper §4.3)
             if item is self.STOP:
                 return
-            assert isinstance(item, TaskMessage)
             self.busy = True
-            result = execute_task_message(
-                item,
-                serializer=self.serializer,
-                function_cache=self._function_cache,
-                clock=self._clock,
-                worker_id=self.worker_id,
-            )
-            self.tasks_executed += 1
-            self.container.executions += 1
+            while item is not None:
+                assert isinstance(item, TaskMessage)
+                result = execute_task_message(
+                    item,
+                    serializer=self.serializer,
+                    function_cache=self._function_cache,
+                    clock=self._clock,
+                    worker_id=self.worker_id,
+                )
+                self.tasks_executed += 1
+                self.container.executions += 1
+                if self.credits is not None:
+                    # The worker itself grants its slot's credit back to the
+                    # manager on completion (the credit loop's return edge).
+                    self.credits.release(1)
+                self.results.put(result)
+                item = next_task(self) if next_task is not None else None
             self.busy = False
-            if self.credits is not None:
-                # The worker itself grants its slot's credit back to the
-                # manager on completion (the credit loop's return edge).
-                self.credits.release(1)
-            self.results.put((self.worker_id, result))

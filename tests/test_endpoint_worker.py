@@ -120,11 +120,11 @@ class TestExecuteTaskMessage:
 
 class TestWorkerThread:
     def _make_worker(self):
-        results: "queue.Queue" = queue.Queue()
+        results: "queue.SimpleQueue" = queue.SimpleQueue()
         runtime = ContainerRuntime(seed=0)
         worker = Worker(
             worker_id="w0",
-            inbox=queue.Queue(),
+            inbox=queue.SimpleQueue(),
             results=results,
             container=runtime.instantiate(ContainerSpec.bare()),
         )
@@ -135,8 +135,8 @@ class TestWorkerThread:
         worker.start()
         try:
             worker.inbox.put(task_message(add, (20, ), {"b": 22}))
-            worker_id, result = results.get(timeout=5.0)
-            assert worker_id == "w0"
+            result = results.get(timeout=5.0)
+            assert result.worker_id == "w0"
             assert SERIALIZER.deserialize(result.result_buffer) == 42
             assert worker.tasks_executed == 1
             assert worker.container.executions == 1
@@ -149,7 +149,7 @@ class TestWorkerThread:
         try:
             for i in range(5):
                 worker.inbox.put(task_message(add, (i,), task_id=f"t{i}"))
-            got = [results.get(timeout=5.0)[1].task_id for _ in range(5)]
+            got = [results.get(timeout=5.0).task_id for _ in range(5)]
             assert got == [f"t{i}" for i in range(5)]
         finally:
             worker.stop()
@@ -175,8 +175,8 @@ class TestWorkerThread:
         try:
             worker.inbox.put(task_message(failing, (1,), task_id="bad"))
             worker.inbox.put(task_message(add, (1,), task_id="good"))
-            first = results.get(timeout=5.0)[1]
-            second = results.get(timeout=5.0)[1]
+            first = results.get(timeout=5.0)
+            second = results.get(timeout=5.0)
             assert not first.success
             assert second.success
         finally:
