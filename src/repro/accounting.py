@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from repro.core.service import TERMINAL_TOPIC, FuncXService
-from repro.core.tasks import Task, TaskState
+from repro.core.service import FuncXService
+from repro.core.tasks import TaskState
 
 
 @dataclass
@@ -94,8 +94,10 @@ class UsageLedger:
             raise RuntimeError("ledger already attached")
         self._service = service
 
-        def on_wave(_topic: str, tasks: list[Task]) -> None:
-            for task in tasks:
+        def on_event(_source: str, kind: str, fields: dict) -> None:
+            if kind != "tasks.terminal":
+                return
+            for task in fields["tasks"]:
                 if task.state is TaskState.CANCELLED:
                     continue  # never ran to an outcome: nothing to bill
                 self.charge(
@@ -107,11 +109,11 @@ class UsageLedger:
                     memo_hit=task.memo_hit,
                 )
 
-        self._subscription = service.pubsub.subscribe(TERMINAL_TOPIC, on_wave)
+        self._subscription = service.events.subscribe(on_event)
 
     def detach(self) -> None:
         if self._service is not None and self._subscription is not None:
-            self._service.pubsub.unsubscribe(self._subscription)
+            self._service.events.unsubscribe(self._subscription)
         self._service = None
         self._subscription = None
 

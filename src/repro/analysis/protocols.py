@@ -2,7 +2,7 @@
 
 PR 4's lease-ack check hard-wired one acquire/release discipline into a
 CFG + forward-dataflow pass.  The fabric has since grown four more
-resources with exactly that shape — credit ledgers, pubsub/stream
+resources with exactly that shape — credit ledgers, spine/stream
 subscriptions, spilled result payloads, and result futures — so this
 module generalizes the pass into a declarative registry: a
 :class:`ProtocolSpec` names a protocol's acquire sites, release sites,
@@ -546,11 +546,11 @@ def check_span_lifecycle(source: SourceFile) -> Iterator[Finding]:
 
 
 def check_subscription_lifecycle(source: SourceFile) -> Iterator[Finding]:
-    """Every subscription opened via ``pubsub.subscribe`` or a stream
+    """Every subscription opened via ``events.subscribe`` or a stream
     ``subscribe`` must reach ``unsubscribe``/``detach``/``close`` on
     *every* path to function exit — error and raise paths included.
 
-    A leaked pubsub token keeps delivering into a dead callback forever
+    A leaked spine token keeps delivering into a dead callback forever
     (the PR 7 ``_future_for`` leak class); a leaked stream subscription
     pins its credit window and queue.  Handoffs waive: storing the
     token in a field, returning it, or passing it to any call
@@ -848,10 +848,8 @@ def protocol_sites(sources: List[SourceFile]) -> Dict[str, Dict[str, List[str]]]
             if recv == _CREDIT_SPELLING and attr in {
                     "grant", "revoke", "consume", "release"}:
                 add("credit", attr, source, node)
-            elif recv == "pubsub" and attr == "subscribe":
-                add("subscription", "subscribe", source, node)
-            elif recv == "pubsub" and attr == "unsubscribe":
-                add("subscription", "unsubscribe", source, node)
+            elif recv == "events" and attr in {"subscribe", "unsubscribe"}:
+                add("subscription", attr, source, node)
             elif recv == "result_stream" and attr == "subscribe":
                 add("stream", "subscribe", source, node)
             elif recv in {"subscription", "sub"} and attr in {"close",

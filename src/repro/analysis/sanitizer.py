@@ -321,7 +321,7 @@ class ProtocolRecorder(RuntimeRecorder):
 
     The static engine (:mod:`repro.analysis.protocols`) proves every
     *lexical* acquire reaches a release; this records the events a live
-    fabric performs — credit ledger transitions, pubsub
+    fabric performs — credit ledger transitions, event-spine
     subscribe/unsubscribe, stream subscription open/close — keyed
     ``(protocol, verb)`` like :func:`~repro.analysis.protocols.
     protocol_sites`.  Beside the subset gate, chaos runs assert the
@@ -528,21 +528,22 @@ def sanitize_access(obj, recorder: AccessRecorder, attrs,
     return obj
 
 
-def sanitize_pubsub(pubsub, recorder: ProtocolRecorder):
-    """Record subscription-protocol events on a ``PubSub`` (idempotent).
+def sanitize_events(events, recorder: ProtocolRecorder):
+    """Record subscription-protocol events on an ``EventSpine``
+    (idempotent).
 
     Instance-level rebinds of ``subscribe``/``unsubscribe``; an
     unsubscribe only counts when it actually removed a token (the call
     is idempotent by contract), so the balance law
     ``unsubscribes <= subscribes`` holds exactly.
     """
-    if getattr(pubsub, "_protocol_recorder", None) is not None:
-        return pubsub
-    inner_subscribe = pubsub.subscribe
-    inner_unsubscribe = pubsub.unsubscribe
+    if getattr(events, "_protocol_recorder", None) is not None:
+        return events
+    inner_subscribe = events.subscribe
+    inner_unsubscribe = events.unsubscribe
 
-    def subscribe(topic, callback):
-        token = inner_subscribe(topic, callback)
+    def subscribe(subscriber):
+        token = inner_subscribe(subscriber)
         recorder.record("subscription", "subscribe")
         return token
 
@@ -552,10 +553,10 @@ def sanitize_pubsub(pubsub, recorder: ProtocolRecorder):
             recorder.record("subscription", "unsubscribe")
         return removed
 
-    pubsub.subscribe = subscribe
-    pubsub.unsubscribe = unsubscribe
-    pubsub._protocol_recorder = recorder
-    return pubsub
+    events.subscribe = subscribe
+    events.unsubscribe = unsubscribe
+    events._protocol_recorder = recorder
+    return events
 
 
 def sanitize_result_stream(server, recorder: ProtocolRecorder):

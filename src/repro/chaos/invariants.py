@@ -1,10 +1,11 @@
 """System-wide invariants checked continuously under fault injection.
 
-The registry is the sink for every observation hook in the fabric
-(queues, service, memoizer, forwarder, futures).  Each built-in
-invariant consumes the event stream — or inspects the world at
-quiescence — and records a structured :class:`InvariantViolation`
-naming the fault-plan step that was being applied when it tripped.
+The registry subscribes to a deployment's event spine
+(:mod:`repro.observability.events`), which carries every component's
+transitions.  Each built-in invariant consumes the event stream — or
+inspects the world at quiescence — and records a structured
+:class:`InvariantViolation` naming the fault-plan step that was being
+applied when it tripped.
 
 Built-in invariants (tentpole spec):
 
@@ -77,7 +78,7 @@ class Invariant:
 
     def on_event(self, source: str, event: str, fields: dict[str, Any],
                  record: Callable[[str, dict[str, Any]], None]) -> None:
-        """React to one probe event; call ``record(message, details)``."""
+        """React to one spine event; call ``record(message, details)``."""
 
     def check_final(self, world: "ChaosWorld | None",
                     record: Callable[[str, dict[str, Any]], None]) -> None:
@@ -390,11 +391,12 @@ def default_invariants() -> list[Invariant]:
 
 
 class InvariantRegistry:
-    """Routes probe events to invariants and collects violations.
+    """Routes spine events to invariants and collects violations.
 
-    Components emit through the callables returned by :meth:`probe`; the
-    chaos scheduler calls :meth:`set_step` around each fault step so
-    violations are attributed to the step that triggered them.
+    :meth:`dispatch` is what a chaos world subscribes to its
+    deployment's spine; the chaos scheduler calls :meth:`set_step` around
+    each fault step so violations are attributed to the step that
+    triggered them.
     """
 
     def __init__(self, invariants: Iterable[Invariant] | None = None,
@@ -411,14 +413,6 @@ class InvariantRegistry:
         self.trace_resolver = trace_resolver
 
     # ------------------------------------------------------------------
-    def probe(self, source: str) -> Callable[[str, dict[str, Any]], None]:
-        """A probe callable for one component, tagged with ``source``."""
-
-        def _probe(event: str, fields: dict[str, Any]) -> None:
-            self.dispatch(source, event, fields)
-
-        return _probe
-
     def set_step(self, step: FaultStep | None) -> None:
         with self._lock:
             self.current_step = step

@@ -1,10 +1,11 @@
 """A fully-instrumented live deployment for chaos testing.
 
 :class:`ChaosWorld` wraps a :class:`~repro.fabric.LocalDeployment`,
-attaches invariant probes to every observable component (queues,
-channels, service, memoizer, forwarders, futures), knows how to apply
-each fault-plan action, and can account for every non-terminal task at
-quiescence — the basis of the *no-task-lost* invariant.
+subscribes its invariant registry to the deployment's event spine
+(queues, channels, shards, service, memoizer, forwarders, futures),
+knows how to apply each fault-plan action, and can account for every
+non-terminal task at quiescence — the basis of the *no-task-lost*
+invariant.
 
 Typical use (also packaged as the ``chaos_world`` pytest fixture)::
 
@@ -30,7 +31,6 @@ from typing import Any, Callable
 from repro.chaos.invariants import Invariant, InvariantRegistry, InvariantViolation
 from repro.chaos.plan import FaultPlan, FaultStep
 from repro.chaos.scheduler import ChaosScheduler, ScheduleResult
-from repro.core.futures import FuncXFuture
 from repro.core.service import ServiceConfig
 from repro.endpoint.config import EndpointConfig
 from repro.fabric import LocalDeployment
@@ -71,7 +71,7 @@ class ChaosReport:
 
 
 class ChaosWorld:
-    """A live deployment with invariant probes and fault-action hooks.
+    """A live deployment with invariant checks and fault-action hooks.
 
     Parameters
     ----------
@@ -106,13 +106,10 @@ class ChaosWorld:
             sanitize_locks=sanitize_locks,
         )
         service = self.deployment.service
-        service.probe = self.registry.probe("service")
-        service.memoizer.probe = self.registry.probe("memoizer")
         # Stamp invariant violations with the trace ids of the tasks they
         # name, so a failed run links straight into the span record.
         self.registry.trace_resolver = service.traces.trace_id_for
-        self._saved_future_observer = FuncXFuture.observer
-        FuncXFuture.observer = self.registry.probe("futures")
+        self._subscription = service.events.subscribe(self.registry.dispatch)
         self.scheduler = ChaosScheduler(self)
         self.hooks: dict[str, _EndpointHooks] = {}
         self._closed = False
@@ -161,13 +158,8 @@ class ChaosWorld:
         channel = self.deployment.network.find(f"svc<->{name}")
         assert channel is not None
         queue = self.deployment.service.task_queue(endpoint_id)
-        # Instrument before starting so no event escapes the registry.
         forwarder.lease_timeout = lease_timeout
-        forwarder.probe = self.registry.probe(f"forwarder:{name}")
-        channel.probe = self.registry.probe(f"channel:{name}")
         channel.set_latency(latency)
-        queue.probe = self.registry.probe(f"queue:{name}")
-
         forwarder.start()
         endpoint.start()
         if not endpoint.wait_ready():
@@ -401,7 +393,7 @@ class ChaosWorld:
         self._closed = True
         self.scheduler.abort()
         self.deployment.shutdown()
-        FuncXFuture.observer = self._saved_future_observer
+        self.deployment.service.events.unsubscribe(self._subscription)
 
     def __enter__(self) -> "ChaosWorld":
         return self

@@ -229,7 +229,7 @@ class FuncXClient:
         return self.service.cancel_task(self._token(), task_id)
 
     def _future_for(self, task_id: str) -> FuncXFuture:
-        future = FuncXFuture(task_id)
+        future = FuncXFuture(task_id, self.service.events)
         future.bind_canceller(self.cancel)
 
         def resolve(_task: Task) -> None:

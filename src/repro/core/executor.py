@@ -28,7 +28,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.core.futures import FuncXFuture, wait_all
@@ -94,7 +94,7 @@ class _PendingCall:
     function_id: str
     args: tuple
     kwargs: dict
-    future: FuncXFuture = field(default_factory=lambda: FuncXFuture(""))
+    future: FuncXFuture
 
 
 class FuncXExecutor:
@@ -170,7 +170,8 @@ class FuncXExecutor:
                *args: Any, **kwargs: Any) -> FuncXFuture:
         """Queue one call for the next wave; returns its future now."""
         function_id = self._resolve_function(function)
-        entry = _PendingCall(function_id, args, dict(kwargs))
+        entry = _PendingCall(function_id, args, dict(kwargs),
+                             FuncXFuture("", self.client.service.events))
         entry.future.bind_canceller(
             lambda _task_id, entry=entry: self._cancel_pending(entry))
         with self._lock:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 import threading
 from collections import deque
-from typing import Any, Callable
+from typing import Callable
 
 from repro.core.flowcontrol import WavePolicy
 from repro.core.service import FuncXService
@@ -105,6 +105,7 @@ class Forwarder:
         self._queue: ReliableQueue = service.task_queue(endpoint_id)
         self._sender = f"forwarder:{endpoint_id}"
         self._span_component = f"forwarder:{endpoint_id[:8]}"
+        self._events = service.events
         self._serializer = FuncXSerializer()   # failure path only
         self.channel = channel_end
         self._clock = clock or service.now  # clock-domain: monotonic
@@ -177,9 +178,6 @@ class Forwarder:
         # registration; heartbeats tagged with an older one are from a
         # prior agent lifetime and must not revive the connection.
         self._registered_incarnation = 0  # thread-confined: forwarder-loop
-        # Observation hook: ``probe(event, fields)`` for liveness and
-        # requeue events (chaos invariant probes attach here).
-        self.probe: Callable[[str, dict[str, Any]], None] | None = None
 
     # -- registry-backed counters (compat with the former int attributes) ----
     @property
@@ -215,11 +213,6 @@ class Forwarder:
         """The endpoint's advertised credit window (-1 = unlimited)."""
         with self._lock:
             return self._credit_window
-
-    def _emit(self, event: str, **fields: Any) -> None:
-        probe = self.probe
-        if probe is not None:
-            probe(event, {"endpoint_id": self.endpoint_id, **fields})
 
     # ------------------------------------------------------------------
     @property
@@ -266,11 +259,15 @@ class Forwarder:
                                          enqueue=False):
                 queue.nack(lease.lease_id)
                 self._c_requeues.inc()
-                self._emit("forwarder.lease_timeout", task_id=task_id)
+                if self._events:
+                    self._events.emit("forwarder", "forwarder.lease_timeout", {
+                        "endpoint_id": self.endpoint_id, "task_id": task_id})
             else:
                 queue.ack(lease.lease_id)
-                self._emit("forwarder.dropped", task_id=task_id,
-                           reason="lease timeout")
+                if self._events:
+                    self._events.emit("forwarder", "forwarder.dropped", {
+                        "endpoint_id": self.endpoint_id, "task_id": task_id,
+                        "reason": "lease timeout"})
         return len(expired)
 
     # -- inbound ------------------------------------------------------------
@@ -292,9 +289,11 @@ class Forwarder:
             # A delayed registration from an agent lifetime we have
             # already superseded — accepting it would roll liveness back.
             self._c_stale_beats.inc()
-            self._emit("liveness.stale_registration", component=message.sender,
-                       incarnation=message.incarnation,
-                       registered=self._registered_incarnation)
+            if self._events:
+                self._events.emit("forwarder", "liveness.stale_registration", {
+                    "endpoint_id": self.endpoint_id, "component": message.sender,
+                    "incarnation": message.incarnation,
+                    "registered": self._registered_incarnation})
             return
         with self._lock:
             was_connected = self._agent_connected
@@ -307,12 +306,14 @@ class Forwarder:
         self._registered_incarnation = message.incarnation
         self.heartbeats.beat(message.sender)
         self.service.endpoints.set_connected(self.endpoint_id, True, self._clock())
-        self._emit("liveness.registered", component=message.sender,
-                   incarnation=self.incarnation)
-        if not was_connected:
-            self._emit("liveness.transition", component=message.sender,
-                       alive=True, incarnation=self.incarnation,
-                       via="registration")
+        if self._events:
+            self._events.emit("forwarder", "liveness.registered", {
+                "endpoint_id": self.endpoint_id, "component": message.sender,
+                "incarnation": self.incarnation})
+        if not was_connected and self._events:
+            self._events.emit("forwarder", "liveness.transition", {
+                "endpoint_id": self.endpoint_id, "component": message.sender,
+                "alive": True, "incarnation": self.incarnation, "via": "registration"})
 
     def _on_heartbeat(self, message: Heartbeat) -> None:
         with self._lock:
@@ -325,9 +326,11 @@ class Forwarder:
             # were already requeued, double-executing them against a
             # departed agent.
             self._c_stale_beats.inc()
-            self._emit("liveness.stale_beat", component=message.sender,
-                       incarnation=message.incarnation,
-                       registered=self._registered_incarnation)
+            if self._events:
+                self._events.emit("forwarder", "liveness.stale_beat", {
+                    "endpoint_id": self.endpoint_id, "component": message.sender,
+                    "incarnation": message.incarnation,
+                    "registered": self._registered_incarnation})
             return
         self.heartbeats.beat(message.sender)
         if message.sender == agent_name:
@@ -339,17 +342,19 @@ class Forwarder:
                     window_changed = True
                 else:
                     window_changed = False
-            if window_changed:
-                self._emit("flow.window", window=message.credit)
+            if window_changed and self._events:
+                self._events.emit("forwarder", "flow.window", {
+                    "endpoint_id": self.endpoint_id, "window": message.credit})
             self.service.endpoint_heartbeat(self.endpoint_id)
             self.service.endpoints.set_connected(self.endpoint_id, True, self._clock())
-            self._emit("liveness.beat", component=message.sender,
-                       timestamp=message.timestamp,
-                       incarnation=self.incarnation)
-            if not was_connected:
-                self._emit("liveness.transition", component=message.sender,
-                           alive=True, incarnation=self.incarnation,
-                           via="heartbeat")
+            if self._events:
+                self._events.emit("forwarder", "liveness.beat", {
+                    "endpoint_id": self.endpoint_id, "component": message.sender,
+                    "timestamp": message.timestamp, "incarnation": self.incarnation})
+            if not was_connected and self._events:
+                self._events.emit("forwarder", "liveness.transition", {
+                    "endpoint_id": self.endpoint_id, "component": message.sender,
+                    "alive": True, "incarnation": self.incarnation, "via": "heartbeat"})
 
     def _on_results(self, results: tuple[ResultMessage, ...]) -> None:
         """Retire one result envelope: its leases in one ``ack_many``,
@@ -382,11 +387,15 @@ class Forwarder:
                 # The task record was administratively purged while the
                 # result was in flight; its lease (if any) is acked above.
                 self._c_orphans.inc()
-                self._emit("forwarder.orphan_result", task_id=message.task_id)
+                if self._events:
+                    self._events.emit("forwarder", "forwarder.orphan_result", {
+                        "endpoint_id": self.endpoint_id, "task_id": message.task_id})
             else:
                 self._c_duplicates.inc()
-                self._emit("forwarder.duplicate_result",
-                           task_id=message.task_id, success=message.success)
+                if self._events:
+                    self._events.emit("forwarder", "forwarder.duplicate_result", {
+                        "endpoint_id": self.endpoint_id, "task_id": message.task_id,
+                        "success": message.success})
 
     def _failure_text(self, message: ResultMessage) -> str:
         try:
@@ -417,9 +426,11 @@ class Forwarder:
         with self._lock:
             self._agent_connected = False
         self.service.endpoints.set_connected(self.endpoint_id, False)
-        self._emit("liveness.transition", component=agent_name,
-                   alive=False, incarnation=self.incarnation,
-                   via="heartbeat-timeout")
+        if self._events:
+            self._events.emit("forwarder", "liveness.transition", {
+                "endpoint_id": self.endpoint_id, "component": agent_name,
+                "alive": False, "incarnation": self.incarnation,
+                "via": "heartbeat-timeout"})
         self._requeue_outstanding("agent heartbeat lost")
 
     def _requeue_outstanding(self, reason: str) -> None:
@@ -433,10 +444,16 @@ class Forwarder:
             if kept:
                 queue.nack(lease.lease_id)
                 self._c_requeues.inc()
-                self._emit("forwarder.requeued", task_id=task_id, reason=reason)
+                if self._events:
+                    self._events.emit("forwarder", "forwarder.requeued", {
+                        "endpoint_id": self.endpoint_id, "task_id": task_id,
+                        "reason": reason})
             else:
                 queue.ack(lease.lease_id)  # retries exhausted; drop for good
-                self._emit("forwarder.dropped", task_id=task_id, reason=reason)
+                if self._events:
+                    self._events.emit("forwarder", "forwarder.dropped", {
+                        "endpoint_id": self.endpoint_id, "task_id": task_id,
+                        "reason": reason})
 
     # -- outbound -------------------------------------------------------------------
     def _wave_budget(self, queue: ReliableQueue) -> tuple[int, int, int]:
@@ -461,8 +478,10 @@ class Forwarder:
                         "forwarder %s: wave truncated by zero credit "
                         "(window=%d in_flight=%d backlog=%d)",
                         self.endpoint_id, window, in_flight, depth)
-                    self._emit("flow.credit_exhausted", window=window,
-                               in_flight=in_flight, depth=depth)
+                    if self._events:
+                        self._events.emit("forwarder", "flow.credit_exhausted", {
+                            "endpoint_id": self.endpoint_id, "window": window,
+                            "in_flight": in_flight, "depth": depth})
         return budget, window, in_flight
 
     def _dispatch_tasks(self) -> int:
@@ -499,13 +518,14 @@ class Forwarder:
         if not pending:
             return 0
         dispatched = self._dispatch_batch(queue, pending)
-        if dispatched > 0:
+        if dispatched > 0 and self._events:
             # The count actually sent (orphans acked in passing are not
             # in flight) beside the values the budget was computed from,
             # so the bounded-in-flight invariant can re-check
             # ``size <= window - in_flight`` exactly as the forwarder saw it.
-            self._emit("flow.wave", size=dispatched, in_flight=in_flight,
-                       window=window)
+            self._events.emit("forwarder", "flow.wave", {
+                "endpoint_id": self.endpoint_id, "size": dispatched,
+                "in_flight": in_flight, "window": window})
         return dispatched
 
     def _dispatch_batch(self, queue: ReliableQueue,
@@ -575,7 +595,9 @@ class Forwarder:
         if task is None:
             queue.ack(lease.lease_id)
             self._c_orphans.inc()
-            self._emit("forwarder.orphan_lease", task_id=lease.item)
+            if self._events:
+                self._events.emit("forwarder", "forwarder.orphan_lease", {
+                    "endpoint_id": self.endpoint_id, "task_id": lease.item})
             return None
         if task.state.terminal:
             queue.ack(lease.lease_id)  # cancelled/failed while queued

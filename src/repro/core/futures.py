@@ -15,6 +15,7 @@ import time
 from typing import Any, Callable, ClassVar
 
 from repro.errors import TaskCancelled, TaskExecutionFailed, TaskPending
+from repro.observability.events import EventSpine
 
 logger = logging.getLogger(__name__)
 
@@ -29,30 +30,20 @@ class FuncXFuture:
     The future resolves with either a deserialized result value or a
     failure; :meth:`result` re-raises remote exceptions on the caller's
     stack (via the deserializer's :class:`RemoteExceptionWrapper`).
+    ``events`` is the spine of the deployment the future belongs to:
+    every delivery attempt and success is emitted on it
+    (``future.deliver_attempt``, ``future.delivered``), so a checker can
+    assert no future resolves twice.
     """
-
-    #: Observation hook shared by all futures: when set, invoked as
-    #: ``observer(event, fields)`` on every delivery attempt and success,
-    #: so an external checker can assert no future resolves twice.
-    observer: ClassVar[Callable[[str, dict[str, Any]], None] | None] = None
 
     #: Process-wide count of exceptions swallowed from user done-callbacks
     #: (:func:`concurrent.futures` semantics: a bad callback is logged,
     #: never propagated into the delivering thread).
     callback_errors: ClassVar[int] = 0
 
-    #: Optional hook invoked as ``hook(future, exc)`` whenever a user
-    #: callback raises; deployments point this at a metrics counter.
-    callback_error_hook: ClassVar[
-        Callable[["FuncXFuture", BaseException], None] | None] = None
-
-    def _emit(self, event: str) -> None:
-        observer = type(self).observer
-        if observer is not None:
-            observer(event, {"task_id": self.task_id})
-
-    def __init__(self, task_id: str):
+    def __init__(self, task_id: str, events: EventSpine | None = None):
         self.task_id = task_id
+        self._events = events
         self._event = threading.Event()
         self._value: Any = None
         self._exception: BaseException | None = None
@@ -72,39 +63,32 @@ class FuncXFuture:
         for callback in callbacks:
             try:
                 callback(self)
-            except Exception as exc:
+            except Exception:
                 with _CALLBACK_ERROR_LOCK:
                     FuncXFuture.callback_errors += 1
                 logger.exception(
                     "exception in done-callback for task %s", self.task_id)
-                hook = type(self).callback_error_hook
-                if hook is not None:
-                    try:
-                        hook(self, exc)
-                    except Exception:  # a broken hook must not cascade
-                        logger.exception("callback_error_hook itself failed")
 
     # -- producer side (service/client plumbing) ----------------------------
     def set_result(self, value: Any) -> None:
-        self._emit("future.deliver_attempt")
+        self._resolve(value, None)
+
+    def set_exception(self, exc: BaseException) -> None:
+        self._resolve(None, exc)
+
+    def _resolve(self, value: Any, exc: BaseException | None) -> None:
+        events = self._events
+        if events:
+            events.emit("future", "future.deliver_attempt", {"task_id": self.task_id})
         with self._lock:
             if self._event.is_set():
                 raise RuntimeError(f"future for task {self.task_id} already resolved")
             self._value = value
-            self._event.set()
-            callbacks = list(self._callbacks)
-        self._emit("future.delivered")
-        self._run_callbacks(callbacks)
-
-    def set_exception(self, exc: BaseException) -> None:
-        self._emit("future.deliver_attempt")
-        with self._lock:
-            if self._event.is_set():
-                raise RuntimeError(f"future for task {self.task_id} already resolved")
             self._exception = exc
             self._event.set()
             callbacks = list(self._callbacks)
-        self._emit("future.delivered")
+        if events:
+            events.emit("future", "future.delivered", {"task_id": self.task_id})
         self._run_callbacks(callbacks)
 
     def bind_canceller(self, canceller: Callable[[str], Any]) -> None:

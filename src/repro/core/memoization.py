@@ -12,7 +12,8 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Any, Callable
+
+from repro.observability.events import EventSpine
 
 
 class Memoizer:
@@ -27,29 +28,23 @@ class Memoizer:
     ----------
     capacity:
         Maximum retained entries; least-recently-used entries evict first.
+    events:
+        The deployment's event spine: ``memo.store`` and ``memo.hit``
+        carry the cache key and a digest of the result buffer, emitted
+        under the lock, so a checker can verify a hit never returns bytes
+        stored under a different (function, payload) hash.
     """
 
-    def __init__(self, capacity: int = 100_000):
+    def __init__(self, capacity: int = 100_000,
+                 events: EventSpine | None = None):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
+        self._events = events
         self._lock = threading.Lock()
         self._cache: OrderedDict[str, bytes] = OrderedDict()
         self.hits = 0
         self.misses = 0
-        # Observation hook: ``probe(event, fields)`` on store/hit, carrying
-        # the cache key and a digest of the result buffer so an external
-        # checker can verify a hit never returns bytes stored under a
-        # different (function, payload) hash.  Emitted under the lock.
-        self.probe: Callable[[str, dict[str, Any]], None] | None = None
-
-    def _emit(self, event: str, key: str, result_buffer: bytes) -> None:
-        probe = self.probe
-        if probe is not None:
-            probe(event, {
-                "key": key,
-                "result_sha": hashlib.sha256(result_buffer).hexdigest(),
-            })
 
     @staticmethod
     def key(function_buffer: bytes, payload_buffer: bytes) -> str:
@@ -70,7 +65,9 @@ class Memoizer:
                 return None
             self._cache.move_to_end(k)
             self.hits += 1
-            self._emit("memo.hit", k, result)
+            if self._events:
+                self._events.emit("memoizer", "memo.hit", {
+                    "key": k, "result_sha": hashlib.sha256(result).hexdigest()})
             return result
 
     def store(self, function_buffer: bytes, payload_buffer: bytes, result_buffer: bytes) -> None:
@@ -79,7 +76,9 @@ class Memoizer:
         with self._lock:
             self._cache[k] = result_buffer
             self._cache.move_to_end(k)
-            self._emit("memo.store", k, result_buffer)
+            if self._events:
+                self._events.emit("memoizer", "memo.store", {
+                    "key": k, "result_sha": hashlib.sha256(result_buffer).hexdigest()})
             while len(self._cache) > self.capacity:
                 self._cache.popitem(last=False)
 

@@ -58,15 +58,11 @@ from repro.errors import (
     TaskPending,
 )
 from repro.metrics.registry import Histogram, MetricsRegistry
+from repro.observability.events import EventSpine
 from repro.observability.trace import TraceStore
-from repro.store.pubsub import PubSub
 from repro.store.queues import ReliableQueue
 
 logger = logging.getLogger(__name__)
-
-#: The one monitoring topic: :meth:`FuncXService._retire` publishes each
-#: wave's terminal :class:`Task` records on it, once per wave.
-TERMINAL_TOPIC = "tasks.terminal"
 
 #: One task outcome as a forwarder reports it: ``(task_id, success,
 #: result_buffer, exception_text, execution_time, result_return_time)``.
@@ -157,8 +153,10 @@ class FuncXService:
         self._sleep = sleeper or time.sleep
         self.functions = FunctionRegistry(auth=self.auth)
         self.endpoints = EndpointRegistry()
-        self.pubsub = PubSub()
-        self.memoizer = Memoizer()
+        # The deployment's one observation point: every component below
+        # emits its transitions here (``repro.observability.events``).
+        self.events = EventSpine()
+        self.memoizer = Memoizer(events=self.events)
         # observability fabric: per-task traces + registry-backed counters
         self.metrics = metrics or MetricsRegistry(clock=self._clock)
         self.traces = TraceStore(clock=self._clock, enabled=self.config.tracing,
@@ -174,10 +172,6 @@ class FuncXService:
         # Bound once: looking a histogram up by name sorts its labels.
         self._h_total = self.metrics.histogram("task.total_seconds")
         self._h_stage: dict[str, Histogram] = {}  # filled per stage seen
-        # Observation hook: ``probe(event, fields)`` for task lifecycle
-        # events (chaos invariant probes attach here).  Declared before
-        # the shards — their accounting probes read it through us.
-        self.probe: Callable[[str, dict[str, Any]], None] | None = None
         # Per-tenant admission control in front of the facade.
         self.admission = admission or AdmissionController(clock=self._clock)
         self.admission.metrics = self.metrics
@@ -243,11 +237,6 @@ class FuncXService:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _emit(self, event: str, **fields: Any) -> None:
-        probe = self.probe
-        if probe is not None:
-            probe(event, fields)
-
     def _spend_overhead(self) -> None:
         if self.config.request_overhead > 0:
             self._sleep(self.config.request_overhead)
@@ -448,15 +437,15 @@ class FuncXService:
     ) -> None:
         """Trace, memo-check and enqueue one endpoint's inserted tasks."""
         self._c_received.inc(len(wave))
-        probe = self.probe
+        events = self.events
         for task in wave:
             trace = task.trace = self.traces.open(task.task_id, at=received_at)
             if trace is not None:
                 task.metadata["trace_id"] = trace.trace_id
-            if probe is not None:
-                probe("task.submitted", {"task_id": task.task_id,
-                                         "endpoint_id": endpoint_id,
-                                         "shard": shard.index})
+            if events:
+                events.emit("service", "task.submitted", {
+                    "task_id": task.task_id, "endpoint_id": endpoint_id,
+                    "shard": shard.index})
         if memoize:
             wave = self._serve_memo_hits(shard, wave, received_at)
             if not wave:
@@ -536,7 +525,7 @@ class FuncXService:
         """
         self.auth.authorize(token, Scope.RESULTS)
         shard = self.shard_for_task(task_id)
-        task = shard.get_task(task_id)
+        [task] = shard.get_tasks((task_id,))
         if task is None:
             # An id this plane minted names a record that has since left
             # its table; any other id never was a task here.
@@ -636,13 +625,15 @@ class FuncXService:
                 # worker's result arrives late and is suppressed (counted
                 # apart from redelivery duplicates — different pathology).
                 self._c_post_cancel.inc()
-                self._emit("task.post_cancel_result", task_id=task_id,
-                           success=success)
+                if self.events:
+                    self.events.emit("service", "task.post_cancel_result", {
+                        "task_id": task_id, "success": success})
                 verdicts.append(False)
             elif task.state.terminal:
                 self._c_duplicate_results.inc()
-                self._emit("task.duplicate_result", task_id=task_id,
-                           success=success)
+                if self.events:
+                    self.events.emit("service", "task.duplicate_result", {
+                        "task_id": task_id, "success": success})
                 verdicts.append(False)
             else:
                 task.metadata["result_return_time"] = result_return_time
@@ -680,7 +671,9 @@ class FuncXService:
         self._c_cancelled.inc()
         if task.trace is not None:
             task.trace.close(now)
-        self._emit("task.cancelled", task_id=task_id, state=task.state.value)
+        if self.events:
+            self.events.emit("service", "task.cancelled", {
+                "task_id": task_id, "state": task.state.value})
         self._retire(shard, [task])
         return True
 
@@ -697,8 +690,9 @@ class FuncXService:
         if task.state.terminal:
             return False
         if task.attempts > task.max_retries:
-            self._emit("task.retries_exhausted", task_id=task_id, reason=reason,
-                       attempts=task.attempts)
+            if self.events:
+                self.events.emit("service", "task.retries_exhausted", {
+                    "task_id": task_id, "reason": reason, "attempts": task.attempts})
             self._settle(
                 task,
                 success=False,
@@ -710,14 +704,13 @@ class FuncXService:
         if task.state is not TaskState.QUEUED:
             task.advance(TaskState.QUEUED, self._clock())
         task.metadata.setdefault("requeue_reasons", []).append(reason)
-        self._emit("task.requeued", task_id=task_id, reason=reason)
+        if self.events:
+            self.events.emit("service", "task.requeued", {
+                "task_id": task_id, "reason": reason})
         if enqueue:
             shard.task_queue(task.endpoint_id).put(task.task_id,
                                                    lane=task.owner_id)
         return True
-
-    def mark_dispatched(self, task_id: str) -> None:
-        self.tasks_dispatched([self._get_task(task_id)])
 
     def tasks_dispatched(self, tasks: list[Task]) -> None:
         """A forwarder sent this wave to its agent (fig 3, step 4)."""
@@ -776,7 +769,9 @@ class FuncXService:
         if not task.state.terminal:
             self.admission.release(task.owner_id)
         self._c_forgotten.inc()
-        self._emit("task.forgotten", task_id=task_id, state=task.state.value)
+        if self.events:
+            self.events.emit("service", "task.forgotten", {
+                "task_id": task_id, "state": task.state.value})
         return True
 
     def iter_tasks(self) -> list[Task]:
@@ -800,7 +795,7 @@ class FuncXService:
     # ------------------------------------------------------------------
     def _locate(self, task_id: str) -> tuple[ServiceShard, Task]:
         shard = self.shard_for_task(task_id)
-        task = shard.get_task(task_id)
+        [task] = shard.get_tasks((task_id,))
         if task is None:
             raise TaskNotFound(task_id)
         return shard, task
@@ -837,18 +832,17 @@ class FuncXService:
         self._c_completed.inc()
         if task.trace is not None:
             task.trace.close(now)
-        probe = self.probe
-        if probe is not None:
-            probe("task.completed", {"task_id": task.task_id,
-                                     "success": success,
-                                     "state": task.state.value})
+        if self.events:
+            self.events.emit("service", "task.completed", {
+                "task_id": task.task_id, "success": success,
+                "state": task.state.value})
 
     def _retire(self, shard: ServiceShard, tasks: list[Task]) -> None:
         """The per-wave half of reaching a terminal state: the closed
         traces' stage times into their histograms, shard accounting
         (where the argument bytes leave and expired records are swept),
         tenant quota, then the announcements: each waiter on a record
-        of the wave, one publish for the monitors, one call to the
+        of the wave, one ``tasks.terminal`` event, one call to the
         result stream."""
         if not tasks:
             return
@@ -876,7 +870,9 @@ class FuncXService:
         for task, waiter in waiting:
             try:
                 waiter(task)
-            except Exception:  # isolate a bad waiter, as publish does a monitor
+            except Exception:  # isolate a bad waiter, as the spine does
                 logger.exception("waiter for task %s failed", task.task_id)
-        self.pubsub.publish(TERMINAL_TOPIC, tasks)
+        if self.events:
+            self.events.emit("service", "tasks.terminal",
+                             {"shard": shard.index, "tasks": tasks})
         shard.result_stream.on_tasks_terminal(tasks)

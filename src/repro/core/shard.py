@@ -123,8 +123,9 @@ class ServiceShard:
 
         open == received - terminated - forgotten_open
 
-    emitted on every mutation as a ``shard.accounting`` probe event so
-    the chaos layer can check it per-shard and across shards.
+    emitted on every mutation as a ``shard.accounting`` event on the
+    service's spine so the chaos layer can check it per-shard and across
+    shards.
     """
 
     # Queue-map creation and drain/kill administration race from
@@ -152,6 +153,7 @@ class ServiceShard:
     ):
         self.index = index
         self.service = service
+        self._events = service.events
         self._clock = clock or time.monotonic  # clock-domain: monotonic
         self._lock = threading.RLock()
         self._tasks: dict[str, Task] = {}
@@ -191,7 +193,7 @@ class ServiceShard:
             self, clock=self._clock, spill_threshold=spill_threshold,
             tag=str(index))
 
-    # -- probe ---------------------------------------------------------------
+    # -- observation ---------------------------------------------------------
     def _accounting(self, cause: str, task_id: str) -> dict[str, Any]:  # guarded-by: self._lock
         """A ``shard.accounting`` snapshot (caller holds the lock)."""
         return {
@@ -209,8 +211,8 @@ class ServiceShard:
     # record lives.  Its entry points take the wave their caller was
     # handed (a lone task is a wave of one) and hold the lock once.
     def insert_tasks(self, tasks: list[Task]) -> None:
+        events = self._events
         with self._lock:
-            probe = self.service.probe
             for task in tasks:
                 self._tasks[task.task_id] = task
                 self._received += 1
@@ -218,18 +220,15 @@ class ServiceShard:
                 self._retained += task.payload_size
                 self._outstanding[task.endpoint_id] = (
                     self._outstanding.get(task.endpoint_id, 0) + 1)
-                if probe is not None:
-                    probe("shard.accounting",
-                          self._accounting("insert", task.task_id))
+                if events:
+                    events.emit("shard", "shard.accounting",
+                                self._accounting("insert", task.task_id))
         self._c_received.inc(len(tasks))
 
     def get_tasks(self, task_ids: Iterable[str]) -> list[Task | None]:
         """The records for ``task_ids``, in order; ``None`` where unknown."""
         with self._lock:
             return [self._tasks.get(task_id) for task_id in task_ids]
-
-    def get_task(self, task_id: str) -> Task | None:
-        return self.get_tasks((task_id,))[0]
 
     def pop_task(self, task_id: str) -> Task | None:
         """Remove a task record (forget path); fixes up open counters."""
@@ -251,9 +250,9 @@ class ServiceShard:
         self._retained -= len(task.payload_buffer)
         if task.expires_at is not None and task.result_buffer is not None:
             self._retained -= task.result_size
-        probe = self.service.probe
-        if probe is not None:
-            probe("shard.accounting", self._accounting(cause, task_id))
+        if self._events:
+            self._events.emit("shard", "shard.accounting",
+                              self._accounting(cause, task_id))
         return task
 
     def when_terminal(self, task_id: str, callback: Waiter) -> None:
@@ -295,8 +294,8 @@ class ServiceShard:
         it holds no lock."""
         count = 0
         waiting: list[tuple[Task, Waiter]] = []
+        events = self._events
         with self._lock:
-            probe = self.service.probe
             now = self._clock()
             for task in tasks:
                 if task.waiters is not None:
@@ -313,9 +312,9 @@ class ServiceShard:
                     self._retained += task.result_size
                 self._arm(task, now)
                 count += 1
-                if probe is not None:
-                    probe("shard.accounting",
-                          self._accounting("terminal", task.task_id))
+                if events:
+                    events.emit("shard", "shard.accounting",
+                                self._accounting("terminal", task.task_id))
             due = bool(self._expiry) and self._expiry[0][0] <= now
         self._c_terminated.inc(count)
         if due:
@@ -412,7 +411,7 @@ class ServiceShard:
         with self._lock:
             self._task_queues[endpoint_id] = FairReliableQueue(
                 name=f"tasks:{endpoint_id}", clock=self._clock,
-                weight_for=weight_for)
+                weight_for=weight_for, events=self._events)
 
     def task_queue(self, endpoint_id: str) -> ReliableQueue:
         with self._lock:

@@ -111,7 +111,7 @@ class LocalDeployment:
         self.metrics = MetricsRegistry()
         self.service = FuncXService(auth=self.auth, config=config,
                                     metrics=self.metrics)
-        self.network = Network(seed=seed)
+        self.network = Network(seed=seed, events=self.service.events)
         self._seed = seed
         self._handles: dict[str, _EndpointHandle] = {}
         self._identities: dict[str, Identity] = {}
@@ -129,8 +129,8 @@ class LocalDeployment:
                 AccessRecorder,
                 LockOrderRecorder,
                 ProtocolRecorder,
+                sanitize_events,
                 sanitize_lock,
-                sanitize_pubsub,
                 sanitize_result_stream,
             )
 
@@ -144,7 +144,7 @@ class LocalDeployment:
             # stream event so chaos runs can assert the runtime trace is a
             # subset of the statically-declared protocol sites.
             self.protocol_recorder = ProtocolRecorder(metrics=self.metrics)
-            sanitize_pubsub(self.service.pubsub, self.protocol_recorder)
+            sanitize_events(self.service.events, self.protocol_recorder)
             for shard in self.service.shards:
                 sanitize_result_stream(shard.result_stream,
                                        self.protocol_recorder)

@@ -16,8 +16,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core.service import TERMINAL_TOPIC, FuncXService
-from repro.core.tasks import Task, TaskState
+from repro.core.service import FuncXService
+from repro.core.tasks import TaskState
 
 
 @dataclass(frozen=True)
@@ -56,14 +56,17 @@ class TaskEventLog:
 
     # ------------------------------------------------------------------
     def attach(self, service: FuncXService) -> None:
-        """Record every terminal transition ``service`` publishes."""
+        """Record every terminal transition: each ``tasks.terminal``
+        wave on ``service.events``."""
         if self._service is not None:
             raise RuntimeError("event log already attached")
         self._service = service
 
-        def on_wave(_topic: str, tasks: list[Task]) -> None:
+        def on_event(_source: str, kind: str, fields: dict) -> None:
+            if kind != "tasks.terminal":
+                return
             now = self._clock()
-            for task in tasks:
+            for task in fields["tasks"]:
                 self.record(
                     TaskEvent(
                         timestamp=now,
@@ -75,11 +78,11 @@ class TaskEventLog:
                     )
                 )
 
-        self._subscription = service.pubsub.subscribe(TERMINAL_TOPIC, on_wave)
+        self._subscription = service.events.subscribe(on_event)
 
     def detach(self) -> None:
         if self._service is not None and self._subscription is not None:
-            self._service.pubsub.unsubscribe(self._subscription)
+            self._service.events.unsubscribe(self._subscription)
         self._service = None
         self._subscription = None
 

@@ -7,8 +7,8 @@ thread-safe equivalents of those two (task records live in
 
 * :class:`ReliableQueue` — FIFO queue with lease/ack semantics giving the
   at-least-once delivery the hierarchical queueing architecture requires.
-* :class:`PubSub` — exact-topic fan-out; the service publishes each
-  completion wave's terminal records on one monitoring topic.
+* :class:`PubSub` — exact-topic fan-out, kept for a benchmark drive;
+  monitors subscribe to the deployment's event spine instead.
 """
 
 from repro.store.queues import Lease, ReliableQueue

@@ -1,11 +1,11 @@
-"""Topic-based publish/subscribe for monitoring streams.
+"""Topic-based publish/subscribe.
 
-The funcX service exposes task-state monitoring; internally it publishes
-each completion wave's terminal task records once, on one topic
-(``repro.core.service.TERMINAL_TOPIC``), so the event log, the usage
-ledger and test instrumentation observe the system without polling the
-task table.  Waiting for *one* task is not done here: a waiter registers
-on the task's record (``ServiceShard.when_terminal``).
+Nothing in the fabric publishes here any more: a deployment's monitors
+subscribe to its event spine (``FuncXService.events``, see
+:mod:`repro.observability.events`), and waiting for *one* task is a
+waiter on the task's record (``ServiceShard.when_terminal``).  The class
+is kept only for the benchmark's ``pubsub.publish_us`` drive, until the
+benchmark-only change that retires that drive (ROADMAP item 5(a)).
 """
 
 from __future__ import annotations

@@ -28,6 +28,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
+from repro.observability.events import EventSpine
+
 # Ready-backlog entry: (item, enqueued_at, prior deliveries, lane).
 _Entry = tuple[Any, float, int, str]
 
@@ -58,6 +60,10 @@ class ReliableQueue:
         Visibility timeout applied to leases when the consumer does not
         specify one.  ``None`` means leases never auto-expire (the live
         forwarder explicitly nacks on disconnect instead).
+    events:
+        The deployment's event spine: every mutation emits a
+        ``queue.*`` event carrying a conservation snapshot, under the
+        queue lock.
     """
 
     # All queue state moves together under the queue's lock — the
@@ -78,8 +84,10 @@ class ReliableQueue:
         name: str = "queue",
         clock: Callable[[], float] | None = None,
         default_lease_timeout: float | None = None,
+        events: EventSpine | None = None,
     ):
         self.name = name
+        self._events = events
         self._clock = clock or time.monotonic  # clock-domain: monotonic
         self._lock = threading.Lock()
         self._items: deque[_Entry] = deque()
@@ -95,10 +103,6 @@ class ReliableQueue:
         # backpressure shedding load into this queue, the watermark is
         # the observable record of how far producers outran consumers.
         self._high_watermark = 0
-        # Observation hook: when set, invoked as ``probe(event, fields)``
-        # after every mutation, carrying a conservation snapshot.  Handlers
-        # run under the queue lock and must not call back into the queue.
-        self.probe: Callable[[str, dict[str, Any]], None] | None = None
         # Wakeup hook: fired (outside the queue lock) whenever items
         # become available — put/nack/expiry.  Event-driven consumers
         # point this at Wakeup.set so they block instead of sleep-polling.
@@ -137,22 +141,11 @@ class ReliableQueue:
             self._high_watermark = depth
 
     # -- observation ---------------------------------------------------------
-    def _emit(self, event: str, **fields: Any) -> None:  # guarded-by: self._lock
-        """Emit ``event`` with a conservation snapshot (caller holds lock)."""
-        probe = self.probe
-        if probe is None:
-            return
-        probe(
-            event,
-            {
-                "queue": self.name,
-                "enqueued": self.total_enqueued,
-                "acked": self.total_acked,
-                "in_flight": len(self._leases),
-                "ready": self._ready_len(),
-                **fields,
-            },
-        )
+    def _snapshot(self, **fields: Any) -> dict[str, Any]:  # guarded-by: self._lock
+        """A ``queue.*`` event's fields: the conservation counts."""
+        return {"queue": self.name, "enqueued": self.total_enqueued,
+                "acked": self.total_acked, "in_flight": len(self._leases),
+                "ready": self._ready_len(), **fields}
 
     def conservation_delta(self) -> int:
         """``total_enqueued - total_acked - in_flight - ready``.
@@ -183,20 +176,20 @@ class ReliableQueue:
 
     def put_many(self, items: Iterable[Any], lane: str = "") -> int:
         """Enqueue a wave under one lock hold and fire one wake-up;
-        returns the number enqueued.  An attached probe still sees one
+        returns the number enqueued.  A subscriber still sees one
         ``queue.put`` snapshot per item."""
         count = 0
+        events = self._events
         with self._lock:
             if self._closed:
                 raise RuntimeError(f"queue {self.name} is closed")
             now = self._clock()
-            probed = self.probe is not None
             for item in items:
                 self._ready_push((item, now, 0, lane))
                 self.total_enqueued += 1
                 count += 1
-                if probed:
-                    self._emit("queue.put")
+                if events:
+                    events.emit("queue", "queue.put", self._snapshot())
             if count:
                 self._note_depth()
         if count:
@@ -232,7 +225,9 @@ class ReliableQueue:
             if not self._ready_len():
                 return None
             lease = self._lease_entry(lease_timeout, self._clock())
-            self._emit("queue.lease", deliveries=lease.deliveries)
+            if self._events:
+                self._events.emit("queue", "queue.lease", self._snapshot(
+                    deliveries=lease.deliveries))
             return lease
 
     def lease_many(self, max_items: int, lease_timeout: float | None = None) -> list[Lease]:
@@ -244,8 +239,9 @@ class ReliableQueue:
                 if not self._ready_len():
                     break
                 leases.append(self._lease_entry(lease_timeout, now))
-            if leases:
-                self._emit("queue.lease_many", count=len(leases))
+            if leases and self._events:
+                self._events.emit("queue", "queue.lease_many",
+                                  self._snapshot(count=len(leases)))
         return leases
 
     def ack(self, lease_id: int) -> bool:
@@ -254,20 +250,21 @@ class ReliableQueue:
 
     def ack_many(self, lease_ids: Iterable[int]) -> int:
         """Complete a wave of leases under one lock hold; returns how
-        many were still open.  An attached probe still sees one
-        ``queue.ack`` (or ``queue.ack_rejected``) snapshot per lease."""
+        many were still open.  A subscriber still sees one ``queue.ack``
+        (or ``queue.ack_rejected``) snapshot per lease."""
         acked = 0
+        events = self._events
         with self._lock:
-            probed = self.probe is not None
             for lease_id in lease_ids:
                 if self._leases.pop(lease_id, None) is None:
-                    if probed:
-                        self._emit("queue.ack_rejected", lease_id=lease_id)
+                    if events:
+                        events.emit("queue", "queue.ack_rejected",
+                                    self._snapshot(lease_id=lease_id))
                     continue
                 self.total_acked += 1
                 acked += 1
-                if probed:
-                    self._emit("queue.ack")
+                if events:
+                    events.emit("queue", "queue.ack", self._snapshot())
         return acked
 
     def nack(self, lease_id: int, wake: bool = True) -> bool:
@@ -276,13 +273,16 @@ class ReliableQueue:
         with self._lock:
             lease = self._leases.pop(lease_id, None)
             if lease is None:
-                self._emit("queue.nack_rejected", lease_id=lease_id)
+                if self._events:
+                    self._events.emit("queue", "queue.nack_rejected",
+                                      self._snapshot(lease_id=lease_id))
                 return False
             self._ready_push(
                 (lease.item, lease.enqueued_at, lease.deliveries, lease.lane), front=True
             )
             self._note_depth()
-            self._emit("queue.nack")
+            if self._events:
+                self._events.emit("queue", "queue.nack", self._snapshot())
         if wake:
             self._fire_wakeup()
         return True
@@ -302,8 +302,8 @@ class ReliableQueue:
             count = len(leases)
             self._leases.clear()
             self._note_depth()
-            if count:
-                self._emit("queue.nack_all", count=count)
+            if count and self._events:
+                self._events.emit("queue", "queue.nack_all", self._snapshot(count=count))
         if count:
             self._fire_wakeup()
         return count
@@ -322,8 +322,9 @@ class ReliableQueue:
                     front=True,
                 )
             self._note_depth()
-            if expired:
-                self._emit("queue.requeue_expired", count=len(expired))
+            if expired and self._events:
+                self._events.emit("queue", "queue.requeue_expired",
+                                  self._snapshot(count=len(expired)))
         if expired:
             self._fire_wakeup()
         return len(expired)
@@ -401,8 +402,11 @@ class FairReliableQueue(ReliableQueue):
         default_lease_timeout: float | None = None,
         quantum: float = 1.0,
         weight_for: Callable[[str], float] | None = None,
+        events: EventSpine | None = None,
     ):
-        super().__init__(name=name, clock=clock, default_lease_timeout=default_lease_timeout)
+        super().__init__(name=name, clock=clock,
+                         default_lease_timeout=default_lease_timeout,
+                         events=events)
         if quantum <= 0:
             raise ValueError("quantum must be positive")
         self._quantum = quantum

@@ -27,6 +27,7 @@ import time
 from typing import Any, Callable
 
 from repro.errors import ChannelClosed, Disconnected
+from repro.observability.events import EventSpine
 
 
 class ChannelEnd:
@@ -72,6 +73,20 @@ class ChannelEnd:
         self._peer = peer
         self._channel = channel
 
+    def _lost(self, reason: str, count: int | None = None) -> None:
+        """Account one lost transfer of ``count`` messages (one ``send``
+        when ``None``)."""
+        channel = self._channel
+        assert channel is not None
+        channel.dropped_count += 1 if count is None else count
+        events = channel._events
+        if events:
+            fields = {"channel": channel.name, "end": self.name,
+                      "reason": reason}
+            if count is not None:
+                fields["count"] = count
+            events.emit("channel", "channel.dropped", fields)
+
     # -- sending ------------------------------------------------------------
     def send(self, message: Any) -> bool:
         """Send ``message`` to the peer.
@@ -89,12 +104,10 @@ class ChannelEnd:
         assert self._peer is not None and self._channel is not None
         channel = self._channel
         if channel.rng.random() < channel.drop_probability:
-            channel.dropped_count += 1
-            channel.emit("channel.dropped", end=self.name, reason="random-loss")
+            self._lost("random-loss")
             return False
         if not self._peer._connected or self._peer._closed:
-            channel.dropped_count += 1
-            channel.emit("channel.dropped", end=self.name, reason="peer-down")
+            self._lost("peer-down")
             return False
         latency = channel.sample_latency()
         self._peer._deliver_batch(self._clock(), latency,
@@ -125,14 +138,10 @@ class ChannelEnd:
         assert self._peer is not None and self._channel is not None
         channel = self._channel
         if channel.rng.random() < channel.drop_probability:
-            channel.dropped_count += len(messages)
-            channel.emit("channel.dropped", end=self.name,
-                         reason="random-loss", count=len(messages))
+            self._lost("random-loss", len(messages))
             return 0
         if not self._peer._connected or self._peer._closed:
-            channel.dropped_count += len(messages)
-            channel.emit("channel.dropped", end=self.name,
-                         reason="peer-down", count=len(messages))
+            self._lost("peer-down", len(messages))
             return 0
         latency = channel.sample_latency()
         self._peer._deliver_batch(self._clock(), latency,
@@ -238,13 +247,8 @@ class ChannelEnd:
         with self._lock:
             self._connected = False
             if drop_inbox:
-                if self._channel is not None:
-                    self._channel.dropped_count += len(self._inbox)
-                    if self._inbox:
-                        self._channel.emit(
-                            "channel.dropped", end=self.name,
-                            reason="disconnect", count=len(self._inbox),
-                        )
+                if self._channel is not None and self._inbox:
+                    self._lost("disconnect", len(self._inbox))
                 self._inbox.clear()
             self._lock.notify_all()
 
@@ -285,6 +289,9 @@ class Channel:
         behavior.
     seed:
         Seed for the channel's private RNG (reproducible drops/jitter).
+    events:
+        The deployment's event spine: every lost transfer emits
+        ``channel.dropped``.
     """
 
     def __init__(
@@ -295,6 +302,7 @@ class Channel:
         drop_probability: float = 0.0,
         transfer_cost: float = 0.0,
         seed: int | None = None,
+        events: EventSpine | None = None,
     ):
         if not 0.0 <= drop_probability < 1.0:
             raise ValueError("drop_probability must be in [0, 1)")
@@ -309,18 +317,11 @@ class Channel:
         self.dropped_count = 0
         # Messages that crossed the channel inside a coalesced transfer.
         self.coalesced_count = 0
-        # Observation hook: when set, invoked as ``probe(event, fields)``
-        # for message-loss events (chaos invariant probes attach here).
-        self.probe: Callable[[str, dict[str, Any]], None] | None = None
+        self._events = events
         self.left = ChannelEnd(f"{name}.left", clock)
         self.right = ChannelEnd(f"{name}.right", clock)
         self.left._bind(self.right, self)
         self.right._bind(self.left, self)
-
-    def emit(self, event: str, **fields: Any) -> None:
-        probe = self.probe
-        if probe is not None:
-            probe(event, {"channel": self.name, **fields})
 
     def set_latency(self, latency: float | Callable[[], float]) -> None:
         """Swap the latency model at runtime (chaos latency spikes)."""
@@ -343,7 +344,8 @@ class Network:
 
     Used by the live fabric to wire service↔endpoint↔manager↔worker links
     with realistic latencies (e.g. 18.2 ms WAN to the service, <1 ms
-    intra-site, per paper section 5.1).
+    intra-site, per paper section 5.1).  Every channel it creates emits
+    its losses on ``events``, the deployment's spine.
     """
 
     def __init__(
@@ -351,8 +353,10 @@ class Network:
         clock: Callable[[], float] | None = None,
         default_latency: float | Callable[[], float] = 0.0,
         seed: int | None = None,
+        events: EventSpine | None = None,
     ):
         self._clock = clock or time.monotonic
+        self._events = events
         self._default_latency = default_latency
         self._seed_counter = itertools.count(seed if seed is not None else 0)
         self._use_seed = seed is not None
@@ -376,6 +380,7 @@ class Network:
             drop_probability=drop_probability,
             transfer_cost=transfer_cost,
             seed=next(self._seed_counter) if self._use_seed else None,
+            events=self._events,
         )
         self.channels.append(channel)
         return channel

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.chaos import FaultStep, InvariantRegistry
 from repro.chaos.invariants import Invariant
+from repro.observability.events import EventSpine
 
 
 def queue_event(registry, *, enqueued, acked, in_flight, ready,
@@ -164,8 +165,10 @@ class TestRegistryMechanics:
                 seen.append((source, event))
 
         registry = InvariantRegistry([Spy()])
-        registry.probe("channel:ep")("channel.dropped", {"reason": "x"})
-        assert seen == [("channel:ep", "channel.dropped")]
+        events = EventSpine()
+        events.subscribe(registry.dispatch)
+        events.emit("channel", "channel.dropped", {"reason": "x"})
+        assert seen == [("channel", "channel.dropped")]
 
     def test_broken_invariant_does_not_propagate(self):
         class Broken(Invariant):

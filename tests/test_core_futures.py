@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import logging
 import threading
 
 import pytest
 
 from repro.core.futures import FuncXFuture, wait_all
 from repro.errors import TaskCancelled, TaskExecutionFailed, TaskPending
+from repro.observability.events import EventSpine
 from repro.serialize.traceback import RemoteExceptionWrapper
 
 
@@ -139,11 +141,9 @@ class TestCallbackIsolation:
     @pytest.fixture(autouse=True)
     def _reset_counters(self):
         saved_count = FuncXFuture.callback_errors
-        saved_hook = FuncXFuture.callback_error_hook
         FuncXFuture.callback_errors = 0
         yield
         FuncXFuture.callback_errors = saved_count
-        FuncXFuture.callback_error_hook = saved_hook
 
     def test_raising_callback_does_not_unwind_resolver(self):
         f = FuncXFuture("t")
@@ -161,22 +161,36 @@ class TestCallbackIsolation:
         f.add_done_callback(lambda fut: (_ for _ in ()).throw(KeyError()))
         assert FuncXFuture.callback_errors == 1
 
-    def test_error_hook_invoked(self):
-        hooked = []
-        FuncXFuture.callback_error_hook = (
-            lambda fut, exc: hooked.append((fut.task_id, type(exc))))
+    def test_raising_callback_is_logged(self, caplog):
         f = FuncXFuture("t")
         f.add_done_callback(lambda fut: (_ for _ in ()).throw(OSError()))
-        f.set_exception(ValueError())
-        assert hooked == [("t", OSError)]
+        with caplog.at_level(logging.ERROR, logger="repro.core.futures"):
+            f.set_exception(ValueError())
+        assert [record.exc_info[0] for record in caplog.records] == [OSError]
+        assert "task t" in caplog.records[0].getMessage()
 
-    def test_broken_hook_does_not_cascade(self):
-        FuncXFuture.callback_error_hook = (
-            lambda fut, exc: (_ for _ in ()).throw(RuntimeError()))
-        f = FuncXFuture("t")
-        f.add_done_callback(lambda fut: (_ for _ in ()).throw(OSError()))
-        f.set_result(1)  # neither the callback nor the hook may escape
-        assert FuncXFuture.callback_errors == 1
+
+class TestDeliveryEvents:
+    def test_attempts_and_deliveries_reach_the_futures_spine(self):
+        events = EventSpine()
+        seen = []
+        events.subscribe(lambda source, kind, fields: seen.append(
+            (source, kind, fields["task_id"])))
+        f = FuncXFuture("t", events)
+        f.set_result(1)
+        with pytest.raises(RuntimeError):
+            f.set_exception(ValueError())  # a second resolution is refused
+        assert seen == [("future", "future.deliver_attempt", "t"),
+                        ("future", "future.delivered", "t"),
+                        ("future", "future.deliver_attempt", "t")]
+
+    def test_a_future_without_a_spine_emits_nothing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(EventSpine, "emit",
+                            lambda *args: calls.append(args))
+        FuncXFuture("t", EventSpine()).set_result(1)  # nobody subscribed
+        FuncXFuture("u").set_result(1)
+        assert calls == []
 
 
 class TestWaiting:

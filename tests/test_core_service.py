@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.auth import AuthService, Scope
-from repro.core.service import TERMINAL_TOPIC, FuncXService, ServiceConfig
+from repro.core.service import FuncXService, ServiceConfig
 from repro.core.tasks import TaskState
 from repro.errors import (
     AuthorizationFailed,
@@ -141,7 +141,7 @@ class TestSubmission:
 class TestCompletionAndResults:
     def test_complete_and_get_result(self, service, user_token, function_id, endpoint_id, clock):
         task_id = submit_one(service, user_token, function_id, endpoint_id)
-        service.mark_dispatched(task_id)
+        service.tasks_dispatched([service.task_by_id(task_id)])
         service.mark_running(task_id)
         result_buf = FuncXSerializer().serialize(42, routing_tag=task_id)
         service.complete_task(task_id, success=True, result_buffer=result_buf,
@@ -158,7 +158,7 @@ class TestCompletionAndResults:
 
     def test_failed_task_raises(self, service, user_token, function_id, endpoint_id):
         task_id = submit_one(service, user_token, function_id, endpoint_id)
-        service.mark_dispatched(task_id)
+        service.tasks_dispatched([service.task_by_id(task_id)])
         service.complete_task(task_id, success=False, exception_text="ZeroDivisionError")
         with pytest.raises(TaskExecutionFailed, match="ZeroDivisionError"):
             service.get_result(user_token, task_id)
@@ -170,7 +170,7 @@ class TestCompletionAndResults:
     def test_result_purged_after_ttl(self, service, user_token, function_id, endpoint_id, clock):
         config = service.config
         task_id = submit_one(service, user_token, function_id, endpoint_id)
-        service.mark_dispatched(task_id)
+        service.tasks_dispatched([service.task_by_id(task_id)])
         service.complete_task(task_id, success=True, result_buffer=b"r")
         service.get_result(user_token, task_id)  # retrieval arms the TTL
         clock.advance(config.result_ttl + 1)
@@ -183,8 +183,13 @@ class TestCompletionAndResults:
     def test_completion_publishes(self, service, user_token, function_id, endpoint_id):
         task_id = submit_one(service, user_token, function_id, endpoint_id)
         seen = []
-        service.pubsub.subscribe(TERMINAL_TOPIC, lambda _t, m: seen.append(m))
-        service.mark_dispatched(task_id)
+
+        def on_event(_source, kind, fields):
+            if kind == "tasks.terminal":
+                seen.append(fields["tasks"])
+
+        service.events.subscribe(on_event)
+        service.tasks_dispatched([service.task_by_id(task_id)])
         service.complete_task(task_id, success=True, result_buffer=b"r")
         # one message for the wave, carrying the record itself
         assert seen == [[service.task_by_id(task_id)]]
@@ -202,7 +207,7 @@ class TestMemoization:
         self, service, user_token, function_id, endpoint_id
     ):
         t1 = submit_one(service, user_token, function_id, endpoint_id, memoize=True)
-        service.mark_dispatched(t1)
+        service.tasks_dispatched([service.task_by_id(t1)])
         result = FuncXSerializer().serialize(2, routing_tag=t1)
         service.complete_task(t1, success=True, result_buffer=result)
         # identical function+payload: hit, never queued
@@ -214,14 +219,14 @@ class TestMemoization:
 
     def test_memoize_off_by_default(self, service, user_token, function_id, endpoint_id):
         t1 = submit_one(service, user_token, function_id, endpoint_id)
-        service.mark_dispatched(t1)
+        service.tasks_dispatched([service.task_by_id(t1)])
         service.complete_task(t1, success=True, result_buffer=b"r")
         t2 = submit_one(service, user_token, function_id, endpoint_id)
         assert service.task_by_id(t2).state is TaskState.QUEUED
 
     def test_failures_not_memoized(self, service, user_token, function_id, endpoint_id):
         t1 = submit_one(service, user_token, function_id, endpoint_id, memoize=True)
-        service.mark_dispatched(t1)
+        service.tasks_dispatched([service.task_by_id(t1)])
         service.complete_task(t1, success=False, exception_text="boom")
         t2 = submit_one(service, user_token, function_id, endpoint_id, memoize=True)
         assert service.task_by_id(t2).state is TaskState.QUEUED
@@ -232,7 +237,7 @@ class TestRequeue:
         task_id = submit_one(service, user_token, function_id, endpoint_id)
         queue = service.task_queue(endpoint_id)
         lease = queue.lease()
-        service.mark_dispatched(task_id)
+        service.tasks_dispatched([service.task_by_id(task_id)])
         assert service.requeue_task(task_id, reason="endpoint lost", enqueue=False)
         queue.nack(lease.lease_id)
         task = service.task_by_id(task_id)
@@ -243,10 +248,10 @@ class TestRequeue:
         task_id = submit_one(service, user_token, function_id, endpoint_id,
                              max_retries=1)
         # attempt 1
-        service.mark_dispatched(task_id)
+        service.tasks_dispatched([service.task_by_id(task_id)])
         assert service.requeue_task(task_id, reason="lost")
         # attempt 2
-        service.mark_dispatched(task_id)
+        service.tasks_dispatched([service.task_by_id(task_id)])
         assert not service.requeue_task(task_id, reason="lost again")
         task = service.task_by_id(task_id)
         assert task.state is TaskState.FAILED
@@ -254,7 +259,7 @@ class TestRequeue:
 
     def test_requeue_terminal_is_noop(self, service, user_token, function_id, endpoint_id):
         task_id = submit_one(service, user_token, function_id, endpoint_id)
-        service.mark_dispatched(task_id)
+        service.tasks_dispatched([service.task_by_id(task_id)])
         service.complete_task(task_id, success=True, result_buffer=b"r")
         assert not service.requeue_task(task_id)
 
@@ -280,7 +285,7 @@ class TestUpdateInvalidation:
     ):
         # seed a memoized result for the old body
         t1 = submit_one(service, user_token, function_id, endpoint_id, memoize=True)
-        service.mark_dispatched(t1)
+        service.tasks_dispatched([service.task_by_id(t1)])
         service.complete_task(t1, success=True, result_buffer=b"old-result")
         assert len(service.memoizer) == 1
         # updating the function must drop stale cached results

@@ -5,7 +5,9 @@ every extra on/off field doubles the configurations the tests and
 benchmarks would have to cover.  The same holds for the options that
 existed only to be measured by a retired gate (``shard_op_cost``), that
 nothing ever set (``manager_transfer_cost``) or that hand-copied a live
-policy into the simulator: they are gone, not defaulted.
+policy into the simulator: they are gone, not defaulted.  And a task
+transition is observed one way, through the deployment's event spine:
+no component grows a hook attribute of its own again.
 """
 
 from __future__ import annotations
@@ -16,10 +18,16 @@ import functools
 import pytest
 
 from repro import DeploymentTimings
-from repro.core.service import ServiceConfig
+from repro.chaos import InvariantRegistry
+from repro.core.forwarder import Forwarder
+from repro.core.futures import FuncXFuture
+from repro.core.memoization import Memoizer
+from repro.core.service import FuncXService, ServiceConfig
 from repro.endpoint.config import EndpointConfig
 from repro.sim import SimFabric
 from repro.sim.platform import CORI
+from repro.store.queues import ReliableQueue
+from repro.transport.channel import Channel
 
 REMOVED = ("message_batching", "event_driven", "adaptive_batching",
            "flow_control")
@@ -51,3 +59,30 @@ REMOVED_ELSEWHERE = [
 def test_removed_measurement_and_mirror_options_are_rejected(build, name):
     with pytest.raises(TypeError):
         build(**{name: 1})
+
+
+@pytest.fixture
+def former_hook_owners():
+    """A fresh instance of every class that once carried its own
+    observation hook."""
+    service = FuncXService()
+    _, token = service.auth.endpoint_client_flow("ep")
+    endpoint_id = service.register_endpoint(token.token, name="ep")
+    yield {
+        "ReliableQueue": ReliableQueue(),
+        "Channel": Channel(),
+        "Forwarder": Forwarder(service, endpoint_id, Channel().left),
+        "FuncXService": service,
+        "ServiceShard": service.shards[0],
+        "Memoizer": Memoizer(),
+        "FuncXFuture": FuncXFuture("t"),
+        "InvariantRegistry": InvariantRegistry(),
+    }
+    service.close()
+
+
+@pytest.mark.parametrize("name", ["probe", "observer", "callback_error_hook",
+                                  "pubsub"])
+def test_removed_observation_hooks_stay_removed(former_hook_owners, name):
+    assert [owner for owner, instance in former_hook_owners.items()
+            if hasattr(instance, name)] == []

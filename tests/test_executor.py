@@ -11,7 +11,6 @@ import pytest
 from repro import LocalDeployment, ServiceConfig
 from repro.core.client import FuncXClient
 from repro.core.executor import AtomicController, FuncXExecutor
-from repro.core.service import TERMINAL_TOPIC
 from repro.errors import (
     TaskCancelled,
     TaskExecutionFailed,
@@ -303,7 +302,7 @@ def _waiters(service) -> int:
 
 class TestFutureForSubscriptionLeak:
     """The PR-7 leak class, by construction: a client future is no
-    longer a pubsub subscription that every exit path must remember to
+    longer a subscription that every exit path must remember to
     drop, it is a waiter on the task record — fired and cleared by the
     completing wave, or never registered when the wave has been."""
 
@@ -319,7 +318,7 @@ class TestFutureForSubscriptionLeak:
             future = client.submit(fid, endpoint_id, 7, memoize=True)
             assert future.done() and future.result(timeout=0) == 14
         assert _waiters(deployment.service) == 0
-        assert deployment.service.pubsub.subscriber_count(TERMINAL_TOPIC) == 0
+        assert len(deployment.service.events) == 0
 
     def test_error_path_does_not_leak(self, deployment, client, endpoint_id):
         fid = client.register_function(double, public=True)

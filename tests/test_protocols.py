@@ -256,7 +256,7 @@ def test_every_protocol_call_site_module_is_in_the_export():
                for site in site_list}
     patterns = [
         re.compile(r"\bcredits\.(grant|revoke|consume|release)\("),
-        re.compile(r"\bpubsub\.(subscribe|unsubscribe)\("),
+        re.compile(r"\bevents\.(subscribe|unsubscribe)\("),
         re.compile(r"\bresult_stream\.subscribe\("),
     ]
     for source in sources:

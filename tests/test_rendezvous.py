@@ -5,8 +5,9 @@ One terminal transition is announced once per wave and awaited one way:
 * a waiter registers on the task record (``ServiceShard.when_terminal``)
   and the completing wave fires it exactly once — or it fires at
   registration if the wave has already been through;
-* ``_retire`` publishes once per wave, the records themselves, and both
-  monitors read one event per record off that one message;
+* ``_retire`` emits one ``tasks.terminal`` spine event per wave, the
+  records themselves, and both monitors read one event per record off
+  it;
 * nothing a waiter does (time out, raise, resubmit) leaves a waiter
   behind or stops the wave's other announcements.
 
@@ -26,7 +27,7 @@ from repro.accounting import UsageLedger
 from repro.auth import AuthService
 from repro.core.admission import AdmissionController, TenantPolicy
 from repro.core.client import FuncXClient
-from repro.core.service import TERMINAL_TOPIC, FuncXService, ServiceConfig
+from repro.core.service import FuncXService, ServiceConfig
 from repro.core.tasks import TaskState
 from repro.errors import TaskNotFound, TaskPending, ThrottleExceeded
 from repro.monitoring import TaskEventLog
@@ -37,6 +38,14 @@ from conftest import FakeClock
 
 def double(x):
     return 2 * x
+
+
+def on_terminal(events, callback) -> int:
+    """Subscribe ``callback(tasks)`` to each ``tasks.terminal`` wave."""
+    def subscriber(_source, kind, fields):
+        if kind == "tasks.terminal":
+            callback(fields["tasks"])
+    return events.subscribe(subscriber)
 
 
 class World:
@@ -80,24 +89,16 @@ class TestOnePublishPerWave:
         ledger = UsageLedger()
         log.attach(world.service)
         ledger.attach(world.service)
-        publishes: list[tuple[str, object]] = []
-        inner = world.service.pubsub.publish
-
-        def counting(topic, message):
-            publishes.append((topic, message))
-            return inner(topic, message)
-
-        world.service.pubsub.publish = counting
+        waves: list[list] = []
+        on_terminal(world.service.events, waves.append)
         n = 64
         task_ids = [world.client.run(world.function_id, world.endpoint_id, i)
                     for i in range(n)]
-        assert publishes == []  # nothing is announced before it is terminal
+        assert waves == []  # nothing is announced before it is terminal
         world.clock.advance(2.5)
         world.complete(task_ids)
-        assert len(publishes) == 1
-        topic, records = publishes[0]
-        assert topic == TERMINAL_TOPIC
-        assert [task.task_id for task in records] == task_ids
+        assert len(waves) == 1
+        assert [task.task_id for task in waves[0]] == task_ids
         events = log.events()
         assert [event.task_id for event in events] == task_ids
         assert {event.state for event in events} == {"success"}
@@ -106,7 +107,7 @@ class TestOnePublishPerWave:
         usage = ledger.endpoint_usage(world.endpoint_id)
         assert usage.invocations == n
         assert usage.execution_seconds == pytest.approx(0.1 * n)
-        assert world.service.pubsub.delivery_errors == []
+        assert world.service.events.subscriber_errors == 0
 
     def test_cancel_is_published_but_not_billed(self):
         world = World()
@@ -124,10 +125,10 @@ class TestOnePublishPerWave:
         log, ledger = TaskEventLog(clock=world.clock), UsageLedger()
         log.attach(world.service)
         ledger.attach(world.service)
-        assert world.service.pubsub.subscriber_count(TERMINAL_TOPIC) == 2
+        assert len(world.service.events) == 2
         log.detach()
         ledger.detach()
-        assert world.service.pubsub.subscriber_count(TERMINAL_TOPIC) == 0
+        assert len(world.service.events) == 0
         world.complete([world.client.run(world.function_id, world.endpoint_id, 1)])
         assert len(log) == 0
 
@@ -355,8 +356,8 @@ class TestABadWaiterStopsNothing:
         world.shard.when_terminal(first, bad)
         world.shard.when_terminal(first, fired.append)
         world.shard.when_terminal(second, fired.append)
-        world.service.pubsub.subscribe(
-            TERMINAL_TOPIC, lambda _topic, tasks: published.append(len(tasks)))
+        on_terminal(world.service.events,
+                    lambda tasks: published.append(len(tasks)))
         inner = world.shard.result_stream.on_tasks_terminal
         world.shard.result_stream.on_tasks_terminal = (
             lambda tasks: (streamed.append(len(tasks)), inner(tasks)))

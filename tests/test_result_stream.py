@@ -5,7 +5,7 @@ Unit tests drive the stream deterministically: ``subscribe(auto_deliver=
 False)`` skips the delivery thread and every delivery pass is an explicit
 ``server.step()``.  The chaos-marked classes run a live deployment and
 exercise the disconnect/redelivery machinery under the no-double-resolve
-invariant (counted through ``FuncXFuture.observer``).
+invariant (counted off the deployment's event spine).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import time
 import pytest
 
 from repro.auth import AuthService
-from repro.core.futures import FuncXFuture
 from repro.core.service import FuncXService, ServiceConfig
 from repro.core.stream import MAX_BATCH
 from repro.core.tasks import TaskState
@@ -328,27 +327,24 @@ class TestCancelTask:
             service.get_result(user_token, task_id)
 
 
-@pytest.fixture
-def delivery_counts():
-    """Install a FuncXFuture observer counting resolutions per task."""
+def delivery_counts(deployment) -> dict[str, int]:
+    """Resolutions per task of ``deployment``'s futures, kept current
+    off its event spine."""
     counts: dict[str, int] = {}
     lock = threading.Lock()
 
-    def observer(event, fields):
-        if event == "future.delivered":
+    def count(_source, kind, fields):
+        if kind == "future.delivered":
             with lock:
                 counts[fields["task_id"]] = counts.get(fields["task_id"], 0) + 1
 
-    saved = FuncXFuture.observer
-    FuncXFuture.observer = observer
-    yield counts
-    FuncXFuture.observer = saved
+    deployment.service.events.subscribe(count)
+    return counts
 
 
 @pytest.mark.chaos
 class TestStreamChaos:
-    def test_disconnect_reconnect_resolves_every_future_once(
-            self, delivery_counts):
+    def test_disconnect_reconnect_resolves_every_future_once(self):
         from repro import LocalDeployment
 
         def work(x):
@@ -357,6 +353,7 @@ class TestStreamChaos:
             return x * 3
 
         with LocalDeployment() as dep:
+            counts = delivery_counts(dep)
             client = dep.client()
             ep = dep.create_endpoint("chaos", nodes=1)
             with client.executor(ep) as executor:
@@ -372,13 +369,13 @@ class TestStreamChaos:
                 results = [f.result(timeout=30) for f in futures]
             assert results == [i * 3 for i in range(30)]
         resolved = {f.task_id for f in futures}
-        assert all(delivery_counts[t] == 1 for t in resolved)
+        assert all(counts[t] == 1 for t in resolved)
 
-    def test_dropped_batch_redelivers_without_double_resolve(
-            self, delivery_counts):
+    def test_dropped_batch_redelivers_without_double_resolve(self):
         from repro import LocalDeployment
 
         with LocalDeployment() as dep:
+            counts = delivery_counts(dep)
             client = dep.client()
             ep = dep.create_endpoint("chaos", nodes=1)
             with client.executor(ep) as executor:
@@ -411,7 +408,7 @@ class TestStreamChaos:
             assert dep.metrics.counter("stream.redeliveries").value >= 1
             assert dep.metrics.counter("stream.consumer_errors").value == 1
         resolved = {f.task_id for f in futures}
-        assert all(delivery_counts[t] == 1 for t in resolved)
+        assert all(counts[t] == 1 for t in resolved)
 
     def test_slow_consumer_bounded_by_window(self):
         from repro import LocalDeployment

@@ -332,7 +332,8 @@ class TestExpiry:
     def test_shard_accounting_closes_across_a_sweep(
             self, service, user_token, function_id, endpoint_id, clock):
         events = []
-        service.probe = lambda event, fields: events.append((event, fields))
+        service.events.subscribe(
+            lambda _source, kind, fields: events.append((kind, fields)))
         ids = [submit_one(service, user_token, function_id, endpoint_id)
                for _ in range(4)]
         service.complete_task(ids[0], success=True, result_buffer=b"r")
@@ -352,6 +353,6 @@ class TestExpiry:
         violations = []
         invariant = ShardConservation()
         for event, fields in events:
-            invariant.on_event("service", event, fields,
+            invariant.on_event("shard", event, fields,
                                lambda text, _fields: violations.append(text))
         assert violations == []

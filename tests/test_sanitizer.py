@@ -17,9 +17,9 @@ from repro.analysis.sanitizer import (
     ProtocolRecorder,
     RecordedLedger,
     SanitizedLock,
+    sanitize_events,
     sanitize_ledger,
     sanitize_lock,
-    sanitize_pubsub,
 )
 from repro.analysis.source import load_source, module_name_for
 from repro.fabric import LocalDeployment
@@ -299,16 +299,16 @@ class TestProtocolRecorderUnits:
         assert ledger.released_seen <= ledger.consumed_seen
         assert recorder.ledgers() == [ledger]
 
-    def test_sanitized_pubsub_balances_unsubscribes(self):
-        from repro.store.pubsub import PubSub
+    def test_sanitized_events_balance_unsubscribes(self):
+        from repro.observability.events import EventSpine
 
         recorder = ProtocolRecorder()
-        pubsub = sanitize_pubsub(PubSub(), recorder)
-        assert sanitize_pubsub(pubsub, recorder) is pubsub
-        token = pubsub.subscribe("task.1", lambda t, m: None)
-        assert pubsub.unsubscribe(token) is True
+        events = sanitize_events(EventSpine(), recorder)
+        assert sanitize_events(events, recorder) is events
+        token = events.subscribe(lambda source, kind, fields: None)
+        assert events.unsubscribe(token) is True
         # Idempotent second unsubscribe must not count as an event.
-        assert pubsub.unsubscribe(token) is False
+        assert events.unsubscribe(token) is False
         assert recorder.count("subscription", "subscribe") == 1
         assert recorder.count("subscription", "unsubscribe") == 1
 
@@ -326,8 +326,8 @@ class TestProtocolRecorderIntegration:
             client = deployment.client()
             ep = deployment.create_endpoint("protocols", nodes=1)
             fid = client.register_function(add)
-            # The monitors are the pubsub's subscribers now (a client
-            # future is a waiter on the task record, not a token).
+            # The monitors are the spine's subscribers (a client future
+            # is a waiter on the task record, not a token).
             log = TaskEventLog()
             log.attach(deployment.service)
             assert client.submit(fid, ep, 2, 3).result(timeout=30) == 5
