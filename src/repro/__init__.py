@@ -37,7 +37,6 @@ from repro.fabric import DeploymentTimings, LocalDeployment
 from repro.federation import FederatedExecutor
 from repro.metrics.registry import MetricsRegistry
 from repro.monitoring import Dashboard, TaskEventLog
-from repro.observability.trace import TraceContext, TraceStore
 from repro.serialize import FuncXSerializer
 
 __version__ = "1.0.0"
@@ -61,7 +60,5 @@ __all__ = [
     "TaskEventLog",
     "Dashboard",
     "MetricsRegistry",
-    "TraceContext",
-    "TraceStore",
     "__version__",
 ]

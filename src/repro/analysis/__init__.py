@@ -25,8 +25,8 @@ Module map:
 :mod:`cfg`, :mod:`dataflow`, :mod:`protocols`
     Statement-level CFGs, forward dataflow, and the typestate registry
     on top: ``lease-ack``, ``subscription-lifecycle``,
-    ``spill-lifecycle``, ``future-resolution``, ``span-lifecycle``, plus
-    the cross-file ``credit-balance`` and ``handler-exhaustiveness``.
+    ``spill-lifecycle``, ``future-resolution``, plus the cross-file
+    ``credit-balance`` and ``handler-exhaustiveness``.
 :mod:`lockorder`, :mod:`threadroles`
     The cross-file lock-acquisition-order graph and the thread-role
     race inference.

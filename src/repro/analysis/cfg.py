@@ -1,9 +1,9 @@
 """Intraprocedural control-flow graphs over ``ast`` function bodies.
 
 The lexical checks in :mod:`repro.analysis.checks` reason per statement
-or per ``with`` scope; the flow-sensitive checks (lease-ack discipline,
-span lifecycle) need to know *every path* from a function's entry to its
-exit.  This module builds a small statement-level CFG:
+or per ``with`` scope; the flow-sensitive checks (lease-ack discipline
+and the other resource protocols) need to know *every path* from a
+function's entry to its exit.  This module builds a small statement-level CFG:
 
 * one node per simple statement (plus synthetic ENTRY and EXIT nodes);
 * branch edges labelled with the test expression and the truth value

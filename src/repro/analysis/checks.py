@@ -175,10 +175,10 @@ def _determinism_violation(canonical: str) -> str | None:
 _WIRE_SAFE_NAMES = {
     "str", "bytes", "bool", "int", "float", "None", "Any", "bytearray",
 }
-#: Non-primitive types the serializer is pinned to round-trip (the PR 2
-#: hypothesis suites cover TraceContext payloads explicitly; the batch
-#: envelopes nest the task/result dataclasses the same suites round-trip).
-_WIRE_SAFE_EXTRA = {"TraceContext", "TaskMessage", "ResultMessage"}
+#: Non-primitive types the serializer is pinned to round-trip: the batch
+#: envelopes nest the task/result dataclasses the hypothesis suites
+#: round-trip.
+_WIRE_SAFE_EXTRA = {"TaskMessage", "ResultMessage"}
 _WIRE_SAFE_CONTAINERS = {
     "tuple", "Tuple", "dict", "Dict", "list", "List", "frozenset",
     "FrozenSet", "set", "Set", "Optional", "Union",
@@ -189,7 +189,8 @@ _SEED_REQUIRED_FIELDS = {("Message", "sender")}
 _WIRE_TYPE_HINT = (
     "wire messages must round-trip the serializer: use str/bytes/bool/int/"
     "float/None, containers of those, or a registered wire-safe type "
-    "(TraceContext); move richer objects into serialized buffers"
+    "(TaskMessage, ResultMessage); move richer objects into serialized "
+    "buffers"
 )
 _WIRE_DEFAULT_HINT = (
     "fields added after the seed need a default so messages recorded by "

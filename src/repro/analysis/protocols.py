@@ -35,12 +35,6 @@ Engine semantics (identical to the PR 4 lease analysis, parameterized):
   exactly how the PR 7 ``_future_for`` subscription leak class is
   caught mechanically.
 
-* ``keyed`` — effect protocols (``trace.begin("agent")`` /
-  ``trace.end("agent")``) have no bound value: facts are keyed on the
-  call's first constant-string argument instead, and only keys the
-  function itself also releases are tracked (cross-method pairs are the
-  owning check's containment rule, :func:`check_span_lifecycle`).
-
 A leak is reported at the acquisition line when any path reaches the
 function exit with the resource still open.  Two protocols do not fit
 the per-value shape and run as cross-file (global) checks:
@@ -68,7 +62,6 @@ from repro.analysis.model import FunctionModel, Key, build_program
 from repro.analysis.source import SourceFile, dotted_name
 
 LEASE_ACK = "lease-ack"
-SPAN_LIFECYCLE = "span-lifecycle"
 CREDIT_BALANCE = "credit-balance"
 SUBSCRIPTION_LIFECYCLE = "subscription-lifecycle"
 SPILL_LIFECYCLE = "spill-lifecycle"
@@ -110,10 +103,6 @@ class ProtocolSpec:
     waive_on_raise:
         Treat an explicit ``raise`` statement as disposing every open
         resource (for values that are garbage-collectable unreleased).
-    keyed:
-        Key facts on the first constant-string argument of the
-        ``acquire_methods``/``release_methods`` calls instead of a bound
-        value (span names).
     leak_message:
         Finding text; ``{names}`` is what holds the leaked resource.
     hint:
@@ -129,7 +118,6 @@ class ProtocolSpec:
     acquire_constructors: FrozenSet[str] = frozenset()
     release_methods: FrozenSet[str] = frozenset()
     waive_on_raise: bool = False
-    keyed: bool = False
     leak_message: str = (
         "{resource} acquired here (held in {names}) may reach the exit of "
         "{func}() without {release_verbs} on some path")
@@ -194,29 +182,12 @@ FUTURE_PROTOCOL = ProtocolSpec(
     ),
 )
 
-SPAN_PROTOCOL = ProtocolSpec(
-    check_id=SPAN_LIFECYCLE,
-    resource="span",
-    release_verbs="end",
-    acquire_methods=frozenset({"begin"}),
-    release_methods=frozenset({"end"}),
-    keyed=True,
-    leak_message=('span "{names}" begun here is not finished on every path '
-                  "through {func}()"),
-    hint=(
-        "every begun span must be finished on all paths — call .end(name) "
-        "before each return/raise (a finally block is the usual shape), or "
-        "use .record(name, ...) for one-shot stages; cross-method pairs are "
-        "fine as long as the class ends what it begins"
-    ),
-)
-
 #: The declarative registry: the typestate protocols the shared engine
 #: runs as per-file checks.
 VALUE_PROTOCOLS: Dict[str, ProtocolSpec] = {
     spec.check_id: spec
     for spec in (LEASE_PROTOCOL, SUBSCRIPTION_PROTOCOL, SPILL_PROTOCOL,
-                 FUTURE_PROTOCOL, SPAN_PROTOCOL)
+                 FUTURE_PROTOCOL)
 }
 
 #: Receiver-effect / global protocol ids handled by dedicated engines
@@ -260,27 +231,6 @@ def _last_segment(expr: ast.expr) -> Optional[str]:
     return None
 
 
-def keyed_sites(scope: ast.AST,
-                methods: FrozenSet[str]) -> Dict[str, List[ast.Call]]:
-    """Constant first argument → the ``methods`` calls in ``scope``
-    carrying it (``{"agent": [<trace.begin("agent", ...)>]}``)."""
-    sites: Dict[str, List[ast.Call]] = {}
-    for node in ast.walk(scope):
-        key = _call_key(node, methods)
-        if key is not None:
-            sites.setdefault(key, []).append(node)
-    return sites
-
-
-def _call_key(node: ast.AST, methods: FrozenSet[str]) -> Optional[str]:
-    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr in methods and node.args
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str)):
-        return node.args[0].value
-    return None
-
-
 def _is_acquire(expr: ast.expr, spec: ProtocolSpec) -> Optional[ast.Call]:
     """Return the acquiring Call if ``expr`` produces tracked value(s)."""
     if not isinstance(expr, ast.Call):
@@ -301,16 +251,11 @@ def _is_acquire(expr: ast.expr, spec: ProtocolSpec) -> Optional[ast.Call]:
 class _TypestateAnalysis(ForwardAnalysis):
     """Facts: var -> {(origin_line, "open"|"done")}, per ``spec``."""
 
-    def __init__(self, spec: ProtocolSpec,
-                 keys: FrozenSet[str] = frozenset()):
+    def __init__(self, spec: ProtocolSpec):
         self.spec = spec
-        self.keys = keys    # keyed specs: the keys tracked in this function
 
     def transfer(self, stmt: ast.AST, facts: Facts) -> Facts:
         facts = dict(facts)
-        if self.spec.keyed:
-            self._keyed_events(stmt, facts)
-            return facts
         self._dispose_events(stmt, facts)
         if isinstance(stmt, ast.Assign):
             self._bind(stmt.targets, stmt.value, facts)
@@ -324,19 +269,6 @@ class _TypestateAnalysis(ForwardAnalysis):
             for var, pairs in list(facts.items()):
                 facts[var] = frozenset((o, _DONE) for o, _ in pairs)
         return facts
-
-    def _keyed_events(self, stmt: ast.AST, facts: Facts) -> None:
-        spec = self.spec
-        for part in header_parts(stmt):
-            for node in ast.walk(part):
-                if _call_key(node, spec.acquire_methods) in self.keys:
-                    facts[node.args[0].value] = frozenset(
-                        {(node.lineno, _OPEN)})
-                    continue
-                ended = _call_key(node, spec.release_methods)
-                if ended in self.keys and ended in facts:
-                    facts[ended] = frozenset(
-                        (o, _DONE) for o, _ in facts[ended])
 
     def _bind(self, targets: List[ast.expr], value: ast.expr,
               facts: Facts) -> None:
@@ -474,14 +406,7 @@ def scan_protocol(source: SourceFile, func: ast.FunctionDef,
     if not (attr_calls & spec.acquire_methods
             or name_calls & spec.acquire_constructors):
         return
-    keys: FrozenSet[str] = frozenset()
-    if spec.keyed:
-        keys = frozenset(
-            keyed_sites(func, spec.acquire_methods).keys()
-            & keyed_sites(func, spec.release_methods).keys())
-        if not keys:
-            return
-    leaked = _open_at_exit(func, _TypestateAnalysis(spec, keys))
+    leaked = _open_at_exit(func, _TypestateAnalysis(spec))
     for origin in sorted(leaked):
         yield source.finding(
             spec.check_id, origin,
@@ -508,41 +433,6 @@ def run_value_protocol(source: SourceFile,
                        spec: ProtocolSpec) -> Iterator[Finding]:
     for func in _all_functions(source):
         yield from scan_protocol(source, func, spec)
-
-
-def check_span_lifecycle(source: SourceFile) -> Iterator[Finding]:
-    """Every ``TraceContext`` span begun must be finished.
-
-    Within one function that both begins and ends a span name, the end
-    must be reachable on *every* path (flow-sensitive).  A span begun in
-    one method and ended in another is the fabric's normal shape (the
-    agent begins "agent" on dispatch, ends it on completion) — those are
-    checked at class scope: a name begun somewhere in the class must
-    have an ``.end(name)`` somewhere in the same class (module scope for
-    free functions).  ``record(...)`` is one-shot and always safe.
-    """
-    spec = SPAN_PROTOCOL
-    yield from run_value_protocol(source, spec)
-    owner_of = {func: node for node, _qualname in source.definitions()
-                if isinstance(node, ast.ClassDef) for func in node.body}
-    ended_in: Dict[ast.AST, Dict[str, List[ast.Call]]] = {}
-    for func in _all_functions(source):
-        if not (_call_names(func)[0] & spec.acquire_methods):
-            continue
-        owner = owner_of.get(func)
-        scope = owner if owner is not None else source.tree
-        if scope not in ended_in:
-            ended_in[scope] = keyed_sites(scope, spec.release_methods)
-        for name, sites in keyed_sites(func, spec.acquire_methods).items():
-            if name in ended_in[scope]:
-                continue
-            for site in sites:
-                yield source.finding(
-                    spec.check_id, site,
-                    f'span "{name}" is begun here but never finished '
-                    f"anywhere in {owner.name if owner else source.module}",
-                    spec.hint,
-                )
 
 
 def check_subscription_lifecycle(source: SourceFile) -> Iterator[Finding]:

@@ -21,7 +21,6 @@ from repro.analysis.protocols import (
     check_credit_balance,
     check_future_resolution,
     check_handler_exhaustiveness,
-    check_span_lifecycle,
     check_spill_lifecycle,
     check_subscription_lifecycle,
 )
@@ -39,7 +38,6 @@ ALL_CHECKS: dict[str, Check] = {
     "blocking-under-lock": check_blocking_under_lock,
     "clock-domain": check_clock_domain,
     "lease-ack": check_lease_ack,
-    "span-lifecycle": check_span_lifecycle,
     "subscription-lifecycle": check_subscription_lifecycle,
     "spill-lifecycle": check_spill_lifecycle,
     "future-resolution": check_future_resolution,

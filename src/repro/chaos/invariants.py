@@ -51,23 +51,22 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class InvariantViolation:
     """A structured invariant-violation report.
 
-    ``trace_ids`` carries the observability trace ids of the task(s)
-    involved (when the registry has a trace resolver attached), so a
-    violation can be followed into the per-stage span record of the
-    exact request that tripped it.
+    ``task_ids`` names the task(s) the details mention (``task_id`` /
+    ``task_ids``), so a violation can be followed into the timeline of
+    the exact request that tripped it (``FuncXService.task_info``).
     """
 
     invariant: str
     message: str
     fault_step: FaultStep | None = None
     details: dict[str, Any] = field(default_factory=dict)
-    trace_ids: tuple[str, ...] = ()
+    task_ids: tuple[str, ...] = ()
 
     def describe(self) -> str:
         step = self.fault_step.describe() if self.fault_step else "no active fault step"
         text = f"[{self.invariant}] {self.message} (during: {step})"
-        if self.trace_ids:
-            text += f" [traces: {', '.join(self.trace_ids)}]"
+        if self.task_ids:
+            text += f" [tasks: {', '.join(self.task_ids)}]"
         return text
 
 
@@ -399,8 +398,7 @@ class InvariantRegistry:
     triggered them.
     """
 
-    def __init__(self, invariants: Iterable[Invariant] | None = None,
-                 trace_resolver: Callable[[str], str | None] | None = None):
+    def __init__(self, invariants: Iterable[Invariant] | None = None):
         self.invariants: list[Invariant] = (
             list(invariants) if invariants is not None else default_invariants()
         )
@@ -408,9 +406,6 @@ class InvariantRegistry:
         self.violations: list[InvariantViolation] = []
         self.current_step: FaultStep | None = None
         self.events_seen = 0
-        # task_id -> trace_id lookup (typically ``TraceStore.trace_id_for``)
-        # used to stamp violations with the traces of the tasks involved.
-        self.trace_resolver = trace_resolver
 
     # ------------------------------------------------------------------
     def set_step(self, step: FaultStep | None) -> None:
@@ -438,34 +433,16 @@ class InvariantRegistry:
                details: dict[str, Any] | None = None,
                step: FaultStep | None = None) -> None:
         details = details or {}
+        task_ids = [details["task_id"]] if details.get("task_id") else []
+        task_ids.extend(details.get("task_ids") or ())
         violation = InvariantViolation(
             invariant=invariant, message=message,
             fault_step=step if step is not None else self.current_step,
             details=details,
-            trace_ids=self._resolve_traces(details),
+            task_ids=tuple(dict.fromkeys(map(str, task_ids))),
         )
         with self._lock:
             self.violations.append(violation)
-
-    def _resolve_traces(self, details: dict[str, Any]) -> tuple[str, ...]:
-        """Trace ids for the task(s) a violation's details name."""
-        trace_ids: list[str] = []
-        explicit = details.get("trace_id")
-        if explicit:
-            trace_ids.append(str(explicit))
-        resolver = self.trace_resolver
-        if resolver is not None:
-            task_ids = [t for t in [details.get("task_id")] if t]
-            task_ids.extend(details.get("task_ids") or ())
-            for task_id in task_ids:
-                try:
-                    trace_id = resolver(str(task_id))
-                except Exception:
-                    trace_id = None
-                if trace_id:
-                    trace_ids.append(trace_id)
-        # preserve order, drop duplicates
-        return tuple(dict.fromkeys(trace_ids))
 
     # ------------------------------------------------------------------
     def check_final(self, world: "ChaosWorld | None" = None) -> list[InvariantViolation]:

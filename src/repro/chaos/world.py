@@ -105,11 +105,8 @@ class ChaosWorld:
                                          shards=shards),
             sanitize_locks=sanitize_locks,
         )
-        service = self.deployment.service
-        # Stamp invariant violations with the trace ids of the tasks they
-        # name, so a failed run links straight into the span record.
-        self.registry.trace_resolver = service.traces.trace_id_for
-        self._subscription = service.events.subscribe(self.registry.dispatch)
+        self._subscription = self.deployment.service.events.subscribe(
+            self.registry.dispatch)
         self.scheduler = ChaosScheduler(self)
         self.hooks: dict[str, _EndpointHooks] = {}
         self._closed = False

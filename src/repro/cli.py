@@ -7,12 +7,13 @@ Offline-friendly subcommands::
     python -m repro.cli elasticity           # figure-6 scenario
     python -m repro.cli casestudies          # figure-1 distributions
     python -m repro.cli platforms            # list platform models
-    python -m repro.cli trace <task-id>      # per-stage latency breakdown
+    python -m repro.cli trace <task-id>      # a task's per-stage timeline
     python -m repro.cli metrics              # render an exported registry
     python -m repro.cli lint                 # fabric static analyzer
 
 ``demo --trace-out traces.jsonl --metrics-out metrics.jsonl`` exports the
-observability artifacts the ``trace``/``metrics`` subcommands consume.
+task records and the metrics registry the ``trace``/``metrics``
+subcommands read.
 
 Each prints the same rows the corresponding benchmark regenerates, at a
 smaller default scale suited to interactive use.  Performance is measured
@@ -22,6 +23,7 @@ from outside the package, by the checkout's ``python3 bench/run.py``.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import Sequence
 
@@ -52,8 +54,11 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             streamed = [f.result(timeout=30) for f in futures]
         print(f"executor (push stream) double(0..4) -> {streamed}")
         if args.trace_out:
-            count = deployment.service.traces.dump_jsonl(args.trace_out)
-            print(f"wrote {count} traces to {args.trace_out} "
+            records = [t.to_record() for t in deployment.service.iter_tasks()]
+            with open(args.trace_out, "w", encoding="utf-8") as fh:
+                for record in records:
+                    fh.write(json.dumps(record, sort_keys=True) + "\n")
+            print(f"wrote {len(records)} task records to {args.trace_out} "
                   f"(inspect with: repro trace {task} --input {args.trace_out})")
         if args.metrics_out:
             count = deployment.metrics.dump_jsonl(args.metrics_out)
@@ -63,42 +68,29 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.observability.trace import STAGES, TraceStore
+    from repro.core.tasks import STAGES, stage_seconds
 
     try:
-        contexts = TraceStore.load_jsonl(args.input)
+        with open(args.input, encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh if line.strip()]
     except OSError as exc:
         print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return 1
-    wanted = [c for c in contexts
-              if c.task_id == args.task_id or c.trace_id == args.task_id
-              or c.task_id.startswith(args.task_id)
-              or c.trace_id.startswith(args.task_id)]
+    wanted = [r for r in records if r["task_id"].startswith(args.task_id)]
     if not wanted:
-        print(f"no trace for task or trace id {args.task_id!r} in {args.input}",
+        print(f"no task record for id {args.task_id!r} in {args.input}",
               file=sys.stderr)
         return 1
-    for ctx in wanted:
-        print(f"trace {ctx.trace_id}  task {ctx.task_id}")
-        spans = ctx.completed_spans()
-        if spans:
-            print(f"  {'stage':<20s} {'component':<24s} {'duration':>12s}  notes")
-            for span in spans:
-                duration = span.duration
-                text = f"{duration * 1e3:9.3f}ms" if duration is not None else "   (open)"
-                notes = ", ".join(f"{k}={v}" for k, v in sorted(span.annotations.items()))
-                if span.attempt:
-                    notes = f"attempt={span.attempt}" + (f", {notes}" if notes else "")
-                print(f"  {span.name:<20s} {span.component:<24s} {text:>12s}  {notes}")
-        breakdown = ctx.breakdown()
-        if breakdown:
-            ordered = [s for s in STAGES if s in breakdown]
-            ordered += [s for s in breakdown if s not in STAGES]
-            parts = " + ".join(f"{s}={breakdown[s] * 1e3:.3f}ms" for s in ordered)
-            print(f"  breakdown: {parts}")
-        total = ctx.total()
-        if total is not None:
-            print(f"  end-to-end: {total * 1e3:.3f}ms")
+    for record in wanted:
+        times, state = record["state_times"], record["state"]
+        print(f"task {record['task_id']}  {state}  attempts={record['attempts']}")
+        seconds = stage_seconds(times, state)
+        for stage, _start, _end in STAGES:
+            text = (f"{seconds[stage] * 1e3:9.3f}ms" if stage in seconds
+                    else "  (not stamped)")
+            print(f"  {stage:<20s} {text:>14s}")
+        if "received" in times and state in times:
+            print(f"  end-to-end: {(times[state] - times['received']) * 1e3:.3f}ms")
     return 0
 
 
@@ -172,7 +164,6 @@ def _cmd_casestudies(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     """Exit codes: 0 = clean, 1 = findings, 2 = usage or internal error."""
     import inspect
-    import json
     from pathlib import Path
 
     from repro.analysis import Baseline, run_analysis
@@ -328,16 +319,17 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--workers", type=int, default=4)
     demo.add_argument("--tasks", type=int, default=50)
     demo.add_argument("--trace-out", default="",
-                      help="write per-task traces (JSON lines) to this path")
+                      help="write every task record, timeline included "
+                           "(JSON lines), to this path")
     demo.add_argument("--metrics-out", default="",
                       help="write the metrics registry (JSON lines) to this path")
     demo.set_defaults(func=_cmd_demo)
 
     trace = sub.add_parser(
-        "trace", help="show a task's per-stage latency breakdown")
-    trace.add_argument("task_id", help="task id or trace id (prefix accepted)")
+        "trace", help="show a task's per-stage timeline")
+    trace.add_argument("task_id", help="task id (prefix accepted)")
     trace.add_argument("--input", default="traces.jsonl",
-                       help="trace dump written by 'demo --trace-out' "
+                       help="task records written by 'demo --trace-out' "
                             "(default: traces.jsonl)")
     trace.set_defaults(func=_cmd_trace)
 
@@ -375,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="run the fabric static analyzer (guarded-by, determinism, "
              "wire-compat, blocking-under-lock, clock-domain, lease-ack, "
-             "span-lifecycle, subscription-lifecycle, spill-lifecycle, "
+             "subscription-lifecycle, spill-lifecycle, "
              "future-resolution, lock-order, credit-balance, "
              "handler-exhaustiveness, threadroles)",
         description="Exit codes: 0 = clean, 1 = findings reported, "

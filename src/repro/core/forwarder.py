@@ -23,7 +23,7 @@ from typing import Callable
 from repro.core.flowcontrol import WavePolicy
 from repro.core.service import FuncXService
 from repro.core.shard import ServiceShard
-from repro.core.tasks import Task
+from repro.core.tasks import Task, hop_stamps
 from repro.metrics.registry import COUNT_BUCKETS
 from repro.serialize import FuncXSerializer, RemoteExceptionWrapper
 from repro.store.queues import Lease, ReliableQueue
@@ -99,12 +99,10 @@ class Forwarder:
         # The service shard this endpoint's queues live on (consistent-hash
         # placement, fixed for the endpoint's lifetime).  One forwarder loop
         # drains one shard's queue, so dispatch parallelism scales with the
-        # shard count; the index tags trace spans for per-shard attribution.
+        # shard count.
         self._shard: ServiceShard = service.shard_for_endpoint(endpoint_id)
-        self.shard_index = self._shard.index
         self._queue: ReliableQueue = service.task_queue(endpoint_id)
         self._sender = f"forwarder:{endpoint_id}"
-        self._span_component = f"forwarder:{endpoint_id[:8]}"
         self._events = service.events
         self._serializer = FuncXSerializer()   # failure path only
         self.channel = channel_end
@@ -364,20 +362,11 @@ class Forwarder:
                       for message in results]
         self._queue.ack_many(
             lease.lease_id for lease in leases if lease is not None)
-        now = self._clock()
-        outcomes = []
-        for message in results:
-            trace = message.trace or self.service.traces.context_for(
-                message.task_id)
-            if trace is not None:
-                trace.record("result_return", self._span_component,
-                             start=message.completed_at, end=now,
-                             worker_id=message.worker_id)
-            outcomes.append((
-                message.task_id, message.success, message.result_buffer,
-                None if message.success else self._failure_text(message),
-                message.execution_time,
-                max(0.0, now - message.completed_at)))
+        outcomes = [(
+            message.task_id, message.success, message.result_buffer,
+            None if message.success else self._failure_text(message),
+            message.execution_time, hop_stamps(message))
+            for message in results]
         verdicts = self.service.complete_tasks(self._shard, outcomes)
         self._c_results.inc(verdicts.count(True))
         for message, applied in zip(results, verdicts):
@@ -621,7 +610,6 @@ class Forwarder:
             payload_buffer=task.payload_buffer,
             container_image=self._site_container(task.container_image),
             submitted_at=task.state_times.get("received", self._clock()),
-            trace=task.trace,
         )
         return lease, message, task
 
@@ -633,18 +621,12 @@ class Forwarder:
         (a shard kill rolled it back mid-send) must not send the leases
         of tasks already in flight back to the queue.
         """
-        now = self._clock()
         with self._lock:
             for lease, _message, task in prepared:
                 self._open_leases[task.task_id] = lease
             for function_id, buffer in ship.items():
                 self._shipped_buffers[function_id] = hash(buffer)
         self.service.tasks_dispatched([task for _, _message, task in prepared])
-        for lease, _message, task in prepared:
-            if task.trace is not None:
-                task.trace.record("forwarder.dispatch", self._span_component,
-                                  start=lease.enqueued_at, end=now,
-                                  attempt=task.attempts, shard=self.shard_index)
         self._c_forwarded.inc(len(prepared))
         self._h_batch_size.observe(float(len(prepared)))
         if len(prepared) > 1:

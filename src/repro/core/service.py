@@ -47,7 +47,7 @@ from repro.core.stream import (
     ResultStreamRouter,
     ResultStreamServer,
 )
-from repro.core.tasks import Task, TaskState
+from repro.core.tasks import Task, TaskState, stage_seconds
 from repro.errors import (
     PayloadTooLarge,
     ResultPurged,
@@ -59,14 +59,14 @@ from repro.errors import (
 )
 from repro.metrics.registry import Histogram, MetricsRegistry
 from repro.observability.events import EventSpine
-from repro.observability.trace import TraceStore
 from repro.store.queues import ReliableQueue
 
 logger = logging.getLogger(__name__)
 
 #: One task outcome as a forwarder reports it: ``(task_id, success,
-#: result_buffer, exception_text, execution_time, result_return_time)``.
-Outcome = tuple[str, bool, bytes, str | None, float, float]
+#: result_buffer, exception_text, execution_time, stamps)``, ``stamps``
+#: being the result's hop stamps (:func:`~repro.core.tasks.hop_stamps`).
+Outcome = tuple[str, bool, bytes, str | None, float, dict[str, float]]
 
 
 @dataclass(frozen=True)
@@ -92,11 +92,6 @@ class ServiceConfig:
         model the measured cloud-service overhead (ts in figure 4).
     default_max_retries:
         Retry budget for tasks lost to worker/manager failure.
-    tracing:
-        Whether the service opens a per-task trace context propagated
-        through the whole fabric (the figure-4 latency decomposition).
-    trace_capacity:
-        Retention bound on stored traces (oldest finalized evicted first).
     stream_spill_threshold:
         Result payloads at or above this size (bytes) are delivered on
         the push stream as staged ``DataRef`` records instead of in-band
@@ -110,8 +105,6 @@ class ServiceConfig:
     result_ttl: float = 3600.0
     request_overhead: float = 0.0
     default_max_retries: int = 1
-    tracing: bool = True
-    trace_capacity: int = 100_000
     stream_spill_threshold: int = DEFAULT_SPILL_THRESHOLD
     shards: int = 1
 
@@ -157,10 +150,7 @@ class FuncXService:
         # emits its transitions here (``repro.observability.events``).
         self.events = EventSpine()
         self.memoizer = Memoizer(events=self.events)
-        # observability fabric: per-task traces + registry-backed counters
         self.metrics = metrics or MetricsRegistry(clock=self._clock)
-        self.traces = TraceStore(clock=self._clock, enabled=self.config.tracing,
-                                 capacity=self.config.trace_capacity)
         self._c_received = self.metrics.counter("service.tasks_received")
         self._c_completed = self.metrics.counter("service.tasks_completed")
         self._c_memo = self.metrics.counter("service.memo_completions")
@@ -418,8 +408,7 @@ class FuncXService:
             for endpoint_id, (shard, wave) in waves.items():
                 shard.insert_tasks(wave)
                 entered += len(wave)
-                self._enqueue_wave(shard, endpoint_id, wave, memoize,
-                                   received_at)
+                self._enqueue_wave(shard, endpoint_id, wave, memoize)
         except BaseException:
             # Validation passed, so this is unexpected; return the quota
             # of the members that never made it in.
@@ -433,39 +422,29 @@ class FuncXService:
         endpoint_id: str,
         wave: list[Task],
         memoize: bool,
-        received_at: float,
     ) -> None:
-        """Trace, memo-check and enqueue one endpoint's inserted tasks."""
+        """Announce, memo-check and enqueue one endpoint's inserted tasks."""
         self._c_received.inc(len(wave))
         events = self.events
-        for task in wave:
-            trace = task.trace = self.traces.open(task.task_id, at=received_at)
-            if trace is not None:
-                task.metadata["trace_id"] = trace.trace_id
-            if events:
+        if events:
+            for task in wave:
                 events.emit("service", "task.submitted", {
                     "task_id": task.task_id, "endpoint_id": endpoint_id,
                     "shard": shard.index})
         if memoize:
-            wave = self._serve_memo_hits(shard, wave, received_at)
+            wave = self._serve_memo_hits(shard, wave)
             if not wave:
                 return
         queued_at = self._clock()
         for task in wave:
             task.advance(TaskState.QUEUED, queued_at)
-            if task.trace is not None:
-                task.trace.record("service", "service", start=received_at,
-                                  end=queued_at, shard=shard.index)
         # The tenant lane makes dequeue DRR-fair across identities
         # sharing this endpoint.
         shard.task_queue(endpoint_id).put_many(
             [task.task_id for task in wave], lane=wave[0].owner_id)
 
     def _serve_memo_hits(
-        self,
-        shard: ServiceShard,
-        wave: list[Task],
-        received_at: float,
+        self, shard: ServiceShard, wave: list[Task]
     ) -> list[Task]:
         """Complete the wave's memoized members; returns the rest."""
         misses: list[Task] = []
@@ -478,11 +457,8 @@ class FuncXService:
                 misses.append(task)
                 continue
             task.memo_hit = True
-            done = self._clock()
-            if task.trace is not None:
-                task.trace.record("service", "service", start=received_at,
-                                  end=done, memo_hit=True, shard=shard.index)
-            self._settle(task, success=True, result_buffer=cached, now=done)
+            self._settle(task, success=True, result_buffer=cached,
+                         now=self._clock())
             hits.append(task)
         self._c_memo.inc(len(hits))
         self._retire(shard, hits)
@@ -586,14 +562,14 @@ class FuncXService:
         result_buffer: bytes = b"",
         exception_text: str | None = None,
         execution_time: float = 0.0,
-        result_return_time: float = 0.0,
+        stamps: dict[str, float] | None = None,
     ) -> bool:
         """Record one task outcome: :meth:`complete_tasks` for a wave of
         one, routed by the task id.  Raises :class:`TaskNotFound` for an
         unknown id."""
         [applied] = self.complete_tasks(self.shard_for_task(task_id), [(
             task_id, success, result_buffer, exception_text, execution_time,
-            result_return_time)])
+            stamps or {})])
         if applied is None:
             raise TaskNotFound(task_id)
         return applied
@@ -609,15 +585,15 @@ class FuncXService:
         the result was in flight), ``False`` for a result that arrives
         for an already-terminal task (the at-least-once delivery path
         redelivers on requeue races) — counted and reported, but it must
-        not mutate the recorded outcome, metadata, or memo store: first
-        result wins, within a wave as across waves.
+        not mutate the recorded outcome, timeline, metadata, or memo
+        store: first result wins, within a wave as across waves.
         """
         tasks = shard.get_tasks([outcome[0] for outcome in outcomes])
         now = self._clock()
         verdicts: list[bool | None] = []
         finished: list[Task] = []
         for task, (task_id, success, result_buffer, exception_text,
-                   execution_time, result_return_time) in zip(tasks, outcomes):
+                   execution_time, stamps) in zip(tasks, outcomes):
             if task is None:
                 verdicts.append(None)
             elif task.state is TaskState.CANCELLED:
@@ -636,12 +612,11 @@ class FuncXService:
                         "task_id": task_id, "success": success})
                 verdicts.append(False)
             else:
-                task.metadata["result_return_time"] = result_return_time
                 if success and task.metadata.get("memoize"):
                     self.memoizer.store(self.function_buffer(task.function_id),
                                         task.payload_buffer, result_buffer)
                 self._settle(task, success, result_buffer, exception_text,
-                             execution_time, now)
+                             execution_time, now, stamps)
                 finished.append(task)
                 verdicts.append(True)
         self._retire(shard, finished)
@@ -669,8 +644,6 @@ class FuncXService:
         task.advance(TaskState.CANCELLED, now)
         task.exception_text = f"task {task_id} cancelled by client"
         self._c_cancelled.inc()
-        if task.trace is not None:
-            task.trace.close(now)
         if self.events:
             self.events.emit("service", "task.cancelled", {
                 "task_id": task_id, "state": task.state.value})
@@ -718,11 +691,6 @@ class FuncXService:
         for task in tasks:
             task.attempts += 1
             task.advance(TaskState.DISPATCHED, now)
-
-    def mark_running(self, task_id: str, started_at: float | None = None) -> None:
-        task = self._get_task(task_id)
-        if task.state is TaskState.DISPATCHED:
-            task.advance(TaskState.RUNNING, started_at if started_at is not None else self._clock())
 
     def endpoint_heartbeat(self, endpoint_id: str) -> None:
         self.endpoints.heartbeat(endpoint_id, self._clock())
@@ -811,48 +779,46 @@ class FuncXService:
         exception_text: str | None = None,
         execution_time: float = 0.0,
         now: float = 0.0,
+        stamps: dict[str, float] | None = None,
     ) -> None:
-        """Move one live task to SUCCESS/FAILED and close its trace — the
-        per-task half of a completion; the caller then :meth:`_retire`s
-        the wave it settled."""
-        # Tolerate completion from any live state (worker may finish after
-        # a requeue decision raced it; first completion wins).
+        """Move one live task to SUCCESS/FAILED and write the result's hop
+        ``stamps`` into its timeline — the per-task half of a completion;
+        the caller then :meth:`_retire`s the wave it settled."""
+        # From any live state: a worker may finish after a requeue decision
+        # raced it (first completion wins), a memo hit settles at RECEIVED.
         target = TaskState.SUCCESS if success else TaskState.FAILED
-        if task.state is TaskState.RUNNING:
-            task.advance(target, now)
-        else:
-            # fast paths (memo hits complete straight from RECEIVED)
-            task.state_times.setdefault("running", now)
-            task.state = target
-            task.state_times.setdefault(target.value, now)
+        task.state = target
+        task.state_times.setdefault(target.value, now)
+        if stamps:
+            task.state_times.update(stamps)
         task.result_buffer = result_buffer or None
         task.result_size = len(result_buffer)
         task.exception_text = exception_text
         task.metadata["execution_time"] = execution_time
         self._c_completed.inc()
-        if task.trace is not None:
-            task.trace.close(now)
         if self.events:
             self.events.emit("service", "task.completed", {
                 "task_id": task.task_id, "success": success,
                 "state": task.state.value})
 
     def _retire(self, shard: ServiceShard, tasks: list[Task]) -> None:
-        """The per-wave half of reaching a terminal state: the closed
-        traces' stage times into their histograms, shard accounting
-        (where the argument bytes leave and expired records are swept),
-        tenant quota, then the announcements: each waiter on a record
-        of the wave, one ``tasks.terminal`` event, one call to the
-        result stream."""
+        """The per-wave half of reaching a terminal state: the records'
+        stage and end-to-end times into their histograms, shard
+        accounting (where the argument bytes leave and expired records
+        are swept), tenant quota, then the announcements: each waiter on
+        a record of the wave, one ``tasks.terminal`` event, one call to
+        the result stream."""
         if not tasks:
             return
         stages: dict[str, list[float]] = {}
         totals: list[float] = []
         for task in tasks:
-            if task.trace is not None:
-                for stage, duration in task.trace.breakdown().items():
-                    stages.setdefault(stage, []).append(duration)
-                totals.append(task.trace.total())
+            for stage, seconds in stage_seconds(
+                    task.state_times, task.state.value).items():
+                stages.setdefault(stage, []).append(seconds)
+            total = task.total_latency()
+            if total is not None:
+                totals.append(total)
         for stage, durations in stages.items():
             histogram = self._h_stage.get(stage)
             if histogram is None:

@@ -20,8 +20,7 @@ module is that partitioning for the reproduction:
   record ``result_ttl`` later.
 
 The facade (:class:`~repro.core.service.FuncXService`) owns every
-policy decision (auth, validation, memoization, tracing, completion
-semantics); a shard is pure partitioned state + accounting.
+policy decision (auth, validation, memoization, completion semantics); a shard is pure partitioned state + accounting.
 """
 
 from __future__ import annotations

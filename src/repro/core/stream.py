@@ -442,7 +442,6 @@ class ResultStreamServer:
         now = self._clock()
         results: list[ResultMessage] = []
         kept: list[Lease] = []
-        delivered: list["Task"] = []
         vanished: list[Lease] = []
         try:
             for lease, task in zip(leases, self._shard.get_tasks(
@@ -456,7 +455,6 @@ class ResultStreamServer:
                     self._c_redelivered.inc()
                 results.append(self._result_message(sub, task, now))
                 kept.append(lease)
-                delivered.append(task)
         except Exception:
             # No credit consumed, nothing recorded yet: hand the leases back
             # in order, unannounced (``step`` re-marks), and drop their spills.
@@ -494,12 +492,6 @@ class ResultStreamServer:
         self._c_delivered.inc(len(results))
         self._h_delivery.observe_many(
             max(0.0, now - message.completed_at) for message in results)
-        for message, task in zip(results, delivered):
-            if task.trace is not None:
-                task.trace.record_late(
-                    "result_stream", "service",
-                    start=message.completed_at, end=now,
-                    subscriber=sub.subscriber_id)
         return len(results)
 
     def _result_message(

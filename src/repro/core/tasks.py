@@ -10,8 +10,10 @@ A *task* is one invocation of a registered function.  Its path is:
 5. result returned through the forwarder;
 6. result stored for retrieval (then purged).
 
-State timestamps are recorded at each hop so the latency-breakdown
-experiment (figure 4) can attribute time to ts/tf/te/tw stages.
+``Task.state_times`` is the task's one timeline: the service stamps its
+own transitions, and the winning result brings the agent, manager and
+worker stamps (:func:`hop_stamps`), so the latency breakdown (figure 4)
+reads ts/tf/te/tw and the per-component :data:`STAGES` off the record.
 """
 
 from __future__ import annotations
@@ -19,7 +21,10 @@ from __future__ import annotations
 import uuid
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.transport.messages import ResultMessage
 
 
 class TaskState(str, Enum):
@@ -57,6 +62,41 @@ _TRANSITIONS: dict[TaskState, frozenset[TaskState]] = {
 
 #: What a shard calls, once, with the record that turned terminal.
 Waiter = Callable[["Task"], None]
+
+#: The timeline's stages, each ``(stage, from, to)``: the interval between
+#: two ``state_times`` stamps, ``to=None`` meaning the terminal state's.
+#: A stage missing a stamp (a hop that did not stamp) is left out.
+STAGES: tuple[tuple[str, str, str | None], ...] = (
+    ("service", "received", "queued"),
+    ("forwarder.dispatch", "last_queued", "last_dispatched"),
+    ("agent", "agent_in", "agent_out"),
+    ("manager", "manager_in", "manager_out"),
+    ("worker", "running", "worker_out"),
+    ("result_return", "worker_out", None),
+)
+
+
+def hop_stamps(result: "ResultMessage") -> dict[str, float]:
+    """The endpoint stamps ``result`` carries, under their
+    ``state_times`` keys; a hop that did not stamp is left out."""
+    stamps = {"agent_in": result.agent_in, "agent_out": result.agent_out,
+              "manager_in": result.manager_in,
+              "manager_out": result.manager_out}
+    if result.completed_at:
+        stamps["running"] = result.completed_at - result.execution_time
+        stamps["worker_out"] = result.completed_at
+    return {key: at for key, at in stamps.items() if at}
+
+
+def stage_seconds(state_times: dict[str, float], state: str) -> dict[str, float]:
+    """Stage → seconds on one timeline, in :data:`STAGES` order; ``state``
+    is the record's state (the key of its terminal stamp)."""
+    out: dict[str, float] = {}
+    for stage, start, end in STAGES:
+        began, ended = state_times.get(start), state_times.get(end or state)
+        if began is not None and ended is not None:
+            out[stage] = ended - began
+    return out
 
 
 @dataclass
@@ -103,9 +143,6 @@ class Task:
     memo_hit: bool = False
     state_times: dict[str, float] = field(default_factory=dict)
     metadata: dict[str, Any] = field(default_factory=dict)
-    #: The task's :class:`~repro.observability.trace.TraceContext`
-    #: (``None`` with tracing off), held here so no hop looks it up.
-    trace: Any = field(default=None, repr=False, compare=False)
     #: ``callback(task)``s to fire when the task turns terminal, ``None``
     #: while nobody waits.  Registered, withdrawn and collected only by
     #: the owning :class:`~repro.core.shard.ServiceShard`, under its lock.
@@ -161,9 +198,13 @@ class Task:
 
         ts — service time (received → queued);
         tf — forwarder time (queued → dispatched);
-        te — endpoint time excluding execution (dispatched → running,
-             plus result return recorded by the forwarder);
-        tw — worker execution time (running → terminal).
+        te — endpoint time excluding execution: dispatched → the worker
+             starts (``running``), plus the result's return from the
+             worker's end (``worker_out``) to the terminal state;
+        tw — worker execution time (``running`` → ``worker_out``).
+
+        Without a ``worker_out`` stamp execution runs to the terminal
+        state.
         """
         times = self.state_times
         out: dict[str, float] = {}
@@ -173,16 +214,17 @@ class Task:
                 return times[b] - times[a]
             return None
 
+        worker_out = "worker_out" if "worker_out" in times else TaskState.SUCCESS.value
         ts = span(TaskState.RECEIVED.value, TaskState.QUEUED.value)
         tf = span(TaskState.QUEUED.value, TaskState.DISPATCHED.value)
         te = span(TaskState.DISPATCHED.value, TaskState.RUNNING.value)
-        tw = span(TaskState.RUNNING.value, TaskState.SUCCESS.value)
+        tw = span(TaskState.RUNNING.value, worker_out)
         if ts is not None:
             out["ts"] = ts
         if tf is not None:
             out["tf"] = tf
         if te is not None:
-            out["te"] = te + self.metadata.get("result_return_time", 0.0)
+            out["te"] = te + (span(worker_out, TaskState.SUCCESS.value) or 0.0)
         if tw is not None:
             out["tw"] = tw
         return out

@@ -101,7 +101,8 @@ class FuncXAgent:
         self._manager_channels: dict[str, ChannelEnd] = {}
         self._views: dict[str, ManagerView] = {}
         self._suspended: set[str] = set()
-        self._pending: deque[TaskMessage] = deque()
+        # Each task waiting for a manager with the time it reached the agent.
+        self._pending: deque[tuple[TaskMessage, float]] = deque()
         # task_id -> (manager_id, message, agent-side attempt count)
         self._assigned: dict[str, tuple[str, TaskMessage, int]] = {}
         # Function-buffer table: bodies arrive in batch envelopes and are
@@ -228,9 +229,7 @@ class FuncXAgent:
             now = self._clock()
             for task_id, message in orphaned:
                 del self._assigned[task_id]
-                if message.trace is not None:
-                    message.trace.begin("agent", self.name, at=now, reexecution=True)
-                self._pending.appendleft(message)
+                self._pending.appendleft((message, now))
                 self._c_reexecuted.inc()
         self.heartbeats.forget(manager_id)
 
@@ -307,7 +306,7 @@ class FuncXAgent:
     def tracked_task_ids(self) -> list[str]:
         """Ids of tasks the agent still holds (pending + assigned)."""
         with self._lock:
-            pending = [m.task_id for m in self._pending]
+            pending = [m.task_id for m, _arrived in self._pending]
             return pending + list(self._assigned)
 
     # ------------------------------------------------------------------
@@ -344,10 +343,8 @@ class FuncXAgent:
             # redelivers it with the body force-shipped.
             self._c_buffer_miss.inc()
             return
-        if message.trace is not None:
-            message.trace.begin("agent", self.name, at=self._clock())
         with self._lock:
-            self._pending.append(message)
+            self._pending.append((message, self._clock()))
         self._c_received.inc()
 
     def _drain_managers(self) -> int:
@@ -444,11 +441,8 @@ class FuncXAgent:
         self.heartbeats.forget(manager_id)
         for task_id, message, attempts in lost:
             if attempts <= self.config.max_retries_on_loss:
-                if message.trace is not None:
-                    message.trace.begin("agent", self.name, at=self._clock(),
-                                        reexecution=True)
                 with self._lock:
-                    self._pending.appendleft(message)
+                    self._pending.appendleft((message, self._clock()))
                 self._c_reexecuted.inc()
             else:
                 self._fail_task(message, f"manager {manager_id} lost; retries exhausted")
@@ -462,10 +456,6 @@ class FuncXAgent:
                 task_id=message.task_id,
                 success=False,
                 result_buffer=buffer,
-                execution_time=0.0,
-                worker_id="",
-                completed_at=self._clock(),
-                trace=message.trace,
             )
         ])
 
@@ -477,14 +467,15 @@ class FuncXAgent:
         iteration so receive paths interleave); phase 2 ships each
         manager's share as one :class:`TaskBatchMessage`.
         """
-        assignments: dict[str, list[TaskMessage]] = {}
+        assignments: dict[str, list[tuple[TaskMessage, float]]] = {}
         channels: dict[str, ChannelEnd] = {}
         dispatched = 0
         while True:
             with self._lock:
                 if not self._pending:
                     break
-                message = self._pending[0]
+                entry = self._pending[0]
+                message = entry[0]
                 views = [
                     v
                     for mid, v in self._views.items()
@@ -498,41 +489,47 @@ class FuncXAgent:
                 if channel is None:
                     # stale view; drop it and retry this task next iteration
                     self._views.pop(chosen.manager_id, None)
-                    self._pending.appendleft(message)
+                    self._pending.appendleft(entry)
                     continue
                 attempts = self._assigned.get(message.task_id, ("", message, 0))[2]
                 self._assigned[message.task_id] = (chosen.manager_id, message, attempts + 1)
                 chosen.outstanding += 1
-            assignments.setdefault(chosen.manager_id, []).append(message)
+            assignments.setdefault(chosen.manager_id, []).append(entry)
             channels[chosen.manager_id] = channel
-        for manager_id, messages in assignments.items():
+        for manager_id, entries in assignments.items():
             dispatched += self._send_task_batch(
-                manager_id, channels[manager_id], messages)
+                manager_id, channels[manager_id], entries)
         return dispatched
 
     def _send_task_batch(
         self,
         manager_id: str,
         channel: ChannelEnd,
-        messages: list[TaskMessage],
+        entries: list[tuple[TaskMessage, float]],
     ) -> int:
         """Ship one manager's scheduled tasks as a single coalesced transfer.
 
         Each distinct function buffer is included at most once, and only
         when this manager has not already been shipped the same version
-        (digest tracked per manager registration).
+        (digest tracked per manager registration).  Each task travels as
+        a copy carrying the agent's stamps; ``_assigned`` keeps the
+        unstamped message for re-execution.
         """
         needed: dict[str, bytes] = {}
         with self._lock:
             shipped = self._manager_shipped.setdefault(manager_id, {})
-            for message in messages:
+            for message, _arrived in entries:
                 buffer = self._buffers.get(message.function_id)
                 if buffer is not None and message.function_id not in needed:
                     if shipped.get(message.function_id) != hash(buffer):
                         needed[message.function_id] = buffer
+        now = self._clock()
         batch = TaskBatchMessage(
             sender=self.name,
-            tasks=tuple(messages),
+            tasks=tuple(
+                TaskMessage(**{**vars(message), "agent_in": arrived,
+                               "agent_out": now})
+                for message, arrived in entries),
             function_buffers=needed,
             incarnation=self.incarnation,
         )
@@ -543,15 +540,11 @@ class FuncXAgent:
             shipped = self._manager_shipped.setdefault(manager_id, {})
             for function_id, buffer in needed.items():
                 shipped[function_id] = hash(buffer)
-        now = self._clock()
-        for message in messages:
-            if message.trace is not None:
-                message.trace.end("agent", at=now, manager=manager_id)
-        self._c_dispatched.inc(len(messages))
-        self._h_dispatch_batch.observe(float(len(messages)))
-        if len(messages) > 1:
-            self._c_coalesced.inc(len(messages))
-        return len(messages)
+        self._c_dispatched.inc(len(entries))
+        self._h_dispatch_batch.observe(float(len(entries)))
+        if len(entries) > 1:
+            self._c_coalesced.inc(len(entries))
+        return len(entries)
 
     # -- heartbeats to the forwarder ----------------------------------------------
     def _maybe_heartbeat(self) -> None:

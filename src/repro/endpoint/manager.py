@@ -108,7 +108,8 @@ class Manager:
         # Longest idle first: the order a match and a redeploy victim are
         # chosen in (a set of id strings would order by PYTHONHASHSEED).
         self._idle: dict[str, Worker] = {}           # guarded-by: self._lock
-        self._pending: deque[TaskMessage] = deque()  # guarded-by: self._lock
+        # Each queued task with the time it reached the node.
+        self._pending: deque[tuple[TaskMessage, float]] = deque()  # guarded-by: self._lock
         # Function-buffer table: bodies arrive once per batch envelope and
         # are reattached as a task is claimed for a worker.
         self._buffers: dict[str, bytes] = {}         # guarded-by: self._lock
@@ -225,7 +226,7 @@ class Manager:
         (idle workers) the pending deque is the full picture.
         """
         with self._lock:
-            return [m.task_id for m in self._pending]
+            return [m.task_id for m, _arrived in self._pending]
 
     # ------------------------------------------------------------------
     # the manager loop
@@ -247,12 +248,10 @@ class Manager:
     def _admit(self, batch: TaskBatchMessage) -> None:
         """Queue one envelope's tasks; a finishing worker may take the
         head from here on, before this step's own dispatch pass."""
-        for task in batch.tasks:
-            if task.trace is not None:
-                task.trace.begin("manager", self.manager_id, at=self._clock())
+        arrived = self._clock()
         with self._lock:
             self._buffers.update(batch.function_buffers)
-            self._pending.extend(batch.tasks)
+            self._pending.extend((task, arrived) for task in batch.tasks)
 
     def _collect_results(self) -> int:
         collected: list[ResultMessage] = []
@@ -295,7 +294,7 @@ class Manager:
         """
         if not self._pending or self._stop.is_set():
             return None
-        head = self._pending[0]
+        head, arrived = self._pending[0]
         body = self._buffers.get(head.function_id)
         if not body:
             return None
@@ -308,11 +307,12 @@ class Manager:
         self._pending.popleft()
         self._idle.pop(worker.worker_id, None)
         self.credits.consume(1)  # the slot's credit rides the task
-        if head.trace is not None:
-            head.trace.end("manager", at=self._clock(), worker=worker.worker_id)
-        # A copy takes the body: the agent keeps the empty-bodied message
-        # it sent, for re-execution.  (dataclasses.replace costs 1.4x this.)
-        return worker, TaskMessage(**{**vars(head), "function_buffer": body})
+        # A copy takes the body and the node's stamps: the agent keeps the
+        # empty-bodied message it sent, for re-execution.
+        # (dataclasses.replace costs 1.4x this.)
+        return worker, TaskMessage(**{
+            **vars(head), "function_buffer": body,
+            "manager_in": arrived, "manager_out": self._clock()})
 
     def _next_for(self, worker: Worker) -> TaskMessage | None:
         """A worker's hand-off after it reported a result (its thread).
@@ -343,7 +343,7 @@ class Manager:
                 if claim is None:
                     if not self._pending or self._stop.is_set():
                         break
-                    head = self._pending[0]
+                    head, _arrived = self._pending[0]
                     if not self._buffers.get(head.function_id):
                         self._pending.popleft()
                     elif self._idle:
@@ -374,18 +374,12 @@ class Manager:
             f"function body {message.function_id} unavailable on "
             f"{self.manager_id}"))
         buffer = self._serializer.serialize(wrapper, routing_tag=message.task_id)
-        if message.trace is not None:
-            message.trace.end("manager", at=self._clock(), error="buffer_miss")
         self._send_results([
             ResultMessage(
                 sender=self.manager_id,
                 task_id=message.task_id,
                 success=False,
                 result_buffer=buffer,
-                execution_time=0.0,
-                worker_id="",
-                completed_at=self._clock(),
-                trace=message.trace,
             )
         ])
 

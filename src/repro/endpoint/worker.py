@@ -71,9 +71,6 @@ def execute_task_message(
         result_buffer = serializer.serialize(wrapper, routing_tag=message.task_id)
         success = False
     end = clock()
-    if message.trace is not None:
-        message.trace.record("worker", worker_id, start=start, end=end,
-                             success=success)
     return ResultMessage(
         sender=worker_id,
         task_id=message.task_id,
@@ -82,7 +79,10 @@ def execute_task_message(
         execution_time=end - start,
         worker_id=worker_id,
         completed_at=end,
-        trace=message.trace,
+        agent_in=message.agent_in,
+        agent_out=message.agent_out,
+        manager_in=message.manager_in,
+        manager_out=message.manager_out,
     )
 
 

@@ -117,7 +117,7 @@ class LocalDeployment:
         self._identities: dict[str, Identity] = {}
         self._lock = threading.RLock()
         self._closed = False
-        # Runtime lock-order sanitizer (opt-in).  Tracing, metrics, and
+        # Runtime lock-order sanitizer (opt-in).  Metrics and
         # invariant-registry locks stay unwrapped on purpose: they are
         # leaf locks acquired from inside every component, and wrapping
         # them would add runtime edges the static graph cannot model.

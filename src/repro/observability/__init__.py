@@ -1,25 +1,12 @@
-"""End-to-end observability: trace contexts, spans, and the trace store.
+"""Observability: the deployment's event spine.
 
-The tracing half of the observability fabric lives here; the metrics
-half is :class:`repro.metrics.MetricsRegistry`.  See
-``docs/OBSERVABILITY.md`` for the span model and its mapping onto the
-paper's figure-4 latency decomposition.
+:mod:`repro.observability.events` is the one place a checker or monitor
+subscribes to task transitions; the metrics half is
+:class:`repro.metrics.MetricsRegistry`.  A task's per-stage timeline
+lives on its record (``Task.state_times``, :data:`repro.core.tasks.STAGES`).
+See ``docs/OBSERVABILITY.md``.
 """
 
 from repro.metrics.registry import MetricsRegistry
-from repro.observability.trace import (
-    STAGES,
-    Span,
-    TraceContext,
-    TraceStore,
-    aggregate_breakdowns,
-)
 
-__all__ = [
-    "STAGES",
-    "Span",
-    "TraceContext",
-    "TraceStore",
-    "MetricsRegistry",
-    "aggregate_breakdowns",
-]
+__all__ = ["MetricsRegistry"]

@@ -1,33 +1,13 @@
-"""End-to-end trace contexts for the task lifecycle (figure 4).
+"""Span-based trace contexts — kept only for the repo benchmark's
+``trace.span_us`` drive.
 
-The paper's evaluation decomposes per-task latency into the time spent in
-each stage of the pipeline: web service (``t_s``), forwarder dispatch,
-agent scheduling, manager queueing, worker execution (``t_w``) and the
-result's return trip.  :class:`TraceContext` is the carrier that makes
-that decomposition observable on the live fabric: the service opens one
-context per task, the forwarder attaches it to the outbound
-:class:`~repro.transport.messages.TaskMessage`, every downstream stage
-records a :class:`Span` into it, and the worker's
-:class:`~repro.transport.messages.ResultMessage` carries it back so the
-service can finalize and aggregate it.
-
-Stage names are fixed (:data:`STAGES`) so benches, the CLI and the
-metrics registry agree on the decomposition:
-
-========================  =====================================================
-stage                     interval
-========================  =====================================================
-``service``               request received → task enqueued (``t_s``)
-``forwarder.dispatch``    enqueued → sent to the agent (queue wait + dispatch)
-``agent``                 arrived at the agent → routed to a manager
-``manager``               arrived at the manager → handed to a worker
-``worker``                deserialization + execution + serialization (``t_w``)
-``result_return``         worker completion → result back at the forwarder
-========================  =====================================================
-
-Contexts are wire-model friendly: :meth:`TraceContext.to_record` /
-:meth:`TraceContext.from_record` round-trip through plain dicts, which is
-what a cross-process deployment would serialize into message headers.
+No module under ``src/repro`` imports this one: a task's per-stage
+timeline lives on its record (``Task.state_times``, stamped by each hop
+onto the messages it builds; :data:`repro.core.tasks.STAGES`).  The
+benchmark's ``trace.span_us`` drive still times
+``TraceStore().open(...).record(...)``, and the benchmark moves first
+(ROADMAP item 5(a)): this module goes in one step once that drive no
+longer names it.
 """
 
 from __future__ import annotations

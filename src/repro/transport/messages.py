@@ -9,10 +9,7 @@ is the property the serialization design (section 4.6) exists to provide.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.observability.trace import TraceContext
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -44,10 +41,11 @@ class TaskMessage(Message):
     container_image:
         Container the function must run in, or ``None`` for the bare
         worker Python environment.
-    trace:
-        The task's :class:`~repro.observability.trace.TraceContext`,
-        propagated service → forwarder → agent → manager → worker so
-        every stage records its span; ``None`` when tracing is disabled.
+    agent_in, agent_out, manager_in, manager_out:
+        Hop stamps on the task's timeline: when the task reached and
+        left the agent and the manager.  A hop writes its stamps into
+        the copy it is about to send, never into a message already
+        sent; ``0.0`` means the hop has not stamped.
     """
 
     task_id: str = ""
@@ -56,7 +54,10 @@ class TaskMessage(Message):
     payload_buffer: bytes = b""
     container_image: str | None = None
     submitted_at: float = 0.0
-    trace: "TraceContext | None" = field(default=None, compare=False)
+    agent_in: float = 0.0
+    agent_out: float = 0.0
+    manager_in: float = 0.0
+    manager_out: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -66,9 +67,9 @@ class ResultMessage(Message):  # lint: ignore[handler-exhaustiveness]
     An element of a :class:`ResultBatchMessage`, never sent bare, so no
     receiver dispatches on the type (hence the waiver above).
 
-    ``trace`` carries the task's trace context back up the stack so the
-    forwarder can stamp the result-return span and the service can
-    finalize the trace.
+    The worker ran from ``completed_at - execution_time`` to
+    ``completed_at``; it copies the task's agent and manager stamps here
+    so the service can write the whole timeline into the task record.
     """
 
     task_id: str = ""
@@ -77,7 +78,6 @@ class ResultMessage(Message):  # lint: ignore[handler-exhaustiveness]
     execution_time: float = 0.0
     worker_id: str = ""
     completed_at: float = 0.0
-    trace: "TraceContext | None" = field(default=None, compare=False)
     #: Set on the client-facing result stream when the payload was
     #: spilled to a staging store: a ``DataRef.as_argument()`` record the
     #: receiver resolves via ``repro.staging.fetch_ref``; the
@@ -93,6 +93,10 @@ class ResultMessage(Message):  # lint: ignore[handler-exhaustiveness]
     #: released before this delivery (every earlier watcher had acked);
     #: receivers resolve the handle with ``ResultPurged``.
     purged: bool = False
+    agent_in: float = 0.0
+    agent_out: float = 0.0
+    manager_in: float = 0.0
+    manager_out: float = 0.0
 
 
 @dataclass(frozen=True)

@@ -20,4 +20,4 @@ class GoodTask(Message):
     labels: dict[str, str] = field(default_factory=dict)
     shape: tuple[int, ...] = ()
     extra: Any = None
-    trace: "TraceContext | None" = field(default=None, compare=False)
+    result: "ResultMessage | None" = field(default=None, compare=False)

@@ -73,7 +73,6 @@ def test_corpus_covers_every_check_both_ways():
         "blocking-under-lock": "blocking_good.py",
         "clock-domain": "clock_good.py",
         "lease-ack": "lease_good.py",
-        "span-lifecycle": "span_good.py",
         "subscription-lifecycle": "subscription_good.py",
         "spill-lifecycle": "spill_good.py",
         "future-resolution": "future_good.py",
@@ -102,10 +101,10 @@ def test_reintroduced_unlocked_pending_access_is_flagged():
     path = REPO_ROOT / "src/repro/endpoint/manager.py"
     text = path.read_text(encoding="utf-8")
     locked = ("        with self._lock:\n"
-              "            return [m.task_id for m in self._pending]\n")
+              "            return [m.task_id for m, _arrived in self._pending]\n")
     assert locked in text, "manager.py changed; update this regression test"
     broken = text.replace(
-        locked, "        return [m.task_id for m in self._pending]\n")
+        locked, "        return [m.task_id for m, _arrived in self._pending]\n")
     source = parse_source(broken, path="src/repro/endpoint/manager.py",
                           module="repro.endpoint.manager")
     findings = [f for f in analyze_source(source)

@@ -1,5 +1,5 @@
 """Unit tests for the CFG builder and forward-dataflow engine that power
-the flow-sensitive checks (lease-ack, span-lifecycle)."""
+the flow-sensitive checks (lease-ack and the other resource protocols)."""
 
 from __future__ import annotations
 

@@ -13,7 +13,7 @@ import pytest
 from repro.auth import AuthService
 from repro.core.forwarder import Forwarder
 from repro.core.service import FuncXService
-from repro.core.tasks import TaskState
+from repro.core.tasks import TaskState, stage_seconds
 from repro.serialize import FuncXSerializer
 from repro.transport.channel import Channel
 from repro.transport.messages import (
@@ -256,6 +256,7 @@ class TestHeartbeatsAndLoss:
         connect_agent(world)
         world.forwarder.step()
         world.agent.recv_all_ready()
+        world.clock.advance(1.0)  # a 0.0 stamp reads as "not stamped"
         completed_at = world.clock()
         world.clock.advance(0.5)
         send_results(world.agent, ResultMessage(
@@ -264,7 +265,9 @@ class TestHeartbeatsAndLoss:
             completed_at=completed_at))
         world.forwarder.step()
         task = world.service.task_by_id(task_id)
-        assert task.metadata["result_return_time"] == pytest.approx(0.5)
+        assert task.state_times["worker_out"] == completed_at
+        stages = stage_seconds(task.state_times, task.state.value)
+        assert stages["result_return"] == pytest.approx(0.5)
 
 
 class TestSiteContainerConversion:

@@ -142,7 +142,6 @@ class TestCompletionAndResults:
     def test_complete_and_get_result(self, service, user_token, function_id, endpoint_id, clock):
         task_id = submit_one(service, user_token, function_id, endpoint_id)
         service.tasks_dispatched([service.task_by_id(task_id)])
-        service.mark_running(task_id)
         result_buf = FuncXSerializer().serialize(42, routing_tag=task_id)
         service.complete_task(task_id, success=True, result_buffer=result_buf,
                               execution_time=0.5)

@@ -92,8 +92,9 @@ class TestLatencyAccounting:
 
     def test_breakdown_includes_result_return(self):
         task = self._completed_task()
-        task.metadata["result_return_time"] = 0.3
+        task.state_times["worker_out"] = 11.9  # the result took 0.3 s back
         assert task.breakdown()["te"] == pytest.approx(0.5)
+        assert task.breakdown()["tw"] == pytest.approx(0.7)
 
     def test_stage_time_lookup(self):
         task = self._completed_task()

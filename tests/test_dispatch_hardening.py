@@ -9,8 +9,8 @@ Covers the four satellite bugfixes of this change:
 * duplicate results never mutate an already-terminal task;
 * ``submit_batch`` validates the whole batch before enqueueing anything;
 
-plus a chaos run asserting invariant violations are stamped with the
-observability trace ids of the tasks involved.
+plus a chaos run asserting invariant violations name the tasks
+involved, ids that resolve to their records.
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ class TestDuplicateResults:
         first_buf = complete(world, task_id, value=42)
         task = world.service.task_by_id(task_id)
         assert task.state is TaskState.SUCCESS
-        return_time = task.metadata["result_return_time"]
+        timeline = dict(task.state_times)
 
         world.clock.advance(5.0)
         duplicate_buf = world.serializer.serialize(-1, routing_tag=task_id)
@@ -212,7 +212,7 @@ class TestDuplicateResults:
 
         assert task.state is TaskState.SUCCESS
         assert task.result_buffer == first_buf
-        assert task.metadata["result_return_time"] == return_time
+        assert task.state_times == timeline
         assert task.metadata["execution_time"] == pytest.approx(0.1)
         assert world.service.tasks_completed == 1
         assert world.service.duplicate_results == 1
@@ -270,7 +270,8 @@ class TestAtomicBatchValidation:
 
 
 class TestChaosTraceStamping:
-    """Invariant violations name the trace ids of the tasks involved."""
+    """Invariant violations name the tasks involved; each id resolves to
+    a record with a timeline."""
 
     def test_violation_carries_trace_id(self, chaos_world):
         world = chaos_world(seed=3)
@@ -286,14 +287,20 @@ class TestChaosTraceStamping:
 
         # Forge a second terminal completion for the same task: the
         # no-double-completion invariant must trip and the violation must
-        # point at the task's trace.
+        # name the task.
         world.registry.dispatch("service", "task.completed",
                                 {"task_id": task_id, "success": True})
         violations = [v for v in world.registry.violations
                       if v.invariant == "no-double-completion"]
         assert violations, "forged duplicate completion did not trip"
-        expected = world.deployment.service.traces.trace_id_for(task_id)
-        assert expected is not None
         for violation in violations:
-            assert expected in violation.trace_ids
-            assert expected in violation.describe()
+            assert violation.task_ids == (task_id,)
+            assert task_id in violation.describe()
+        service = world.deployment.service
+        record = service.task_info(client._token(), violation.task_ids[0])
+        times = record["state_times"]
+        chain = ["received", "queued", "dispatched", "agent_in", "agent_out",
+                 "manager_in", "manager_out", "running", "worker_out",
+                 "success"]
+        assert [times[key] for key in chain] == sorted(
+            times[key] for key in chain)

@@ -5,9 +5,10 @@ every extra on/off field doubles the configurations the tests and
 benchmarks would have to cover.  The same holds for the options that
 existed only to be measured by a retired gate (``shard_op_cost``), that
 nothing ever set (``manager_transfer_cost``) or that hand-copied a live
-policy into the simulator: they are gone, not defaulted.  And a task
+policy into the simulator: they are gone, not defaulted.  A task
 transition is observed one way, through the deployment's event spine:
-no component grows a hook attribute of its own again.
+no component grows a hook attribute of its own again.  And a task's
+timeline lives on its record: no trace object rides the messages.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.sim import SimFabric
 from repro.sim.platform import CORI
 from repro.store.queues import ReliableQueue
 from repro.transport.channel import Channel
+from repro.transport.messages import ResultMessage, TaskMessage
 
 REMOVED = ("message_batching", "event_driven", "adaptive_batching",
            "flow_control")
@@ -47,6 +49,8 @@ def test_removed_compatibility_switches_are_rejected(name):
 
 REMOVED_ELSEWHERE = [
     (ServiceConfig, "shard_op_cost"),
+    (ServiceConfig, "tracing"),
+    (ServiceConfig, "trace_capacity"),
     (DeploymentTimings, "manager_transfer_cost"),
     *((functools.partial(SimFabric, CORI, managers=1), name)
       for name in ("adaptive_batching", "hold_scale", "result_delivery",
@@ -86,3 +90,11 @@ def former_hook_owners():
 def test_removed_observation_hooks_stay_removed(former_hook_owners, name):
     assert [owner for owner, instance in former_hook_owners.items()
             if hasattr(instance, name)] == []
+
+
+def test_the_trace_is_off_the_fabric():
+    assert [name for name in ("traces", "mark_running")
+            if hasattr(FuncXService, name)] == []
+    for message in (TaskMessage, ResultMessage):
+        with pytest.raises(TypeError):
+            message(sender="s", trace=object())

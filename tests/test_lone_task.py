@@ -450,7 +450,7 @@ class TestRaisingPass:
         monkeypatch.setattr(
             log, "exception", lambda *args, **kw: failed.set())
         service.complete_tasks(service.shards[0], [
-            (task_id, True, big, None, 0.0, 0.0) for task_id in task_ids])
+            (task_id, True, big, None, 0.0, {}) for task_id in task_ids])
         assert failed.wait(WAIT)
         assert raised == [2] and server._thread.is_alive()
         # The failed pass gave back its leases and spills and woke

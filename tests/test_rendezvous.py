@@ -70,7 +70,7 @@ class World:
         self.function_id = self.client.register_function(double, public=True)
 
     def outcome(self, task_id: str, value=7, success: bool = True):
-        return (task_id, success, self.serializer.serialize(value), None, 0.1, 0.0)
+        return (task_id, success, self.serializer.serialize(value), None, 0.1, {})
 
     def complete(self, task_ids: list[str]) -> None:
         """One result wave, as a forwarder would report it."""

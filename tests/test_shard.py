@@ -254,7 +254,7 @@ class TestShardIndependence:
         shard = service.shards[0]
         service.tasks_dispatched(shard.get_tasks(ids))
         verdicts = service.complete_tasks(
-            shard, [(task_id, True, b"r", None, 0.0, 0.0) for task_id in ids])
+            shard, [(task_id, True, b"r", None, 0.0, {}) for task_id in ids])
         assert verdicts == [True] * 32
         assert queue.ack_many([lease.lease_id for lease in leases]) == 32
 
@@ -288,7 +288,7 @@ class TestConstantTimeAccounting:
         gauge_reads = []
         outstanding_reads = []
         for count in (16, 4096):
-            service = make_service(1, tracing=False)
+            service = make_service(1)
             token = user_token(service)
             fid = register_noop(service, token)
             ep = any_endpoint(service)
