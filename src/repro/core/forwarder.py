@@ -507,6 +507,10 @@ class Forwarder:
         if not pending:
             return 0
         dispatched = self._dispatch_batch(queue, pending)
+        if dispatched and queue.depth and (
+                window < 0 or in_flight + dispatched < window):
+            # Stopped at the per-step bound with backlog and credit left.
+            self._wakeup.set()
         if dispatched > 0 and self._events:
             # The count actually sent (orphans acked in passing are not
             # in flight) beside the values the budget was computed from,
@@ -551,9 +555,11 @@ class Forwarder:
             )
             if not self.channel.send(batch):
                 # Transfer dropped (peer down mid-step).  Nothing was
-                # marked dispatched, so the leases just go back.
+                # marked dispatched, so the leases just go back — quietly:
+                # waking this loop would lease them straight into the same
+                # dead link.  The next put, delivery or fallback retries.
                 for entry in prepared:
-                    queue.nack(entry[0].lease_id)
+                    queue.nack(entry[0].lease_id, wake=False)
                 return 0
             return self._commit_batch(prepared, ship)
         except Exception:

@@ -321,9 +321,10 @@ class FuncXAgent:
         return events
 
     def _drain_forwarder(self) -> int:
-        count = 0
-        for message in self.forwarder.recv_all_ready(self.MAX_DRAIN):
-            count += 1
+        messages = self.forwarder.recv_all_ready(self.MAX_DRAIN)
+        if len(messages) == self.MAX_DRAIN:
+            self._wakeup.set()  # cut off at the cap: the rest is next pass's
+        for message in messages:
             if isinstance(message, TaskBatchMessage):
                 if message.function_buffers:
                     with self._lock:
@@ -332,7 +333,7 @@ class FuncXAgent:
                     self._admit_task(task)
             elif isinstance(message, CommandMessage) and message.command == "shutdown":
                 self._stop.set()
-        return count
+        return len(messages)
 
     def _admit_task(self, message: TaskMessage) -> None:
         with self._lock:
@@ -353,8 +354,11 @@ class FuncXAgent:
         with self._lock:
             channels = list(self._manager_channels.items())
         for manager_id, channel in channels:
-            for message in channel.recv_all_ready(self.MAX_DRAIN):
-                count += 1
+            messages = channel.recv_all_ready(self.MAX_DRAIN)
+            if len(messages) == self.MAX_DRAIN:
+                self._wakeup.set()  # cut off at the cap: the rest is next pass's
+            count += len(messages)
+            for message in messages:
                 if isinstance(message, Registration):
                     self._on_manager_registered(manager_id, message)
                 elif isinstance(message, Advertisement):

@@ -233,9 +233,11 @@ class Manager:
     # ------------------------------------------------------------------
     def step(self) -> int:
         """One iteration: drain agent traffic, collect results, dispatch."""
-        events = 0
-        for message in self.channel.recv_all_ready(self.MAX_DRAIN):
-            events += 1
+        messages = self.channel.recv_all_ready(self.MAX_DRAIN)
+        if len(messages) == self.MAX_DRAIN:
+            self._wakeup.set()  # cut off at the cap: the rest is next pass's
+        events = len(messages)
+        for message in messages:
             if isinstance(message, TaskBatchMessage):
                 self._admit(message)
             elif isinstance(message, CommandMessage):

@@ -7,8 +7,11 @@ with each transfer's delivery time (messages ripen *later* than they
 arrive, so the waiter must wake when the message becomes receivable,
 not when it was enqueued), queues and worker pools fire :meth:`set` the
 moment an item is available.  :func:`run_loop` is the one loop body all
-three components run on their threads; its timeout on :meth:`wait` is
-only a liveness/heartbeat fallback.
+four loop roles (forwarder, agent, manager, result stream) run on their
+threads: one step per wake-up.  A step that cuts its own work short (a
+drain stopped at its cap, a wave stopped at its per-step bound with
+credit left) re-arms its own wakeup there; the timeout on :meth:`wait`
+is only a liveness/heartbeat fallback.
 
 The internal condition is a *leaf* lock: nothing else is ever acquired
 while it is held, so wiring wakeups across components cannot create
@@ -92,24 +95,23 @@ class Wakeup:
 
 def run_loop(
     name: str,
-    step: Callable[[], int],
+    step: Callable[[], object],
     stop: threading.Event,
     wakeup: Wakeup,
     fallback: float,
 ) -> None:
-    """Step a component until ``stop`` is set, blocking while it is idle.
+    """Step a component until ``stop`` is set: one step per wake-up.
 
-    ``step`` returns the number of events it processed; on zero the loop
-    waits on ``wakeup`` for at most ``fallback`` seconds.  A raising step
-    is logged under the component's ``name`` and counted as idle: one
-    bad message must not silently kill the thread that serves every
-    later one.
+    After each step the loop waits on ``wakeup`` for at most
+    ``fallback`` seconds; whatever arrived meanwhile has latched it.
+    What ``step`` returns is ignored: a step that deliberately leaves
+    work behind re-arms ``wakeup`` itself.  A raising step is logged
+    under the component's ``name``: one bad message must not silently
+    kill the thread that serves every later one.
     """
     while not stop.is_set():
         try:
-            events = step()
+            step()
         except Exception:
             _logger.exception("%s: step failed; continuing", name)
-            events = 0
-        if events == 0:
-            wakeup.wait(fallback)
+        wakeup.wait(fallback)

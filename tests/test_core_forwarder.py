@@ -6,6 +6,8 @@ of a channel, so every scenario is deterministic.
 
 from __future__ import annotations
 
+import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -45,8 +47,9 @@ def send_results(agent_end, *results):
 
 
 @pytest.fixture
-def world(clock):
-    """service + forwarder + the agent's channel end."""
+def world(clock, request):
+    """service + forwarder + the agent's channel end; an indirect
+    parameter sets the heartbeat period (default 1 s)."""
     service = FuncXService(auth=AuthService(clock=clock), clock=clock)
     identity = service.auth.register_identity("alice")
     token = service.auth.native_client_flow(identity).token
@@ -62,7 +65,8 @@ def world(clock):
     )
     channel = Channel(clock=clock)
     forwarder = Forwarder(
-        service, endpoint_id, channel.left, heartbeat_period=1.0, heartbeat_grace=3
+        service, endpoint_id, channel.left,
+        heartbeat_period=getattr(request, "param", 1.0), heartbeat_grace=3
     )
     agent_end = channel.right
 
@@ -323,6 +327,30 @@ class TestDispatchBatching:
         world.forwarder.step()
         rest = unwrap_tasks(world.agent.recv_all_ready())
         assert len(rest) == 5
+
+    @pytest.mark.parametrize("world", [60.0], indirect=True)
+    def test_bounded_wave_re_arms_the_live_loop(self, world):
+        # A wave cut at the per-step bound, backlog and credit left: the
+        # loop must come straight back for the rest, not at the fallback
+        # (30 s here; the fake clock never lets it fire at all).
+        world.forwarder.max_dispatch_per_step = 3
+        ids = {submit(world, i) for i in range(20)}
+        arrived = threading.Event()
+        world.agent.wakeup = lambda _when: arrived.set()
+        world.forwarder.start()
+        try:
+            world.agent.send(Registration(sender="agent:x",
+                                          component_type="endpoint"))
+            got = []
+            deadline = time.monotonic() + 2.0
+            while len(got) < len(ids) and arrived.wait(
+                    max(0.0, deadline - time.monotonic())):
+                arrived.clear()
+                got += unwrap_tasks(world.agent.recv_all_ready())
+        finally:
+            world.forwarder.stop()
+        assert {m.task_id for m in got} == ids
+        assert world.forwarder.tasks_forwarded == 20
 
 
 class TestFunctionBufferCache:
