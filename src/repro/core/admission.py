@@ -100,6 +100,9 @@ class AdmissionController:
         self._strict = strict
         self._buckets: dict[str, _Bucket] = {}
         self.metrics: Any | None = None  # MetricsRegistry, wired by the service
+        # tenant -> (tenant.admitted, tenant.outstanding), bound on first
+        # use; a racing first use binds the same pair twice, harmlessly.
+        self._instruments: dict[str, tuple[Any, Any]] = {}
 
     # -- policy management ---------------------------------------------------
     def set_policy(self, tenant: str, policy: TenantPolicy) -> None:
@@ -157,9 +160,10 @@ class AdmissionController:
                 bucket.tokens -= count
             bucket.outstanding += count
             outstanding = bucket.outstanding
-        if self.metrics is not None:
-            self.metrics.counter("tenant.admitted", tenant=tenant).inc(count)
-            self.metrics.gauge("tenant.outstanding", tenant=tenant).set(outstanding)
+        instruments = self._tenant_instruments(tenant)
+        if instruments is not None:
+            instruments[0].inc(count)
+            instruments[1].set(outstanding)
 
     def release(self, tenant: str, count: int = 1) -> None:
         """Return quota as the tenant's tasks reach terminal states."""
@@ -169,8 +173,9 @@ class AdmissionController:
                 return
             bucket.outstanding = max(0, bucket.outstanding - count)
             outstanding = bucket.outstanding
-        if self.metrics is not None:
-            self.metrics.gauge("tenant.outstanding", tenant=tenant).set(outstanding)
+        instruments = self._tenant_instruments(tenant)
+        if instruments is not None:
+            instruments[1].set(outstanding)
 
     def outstanding(self, tenant: str) -> int:
         with self._lock:
@@ -189,6 +194,15 @@ class AdmissionController:
             }
 
     # -- internals -----------------------------------------------------------
+    def _tenant_instruments(self, tenant: str) -> tuple[Any, Any] | None:
+        """The tenant's ``(admitted counter, outstanding gauge)``."""
+        instruments = self._instruments.get(tenant)
+        if instruments is None and self.metrics is not None:
+            instruments = self._instruments[tenant] = (
+                self.metrics.counter("tenant.admitted", tenant=tenant),
+                self.metrics.gauge("tenant.outstanding", tenant=tenant))
+        return instruments
+
     def _refill(self, tenant: str, policy: TenantPolicy) -> _Bucket:  # guarded-by: self._lock
         now = self._clock()
         bucket = self._buckets.get(tenant)

@@ -176,6 +176,9 @@ class Forwarder:
         # registration; heartbeats tagged with an older one are from a
         # prior agent lifetime and must not revive the connection.
         self._registered_incarnation = 0  # thread-confined: forwarder-loop
+        # The agent's last accepted beat or registration: the liveness
+        # check is due a deadline past it.
+        self._agent_beat = -float("inf")  # thread-confined: forwarder-loop
 
     # -- registry-backed counters (compat with the former int attributes) ----
     @property
@@ -230,10 +233,12 @@ class Forwarder:
 
     # ------------------------------------------------------------------
     def step(self) -> int:
-        """One forwarder iteration: drain agent messages, check liveness,
-        dispatch queued tasks.  Returns the number of events processed."""
+        """One forwarder iteration: drain agent messages, check liveness
+        once the agent's deadline has passed, dispatch queued tasks.
+        Returns the number of events processed."""
         events = self._drain_agent_messages()
-        self._check_agent_liveness()
+        if self._clock() - self._agent_beat > self.heartbeats.deadline:
+            self._check_agent_liveness()
         if self.lease_timeout is not None:
             events += self._reclaim_expired_leases()
         if self.agent_connected:
@@ -303,6 +308,7 @@ class Forwarder:
         self.incarnation += 1
         self._registered_incarnation = message.incarnation
         self.heartbeats.beat(message.sender)
+        self._agent_beat = self.heartbeats.last_seen(message.sender)
         self.service.endpoints.set_connected(self.endpoint_id, True, self._clock())
         if self._events:
             self._events.emit("forwarder", "liveness.registered", {
@@ -332,6 +338,7 @@ class Forwarder:
             return
         self.heartbeats.beat(message.sender)
         if message.sender == agent_name:
+            self._agent_beat = self.heartbeats.last_seen(message.sender)
             with self._lock:
                 was_connected = self._agent_connected
                 self._agent_connected = True
@@ -445,8 +452,9 @@ class Forwarder:
                         "reason": reason})
 
     # -- outbound -------------------------------------------------------------------
-    def _wave_budget(self, queue: ReliableQueue) -> tuple[int, int, int]:
-        """``(budget, window, in_flight)`` for the next dispatch wave.
+    def _wave_budget(self, depth: int) -> tuple[int, int, int]:
+        """``(budget, window, in_flight)`` for the next dispatch wave
+        over a ready backlog of ``depth``.
 
         The budget is the per-step bound capped by the remaining credit
         (``window - in_flight``); a zero-credit truncation with backlog
@@ -460,17 +468,15 @@ class Forwarder:
         if window >= 0:
             budget = min(budget, max(0, window - in_flight))
             if budget == 0:
-                depth = queue.depth
-                if depth > 0:
-                    self._c_credit_stalls.inc()
-                    _logger.debug(
-                        "forwarder %s: wave truncated by zero credit "
-                        "(window=%d in_flight=%d backlog=%d)",
-                        self.endpoint_id, window, in_flight, depth)
-                    if self._events:
-                        self._events.emit("forwarder", "flow.credit_exhausted", {
-                            "endpoint_id": self.endpoint_id, "window": window,
-                            "in_flight": in_flight, "depth": depth})
+                self._c_credit_stalls.inc()
+                _logger.debug(
+                    "forwarder %s: wave truncated by zero credit "
+                    "(window=%d in_flight=%d backlog=%d)",
+                    self.endpoint_id, window, in_flight, depth)
+                if self._events:
+                    self._events.emit("forwarder", "flow.credit_exhausted", {
+                        "endpoint_id": self.endpoint_id, "window": window,
+                        "in_flight": in_flight, "depth": depth})
         return budget, window, in_flight
 
     def _dispatch_tasks(self) -> int:
@@ -490,11 +496,14 @@ class Forwarder:
         before paying the link's per-transfer cost.
         """
         queue = self._queue
-        budget, window, in_flight = self._wave_budget(queue)
+        depth = queue.depth
+        if not depth:
+            return 0  # no ready backlog: no wave to size
+        budget, window, in_flight = self._wave_budget(depth)
         if budget <= 0:
             return 0
         decision = self._wave_policy.decide(
-            depth=queue.depth, budget=budget,
+            depth=depth, budget=budget,
             enqueued_total=queue.total_enqueued, now=self._clock())
         if decision.size <= 0:
             if decision.hold_until is not None:

@@ -71,6 +71,7 @@ class FuncXAgent:
         "_assigned": "_lock",
         "_buffers": "_lock",
         "_manager_shipped": "_lock",
+        "_window_version": "_lock",
     }
 
     #: Per-step bound on messages drained from any one channel so a
@@ -111,6 +112,9 @@ class FuncXAgent:
         # Per-manager record of which buffer version (digest) each manager
         # already holds; reset when the manager (re-)registers.
         self._manager_shipped: dict[str, dict[str, int]] = {}
+        # Bumped when an input of credit_window() changes (a manager
+        # registers, re-advertises, is lost, detached or suspended).
+        self._window_version = 0
         self._lock = threading.RLock()
         self._wakeup = Wakeup(clock=self._clock)
         forwarder_channel.wakeup = self._wakeup.set_at
@@ -119,6 +123,10 @@ class FuncXAgent:
         # register_with_forwarder() touches these before the loop thread
         # exists (publish-before-start); afterwards only the loop does.
         self._last_heartbeat = -float("inf")  # thread-confined: agent-loop
+        # The _window_version the last sent beat's credit reflects.
+        self._window_seen = -1  # thread-confined: agent-loop
+        # No manager is lost while ``now - _oldest_beat <= deadline``.
+        self._oldest_beat = -float("inf")  # thread-confined: agent-loop
         self._serializer = FuncXSerializer()
         # counters live in the shared registry, labelled by endpoint
         self.metrics = metrics or MetricsRegistry(clock=self._clock)
@@ -201,6 +209,7 @@ class FuncXAgent:
         # Force a fresh credit report right after (re-)registration: the
         # forwarder may hold a stale window from a previous lifetime.
         self._last_credit_sent = None
+        self._window_seen = -1
 
     def attach_manager(self, manager_id: str, channel: ChannelEnd) -> None:
         """Attach the agent side of a manager's channel."""
@@ -221,6 +230,7 @@ class FuncXAgent:
             self._views.pop(manager_id, None)
             self._suspended.discard(manager_id)
             self._manager_shipped.pop(manager_id, None)
+            self._window_version += 1
             orphaned = [
                 (task_id, message)
                 for task_id, (mid, message, _a) in self._assigned.items()
@@ -238,6 +248,7 @@ class FuncXAgent:
         with self._lock:
             channel = self._manager_channels.get(manager_id)
             self._suspended.add(manager_id)
+            self._window_version += 1
         if channel is not None:
             channel.send(CommandMessage(sender=self.name, command="suspend", target=manager_id))
 
@@ -386,6 +397,7 @@ class FuncXAgent:
             )
             # A (re-)registered manager starts with an empty buffer cache.
             self._manager_shipped[manager_id] = {}
+            self._window_version += 1
         self.heartbeats.beat(manager_id)
 
     def _on_advertisement(self, manager_id: str, message: Advertisement) -> None:
@@ -394,13 +406,15 @@ class FuncXAgent:
             if view is None:
                 view = ManagerView(manager_id=manager_id, capacity=0)
                 self._views[manager_id] = view
+                self._window_version += 1
             # A fresh advertisement reflects everything the manager has
             # received so far; reset the in-flight estimate.
             view.capacity = 0 if manager_id in self._suspended else message.total_request
             view.deployed_containers = frozenset(message.deployed_containers)
             view.outstanding = 0
-            if message.credit_window >= 0:
+            if message.credit_window >= 0 and message.credit_window != view.window:
                 view.window = message.credit_window
+                self._window_version += 1
         self.heartbeats.beat(manager_id)
 
     def _record_result(self, manager_id: str, message: ResultMessage) -> None:
@@ -422,14 +436,24 @@ class FuncXAgent:
 
     # -- failure handling -------------------------------------------------------
     def _watchdog(self) -> None:
-        """Detect lost managers and re-execute their tasks (§4.3)."""
+        """Detect lost managers and re-execute their tasks (§4.3).
+
+        Scans only past the oldest beat's deadline: still the first step
+        at or after a manager's.  An off-loop ``forget`` makes it early.
+        """
+        now = self._clock()
+        if now - self._oldest_beat <= self.heartbeats.deadline:
+            return
         for manager_id in self.heartbeats.lost_components():
             with self._lock:
                 known = manager_id in self._manager_channels
+                self._window_version += 1
             if not known:
                 self.heartbeats.forget(manager_id)
                 continue
             self._on_manager_lost(manager_id)
+        # Every beat still to come is stamped at or after ``now``.
+        self._oldest_beat = self.heartbeats.oldest_beat(default=now)
 
     def _on_manager_lost(self, manager_id: str) -> None:
         with self._lock:
@@ -493,6 +517,7 @@ class FuncXAgent:
                 if channel is None:
                     # stale view; drop it and retry this task next iteration
                     self._views.pop(chosen.manager_id, None)
+                    self._window_version += 1
                     self._pending.appendleft(entry)
                     continue
                 attempts = self._assigned.get(message.task_id, ("", message, 0))[2]
@@ -554,8 +579,12 @@ class FuncXAgent:
     def _maybe_heartbeat(self) -> None:
         now = self._clock()
         period = max(0.0, self.config.heartbeat_period + self.heartbeat_skew)
-        credit = self.credit_window()
         due = now - self._last_heartbeat >= period
+        with self._lock:
+            version = self._window_version
+        if not due and version == self._window_seen:
+            return  # the last sent credit still states the window
+        credit = self.credit_window()
         # Dirty-beat: a changed credit window (manager registered, lost,
         # or suspended) is announced immediately instead of waiting out
         # the period — otherwise a cold-starting endpoint would sit at
@@ -567,6 +596,7 @@ class FuncXAgent:
             return
         self._last_heartbeat = now
         self._last_credit_sent = credit
+        self._window_seen = version
         self.forwarder.send(
             Heartbeat(
                 sender=self.name,

@@ -40,6 +40,10 @@ COUNT_BUCKETS: tuple[float, ...] = (
 #: Bounded per-histogram sample reservoir used for percentile summaries.
 RESERVOIR_SIZE = 4096
 
+#: Unfolded records a histogram lets pile up before the recording
+#: thread folds them into its buckets: the bound on its backlog.
+FOLD_AT = 256
+
 
 def _label_key(labels: dict[str, Any]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
@@ -123,6 +127,11 @@ class Histogram:
     Buckets give cheap fixed-memory distribution export; the reservoir
     (most recent :data:`RESERVOIR_SIZE` observations) backs the
     mean/percentile summaries the CLI and benches print.
+
+    Recording takes no lock: it appends to an unfolded ``deque``
+    (``append`` is atomic) that every read, and the recorder once
+    :data:`FOLD_AT` values wait, folds in under the lock in recording
+    order, so reads see what recording under the lock would have given.
     """
 
     kind = "histogram"
@@ -138,40 +147,60 @@ class Histogram:
         self._min = float("inf")
         self._max = float("-inf")
         self._samples: deque[float] = deque(maxlen=RESERVOIR_SIZE)
+        self._unfolded: deque[float] = deque()
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
-        self.observe_many((value,))
+        self._unfolded.append(value)
+        if len(self._unfolded) >= FOLD_AT:
+            with self._lock:
+                self._fold_locked()
 
     def observe_many(self, values: Iterable[float]) -> None:
-        """Record a wave of observations under one lock hold."""
-        with self._lock:
-            for value in values:
-                self._count += 1
-                self._sum += value
-                if value < self._min:
-                    self._min = value
-                if value > self._max:
-                    self._max = value
-                self._samples.append(value)
-                # First bucket whose bound is >= value; past the last, +inf.
-                self._bucket_counts[bisect_left(self.buckets, value)] += 1
+        """Record a wave of observations."""
+        self._unfolded.extend(values)
+        if len(self._unfolded) >= FOLD_AT:
+            with self._lock:
+                self._fold_locked()
+
+    def _fold_locked(self) -> None:  # guarded-by: self._lock
+        """Move the unfolded backlog into the buckets, oldest first."""
+        for _ in range(len(self._unfolded)):
+            value = self._unfolded.popleft()
+            self._count += 1
+            self._sum += value
+            if value < self._min:
+                self._min = value
+            if value > self._max:
+                self._max = value
+            self._samples.append(value)
+            # First bucket whose bound is >= value; past the last, +inf.
+            self._bucket_counts[bisect_left(self.buckets, value)] += 1
 
     @property
     def count(self) -> int:
         with self._lock:
+            self._fold_locked()
             return self._count
 
     @property
     def total(self) -> float:
         with self._lock:
+            self._fold_locked()
             return self._sum
+
+    def samples(self) -> list[float]:
+        """The sample reservoir, oldest first."""
+        with self._lock:
+            self._fold_locked()
+            return list(self._samples)
 
     def summary(self) -> dict[str, float]:
         """Mean/median/p95/p99/min/max over the sample reservoir."""
         import numpy as np
 
         with self._lock:
+            self._fold_locked()
             if not self._count:
                 return {"count": 0}
             samples = np.asarray(self._samples, dtype=float)
@@ -189,6 +218,7 @@ class Histogram:
 
     def snapshot(self) -> dict[str, Any]:
         with self._lock:
+            self._fold_locked()
             buckets = {str(b): c for b, c in zip(self.buckets, self._bucket_counts)}
             buckets["+inf"] = self._bucket_counts[-1]
             record = {

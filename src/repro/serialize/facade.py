@@ -62,18 +62,25 @@ class FuncXSerializer:
             return pack_buffer(method.identifier, routing_tag, method.serialize(obj))
 
         methods = self._code_methods if callable(obj) else self._data_methods
-        errors: list[str] = []
+        # A method refuses by type without raising; the error text is
+        # built only once every method has refused.
+        errors: dict[SerializationMethod, SerializationError] = {}
         for method in methods:
+            if not method.accepts(obj):
+                continue
             try:
                 payload = method.serialize(obj)
             except SerializationError as exc:
-                errors.append(f"{type(method).__name__}: {exc}")
+                errors[method] = exc
                 continue
             return pack_buffer(method.identifier, routing_tag, payload)
+        tried = "; ".join(
+            f"{type(method).__name__}: "
+            f"{errors.get(method, f'does not take a {type(obj).__name__}')}"
+            for method in methods)
         raise SerializationError(
-            "no serialization method accepted object "
-            f"{type(obj).__name__}; tried: {'; '.join(errors)}"
-        )
+            f"no serialization method accepted object {type(obj).__name__}; "
+            f"tried: {tried}")
 
     def unpack(self, buffer: bytes) -> tuple[str, Any]:
         """Routing tag and decoded object from one parse of the header."""

@@ -49,6 +49,11 @@ class SerializationMethod(ABC):
     identifier: str = "??"
     for_code: bool = False
 
+    def accepts(self, obj: Any) -> bool:
+        """A cheap type test the facade makes before :meth:`serialize`:
+        ``False`` refuses ``obj`` without raising."""
+        return True
+
     @abstractmethod
     def serialize(self, obj: Any) -> bytes:
         """Encode ``obj``; raise :class:`SerializationError` if unsupported."""
@@ -66,11 +71,14 @@ class JsonMethod(SerializationMethod):
     identifier = "00"
     for_code = False
 
-    def serialize(self, obj: Any) -> bytes:
+    def accepts(self, obj: Any) -> bool:
         # A top-level tuple decays to a list and bytes are not JSON at
         # all: every ``(args, kwargs)`` payload is refused here, by type,
         # before paying for a dumps + loads + compare that must fail.
-        if isinstance(obj, (tuple, bytes, bytearray)):
+        return not isinstance(obj, (tuple, bytes, bytearray))
+
+    def serialize(self, obj: Any) -> bytes:
+        if not self.accepts(obj):
             raise SerializationError(
                 f"a top-level {type(obj).__name__} does not survive JSON")
         try:
@@ -224,11 +232,14 @@ class NumpyMethod(SerializationMethod):
 
     _SEP = b"\x00"
 
-    def serialize(self, obj: Any) -> bytes:
+    def accepts(self, obj: Any) -> bool:
         # An object cannot be an ndarray of a module nobody has loaded:
         # a deployment that never sees an array never imports NumPy.
         np = sys.modules.get("numpy")
-        if np is None or not isinstance(obj, np.ndarray):
+        return np is not None and isinstance(obj, np.ndarray)
+
+    def serialize(self, obj: Any) -> bytes:
+        if not self.accepts(obj):
             raise SerializationError("not a numpy array")
         if obj.dtype.hasobject:
             raise SerializationError("object arrays are not buffer-safe")

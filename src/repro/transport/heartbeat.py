@@ -89,12 +89,14 @@ class HeartbeatTracker:
         record = self._records.get(component)
         return None if record is None else record.last_seen
 
+    # Scans iterate an atomic copy: other threads ``forget`` (scale-in)
+    # while the owner's loop scans, and a live dict iterator would raise.
     def lost_components(self) -> list[str]:
         """Every tracked component that exceeded the grace period."""
         now = self._clock()
         return sorted(
             name
-            for name, record in self._records.items()
+            for name, record in list(self._records.items())
             if (now - record.last_seen) > self.deadline
         )
 
@@ -102,9 +104,15 @@ class HeartbeatTracker:
         now = self._clock()
         return sorted(
             name
-            for name, record in self._records.items()
+            for name, record in list(self._records.items())
             if (now - record.last_seen) <= self.deadline
         )
+
+    def oldest_beat(self, default: float) -> float:
+        """The earliest ``last_seen`` tracked (``default`` if none): no
+        component is lost while ``now - oldest_beat <= deadline``."""
+        return min((record.last_seen for record in list(self._records.values())),
+                   default=default)
 
     def tracked(self) -> list[str]:
         return sorted(self._records)

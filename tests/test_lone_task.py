@@ -81,13 +81,13 @@ def endpoint_id(deployment):
 
 def holds(deployment):
     """Every wave's hold so far, oldest first."""
-    return list(deployment.service.metrics.histogram(
-        "executor.wave_hold_seconds")._samples)
+    return deployment.service.metrics.histogram(
+        "executor.wave_hold_seconds").samples()
 
 
 def wave_sizes(deployment):
-    return list(deployment.service.metrics.histogram(
-        "executor.submit_batch_size")._samples)
+    return deployment.service.metrics.histogram(
+        "executor.submit_batch_size").samples()
 
 
 class TestExecutorHold:

@@ -10,7 +10,9 @@ or a bounded wait, never a sleep that makes a test pass:
   ``MAX_DRAIN``, a stream pass at ``MAX_BATCH`` — finishes the work
   with the liveness fallback out of reach (the forwarder's per-step
   bound is covered in ``tests/test_core_forwarder.py``);
-* a forwarder whose agent end is down does not spin on its own nacks.
+* a forwarder whose agent end is down does not spin on its own nacks;
+* an idle fabric wakes each loop at its liveness fallback plus once per
+  heartbeat it receives, and no more.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from repro.endpoint.manager import Manager
 from repro.serialize import FuncXSerializer
 from repro.transport.channel import Channel
 from repro.transport.messages import Registration, TaskBatchMessage, TaskMessage
-from repro.transport.wakeup import IDLE_FALLBACK
+from repro.transport.wakeup import IDLE_FALLBACK, Wakeup
 
 WAIT = 30.0
 #: Well inside what a stranded remainder would wait for: the fallback
@@ -213,3 +215,55 @@ class TestDeadAgentEnd:
         finally:
             forwarder.stop()
         assert steps <= 10, steps
+
+
+class TestIdleCost:
+    def test_idle_loops_wake_at_their_fallback_and_inbound_beats(
+            self, monkeypatch):
+        # After warm-up nothing is submitted for IDLE_S seconds.  Each
+        # loop's waits are counted per thread role: its fallback ticks,
+        # plus one wake-up per heartbeat that reaches it (the agent's to
+        # the forwarder, the manager's to the agent).  A loop that spins
+        # or re-arms itself for nothing reads thousands.
+        idle_s = 2.0
+        config = EndpointConfig()
+        period = config.heartbeat_period
+        hop_fallback = 0.5 * period
+        bounds = {
+            "forwarder": idle_s * (1 / hop_fallback + 1 / period),
+            "agent": idle_s * (1 / hop_fallback + 1 / period),
+            "manager": idle_s / hop_fallback,
+            "result-stream": idle_s / IDLE_FALLBACK,
+            "funcx-executor": idle_s / IDLE_FALLBACK,
+        }
+        waits: Counter = Counter()
+        counting = threading.Event()
+        inner = Wakeup.wait
+
+        def counted(self, timeout):
+            if counting.is_set():
+                name = threading.current_thread().name
+                for role in bounds:
+                    if name.startswith(role):
+                        waits[role] += 1
+            return inner(self, timeout)
+
+        monkeypatch.setattr(Wakeup, "wait", counted)
+        with LocalDeployment() as deployment:
+            endpoint_id = deployment.create_endpoint(
+                "idle", nodes=1, config=config)
+            client = deployment.client()
+            function_id = client.register_function(double)
+            with client.executor(endpoint_id) as executor:
+                for i in range(5):
+                    assert client.submit(function_id, endpoint_id, i).result(
+                        timeout=WAIT) == 2 * i
+                    assert executor.submit(double, i).result(
+                        timeout=WAIT) == 2 * i
+                counting.set()
+                time.sleep(idle_s)
+                counting.clear()
+        seen = dict(waits)
+        assert set(seen) == set(bounds), seen
+        for role, bound in bounds.items():
+            assert seen[role] <= bound + 2, (role, seen)
