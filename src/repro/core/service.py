@@ -59,6 +59,7 @@ from repro.errors import (
 )
 from repro.metrics.registry import Histogram, MetricsRegistry
 from repro.observability.events import EventSpine
+from repro.serialize.buffers import keep_resident
 from repro.store.queues import ReliableQueue
 
 logger = logging.getLogger(__name__)
@@ -78,7 +79,9 @@ class ServiceConfig:
     payload_limit:
         Maximum serialized payload size accepted through the service; the
         paper restricts in-band data "for performance and cost reasons"
-        (section 4.6) and directs larger data out of band.
+        (section 4.6) and directs larger data out of band.  The limit
+        also sizes the allocator: the service keeps buffers up to twice
+        it resident (:func:`repro.serialize.buffers.keep_resident`).
     result_ttl:
         Seconds a terminal task's record survives after the later of its
         terminal time and its last ``get_result`` (section 4.1: results
@@ -144,6 +147,9 @@ class FuncXService:
         self.config = config or ServiceConfig()
         self._clock = clock or time.monotonic  # clock-domain: monotonic
         self._sleep = sleeper or time.sleep
+        # Every admissible payload, and pickle's 1.5x growth buffer, then
+        # stays on the heap instead of being mapped and faulted per task.
+        keep_resident(2 * self.config.payload_limit)
         self.functions = FunctionRegistry(auth=self.auth)
         self.endpoints = EndpointRegistry()
         # The deployment's one observation point: every component below

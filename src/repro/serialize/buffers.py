@@ -33,6 +33,26 @@ class BufferHeader:
     payload_length: int
 
 
+#: Just under glibc's 32 MiB ceiling for its dynamic mmap threshold on
+#: 64-bit: freeing a larger block moves nothing.
+_MAX_RESIDENT = 31 * 1024 * 1024
+
+
+def keep_resident(nbytes: int) -> None:
+    """Keep buffers of up to ``nbytes`` on the heap, their pages resident.
+
+    glibc's default mmap and trim thresholds are both 128 KiB: a payload
+    buffer that size gets a fresh ``mmap``, or is trimmed off the heap
+    top when freed, and the next one faults its pages back in.  Freeing
+    one mmapped block of ``nbytes`` raises the mmap threshold to that
+    size and the trim threshold to twice it (mallopt(3), dynamic
+    threshold); this call does that once per process.  A no-op on other
+    allocators and when thresholds were set explicitly (``MALLOC_*``,
+    ``GLIBC_TUNABLES``).
+    """
+    bytes(min(nbytes, _MAX_RESIDENT))  # allocated and freed at once
+
+
 def pack_buffer(method: str, routing_tag: str, payload: bytes) -> bytes:
     """Pack ``payload`` into a routed buffer.
 

@@ -231,6 +231,9 @@ class NumpyMethod(SerializationMethod):
     for_code = False
 
     _SEP = b"\x00"
+    #: Longer than any ``dtype\\x00shape\\x00`` header: at most 64
+    #: dimensions, whose non-zero sizes multiply within ``intp``.
+    _MAX_PREFIX = 1024
 
     def accepts(self, obj: Any) -> bool:
         # An object cannot be an ndarray of a module nobody has loaded:
@@ -253,11 +256,14 @@ class NumpyMethod(SerializationMethod):
         import numpy as np
 
         try:
-            dtype_b, rest = bytes(payload).split(self._SEP, 1)
-            shape_b, raw = rest.split(self._SEP, 1)
+            # The header is parsed from a short prefix; the array bytes
+            # are copied once, by the final ``copy``.
+            prefix = bytes(payload[:self._MAX_PREFIX])
+            dtype_b, shape_b, _ = prefix.split(self._SEP, 2)
+            offset = len(dtype_b) + len(shape_b) + 2
             dtype = np.dtype(dtype_b.decode("ascii"))
             shape = tuple(int(d) for d in shape_b.decode("ascii").split(",") if d)
-            array = np.frombuffer(raw, dtype=dtype).reshape(shape)
+            array = np.frombuffer(payload, dtype=dtype, offset=offset).reshape(shape)
             return array.copy()  # writable, owns its memory
         except Exception as exc:
             raise DeserializationError(f"corrupt array payload: {exc}") from exc

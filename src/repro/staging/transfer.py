@@ -43,8 +43,8 @@ class DataRef:
         }
 
     @classmethod
-    def from_argument(cls, record: dict) -> "DataRef":
-        if not record.get("__dataref__"):
+    def from_argument(cls, record: object) -> "DataRef":
+        if not isinstance(record, dict) or not record.get("__dataref__"):
             raise ValueError("not a DataRef record")
         return cls(
             store=record["store"],

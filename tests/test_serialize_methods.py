@@ -258,6 +258,24 @@ class TestNumpyMethod:
         out = m.deserialize(m.serialize(np.ones(4)))
         out[0] = 99.0  # frombuffer views are read-only; we must copy
 
+    def test_deserialize_copies_the_array_once(self):
+        import tracemalloc
+
+        import numpy as np
+
+        m = self._method()
+        arr = np.arange(1 << 20, dtype=np.float64)  # 8 MiB
+        payload = memoryview(m.serialize(arr))  # as the facade hands it over
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            out = m.deserialize(payload)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (out == arr).all()
+        assert peak - start <= 1.1 * arr.nbytes
+
     def test_rejects_non_array(self):
         with pytest.raises(SerializationError):
             self._method().serialize([1, 2, 3])

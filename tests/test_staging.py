@@ -54,8 +54,9 @@ class TestDataStore:
         assert DataRef.from_argument(record) == ref
 
     def test_from_argument_rejects_plain_dict(self):
-        with pytest.raises(ValueError):
-            DataRef.from_argument({"store": "s"})
+        for record in ({"store": "s"}, ["__dataref__"], "__dataref__"):
+            with pytest.raises(ValueError):
+                DataRef.from_argument(record)
 
 
 class TestTransferService:
