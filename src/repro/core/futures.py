@@ -16,6 +16,7 @@ from typing import Any, Callable, ClassVar
 
 from repro.errors import TaskCancelled, TaskExecutionFailed, TaskPending
 from repro.observability.events import EventSpine
+from repro.serialize.traceback import RemoteExceptionWrapper
 
 logger = logging.getLogger(__name__)
 
@@ -34,6 +35,10 @@ class FuncXFuture:
     every delivery attempt and success is emitted on it
     (``future.deliver_attempt``, ``future.delivered``), so a checker can
     assert no future resolves twice.
+
+    Waiters block on ``_latch``, a C lock held from construction until
+    resolution; each waiter acquires it and passes it on (an ``Event``
+    would build a ``Condition`` and two more locks per future).
     """
 
     #: Process-wide count of exceptions swallowed from user done-callbacks
@@ -44,7 +49,9 @@ class FuncXFuture:
     def __init__(self, task_id: str, events: EventSpine | None = None):
         self.task_id = task_id
         self._events = events
-        self._event = threading.Event()
+        self._latch = threading.Lock()
+        self._latch.acquire()
+        self._done = False  # guarded-by: self._lock
         self._value: Any = None
         self._exception: BaseException | None = None
         self._cancelled = False
@@ -81,11 +88,12 @@ class FuncXFuture:
         if events:
             events.emit("future", "future.deliver_attempt", {"task_id": self.task_id})
         with self._lock:
-            if self._event.is_set():
+            if self._done:
                 raise RuntimeError(f"future for task {self.task_id} already resolved")
             self._value = value
             self._exception = exc
-            self._event.set()
+            self._done = True
+            self._latch.release()
             callbacks = list(self._callbacks)
         if events:
             events.emit("future", "future.delivered", {"task_id": self.task_id})
@@ -112,7 +120,7 @@ class FuncXFuture:
         :meth:`concurrent.futures.Future.cancel` semantics.
         """
         with self._lock:
-            if self._event.is_set():
+            if self._done:
                 return False
             canceller = self._canceller
         if canceller is not None:
@@ -124,7 +132,7 @@ class FuncXFuture:
                 logger.exception(
                     "cancel propagation failed for task %s", self.task_id)
         with self._lock:
-            if self._event.is_set():
+            if self._done:
                 # The waiter fired by our own cancellation can resolve
                 # the future before we re-acquire the lock; that is
                 # still *this* call's cancel, not a lost race.
@@ -134,21 +142,30 @@ class FuncXFuture:
                 return False  # the result raced the cancel and won
             self._cancelled = True
             self._exception = TaskCancelled(f"task {self.task_id} cancelled")
-            self._event.set()
+            self._done = True
+            self._latch.release()
             callbacks = list(self._callbacks)
         self._run_callbacks(callbacks)
         return True
 
     # -- consumer side --------------------------------------------------------
     def done(self) -> bool:
-        return self._event.is_set()
+        with self._lock:
+            return self._done
 
     @property
     def cancelled(self) -> bool:
         return self._cancelled
 
     def wait(self, timeout: float | None = None) -> bool:
-        return self._event.wait(timeout)
+        if timeout is None or timeout > 0:
+            latch = self._latch
+            if latch.acquire(timeout=-1 if timeout is None else timeout):
+                latch.release()
+                return True
+        # Not blocking, or timed out; another waiter may be holding the
+        # latch on a resolved future while it passes it on.
+        return self.done()
 
     def result(self, timeout: float | None = None) -> Any:
         """Block for the result; re-raise remote failures.
@@ -161,25 +178,21 @@ class FuncXFuture:
             If the user function raised remotely (original exception type
             is restored when it round-trips pickling).
         """
-        if not self._event.wait(timeout):
+        if not self.wait(timeout):
             raise TaskPending(self.task_id, "pending")
         if self._exception is not None:
             raise self._exception
         value = self._value
         # A RemoteExceptionWrapper as the value means remote failure.
-        from repro.serialize.traceback import RemoteExceptionWrapper
-
         if isinstance(value, RemoteExceptionWrapper):
             value.reraise()
         return value
 
     def exception(self, timeout: float | None = None) -> BaseException | None:
-        if not self._event.wait(timeout):
+        if not self.wait(timeout):
             raise TaskPending(self.task_id, "pending")
         if self._exception is not None:
             return self._exception
-        from repro.serialize.traceback import RemoteExceptionWrapper
-
         if isinstance(self._value, RemoteExceptionWrapper):
             return TaskExecutionFailed(self._value.format())
         return None
@@ -188,7 +201,7 @@ class FuncXFuture:
         """Invoke ``callback(self)`` on resolution (immediately if done)."""
         fire = False
         with self._lock:
-            if self._event.is_set():
+            if self._done:
                 fire = True
             else:
                 self._callbacks.append(callback)

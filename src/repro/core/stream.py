@@ -47,7 +47,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.core.flowcontrol import CreditLedger
-from repro.core.tasks import TaskState
+from repro.core.tasks import TaskState, uuid4_hex
 from repro.metrics.registry import COUNT_BUCKETS
 from repro.staging.transfer import DataStore, register_store, unregister_store
 from repro.store.queues import Lease, ReliableQueue
@@ -467,7 +467,7 @@ class ResultStreamServer:
         if not results:
             return 0
         sub.credits.consume(len(kept))
-        delivery_id = uuid.uuid4().hex
+        delivery_id = uuid4_hex()
         batch = ResultBatchMessage(
             sender="result-stream",
             results=tuple(results),

@@ -18,7 +18,7 @@ reads ts/tf/te/tw and the per-component :data:`STAGES` off the record.
 
 from __future__ import annotations
 
-import uuid
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable
@@ -58,6 +58,23 @@ _TRANSITIONS: dict[TaskState, frozenset[TaskState]] = {
     TaskState.FAILED: frozenset(),
     TaskState.CANCELLED: frozenset(),
 }
+
+
+#: ``uuid.uuid4``'s bits on a random 128-bit int: clear the version and
+#: variant fields, then set version 4 and the RFC 4122 variant.
+_V4_CLEAR = ~(0xF000 << 64 | 0xC000 << 48)
+_V4_SET = 0x4000 << 64 | 0x8000 << 48
+
+
+def uuid4_hex() -> str:
+    """``uuid.uuid4().hex``, without building a ``uuid.UUID``."""
+    return "%032x" % (int.from_bytes(os.urandom(16), "big") & _V4_CLEAR | _V4_SET)
+
+
+def new_task_id() -> str:
+    """``str(uuid.uuid4())``, without building a ``uuid.UUID``."""
+    h = uuid4_hex()
+    return f"{h[:8]}-{h[8:12]}-{h[12:16]}-{h[16:20]}-{h[20:]}"
 
 
 #: What a shard calls, once, with the record that turned terminal.
@@ -131,7 +148,7 @@ class Task:
     payload_buffer: bytes = b""
     container_image: str | None = None
     owner_id: str = ""
-    task_id: str = field(default_factory=lambda: str(uuid.uuid4()))
+    task_id: str = field(default_factory=new_task_id)
     state: TaskState = TaskState.RECEIVED
     max_retries: int = 1
     attempts: int = 0

@@ -15,7 +15,7 @@ route buffers they cannot (and should not) decode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import DeserializationError
 
@@ -24,8 +24,7 @@ _END = b"\n"
 _MAX_HEADER = 4096
 
 
-@dataclass(frozen=True)
-class BufferHeader:
+class BufferHeader(NamedTuple):
     """Decoded buffer header."""
 
     method: str
@@ -70,8 +69,9 @@ def pack_buffer(method: str, routing_tag: str, payload: bytes) -> bytes:
     tag_bytes = routing_tag.encode("utf-8")
     if _SEP in tag_bytes or _END in tag_bytes:
         raise ValueError("routing tag contains reserved separator bytes")
-    header = method.encode("ascii") + _SEP + tag_bytes + _SEP + str(len(payload)).encode("ascii") + _END
-    return header + payload
+    # The wire format above, header and payload built in one step.
+    return b"%s\x1f%s\x1f%d\n%s" % (
+        method.encode("ascii"), tag_bytes, len(payload), payload)
 
 
 def _parse_header(buffer: bytes) -> tuple[BufferHeader, int]:
@@ -80,20 +80,17 @@ def _parse_header(buffer: bytes) -> tuple[BufferHeader, int]:
     if end < 0:
         raise DeserializationError("buffer header terminator not found")
     header = buffer[:end]
-    parts = header.split(_SEP)
-    if len(parts) != 3:
-        raise DeserializationError(f"malformed buffer header: {header!r}")
-    method_b, tag_b, length_b = parts
     try:
+        method_b, tag_b, length_b = header.split(_SEP)
         method = method_b.decode("ascii")
         tag = tag_b.decode("utf-8")
         length = int(length_b)
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise DeserializationError(f"corrupt buffer header: {exc}") from exc
+    except ValueError as exc:  # wrong field count, bad text or length
+        raise DeserializationError(
+            f"corrupt buffer header {header!r}: {exc}") from exc
     if len(method) != 2 or length < 0:
         raise DeserializationError(f"invalid buffer header fields: {header!r}")
-    return BufferHeader(method=method, routing_tag=tag,
-                        payload_length=length), end + 1
+    return BufferHeader(method, tag, length), end + 1
 
 
 def peek_header(buffer: bytes) -> BufferHeader:

@@ -65,6 +65,12 @@ class SerializationMethod(ABC):
         data."""
 
 
+#: One codec for every call: ``json.dumps`` with any argument builds a
+#: fresh ``JSONEncoder`` each time.
+_json_encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+_json_decode = json.JSONDecoder().decode
+
+
 class JsonMethod(SerializationMethod):
     """JSON for plain data — the fastest path for simple payloads."""
 
@@ -74,7 +80,7 @@ class JsonMethod(SerializationMethod):
     def accepts(self, obj: Any) -> bool:
         # A top-level tuple decays to a list and bytes are not JSON at
         # all: every ``(args, kwargs)`` payload is refused here, by type,
-        # before paying for a dumps + loads + compare that must fail.
+        # before paying for an encode + decode + compare that must fail.
         return not isinstance(obj, (tuple, bytes, bytearray))
 
     def serialize(self, obj: Any) -> bytes:
@@ -82,18 +88,18 @@ class JsonMethod(SerializationMethod):
             raise SerializationError(
                 f"a top-level {type(obj).__name__} does not survive JSON")
         try:
-            text = json.dumps(obj, separators=(",", ":"), allow_nan=False)
+            text = _json_encode(obj)
         except (TypeError, ValueError) as exc:
             raise SerializationError(f"not JSON-serializable: {exc}") from exc
         # JSON must round-trip *exactly*: tuples decay to lists and non-str
         # dict keys to strings, which would corrupt payloads silently.
-        if json.loads(text) != obj:
+        if _json_decode(text) != obj:
             raise SerializationError("object does not survive JSON round-trip")
         return text.encode("utf-8")
 
     def deserialize(self, payload: bytes | memoryview) -> Any:
         try:
-            return json.loads(str(payload, "utf-8"))
+            return _json_decode(str(payload, "utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DeserializationError(f"corrupt JSON payload: {exc}") from exc
 

@@ -4,12 +4,16 @@ All messages are plain frozen dataclasses.  Payloads (function bodies,
 arguments, results) travel as *already-serialized* routed buffers — the
 forwarder and agent route buffers by tag without deserializing them, which
 is the property the serialization design (section 4.6) exists to provide.
+
+Their generated ``__init__`` is replaced (:func:`_one_step_init`) by one
+that fills the instance ``__dict__`` in one ``update`` instead of one
+``object.__setattr__`` per field; everything else is the dataclass's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, Callable
 
 
 @dataclass(frozen=True)
@@ -219,3 +223,32 @@ class CommandMessage(Message):
     command: str = ""
     target: str = ""
     arguments: dict[str, Any] = field(default_factory=dict)
+
+
+def _one_step_init(cls: type) -> Callable[..., None]:
+    """An ``__init__`` for dataclass ``cls`` with the generated one's
+    parameters that fills the instance ``__dict__`` in one ``update``."""
+    namespace: dict[str, Any] = {"MISSING": MISSING}
+    params, items = [], []
+    for f in fields(cls):
+        name = value = f.name
+        if f.default_factory is not MISSING:
+            namespace[f"_factory_{name}"] = f.default_factory
+            value = f"_factory_{name}() if {name} is MISSING else {name}"
+        if f.default is MISSING and f.default_factory is MISSING:
+            params.append(name)
+        else:  # a factory field defaults to MISSING
+            namespace[f"_default_{name}"] = f.default
+            params.append(f"{name}=_default_{name}")
+        items.append(f"{name!r}: {value}")
+    exec(  # noqa: S102 - the dataclass module builds its __init__ the same way
+        f"def __init__(self, {', '.join(params)}):\n"
+        f"    self.__dict__.update({{{', '.join(items)}}})\n", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
+for _cls in (Message, *Message.__subclasses__()):
+    _cls.__init__ = _one_step_init(_cls)  # type: ignore[misc]
+del _cls

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import sys
 import threading
 
 import pytest
@@ -204,6 +205,51 @@ class TestWaiting:
         t.start()
         assert f.result(timeout=5.0) == "from-thread"
         t.join()
+
+    def test_resolve_cancel_and_waiters_race(self):
+        # One of set_result and cancel wins each round, and every waiter
+        # wakes with the future done; switch threads as often as possible.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(100):
+                f = FuncXFuture("t")
+                woke, raised = [], []
+                threads = [threading.Thread(target=lambda: woke.append(f.wait(5.0)))
+                           for _ in range(4)]
+
+                def resolve():
+                    try:
+                        f.set_result(1)
+                    except RuntimeError:
+                        raised.append(True)
+
+                threads.append(threading.Thread(target=resolve))
+                for t in threads:
+                    t.start()
+                cancelled = f.cancel()
+                for t in threads:
+                    t.join(timeout=5.0)
+                    assert not t.is_alive()
+                assert cancelled == bool(raised)
+                assert woke == [True] * 4 and f.done() and f.wait(0)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_non_positive_timeouts_do_not_block(self):
+        f = FuncXFuture("t")
+        assert not f.wait(0) and not f.wait(-1)
+        f.set_result(1)
+        assert f.wait(0) and f.wait(-1)
+
+    def test_done_while_another_waiter_passes_the_latch(self):
+        f = FuncXFuture("t")
+        f.set_result(1)
+        assert f._latch.acquire(False)  # a waiter mid-pass holds it
+        try:
+            assert f.wait(0) and f.wait(0.01) and f.result(0) == 1
+        finally:
+            f._latch.release()
 
     def test_wait_all_success(self):
         futures = [FuncXFuture(str(i)) for i in range(3)]

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import uuid
+
 import pytest
 
-from repro.core.tasks import Task, TaskState
+from repro.core.shard import ShardMap
+from repro.core.tasks import Task, TaskState, uuid4_hex
 
 
 def fresh_task(**kwargs) -> Task:
@@ -124,3 +127,42 @@ class TestRecordsAndRetries:
         assert task.retries_remaining == 1
         task.attempts = 3
         assert task.retries_remaining == 0
+
+
+class TestTaskIds:
+    """Ids are formatted from ``os.urandom`` without a ``uuid.UUID``: they
+    must still read back as random version-4 RFC 4122 UUIDs."""
+
+    N = 10_000
+
+    @staticmethod
+    def assert_uuid4(parsed: uuid.UUID) -> None:
+        assert parsed.version == 4
+        assert parsed.variant == uuid.RFC_4122
+
+    def test_task_ids_are_uuid4_strings(self):
+        ids = [fresh_task().task_id for _ in range(self.N)]
+        for task_id in ids:
+            parsed = uuid.UUID(task_id)
+            assert str(parsed) == task_id
+            self.assert_uuid4(parsed)
+        assert len(set(ids)) == self.N
+
+    def test_hex_ids_are_uuid4_hex(self):
+        ids = [uuid4_hex() for _ in range(self.N)]
+        for hex_id in ids:
+            parsed = uuid.UUID(hex_id)
+            assert parsed.hex == hex_id
+            self.assert_uuid4(parsed)
+        assert len(set(ids)) == self.N
+
+    def test_shard_tag_stays_unambiguous(self):
+        # The tag is found by scanning from the right for "-s".
+        shards = ShardMap(4)
+        for index in range(4):
+            for _ in range(200):
+                task_id = fresh_task().task_id
+                assert "s" not in task_id
+                tagged = shards.tag(task_id, index)
+                assert shards.shard_for_task(tagged) == index
+                assert shards.minted(tagged)

@@ -39,13 +39,13 @@ class TestJsonMethod:
 
     def test_top_level_tuple_is_refused_before_any_encoding(self, monkeypatch):
         # Every (args, kwargs) payload is one: it must cost a type test,
-        # not a dumps + loads + compare that can only fail.
-        import json
+        # not an encode + decode + compare that can only fail.
+        from repro.serialize import methods
 
         calls = []
-        real = json.dumps
+        real = methods._json_encode
         monkeypatch.setattr(
-            json, "dumps", lambda *a, **k: calls.append(a) or real(*a, **k))
+            methods, "_json_encode", lambda obj: calls.append(obj) or real(obj))
         for obj in (([1], {}), (), b"raw", bytearray(b"raw")):
             with pytest.raises(SerializationError):
                 JsonMethod().serialize(obj)
