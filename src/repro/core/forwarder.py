@@ -37,7 +37,7 @@ from repro.transport.messages import (
     TaskBatchMessage,
     TaskMessage,
 )
-from repro.transport.wakeup import Wakeup, run_loop
+from repro.transport.wakeup import Wakeup, join_thread, run_loop
 
 _logger = logging.getLogger(__name__)
 
@@ -697,5 +697,5 @@ class Forwarder:
             return
         self._stop.set()
         self._wakeup.set()  # unblock an idle loop promptly
-        self._thread.join(timeout)
+        join_thread(self._thread, timeout)
         self._thread = None

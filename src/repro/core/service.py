@@ -15,12 +15,13 @@ a thin stateless facade routing over ``config.shards`` independent
 :class:`~repro.core.shard.ShardMap` places each endpoint (and therefore
 its queues and every task addressed to it) on one shard; task ids carry
 their owning shard as a ``-s<idx>`` suffix so the status/result/ack
-paths route in O(1).  Each shard has its own lock, task table, queue
-pair per endpoint, and result-stream delivery thread — dispatch,
-credit accounting, and result delivery on different shards never
-contend.  In front of the facade sits per-tenant admission
-control (:mod:`repro.core.admission`): token-bucket rate limits,
-max-outstanding quotas, and DRR-fair dequeue across tenant lanes.
+paths route in O(1).  Each shard has its own lock, task table and
+queue per endpoint — dispatch and accounting on different shards never
+contend — and one result stream delivers from every shard, reading each
+record through the shard its watch resolved.  In front of the facade
+sits per-tenant admission control (:mod:`repro.core.admission`):
+token-bucket rate limits, max-outstanding quotas, and DRR-fair dequeue
+across tenant lanes.
 """
 
 from __future__ import annotations
@@ -42,11 +43,7 @@ from repro.core.registry import (
     FunctionRegistry,
 )
 from repro.core.shard import ServiceShard, ShardMap
-from repro.core.stream import (
-    DEFAULT_SPILL_THRESHOLD,
-    ResultStreamRouter,
-    ResultStreamServer,
-)
+from repro.core.stream import DEFAULT_SPILL_THRESHOLD, ResultStreamServer
 from repro.core.tasks import Task, TaskState, stage_seconds
 from repro.errors import (
     PayloadTooLarge,
@@ -172,21 +169,19 @@ class FuncXService:
         self.admission = admission or AdmissionController(clock=self._clock)
         self.admission.metrics = self.metrics
         # The sharded service plane: consistent-hash placement plus one
-        # independent partition (lock, task table, queues, stream
-        # delivery thread) per shard.
+        # independent partition (lock, task table, queues) per shard.
         self.shard_map = ShardMap(self.config.shards)
         # endpoint id -> its home shard, resolved once at registration.
         self._endpoint_shards: dict[str, ServiceShard] = {}
         self.shards: list[ServiceShard] = [
-            ServiceShard(
-                index=index,
-                service=self,
-                clock=self._clock,
-                spill_threshold=self.config.stream_spill_threshold,
-            )
+            ServiceShard(index=index, service=self, clock=self._clock)
             for index in range(self.config.shards)
         ]
-        self._stream_router = ResultStreamRouter(self)
+        # The push-delivery entry point clients subscribe through: one
+        # delivery thread and one spill store over every shard.
+        self.result_stream = ResultStreamServer(
+            self, clock=self._clock,
+            spill_threshold=self.config.stream_spill_threshold)
         # The open-task gauge reads each shard's O(1) counter — the old
         # implementation scanned every task record per metrics read.
         self.metrics.gauge("service.tasks_live").set_function(
@@ -217,19 +212,6 @@ class FuncXService:
     def post_cancel_results(self) -> int:
         return int(self._c_post_cancel.value)
 
-    @property
-    def result_stream(self) -> ResultStreamServer | ResultStreamRouter:
-        """The push-delivery entry point clients subscribe through.
-
-        A single-shard plane exposes the shard's real server (full
-        back-compat, including the ``step()``/``spill`` test surface);
-        a multi-shard plane exposes the router, whose subscriptions
-        span every shard's delivery thread.
-        """
-        if len(self.shards) == 1:
-            return self.shards[0].result_stream
-        return self._stream_router
-
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
@@ -248,6 +230,17 @@ class FuncXService:
 
     def shard_for_task(self, task_id: str) -> ServiceShard:
         return self.shards[self.shard_map.shard_for_task(task_id)]
+
+    def route(self, task_ids: list[str]) -> list[tuple[ServiceShard, list[str]]]:
+        """``task_ids`` grouped by owning shard, in first-seen order: one
+        parse per id, none on a one-shard plane."""
+        if len(self.shards) == 1:
+            return [(self.shards[0], task_ids)]
+        by_shard: dict[int, list[str]] = {}
+        shard_for_task = self.shard_map.shard_for_task
+        for task_id in task_ids:
+            by_shard.setdefault(shard_for_task(task_id), []).append(task_id)
+        return [(self.shards[index], ids) for index, ids in by_shard.items()]
 
     # ------------------------------------------------------------------
     # registration API
@@ -484,13 +477,9 @@ class FuncXService:
         then per-shard table reads) — the batch analogue of ``status``.
         """
         self.auth.authorize(token, Scope.MONITOR)
-        by_shard: dict[int, list[str]] = {}
-        for task_id in task_ids:
-            by_shard.setdefault(
-                self.shard_map.shard_for_task(task_id), []).append(task_id)
         states: dict[str, str] = {}
-        for index, ids in by_shard.items():
-            for task_id, task in zip(ids, self.shards[index].get_tasks(ids)):
+        for shard, ids in self.route(task_ids):
+            for task_id, task in zip(ids, shard.get_tasks(ids)):
                 if task is None:
                     raise TaskNotFound(task_id)
                 states[task_id] = task.state.value
@@ -721,8 +710,7 @@ class FuncXService:
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Stop service-owned background machinery (stream delivery)."""
-        for shard in self.shards:
-            shard.close()
+        self.result_stream.close()
 
     def purge(self) -> int:
         """Drop every terminal record whose ``result_ttl`` has run out —
@@ -847,4 +835,4 @@ class FuncXService:
         if self.events:
             self.events.emit("service", "tasks.terminal",
                              {"shard": shard.index, "tasks": tasks})
-        shard.result_stream.on_tasks_terminal(tasks)
+        self.result_stream.on_tasks_terminal(tasks)

@@ -5,22 +5,23 @@ state and running one forwarder per partition (journal paper §5).  This
 module is that partitioning for the reproduction:
 
 * :class:`ShardMap` — a consistent-hash ring placing *endpoints* on
-  shards (so one endpoint's task queue and result stream live wholly on
+  shards (so one endpoint's task queue and task records live wholly on
   one shard and its forwarder drains exactly one partition), plus O(1)
   task-id routing: every task id minted by the facade carries a
   ``-s<shard>`` suffix, so status/result/ack paths jump straight to the
   owning shard without a directory lookup.
 * :class:`ServiceShard` — one partition: its own lock, task table,
-  per-endpoint task :class:`~repro.store.queues.ReliableQueue`, its own
-  :class:`~repro.core.stream.ResultStreamServer` delivery thread, and
-  incrementally-maintained counters (open tasks, per-endpoint
-  outstanding, retained payload bytes) so the hot paths that used to
-  scan the global task table are O(1).  Bytes and records leave here:
-  arguments at the terminal state, results on the last stream ack, the
-  record ``result_ttl`` later.
+  per-endpoint task :class:`~repro.store.queues.ReliableQueue`, expiry
+  deque, and incrementally-maintained counters (open tasks,
+  per-endpoint outstanding, retained payload bytes) so the hot paths
+  that used to scan the global task table are O(1).  Bytes and records
+  leave here: arguments at the terminal state, results on the last
+  stream ack, the record ``result_ttl`` later.
 
 The facade (:class:`~repro.core.service.FuncXService`) owns every
-policy decision (auth, validation, memoization, completion semantics); a shard is pure partitioned state + accounting.
+policy decision (auth, validation, memoization, completion semantics)
+and the one result stream that reads every shard; a shard is pure
+partitioned state + accounting, and runs no thread.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import zlib
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.core.stream import DEFAULT_SPILL_THRESHOLD, ResultStreamServer
 from repro.core.tasks import Task, TaskState, Waiter
 from repro.errors import TaskNotFound
 from repro.store.queues import FairReliableQueue, ReliableQueue
@@ -114,8 +114,8 @@ class ShardMap:
 class ServiceShard:
     """One partition of the service plane's task state.
 
-    Owns the task table, the per-endpoint queue pairs, an O(1)
-    accounting block, and its own result-stream delivery thread.  All
+    Owns the task table, the per-endpoint task queues, the expiry deque
+    and an O(1) accounting block; no thread.  All
     mutation goes through the facade, which routes by
     :class:`ShardMap`; the shard enforces nothing but its own
     bookkeeping invariant::
@@ -148,7 +148,6 @@ class ServiceShard:
         index: int,
         service: "FuncXService",
         clock: Callable[[], float] | None = None,
-        spill_threshold: int = DEFAULT_SPILL_THRESHOLD,
     ):
         self.index = index
         self.service = service
@@ -185,12 +184,6 @@ class ServiceShard:
             self.retained_bytes)
         self._c_purged = metrics.counter("service.results_purged")
         self._c_expired = metrics.counter("service.records_expired")
-        # Per-shard push delivery: its own thread, named by shard so
-        # thread-role inference and the runtime recorder agree.  Built
-        # last: it reads its tasks straight from this shard's table.
-        self.result_stream = ResultStreamServer(
-            self, clock=self._clock, spill_threshold=spill_threshold,
-            tag=str(index))
 
     # -- observation ---------------------------------------------------------
     def _accounting(self, cause: str, task_id: str) -> dict[str, Any]:  # guarded-by: self._lock
@@ -466,6 +459,3 @@ class ServiceShard:
         for queue in queues:
             # Consumers may have gone idle while the shard was down.
             queue._fire_wakeup()
-
-    def close(self) -> None:
-        self.result_stream.close()

@@ -11,26 +11,27 @@ futures from.  This module is the service side of that stream:
   same lease/ack machinery the dispatch path uses, so delivery is
   at-least-once and a dropped batch is redelivered without bookkeeping
   of its own.
-* A single delivery thread per shard serves a *ready set*: a queue put,
+* One delivery thread per service serves a *ready set*: a queue put,
   an attach, a recover and an ack that leaves a backlog behind mark
   their own subscription and wake the thread; a pass visits only the
   marked subscriptions and coalesces each one's ready results into one
   :class:`~repro.transport.messages.ResultBatchMessage`.
 * Each subscription carries a :class:`~repro.core.flowcontrol.
   CreditLedger` window: a credit is consumed per delivered-unacked
-  result and released on the client's ack, so a slow or stalled client
-  bounds its own delivered-unacked population at the window while the
-  backlog sheds into the subscription queue (observable, bounded by the
-  number of watched tasks) instead of ballooning delivery buffers.
+  result, whichever shard it came from, and released on the client's
+  ack, so a slow or stalled client bounds its own delivered-unacked
+  population at the window while the backlog sheds into the
+  subscription queue (observable, bounded by the number of watched
+  tasks) instead of ballooning delivery buffers.
 * Results at or above ``spill_threshold`` bytes are spilled to a
   ``repro.staging`` store and delivered as a ``DataRef`` record, so one
   huge payload cannot head-of-line-block a batch; the spilled object is
   deleted when the batch is acked.
 * The ack is where result bytes leave the service: the server keeps,
-  per task, the subscriptions that still owe an ack, and the ack that
-  empties the set releases the buffer on the task record (a redelivery
-  before that re-spills from it).  A task watched after its release is
-  delivered as a ``purged`` result.
+  per task, its shard and the subscriptions that still owe an ack, and
+  the ack that empties the set releases the buffer on the task record
+  (a redelivery before that re-spills from it).  A task watched after
+  its release is delivered as a ``purged`` result.
 
 Consumers are plain callables (in-process stand-ins for a client's
 WebSocket); one that raises is detached and its batch is nacked for
@@ -52,7 +53,12 @@ from repro.metrics.registry import COUNT_BUCKETS
 from repro.staging.transfer import DataStore, register_store, unregister_store
 from repro.store.queues import Lease, ReliableQueue
 from repro.transport.messages import ResultBatchMessage, ResultMessage
-from repro.transport.wakeup import IDLE_FALLBACK, Wakeup, run_loop
+from repro.transport.wakeup import (
+    IDLE_FALLBACK,
+    Wakeup,
+    join_thread,
+    run_loop,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.service import FuncXService
@@ -273,24 +279,22 @@ class ResultSubscription:
 class ResultStreamServer:
     """Streams ResultBatchMessages to subscribed clients, credit-bounded.
 
-    Owned by a :class:`~repro.core.shard.ServiceShard`; the service
-    notifies :meth:`on_tasks_terminal` from its completion path.  The
-    delivery thread starts lazily with the first subscription and is
-    shut down by :meth:`close` (wired into the deployment's shutdown).
+    One per :class:`~repro.core.service.FuncXService`, over every shard:
+    a watch resolves each task id to its shard once and keeps the shard
+    on the task's interest entry, which delivery reads records through
+    and the last ack releases bytes through.  The service notifies
+    :meth:`on_tasks_terminal` from its completion path.  The delivery
+    thread starts lazily with the first subscription and is shut down by
+    :meth:`close` (wired into the deployment's shutdown).
     """
 
     def __init__(
         self,
-        shard: "ServiceShard",
+        service: "FuncXService",
         clock: Callable[[], float] | None = None,
         spill_threshold: int = DEFAULT_SPILL_THRESHOLD,
-        tag: str = "0",
     ):
-        # The shard whose task table this server delivers from.
-        self._shard = shard
-        # Shard tag: distinguishes the per-shard delivery threads and
-        # metrics when the service plane runs more than one shard.
-        self.tag = tag
+        self._service = service
         self._clock = clock or time.monotonic  # clock-domain: monotonic
         self.spill_threshold = spill_threshold
         self._wakeup = Wakeup(clock=self._clock)
@@ -299,23 +303,23 @@ class ResultStreamServer:
         # Subscriptions with something to deliver, in marking order: the
         # only ones a pass visits.
         self._ready: dict[ResultSubscription, None] = {}  # guarded-by: self._lock
-        # task id -> subscriptions that still owe an ack for it, from
-        # watch() to retire(); the retire that empties it releases the
-        # task's result bytes.
-        # subscribe()/unsubscribe() race from multiple client threads
-        # that all classify as role "main" (same story as _thread below).
-        self._interest: dict[str, set[str]] = {}        # guarded-by: self._lock  # lint: ignore[threadroles]
+        # task id -> (its shard, subscriptions that still owe an ack for
+        # it), from watch() to retire(); the retire that empties the set
+        # releases the task's result bytes on that shard.
+        self._interest: dict[str, tuple["ServiceShard", set[str]]] = {}  # guarded-by: self._lock
         # subscribe()/close() race from *multiple* client threads that
         # all classify as role "main"; the lock is load-bearing even
         # though role inference sees a single role.
         self._thread: threading.Thread | None = None    # guarded-by: self._lock  # lint: ignore[threadroles]
         self._closed = False                            # guarded-by: self._lock  # lint: ignore[threadroles]
         self._stop = threading.Event()
-        # Spill store for oversized payloads; uniquely named so parallel
-        # deployments in one process never collide in the global registry.
-        self.spill = DataStore(f"result-spill-{uuid.uuid4().hex[:8]}")
+        # Spill store for oversized payloads and the delivery thread's
+        # name; uniquely tagged so parallel deployments in one process
+        # never collide in the global registry.
+        self._tag = uuid.uuid4().hex[:8]
+        self.spill = DataStore(f"result-spill-{self._tag}")
         register_store(self.spill)
-        metrics = shard.service.metrics
+        metrics = service.metrics
         self._h_batch = metrics.histogram(
             "stream.batch_size", buckets=COUNT_BUCKETS)
         self._h_delivery = metrics.histogram("stream.delivery_seconds")
@@ -325,7 +329,7 @@ class ResultStreamServer:
         self._c_redelivered = metrics.counter("stream.redeliveries")
         self._c_consumer_errors = metrics.counter("stream.consumer_errors")
         self._c_credit_stalls = metrics.counter("stream.credit_stalls")
-        metrics.gauge("stream.subscriptions", shard=self.tag).set_function(
+        metrics.gauge("stream.subscriptions").set_function(
             self.subscription_count)
 
     # -- subscriptions -------------------------------------------------------
@@ -360,19 +364,26 @@ class ResultStreamServer:
         with self._lock:
             self._subs.pop(sub.subscriber_id, None)
             self._ready.pop(sub, None)
-            for task_id, watchers in list(self._interest.items()):
+            for task_id, (_shard, watchers) in list(self._interest.items()):
                 watchers.discard(sub.subscriber_id)
                 if not watchers:
                     del self._interest[task_id]
 
     def register_interest(self, sub: ResultSubscription,
                           task_ids: list[str]) -> None:
-        """Bind ``task_ids`` to ``sub``; fast-path already-terminal tasks."""
+        """Bind ``task_ids`` to ``sub``, each with its shard; fast-path
+        already-terminal tasks."""
+        routed = self._service.route(task_ids)
         with self._lock:
             interest = self._interest
-            for task_id in task_ids:
-                interest.setdefault(task_id, set()).add(sub.subscriber_id)
-        ready = [task.task_id for task in self._shard.get_tasks(task_ids)
+            for shard, ids in routed:
+                for task_id in ids:
+                    entry = interest.get(task_id)
+                    if entry is None:
+                        entry = interest[task_id] = (shard, set())
+                    entry[1].add(sub.subscriber_id)
+        ready = [task.task_id for shard, ids in routed
+                 for task in shard.get_tasks(ids)
                  if task is not None and task.state.terminal]
         if ready:
             sub.tasks_ready(ready)
@@ -396,7 +407,8 @@ class ResultStreamServer:
         ready: dict[ResultSubscription, list[str]] = {}
         with self._lock:
             for task in tasks:
-                for subscriber_id in self._interest.get(task.task_id, ()):
+                entry = self._interest.get(task.task_id)
+                for subscriber_id in entry[1] if entry else ():
                     sub = self._subs.get(subscriber_id)
                     if sub is not None:
                         ready.setdefault(sub, []).append(task.task_id)
@@ -440,21 +452,32 @@ class ResultStreamServer:
             # Stopped at MAX_BATCH or the window, not at an empty queue.
             self.mark(sub)
         now = self._clock()
+        # One table read per shard, through the shard the watch resolved.
+        by_shard: dict["ServiceShard | None", list[Lease]] = {}
+        with self._lock:
+            interest = self._interest
+            for lease in leases:
+                entry = interest.get(lease.item)
+                by_shard.setdefault(entry[0] if entry else None,
+                                    []).append(lease)
         results: list[ResultMessage] = []
         kept: list[Lease] = []
         vanished: list[Lease] = []
         try:
-            for lease, task in zip(leases, self._shard.get_tasks(
-                    [lease.item for lease in leases])):
-                if task is None or not task.state.terminal:
-                    # Task record vanished (forgotten); nothing to deliver.
-                    # (Only terminal ids enqueue; the test is defensive.)
-                    vanished.append(lease)
-                    continue
-                if lease.deliveries > 1:
-                    self._c_redelivered.inc()
-                results.append(self._result_message(sub, task, now))
-                kept.append(lease)
+            for shard, group in by_shard.items():
+                tasks = (shard.get_tasks([lease.item for lease in group])
+                         if shard else [None] * len(group))
+                for lease, task in zip(group, tasks):
+                    if task is None or not task.state.terminal:
+                        # Task record (or interest) vanished: nothing to
+                        # deliver.  (Only terminal ids enqueue; the state
+                        # test is defensive.)
+                        vanished.append(lease)
+                        continue
+                    if lease.deliveries > 1:
+                        self._c_redelivered.inc()
+                    results.append(self._result_message(sub, task, now))
+                    kept.append(lease)
         except Exception:
             # No credit consumed, nothing recorded yet: hand the leases back
             # in order, unannounced (``step`` re-marks), and drop their spills.
@@ -527,19 +550,20 @@ class ResultStreamServer:
     def reader_done(self, subscriber_id: str, task_ids: list[str]) -> None:
         """A subscription retired these results: drop what was spilled
         for it and release the bytes of tasks it was the last watcher of."""
-        last: list[str] = []
+        last: dict["ServiceShard", list[str]] = {}
         with self._lock:
             for task_id in task_ids:
-                watchers = self._interest.get(task_id)
-                if watchers is not None:
+                entry = self._interest.get(task_id)
+                if entry is not None:
+                    shard, watchers = entry
                     watchers.discard(subscriber_id)
                     if not watchers:
                         del self._interest[task_id]
-                        last.append(task_id)
+                        last.setdefault(shard, []).append(task_id)
         for task_id in task_ids:
             self.drop_spill(subscriber_id, task_id)
-        if last:
-            self._shard.release_results(last)
+        for shard, ids in last.items():
+            shard.release_results(ids)
 
     # -- delivery thread -----------------------------------------------------
     def _ensure_thread(self) -> None:
@@ -547,9 +571,9 @@ class ResultStreamServer:
             if self._thread is not None or self._closed:
                 return
             thread = threading.Thread(
-                target=run_loop, name=f"result-stream-{self.tag}",
+                target=run_loop, name=f"result-stream-{self._tag}",
                 daemon=True,
-                args=(f"result-stream:{self.tag}", self.step, self._stop,
+                args=("result-stream", self.step, self._stop,
                       self._wakeup, IDLE_FALLBACK))
             self._thread = thread
         thread.start()
@@ -568,171 +592,8 @@ class ResultStreamServer:
         self._stop.set()
         self._wakeup.set()
         if thread is not None:
-            thread.join(timeout=5.0)
+            join_thread(thread, 5.0)
         for sub in subs:
             sub.queue.close()
         unregister_store(self.spill.name)
 
-
-# ======================================================================
-# sharded delivery: one stream server per shard, one logical subscription
-# ======================================================================
-class RoutedSubscription:
-    """A logical subscription spanning every shard's stream server.
-
-    The executor and SDK talk to one subscription object; under a
-    sharded service plane each shard runs its own delivery thread, so
-    this wrapper opens one real :class:`ResultSubscription` per shard
-    and routes:
-
-    * ``watch`` — to the shard owning the task (the shard map keys on
-      the task id).
-    * ``ack`` — back to the shard that delivered the batch, recorded
-      when the batch passed through the wrapped consumer.
-    * ``attach``/``detach``/``recover``/``close`` — fanned out.
-
-    Each per-shard leg carries the full credit ``window`` — the window
-    bounds delivered-unacked results *per shard*, which keeps credit
-    accounting local to a shard (no cross-shard credit transfers on the
-    delivery hot path).
-    """
-
-    # subscribe()/route() race from multiple client/shard threads that
-    # all classify as role "main"; the lock is load-bearing even though
-    # role inference sees a single role.
-    _GUARDED = {
-        "_origins": "_lock",  # lint: ignore[threadroles]
-    }
-
-    def __init__(
-        self,
-        service: "FuncXService",
-        window: int = DEFAULT_WINDOW,
-        subscriber_id: str | None = None,
-        auto_deliver: bool = True,
-    ):
-        self._service = service
-        self.subscriber_id = subscriber_id or uuid.uuid4().hex[:12]
-        self.window = window
-        self._lock = threading.Lock()
-        # delivery_id -> the per-shard leg that produced the batch
-        self._origins: dict[str, ResultSubscription] = {}
-        self._legs: list[ResultSubscription] = [
-            shard.result_stream.subscribe(
-                window=window,
-                subscriber_id=f"{self.subscriber_id}:s{shard.index}",
-                auto_deliver=auto_deliver,
-            )
-            for shard in service.shards
-        ]
-
-    # -- client surface (mirrors ResultSubscription) ---------------------
-    def watch(self, task_id: str) -> None:
-        self.watch_many((task_id,))
-
-    def watch_many(self, task_ids: Iterable[str]) -> None:
-        shard_for_task = self._service.shard_map.shard_for_task
-        by_leg: dict[int, list[str]] = {}
-        for task_id in task_ids:
-            by_leg.setdefault(shard_for_task(task_id), []).append(task_id)
-        for index, ids in by_leg.items():
-            self._legs[index].watch_many(ids)
-
-    def attach(self, consumer: Consumer) -> None:
-        for leg in self._legs:
-            leg.attach(self._wrap(leg, consumer))
-
-    def _wrap(self, leg: ResultSubscription, consumer: Consumer) -> Consumer:
-        def routed(batch: ResultBatchMessage) -> None:
-            # Record the origin *before* handing the batch over: the
-            # consumer (executor callback) may ack from its own thread
-            # immediately.
-            with self._lock:
-                self._origins[batch.delivery_id] = leg
-            try:
-                consumer(batch)
-            except BaseException:
-                with self._lock:
-                    self._origins.pop(batch.delivery_id, None)
-                raise
-        return routed
-
-    def detach(self) -> None:
-        for leg in self._legs:
-            leg.detach()
-
-    def ack(self, delivery_id: str) -> None:
-        with self._lock:
-            leg = self._origins.pop(delivery_id, None)
-        if leg is None:
-            # Unknown delivery (already acked, or recovered after a
-            # detach): every leg rejects unknown ids harmlessly.
-            for candidate in self._legs:
-                candidate.ack(delivery_id)
-            return
-        leg.ack(delivery_id)
-
-    def recover(self) -> None:
-        with self._lock:
-            self._origins.clear()
-        for leg in self._legs:
-            leg.recover()
-
-    # -- introspection ---------------------------------------------------
-    @property
-    def watched(self) -> int:
-        return sum(leg.watched for leg in self._legs)
-
-    @property
-    def backlog(self) -> int:
-        return sum(leg.backlog for leg in self._legs)
-
-    @property
-    def unacked_results(self) -> int:
-        return sum(leg.unacked_results for leg in self._legs)
-
-    def close(self) -> None:
-        with self._lock:
-            self._origins.clear()
-        for leg in self._legs:
-            leg.close()
-
-
-class ResultStreamRouter:
-    """Facade-level stream entry point for a sharded service plane.
-
-    ``FuncXService.result_stream`` returns the single shard's real
-    :class:`ResultStreamServer` when ``shards == 1`` (full back-compat,
-    including the test-facing ``step()``/``spill`` surface) and this
-    router otherwise.  The router only *opens* subscriptions — terminal
-    fan-out happens shard-locally via each shard's own server.
-    """
-
-    def __init__(self, service: "FuncXService"):
-        self._service = service
-
-    def subscribe(
-        self,
-        window: int = DEFAULT_WINDOW,
-        subscriber_id: str | None = None,
-        auto_deliver: bool = True,
-    ) -> RoutedSubscription:
-        if window < 1:
-            raise ValueError("window must be positive")
-        return RoutedSubscription(
-            self._service, window=window, subscriber_id=subscriber_id,
-            auto_deliver=auto_deliver)
-
-    def subscription_count(self) -> int:
-        return sum(
-            shard.result_stream.subscription_count()
-            for shard in self._service.shards)
-
-    def step(self) -> int:
-        """Drive one delivery pass on every shard (deterministic tests)."""
-        return sum(
-            shard.result_stream.step() for shard in self._service.shards)
-
-    def close(self) -> None:
-        for shard in self._service.shards:
-            shard.result_stream.close()

@@ -40,7 +40,7 @@ from repro.transport.messages import (
     TaskBatchMessage,
     TaskMessage,
 )
-from repro.transport.wakeup import Wakeup, run_loop
+from repro.transport.wakeup import Wakeup, join_thread, run_loop
 
 
 class FuncXAgent:
@@ -632,5 +632,5 @@ class FuncXAgent:
         self._stop.set()
         self._wakeup.set()
         if self._thread is not None:
-            self._thread.join(timeout)
+            join_thread(self._thread, timeout)
             self._thread = None

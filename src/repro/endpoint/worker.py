@@ -26,6 +26,7 @@ from repro.core.flowcontrol import CreditLedger
 from repro.serialize import FuncXSerializer
 from repro.serialize.traceback import RemoteExceptionWrapper
 from repro.transport.messages import ResultMessage, TaskMessage
+from repro.transport.wakeup import join_thread
 
 
 def execute_task_message(
@@ -152,7 +153,7 @@ class Worker:
         if self._thread is None:
             return
         self.inbox.put(self.STOP)
-        self._thread.join(timeout)
+        join_thread(self._thread, timeout)
         self._thread = None  # handoff
 
     def join(self, timeout: float | None = None) -> None:

@@ -145,9 +145,8 @@ class LocalDeployment:
             # subset of the statically-declared protocol sites.
             self.protocol_recorder = ProtocolRecorder(metrics=self.metrics)
             sanitize_events(self.service.events, self.protocol_recorder)
-            for shard in self.service.shards:
-                sanitize_result_stream(shard.result_stream,
-                                       self.protocol_recorder)
+            sanitize_result_stream(self.service.result_stream,
+                                   self.protocol_recorder)
             # Thread-role twin: tag shared-attribute accesses with the
             # accessing thread's role so chaos runs can assert observed
             # cross-role attrs ⊆ the statically inferred shared-set.

@@ -1,5 +1,5 @@
-"""Measurement utilities: latency statistics, stage timers, timelines,
-and the process-wide metrics registry."""
+"""Measurement utilities: latency statistics, timelines, and the
+process-wide metrics registry."""
 
 from repro.metrics.registry import (
     Counter,
@@ -8,17 +8,13 @@ from repro.metrics.registry import (
     MetricsRegistry,
     render_records,
 )
-from repro.metrics.stats import LatencyRecorder, SummaryStats, summarize
+from repro.metrics.stats import SummaryStats, summarize
 from repro.metrics.timeline import Timeline
-from repro.metrics.timers import StageTimer, Stopwatch
 
 __all__ = [
     "SummaryStats",
     "summarize",
-    "LatencyRecorder",
     "Timeline",
-    "Stopwatch",
-    "StageTimer",
     "Counter",
     "Gauge",
     "Histogram",

@@ -71,44 +71,3 @@ def summarize(samples: Iterable[float] | Sequence[float] | np.ndarray) -> Summar
         p99=float(np.percentile(arr, 99)),
     )
 
-
-class LatencyRecorder:
-    """Accumulates latency samples by label, then summarizes.
-
-    Thread-safe: workers on the live fabric record concurrently.
-    """
-
-    def __init__(self):
-        import threading
-
-        self._lock = threading.Lock()
-        self._samples: dict[str, list[float]] = {}
-
-    def record(self, label: str, value: float) -> None:
-        with self._lock:
-            self._samples.setdefault(label, []).append(value)
-
-    def record_many(self, label: str, values: Iterable[float]) -> None:
-        with self._lock:
-            self._samples.setdefault(label, []).extend(values)
-
-    def labels(self) -> list[str]:
-        with self._lock:
-            return sorted(self._samples)
-
-    def samples(self, label: str) -> np.ndarray:
-        import numpy as np
-
-        with self._lock:
-            return np.asarray(self._samples.get(label, ()), dtype=float)
-
-    def summary(self, label: str) -> SummaryStats:
-        return summarize(self.samples(label))
-
-    def count(self, label: str) -> int:
-        with self._lock:
-            return len(self._samples.get(label, ()))
-
-    def clear(self) -> None:
-        with self._lock:
-            self._samples.clear()

@@ -73,19 +73,16 @@ class ChannelEnd:
         self._peer = peer
         self._channel = channel
 
-    def _lost(self, reason: str, count: int | None = None) -> None:
-        """Account one lost transfer of ``count`` messages (one ``send``
-        when ``None``)."""
+    def _lost(self, reason: str, count: int) -> None:
+        """Account one lost transfer of ``count`` messages."""
         channel = self._channel
         assert channel is not None
-        channel.dropped_count += 1 if count is None else count
+        channel.dropped_count += count
         events = channel._events
         if events:
-            fields = {"channel": channel.name, "end": self.name,
-                      "reason": reason}
-            if count is not None:
-                fields["count"] = count
-            events.emit("channel", "channel.dropped", fields)
+            events.emit("channel", "channel.dropped", {
+                "channel": channel.name, "end": self.name,
+                "reason": reason, "count": count})
 
     # -- sending ------------------------------------------------------------
     def send(self, message: Any) -> bool:
@@ -97,24 +94,7 @@ class ChannelEnd:
         accepted them but the crashed process never sees them), mirroring
         how a real ZeroMQ peer failure manifests.
         """
-        if self._closed:
-            raise ChannelClosed(f"channel end {self.name} is closed")
-        if not self._connected:
-            raise Disconnected(f"channel end {self.name} is disconnected")
-        assert self._peer is not None and self._channel is not None
-        channel = self._channel
-        if channel.rng.random() < channel.drop_probability:
-            self._lost("random-loss")
-            return False
-        if not self._peer._connected or self._peer._closed:
-            self._lost("peer-down")
-            return False
-        latency = channel.sample_latency()
-        self._peer._deliver_batch(self._clock(), latency,
-                                  channel.transfer_cost, (message,))
-        with self._lock:
-            self.sent_count += 1
-        return True
+        return self.send_many((message,)) == 1
 
     def send_many(self, messages: Any) -> int:
         """Send several messages as *one* transfer.

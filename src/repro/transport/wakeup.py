@@ -115,3 +115,13 @@ def run_loop(
         except Exception:
             _logger.exception("%s: step failed; continuing", name)
         wakeup.wait(fallback)
+
+
+def join_thread(thread: threading.Thread, timeout: float) -> None:
+    """Join ``thread`` for at most ``timeout`` seconds.  A thread that
+    outlives the join is logged as a warning naming it, so a stop that
+    timed out is never silent."""
+    thread.join(timeout)
+    if thread.is_alive():
+        _logger.warning("%s still alive %g s after stop", thread.name,
+                        timeout)

@@ -35,7 +35,7 @@ from repro.endpoint.manager import Manager
 from repro.serialize import FuncXSerializer
 from repro.transport.channel import Channel
 from repro.transport.messages import Registration, TaskBatchMessage, TaskMessage
-from repro.transport.wakeup import IDLE_FALLBACK, Wakeup
+from repro.transport.wakeup import IDLE_FALLBACK, Wakeup, join_thread
 
 WAIT = 30.0
 #: Well inside what a stranded remainder would wait for: the fallback
@@ -267,3 +267,22 @@ class TestIdleCost:
         assert set(seen) == set(bounds), seen
         for role, bound in bounds.items():
             assert seen[role] <= bound + 2, (role, seen)
+
+
+class TestStopIsNeverSilent:
+    def test_a_thread_that_outlives_its_join_is_logged_by_name(self, caplog):
+        release = threading.Event()
+        stuck = threading.Thread(target=release.wait, name="manager-stuck",
+                                 daemon=True)
+        stuck.start()
+        try:
+            with caplog.at_level("WARNING", logger="repro.transport.wakeup"):
+                join_thread(stuck, 0.01)
+            assert [record.getMessage() for record in caplog.records] == [
+                "manager-stuck still alive 0.01 s after stop"]
+            release.set()
+            caplog.clear()
+            join_thread(stuck, WAIT)
+            assert not stuck.is_alive() and caplog.records == []
+        finally:
+            release.set()

@@ -1,11 +1,11 @@
-"""Unit tests for metrics: stats, timelines, timers."""
+"""Unit tests for metrics: stats and timelines."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.metrics import LatencyRecorder, StageTimer, Stopwatch, Timeline, summarize
+from repro.metrics import Timeline, summarize
 
 
 class TestSummaryStats:
@@ -37,45 +37,6 @@ class TestSummaryStats:
     def test_row_format(self):
         row = summarize([1.0]).row("warm funcx")
         assert "warm funcx" in row and "mean=" in row
-
-
-class TestLatencyRecorder:
-    def test_record_and_summarize(self):
-        rec = LatencyRecorder()
-        rec.record("warm", 0.1)
-        rec.record("warm", 0.3)
-        rec.record_many("cold", [1.0, 2.0, 3.0])
-        assert rec.count("warm") == 2
-        assert rec.summary("warm").mean == pytest.approx(0.2)
-        assert rec.labels() == ["cold", "warm"]
-
-    def test_samples_array(self):
-        rec = LatencyRecorder()
-        rec.record("x", 1.0)
-        assert isinstance(rec.samples("x"), np.ndarray)
-        assert rec.samples("missing").size == 0
-
-    def test_clear(self):
-        rec = LatencyRecorder()
-        rec.record("x", 1.0)
-        rec.clear()
-        assert rec.labels() == []
-
-    def test_thread_safety(self):
-        import threading
-
-        rec = LatencyRecorder()
-
-        def writer():
-            for i in range(1000):
-                rec.record("t", float(i))
-
-        threads = [threading.Thread(target=writer) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert rec.count("t") == 4000
 
 
 class TestTimeline:
@@ -133,58 +94,3 @@ class TestTimeline:
             tl.record("ev", float(i), 1)
         # events at t=0..9; window 5 looks back from t=9: events at 4..9 = 6
         assert tl.rate_of_events("ev", window=5.0) == pytest.approx(6 / 5.0)
-
-
-class TestTimers:
-    def test_stopwatch(self):
-        clock_values = iter([0.0, 2.5])
-        sw = Stopwatch(clock=lambda: next(clock_values))
-        sw.start()
-        assert sw.stop() == 2.5
-
-    def test_stopwatch_accumulates(self, clock):
-        sw = Stopwatch(clock=clock)
-        sw.start()
-        clock.advance(1.0)
-        sw.stop()
-        sw.start()
-        clock.advance(2.0)
-        sw.stop()
-        assert sw.elapsed == 3.0
-
-    def test_stopwatch_misuse(self):
-        sw = Stopwatch()
-        with pytest.raises(RuntimeError):
-            sw.stop()
-        sw.start()
-        with pytest.raises(RuntimeError):
-            sw.start()
-
-    def test_stage_timer_context(self, clock):
-        timer = StageTimer(clock=clock)
-        with timer.stage("ts"):
-            clock.advance(0.5)
-        with timer.stage("tw"):
-            clock.advance(1.0)
-        assert timer.total("ts") == 0.5
-        assert timer.total("tw") == 1.0
-
-    def test_stage_timer_mean(self, clock):
-        timer = StageTimer(clock=clock)
-        timer.add("ts", 1.0)
-        timer.add("ts", 3.0)
-        assert timer.mean("ts") == 2.0
-        assert timer.mean("unknown") == 0.0
-
-    def test_breakdown_order(self, clock):
-        timer = StageTimer(clock=clock)
-        for name, duration in [("tw", 1.0), ("ts", 0.2), ("tf", 0.1), ("te", 0.3)]:
-            timer.add(name, duration)
-        breakdown = timer.breakdown()
-        assert list(breakdown) == ["ts", "tf", "te", "tw"]
-
-    def test_clear(self, clock):
-        timer = StageTimer(clock=clock)
-        timer.add("x", 1.0)
-        timer.clear()
-        assert timer.stages() == {}

@@ -358,8 +358,8 @@ class TestABadWaiterStopsNothing:
         world.shard.when_terminal(second, fired.append)
         on_terminal(world.service.events,
                     lambda tasks: published.append(len(tasks)))
-        inner = world.shard.result_stream.on_tasks_terminal
-        world.shard.result_stream.on_tasks_terminal = (
+        inner = world.service.result_stream.on_tasks_terminal
+        world.service.result_stream.on_tasks_terminal = (
             lambda tasks: (streamed.append(len(tasks)), inner(tasks)))
         with caplog.at_level(logging.ERROR, logger="repro.core.service"):
             world.complete([first, second])

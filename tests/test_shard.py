@@ -4,12 +4,14 @@ Covers the consistent-hash :class:`~repro.core.shard.ShardMap`, the
 per-shard O(1) accounting block (the satellite fix for the old
 full-table scans), drain/kill/restart lifecycle, shard independence
 (one shard's task lifecycle takes no other shard's lock), and the
-facade's cross-shard routing — including a live multi-shard deployment
-pushing results through the stream router.
+facade's cross-shard routing — including the one result stream that
+delivers from every shard, and a live multi-shard deployment.
 """
 
 from __future__ import annotations
 
+import contextlib
+import threading
 import time
 import uuid
 
@@ -64,6 +66,33 @@ def register_noop(service, token) -> str:
 def submit_one(service, token, fid, ep) -> str:
     payload = FuncXSerializer().serialize(([1], {}))
     return service.submit(token, fid, ep, payload)
+
+
+def start_endpoint_per_shard(deployment) -> list[str]:
+    """One started endpoint on each shard of a live deployment: endpoint
+    ids are random, so create unstarted candidates until every shard is
+    covered, then start one per shard."""
+    service = deployment.service
+    by_shard: dict[int, str] = {}
+    for attempt in range(64):
+        ep = deployment.create_endpoint(f"ep-{attempt}", nodes=1, start=False)
+        by_shard.setdefault(service.shard_map.shard_for_endpoint(ep), ep)
+        if len(by_shard) == len(service.shards):
+            break
+    else:
+        raise AssertionError("no endpoint placement covered every shard")
+    endpoints = [by_shard[index] for index in range(len(service.shards))]
+    for ep in endpoints:
+        deployment.forwarder(ep).start()
+        deployment.endpoint(ep).start()
+        assert deployment.endpoint(ep).wait_ready()
+    return endpoints
+
+
+def new_threads(before: set[threading.Thread], *prefixes: str) -> list[str]:
+    """Names of live threads started since ``before`` with a prefix."""
+    return [thread.name for thread in threading.enumerate()
+            if thread not in before and thread.name.startswith(prefixes)]
 
 
 # ----------------------------------------------------------------------
@@ -306,22 +335,95 @@ class TestConstantTimeAccounting:
 
 
 # ----------------------------------------------------------------------
-# live multi-shard deployment (stream router end to end)
+# one result stream over every shard
+# ----------------------------------------------------------------------
+class TestOneResultStream:
+    @staticmethod
+    def _finished_on_each_shard(service, token, count):
+        fid = register_noop(service, token)
+        ids = []
+        for index in range(len(service.shards)):
+            ep = endpoint_on(service, index)
+            for _ in range(count):
+                task_id = submit_one(service, token, fid, ep)
+                service.complete_task(task_id, success=True,
+                                      result_buffer=b"r" * 8)
+                ids.append(task_id)
+        return ids
+
+    def test_window_bounds_unacked_results_across_shards(self):
+        service = make_service(2)
+        ids = self._finished_on_each_shard(service, user_token(service), 6)
+        subscription = service.result_stream.subscribe(
+            window=4, auto_deliver=False)
+        batches = []
+        subscription.attach(batches.append)
+        subscription.watch_many(ids)
+        # One window for the subscription, not one per shard.
+        assert service.result_stream.step() == 4
+        assert subscription.unacked_results == 4
+        assert service.result_stream.step() == 0
+        delivered = []
+        while batches:
+            batch = batches.pop()
+            delivered += [message.task_id for message in batch.results]
+            subscription.ack(batch.delivery_id)
+            service.result_stream.step()
+        assert sorted(delivered) == sorted(ids)
+
+    def test_last_ack_releases_bytes_on_each_owning_shard(self):
+        service = make_service(2)
+        ids = self._finished_on_each_shard(service, user_token(service), 3)
+        assert [shard.retained_bytes() for shard in service.shards] == [24, 24]
+        subscription = service.result_stream.subscribe(auto_deliver=False)
+        subscription.attach(lambda batch: subscription.ack(batch.delivery_id))
+        subscription.watch_many(ids)
+        assert service.result_stream.step() == 6
+        assert [shard.retained_bytes() for shard in service.shards] == [0, 0]
+        assert subscription.watched == 0
+
+
+# ----------------------------------------------------------------------
+# live multi-shard deployment (one delivery thread end to end)
 # ----------------------------------------------------------------------
 class TestLiveMultiShard:
     def test_executor_results_stream_across_shards(self):
-        from repro.core.stream import ResultStreamRouter
+        from repro.core.stream import ResultStreamServer
         from repro.fabric import LocalDeployment
 
+        with LocalDeployment() as single:
+            assert isinstance(single.service.result_stream, ResultStreamServer)
+        before = set(threading.enumerate())
         with LocalDeployment(
             service_config=ServiceConfig(shards=4)
-        ) as deployment:
+        ) as deployment, contextlib.ExitStack() as stack:
             assert isinstance(deployment.service.result_stream,
-                              ResultStreamRouter)
+                              ResultStreamServer)
             client = deployment.client()
-            ep = deployment.create_endpoint("sharded", nodes=1)
+            endpoints = start_endpoint_per_shard(deployment)
             fid = client.register_function(lambda x: x * 2)
-            with client.executor(ep, batch_interval=0.0) as executor:
-                futures = [executor.submit(fid, i) for i in range(12)]
-                assert [f.result(timeout=30) for f in futures] == [
-                    i * 2 for i in range(12)]
+            executors = [
+                stack.enter_context(client.executor(ep, batch_interval=0.0))
+                for ep in endpoints]
+            futures = [executor.submit(fid, i)
+                       for i in range(3) for executor in executors]
+            assert [f.result(timeout=30) for f in futures] == [
+                i * 2 for i in range(3) for _ in executors]
+            assert len(new_threads(before, "result-stream-")) == 1
+
+    def test_shutdown_leaves_no_loop_thread_alive(self):
+        from repro.fabric import LocalDeployment
+
+        before = set(threading.enumerate())
+        deployment = LocalDeployment(service_config=ServiceConfig(shards=2))
+        try:
+            client = deployment.client()
+            fid = client.register_function(lambda x: x + 1)
+            for ep in start_endpoint_per_shard(deployment):
+                with client.executor(ep, batch_interval=0.0) as executor:
+                    futures = [executor.submit(fid, i) for i in range(3)]
+                    assert [f.result(timeout=30) for f in futures] == [1, 2, 3]
+        finally:
+            deployment.shutdown()
+        assert new_threads(before, "forwarder-", "agent-", "manager-",
+                           "worker-", "result-stream-") == []
