@@ -442,7 +442,7 @@ def check_subscription_lifecycle(source: SourceFile) -> Iterator[Finding]:
 
     A leaked spine token keeps delivering into a dead callback forever
     (the PR 7 ``_future_for`` leak class); a leaked stream subscription
-    pins its credit window and queue.  Handoffs waive: storing the
+    pins a reader on every record it watches.  Handoffs waive: storing the
     token in a field, returning it, or passing it to any call
     transfers ownership to the holder.
     """

@@ -325,23 +325,13 @@ class ProtocolRecorder(RuntimeRecorder):
     subscribe/unsubscribe, stream subscription open/close — keyed
     ``(protocol, verb)`` like :func:`~repro.analysis.protocols.
     protocol_sites`.  Beside the subset gate, chaos runs assert the
-    balance laws the checks promise: per-ledger ``released <= consumed``
-    and ``unsubscribes <= subscribes``.
+    balance law the checks promise: ``unsubscribes <= subscribes``.
     """
 
     counter_name = "sanitizer.protocol_events"
 
-    def __init__(self, metrics=None):
-        super().__init__(metrics)
-        self._ledgers: List["RecordedLedger"] = []     # guarded-by: self._mutex
-
     def record(self, protocol: str, verb: str, amount: int = 1) -> None:
         super().record((protocol, verb), amount)
-
-    def register_ledger(self, ledger: "RecordedLedger") -> None:
-        """Track a fully-wrapped ledger for the strict balance check."""
-        with self._mutex:
-            self._ledgers.append(ledger)
 
     # -- views ----------------------------------------------------------------
     def observed(self) -> set:
@@ -357,29 +347,18 @@ class ProtocolRecorder(RuntimeRecorder):
         with self._mutex:
             return self._events.get((protocol, verb), 0)
 
-    def ledgers(self) -> List["RecordedLedger"]:
-        with self._mutex:
-            return list(self._ledgers)
-
 
 class RecordedLedger:
     """Duck-typed ``CreditLedger`` proxy recording credit events.
 
     Counts the *effective* amounts (the ledger clamps, so a duplicate
-    release records nothing) and keeps per-ledger consumed/released
-    totals for the strict balance assertion.  Everything else proxies
-    through, so heartbeat/advertisement reads see the real books.
+    release records nothing).  Everything else proxies through, so
+    heartbeat/advertisement reads see the real books.
     """
 
     def __init__(self, inner, recorder: ProtocolRecorder):
         self._inner = inner
         self._recorder = recorder
-        self._mutex = threading.Lock()
-        # The sanitizer substitutes this wrapper for the real ledger at
-        # runtime, so static role inference never sees the cross-thread
-        # callers that reach these counters through the swapped object.
-        self.consumed_seen = 0   # guarded-by: self._mutex  # lint: ignore[threadroles]
-        self.released_seen = 0   # guarded-by: self._mutex  # lint: ignore[threadroles]
 
     def grant(self, n: int = 1) -> int:
         granted = self._inner.grant(n)
@@ -393,17 +372,11 @@ class RecordedLedger:
 
     def consume(self, n: int = 1) -> int:
         taken = self._inner.consume(n)
-        if taken:
-            with self._mutex:
-                self.consumed_seen += taken
         self._recorder.record("credit", "consume", taken)
         return taken
 
     def release(self, n: int = 1) -> int:
         returned = self._inner.release(n)
-        if returned:
-            with self._mutex:
-                self.released_seen += returned
         self._recorder.record("credit", "release", returned)
         return returned
 
@@ -411,22 +384,17 @@ class RecordedLedger:
         return getattr(self._inner, name)
 
 
-def sanitize_ledger(obj, recorder: ProtocolRecorder, attr: str = "credits",
-                    strict: bool = False) -> "RecordedLedger":
+def sanitize_ledger(obj, recorder: ProtocolRecorder,
+                    attr: str = "credits") -> "RecordedLedger":
     """Replace ``obj.<attr>`` with a RecordedLedger (idempotent).
 
-    ``strict=True`` registers the ledger for the released<=consumed
-    balance assertion — only safe when *every* holder of the ledger
-    reference is wrapped (a manager's workers capture the raw ledger in
-    ``Manager.__init__``, so manager ledgers stay non-strict: their
-    worker-side releases are invisible to the recorder).
+    A manager's workers capture the raw ledger in ``Manager.__init__``,
+    so their releases are invisible to the recorder.
     """
     inner = getattr(obj, attr)
     if isinstance(inner, RecordedLedger):
         return inner
     wrapped = RecordedLedger(inner, recorder)
-    if strict:
-        recorder.register_ledger(wrapped)
     setattr(obj, attr, wrapped)
     return wrapped
 
@@ -560,12 +528,11 @@ def sanitize_events(events, recorder: ProtocolRecorder):
 
 
 def sanitize_result_stream(server, recorder: ProtocolRecorder):
-    """Record stream-subscription lifecycle + credit events (idempotent).
+    """Record stream-subscription lifecycle events (idempotent).
 
     Wraps ``server.subscribe`` so every subscription handed out records
-    its open, swaps its credit window for a strict
-    :class:`RecordedLedger` *before* any delivery can consume from it,
-    and wraps ``close``/``detach`` on the subscription instance.
+    its open, and wraps ``close``/``detach`` on the subscription
+    instance.
     """
     if getattr(server, "_protocol_recorder", None) is not None:
         return server
@@ -574,7 +541,6 @@ def sanitize_result_stream(server, recorder: ProtocolRecorder):
     def subscribe(*args, **kwargs):
         sub = inner_subscribe(*args, **kwargs)
         recorder.record("stream", "subscribe")
-        sanitize_ledger(sub, recorder, attr="credits", strict=True)
         inner_close = sub.close
         inner_detach = sub.detach
         closed = threading.Event()

@@ -232,7 +232,7 @@ class FuncXClient:
         future = FuncXFuture(task_id, self.service.events)
         future.bind_canceller(self.cancel)
 
-        def resolve(_task: Task) -> None:
+        def resolve(_tasks: list[Task]) -> None:
             if future.done():
                 return
             try:

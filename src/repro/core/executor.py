@@ -2,16 +2,15 @@
 
 The journal follow-up to the paper shipped a ``FuncXExecutor`` whose
 ``submit()`` hands back a stdlib-compatible future immediately, batches
-submissions in a background thread (gated by an ``AtomicController``),
-and resolves futures from a subscription-based result stream instead of
-polling.  This module is that shape on this codebase:
+submissions in a background thread, and resolves futures from a
+subscription-based result stream instead of polling.  This module is that shape on this codebase:
 
 * :meth:`FuncXExecutor.submit` accepts a callable (auto-registered once
   and cached) or a registered function id, appends the call to a pending
   wave, and returns a :class:`~repro.core.futures.FuncXFuture`.
-* A background batching thread — woken by the
-  :class:`AtomicController`'s 0→1 edge, held briefly once a burst has
-  shown itself so the rest of it coalesces — drains pending calls into
+* A background batching thread — woken by the call that finds the
+  pending wave empty, held briefly once a burst has shown itself so the
+  rest of it coalesces — drains pending calls into
   ``submit_batch`` waves (one authenticated request per wave,
   amortizing per-request overhead, §5.2.4).
 * Task ids returned by the wave are watched on the executor's
@@ -43,48 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.client import FuncXClient
 
 logger = logging.getLogger(__name__)
-
-
-class AtomicController:
-    """Threshold-edge counter gating the batching thread (journal SDK).
-
-    ``increment`` counts enqueued-but-unsubmitted calls; the 0→1 edge
-    fires ``start_callback`` (wake the batcher).  ``reset`` zeroes the
-    count when the batcher drains a wave and fires ``stop_callback`` if
-    anything was drained.  Callbacks run outside the internal lock.
-    """
-
-    def __init__(
-        self,
-        start_callback: Callable[[], None],
-        stop_callback: Callable[[], None],
-    ):
-        self._lock = threading.Lock()
-        self._value = 0  # guarded-by: self._lock
-        self._start_callback = start_callback
-        self._stop_callback = stop_callback
-
-    def increment(self, amount: int = 1) -> int:
-        with self._lock:
-            previous = self._value
-            self._value += amount
-        if previous == 0 and amount > 0:
-            self._start_callback()
-        return previous + amount
-
-    def reset(self) -> int:
-        """Zero the counter; returns the drained count."""
-        with self._lock:
-            drained = self._value
-            self._value = 0
-        if drained:
-            self._stop_callback()
-        return drained
-
-    @property
-    def value(self) -> int:
-        with self._lock:
-            return self._value
 
 
 @dataclass
@@ -147,7 +104,6 @@ class FuncXExecutor:
         # lock also serializes concurrent user-thread submitters.
         self._function_ids: dict[Any, str] = {}         # guarded-by: self._lock  # lint: ignore[threadroles]
         self._shutdown = False                          # guarded-by: self._lock
-        self.controller = AtomicController(self._wakeup.set, lambda: None)
         metrics = client.service.metrics
         self._h_wave = metrics.histogram(
             "executor.submit_batch_size", buckets=COUNT_BUCKETS)
@@ -177,8 +133,10 @@ class FuncXExecutor:
         with self._lock:
             if self._shutdown:
                 raise RuntimeError("cannot submit to a shut-down executor")
+            first = not self._pending
             self._pending.append(entry)
-        self.controller.increment()
+        if first:  # the batcher's swap emptied the list: wake it
+            self._wakeup.set()
         return entry.future
 
     def map(self, function: Callable[..., Any] | str, *iterables: Iterable[Any],
@@ -243,8 +201,6 @@ class FuncXExecutor:
         with self._lock:
             wave = self._pending
             self._pending = []
-            # Same hold as the swap: a later call increments from zero.
-            self.controller.reset()
         total = 0
         for start in range(0, len(wave), self.batch_size):
             total += self._submit_chunk(wave[start:start + self.batch_size])

@@ -258,8 +258,7 @@ class Forwarder:
             for task_id, _lease in expired:
                 del self._open_leases[task_id]
         for task_id, lease in expired:
-            if self.service.requeue_task(task_id, reason="lease timeout",
-                                         enqueue=False):
+            if self.service.requeue_task(task_id, reason="lease timeout"):
                 queue.nack(lease.lease_id)
                 self._c_requeues.inc()
                 if self._events:
@@ -436,7 +435,7 @@ class Forwarder:
             self._open_leases.clear()
         for task_id, lease in leases.items():
             # Roll the task state back; the nack puts the id back in queue.
-            kept = self.service.requeue_task(task_id, reason=reason, enqueue=False)
+            kept = self.service.requeue_task(task_id, reason=reason)
             if kept:
                 queue.nack(lease.lease_id)
                 self._c_requeues.inc()

@@ -506,7 +506,7 @@ class FuncXService:
         if not task.state.terminal and timeout > 0:
             done = threading.Event()
 
-            def wake(_task: Task) -> None:
+            def wake(_tasks: list[Task]) -> None:
                 done.set()
 
             shard.when_terminal(task_id, wake)
@@ -645,14 +645,13 @@ class FuncXService:
         self._retire(shard, [task])
         return True
 
-    def requeue_task(self, task_id: str, reason: str = "", enqueue: bool = True) -> bool:
-        """Return a dispatched-but-unfinished task to its endpoint queue.
+    def requeue_task(self, task_id: str, reason: str = "") -> bool:
+        """Roll a dispatched-but-unfinished task back to QUEUED.
 
-        Used by forwarders when an endpoint disconnects and by agents when
-        a manager is lost; enforces the retry budget.  With
-        ``enqueue=False`` only the task state is rolled back to QUEUED —
-        for callers (the forwarder) that separately nack a queue lease,
-        which re-inserts the task id itself.
+        Used by forwarders when a lease times out or an agent is lost;
+        enforces the retry budget.  Only the task state moves: the
+        forwarder nacks the task's queue lease, which puts the id back
+        itself.
         """
         shard, task = self._locate(task_id)
         if task.state.terminal:
@@ -675,9 +674,6 @@ class FuncXService:
         if self.events:
             self.events.emit("service", "task.requeued", {
                 "task_id": task_id, "reason": reason})
-        if enqueue:
-            shard.task_queue(task.endpoint_id).put(task.task_id,
-                                                   lane=task.owner_id)
         return True
 
     def tasks_dispatched(self, tasks: list[Task]) -> None:
@@ -799,9 +795,9 @@ class FuncXService:
         """The per-wave half of reaching a terminal state: the records'
         stage and end-to-end times into their histograms, shard
         accounting (where the argument bytes leave and expired records
-        are swept), tenant quota, then the announcements: each waiter on
-        a record of the wave, one ``tasks.terminal`` event, one call to
-        the result stream."""
+        are swept), tenant quota, then the announcements: one call to
+        each waiter on a record of the wave (a stream subscription is
+        one), one ``tasks.terminal`` event."""
         if not tasks:
             return
         stages: dict[str, list[float]] = {}
@@ -827,12 +823,12 @@ class FuncXService:
         for owner, count in owners.items():
             self.admission.release(owner, count)
         # After the quota is back: a waiter that resubmits is admitted.
-        for task, waiter in waiting:
+        for waiter, finished in waiting.items():
             try:
-                waiter(task)
+                waiter(finished)
             except Exception:  # isolate a bad waiter, as the spine does
-                logger.exception("waiter for task %s failed", task.task_id)
+                logger.exception("waiter for tasks %s failed", ", ".join(
+                    task.task_id for task in finished))
         if self.events:
             self.events.emit("service", "tasks.terminal",
                              {"shard": shard.index, "tasks": tasks})
-        self.result_stream.on_tasks_terminal(tasks)

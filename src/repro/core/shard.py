@@ -15,8 +15,8 @@ module is that partitioning for the reproduction:
   deque, and incrementally-maintained counters (open tasks,
   per-endpoint outstanding, retained payload bytes) so the hot paths
   that used to scan the global task table are O(1).  Bytes and records
-  leave here: arguments at the terminal state, results on the last
-  stream ack, the record ``result_ttl`` later.
+  leave here: arguments at the terminal state, results on the ack of
+  the record's last stream reader, the record ``result_ttl`` later.
 
 The facade (:class:`~repro.core.service.FuncXService`) owns every
 policy decision (auth, validation, memoization, completion semantics)
@@ -248,7 +248,7 @@ class ServiceShard:
         return task
 
     def when_terminal(self, task_id: str, callback: Waiter) -> None:
-        """Call ``callback(task)`` once, when the task is terminal: from
+        """Call ``callback([task])`` once, when the task is terminal: from
         the completing wave (:meth:`note_terminal` hands it back), or
         here and now if that wave has already been through.  The test is
         the expiry it armed, not ``state.terminal`` — the state is
@@ -260,12 +260,58 @@ class ServiceShard:
             task = self._tasks.get(task_id)
             if task is None:
                 raise TaskNotFound(task_id)
-            if task.expires_at is None:
-                if task.waiters is None:
-                    task.waiters = []
-                task.waiters.append(callback)
+            if self._park(task, callback):
                 return
-        callback(task)
+        callback([task])
+
+    def _park(self, task: Task, callback: Waiter) -> bool:  # guarded-by: self._lock
+        """Leave ``callback`` on ``task`` for its completing wave; False
+        once that wave has been through."""
+        if task.expires_at is not None:
+            return False
+        if task.waiters is None:
+            task.waiters = []
+        task.waiters.append(callback)
+        return True
+
+    def watch(self, task_ids: list[str], callback: Waiter) -> list[str]:
+        """A stream watch of ``task_ids``, under one lock hold: each
+        record gains a reader and, as in :meth:`when_terminal`, the
+        waiter ``callback``.  Returns the ids ready now: records whose
+        wave has been through, and ids this plane minted whose record
+        has since left.  Raises :class:`TaskNotFound`, registering
+        nothing, for a missing id it never minted."""
+        with self._lock:
+            tasks = [self._tasks.get(task_id) for task_id in task_ids]
+            minted = self.service.shard_map.minted
+            for task_id, task in zip(task_ids, tasks):
+                if task is None and not minted(task_id):
+                    raise TaskNotFound(task_id)
+            ready: list[str] = []
+            for task_id, task in zip(task_ids, tasks):
+                if task is not None:
+                    task.readers += 1
+                if task is None or not self._park(task, callback):
+                    ready.append(task_id)
+        return ready
+
+    def unwatch(self, task_ids: Iterable[str], release: bool) -> None:
+        """Each record loses a reader; with ``release`` (an ack) the
+        result bytes of a record left without one go, and the record
+        stays until it expires."""
+        released = 0
+        with self._lock:
+            for task_id in task_ids:
+                task = self._tasks.get(task_id)
+                if task is None:
+                    continue
+                task.readers -= 1
+                if (release and not task.readers
+                        and task.result_buffer is not None):
+                    self._retained -= task.result_size
+                    task.result_buffer = None
+                    released += 1
+        self._c_purged.inc(released)
 
     def withdraw(self, task: Task, callback: Waiter) -> None:
         """A waiter gave up (its timeout ran out); a no-op once fired."""
@@ -275,23 +321,24 @@ class ServiceShard:
                 if not task.waiters:
                     task.waiters = None
 
-    def note_terminal(self, tasks: Iterable[Task]) -> list[tuple[Task, Waiter]]:
+    def note_terminal(self, tasks: Iterable[Task]) -> dict[Waiter, list[Task]]:
         """Called exactly once per task, when it first reaches a
         terminal state (complete / fail / cancel).  The argument buffer
         goes (nothing dispatches a terminal task), the result buffer
         starts counting, the record is given its expiry — and the wave
         sweeps what has expired, so the table is bounded by completion
         rate times ``result_ttl`` with no thread and no timer.  Returns
-        the wave's ``(task, waiter)`` pairs for the caller to fire once
-        it holds no lock."""
+        each waiter of the wave with its tasks, for the caller to call
+        once it holds no lock — once per waiter."""
         count = 0
-        waiting: list[tuple[Task, Waiter]] = []
+        waiting: dict[Waiter, list[Task]] = {}
         events = self._events
         with self._lock:
             now = self._clock()
             for task in tasks:
                 if task.waiters is not None:
-                    waiting.extend((task, waiter) for waiter in task.waiters)
+                    for waiter in task.waiters:
+                        waiting.setdefault(waiter, []).append(task)
                     task.waiters = None
                 if task.task_id not in self._tasks:
                     continue  # forgotten while completing; already accounted
@@ -338,21 +385,6 @@ class ServiceShard:
         with self._lock:
             if task.expires_at is not None:
                 self._arm(task, self._clock())
-
-    def release_results(self, task_ids: Iterable[str]) -> None:
-        """The last stream watcher of each task acked: the result bytes
-        go, the record stays until it expires.  A task ``note_terminal``
-        has not reached yet is left to the expiry sweep."""
-        released = 0
-        with self._lock:
-            for task_id in task_ids:
-                task = self._tasks.get(task_id)
-                if (task is not None and task.expires_at is not None
-                        and task.result_buffer is not None):
-                    self._retained -= task.result_size
-                    task.result_buffer = None
-                    released += 1
-        self._c_purged.inc(released)
 
     def _dec_outstanding(self, endpoint_id: str) -> None:  # guarded-by: self._lock
         count = self._outstanding.get(endpoint_id, 0) - 1

@@ -6,35 +6,35 @@ replaced that with a subscription stream the ``FuncXExecutor`` resolves
 futures from.  This module is the service side of that stream:
 
 * A client opens a :class:`ResultSubscription` and *watches* task ids.
-  When a watched task reaches a terminal state the id is enqueued on the
-  subscription's own :class:`~repro.store.queues.ReliableQueue` — the
-  same lease/ack machinery the dispatch path uses, so delivery is
-  at-least-once and a dropped batch is redelivered without bookkeeping
-  of its own.
-* One delivery thread per service serves a *ready set*: a queue put,
-  an attach, a recover and an ack that leaves a backlog behind mark
-  their own subscription and wake the thread; a pass visits only the
-  marked subscriptions and coalesces each one's ready results into one
-  :class:`~repro.transport.messages.ResultBatchMessage`.
-* Each subscription carries a :class:`~repro.core.flowcontrol.
-  CreditLedger` window: a credit is consumed per delivered-unacked
-  result, whichever shard it came from, and released on the client's
-  ack, so a slow or stalled client bounds its own delivered-unacked
-  population at the window while the backlog sheds into the
-  subscription queue (observable, bounded by the number of watched
-  tasks) instead of ballooning delivery buffers.
+  A watch is what a client future is: a waiter on the task record
+  (:meth:`~repro.core.shard.ServiceShard.watch`), plus one on the
+  record's ``readers`` count.  The wave that completes the task hands
+  the subscription its tasks once, so each watched result is queued
+  exactly once, by construction.
+* Each subscription keeps one ready deque and one map of delivered-
+  unacked batches under its own lock.  The window is ``window`` minus
+  what that map holds: a slow or stalled client bounds its own
+  delivered-unacked population at the window while the backlog waits
+  in the deque (bounded by the number of watched tasks).
+* One delivery thread per service serves a *ready set*: a result, an
+  attach, a recover and an ack that leaves a backlog behind mark their
+  own subscription and wake the thread; a pass visits only the marked
+  subscriptions and coalesces each one's ready results into one
+  :class:`~repro.transport.messages.ResultBatchMessage`.  Delivery is
+  at-least-once: a batch the client never acks is redelivered, in its
+  original order, after :meth:`ResultSubscription.recover`.
 * Results at or above ``spill_threshold`` bytes are spilled to a
   ``repro.staging`` store and delivered as a ``DataRef`` record, so one
   huge payload cannot head-of-line-block a batch; the spilled object is
   deleted when the batch is acked.
-* The ack is where result bytes leave the service: the server keeps,
-  per task, its shard and the subscriptions that still owe an ack, and
-  the ack that empties the set releases the buffer on the task record
-  (a redelivery before that re-spills from it).  A task watched after
-  its release is delivered as a ``purged`` result.
+* The ack is where result bytes leave the service: it takes the
+  subscription off each record's ``readers``, and the ack that brings
+  the count to 0 releases the buffer (a redelivery before that re-spills
+  from it).  A watched result whose bytes or record are gone is
+  delivered as a ``purged`` result.
 
 Consumers are plain callables (in-process stand-ins for a client's
-WebSocket); one that raises is detached and its batch is nacked for
+WebSocket); one that raises is detached and its batch is requeued for
 redelivery after a reconnect — exactly the disconnect path.
 """
 
@@ -44,14 +44,13 @@ import logging
 import threading
 import time
 import uuid
-from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from collections import deque
+from typing import TYPE_CHECKING, Callable, Iterable
 
-from repro.core.flowcontrol import CreditLedger
 from repro.core.tasks import TaskState, uuid4_hex
+from repro.errors import TaskNotFound
 from repro.metrics.registry import COUNT_BUCKETS
 from repro.staging.transfer import DataStore, register_store, unregister_store
-from repro.store.queues import Lease, ReliableQueue
 from repro.transport.messages import ResultBatchMessage, ResultMessage
 from repro.transport.wakeup import (
     IDLE_FALLBACK,
@@ -71,42 +70,39 @@ logger = logging.getLogger(__name__)
 #: instead of in-band buffers.
 DEFAULT_SPILL_THRESHOLD = 64 * 1024
 
-#: Default per-subscriber credit window (delivered-unacked results).
+#: Default per-subscriber window (delivered-unacked results).
 DEFAULT_WINDOW = 64
 
 #: Hard cap on results coalesced into one ResultBatchMessage.
 MAX_BATCH = 256
 
 Consumer = Callable[[ResultBatchMessage], None]
+Router = Callable[[list[str]], "list[tuple[ServiceShard, list[str]]]"]
 
 
 class ResultSubscription:
-    """One client's result stream: watched tasks, ready queue, credits."""
+    """One client's result stream: watched tasks, ready deque, window."""
 
     def __init__(
         self,
         server: "ResultStreamServer",
         subscriber_id: str,
         window: int,
-        clock: Callable[[], float],
+        route: Router,
     ):
         self.subscriber_id = subscriber_id
         self.window = window
         self._server = server
-        #: Delivered-unacked budget; consumed per result on delivery,
-        #: released on ack (or nack/recover).
-        self.credits = CreditLedger(granted=window)
-        #: Ready-to-deliver task ids; at-least-once via lease/ack.
-        self.queue = ReliableQueue(
-            name=f"stream:{subscriber_id}", clock=clock)
+        self._route = route
         self._lock = threading.Lock()
-        self._watched: set[str] = set()              # guarded-by: self._lock
-        # watch()/offer() race from multiple client/shard threads that
-        # all classify as role "main"; the lock is load-bearing even
-        # though role inference sees a single role.
-        self._enqueued: set[str] = set()             # guarded-by: self._lock  # lint: ignore[threadroles]
+        # task id -> the shard its watch routed to, from watch() to the
+        # ack (or close); delivery and release go through that shard.
+        self._watched: dict[str, "ServiceShard"] = {}  # guarded-by: self._lock
+        # Finished, undelivered task ids, in completion order.
+        self._ready: deque[str] = deque()             # guarded-by: self._lock
+        # delivery id -> its task ids, until the client acks the batch.
+        self._unacked: dict[str, list[str]] = {}      # guarded-by: self._lock
         self._consumer: Consumer | None = None       # guarded-by: self._lock
-        self._unacked: dict[str, list[Lease]] = {}   # guarded-by: self._lock
         self._closed = False                         # guarded-by: self._lock
 
     # -- client side ---------------------------------------------------------
@@ -115,18 +111,40 @@ class ResultSubscription:
         self.watch_many((task_id,))
 
     def watch_many(self, task_ids: Iterable[str]) -> None:
-        """Register interest in a wave of tasks under one lock hold.
+        """Register interest in a wave of tasks: one shard call per
+        shard.  An id this subscription already holds registers nothing.
 
         Watching an already-terminal task (memo hits complete before the
-        watch lands) enqueues it immediately.
+        watch lands), or a minted id whose record has left, queues it at
+        once.  An id this plane never minted raises
+        :class:`~repro.errors.TaskNotFound`; ids the call routed to
+        other shards before it stay watched.
         """
-        task_ids = list(task_ids)
+        routed = self._route(list(task_ids))
         with self._lock:
             if self._closed:
                 raise RuntimeError(
                     f"subscription {self.subscriber_id} is closed")
-            self._watched.update(task_ids)
-        self._server.register_interest(self, task_ids)
+            # Held before the shard call: the completing wave may call
+            # tasks_ready before the call returns.
+            watched = self._watched
+            fresh = []
+            for shard, ids in routed:
+                ids = [task_id for task_id in dict.fromkeys(ids)
+                       if task_id not in watched]
+                watched.update(dict.fromkeys(ids, shard))
+                fresh.append((shard, ids))
+        for index, (shard, ids) in enumerate(fresh):
+            try:
+                ready = shard.watch(ids, self.tasks_ready) if ids else []
+            except TaskNotFound:
+                with self._lock:  # nothing registered from here on
+                    for _shard, unwatched in fresh[index:]:
+                        for task_id in unwatched:
+                            del watched[task_id]
+                raise
+            if ready:
+                self._queue(ready)
 
     def attach(self, consumer: Consumer) -> None:
         """Connect the client's delivery callback (or reconnect it)."""
@@ -150,106 +168,103 @@ class ResultSubscription:
     def ack(self, delivery_id: str) -> int:
         """Acknowledge a delivered batch; returns results retired.
 
-        Retires the queue leases, forgets the batch's task ids (a
-        long-lived subscription does not grow with the tasks it has
-        seen), releases the batch's credits (opening the window for the
-        next wave), deletes any payloads spilled for the batch and
-        releases the result bytes of tasks this was the last watcher of.
+        Forgets the batch's task ids (a long-lived subscription does not
+        grow with the tasks it has seen), opens the window for the next
+        wave, deletes any payloads spilled for the batch and takes this
+        reader off each record, releasing the result bytes of those it
+        was the last reader of.
         """
         with self._lock:
-            leases = self._unacked.pop(delivery_id, None)
-        if leases is None:
-            return 0
-        self.retire(leases)
-        self.credits.release(len(leases))
-        if self.queue.depth:
-            # An empty backlog needs no pass: the next put marks us itself.
+            task_ids = self._unacked.pop(delivery_id, None)
+            if task_ids is None:
+                return 0
+            watched = self._watched
+            routed = _by_shard((task_id, watched.pop(task_id))
+                               for task_id in task_ids)
+            backlog = bool(self._ready)
+        self._server.drop_spills(self.subscriber_id, task_ids)
+        for shard, ids in routed.items():
+            shard.unwatch(ids, release=True)
+        if backlog:
+            # An empty backlog needs no pass: the next result marks us.
             self._server.mark(self)
-        return len(leases)
+        return len(task_ids)
 
     def recover(self) -> int:
         """Requeue every delivered-unacked batch (reconnect path).
 
         A client that lost batches in flight calls this after
-        re-attaching; the results redeliver under fresh delivery ids.
-        Returns the number of results requeued.
+        re-attaching; the results redeliver, in their original order,
+        under fresh delivery ids.  Returns the number requeued.
         """
-        with self._lock:
-            unacked = list(self._unacked.values())
-            self._unacked.clear()
-        count = 0
-        for leases in unacked:
-            for lease in leases:
-                self.queue.nack(lease.lease_id)
-                # The redelivery re-spills from the task record; keeping
-                # the old object would leak it if the client never asks.
-                self._server.drop_spill(self.subscriber_id, lease.item)
-                count += 1
-            self.credits.release(len(leases))
-        if count:  # the nacks' marks may be spent on a still-closed window
+        count = self.requeue()
+        if count:
             self._server.mark(self)
         return count
 
     # -- server side ---------------------------------------------------------
-    def tasks_ready(self, task_ids: Iterable[str]) -> None:
-        """Watched tasks reached a terminal state; enqueue each once."""
+    def tasks_ready(self, tasks: list["Task"]) -> None:
+        """The waiter the watch left on each record: the wave that
+        completed these watched tasks calls it once."""
+        self._queue([task.task_id for task in tasks])
+
+    def _queue(self, task_ids: list[str]) -> None:
         with self._lock:
             if self._closed:
                 return
-            fresh = [task_id for task_id in task_ids
-                     if task_id in self._watched
-                     and task_id not in self._enqueued]
-            self._enqueued.update(fresh)
-        self.queue.put_many(fresh)
+            self._ready.extend(task_ids)
+        self._server.mark(self)
 
-    def retire(self, leases: list[Lease]) -> None:
-        """Finish with delivered (or undeliverable) results for good:
-        ack their leases, drop their spills, forget their ids and tell
-        the server this reader is done with them.  Until then
-        ``_enqueued`` keeps a second terminal notification from queueing
-        a result twice."""
-        self.queue.ack_many(lease.lease_id for lease in leases)
+    def take(self, delivery_id: str, limit: int) -> tuple[
+            Consumer | None, dict["ServiceShard", list[str]], bool]:
+        """Move up to ``limit`` ready results — no more than the window
+        has room for — into the unacked map under ``delivery_id``.
+        Returns the consumer, the results by shard, and whether a
+        backlog is left behind."""
         with self._lock:
-            for lease in leases:
-                self._watched.discard(lease.item)
-                self._enqueued.discard(lease.item)
-        self._server.reader_done(
-            self.subscriber_id, [lease.item for lease in leases])
+            consumer = self._consumer
+            ready = self._ready
+            if consumer is None or not ready:
+                return None, {}, False
+            room = self.window - sum(map(len, self._unacked.values()))
+            task_ids = [ready.popleft()
+                        for _ in range(min(room, limit, len(ready)))]
+            if task_ids:
+                self._unacked[delivery_id] = task_ids
+            watched = self._watched
+            return consumer, _by_shard((task_id, watched[task_id])
+                                       for task_id in task_ids), bool(ready)
 
-    def note_delivered(self, delivery_id: str, leases: list[Lease]) -> None:
-        """Record an in-flight batch awaiting the client's ack."""
+    def requeue(self, delivery_id: str | None = None) -> int:
+        """Put one delivered-unacked batch (or, for ``None``, all of
+        them) back at the front of the ready deque, in delivery order,
+        without a wake-up, and delete their spills: the redelivery
+        re-spills from the record, so an undelivered DataRef must not
+        outlive its batch."""
         with self._lock:
-            self._unacked[delivery_id] = leases
-
-    def recover_delivery(self, delivery_id: str) -> int:
-        """Requeue one delivered batch (consumer raised mid-delivery).
-
-        The erroring-consumer detach path: credits come back to the
-        window and any payload spilled for the batch is deleted — the
-        redelivery re-spills from the task record, so an undelivered
-        DataRef must not outlive its batch.
-        """
-        with self._lock:
-            leases = self._unacked.pop(delivery_id, None)
-        if leases is None:
-            return 0
-        for lease in leases:
-            self.queue.nack(lease.lease_id)
-            self._server.drop_spill(self.subscriber_id, lease.item)
-        self.credits.release(len(leases))
-        return len(leases)
+            if delivery_id is None:
+                batches = list(self._unacked.values())
+                self._unacked.clear()
+            else:
+                batch = self._unacked.pop(delivery_id, None)
+                batches = [] if batch is None else [batch]
+            task_ids = [task_id for batch in batches for task_id in batch]
+            self._ready.extendleft(reversed(task_ids))
+        self._server.requeued(self.subscriber_id, task_ids)
+        return len(task_ids)
 
     # -- introspection -------------------------------------------------------
     @property
     def unacked_results(self) -> int:
         """Delivered-unacked results (bounded by ``window``)."""
         with self._lock:
-            return sum(len(leases) for leases in self._unacked.values())
+            return sum(map(len, self._unacked.values()))
 
     @property
     def backlog(self) -> int:
-        """Ready-but-undelivered results shed into the queue."""
-        return self.queue.depth
+        """Ready-but-undelivered results."""
+        with self._lock:
+            return len(self._ready)
 
     @property
     def watched(self) -> int:
@@ -258,33 +273,48 @@ class ResultSubscription:
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
+        """Stop the stream: every record this subscription still holds
+        loses its reader, releasing nothing — what was never acked stays
+        on the record for ``get_result`` until it expires.  Waiters left
+        on unfinished records find the subscription closed and do
+        nothing."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             self._consumer = None
-            unacked = list(self._unacked.values())
+            unacked = [task_id for batch in self._unacked.values()
+                       for task_id in batch]
             self._unacked.clear()
-        # Delivered-unacked batches die with the subscription: give their
-        # credits back (balanced books for the protocol sanitizer) and
-        # delete their spilled payloads — nobody can ack them now.
-        for leases in unacked:
-            for lease in leases:
-                self._server.drop_spill(self.subscriber_id, lease.item)
-            self.credits.release(len(leases))
-        self.queue.close()
+            self._ready.clear()
+            routed = _by_shard(self._watched.items())
+            self._watched = {}
+        # Nobody can ack the delivered-unacked batches now: delete their
+        # spilled payloads.
+        self._server.drop_spills(self.subscriber_id, unacked)
+        for shard, ids in routed.items():
+            shard.unwatch(ids, release=False)
         self._server.forget(self)
 
 
-class ResultStreamServer:
-    """Streams ResultBatchMessages to subscribed clients, credit-bounded.
+def _by_shard(
+    pairs: Iterable[tuple[str, "ServiceShard"]]
+) -> dict["ServiceShard", list[str]]:
+    """``(task id, shard)`` pairs as task ids grouped by shard."""
+    routed: dict["ServiceShard", list[str]] = {}
+    for task_id, shard in pairs:
+        routed.setdefault(shard, []).append(task_id)
+    return routed
 
-    One per :class:`~repro.core.service.FuncXService`, over every shard:
-    a watch resolves each task id to its shard once and keeps the shard
-    on the task's interest entry, which delivery reads records through
-    and the last ack releases bytes through.  The service notifies
-    :meth:`on_tasks_terminal` from its completion path.  The delivery
-    thread starts lazily with the first subscription and is shut down by
+
+class ResultStreamServer:
+    """Streams ResultBatchMessages to subscribed clients, window-bounded.
+
+    One per :class:`~repro.core.service.FuncXService`, over every shard.
+    It keeps only the subscriptions, the ready set of marked ones and
+    the spill store: what a subscription watches, and which shard each
+    task lives on, its own books hold.  The delivery thread starts
+    lazily with the first subscription and is shut down by
     :meth:`close` (wired into the deployment's shutdown).
     """
 
@@ -303,10 +333,6 @@ class ResultStreamServer:
         # Subscriptions with something to deliver, in marking order: the
         # only ones a pass visits.
         self._ready: dict[ResultSubscription, None] = {}  # guarded-by: self._lock
-        # task id -> (its shard, subscriptions that still owe an ack for
-        # it), from watch() to retire(); the retire that empties the set
-        # releases the task's result bytes on that shard.
-        self._interest: dict[str, tuple["ServiceShard", set[str]]] = {}  # guarded-by: self._lock
         # subscribe()/close() race from *multiple* client threads that
         # all classify as role "main"; the lock is load-bearing even
         # though role inference sees a single role.
@@ -339,7 +365,8 @@ class ResultStreamServer:
         subscriber_id: str | None = None,
         auto_deliver: bool = True,
     ) -> ResultSubscription:
-        """Open a subscription with a ``window``-result credit budget.
+        """Open a subscription holding at most ``window`` delivered-
+        unacked results.
 
         ``auto_deliver=False`` skips the delivery thread; the caller
         drives :meth:`step` explicitly (deterministic tests).
@@ -347,8 +374,8 @@ class ResultStreamServer:
         if window < 1:
             raise ValueError("window must be positive")
         sub = ResultSubscription(
-            self, subscriber_id or uuid.uuid4().hex[:12], window, self._clock)
-        sub.queue.wakeup = partial(self.mark, sub)
+            self, subscriber_id or uuid.uuid4().hex[:12], window,
+            self._service.route)
         with self._lock:
             if self._closed:
                 raise RuntimeError("result stream is closed")
@@ -358,62 +385,22 @@ class ResultStreamServer:
         return sub
 
     def forget(self, sub: ResultSubscription) -> None:
-        """Drop a closed subscription and its interest entries.  What it
-        never acked stays on the record for ``get_result`` until the
-        record expires."""
+        """Drop a closed subscription."""
         with self._lock:
             self._subs.pop(sub.subscriber_id, None)
             self._ready.pop(sub, None)
-            for task_id, (_shard, watchers) in list(self._interest.items()):
-                watchers.discard(sub.subscriber_id)
-                if not watchers:
-                    del self._interest[task_id]
-
-    def register_interest(self, sub: ResultSubscription,
-                          task_ids: list[str]) -> None:
-        """Bind ``task_ids`` to ``sub``, each with its shard; fast-path
-        already-terminal tasks."""
-        routed = self._service.route(task_ids)
-        with self._lock:
-            interest = self._interest
-            for shard, ids in routed:
-                for task_id in ids:
-                    entry = interest.get(task_id)
-                    if entry is None:
-                        entry = interest[task_id] = (shard, set())
-                    entry[1].add(sub.subscriber_id)
-        ready = [task.task_id for shard, ids in routed
-                 for task in shard.get_tasks(ids)
-                 if task is not None and task.state.terminal]
-        if ready:
-            sub.tasks_ready(ready)
 
     def subscription_count(self) -> int:
         with self._lock:
             return len(self._subs)
 
     def mark(self, sub: ResultSubscription) -> None:
-        """``sub`` may have something to deliver (results queued, a
-        consumer attached, credits freed over a backlog): put it in the
+        """``sub`` may have something to deliver (results ready, a
+        consumer attached, room freed over a backlog): put it in the
         next pass and wake the delivery thread."""
         with self._lock:
             self._ready[sub] = None
         self._wakeup.set()
-
-    # -- service side --------------------------------------------------------
-    def on_tasks_terminal(self, tasks: list["Task"]) -> None:
-        """Completion-path hook: fan a wave of terminal tasks to their
-        watchers — one enqueue (and one wake-up) per subscription."""
-        ready: dict[ResultSubscription, list[str]] = {}
-        with self._lock:
-            for task in tasks:
-                entry = self._interest.get(task.task_id)
-                for subscriber_id in entry[1] if entry else ():
-                    sub = self._subs.get(subscriber_id)
-                    if sub is not None:
-                        ready.setdefault(sub, []).append(task.task_id)
-        for sub, task_ids in ready.items():
-            sub.tasks_ready(task_ids)
 
     # -- delivery ------------------------------------------------------------
     def step(self) -> int:
@@ -437,67 +424,35 @@ class ResultStreamServer:
         return total
 
     def _deliver(self, sub: ResultSubscription) -> int:
-        consumer = sub.consumer
-        if consumer is None:
-            return 0
-        budget = min(sub.credits.available, MAX_BATCH)
-        if budget <= 0:
-            if sub.backlog > 0:
+        delivery_id = uuid4_hex()
+        consumer, by_shard, backlog = sub.take(delivery_id, MAX_BATCH)
+        if not by_shard:
+            if backlog:
                 self._c_credit_stalls.inc()
             return 0
-        leases = sub.queue.lease_many(budget)
-        if not leases:
-            return 0
-        if len(leases) == budget and sub.backlog:
-            # Stopped at MAX_BATCH or the window, not at an empty queue.
+        if backlog:
+            # Stopped at MAX_BATCH or the window, not at an empty deque.
             self.mark(sub)
         now = self._clock()
         # One table read per shard, through the shard the watch resolved.
-        by_shard: dict["ServiceShard | None", list[Lease]] = {}
-        with self._lock:
-            interest = self._interest
-            for lease in leases:
-                entry = interest.get(lease.item)
-                by_shard.setdefault(entry[0] if entry else None,
-                                    []).append(lease)
         results: list[ResultMessage] = []
-        kept: list[Lease] = []
-        vanished: list[Lease] = []
         try:
-            for shard, group in by_shard.items():
-                tasks = (shard.get_tasks([lease.item for lease in group])
-                         if shard else [None] * len(group))
-                for lease, task in zip(group, tasks):
-                    if task is None or not task.state.terminal:
-                        # Task record (or interest) vanished: nothing to
-                        # deliver.  (Only terminal ids enqueue; the state
-                        # test is defensive.)
-                        vanished.append(lease)
-                        continue
-                    if lease.deliveries > 1:
-                        self._c_redelivered.inc()
-                    results.append(self._result_message(sub, task, now))
-                    kept.append(lease)
+            for shard, task_ids in by_shard.items():
+                for task_id, task in zip(task_ids, shard.get_tasks(task_ids)):
+                    results.append(
+                        _purged_message(task_id, now) if task is None
+                        else self._result_message(sub, task, now))
         except Exception:
-            # No credit consumed, nothing recorded yet: hand the leases back
-            # in order, unannounced (``step`` re-marks), and drop their spills.
-            for lease in reversed(leases):
-                sub.queue.nack(lease.lease_id, wake=False)
-                self.drop_spill(sub.subscriber_id, lease.item)
+            # Hand the results back in order, unannounced (``step``
+            # re-marks), and drop their spills.
+            sub.requeue(delivery_id)
             raise
-        if vanished:
-            sub.retire(vanished)
-        if not results:
-            return 0
-        sub.credits.consume(len(kept))
-        delivery_id = uuid4_hex()
         batch = ResultBatchMessage(
             sender="result-stream",
             results=tuple(results),
             delivery_id=delivery_id,
             subscriber_id=sub.subscriber_id,
         )
-        sub.note_delivered(delivery_id, kept)
         self._h_batch.observe(float(len(results)))
         try:
             consumer(batch)
@@ -509,7 +464,7 @@ class ResultStreamServer:
                 "result-stream consumer failed; detaching subscriber %s",
                 sub.subscriber_id)
             sub.detach()
-            sub.recover_delivery(delivery_id)
+            sub.requeue(delivery_id)
             return 0
         self._c_batches.inc()
         self._c_delivered.inc(len(results))
@@ -543,27 +498,15 @@ class ResultStreamServer:
             purged=purged,
         )
 
-    def drop_spill(self, subscriber_id: str, task_id: str) -> None:
-        """Delete a spilled payload once its batch is acked."""
-        self.spill.delete(f"{subscriber_id}:{task_id}")
-
-    def reader_done(self, subscriber_id: str, task_ids: list[str]) -> None:
-        """A subscription retired these results: drop what was spilled
-        for it and release the bytes of tasks it was the last watcher of."""
-        last: dict["ServiceShard", list[str]] = {}
-        with self._lock:
-            for task_id in task_ids:
-                entry = self._interest.get(task_id)
-                if entry is not None:
-                    shard, watchers = entry
-                    watchers.discard(subscriber_id)
-                    if not watchers:
-                        del self._interest[task_id]
-                        last.setdefault(shard, []).append(task_id)
+    def drop_spills(self, subscriber_id: str, task_ids: list[str]) -> None:
+        """Delete what was spilled for a batch that is acked or dead."""
         for task_id in task_ids:
-            self.drop_spill(subscriber_id, task_id)
-        for shard, ids in last.items():
-            shard.release_results(ids)
+            self.spill.delete(f"{subscriber_id}:{task_id}")
+
+    def requeued(self, subscriber_id: str, task_ids: list[str]) -> None:
+        """A subscription put delivered results back for redelivery."""
+        self._c_redelivered.inc(len(task_ids))
+        self.drop_spills(subscriber_id, task_ids)
 
     # -- delivery thread -----------------------------------------------------
     def _ensure_thread(self) -> None:
@@ -585,15 +528,16 @@ class ResultStreamServer:
                 return
             self._closed = True
             thread = self._thread
-            subs = list(self._subs.values())
             self._subs.clear()
             self._ready.clear()
-            self._interest.clear()
         self._stop.set()
         self._wakeup.set()
         if thread is not None:
             join_thread(thread, 5.0)
-        for sub in subs:
-            sub.queue.close()
         unregister_store(self.spill.name)
 
+
+def _purged_message(task_id: str, now: float) -> ResultMessage:
+    """The result of a watched task whose record left the table."""
+    return ResultMessage(sender="result-stream", task_id=task_id,
+                         success=False, completed_at=now, purged=True)

@@ -77,8 +77,9 @@ def new_task_id() -> str:
     return f"{h[:8]}-{h[8:12]}-{h[12:16]}-{h[16:20]}-{h[20:]}"
 
 
-#: What a shard calls, once, with the record that turned terminal.
-Waiter = Callable[["Task"], None]
+#: What a shard calls, once per completing wave, with the records of the
+#: wave it waits on.
+Waiter = Callable[[list["Task"]], None]
 
 #: The timeline's stages, each ``(stage, from, to)``: the interval between
 #: two ``state_times`` stamps, ``to=None`` meaning the terminal state's.
@@ -128,8 +129,8 @@ class Task:
         Serialized ``(args, kwargs)`` routed buffer; dropped at the
         terminal state, ``payload_size`` keeps its length.
     result_buffer:
-        Serialized result; dropped (``released``) when the last stream
-        watcher acks its delivery, ``result_size`` keeps its length.
+        Serialized result; dropped (``released``) when the last of its
+        ``readers`` acks its delivery, ``result_size`` keeps its length.
     expires_at:
         When the terminal record leaves its shard's table: ``result_ttl``
         after the later of its terminal time and its last ``get_result``.
@@ -160,11 +161,15 @@ class Task:
     memo_hit: bool = False
     state_times: dict[str, float] = field(default_factory=dict)
     metadata: dict[str, Any] = field(default_factory=dict)
-    #: ``callback(task)``s to fire when the task turns terminal, ``None``
+    #: ``callback(tasks)``s to fire when the task turns terminal, ``None``
     #: while nobody waits.  Registered, withdrawn and collected only by
     #: the owning :class:`~repro.core.shard.ServiceShard`, under its lock.
     waiters: list[Waiter] | None = field(  # guarded-by: ServiceShard._lock
         default=None, repr=False, compare=False)
+    #: Stream subscriptions that watch the task and have not acked its
+    #: delivery; the ack that brings it to 0 releases ``result_buffer``.
+    readers: int = field(  # guarded-by: ServiceShard._lock
+        default=0, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.payload_size = len(self.payload_buffer)

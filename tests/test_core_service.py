@@ -237,7 +237,7 @@ class TestRequeue:
         queue = service.task_queue(endpoint_id)
         lease = queue.lease()
         service.tasks_dispatched([service.task_by_id(task_id)])
-        assert service.requeue_task(task_id, reason="endpoint lost", enqueue=False)
+        assert service.requeue_task(task_id, reason="endpoint lost")
         queue.nack(lease.lease_id)
         task = service.task_by_id(task_id)
         assert task.state is TaskState.QUEUED

@@ -10,7 +10,7 @@ import pytest
 
 from repro import LocalDeployment, ServiceConfig
 from repro.core.client import FuncXClient
-from repro.core.executor import AtomicController, FuncXExecutor
+from repro.core.executor import FuncXExecutor
 from repro.errors import (
     TaskCancelled,
     TaskExecutionFailed,
@@ -56,29 +56,6 @@ def client(deployment):
 @pytest.fixture
 def endpoint_id(deployment):
     return deployment.create_endpoint("exec-ep", nodes=1)
-
-
-class TestAtomicController:
-    def test_start_fires_on_zero_to_positive_edge(self):
-        starts, stops = [], []
-        controller = AtomicController(lambda: starts.append(1),
-                                      lambda: stops.append(1))
-        controller.increment()
-        controller.increment()
-        assert starts == [1]  # only the edge fires, not every increment
-        assert controller.value == 2
-
-    def test_reset_returns_drained_and_fires_stop(self):
-        starts, stops = [], []
-        controller = AtomicController(lambda: starts.append(1),
-                                      lambda: stops.append(1))
-        controller.increment(3)
-        assert controller.reset() == 3
-        assert stops == [1]
-        assert controller.reset() == 0  # empty drain: no stop callback
-        assert stops == [1]
-        controller.increment()
-        assert starts == [1, 1]  # edge re-arms after a drain
 
 
 class TestExecutor:

@@ -9,7 +9,7 @@ and nothing sleeps to synchronise:
   ``sleeper=``, with the batcher's submits let through one wave at a
   time where the test needs a particular wave shape;
 * the result stream's pass visits only marked subscriptions — counted
-  as ``_deliver`` and ``queue.lease_many`` calls;
+  as ``_deliver`` and ``take`` calls;
 * an ack marks its subscription only over a backlog;
 * a raising pass leaves the delivery thread serving.
 """
@@ -155,20 +155,13 @@ class TestExecutorHold:
 
     def test_call_landing_behind_the_drain_keeps_its_edge(
             self, deployment, endpoint_id):
-        # A call appended between the batcher's swap and the controller's
-        # reset would count 1 -> 2 (no edge) and then be zeroed: pending,
-        # nothing latched.  The executor's clock stands still, so the
-        # idle fallback never rescues it — a lost edge is a hang.
+        # A call appended just after the batcher's swap finds the list
+        # empty and must wake the batcher itself; a lost edge leaves it
+        # pending with nothing latched.  The executor's clock stands
+        # still, so the idle fallback never rescues it — a lost edge is a
+        # hang.
         client = deployment.client()
         executor = client.executor(endpoint_id, clock=lambda: 0.0)
-        reset = executor.controller.reset
-        locked = []
-
-        def reset_under_the_swap():
-            locked.append(executor._lock.locked())
-            return reset()
-
-        executor.controller.reset = reset_under_the_swap
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -180,7 +173,6 @@ class TestExecutorHold:
                         2 * i, -2 * i]
         finally:
             sys.setswitchinterval(interval)
-        assert locked and all(locked)
 
 
 # ======================================================================
@@ -262,11 +254,11 @@ class TestOnePassOneSubscription:
         task_id = submit()
         subs[2].watch(task_id)
         delivers = count_calls(server, "_deliver")
-        leases = [count_calls(sub.queue, "lease_many") for sub in subs]
+        takes = [count_calls(sub, "take") for sub in subs]
         complete(service, task_id)
         assert server.step() == 1
         assert [args[0] for args in delivers] == [subs[2]]
-        assert [len(calls) for calls in leases] == [0, 0, 1, 0]
+        assert [len(calls) for calls in takes] == [0, 0, 1, 0]
         assert consumers[2].task_ids == [task_id]
 
     def test_delivery_and_ack_cost_one_pass(self, service, submit):
@@ -327,7 +319,7 @@ class TestOnePassOneSubscription:
         sub.ack(consumer.batches[2].delivery_id)
         before = len(delivers)
         assert server.step() == 0 and len(delivers) == before
-        assert sub.credits.available == 2 and sub.backlog == 0
+        assert sub.window - sub.unacked_results == 2 and sub.backlog == 0
 
     def test_live_ack_frees_a_stalled_subscription(self, service, submit):
         server = service.result_stream
@@ -344,9 +336,9 @@ class TestOnePassOneSubscription:
         assert service.metrics.counter("stream.credit_stalls").value >= 1
 
     def test_recover_marks_after_the_credits_are_back(self, service, submit):
-        # A pass that runs between recover()'s nacks and its release of
-        # their credits finds the window closed and spends the nacks'
-        # marks; recover must leave a mark behind the release.
+        # recover() requeues the results and opens the window in one lock
+        # hold, so no pass can find them back with the window still shut;
+        # the mark it leaves is the whole redelivery.
         server = service.result_stream
         sub = server.subscribe(window=3, auto_deliver=False)
         consumer = Consumer(sub, ack=False)
@@ -354,17 +346,8 @@ class TestOnePassOneSubscription:
         sub.watch_many(task_ids)
         for task_id in task_ids:
             complete(service, task_id)
-        assert server.step() == 3 and sub.credits.available == 0
-        release = sub.credits.release
-        early = []
-
-        def pass_then_release(count):
-            early.append(server.step())     # the delivery thread got in first
-            return release(count)
-
-        sub.credits.release = pass_then_release
+        assert server.step() == 3 and sub.window - sub.unacked_results == 0
         assert sub.recover() == 3
-        assert early == [0]
         assert server.step() == 3
         assert sorted(consumer.task_ids[3:]) == sorted(task_ids)
 
@@ -424,6 +407,52 @@ class TestNoLostWakeUp:
             assert sub.backlog == 0 and sub.unacked_results == 0
 
 
+    def test_racing_watches_and_acks_release_each_result_once(
+            self, service, submit):
+        # Eight subscriptions watch the same tasks while a ninth thread
+        # completes them and the delivery thread acks: a lost update on
+        # a record's ``readers`` would leave it above 0 (bytes pinned)
+        # or release a result twice.
+        server = service.result_stream
+        task_ids = [submit() for _ in range(40)]
+        subs = [server.subscribe(window=4) for _ in range(8)]
+        consumers = [Consumer(sub) for sub in subs]
+        start = threading.Barrier(len(subs) + 1)
+
+        def watcher(sub):
+            start.wait(WAIT)
+            for task_id in task_ids:
+                sub.watch(task_id)
+
+        def completer():
+            start.wait(WAIT)
+            for task_id in task_ids:
+                complete(service, task_id)
+
+        threads = [threading.Thread(target=watcher, args=(sub,))
+                   for sub in subs]
+        threads.append(threading.Thread(target=completer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for consumer in consumers:
+                while len(consumer.task_ids) < len(task_ids):
+                    consumer.await_batch()
+        finally:
+            sys.setswitchinterval(interval)
+            for thread in threads:
+                thread.join(WAIT)
+        assert not any(thread.is_alive() for thread in threads)
+        for consumer in consumers:
+            assert sorted(consumer.task_ids) == sorted(task_ids)
+        records = [service.task_by_id(task_id) for task_id in task_ids]
+        assert all(task.readers == 0 and task.released for task in records)
+        assert service.metrics.counter(
+            "service.results_purged").value == len(task_ids)
+
+
 class TestRaisingPass:
     def test_thread_survives_and_nothing_is_released_twice(
             self, service, submit, monkeypatch):
@@ -467,7 +496,7 @@ class TestRaisingPass:
         # Nothing released twice: the retry consumed the window once and
         # the acks returned all of it.
         assert service.metrics.counter("stream.redeliveries").value == 2
-        assert sub.credits.available == sub.window
+        assert sub.window - sub.unacked_results == sub.window
         assert sub.backlog == 0 and sub.unacked_results == 0
         assert len(server.spill) == 0
 
@@ -533,4 +562,4 @@ class TestRaisingPass:
                  IDLE_FALLBACK)
         assert latched == [(False, IDLE_FALLBACK)] * 3
         assert builds == [task_id] * 3      # retried once per idle wait
-        assert sub.backlog == 1 and sub.credits.available == sub.window
+        assert sub.backlog == 1 and sub.window - sub.unacked_results == sub.window

@@ -236,7 +236,6 @@ def test_protocol_sites_cover_the_fabric_modules():
     assert "repro.endpoint.manager" in modules("credit", "grant")
     assert "repro.endpoint.manager" in modules("credit", "consume")
     assert "repro.endpoint.worker" in modules("credit", "release")
-    assert "repro.core.stream" in modules("credit", "release")
     assert "repro.monitoring" in modules("subscription", "subscribe")
     assert "repro.monitoring" in modules("subscription", "unsubscribe")
     assert "repro.core.executor" in modules("stream", "subscribe")

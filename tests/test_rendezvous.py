@@ -138,15 +138,15 @@ class TestWhenTerminal:
         world = World()
         task_id = world.client.run(world.function_id, world.endpoint_id, 1)
         fired = []
-        world.shard.when_terminal(task_id, fired.append)
-        world.shard.when_terminal(task_id, fired.append)
+        world.shard.when_terminal(task_id, fired.extend)
+        world.shard.when_terminal(task_id, fired.extend)
         assert fired == [] and world.waiters() == 2
         world.complete([task_id])
         task = world.service.task_by_id(task_id)
         assert fired == [task, task]
         assert world.waiters() == 0
         # the wave has been through: a late waiter is called at once
-        world.shard.when_terminal(task_id, fired.append)
+        world.shard.when_terminal(task_id, fired.extend)
         assert len(fired) == 3 and world.waiters() == 0
 
     def test_settled_but_not_retired_registers_instead_of_firing_early(self):
@@ -161,7 +161,7 @@ class TestWhenTerminal:
                               result_buffer=world.serializer.serialize(2))
         assert task.state.terminal and task.expires_at is None
         fired = []
-        world.shard.when_terminal(task_id, fired.append)
+        world.shard.when_terminal(task_id, fired.extend)
         assert fired == []
         world.service._retire(world.shard, [task])
         assert fired == [task]
@@ -169,11 +169,11 @@ class TestWhenTerminal:
     def test_unknown_record_raises(self):
         world = World()
         with pytest.raises(TaskNotFound):
-            world.shard.when_terminal("ghost-s0", lambda task: None)
+            world.shard.when_terminal("ghost-s0", lambda tasks: None)
         task_id = world.client.run(world.function_id, world.endpoint_id, 1)
         world.service.forget_task(task_id)
         with pytest.raises(TaskNotFound):
-            world.shard.when_terminal(task_id, lambda task: None)
+            world.shard.when_terminal(task_id, lambda tasks: None)
 
     def test_forgotten_while_completing_still_fires(self):
         """The waiter lives on the record, not in a table keyed by id: a
@@ -182,7 +182,7 @@ class TestWhenTerminal:
         task_id = world.client.run(world.function_id, world.endpoint_id, 1)
         task = world.service.task_by_id(task_id)
         fired = []
-        world.shard.when_terminal(task_id, fired.append)
+        world.shard.when_terminal(task_id, fired.extend)
         world.service._settle(task, success=True,
                               result_buffer=world.serializer.serialize(2))
         world.service.forget_task(task_id)
@@ -194,14 +194,14 @@ class TestWhenTerminal:
         task_id = world.client.run(world.function_id, world.endpoint_id, 1)
         task = world.service.task_by_id(task_id)
         kept, gone = [], []
-        world.shard.when_terminal(task_id, kept.append)
-        world.shard.when_terminal(task_id, gone.append)
-        world.shard.withdraw(task, gone.append)
-        world.shard.withdraw(task, gone.append)  # idempotent
+        world.shard.when_terminal(task_id, kept.extend)
+        world.shard.when_terminal(task_id, gone.extend)
+        world.shard.withdraw(task, gone.extend)
+        world.shard.withdraw(task, gone.extend)  # idempotent
         assert world.waiters() == 1
         world.complete([task_id])
         assert kept == [task] and gone == []
-        world.shard.withdraw(task, kept.append)  # after firing: a no-op
+        world.shard.withdraw(task, kept.extend)  # after firing: a no-op
 
     def test_registration_racing_completion_fires_exactly_once(self):
         """1,000 rounds of ``when_terminal`` against ``complete_tasks``
@@ -236,7 +236,7 @@ class TestWhenTerminal:
             thread.start()
             spin = 0
             for index, task_id in enumerate(task_ids):
-                def bump(_task, index=index):
+                def bump(_tasks, index=index):
                     fired[index] += 1
 
                 start.wait()
@@ -348,23 +348,23 @@ class TestABadWaiterStopsNothing:
         world = World()
         first, second = (world.client.run(world.function_id,
                                           world.endpoint_id, i) for i in (1, 2))
-        fired, published, streamed = [], [], []
+        fired, published = [], []
 
-        def bad(_task):
+        def bad(_tasks):
             raise RuntimeError("waiter crashed")
 
         world.shard.when_terminal(first, bad)
-        world.shard.when_terminal(first, fired.append)
-        world.shard.when_terminal(second, fired.append)
+        world.shard.when_terminal(first, fired.extend)
+        world.shard.when_terminal(second, fired.extend)
+        # A stream watch is a waiter too, registered behind the bad one.
+        stream = world.service.result_stream.subscribe(auto_deliver=False)
+        stream.watch_many([first, second])
         on_terminal(world.service.events,
                     lambda tasks: published.append(len(tasks)))
-        inner = world.service.result_stream.on_tasks_terminal
-        world.service.result_stream.on_tasks_terminal = (
-            lambda tasks: (streamed.append(len(tasks)), inner(tasks)))
         with caplog.at_level(logging.ERROR, logger="repro.core.service"):
             world.complete([first, second])
         assert [task.task_id for task in fired] == [first, second]
-        assert published == [2] and streamed == [2]
+        assert published == [2] and stream.backlog == 2
         assert world.waiters() == 0
         assert sum("waiter for task" in record.message
                    for record in caplog.records) == 1

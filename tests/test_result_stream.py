@@ -19,7 +19,7 @@ from repro.auth import AuthService
 from repro.core.service import FuncXService, ServiceConfig
 from repro.core.stream import MAX_BATCH
 from repro.core.tasks import TaskState
-from repro.errors import TaskCancelled
+from repro.errors import TaskCancelled, TaskNotFound
 from repro.serialize import FuncXSerializer
 from repro.staging.transfer import fetch_ref
 
@@ -171,10 +171,11 @@ class TestSubscription:
         task_id = submit_one(service, user_token, function_id, endpoint_id)
         sub.watch(task_id)
         service.complete_task(task_id, success=True, result_buffer=b"r")
-        # A second terminal notification (requeue race) must not enqueue
-        # the result twice.
-        service.result_stream.on_tasks_terminal([service.task_by_id(task_id)])
-        sub.tasks_ready([task_id])
+        # A duplicate result (requeue race) and a second watch of the id
+        # the subscription holds must not queue the result twice.
+        assert not service.complete_task(task_id, success=True,
+                                         result_buffer=b"r")
+        sub.watch(task_id)
         assert service.result_stream.step() == 1
         assert service.result_stream.step() == 0
 
@@ -286,7 +287,117 @@ class TestSubscription:
     def test_batch_cap(self, service):
         sub = service.result_stream.subscribe(
             window=10 * MAX_BATCH, auto_deliver=False)
-        assert sub.credits.available == 10 * MAX_BATCH  # window as granted
+        assert sub.window - sub.unacked_results == 10 * MAX_BATCH  # as granted
+
+
+class TestWatchIsAWaiter:
+    """A watch is a waiter on the task record plus one of its readers."""
+
+    def test_a_wave_is_one_call_and_one_mark(self, service, user_token,
+                                             function_id, endpoint_id):
+        server = service.result_stream
+        sub = server.subscribe(auto_deliver=False)
+        calls, marks = [], []
+        tasks_ready, mark = sub.tasks_ready, server.mark
+
+        def counted_ready(tasks):
+            calls.append(len(tasks))
+            tasks_ready(tasks)
+
+        def counted_mark(marked):
+            marks.append(marked)
+            mark(marked)
+
+        sub.tasks_ready = counted_ready     # the waiter the watch leaves
+        server.mark = counted_mark
+        task_ids = [submit_one(service, user_token, function_id, endpoint_id)
+                    for _ in range(8)]
+        sub.watch_many(task_ids)
+        assert calls == [] and marks == []
+        service.complete_tasks(service.shards[0], [
+            (task_id, True, b"r", None, 0.0, {}) for task_id in task_ids])
+        assert calls == [8] and marks == [sub]
+        assert sub.backlog == 8
+
+    def test_recover_redelivers_in_the_original_order(
+            self, service, user_token, function_id, endpoint_id):
+        sub = service.result_stream.subscribe(auto_deliver=False)
+        collector = Collector()
+        sub.attach(collector)
+        task_ids = [submit_one(service, user_token, function_id, endpoint_id)
+                    for _ in range(5)]
+        sub.watch_many(task_ids)
+        for wave in (task_ids[:3], task_ids[3:]):  # two unacked batches
+            for task_id in wave:
+                service.complete_task(task_id, success=True, result_buffer=b"r")
+            assert service.result_stream.step() == len(wave)
+        assert sub.recover() == 5
+        assert service.result_stream.step() == 5
+        assert collector.task_ids == task_ids * 2
+
+    def test_last_reader_releases_after_another_closed_unacked(
+            self, service, user_token, function_id, endpoint_id):
+        first = service.result_stream.subscribe(auto_deliver=False)
+        second = service.result_stream.subscribe(auto_deliver=False)
+        collectors = Collector(), Collector()
+        first.attach(collectors[0])
+        second.attach(collectors[1])
+        task_id = submit_one(service, user_token, function_id, endpoint_id)
+        first.watch(task_id)
+        second.watch(task_id)
+        service.complete_task(task_id, success=True, result_buffer=b"r")
+        assert service.result_stream.step() == 2
+        task = service.task_by_id(task_id)
+        assert task.readers == 2
+        first.close()                       # never acked: releases nothing
+        assert task.readers == 1 and not task.released
+        second.ack(collectors[1].batches[0].delivery_id)
+        assert task.readers == 0 and task.released
+        assert service.metrics.counter("service.results_purged").value == 1
+
+
+class TestDeliverDontDrop:
+    """A watched id is always answered: with its result, or ``purged``."""
+
+    def test_record_gone_before_delivery_is_delivered_purged(
+            self, service, clock, user_token, function_id, endpoint_id):
+        sub = service.result_stream.subscribe(auto_deliver=False)
+        collector = Collector()
+        sub.attach(collector)
+        task_id = submit_one(service, user_token, function_id, endpoint_id)
+        sub.watch(task_id)
+        service.complete_task(task_id, success=True, result_buffer=b"r")
+        clock.advance(service.config.result_ttl + 1)
+        assert service.purge() == 1         # expired before the pass ran
+        assert service.result_stream.step() == 1
+        (message,) = collector.batches[0].results
+        assert message.task_id == task_id and message.purged
+        assert not message.success and message.result_buffer == b""
+        sub.ack(collector.batches[0].delivery_id)
+        assert sub.watched == 0
+
+    def test_watch_of_a_minted_id_whose_record_left_queues_at_once(
+            self, service, clock, user_token, function_id, endpoint_id):
+        task_id = submit_one(service, user_token, function_id, endpoint_id)
+        service.complete_task(task_id, success=True, result_buffer=b"r")
+        clock.advance(service.config.result_ttl + 1)
+        assert service.purge() == 1
+        sub = service.result_stream.subscribe(auto_deliver=False)
+        collector = Collector()
+        sub.attach(collector)
+        sub.watch(task_id)
+        assert sub.backlog == 1
+        assert service.result_stream.step() == 1
+        (message,) = collector.batches[0].results
+        assert message.task_id == task_id and message.purged
+        sub.ack(collector.batches[0].delivery_id)
+        assert sub.watched == 0
+
+    def test_watch_of_an_id_never_minted_raises(self, service):
+        sub = service.result_stream.subscribe(auto_deliver=False)
+        with pytest.raises(TaskNotFound):
+            sub.watch("not-a-task")
+        assert sub.watched == 0 and sub.backlog == 0
 
 
 class TestCancelTask:
@@ -487,7 +598,7 @@ class TestDetachCleanup:
     def test_erroring_consumer_restores_credits_and_drops_spill(self, clock):
         service, token, endpoint_id, function_id = self._spilling_service(clock)
         sub = service.result_stream.subscribe(auto_deliver=False)
-        window = sub.credits.available
+        window = sub.window - sub.unacked_results
         sub.attach(lambda batch: (_ for _ in ()).throw(OSError("dropped")))
         payload = FuncXSerializer().serialize(([1], {}))
         task_id = service.submit(token, function_id, endpoint_id, payload)
@@ -498,7 +609,7 @@ class TestDetachCleanup:
         assert sub.consumer is None
         # The failed delivery must not pin the credit window or leave the
         # undelivered payload in the staging store.
-        assert sub.credits.available == window
+        assert sub.window - sub.unacked_results == window
         assert len(service.result_stream.spill) == 0
         # Reconnect: redelivery re-spills from the task record.
         collector = Collector()
@@ -508,12 +619,12 @@ class TestDetachCleanup:
         assert fetch_ref(message.result_ref) == big
         sub.ack(collector.batches[0].delivery_id)
         assert len(service.result_stream.spill) == 0
-        assert sub.credits.available == window
+        assert sub.window - sub.unacked_results == window
 
     def test_close_with_unacked_spilled_batch_cleans_up(self, clock):
         service, token, endpoint_id, function_id = self._spilling_service(clock)
         sub = service.result_stream.subscribe(auto_deliver=False)
-        window = sub.credits.available
+        window = sub.window - sub.unacked_results
         collector = Collector()
         sub.attach(collector)
         payload = FuncXSerializer().serialize(([1], {}))
@@ -525,6 +636,6 @@ class TestDetachCleanup:
         # Close without acking: the subscription's last act returns its
         # credits and deletes the spilled payload it never delivered.
         sub.close()
-        assert sub.credits.available == window
+        assert sub.window - sub.unacked_results == window
         assert len(service.result_stream.spill) == 0
         assert service.result_stream.subscription_count() == 0

@@ -209,6 +209,7 @@ class TestLookupBudget:
         parses = _Calls(monkeypatch, ShardMap, "shard_for_task")
         ring = _Calls(monkeypatch, ShardMap, "_lookup")
         reads = _Calls(monkeypatch, ServiceShard, "get_tasks", ids_at=1)
+        watches = _Calls(monkeypatch, ServiceShard, "watch", ids_at=1)
 
         task_ids = world.submit(WAVE)
         subscription.watch_many(task_ids)
@@ -223,15 +224,16 @@ class TestLookupBudget:
         assert ring.calls == 0
         # Only a subscription spanning shards routes a watch by task id.
         assert parses.calls == (0 if shards == 1 else WAVE)
-        # watch, dispatch, complete, deliver: one read each, one lock hold
-        # per wave.
-        assert reads.ids == 4 * WAVE
-        assert reads.calls == 4
+        # watch (the shard's watch call reads the table), dispatch,
+        # complete, deliver: one read each, one lock hold per wave.
+        assert reads.ids + watches.ids == 4 * WAVE
+        assert reads.calls + watches.calls == 4
 
     def test_wave_of_one_entry_points_cost_one_wave_each(self, monkeypatch):
         world = World()
         parses = _Calls(monkeypatch, ShardMap, "shard_for_task")
         reads = _Calls(monkeypatch, ServiceShard, "get_tasks", ids_at=1)
+        watches = _Calls(monkeypatch, ServiceShard, "watch", ids_at=1)
         payload = world.serializer.serialize(([7], {}))
         task_id = world.service.submit(
             world.token, world.function_id, world.endpoint_id, payload)
@@ -241,9 +243,10 @@ class TestLookupBudget:
         assert world.service.complete_task(task_id, success=True,
                                            result_buffer=b"r")
         assert world.service.task_by_id(task_id).state is TaskState.SUCCESS
-        # submit: none; watch: a read; mark, complete, task_by_id: a parse
-        # and a read each.
-        assert (parses.calls, reads.calls, reads.ids) == (3, 4, 4)
+        # submit: none; watch: a read (the shard's watch call); mark,
+        # complete, task_by_id: a parse and a read each.
+        assert (parses.calls, reads.calls + watches.calls,
+                reads.ids + watches.ids) == (3, 4, 4)
 
 
 class TestSingleValidation:
@@ -317,8 +320,8 @@ class TestTraceEvictionIsBounded:
 
 
 class TestSubscriptionForgetsAckedTasks:
-    """Regression: ``_watched`` and ``_enqueued`` gained an entry per task
-    and never lost one, so a long-lived executor grew without bound."""
+    """Regression: a subscription's books gained an entry per task and
+    never lost one, so a long-lived executor grew without bound."""
 
     def _round(self, world, subscription, count=4):
         task_ids = world.submit(count)
@@ -338,7 +341,8 @@ class TestSubscriptionForgetsAckedTasks:
             assert subscription.watched == 4  # held until the ack
             subscription.ack(batches.pop().delivery_id)
             assert subscription.watched == 0
-            assert not subscription._enqueued
+        assert all(task.readers == 0 for task in world.service.iter_tasks())
+        assert subscription.backlog == 0 and subscription.unacked_results == 0
 
     def test_redelivery_before_the_ack_still_deduplicates(self):
         world = World()
