@@ -720,7 +720,7 @@ def protocol_sites(sources: List[SourceFile]) -> Dict[str, Dict[str, List[str]]]
     (``observed ⊆ sites``), mirroring the lock-graph subset gate.
     """
     sites: Dict[str, Dict[str, List[str]]] = {
-        "credit": {}, "subscription": {}, "stream": {},
+        "subscription": {}, "stream": {},
     }
 
     def add(protocol: str, verb: str, source: SourceFile,
@@ -735,10 +735,7 @@ def protocol_sites(sources: List[SourceFile]) -> Dict[str, Dict[str, List[str]]]
                 continue
             attr = node.func.attr
             recv = _last_segment(node.func.value)
-            if recv == _CREDIT_SPELLING and attr in {
-                    "grant", "revoke", "consume", "release"}:
-                add("credit", attr, source, node)
-            elif recv == "events" and attr in {"subscribe", "unsubscribe"}:
+            if recv == "events" and attr in {"subscribe", "unsubscribe"}:
                 add("subscription", attr, source, node)
             elif recv == "result_stream" and attr == "subscribe":
                 add("stream", "subscribe", source, node)

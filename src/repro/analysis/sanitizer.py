@@ -321,8 +321,8 @@ class ProtocolRecorder(RuntimeRecorder):
 
     The static engine (:mod:`repro.analysis.protocols`) proves every
     *lexical* acquire reaches a release; this records the events a live
-    fabric performs — credit ledger transitions, event-spine
-    subscribe/unsubscribe, stream subscription open/close — keyed
+    fabric performs — event-spine subscribe/unsubscribe, stream
+    subscription open/close — keyed
     ``(protocol, verb)`` like :func:`~repro.analysis.protocols.
     protocol_sites`.  Beside the subset gate, chaos runs assert the
     balance law the checks promise: ``unsubscribes <= subscribes``.
@@ -346,57 +346,6 @@ class ProtocolRecorder(RuntimeRecorder):
     def count(self, protocol: str, verb: str) -> int:
         with self._mutex:
             return self._events.get((protocol, verb), 0)
-
-
-class RecordedLedger:
-    """Duck-typed ``CreditLedger`` proxy recording credit events.
-
-    Counts the *effective* amounts (the ledger clamps, so a duplicate
-    release records nothing).  Everything else proxies through, so
-    heartbeat/advertisement reads see the real books.
-    """
-
-    def __init__(self, inner, recorder: ProtocolRecorder):
-        self._inner = inner
-        self._recorder = recorder
-
-    def grant(self, n: int = 1) -> int:
-        granted = self._inner.grant(n)
-        self._recorder.record("credit", "grant", n)
-        return granted
-
-    def revoke(self, n: int = 1) -> int:
-        revoked = self._inner.revoke(n)
-        self._recorder.record("credit", "revoke", revoked)
-        return revoked
-
-    def consume(self, n: int = 1) -> int:
-        taken = self._inner.consume(n)
-        self._recorder.record("credit", "consume", taken)
-        return taken
-
-    def release(self, n: int = 1) -> int:
-        returned = self._inner.release(n)
-        self._recorder.record("credit", "release", returned)
-        return returned
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
-def sanitize_ledger(obj, recorder: ProtocolRecorder,
-                    attr: str = "credits") -> "RecordedLedger":
-    """Replace ``obj.<attr>`` with a RecordedLedger (idempotent).
-
-    A manager's workers capture the raw ledger in ``Manager.__init__``,
-    so their releases are invisible to the recorder.
-    """
-    inner = getattr(obj, attr)
-    if isinstance(inner, RecordedLedger):
-        return inner
-    wrapped = RecordedLedger(inner, recorder)
-    setattr(obj, attr, wrapped)
-    return wrapped
 
 
 class AccessRecorder(RuntimeRecorder):

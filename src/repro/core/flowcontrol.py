@@ -1,139 +1,30 @@
-"""Credit accounting and adaptive wave sizing for the dispatch fabric.
+"""Adaptive wave sizing for the forwarder's dispatch (the funcX
+batching analysis, §5.5.2).
 
-Two cooperating mechanisms bound the in-flight population of the
-forwarder → agent → manager → worker pipeline (the funcX batching
-analysis, §5.5.2, and ROADMAP open item 1):
+:class:`WavePolicy` is a Nagle-style hold-down for the forwarder's
+dispatch waves.  On a serial link a transfer occupies the wire for
+``transfer_cost`` seconds regardless of batch size, so dispatching a
+lone task the instant it arrives costs the same link time as a full
+wave.  The policy holds a wave up to ``T = min(hold_cap,
+hold_scale × transfer_cost)`` seconds or until ``N_fill =
+clamp(ceil(λ̂·T), 1, budget)`` tasks accumulate, where ``λ̂`` is an
+EWMA of the observed arrival rate.  With ``transfer_cost == 0`` the
+hold collapses to zero and dispatch is immediate — zero-latency
+deployments see no behavior change.
 
-* :class:`CreditLedger` — the manager-side source of truth for execution
-  credits.  Every worker slot is one credit: granted when the worker
-  deploys, consumed when a task is handed to the worker, released *by
-  the worker itself* the moment execution finishes (so capacity is
-  returned before the manager's collect pass runs, preserving the §4.7
-  transfer/compute overlap).  The ledger never goes negative and always
-  conserves ``granted == consumed + available``.
-
-* :class:`WavePolicy` — a Nagle-style hold-down for the forwarder's
-  dispatch waves.  On a serial link a transfer occupies the wire for
-  ``transfer_cost`` seconds regardless of batch size, so dispatching a
-  lone task the instant it arrives costs the same link time as a full
-  wave.  The policy holds a wave up to ``T = min(hold_cap,
-  hold_scale × transfer_cost)`` seconds or until ``N_fill =
-  clamp(ceil(λ̂·T), 1, budget)`` tasks accumulate, where ``λ̂`` is an
-  EWMA of the observed arrival rate.  With ``transfer_cost == 0`` the
-  hold collapses to zero and dispatch is immediate — zero-latency
-  deployments see no behavior change.
-
-The aggregate credit *window* (sum of per-manager windows, advertised
-upstream on heartbeats) is enforced by the forwarder against its own
-open-lease table, so enforcement is local and race-free: a lost or
-reordered heartbeat can only make the forwarder temporarily more
-conservative, never overshoot.
+The wave's budget is the forwarder's credit *window* (the sum of the
+managers' advertised windows, carried upstream on the agent's
+heartbeats) less its own open-lease table, so enforcement is local and
+race-free: a lost or reordered heartbeat can only make the forwarder
+temporarily more conservative, never overshoot.  A manager's own
+capacity is its idle-worker set (:mod:`repro.endpoint.manager`).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable
-
-
-class CreditLedger:
-    """Thread-safe execution-credit accounting (never negative, conserved).
-
-    ``granted`` credits exist in total; ``consumed`` are held by in-flight
-    tasks; ``available = granted - consumed`` may be handed out.  All four
-    transitions clamp rather than raise, so a duplicate release (e.g. a
-    redelivered task completing twice) cannot corrupt the books — it is
-    simply ignored beyond the outstanding amount.
-    """
-
-    # Credit counters move together: conservation (granted = consumed +
-    # available) only holds if they are never torn.  Enforced by
-    # `repro lint` (guarded-by).
-    _GUARDED = {
-        "_granted": "_lock",
-        "_consumed": "_lock",
-    }
-
-    def __init__(self, granted: int = 0):
-        if granted < 0:
-            raise ValueError("granted must be non-negative")
-        self._lock = threading.Lock()
-        self._granted = granted
-        self._consumed = 0
-
-    # -- views ---------------------------------------------------------------
-    @property
-    def granted(self) -> int:
-        with self._lock:
-            return self._granted
-
-    @property
-    def consumed(self) -> int:
-        with self._lock:
-            return self._consumed
-
-    @property
-    def available(self) -> int:
-        with self._lock:
-            return self._granted - self._consumed
-
-    # -- transitions ---------------------------------------------------------
-    def grant(self, n: int = 1) -> int:
-        """Add ``n`` credits (a worker slot came online); returns granted."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        with self._lock:
-            self._granted += n
-            return n
-
-    def revoke(self, n: int = 1) -> int:
-        """Remove up to ``n`` *idle* credits (a worker slot went away).
-
-        Credits held by in-flight tasks cannot be revoked; the grant
-        shrinks by at most ``available``.  Returns the number revoked.
-        """
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        with self._lock:
-            revoked = min(n, self._granted - self._consumed)
-            self._granted -= revoked
-            return revoked
-
-    def consume(self, n: int = 1) -> int:
-        """Take up to ``n`` available credits; returns the number taken."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        with self._lock:
-            taken = min(n, self._granted - self._consumed)
-            self._consumed += taken
-            return taken
-
-    def release(self, n: int = 1) -> int:
-        """Return up to ``n`` consumed credits; returns the number returned.
-
-        Releasing more than is outstanding (duplicate completion of a
-        redelivered task) is clamped, keeping ``consumed >= 0``.
-        """
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        with self._lock:
-            returned = min(n, self._consumed)
-            self._consumed -= returned
-            return returned
-
-    def snapshot(self) -> tuple[int, int, int]:
-        """Atomic ``(granted, consumed, available)`` — the conservation
-        triple; ``granted == consumed + available`` in every snapshot."""
-        with self._lock:
-            return (self._granted, self._consumed,
-                    self._granted - self._consumed)
-
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics
-        with self._lock:
-            return (f"CreditLedger(granted={self._granted}, "
-                    f"consumed={self._consumed})")
 
 
 @dataclass(frozen=True)

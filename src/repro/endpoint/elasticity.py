@@ -19,6 +19,7 @@ from typing import Callable
 from repro.endpoint.endpoint import Endpoint
 from repro.providers.base import ExecutionProvider, JobState
 from repro.providers.strategy import SimpleScalingStrategy
+from repro.transport.wakeup import join_thread
 
 
 class ElasticityController:
@@ -135,5 +136,5 @@ class ElasticityController:
     def stop(self, timeout: float = 5.0) -> None:
         self._stop.set()
         if self._thread is not None:
-            self._thread.join(timeout)
+            join_thread(self._thread, timeout)
             self._thread = None

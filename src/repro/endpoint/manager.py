@@ -20,10 +20,12 @@ a container the node hasn't deployed triggers a (warm-pool-mediated)
 worker redeployment.
 
 Prefetching exists so that a worker which frees up starts at once: a
-worker that has reported a result takes the head of the prefetched queue
-itself (:meth:`Manager._next_for`), by the routine the loop uses for its
-idle workers (:meth:`Manager._claim_head`).  The loop is on a task's
-path only for an idle worker, a redeploy or a missing body.
+worker hands in its result and takes the head of the prefetched queue
+itself, in one hold of the manager's lock (:meth:`Manager._finished`),
+by the routine the loop uses for its idle workers
+(:meth:`Manager._claim_head`).  The loop is on a task's path only for
+an idle worker, a redeploy or a missing body.  The idle set is the
+node's capacity: a worker not in it holds a task.
 """
 
 from __future__ import annotations
@@ -31,13 +33,12 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from queue import Empty, SimpleQueue
+from queue import SimpleQueue
 from typing import Callable, Iterable
 
 from repro.containers.runtime import ContainerRuntime
 from repro.containers.spec import ContainerSpec, ContainerTechnology
 from repro.containers.warming import WarmPool
-from repro.core.flowcontrol import CreditLedger
 from repro.endpoint.config import EndpointConfig
 from repro.endpoint.worker import Worker
 from repro.metrics.registry import COUNT_BUCKETS, MetricsRegistry
@@ -102,9 +103,10 @@ class Manager:
 
         self._wakeup = Wakeup(clock=self._clock)
         channel.wakeup = self._wakeup.set_at
-        self._results: "SimpleQueue[ResultMessage]" = SimpleQueue()
         self._workers: dict[str, Worker] = {}
         self._lock = threading.RLock()
+        # Results handed in by finishing workers, for the next collect.
+        self._done: list[ResultMessage] = []         # guarded-by: self._lock
         # Longest idle first: the order a match and a redeploy victim are
         # chosen in (a set of id strings would order by PYTHONHASHSEED).
         self._idle: dict[str, Worker] = {}           # guarded-by: self._lock
@@ -137,15 +139,8 @@ class Manager:
         # Fault injection: extra seconds added to the effective heartbeat
         # period (clock-skewed heartbeats toward the agent's watchdog).
         self.heartbeat_skew = 0.0
-        # Execution credits: one per worker slot, granted at deploy,
-        # consumed on dispatch-to-worker, released by the worker itself
-        # on completion (the credit loop's manager-side ledger).
-        self.credits = CreditLedger()
 
         self._deploy_initial_workers()
-        self.metrics.gauge(
-            "manager.credit_available", manager=manager_id
-        ).set_function(lambda: self.credits.available)
         self.metrics.gauge(
             "manager.credit_window", manager=manager_id
         ).set_function(self.credit_window)
@@ -170,14 +165,11 @@ class Manager:
             worker = Worker(
                 worker_id=worker_id,
                 inbox=SimpleQueue(),
-                results=self._results,
+                finished=self._finished,
                 container=container,
                 clock=self._clock,
-                credits=self.credits,
-                next_task=self._next_for,
             )
             self._workers[worker_id] = worker
-            self.credits.grant(1)  # the slot's execution credit
             with self._lock:
                 self._idle[worker_id] = worker
 
@@ -214,10 +206,9 @@ class Manager:
 
     @property
     def outstanding(self) -> int:
+        """Tasks queued on the node plus those its workers hold."""
         with self._lock:
-            return len(self._pending) + sum(
-                1 for w in self._workers.values() if w.busy
-            )
+            return len(self._pending) + len(self._workers) - len(self._idle)
 
     def tracked_task_ids(self) -> list[str]:
         """Ids of tasks queued on this node (chaos accounting probes).
@@ -256,12 +247,8 @@ class Manager:
             self._pending.extend((task, arrived) for task in batch.tasks)
 
     def _collect_results(self) -> int:
-        collected: list[ResultMessage] = []
-        try:
-            while True:
-                collected.append(self._results.get_nowait())
-        except Empty:
-            pass
+        with self._lock:
+            collected, self._done = self._done, []
         if collected:
             self._c_completed.inc(len(collected))
             self._send_results(collected)
@@ -308,7 +295,6 @@ class Manager:
             return None
         self._pending.popleft()
         self._idle.pop(worker.worker_id, None)
-        self.credits.consume(1)  # the slot's credit rides the task
         # A copy takes the body and the node's stamps: the agent keeps the
         # empty-bodied message it sent, for re-execution.
         # (dataclasses.replace costs 1.4x this.)
@@ -316,15 +302,19 @@ class Manager:
             **vars(head), "function_buffer": body,
             "manager_in": arrived, "manager_out": self._clock()})
 
-    def _next_for(self, worker: Worker) -> TaskMessage | None:
-        """A worker's hand-off after it reported a result (its thread).
+    def _finished(self, worker: Worker,
+                  result: ResultMessage) -> TaskMessage | None:
+        """A worker's hand-off as it finishes a task (its thread).
 
-        It takes the head exactly when the loop would have handed it
+        In one hold of the lock the result joins ``_done`` and the
+        worker takes the head exactly when the loop would have handed it
         that task anyway; otherwise it goes idle and the head — a
-        redeploy (§4.5), a missing body — is the loop's decision.  The
-        loop is woken either way (a result waits), after the marking.
+        redeploy (§4.5), a missing body — is the loop's decision.  So a
+        collect never sees a result without the slot it frees.  The loop
+        is woken either way (a result waits), after the marking.
         """
         with self._lock:
+            self._done.append(result)
             claim = self._claim_head((worker,))
             if claim is None:
                 self._idle[worker.worker_id] = worker
@@ -432,10 +422,6 @@ class Manager:
         with self._lock:
             idle = len(self._idle)
             queued = len(self._pending)
-        # The credit ledger leads the idle set: workers release their
-        # credit the instant execution finishes, before the collect pass
-        # re-marks them idle, so freed capacity advertises one hop earlier.
-        idle = max(idle, self.credits.available)
         if not self.config.internal_batching:
             return min(1, idle) if not queued else 0
         prefetch = self.config.prefetch_capacity
@@ -551,5 +537,5 @@ class Manager:
         for worker in self._workers.values():
             worker.inbox.put(Worker.STOP)
         if self._thread is not None:
-            self._thread.join(1.0)
+            join_thread(self._thread, 1.0)
             self._thread = None  # handoff

@@ -8,9 +8,10 @@ returned via the manager."
 
 :func:`execute_task_message` is the pure execution core (also used
 directly by tests and the breakdown bench); :class:`Worker` wraps it in
-the blocking receive loop run on a thread by the live fabric.  Before it
-blocks again a worker asks its manager for the next task (``next_task``):
-the manager prefetches (§4.7) so that a freed worker starts at once.
+the blocking receive loop run on a thread by the live fabric.  A worker
+hands each result to its manager in the call that returns its next task
+(``finished``): the manager prefetches (§4.7) so that a freed worker
+starts at once.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Any, Callable
 
 from repro.containers.runtime import ContainerInstance
 from repro.core.batch import MAP_TAG, apply_batch
-from repro.core.flowcontrol import CreditLedger
 from repro.serialize import FuncXSerializer
 from repro.serialize.traceback import RemoteExceptionWrapper
 from repro.transport.messages import ResultMessage, TaskMessage
@@ -97,20 +97,13 @@ class Worker:
     inbox:
         Queue the manager pushes :class:`TaskMessage` (or the ``STOP``
         sentinel) into — the worker's blocking receive.
-    results:
-        Queue the worker pushes each :class:`ResultMessage` into.
+    finished:
+        Called on the worker's thread with the worker and each
+        :class:`ResultMessage`: hands the result in and returns the task
+        to run next (``Manager._finished``), or ``None`` to send the
+        worker back to its inbox.
     container:
         The container instance this worker persists within.
-    credits:
-        Optional manager :class:`CreditLedger` the worker returns its
-        execution credit to the instant a task finishes — before the
-        result even reaches the manager's collect pass, so freed
-        capacity propagates upstream as early as possible (§4.7
-        transfer/compute overlap).
-    next_task:
-        Called with the worker, on its thread, once each result is in
-        ``results``: the task to run next (``Manager._next_for``), or
-        ``None`` to send the worker back to its inbox.
     """
 
     STOP = object()
@@ -119,24 +112,19 @@ class Worker:
         self,
         worker_id: str,
         inbox: "SimpleQueue[Any]",
-        results: "SimpleQueue[ResultMessage]",
+        finished: "Callable[[Worker, ResultMessage], TaskMessage | None]",
         container: ContainerInstance,
         clock: Callable[[], float] | None = None,
-        credits: CreditLedger | None = None,
-        next_task: "Callable[[Worker], TaskMessage | None] | None" = None,
     ):
         self.worker_id = worker_id
         self.inbox = inbox
-        self.results = results
+        self._finished = finished
         self.container = container
-        self.credits = credits
-        self._next_task = next_task
         self._clock = clock or time.monotonic  # clock-domain: monotonic
         self.serializer = FuncXSerializer()
         self._function_cache: dict[str, tuple[int, Callable[..., Any]]] = {}
         self._thread: threading.Thread | None = None
         self.tasks_executed = 0
-        self.busy = False
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -162,12 +150,11 @@ class Worker:
 
     # ------------------------------------------------------------------
     def _run(self) -> None:
-        next_task = self._next_task
+        finished = self._finished
         while True:
             item = self.inbox.get()  # blocking receive (paper §4.3)
             if item is self.STOP:
                 return
-            self.busy = True
             while item is not None:
                 assert isinstance(item, TaskMessage)
                 result = execute_task_message(
@@ -179,10 +166,4 @@ class Worker:
                 )
                 self.tasks_executed += 1
                 self.container.executions += 1
-                if self.credits is not None:
-                    # The worker itself grants its slot's credit back to the
-                    # manager on completion (the credit loop's return edge).
-                    self.credits.release(1)
-                self.results.put(result)
-                item = next_task(self) if next_task is not None else None
-            self.busy = False
+                item = finished(self, result)

@@ -140,8 +140,8 @@ class LocalDeployment:
             for shard in self.service.shards:
                 sanitize_lock(shard, self.lock_recorder,
                               class_name="ServiceShard._lock")
-            # Resource-protocol twin: record every credit / subscription /
-            # stream event so chaos runs can assert the runtime trace is a
+            # Resource-protocol twin: record every subscription / stream
+            # event so chaos runs can assert the runtime trace is a
             # subset of the statically-declared protocol sites.
             self.protocol_recorder = ProtocolRecorder(metrics=self.metrics)
             sanitize_events(self.service.events, self.protocol_recorder)
@@ -212,11 +212,7 @@ class LocalDeployment:
         )
         handle = _EndpointHandle(endpoint=endpoint, forwarder=forwarder)
         if self.lock_recorder is not None:
-            from repro.analysis.sanitizer import (
-                sanitize_access,
-                sanitize_ledger,
-                sanitize_lock,
-            )
+            from repro.analysis.sanitizer import sanitize_access, sanitize_lock
 
             # Wrap before any thread starts — the swap is not atomic.
             recorder = self.lock_recorder
@@ -224,16 +220,11 @@ class LocalDeployment:
             sanitize_lock(endpoint, recorder, class_name="Endpoint._lock")
             sanitize_lock(endpoint.agent, recorder,
                           class_name="FuncXAgent._lock")
-            protocol_recorder = self.protocol_recorder
             for manager in endpoint.managers.values():
                 sanitize_lock(manager, recorder, class_name="Manager._lock")
-                if protocol_recorder is not None:
-                    sanitize_ledger(manager, protocol_recorder)
 
-            def _on_manager(m, _rec=recorder, _prec=protocol_recorder):
+            def _on_manager(m, _rec=recorder):
                 sanitize_lock(m, _rec, class_name="Manager._lock")
-                if _prec is not None:
-                    sanitize_ledger(m, _prec)
 
             endpoint.on_manager_created = _on_manager
             sanitize_lock(self.service.task_queue(endpoint_id), recorder,

@@ -7,11 +7,9 @@ the in-flight population without bound.  This module proves it three ways:
 * a chaos overload run — sustained mismatch with message drops and
   manager churn, checked by the ``bounded-in-flight`` invariant and by
   sampling the forwarder's open-lease table directly;
-* hypothesis properties — credit accounting never goes negative and is
-  conserved across grant/consume/release/revoke (including duplicate
-  releases from lease-timeout redelivery and manager death), and the
-  wave policy's hold is always bounded so a stalled consumer can never
-  deadlock dispatch (liveness via injectable clocks);
+* hypothesis properties — the wave policy's hold is always bounded so
+  a stalled consumer can never deadlock dispatch (liveness via
+  injectable clocks);
 * live credit flow — the same policy on a real :class:`LocalDeployment`:
   the forwarder's window converges to the agent's advertisement and a
   mismatch sheds into the service queue.
@@ -29,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro import DeploymentTimings, EndpointConfig, LocalDeployment
 from repro.chaos import FaultPlan, FaultStep
-from repro.core.flowcontrol import CreditLedger, WavePolicy
+from repro.core.flowcontrol import WavePolicy
 from repro.store.queues import ReliableQueue
 
 pytestmark = pytest.mark.chaos
@@ -123,25 +121,24 @@ class TestChaosOverload:
         assert report.events_seen > 0
 
         # Recovery to steady state: nothing in flight, window restored,
-        # every manager's credits fully returned.
+        # every manager's workers idle again.
         assert forwarder.outstanding == 0
         assert queue.depth == 0
         assert wait_until(lambda: forwarder.credit_window == 18, timeout=5)
 
-        # Every credit comes home — possibly only after zombie duplicate
-        # executions (redelivered tasks whose results the service will
-        # reject) finish and release theirs.
-        def ledgers_settled():
+        # Every worker slot comes home — possibly only after zombie
+        # duplicate executions (redelivered tasks whose results the
+        # service will reject) finish and free theirs.
+        def nodes_settled():
             return all(
-                manager.credits.consumed == 0
+                set(manager._idle) == set(manager._workers)
+                and manager.tracked_task_ids() == []
                 for manager in world.hooks["ep"].endpoint.managers.values())
 
-        assert wait_until(ledgers_settled, timeout=10), [
-            manager.credits.snapshot()
+        assert wait_until(nodes_settled, timeout=10), [
+            (manager.idle_count, manager.worker_count,
+             manager.tracked_task_ids())
             for manager in world.hooks["ep"].endpoint.managers.values()]
-        for manager in world.hooks["ep"].endpoint.managers.values():
-            granted, consumed, available = manager.credits.snapshot()
-            assert available == granted
 
     def test_endpoint_churn_under_overload(self, chaos_world):
         """Disconnect/reconnect the whole endpoint mid-overload."""
@@ -169,73 +166,6 @@ class TestChaosOverload:
         assert peak <= 18
         report = world.check_final()
         assert report.ok, report.describe()
-
-
-class TestCreditLedgerProperties:
-    """Hypothesis: the ledger never goes negative and always conserves."""
-
-    _ops = st.lists(
-        st.tuples(st.sampled_from(["grant", "consume", "release", "revoke"]),
-                  st.integers(min_value=0, max_value=8)),
-        max_size=60,
-    )
-
-    @given(ops=_ops)
-    @settings(max_examples=200, deadline=None)
-    def test_conserved_and_never_negative(self, ops):
-        ledger = CreditLedger()
-        model_granted = 0
-        model_consumed = 0
-        for op, n in ops:
-            if op == "grant":
-                assert ledger.grant(n) == n
-                model_granted += n
-            elif op == "revoke":
-                revoked = ledger.revoke(n)
-                assert 0 <= revoked <= n
-                model_granted -= revoked
-            elif op == "consume":
-                taken = ledger.consume(n)
-                assert 0 <= taken <= n
-                model_consumed += taken
-            else:
-                returned = ledger.release(n)
-                assert 0 <= returned <= n
-                model_consumed -= returned
-            granted, consumed, available = ledger.snapshot()
-            assert granted >= 0 and consumed >= 0 and available >= 0
-            assert granted == consumed + available
-            assert granted == model_granted
-            assert consumed == model_consumed
-
-    def test_duplicate_release_from_redelivery_is_clamped(self):
-        # A lease times out, the task is redelivered, and *both* copies
-        # complete: the second release must be a no-op, not go negative.
-        ledger = CreditLedger(granted=2)
-        assert ledger.consume(1) == 1
-        assert ledger.release(1) == 1
-        assert ledger.release(1) == 0
-        assert ledger.snapshot() == (2, 0, 2)
-
-    def test_manager_death_revokes_only_idle_credits(self):
-        # Credits pinned by in-flight tasks survive a revoke sweep; the
-        # books balance once the stragglers complete.
-        ledger = CreditLedger()
-        ledger.grant(4)
-        assert ledger.consume(3) == 3
-        assert ledger.revoke(100) == 1
-        assert ledger.snapshot() == (3, 3, 0)
-        assert ledger.release(3) == 3
-        assert ledger.snapshot() == (3, 0, 3)
-
-    def test_negative_amounts_rejected(self):
-        ledger = CreditLedger()
-        for method in (ledger.grant, ledger.revoke,
-                       ledger.consume, ledger.release):
-            with pytest.raises(ValueError):
-                method(-1)
-        with pytest.raises(ValueError):
-            CreditLedger(granted=-1)
 
 
 class TestWavePolicyLiveness:

@@ -125,7 +125,7 @@ class TestWorkerThread:
         worker = Worker(
             worker_id="w0",
             inbox=queue.SimpleQueue(),
-            results=results,
+            finished=lambda _w, r: results.put(r),
             container=runtime.instantiate(ContainerSpec.bare()),
         )
         return worker, results

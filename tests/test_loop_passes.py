@@ -21,6 +21,7 @@ import threading
 import time
 from collections import Counter
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,7 +32,9 @@ from repro.core.service import FuncXService
 from repro.core.stream import ResultStreamServer
 from repro.endpoint.agent import FuncXAgent
 from repro.endpoint.config import EndpointConfig
+from repro.endpoint.elasticity import ElasticityController
 from repro.endpoint.manager import Manager
+from repro.providers import LocalProvider
 from repro.serialize import FuncXSerializer
 from repro.transport.channel import Channel
 from repro.transport.messages import Registration, TaskBatchMessage, TaskMessage
@@ -269,7 +272,42 @@ class TestIdleCost:
             assert seen[role] <= bound + 2, (role, seen)
 
 
+class StuckThread:
+    """A loop thread that never ends: ``join`` returns at once."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def join(self, timeout=None):
+        pass
+
+    def is_alive(self):
+        return True
+
+
 class TestStopIsNeverSilent:
+    def test_a_killed_manager_loop_that_outlives_its_join_is_logged(
+            self, caplog):
+        manager = Manager("stuck", Channel().left,
+                          EndpointConfig(workers_per_node=1))
+        manager._thread = StuckThread("manager-stuck")
+        with caplog.at_level("WARNING", logger="repro.transport.wakeup"):
+            manager.kill()
+        assert [record.getMessage() for record in caplog.records] == [
+            "manager-stuck still alive 1 s after stop"]
+        assert manager._thread is None
+
+    def test_an_elasticity_loop_that_outlives_its_join_is_logged(
+            self, caplog):
+        controller = ElasticityController(
+            SimpleNamespace(config=EndpointConfig()), provider=LocalProvider())
+        controller._thread = StuckThread("elasticity")
+        with caplog.at_level("WARNING", logger="repro.transport.wakeup"):
+            controller.stop(timeout=0.01)
+        assert [record.getMessage() for record in caplog.records] == [
+            "elasticity still alive 0.01 s after stop"]
+        assert controller._thread is None
+
     def test_a_thread_that_outlives_its_join_is_logged_by_name(self, caplog):
         release = threading.Event()
         stuck = threading.Thread(target=release.wait, name="manager-stuck",

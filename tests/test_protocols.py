@@ -233,9 +233,6 @@ def test_protocol_sites_cover_the_fabric_modules():
         return {site.rsplit(":", 1)[0]
                 for site in sites[protocol].get(verb, [])}
 
-    assert "repro.endpoint.manager" in modules("credit", "grant")
-    assert "repro.endpoint.manager" in modules("credit", "consume")
-    assert "repro.endpoint.worker" in modules("credit", "release")
     assert "repro.monitoring" in modules("subscription", "subscribe")
     assert "repro.monitoring" in modules("subscription", "unsubscribe")
     assert "repro.core.executor" in modules("stream", "subscribe")
@@ -254,7 +251,6 @@ def test_every_protocol_call_site_module_is_in_the_export():
                for site_list in verbs.values()
                for site in site_list}
     patterns = [
-        re.compile(r"\bcredits\.(grant|revoke|consume|release)\("),
         re.compile(r"\bevents\.(subscribe|unsubscribe)\("),
         re.compile(r"\bresult_stream\.subscribe\("),
     ]

@@ -15,10 +15,8 @@ from repro.analysis.sanitizer import (
     HOLD_OUTLIER_SECONDS,
     LockOrderRecorder,
     ProtocolRecorder,
-    RecordedLedger,
     SanitizedLock,
     sanitize_events,
-    sanitize_ledger,
     sanitize_lock,
 )
 from repro.analysis.source import load_source, module_name_for
@@ -274,29 +272,6 @@ class TestDeploymentIntegration:
 
 
 class TestProtocolRecorderUnits:
-    def test_recorded_ledger_counts_effective_amounts(self):
-        from repro.core.flowcontrol import CreditLedger
-
-        class Holder:
-            def __init__(self):
-                self.credits = CreditLedger()
-
-        recorder = ProtocolRecorder()
-        holder = Holder()
-        ledger = sanitize_ledger(holder, recorder)
-        assert isinstance(holder.credits, RecordedLedger)
-        assert sanitize_ledger(holder, recorder) is ledger
-
-        holder.credits.grant(3)
-        assert holder.credits.consume(2) == 2
-        assert holder.credits.release(1) == 1
-        # Clamped duplicate release: the ledger only takes back what is
-        # outstanding, and the recorder counts the effective amount.
-        holder.credits.release(5)
-        assert recorder.count("credit", "grant") == 3
-        assert recorder.count("credit", "consume") == 2
-        assert recorder.count("credit", "release") == 2
-
     def test_sanitized_events_balance_unsubscribes(self):
         from repro.observability.events import EventSpine
 
@@ -338,7 +313,6 @@ class TestProtocolRecorderIntegration:
             observed = recorder.observed()
             assert ("subscription", "subscribe") in observed
             assert ("subscription", "unsubscribe") in observed
-            assert ("credit", "consume") in observed
             assert ("stream", "subscribe") in observed
             assert ("stream", "close") in observed
             assert (recorder.count("subscription", "unsubscribe")

@@ -12,7 +12,9 @@ the test blocks on a semaphore the hand-off releases.
   is refused by the finishing worker and decided by the manager loop;
 * the longest-idle worker is the redeploy victim, whatever the hash seed;
 * one collect is one transfer (results and the advertisement together);
-* credits and the idle set balance at quiescence;
+* the idle set is the node's capacity: a result and the slot it frees
+  are seen together, and a task claimed into an inbox is outstanding;
+* the idle set is whole at quiescence;
 * after ``kill()`` nothing queued starts and the worker threads exit;
 * any interleaving of waves, finishes, ``suspend`` and ``kill`` starts
   every task that was not lost exactly once, in arrival order.
@@ -89,7 +91,7 @@ class Node:
 
     ``started`` is every claim in the order ``_claim_head`` made it
     (recorded under the manager's lock); ``handoff`` is released each
-    time a worker comes out of ``_next_for``.
+    time a worker comes out of ``_finished``.
     """
 
     def __init__(self, workers=1, live=False, **config):
@@ -119,16 +121,16 @@ class Node:
 
         self.manager._claim_head = recording_claim
 
-        def recording_next(worker):
+        def recording_finished(worker, result):
             try:
-                return self.manager._next_for(worker)
+                return self.manager._finished(worker, result)
             finally:
                 self.handoff.release()
 
         self.workers = list(self.manager._workers.values())
         for worker in self.workers:
             worker.inbox = CountingInbox()
-            worker._next_task = recording_next
+            worker._finished = recording_finished
         if live:  # the manager loop on its own thread
             self.manager.start()
         else:
@@ -186,8 +188,7 @@ class Node:
 
     def quiescent(self):
         manager = self.manager
-        return (manager.credits.available == manager.worker_count
-                and set(manager._idle) == set(manager._workers)
+        return (set(manager._idle) == set(manager._workers)
                 and manager.tracked_task_ids() == [])
 
     def close(self):
@@ -439,6 +440,77 @@ class TestTheLoopsDecisions:
             assert node.quiescent()
         finally:
             node.close()
+
+
+# ======================================================================
+# the idle set is the node's capacity
+# ======================================================================
+class TestCapacityIsTheIdleSet:
+    def test_a_result_and_the_slot_it_frees_are_seen_together(self):
+        """One worker, nothing queued once it finishes: the collect that
+        sends the result advertises the worker idle, in one transfer."""
+        node = Node(workers=1)
+        try:
+            prefetch = node.manager.config.prefetch_capacity
+            node.wave([None, None])
+            node.step()
+            node.finish("t0")  # w0 takes t1: nothing is queued now
+            node.step()
+            assert node.adverts[-1].total_request == prefetch
+
+            transfers = []
+            deliver = node.agent._deliver_batch
+
+            def tap(now, latency, cost, messages):
+                transfers.append(tuple(type(m) for m in messages))
+                deliver(now, latency, cost, messages)
+
+            node.agent._deliver_batch = tap
+            collected = []
+            send_results = node.manager._send_results
+
+            def recording_send(results):
+                collected.append(([r.task_id for r in results],
+                                  node.manager.advertised_capacity()))
+                send_results(results)
+
+            node.manager._send_results = recording_send
+            node.finish("t1")
+            # Before any step: the worker is idle and nothing is held.
+            assert node.manager.idle_count == 1
+            assert node.manager.outstanding == 0
+            assert node.manager.advertised_capacity() == 1 + prefetch
+            node.step()
+            assert collected == [(["t1"], 1 + prefetch)]
+            assert transfers == [(ResultBatchMessage, Advertisement)]
+            assert [r.task_id for r in node.envelopes[-1].results] == ["t1"]
+            assert node.adverts[-1].idle_workers == 1
+            assert node.adverts[-1].total_request == 1 + prefetch
+            assert node.quiescent()
+        finally:
+            node.close()
+
+    def test_a_task_claimed_into_an_inbox_is_outstanding(self):
+        """Workers not started: the step's claim puts the task in
+        ``m/w0``'s inbox, where no worker has taken it yet."""
+        channel = Channel()
+        manager = Manager("m", channel.left, EndpointConfig(
+            workers_per_node=1, heartbeat_period=3600.0))
+        try:
+            channel.right.send(TaskBatchMessage(
+                sender="agent", function_buffers={"held": HELD_BODY},
+                tasks=(TaskMessage(
+                    sender="agent", task_id="t0", function_id="held",
+                    payload_buffer=SERIALIZER.serialize(
+                        (["t0", __name__], {}))),)))
+            manager.step()
+            inbox = manager._workers["m/w0"].inbox
+            assert inbox.qsize() == 1
+            assert manager.tracked_task_ids() == []
+            assert manager.outstanding == 1
+            assert manager.idle_count == 0
+        finally:
+            manager.stop()
 
 
 # ======================================================================
