@@ -293,17 +293,21 @@ def check_blocking_under_lock(source: SourceFile) -> Iterator[Finding]:
     """No sleep, channel send/recv, or queue operation under a lock.
 
     Lock scopes come from the same inference as ``guarded-by``; calls on
-    the lock object itself (``self._lock.wait()`` releases it) are fine.
+    the lock object itself (``self._lock.wait()`` releases it) are fine,
+    as is ``self.c.wait()`` holding only ``x`` of ``Condition(self.x)``.
     ``dict.get`` is deliberately not treated as a queue op — only the
     unambiguous queue verbs are.
     """
     model = file_model(source)
     methods = [m for cls in model.classes for m in cls.methods]
+    releases_of = {c.qualname: _condition_locks(c.node) for c in model.classes}
     for method in methods + model.module_level:
         known_locks = method.cls.lock_names if method.cls else frozenset()
+        releases = releases_of[method.cls.qualname] if method.cls else {}
         for fn in method.tree():
             for node, _callee, held in fn.calls:
-                label = _blocking_call(node, known_locks) if held else None
+                label = (_blocking_call(node, known_locks, held, releases)
+                         if held else None)
                 if label is None:
                     continue
                 locks = ", ".join(sorted({f"self.{h.name}" for h in held}))
@@ -313,7 +317,20 @@ def check_blocking_under_lock(source: SourceFile) -> Iterator[Finding]:
                     symbol=method.qualname)
 
 
-def _blocking_call(node: ast.Call, known_locks: frozenset[str]) -> str | None:
+def _condition_locks(node: ast.ClassDef) -> dict[str, set[str]]:
+    """``self.c = threading.Condition(self.x)``: ``self.c.wait()`` frees c, x."""
+    found: dict[str, set[str]] = {}
+    for sub in ast.walk(node):
+        if (isinstance(sub, ast.Assign) and is_self_attr(sub.targets[0])
+                and isinstance(sub.value, ast.Call)
+                and (dotted_name(sub.value.func) or "").endswith("Condition")):
+            base = [a.attr for a in sub.value.args[:1] if is_self_attr(a)]
+            found[f"self.{sub.targets[0].attr}"] = {sub.targets[0].attr, *base}
+    return found
+
+
+def _blocking_call(node: ast.Call, known_locks: frozenset[str], held,
+                   releases: dict[str, set[str]]) -> str | None:
     func = node.func
     if isinstance(func, ast.Name):
         return "sleep()" if func.id == "sleep" else None
@@ -334,6 +351,8 @@ def _blocking_call(node: ast.Call, known_locks: frozenset[str]) -> str | None:
     if attr in _QUEUE_OPS:
         return f"queue operation {receiver or '<expr>'}.{attr}()"
     if attr == "wait":
+        if {h.name for h in held} <= releases.get(receiver, set()):
+            return None  # threading.Condition(x).wait() releases x
         return f"blocking wait {receiver or '<expr>'}.wait()"
     return None
 

@@ -96,8 +96,8 @@ class WarmPool:
 
     def warm_keys(self) -> tuple[str, ...]:
         """Container keys with at least one warm instance (advertised
-        by managers to the agent scheduler)."""
-        return tuple(sorted(key for key, pool in self._warm.items() if pool))
+        by managers to the agent scheduler); safe beside an eviction."""
+        return tuple(sorted(k for k, pool in list(self._warm.items()) if pool))
 
     @property
     def hit_rate(self) -> float:

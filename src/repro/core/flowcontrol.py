@@ -84,11 +84,6 @@ class WavePolicy:
         self._last_observed_at: float | None = None
         self._hold_started_at: float | None = None
 
-    @property
-    def arrival_rate(self) -> float:
-        """The smoothed arrival-rate estimate λ̂ (tasks/second)."""
-        return self._rate
-
     def hold_budget(self) -> float:
         """Current hold ceiling T = min(hold_cap, hold_scale × cost)."""
         cost = max(0.0, float(self._link_cost()))

@@ -444,10 +444,6 @@ class ServiceShard:
             raise TaskNotFound(f"task queue for endpoint {endpoint_id}")
         return queue
 
-    def endpoint_ids(self) -> list[str]:
-        with self._lock:
-            return list(self._task_queues)
-
     # -- lifecycle ------------------------------------------------------------
     def drain(self) -> None:
         """Refuse new submissions; in-flight work keeps dispatching."""

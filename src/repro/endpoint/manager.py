@@ -26,6 +26,8 @@ by the routine the loop uses for its idle workers
 (:meth:`Manager._claim_head`).  The loop is on a task's path only for
 an idle worker, a redeploy or a missing body.  The idle set is the
 node's capacity: a worker not in it holds a task.
+A worker whose finish leaves the node idle ships the node's results
+itself; a busy node's loop batches them (a lone task skips a wake-up).
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from repro.endpoint.worker import Worker
 from repro.metrics.registry import COUNT_BUCKETS, MetricsRegistry
 from repro.serialize import FuncXSerializer
 from repro.serialize.traceback import RemoteExceptionWrapper
+from repro.errors import ChannelClosed, Disconnected
 from repro.transport.channel import ChannelEnd
 from repro.transport.messages import (
     Advertisement,
@@ -117,10 +120,10 @@ class Manager:
         self._buffers: dict[str, bytes] = {}         # guarded-by: self._lock
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
-        # Heartbeat/advertise pacing state, touched only from the manager
-        # loop once start() has spawned it.
+        # Heartbeat pacing state, touched only from the manager loop once
+        # start() has spawned it.
         self._last_heartbeat = -float("inf")  # thread-confined: manager-loop
-        self._last_advertised: tuple[int, tuple[str, ...]] | None = None  # thread-confined: manager-loop
+        self._last_advertised: tuple[int, tuple[str, ...]] | None = None  # guarded-by: self._lock
         self.metrics = metrics or MetricsRegistry(clock=self._clock)
         self._c_completed = self.metrics.counter(
             "manager.tasks_completed", manager=manager_id)
@@ -248,19 +251,21 @@ class Manager:
 
     def _collect_results(self) -> int:
         with self._lock:
+            if not self._done:
+                return 0
             collected, self._done = self._done, []
-        if collected:
-            self._c_completed.inc(len(collected))
-            self._send_results(collected)
+            advert = self._advertisement()
+        self._c_completed.inc(len(collected))
+        self._send_results(collected, advert)
         return len(collected)
 
-    def _send_results(self, results: list[ResultMessage]) -> None:
-        """One transfer for a step's completions (or one failure) and the
-        advertisement the capacity they free causes."""
+    def _send_results(self, results: list[ResultMessage],
+                      advert: Advertisement | None) -> None:
+        """One transfer for completions (or one failure) and the
+        advertisement, snapshotted with them, of the capacity they free."""
         batch = ResultBatchMessage(sender=self.manager_id, results=tuple(results))
-        state = (self.advertised_capacity(), self.deployed_containers())
-        if state != self._last_advertised:
-            self.channel.send_many((batch, self._advertisement(*state)))
+        if advert is not None:
+            self.channel.send_many((batch, advert))
         else:
             self.channel.send(batch)
         if len(results) > 1:
@@ -310,15 +315,33 @@ class Manager:
         worker takes the head exactly when the loop would have handed it
         that task anyway; otherwise it goes idle and the head — a
         redeploy (§4.5), a missing body — is the loop's decision.  So a
-        collect never sees a result without the slot it frees.  The loop
-        is woken either way (a result waits), after the marking.
+        collect never sees a result without the slot it frees.
+
+        A finish that leaves the node idle (nothing pending, every worker
+        idle, not stopped) takes ``_done`` and its advertisement in that
+        hold and sends them after it (a failed send drops them, as the
+        stopped loop would); any other wakes the loop.  Two senders may
+        deliver advertisements out of order: the staleness transit
+        latency already causes, bounded by the credit window.
         """
+        shipped = None
         with self._lock:
             self._done.append(result)
             claim = self._claim_head((worker,))
             if claim is None:
                 self._idle[worker.worker_id] = worker
-        self._wakeup.set()
+                if (not self._pending and not self._stop.is_set()
+                        and len(self._idle) == len(self._workers)):
+                    shipped, self._done = self._done, []
+                    advert = self._advertisement()
+        if shipped is None:
+            self._wakeup.set()
+        else:
+            self._c_completed.inc(len(shipped))
+            try:
+                self._send_results(shipped, advert)
+            except (ChannelClosed, Disconnected):
+                pass
         if claim is None:
             return None
         self._c_self_claimed.inc()
@@ -373,7 +396,7 @@ class Manager:
                 success=False,
                 result_buffer=buffer,
             )
-        ])
+        ], self._advertisement())
 
     def _redeploy(self, worker: Worker, key: str) -> None:
         """Move an idle worker into container ``key`` (§4.5): warm pool
@@ -441,17 +464,23 @@ class Manager:
 
     def _advertise(self) -> None:
         """Unconditionally; a collect's rides with its results."""
-        self.channel.send(self._advertisement(
-            self.advertised_capacity(), self.deployed_containers()))
+        self.channel.send(self._advertisement(always=True))
 
-    def _advertisement(self, capacity: int,
-                       containers: tuple[str, ...]) -> Advertisement:
-        self._last_advertised = (capacity, containers)
+    def _advertisement(self, always: bool = False) -> Advertisement | None:
+        """The node's advertisement; ``None`` if the agent was last told
+        the same, unless ``always``."""
+        with self._lock:
+            capacity = self.advertised_capacity()
+            containers = self.deployed_containers()
+            if (capacity, containers) == self._last_advertised and not always:
+                return None
+            self._last_advertised = (capacity, containers)
+            idle = len(self._idle)
         return Advertisement(
             sender=self.manager_id,
             manager_id=self.manager_id,
-            idle_workers=self.idle_count,
-            prefetch_capacity=max(0, capacity - self.idle_count),
+            idle_workers=idle,
+            prefetch_capacity=max(0, capacity - idle),
             deployed_containers=containers,
             credit_window=self.credit_window(),
         )
@@ -468,8 +497,7 @@ class Manager:
         self.warm_pool.evict_expired(now)
         # Piggyback the periodic advertisement on the heartbeat: one
         # coalesced transfer instead of two back-to-back messages.
-        advert = self._advertisement(
-            self.advertised_capacity(), self.deployed_containers())
+        advert = self._advertisement(always=True)
         self.channel.send_many((beat, advert))
         self._c_coalesced.inc(2)
 
@@ -479,7 +507,8 @@ class Manager:
         elif message.command == "suspend":
             # Stop advertising; in-flight work completes ("suspend managers
             # to prevent further tasks being scheduled to them", §4.3).
-            self._last_advertised = (0, self.deployed_containers())
+            with self._lock:
+                self._last_advertised = (0, self.deployed_containers())
             self.channel.send(
                 Advertisement(
                     sender=self.manager_id,

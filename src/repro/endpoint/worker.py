@@ -16,6 +16,7 @@ starts at once.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from queue import SimpleQueue
@@ -27,6 +28,8 @@ from repro.serialize import FuncXSerializer
 from repro.serialize.traceback import RemoteExceptionWrapper
 from repro.transport.messages import ResultMessage, TaskMessage
 from repro.transport.wakeup import join_thread
+
+_logger = logging.getLogger(__name__)
 
 
 def execute_task_message(
@@ -101,7 +104,7 @@ class Worker:
         Called on the worker's thread with the worker and each
         :class:`ResultMessage`: hands the result in and returns the task
         to run next (``Manager._finished``), or ``None`` to send the
-        worker back to its inbox.
+        worker back to its inbox (also, logged, when it raises).
     container:
         The container instance this worker persists within.
     """
@@ -166,4 +169,9 @@ class Worker:
                 )
                 self.tasks_executed += 1
                 self.container.executions += 1
-                item = finished(self, result)
+                try:
+                    item = finished(self, result)
+                except Exception:
+                    _logger.exception("%s: finished failed; continuing",
+                                      self.worker_id)
+                    item = None

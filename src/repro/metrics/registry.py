@@ -18,7 +18,10 @@ import json
 import threading
 from bisect import bisect_left
 import time
-from collections import deque
+from collections import Counter as Multiset, deque
+from functools import partial, reduce
+from itertools import islice
+from operator import add
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator
 
@@ -164,18 +167,24 @@ class Histogram:
                 self._fold_locked()
 
     def _fold_locked(self) -> None:  # guarded-by: self._lock
-        """Move the unfolded backlog into the buckets, oldest first."""
-        for _ in range(len(self._unfolded)):
-            value = self._unfolded.popleft()
-            self._count += 1
-            self._sum += value
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
-            self._samples.append(value)
-            # First bucket whose bound is >= value; past the last, +inf.
-            self._bucket_counts[bisect_left(self.buckets, value)] += 1
+        """Move the unfolded backlog into the buckets, oldest first, by
+        builtins: ``reduce(add)`` sums left to right as a loop's ``+=``
+        (``sum`` compensates from Python 3.12)."""
+        unfolded = self._unfolded
+        backlog = len(unfolded)
+        if not backlog:
+            return
+        # ``None`` is never recorded: the drain's stop value, unreached.
+        values = list(islice(iter(unfolded.popleft, None), backlog))
+        self._count += backlog
+        self._sum = reduce(add, values, self._sum)
+        self._min = min(self._min, min(values))  # ties keep the first,
+        self._max = max(self._max, max(values))  # as the loop's < and >
+        self._samples.extend(values)
+        # Bucket i holds values in (bound[i-1], bound[i]]; past the last, +inf.
+        bucket_of = partial(bisect_left, self.buckets)
+        for index, hits in Multiset(map(bucket_of, values)).items():
+            self._bucket_counts[index] += hits
 
     @property
     def count(self) -> int:

@@ -15,6 +15,9 @@ Failure injection supports the paper's fault-tolerance experiments
 * ``reconnect()`` — the end comes back; queued *new* traffic flows again.
 * ``drop_probability`` — random message loss for stress testing the
   at-least-once delivery machinery.
+
+An end's inbox is under a C ``Lock``; a delivery notifies the
+``Condition`` of a blocking ``recv`` only while one waits.
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ class ChannelEnd:
         self._clock = clock
         self._peer: "ChannelEnd | None" = None
         self._channel: "Channel | None" = None
-        self._lock = threading.Condition()
+        self._lock = threading.Lock()
+        self._arrival = threading.Condition(self._lock)
+        self._receivers = 0  # guarded-by: self._lock
         self._inbox: list[tuple[float, int, Any]] = []
         self._seq = itertools.count()
         self._connected = True
@@ -109,7 +114,8 @@ class ChannelEnd:
         them, or 0).
         """
         messages = tuple(messages)
-        if not messages:
+        count = len(messages)
+        if not count:
             return 0
         if self._closed:
             raise ChannelClosed(f"channel end {self.name} is closed")
@@ -118,19 +124,19 @@ class ChannelEnd:
         assert self._peer is not None and self._channel is not None
         channel = self._channel
         if channel.rng.random() < channel.drop_probability:
-            self._lost("random-loss", len(messages))
+            self._lost("random-loss", count)
             return 0
         if not self._peer._connected or self._peer._closed:
-            self._lost("peer-down", len(messages))
+            self._lost("peer-down", count)
             return 0
         latency = channel.sample_latency()
         self._peer._deliver_batch(self._clock(), latency,
                                   channel.transfer_cost, messages)
         with self._lock:
-            self.sent_count += len(messages)
-        if len(messages) > 1:
-            channel.coalesced_count += len(messages)
-        return len(messages)
+            self.sent_count += count
+        if count > 1:
+            channel.coalesced_count += count
+        return count
 
     def _deliver_batch(self, now: float, latency: float, cost: float,
                        messages: tuple) -> None:
@@ -147,7 +153,8 @@ class ChannelEnd:
             for message in messages:
                 heapq.heappush(self._inbox,
                                (deliver_at, next(self._seq), message))
-            self._lock.notify_all()
+            if self._receivers:
+                self._arrival.notify_all()
         # Fire the wakeup outside the inbox lock: the hook takes the
         # receiver's wakeup lock and must stay a leaf acquisition.
         wakeup = self.wakeup
@@ -188,7 +195,9 @@ class ChannelEnd:
                     # Pure poll: nothing ripe right now.
                     if not self._inbox or self._inbox[0][0] > now:
                         return None
-                self._lock.wait(wait)
+                self._receivers += 1
+                self._arrival.wait(wait)
+                self._receivers -= 1
 
     def recv_all_ready(self, max_messages: int | None = None) -> list[Any]:
         """Drain ripe messages without blocking.
@@ -199,12 +208,14 @@ class ChannelEnd:
         """
         messages: list[Any] = []
         with self._lock:
+            inbox = self._inbox
+            if not inbox:  # a loop's drain of an idle link reads no clock
+                return messages
             now = self._clock()
-            while self._inbox and self._inbox[0][0] <= now:
+            while inbox and inbox[0][0] <= now:
                 if max_messages is not None and len(messages) >= max_messages:
                     break
-                _, _, message = heapq.heappop(self._inbox)
-                messages.append(message)
+                messages.append(heapq.heappop(inbox)[2])
             self.received_count += len(messages)
         return messages
 
@@ -230,20 +241,20 @@ class ChannelEnd:
                 if self._channel is not None and self._inbox:
                     self._lost("disconnect", len(self._inbox))
                 self._inbox.clear()
-            self._lock.notify_all()
+            self._arrival.notify_all()
 
     def reconnect(self) -> None:
         with self._lock:
             if self._closed:
                 raise ChannelClosed(f"channel end {self.name} is closed")
             self._connected = True
-            self._lock.notify_all()
+            self._arrival.notify_all()
 
     def close(self) -> None:
         with self._lock:
             self._closed = True
             self._inbox.clear()
-            self._lock.notify_all()
+            self._arrival.notify_all()
 
 
 class Channel:
@@ -290,7 +301,7 @@ class Channel:
             raise ValueError("transfer_cost must be non-negative")
         self.name = name
         clock = clock or time.monotonic
-        self._latency = latency
+        self.set_latency(latency)
         self.drop_probability = drop_probability
         self.transfer_cost = transfer_cost
         self.rng = random.Random(seed)
@@ -306,13 +317,13 @@ class Channel:
     def set_latency(self, latency: float | Callable[[], float]) -> None:
         """Swap the latency model at runtime (chaos latency spikes)."""
         self._latency = latency
+        # Clamped once; ``None``: a model sampled per transfer.
+        self._fixed = None if callable(latency) else max(0.0, float(latency))
 
     def sample_latency(self) -> float:
-        if callable(self._latency):
-            value = self._latency()
-        else:
-            value = self._latency
-        return max(0.0, float(value))
+        if self._fixed is not None:
+            return self._fixed
+        return max(0.0, float(self._latency()))
 
     def close(self) -> None:
         self.left.close()

@@ -13,9 +13,10 @@ drain stopped at its cap, a wave stopped at its per-step bound with
 credit left) re-arms its own wakeup there; the timeout on :meth:`wait`
 is only a liveness/heartbeat fallback.
 
-The internal condition is a *leaf* lock: nothing else is ever acquired
-while it is held, so wiring wakeups across components cannot create
-lock-order cycles.
+A waiter blocks on a C ``Lock`` that a signal releases, never in a
+``threading.Condition``'s Python frames.  The state lock is a *leaf*
+(the latch is taken under it only without blocking), so wiring wakeups
+across components cannot create lock-order cycles.
 """
 
 from __future__ import annotations
@@ -44,12 +45,16 @@ class Wakeup:
     schedules would leave ripe messages sitting until the fallback poll.
     Both latch: a signal raised while nobody is waiting is consumed by
     the next :meth:`wait`, so a delivery racing the loop between
-    ``step()`` and ``wait()`` is never lost.
+    ``step()`` and ``wait()`` is never lost.  A ``set_at`` that becomes
+    the earliest schedule re-times a blocked wait without ending it.
     """
 
     def __init__(self, clock: Callable[[], float] | None = None):
         self._clock = clock or time.monotonic  # clock-domain: monotonic
-        self._lock = threading.Condition()
+        self._lock = threading.Lock()
+        self._latch = threading.Lock()
+        self._latch.acquire()
+        self._open = False             # guarded-by: self._lock
         self._fired = False            # guarded-by: self._lock
         self._wake_heap: list[float] = []  # guarded-by: self._lock
 
@@ -57,7 +62,9 @@ class Wakeup:
         """Signal an immediate wakeup (item ready right now)."""
         with self._lock:
             self._fired = True
-            self._lock.notify_all()
+            if not self._open:
+                self._open = True
+                self._latch.release()
 
     def set_at(self, when: float) -> None:
         """Schedule a wakeup for ``when`` (a message's delivery time)."""
@@ -66,7 +73,11 @@ class Wakeup:
                 self._fired = True
             else:
                 heapq.heappush(self._wake_heap, when)
-            self._lock.notify_all()
+                if self._wake_heap[0] != when:
+                    return  # an earlier schedule already times the wait
+            if not self._open:
+                self._open = True
+                self._latch.release()
 
     def wait(self, timeout: float) -> bool:
         """Block until a signal ripens or ``timeout`` elapses.
@@ -75,22 +86,28 @@ class Wakeup:
         fallback timeout.  Ripened schedules are consumed; schedules
         still in the future survive for later waits.
         """
-        deadline = self._clock() + timeout
-        with self._lock:
-            while True:
-                now = self._clock()
-                while self._wake_heap and self._wake_heap[0] <= now:
-                    heapq.heappop(self._wake_heap)
+        deadline = None  # read at the first block: a latched wait reads none
+        while True:
+            with self._lock:
+                if self._open:  # released since the last look: hold it again
+                    self._open = False
+                    self._latch.acquire(False)
+                heap = self._wake_heap
+                now = self._clock() if heap or not self._fired else 0.0
+                while heap and heap[0] <= now:
+                    heapq.heappop(heap)
                     self._fired = True
                 if self._fired:
                     self._fired = False
                     return True
+                if deadline is None:
+                    deadline = now + timeout
                 remaining = deadline - now
                 if remaining <= 0:
                     return False
-                if self._wake_heap:
-                    remaining = min(remaining, self._wake_heap[0] - now)
-                self._lock.wait(remaining)
+                if heap:
+                    remaining = min(remaining, heap[0] - now)
+            self._latch.acquire(True, remaining)
 
 
 def run_loop(

@@ -72,11 +72,6 @@ class CaseStudy:
         values = gen.lognormal(mean=math.log(self.median), sigma=self.sigma, size=n)
         return np.clip(values, self.low, self.high)
 
-    @property
-    def mean_estimate(self) -> float:
-        """Analytic lognormal mean (pre-clipping) — a planning figure."""
-        return self.median * math.exp(self.sigma**2 / 2.0)
-
 
 #: The six case studies of section 2, keyed by short name.
 CASE_STUDIES: dict[str, CaseStudy] = {

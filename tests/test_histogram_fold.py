@@ -11,7 +11,9 @@ in bulk once the backlog reaches ``FOLD_AT``.  Pinned here:
 * truly concurrent recorders lose nothing;
 * the backlog stays bounded: below ``FOLD_AT`` whenever a lone
   recorder returns, and at most one pending value per recording thread
-  above that while several record at once.
+  above that while several record at once;
+* the bulk fold in builtins leaves exactly the state the per-value
+  fold loop (kept below) left, infinities included.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from collections import deque
 from typing import Any, Iterable
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import registry
@@ -121,6 +123,34 @@ class EagerHistogram:
         return record
 
 
+class LoopFoldHistogram(Histogram):
+    """The histogram with the fold it had before folding in builtins:
+    one value at a time.  The reference for the bulk fold."""
+
+    def _fold_locked(self) -> None:
+        for _ in range(len(self._unfolded)):
+            value = self._unfolded.popleft()
+            self._count += 1
+            self._sum += value
+            if value < self._min:
+                self._min = value
+            if value > self._max:
+                self._max = value
+            self._samples.append(value)
+            # First bucket whose bound is >= value; past the last, +inf.
+            self._bucket_counts[bisect_left(self.buckets, value)] += 1
+
+
+def folded_state(histogram):
+    """Everything a fold writes, as ``repr`` (``-0.0``, ``inf`` and
+    ``nan`` compare exactly)."""
+    with histogram._lock:
+        histogram._fold_locked()
+        return repr((histogram._count, histogram._sum, histogram._min,
+                     histogram._max, histogram._bucket_counts,
+                     list(histogram._samples)))
+
+
 class Lanes:
     """One thread per lane: ``run(lane, fn)`` runs ``fn`` on that lane's
     thread and returns its result, so a schedule runs in exactly its
@@ -209,6 +239,28 @@ class TestAgainstTheEagerHistogram:
                 eager.observe_many([value] * (i % 5))
         assert repr(lazy.snapshot()) == repr(eager.snapshot())
         assert lazy.samples() == eager.samples()
+
+
+FOLDED = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([float("inf"), float("-inf"), -0.0, 0.0, 1.0, 1024.0]))
+
+
+class TestBulkFoldAgainstTheLoop:
+    @given(waves=st.lists(st.lists(FOLDED, max_size=40), max_size=8),
+           buckets=st.sampled_from([None, COUNT_BUCKETS]))
+    @settings(max_examples=300, deadline=None)
+    # Equal extremes keep the first seen, within a wave and across waves.
+    @example(waves=[[0.0, -0.0], [-0.0], [0.0]], buckets=None)
+    @example(waves=[[-0.0, 0.0], [0.0], [-0.0]], buckets=None)
+    def test_every_fold_leaves_what_the_per_value_loop_left(
+            self, waves, buckets):
+        bulk = Histogram("h", buckets=buckets)
+        loop = LoopFoldHistogram("h", buckets=buckets)
+        for wave in waves:
+            bulk.observe_many(wave)
+            loop.observe_many(wave)
+            assert folded_state(bulk) == folded_state(loop)
 
 
 class TestConcurrentRecorders:

@@ -4,8 +4,11 @@
 own work short re-arms its own ``Wakeup``.  Everything here is a count
 or a bounded wait, never a sleep that makes a test pass:
 
-* a lone task costs each of the forwarder, agent and manager two
-  passes (one out, one back) and the result stream one;
+* a lone task costs each of the forwarder and agent two passes (one
+  out, one back), the manager one (its worker ships the result of a
+  node left idle) and the result stream one;
+* no loop hand-off of a lone task runs a ``threading.Condition``
+  method: wake-ups and deliveries take C locks only;
 * each place a step leaves work behind on purpose — a manager drain at
   ``MAX_DRAIN``, a stream pass at ``MAX_BATCH`` — finishes the work
   with the liveness fallback out of reach (the forwarder's per-step
@@ -97,6 +100,8 @@ def endpoint(service):
 class TestPassesPerLoneTask:
     def test_serial_tasks_cost_two_hop_passes_and_one_stream_pass(
             self, passes):
+        """Two passes each for the forwarder and the agent, one for the
+        manager (admission only) and one for the stream."""
         config = EndpointConfig(heartbeat_period=60.0)
         fallback = 0.5 * config.heartbeat_period
 
@@ -119,12 +124,44 @@ class TestPassesPerLoneTask:
             with client.executor(endpoint_id) as executor:
                 runs.append(serial(partial(executor.submit, double)))
         for counts, elapsed in runs:
-            for name in ("Forwarder", "FuncXAgent", "Manager"):
+            for name in ("Forwarder", "FuncXAgent"):
                 assert counts[name] <= (
                     2 * SERIAL + extra_passes(elapsed, fallback)), counts
+            assert counts["Manager"] <= (
+                SERIAL + extra_passes(elapsed, fallback)), counts
         counts, elapsed = runs[1]
         assert counts["ResultStreamServer"] <= (
             SERIAL + extra_passes(elapsed, IDLE_FALLBACK)), counts
+
+
+class TestNoConditionOnTheLoopPath:
+    def test_lone_tasks_make_no_condition_call(self, monkeypatch):
+        calls: Counter = Counter()
+        counting = []  # not an Event: that is a Condition too
+        for name in ("__enter__", "__exit__", "wait", "wait_for", "notify",
+                     "notify_all"):
+            inner = getattr(threading.Condition, name)
+
+            def counted(self, *args, _inner=inner, _name=name, **kwargs):
+                if counting:
+                    calls[_name] += 1
+                return _inner(self, *args, **kwargs)
+
+            monkeypatch.setattr(threading.Condition, name, counted)
+        with LocalDeployment() as deployment:
+            endpoint_id = deployment.create_endpoint(
+                "census", nodes=1, config=EndpointConfig())
+            client = deployment.client()
+            function_id = client.register_function(double)
+            for i in range(5):
+                assert client.submit(function_id, endpoint_id, i).result(
+                    timeout=WAIT) == 2 * i
+            counting.append(True)
+            for i in range(50):
+                assert client.submit(function_id, endpoint_id, i).result(
+                    timeout=WAIT) == 2 * i
+            counting.clear()
+        assert calls == Counter()
 
 
 class TestCutShortReArms:

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.errors import ChannelClosed, Disconnected
 from repro.transport import Channel, Network
+
+WAIT = 30.0
 
 
 class TestBasicMessaging:
@@ -161,3 +165,83 @@ class TestNetwork:
         ch.right.disconnect()
         ch.left.send("lost")
         assert net.total_dropped() == 1
+
+
+class CountingCondition(threading.Condition):
+    """A channel end's ``_arrival`` that counts what is asked of it and
+    says when a receiver has started to wait."""
+
+    def __init__(self, lock):
+        super().__init__(lock)
+        self.calls = 0
+        self.waiting = threading.Event()
+        self.woken = threading.Event()
+
+    def wait(self, timeout=None):
+        self.calls += 1
+        self.waiting.set()  # still holding the end's lock
+        notified = super().wait(timeout)
+        if notified:
+            self.woken.set()
+        return notified
+
+    def notify_all(self):
+        self.calls += 1
+        super().notify_all()
+
+
+class TestBlockingRecv:
+    """A blocked ``recv`` is woken by a delivery, a disconnect and a
+    close; a delivery nobody blocks for leaves the condition alone."""
+
+    def blocked(self, end):
+        """Start a ``recv`` on ``end``; return the outcome and thread
+        once it waits (``end``'s lock is taken only after it does)."""
+        arrival = end._arrival = CountingCondition(end._lock)
+        outcome = {}
+
+        def receive():
+            try:
+                outcome["message"] = end.recv(timeout=WAIT)
+            except ChannelClosed as exc:
+                outcome["raised"] = exc
+
+        thread = threading.Thread(target=receive, name="receiver")
+        thread.start()
+        assert arrival.waiting.wait(WAIT)
+        return arrival, outcome, thread
+
+    def test_a_delivery_wakes_a_blocked_recv(self):
+        channel = Channel()
+        _arrival, outcome, thread = self.blocked(channel.right)
+        channel.left.send("hello")
+        thread.join(WAIT)
+        assert outcome == {"message": "hello"}
+
+    def test_a_disconnect_wakes_a_blocked_recv(self):
+        channel = Channel()
+        arrival, outcome, thread = self.blocked(channel.right)
+        channel.right.disconnect()
+        try:
+            assert arrival.woken.wait(WAIT)
+        finally:
+            channel.right.close()
+            thread.join(WAIT)
+        assert isinstance(outcome.get("raised"), ChannelClosed)
+
+    def test_a_close_wakes_a_blocked_recv(self):
+        channel = Channel()
+        _arrival, outcome, thread = self.blocked(channel.right)
+        channel.right.close()
+        thread.join(WAIT)
+        assert isinstance(outcome.get("raised"), ChannelClosed)
+
+    def test_a_delivery_with_no_receiver_blocked_leaves_the_condition_alone(
+            self):
+        channel = Channel()
+        end = channel.right
+        arrival = end._arrival = CountingCondition(end._lock)
+        channel.left.send("one")
+        channel.left.send_many(("two", "three"))
+        assert end.recv_all_ready() == ["one", "two", "three"]
+        assert arrival.calls == 0

@@ -15,7 +15,11 @@ the test blocks on a semaphore the hand-off releases.
 * the idle set is the node's capacity: a result and the slot it frees
   are seen together, and a task claimed into an inbox is outstanding;
 * the idle set is whole at quiescence;
-* after ``kill()`` nothing queued starts and the worker threads exit;
+* a finish that leaves the node idle ships the node's results from the
+  worker, with no manager step; any other finish wakes the loop;
+* after ``kill()`` nothing queued starts, the worker threads exit, and
+  a finishing worker ships nothing;
+* a ``finished`` hand-off that raises is logged and the worker serves on;
 * any interleaving of waves, finishes, ``suspend`` and ``kill`` starts
   every task that was not lost exactly once, in arrival order.
 """
@@ -447,8 +451,9 @@ class TestTheLoopsDecisions:
 # ======================================================================
 class TestCapacityIsTheIdleSet:
     def test_a_result_and_the_slot_it_frees_are_seen_together(self):
-        """One worker, nothing queued once it finishes: the collect that
-        sends the result advertises the worker idle, in one transfer."""
+        """One worker, nothing queued once it finishes: the node is idle,
+        so the worker ships the result itself and advertises itself idle,
+        in one transfer."""
         node = Node(workers=1)
         try:
             prefetch = node.manager.config.prefetch_capacity
@@ -469,19 +474,21 @@ class TestCapacityIsTheIdleSet:
             collected = []
             send_results = node.manager._send_results
 
-            def recording_send(results):
+            def recording_send(results, advert):
                 collected.append(([r.task_id for r in results],
                                   node.manager.advertised_capacity()))
-                send_results(results)
+                send_results(results, advert)
 
             node.manager._send_results = recording_send
             node.finish("t1")
-            # Before any step: the worker is idle and nothing is held.
+            # Before any step: the worker is idle, nothing is held, and
+            # the result has left.
             assert node.manager.idle_count == 1
             assert node.manager.outstanding == 0
             assert node.manager.advertised_capacity() == 1 + prefetch
-            node.step()
             assert collected == [(["t1"], 1 + prefetch)]
+            node.step()
+            assert len(collected) == 1
             assert transfers == [(ResultBatchMessage, Advertisement)]
             assert [r.task_id for r in node.envelopes[-1].results] == ["t1"]
             assert node.adverts[-1].idle_workers == 1
@@ -514,6 +521,52 @@ class TestCapacityIsTheIdleSet:
 
 
 # ======================================================================
+# an idle node ships its own results
+# ======================================================================
+class TestIdleNodeShips:
+    def test_a_lone_result_reaches_the_agent_with_no_step_after_admission(
+            self):
+        node = Node(workers=4)
+        try:
+            node.wave([None])
+            node.step()  # admission: t0 to an idle worker
+            node.manager._wakeup.wait(0.0)  # the envelope's delivery
+            steps = []
+            step = node.manager.step
+            node.manager.step = lambda: steps.append(1) or step()
+            node.finish("t0")
+            # The agent was last told 4 idle: the result travels alone.
+            (shipped,) = node.agent.recv_all_ready()
+            assert [r.task_id for r in shipped.results] == ["t0"]
+            assert steps == []
+            assert node.manager._wakeup.wait(0.0) is False  # nobody woke it
+            assert node.counter("manager.tasks_completed") == 1
+            assert node.quiescent()
+        finally:
+            node.close()
+
+    def test_with_two_tasks_in_flight_the_first_finish_wakes_the_loop(self):
+        node = Node(workers=2)
+        try:
+            node.wave([None, None])
+            node.step()
+            node.manager._wakeup.wait(0.0)  # the envelope's delivery
+            assert len(node.started) == 2
+            node.finish("t0")
+            assert node.agent.recv_all_ready() == []  # the node is busy
+            assert node.manager._wakeup.wait(0.0) is True
+            node.step()
+            assert [r.task_id for r in node.results()] == ["t0"]
+            node.finish("t1")  # now idle: the worker ships t1 itself
+            assert node.manager._wakeup.wait(0.0) is False
+            node.step()
+            assert [r.task_id for r in node.results()] == ["t0", "t1"]
+            assert len(node.envelopes) == 2
+        finally:
+            node.close()
+
+
+# ======================================================================
 # kill
 # ======================================================================
 class TestKill:
@@ -540,6 +593,27 @@ class TestKill:
         finally:
             node.close()
 
+    def test_a_worker_finishing_after_kill_ships_nothing(
+            self, monkeypatch, caplog):
+        raised = []
+        monkeypatch.setattr(threading, "excepthook", raised.append)
+        node = Node(workers=1)
+        try:
+            node.wave([None])
+            node.step()
+            node.manager.kill()
+            sent = node.channel.left.sent_count
+            with caplog.at_level("ERROR"):
+                node.finish("t0")
+                (worker,) = node.workers
+                worker.join(WAIT)
+                assert not worker_alive(worker)
+            assert node.channel.left.sent_count == sent
+            assert node.agent.recv_all_ready() == []
+            assert raised == [] and caplog.records == []
+        finally:
+            node.close()
+
     def test_kill_restart_cycles_leave_no_worker_threads(self):
         def worker_threads():
             return sorted(t.name for t in threading.enumerate()
@@ -562,6 +636,48 @@ class TestKill:
                     assert not worker_alive(worker)
                 assert len(worker_threads()) == baseline
         assert worker_threads() == before
+
+
+# ======================================================================
+# a worker never dies silently
+# ======================================================================
+def double(x):
+    return 2 * x
+
+
+class TestWorkerSurvivesItsHandOff:
+    def test_a_raising_finished_is_logged_and_the_next_task_runs(
+            self, caplog):
+        results = []
+        served = threading.Event()
+
+        def finished(worker, result):
+            results.append(result.task_id)
+            if len(results) == 1:
+                raise RuntimeError("hand-off failed")
+            served.set()
+            return None
+
+        manager = Manager("m", Channel().left, EndpointConfig(
+            workers_per_node=1))
+        worker = Worker("m/w9", SimpleQueue(), finished,
+                        manager._workers["m/w0"].container)
+        body = SERIALIZER.serialize_function(double)
+        worker.start()
+        try:
+            with caplog.at_level("ERROR", logger="repro.endpoint.worker"):
+                for task_id in ("t0", "t1"):
+                    worker.inbox.put(TaskMessage(
+                        sender="m", task_id=task_id, function_id="double",
+                        function_buffer=body,
+                        payload_buffer=SERIALIZER.serialize(([1], {}))))
+                assert served.wait(5.0), results
+            assert results == ["t0", "t1"]
+            assert [r.getMessage() for r in caplog.records] == [
+                "m/w9: finished failed; continuing"]
+        finally:
+            worker.stop(WAIT)
+        assert not worker_alive(worker)
 
 
 # ======================================================================
