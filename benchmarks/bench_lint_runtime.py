@@ -2,8 +2,8 @@
 run on every commit.
 
 ``repro lint`` carries a CFG + dataflow engine (the typestate protocol
-fleet) and three cross-file passes that read one shared program model
-(lock-order, credit-balance, thread-roles).  What CI and a
+fleet) and two cross-file passes that read one shared program model
+(lock-order, thread-roles).  What CI and a
 ``repro lint --changed`` user pay is the *first* run of a process —
 parse, comment harvest and model build with every cache cold — so that
 is the run this gate times against the budget that keeps lint viable as

@@ -17,8 +17,7 @@ Module map:
 :mod:`model`
     The one program model: class table, receiver typing, call and lock
     resolution, and the held-lock walk.  Read by ``guarded-by``,
-    ``blocking-under-lock``, ``lock-order``, ``credit-balance`` and
-    ``threadroles``.
+    ``blocking-under-lock``, ``lock-order`` and ``threadroles``.
 :mod:`checks`
     The lexical checks: ``guarded-by``, ``determinism``,
     ``wire-compat``, ``blocking-under-lock``, ``clock-domain``.
@@ -26,7 +25,7 @@ Module map:
     Statement-level CFGs, forward dataflow, and the typestate registry
     on top: ``lease-ack``, ``subscription-lifecycle``,
     ``spill-lifecycle``, ``future-resolution``, plus the cross-file
-    ``credit-balance`` and ``handler-exhaustiveness``.
+    ``handler-exhaustiveness``.
 :mod:`lockorder`, :mod:`threadroles`
     The cross-file lock-acquisition-order graph and the thread-role
     race inference.

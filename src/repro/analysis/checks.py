@@ -280,12 +280,11 @@ def _wire_safe_annotation(annotation: ast.expr) -> bool:
 _CHANNEL_OPS = {"send", "recv", "recv_all_ready"}
 _QUEUE_OPS = {
     "put", "put_many", "put_nowait", "get_nowait", "lease", "lease_many",
-    "ack", "nack", "nack_all", "requeue_expired",
+    "ack", "ack_many", "nack", "requeue",
 }
 _BLOCKING_HINT = (
     "take a snapshot under the lock, release it, then perform the blocking "
-    "call on the copied state (see Forwarder._requeue_outstanding for the "
-    "pattern)"
+    "call on the copied state (see Forwarder._wave_budget for the pattern)"
 )
 
 

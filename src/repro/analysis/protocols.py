@@ -2,8 +2,8 @@
 
 PR 4's lease-ack check hard-wired one acquire/release discipline into a
 CFG + forward-dataflow pass.  The fabric has since grown four more
-resources with exactly that shape — credit ledgers, spine/stream
-subscriptions, spilled result payloads, and result futures — so this
+resources with exactly that shape — spine/stream subscriptions,
+spilled result payloads, and result futures — so this
 module generalizes the pass into a declarative registry: a
 :class:`ProtocolSpec` names a protocol's acquire sites, release sites,
 escape waivers, and refinements, and one shared engine
@@ -31,22 +31,16 @@ Engine semantics (identical to the PR 4 lease analysis, parameterized):
   elements to the loop variable.
 * ``waive_on_raise`` — protocols whose unreleased value is garbage-
   collectable (futures) treat an explicit ``raise`` as disposal; the
-  strict protocols (subscriptions, spills, credits) do not, which is
+  strict protocols (subscriptions, spills) do not, which is
   exactly how the PR 7 ``_future_for`` subscription leak class is
   caught mechanically.
 
 A leak is reported at the acquisition line when any path reaches the
-function exit with the resource still open.  Two protocols do not fit
-the per-value shape and run as cross-file (global) checks:
-
-* :func:`check_credit_balance` keys facts on the *receiver* spelling
-  (``self.credits``) instead of a bound value, with lightweight
-  interprocedural must-release summaries (one-level call-through over
-  the call sites the program model resolved — the same typing and
-  callee resolution the lock-order graph and thread-roles read).
-* :func:`check_handler_exhaustiveness` checks that every concrete
-  ``repro.transport.messages`` type is consumed by an ``isinstance``
-  (or ``match``) dispatch somewhere in the analyzed set.
+function exit with the resource still open.  One protocol does not fit
+the per-value shape and runs as a cross-file (global) check:
+:func:`check_handler_exhaustiveness` checks that every concrete
+``repro.transport.messages`` type is consumed by an ``isinstance`` (or
+``match``) dispatch somewhere in the analyzed set.
 """
 
 from __future__ import annotations
@@ -58,11 +52,9 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 from repro.analysis.cfg import build_cfg, header_parts
 from repro.analysis.dataflow import Facts, ForwardAnalysis, run_forward
 from repro.analysis.findings import Finding
-from repro.analysis.model import FunctionModel, Key, build_program
-from repro.analysis.source import SourceFile, dotted_name
+from repro.analysis.source import SourceFile
 
 LEASE_ACK = "lease-ack"
-CREDIT_BALANCE = "credit-balance"
 SUBSCRIPTION_LIFECYCLE = "subscription-lifecycle"
 SPILL_LIFECYCLE = "spill-lifecycle"
 FUTURE_RESOLUTION = "future-resolution"
@@ -190,9 +182,9 @@ VALUE_PROTOCOLS: Dict[str, ProtocolSpec] = {
                  FUTURE_PROTOCOL)
 }
 
-#: Receiver-effect / global protocol ids handled by dedicated engines
-#: below (same registry surface for coverage tests and docs).
-RECEIVER_PROTOCOLS: Tuple[str, ...] = (CREDIT_BALANCE, HANDLER_EXHAUSTIVENESS)
+#: Global protocol ids handled by dedicated engines below (same
+#: registry surface for coverage tests and docs).
+RECEIVER_PROTOCOLS: Tuple[str, ...] = (HANDLER_EXHAUSTIVENESS,)
 
 
 def _all_functions(source: SourceFile) -> List[ast.FunctionDef]:
@@ -475,146 +467,6 @@ def check_future_resolution(source: SourceFile) -> Iterator[Finding]:
     unresolved local future is garbage-collectable.
     """
     yield from run_value_protocol(source, FUTURE_PROTOCOL)
-
-
-# ======================================================================
-# credit-balance: receiver-effect protocol with one-level summaries
-# ======================================================================
-_CREDIT_CLASS = "CreditLedger"
-_CREDIT_SPELLING = "credits"
-_CREDIT_RELEASES = {"release", "revoke"}
-
-_CREDIT_HINT = (
-    "a consumed credit must be released/revoked on every path (the ledger "
-    "clamps duplicate releases, so over-releasing on a shared path is safe); "
-    "credits deliberately retired with their resource, or released by "
-    "another component (worker-side release), take "
-    "`# lint: ignore[credit-balance]` on the consume line"
-)
-
-
-def _is_credit_receiver(fn: FunctionModel, recv: ast.expr) -> bool:
-    """Spelled ``credits``, or typed ``CreditLedger`` by the model."""
-    return (_last_segment(recv) == _CREDIT_SPELLING
-            or fn.instance_type(recv) == _CREDIT_CLASS)
-
-
-def _credit_sweep(sources: List[SourceFile]):
-    """One pass over the model's call sites: the functions that directly
-    release/revoke a ledger (the must-release summaries), the containment
-    universe of released spellings, and the consume sites per function."""
-    releasing: List[FunctionModel] = []
-    released_spellings: Set[str] = set()
-    consuming: List[Tuple[FunctionModel, List[ast.Call]]] = []
-    for fn in build_program(sources).all_functions:
-        consumes: List[ast.Call] = []
-        releases = False
-        for node, _callee, _held in fn.calls:
-            func = node.func
-            if not (isinstance(func, ast.Attribute)
-                    and _is_credit_receiver(fn, func.value)):
-                continue
-            if func.attr in _CREDIT_RELEASES:
-                releases = True
-                released_spellings.add(_last_segment(func.value) or "")
-            elif func.attr == "consume":
-                consumes.append(node)
-        if releases:
-            releasing.append(fn)
-        if consumes:
-            consuming.append((fn, consumes))
-    return releasing, released_spellings, consuming
-
-
-def _release_summaries(sources: List[SourceFile],
-                       known_classes: Optional[Set[str]] = None) -> Set[Tuple]:
-    """Must-release summaries: (class, method) pairs — and
-    (None, function) for module-level functions — that directly
-    release/revoke a credit ledger.  One level only: summaries come
-    from direct releases, and callers get one call-through.
-    (``known_classes`` is unused: the model derives the class table
-    from ``sources``.)"""
-    return {(fn.cls.name if fn.cls is not None else None, fn.name)
-            for fn in _credit_sweep(sources)[0]}
-
-
-class _CreditFlow(ForwardAnalysis):
-    """Facts: receiver spelling -> {(consume_line, "open"|"done")}."""
-
-    def __init__(self, fn: FunctionModel, releasing: Set[Key]):
-        self.fn = fn
-        self.releasing = releasing
-
-    def transfer(self, stmt: ast.AST, facts: Facts) -> Facts:
-        facts = dict(facts)
-        for part in header_parts(stmt):
-            for node in ast.walk(part):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                if isinstance(func, ast.Attribute) and _is_credit_receiver(
-                        self.fn, func.value):
-                    spelling = dotted_name(func.value) or func.attr
-                    if func.attr == "consume":
-                        facts[spelling] = (facts.get(spelling, frozenset())
-                                           | {(node.lineno, _OPEN)})
-                        continue
-                    if func.attr in _CREDIT_RELEASES:
-                        facts[spelling] = frozenset(
-                            (o, _DONE)
-                            for o, _ in facts.get(spelling, frozenset()))
-                        continue
-                if self.fn.resolve(func) in self.releasing:
-                    # One-level call-through: a helper whose summary says
-                    # it releases closes every open consume (coarse on
-                    # purpose — one ledger per function in practice).
-                    facts = {k: frozenset((o, _DONE) for o, _ in v)
-                             for k, v in facts.items()}
-        return facts
-
-
-def check_credit_balance(sources: List[SourceFile]) -> Iterator[Finding]:
-    """``CreditLedger.consume`` must reach ``release``/``revoke``.
-
-    Two modes per consuming function, mirroring how the fabric really
-    uses ledgers:
-
-    * **Flow-sensitive** — when the function itself releases the same
-      ledger, every path from a consume to the exit must release (or
-      call a helper whose one-level must-release summary does);
-      clamped duplicate releases are safe by ``CreditLedger``'s
-      contract, so shared release paths never over-report.
-    * **Containment** — when the release lives in another component
-      (the manager consumes, the *worker* releases), the rule is
-      global: some release/revoke on a same-named ledger must exist in
-      the analyzed set, or the consume is a permanent credit leak.
-    """
-    releasing_fns, released_spellings, consuming = _credit_sweep(sources)
-    releasing = {fn.key for fn in releasing_fns}
-    for fn, consumes in consuming:
-        source = fn.file.source
-        if fn.key in releasing:
-            leaked = _open_at_exit(fn.node, _CreditFlow(fn, releasing))
-            for origin in sorted(leaked):
-                yield source.finding(
-                    CREDIT_BALANCE, origin,
-                    f"credit(s) consumed here "
-                    f"({', '.join(sorted(leaked[origin]))}) may reach the "
-                    f"exit of {fn.name}() without release/revoke on some path",
-                    _CREDIT_HINT,
-                )
-        else:
-            for node in consumes:
-                spelling = _last_segment(node.func.value) or ""
-                if spelling in released_spellings:
-                    continue
-                yield source.finding(
-                    CREDIT_BALANCE, node,
-                    f"credit(s) consumed here "
-                    f"({dotted_name(node.func.value) or spelling}) are never "
-                    f"released or revoked anywhere in the analyzed sources",
-                    _CREDIT_HINT,
-                )
 
 
 # ======================================================================

@@ -18,7 +18,6 @@ from repro.analysis.checks import (
 from repro.analysis.findings import Finding, sort_findings
 from repro.analysis.lockorder import check_lock_order
 from repro.analysis.protocols import (
-    check_credit_balance,
     check_future_resolution,
     check_handler_exhaustiveness,
     check_spill_lifecycle,
@@ -48,7 +47,6 @@ ALL_CHECKS: dict[str, Check] = {
 #: pass; waivers still apply per finding line.
 GLOBAL_CHECKS: dict[str, GlobalCheck] = {
     "lock-order": check_lock_order,
-    "credit-balance": check_credit_balance,
     "handler-exhaustiveness": check_handler_exhaustiveness,
     "threadroles": check_thread_roles,
 }

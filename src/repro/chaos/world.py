@@ -261,11 +261,10 @@ class ChaosWorld:
         """Non-terminal tasks unreachable by any redelivery path.
 
         A live task must be in its endpoint's reliable queue (ready or
-        under a lease), under the forwarder's open dispatch lease, or —
-        while the endpoint is observably connected — held by the agent or
-        a manager.  A dispatched task whose message is still in channel
-        flight remains covered by the forwarder's open lease, so this
-        accounting has no in-flight blind spot.  Tasks held only by a
+        under a lease) or — while the endpoint is observably connected —
+        held by the agent or a manager.  A dispatched task whose message
+        is still in channel flight remains covered by its queue lease, so
+        this accounting has no in-flight blind spot.  Tasks held only by a
         *disconnected* endpoint don't count: once the forwarder declares
         the agent lost, the service must own redelivery itself.  Anything
         outside that union can never complete nor be redelivered: it is
@@ -277,7 +276,6 @@ class ChaosWorld:
             ready, leased = hooks.queue.snapshot_items()
             accounted.update(ready)
             accounted.update(leased)
-            accounted.update(hooks.forwarder.open_task_ids())
             if hooks.forwarder.agent_connected:
                 accounted.update(hooks.endpoint.agent.tracked_task_ids())
                 for manager in list(hooks.endpoint.managers.values()):

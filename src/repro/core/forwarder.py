@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import logging
 import threading
-from collections import deque
 from typing import Callable
 
 from repro.core.flowcontrol import WavePolicy
@@ -120,10 +119,9 @@ class Forwarder:
         self._agent_name: str | None = None  # guarded-by: self._lock
         # The endpoint's advertised credit window (from the latest agent
         # heartbeat); -1 = not yet reported = unlimited.  Enforced locally
-        # against the open-lease table, so dispatch never overshoots
+        # against the queue's lease table, so dispatch never overshoots
         # even when heartbeats are dropped or reordered.
         self._credit_window = -1          # guarded-by: self._lock
-        self._open_leases: dict[str, Lease] = {}  # guarded-by: self._lock
         # function_id -> buffer digest already shipped to the connected
         # agent incarnation; cleared on every (re-)registration so a new
         # agent lifetime always receives bodies afresh.
@@ -223,13 +221,8 @@ class Forwarder:
 
     @property
     def outstanding(self) -> int:
-        with self._lock:
-            return len(self._open_leases)
-
-    def open_task_ids(self) -> list[str]:
-        """Task ids currently dispatched under an open queue lease."""
-        with self._lock:
-            return list(self._open_leases)
+        """Tasks under a lease of this endpoint's queue: in flight."""
+        return self._queue.in_flight
 
     # ------------------------------------------------------------------
     def step(self) -> int:
@@ -240,37 +233,20 @@ class Forwarder:
         if self._clock() - self._agent_beat > self.heartbeats.deadline:
             self._check_agent_liveness()
         if self.lease_timeout is not None:
-            events += self._reclaim_expired_leases()
+            # Lossy links: roll back tasks whose dispatch lease timed out.
+            expired = self._queue.leased(due=self._clock())
+            if expired:
+                self._requeue(expired, "lease timeout")
+            events += len(expired)
         if self.agent_connected:
             events += self._dispatch_tasks()
         return events
 
-    def _reclaim_expired_leases(self) -> int:
-        """Roll back tasks whose dispatch lease timed out (lossy links)."""
-        queue = self._queue
-        now = self._clock()
-        with self._lock:
-            expired = [
-                (task_id, lease)
-                for task_id, lease in self._open_leases.items()
-                if lease.deadline is not None and lease.deadline <= now
-            ]
-            for task_id, _lease in expired:
-                del self._open_leases[task_id]
-        for task_id, lease in expired:
-            if self.service.requeue_task(task_id, reason="lease timeout"):
-                queue.nack(lease.lease_id)
-                self._c_requeues.inc()
-                if self._events:
-                    self._events.emit("forwarder", "forwarder.lease_timeout", {
-                        "endpoint_id": self.endpoint_id, "task_id": task_id})
-            else:
-                queue.ack(lease.lease_id)
-                if self._events:
-                    self._events.emit("forwarder", "forwarder.dropped", {
-                        "endpoint_id": self.endpoint_id, "task_id": task_id,
-                        "reason": "lease timeout"})
-        return len(expired)
+    def _requeue(self, task_ids: list[str], reason: str,
+                 wake: bool = True) -> None:
+        """Hand leased tasks back through the service's one requeue call."""
+        self._c_requeues.inc(len(self.service.requeue_tasks(
+            self.endpoint_id, task_ids, reason, wake)))
 
     # -- inbound ------------------------------------------------------------
     def _drain_agent_messages(self) -> int:
@@ -363,11 +339,7 @@ class Forwarder:
     def _on_results(self, results: tuple[ResultMessage, ...]) -> None:
         """Retire one result envelope: its leases in one ``ack_many``,
         its outcomes in one ``complete_tasks`` on this endpoint's shard."""
-        with self._lock:
-            leases = [self._open_leases.pop(message.task_id, None)
-                      for message in results]
-        self._queue.ack_many(
-            lease.lease_id for lease in leases if lease is not None)
+        self._queue.ack_many(message.task_id for message in results)
         outcomes = [(
             message.task_id, message.success, message.result_buffer,
             None if message.success else self._failure_text(message),
@@ -426,29 +398,7 @@ class Forwarder:
                 "endpoint_id": self.endpoint_id, "component": agent_name,
                 "alive": False, "incarnation": self.incarnation,
                 "via": "heartbeat-timeout"})
-        self._requeue_outstanding("agent heartbeat lost")
-
-    def _requeue_outstanding(self, reason: str) -> None:
-        queue = self._queue
-        with self._lock:
-            leases = dict(self._open_leases)
-            self._open_leases.clear()
-        for task_id, lease in leases.items():
-            # Roll the task state back; the nack puts the id back in queue.
-            kept = self.service.requeue_task(task_id, reason=reason)
-            if kept:
-                queue.nack(lease.lease_id)
-                self._c_requeues.inc()
-                if self._events:
-                    self._events.emit("forwarder", "forwarder.requeued", {
-                        "endpoint_id": self.endpoint_id, "task_id": task_id,
-                        "reason": reason})
-            else:
-                queue.ack(lease.lease_id)  # retries exhausted; drop for good
-                if self._events:
-                    self._events.emit("forwarder", "forwarder.dropped", {
-                        "endpoint_id": self.endpoint_id, "task_id": task_id,
-                        "reason": reason})
+        self._requeue(self._queue.leased(), "agent heartbeat lost")
 
     # -- outbound -------------------------------------------------------------------
     def _wave_budget(self, depth: int) -> tuple[int, int, int]:
@@ -463,7 +413,7 @@ class Forwarder:
         budget = self.max_dispatch_per_step
         with self._lock:
             window = self._credit_window
-            in_flight = len(self._open_leases)
+        in_flight = self._queue.in_flight
         if window >= 0:
             budget = min(budget, max(0, window - in_flight))
             if budget == 0:
@@ -482,12 +432,11 @@ class Forwarder:
         """Dispatch leased tasks to the agent; every lease is disposed.
 
         Each lease obtained from the queue ends this method either acked
-        (orphaned/terminal task), nacked (send failure, or unprocessed
-        when a later lease blows up), or registered in ``_open_leases``
-        awaiting its result.  Without that discipline a single bad queue
-        entry — e.g. a task id whose record was purged — would strand
-        every lease behind it until the visibility timeout, or forever
-        when leases don't expire.
+        (orphaned/terminal task), requeued (send failure, or a wave that
+        blows up), or open in the queue awaiting its result.  Without
+        that discipline a single bad queue entry — e.g. a task id whose
+        record was purged — would strand every lease behind it until the
+        visibility timeout, or forever when leases don't expire.
 
         The wave is capped by the endpoint's remaining credit and may
         additionally be held (bounded, via ``Wakeup.set_at`` — no
@@ -510,8 +459,8 @@ class Forwarder:
                 self._wakeup.set_at(decision.hold_until)
             return 0
         self._h_wave_hold.observe(decision.held_for)
-        pending = deque(queue.lease_many(min(budget, decision.size),
-                                         lease_timeout=self.lease_timeout))
+        pending = queue.lease_many(min(budget, decision.size),
+                                   lease_timeout=self.lease_timeout)
         if not pending:
             return 0
         dispatched = self._dispatch_batch(queue, pending)
@@ -530,34 +479,30 @@ class Forwarder:
         return dispatched
 
     def _dispatch_batch(self, queue: ReliableQueue,
-                        pending: "deque[Lease]") -> int:
+                        leases: list[Lease]) -> int:
         """Coalesce one ``lease_many`` batch into a single envelope.
 
-        Every lease in ``pending`` is disposed on every path: acked by
-        ``_prepare_task`` (orphan/terminal), nacked on send failure or a
-        mid-batch exception, or registered in ``_open_leases`` by
+        Every lease is disposed on every path: acked by ``_prepare_task``
+        (orphan/terminal), requeued in one call on send failure or a
+        mid-batch exception, or left open in the queue by
         ``_commit_batch``.
         """
         memo: dict[str, bytes] = {}
         ship: dict[str, bytes] = {}
-        prepared: list[tuple[Lease, TaskMessage, Task]] = []
-        lease: Lease | None = None
+        prepared: list[tuple[TaskMessage, Task]] = []
         try:
             # One table read for the wave; each record rides along from
             # here, so no later step looks its task up again.
-            tasks = iter(self._shard.get_tasks(
-                [leased.item for leased in pending]))
-            while pending:
-                lease = pending.popleft()
-                entry = self._prepare_task(queue, lease, next(tasks), memo, ship)
+            tasks = self._shard.get_tasks([lease.item for lease in leases])
+            for lease, task in zip(leases, tasks):
+                entry = self._prepare_task(queue, lease, task, memo, ship)
                 if entry is not None:
                     prepared.append(entry)
-                lease = None
             if not prepared:
                 return 0
             batch = TaskBatchMessage(
                 sender=self._sender,
-                tasks=tuple(message for _, message, _task in prepared),
+                tasks=tuple(message for message, _task in prepared),
                 function_buffers=dict(ship),
                 incarnation=self._registered_incarnation,
             )
@@ -566,21 +511,12 @@ class Forwarder:
                 # marked dispatched, so the leases just go back — quietly:
                 # waking this loop would lease them straight into the same
                 # dead link.  The next put, delivery or fallback retries.
-                for entry in prepared:
-                    queue.nack(entry[0].lease_id, wake=False)
+                self._requeue([task.task_id for _message, task in prepared],
+                              "send failed", wake=False)
                 return 0
             return self._commit_batch(prepared, ship)
         except Exception:
-            if lease is not None:
-                queue.nack(lease.lease_id)
-            for unprocessed in pending:
-                queue.nack(unprocessed.lease_id)
-            for entry in prepared:
-                held = entry[0]
-                with self._lock:
-                    registered = self._open_leases.get(held.item) is held
-                if not registered:
-                    queue.nack(held.lease_id)
+            self._requeue([lease.item for lease in leases], "dispatch failed")
             raise
 
     def _prepare_task(self, queue: ReliableQueue, lease: Lease,
@@ -588,7 +524,7 @@ class Forwarder:
                       ship: dict[str, bytes]):
         """Resolve one lease into a stripped task message for the batch.
 
-        Returns ``(lease, message, task)`` or ``None`` when the lease
+        Returns ``(message, task)`` or ``None`` when the lease
         was disposed here (``task`` is ``None``: its record was purged;
         or it went terminal while queued).  The task's function body is
         added to ``ship`` unless this agent incarnation already holds
@@ -625,22 +561,22 @@ class Forwarder:
             container_image=self._site_container(task.container_image),
             submitted_at=task.state_times.get("received", self._clock()),
         )
-        return lease, message, task
+        return message, task
 
-    def _commit_batch(self, prepared: list, ship: dict[str, bytes]) -> int:
+    def _commit_batch(self, prepared: list[tuple[TaskMessage, Task]],
+                      ship: dict[str, bytes]) -> int:
         """Post-send bookkeeping for a delivered batch envelope.
 
-        The envelope is with the agent, so every lease is registered
-        before any task is marked: a record that refuses the transition
-        (a shard kill rolled it back mid-send) must not send the leases
-        of tasks already in flight back to the queue.
+        Only the tasks whose id the queue still leases are marked, under
+        its lock: one a shard kill requeued mid-send stays QUEUED, never
+        DISPATCHED while its id is ready.
         """
         with self._lock:
-            for lease, _message, task in prepared:
-                self._open_leases[task.task_id] = lease
             for function_id, buffer in ship.items():
                 self._shipped_buffers[function_id] = hash(buffer)
-        self.service.tasks_dispatched([task for _, _message, task in prepared])
+        tasks = {task.task_id: task for _message, task in prepared}
+        self._queue.holding(tasks, lambda held: self.service.tasks_dispatched(
+            [tasks[task_id] for task_id in held]))
         self._c_forwarded.inc(len(prepared))
         self._h_batch_size.observe(float(len(prepared)))
         if len(prepared) > 1:

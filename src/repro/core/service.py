@@ -30,7 +30,7 @@ import logging
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.auth.scopes import Scope
 from repro.auth.service import AuthService
@@ -645,41 +645,58 @@ class FuncXService:
         self._retire(shard, [task])
         return True
 
-    def requeue_task(self, task_id: str, reason: str = "") -> bool:
-        """Roll a dispatched-but-unfinished task back to QUEUED.
+    def requeue_tasks(self, endpoint_id: str, task_ids: Iterable[str],
+                      reason: str, wake: bool = True) -> list[str]:
+        """Return leased tasks to ``endpoint_id``'s queue: lease timeout,
+        agent loss, a failed dispatch wave and a shard kill all come here.
 
-        Used by forwarders when a lease times out or an agent is lost;
-        enforces the retry budget.  Only the task state moves: the
-        forwarder nacks the task's queue lease, which puts the id back
-        itself.
+        Under one hold of the queue lock each task with retries left goes
+        back to QUEUED and its id to the front of its lane.  A task past
+        its retry budget is failed, and its lease acked, as one wave after
+        the hold; so is the lease of a record gone or already terminal.
+        An id not under lease is skipped.  Returns the requeued ids.
         """
-        shard, task = self._locate(task_id)
-        if task.state.terminal:
-            return False
-        if task.attempts > task.max_retries:
-            if self.events:
-                self.events.emit("service", "task.retries_exhausted", {
-                    "task_id": task_id, "reason": reason, "attempts": task.attempts})
-            self._settle(
-                task,
-                success=False,
-                exception_text=f"retries exhausted after {task.attempts} attempts ({reason})",
-                now=self._clock(),
-            )
-            self._retire(shard, [task])
-            return False
-        if task.state is not TaskState.QUEUED:
-            task.advance(TaskState.QUEUED, self._clock())
-        task.metadata.setdefault("requeue_reasons", []).append(reason)
-        if self.events:
-            self.events.emit("service", "task.requeued", {
-                "task_id": task_id, "reason": reason})
-        return True
+        shard = self.shard_for_endpoint(endpoint_id)
+        queue = shard.task_queue(endpoint_id)
+        task_ids = list(task_ids)
+        records = dict(zip(task_ids, shard.get_tasks(task_ids)))
+        now = self._clock()
+        events = self.events
+
+        def keep(task_id: str) -> bool:  # under the queue lock
+            task = records[task_id]
+            if (task is None or task.state.terminal
+                    or task.attempts > task.max_retries):
+                return False
+            if task.state is not TaskState.QUEUED:
+                task.advance(TaskState.QUEUED, now)
+            task.metadata.setdefault("requeue_reasons", []).append(reason)
+            if events:
+                events.emit("service", "task.requeued", {
+                    "task_id": task_id, "reason": reason})
+            return True
+
+        requeued, refused = queue.requeue(task_ids, keep, wake)
+        exhausted = [task for task in map(records.get, refused)
+                     if task is not None and not task.state.terminal]
+        for task in exhausted:
+            if events:
+                events.emit("service", "task.retries_exhausted", {
+                    "task_id": task.task_id, "reason": reason,
+                    "attempts": task.attempts})
+            self._settle(task, success=False, now=now, exception_text=(
+                f"retries exhausted after {task.attempts} attempts ({reason})"))
+        self._retire(shard, exhausted)
+        queue.ack_many(refused)
+        return requeued
 
     def tasks_dispatched(self, tasks: list[Task]) -> None:
-        """A forwarder sent this wave to its agent (fig 3, step 4)."""
+        """A forwarder sent this wave to its agent (fig 3, step 4); a
+        task cancelled meanwhile stays cancelled."""
         now = self._clock()
         for task in tasks:
+            if task.state.terminal:
+                continue
             task.attempts += 1
             task.advance(TaskState.DISPATCHED, now)
 
@@ -717,9 +734,11 @@ class FuncXService:
     def forget_task(self, task_id: str) -> bool:
         """Administratively purge a task record (TTL eviction, GDPR wipe).
 
-        The task id may still be riding an endpoint queue — forwarders
-        must treat a leased-but-unknown id as an orphan, ack it, and keep
-        draining (see ``Forwarder._dispatch_tasks``).
+        The task id may still be riding an endpoint queue, ready or
+        leased.  A forwarder that leases an unknown id acks it as an
+        orphan and keeps draining (``Forwarder._prepare_task``); a
+        result for it acks its lease; :meth:`requeue_tasks` acks the
+        lease of a record that is gone.
         """
         task = self.shard_for_task(task_id).pop_task(task_id)
         if task is None:

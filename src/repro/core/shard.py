@@ -33,7 +33,7 @@ import zlib
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.core.tasks import Task, TaskState, Waiter
+from repro.core.tasks import Task, Waiter
 from repro.errors import TaskNotFound
 from repro.store.queues import FairReliableQueue, ReliableQueue
 
@@ -127,13 +127,9 @@ class ServiceShard:
     shards.
     """
 
-    # Queue-map creation and drain/kill administration race from
-    # multiple client/admin threads that all classify as role "main";
-    # those locks are load-bearing even though role inference sees a
-    # single role (the waived entries below).
     _GUARDED = {
         "_tasks": "_lock",
-        "_task_queues": "_lock",  # lint: ignore[threadroles]
+        "_task_queues": "_lock",
         "_outstanding": "_lock",
         "_received": "_lock",
         "_terminated": "_lock",
@@ -453,30 +449,20 @@ class ServiceShard:
     def kill(self) -> int:
         """Chaos entry: drain, then yank every outstanding queue lease.
 
-        Models the shard process dying: forwarder leases vanish (their
-        later acks are rejected harmlessly) and the ready backlog
-        survives in the partition's durable queues.  Returns the number
-        of leases yanked.
+        Models the shard process dying: forwarder leases vanish through
+        the service's one requeue call, records back to QUEUED, and the
+        ready backlog survives in the partition's durable queues.
+        Returns the number of leases yanked.
         """
         with self._lock:
             self.draining = True
-            queues = list(self._task_queues.values())
+            queues = list(self._task_queues.items())
         yanked = 0
-        for queue in queues:
-            yanked += queue.nack_all()
-        # The yanked task-queue entries go back to the ready backlog, so
-        # any task caught mid-dispatch must roll back to QUEUED — a
-        # redelivering forwarder re-marks dispatch, and DISPATCHED ->
-        # DISPATCHED is an illegal transition.
-        now = self._clock()
-        with self._lock:
-            in_flight = [task for task in self._tasks.values()
-                         if task.state in (TaskState.DISPATCHED,
-                                           TaskState.RUNNING)]
-        for task in in_flight:
-            task.advance(TaskState.QUEUED, now)
-            task.metadata.setdefault("requeue_reasons", []).append(
-                f"shard-{self.index}-killed")
+        for endpoint_id, queue in queues:
+            leased = queue.leased()
+            self.service.requeue_tasks(endpoint_id, leased,
+                                       f"shard-{self.index}-killed")
+            yanked += len(leased)
         return yanked
 
     def restart(self) -> None:

@@ -6,7 +6,9 @@ thread-safe equivalents of those two (task records live in
 :mod:`repro.core.shard`, functions in :mod:`repro.core.registry`):
 
 * :class:`ReliableQueue` — FIFO queue with lease/ack semantics giving the
-  at-least-once delivery the hierarchical queueing architecture requires.
+  at-least-once delivery the hierarchical queueing architecture requires;
+  its lease table, keyed by task id, is the service's one record of
+  what is in flight.
 * :class:`PubSub` — exact-topic fan-out, kept for a benchmark drive;
   monitors subscribe to the deployment's event spine instead.
 """

@@ -7,11 +7,13 @@ when the endpoint disconnects, giving *at-least-once* delivery.
 
 :class:`ReliableQueue` implements that contract directly:
 
-* ``put`` enqueues an item.
+* ``put`` enqueues an item.  An item sits in its queue at most once
+  (the service's items are task ids), so a lease is named by its item.
 * ``lease`` dequeues the oldest item under a revocable lease.
 * ``ack`` completes the lease; the item is gone for good.
-* ``nack`` (or lease expiry via ``requeue_expired``) returns the item to
-  the *front* of the queue so redelivery preserves age order.
+* ``requeue`` returns leased items to the *front* of the queue so
+  redelivery preserves age order; ``leased(due=now)`` reads which
+  leases have outlived their visibility timeout.
 
 :class:`FairReliableQueue` keeps the same contract but partitions the
 ready backlog into per-tenant *lanes* and dequeues with deficit round
@@ -21,7 +23,6 @@ endpoint queue.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from collections import deque
@@ -38,13 +39,16 @@ _Entry = tuple[Any, float, int, str]
 class Lease:
     """An in-flight item handed to a consumer but not yet acknowledged."""
 
-    lease_id: int
     item: Any
-    leased_at: float
     deadline: float | None
     enqueued_at: float = 0.0
     deliveries: int = 1
     lane: str = ""
+
+    @property
+    def lease_id(self) -> Any:
+        """The key ``ack`` and ``requeue`` take: the item itself."""
+        return self.item
 
 
 class ReliableQueue:
@@ -56,10 +60,6 @@ class ReliableQueue:
         Diagnostic label (e.g. ``"tasks:<endpoint-id>"``).
     clock:
         Injectable time source; defaults to :func:`time.monotonic`.
-    default_lease_timeout:
-        Visibility timeout applied to leases when the consumer does not
-        specify one.  ``None`` means leases never auto-expire (the live
-        forwarder explicitly nacks on disconnect instead).
     events:
         The deployment's event spine: every mutation emits a
         ``queue.*`` event carrying a conservation snapshot, under the
@@ -83,7 +83,6 @@ class ReliableQueue:
         self,
         name: str = "queue",
         clock: Callable[[], float] | None = None,
-        default_lease_timeout: float | None = None,
         events: EventSpine | None = None,
     ):
         self.name = name
@@ -91,10 +90,7 @@ class ReliableQueue:
         self._clock = clock or time.monotonic  # clock-domain: monotonic
         self._lock = threading.Lock()
         self._items: deque[_Entry] = deque()
-        self._leases: dict[int, Lease] = {}
-        self._lease_ids = itertools.count(1)
-        self._default_timeout = default_lease_timeout
-        self._closed = False
+        self._leases: dict[Any, Lease] = {}  # item -> its open lease
         # counters for metrics
         self.total_enqueued = 0
         self.total_acked = 0
@@ -104,7 +100,7 @@ class ReliableQueue:
         # the observable record of how far producers outran consumers.
         self._high_watermark = 0
         # Wakeup hook: fired (outside the queue lock) whenever items
-        # become available — put/nack/expiry.  Event-driven consumers
+        # become available — put or requeue.  Event-driven consumers
         # point this at Wakeup.set so they block instead of sleep-polling.
         self.wakeup: Callable[[], None] | None = None
 
@@ -151,7 +147,7 @@ class ReliableQueue:
         """``total_enqueued - total_acked - in_flight - ready``.
 
         Every ``put`` adds one item; ``lease`` moves it to the lease table;
-        ``ack`` retires it; ``nack``/expiry moves it back.  The delta is
+        ``ack`` retires it; ``requeue`` moves it back.  The delta is
         therefore zero at all times — the queue-conservation invariant.
         """
         with self._lock:
@@ -181,8 +177,6 @@ class ReliableQueue:
         count = 0
         events = self._events
         with self._lock:
-            if self._closed:
-                raise RuntimeError(f"queue {self.name} is closed")
             now = self._clock()
             for item in items:
                 self._ready_push((item, now, 0, lane))
@@ -197,58 +191,40 @@ class ReliableQueue:
         return count
 
     # -- consumer side ---------------------------------------------------------
-    def _lease_entry(self, lease_timeout: float | None, now: float) -> Lease:  # guarded-by: self._lock
-        """Pop one ready entry into the lease table (caller holds lock)."""
-        item, enq_at, deliveries, lane = self._ready_pop()
-        effective = lease_timeout if lease_timeout is not None else self._default_timeout
-        lease = Lease(
-            lease_id=next(self._lease_ids),
-            item=item,
-            leased_at=now,
-            deadline=(now + effective) if effective is not None else None,
-            enqueued_at=enq_at,
-            deliveries=deliveries + 1,
-            lane=lane,
-        )
-        self._leases[lease.lease_id] = lease
-        if deliveries:
-            self.total_redelivered += 1
-        return lease
-
     def lease(self, lease_timeout: float | None = None) -> Lease | None:
         """Dequeue the oldest item under a lease, or ``None`` when the
         ready backlog is empty — it never blocks; a consumer that wants
         to sleep until there is work points :attr:`wakeup` at its own
-        event.  ``lease_timeout`` overrides the queue's default
-        visibility timeout."""
-        with self._lock:
-            if not self._ready_len():
-                return None
-            lease = self._lease_entry(lease_timeout, self._clock())
-            if self._events:
-                self._events.emit("queue", "queue.lease", self._snapshot(
-                    deliveries=lease.deliveries))
-            return lease
+        event.  With ``lease_timeout`` the lease falls due that many
+        seconds on (see :meth:`leased`); without, it never does."""
+        leases = self.lease_many(1, lease_timeout)
+        return leases[0] if leases else None
 
     def lease_many(self, max_items: int, lease_timeout: float | None = None) -> list[Lease]:
         """Non-blocking bulk lease of up to ``max_items`` (executor batching)."""
         leases: list[Lease] = []
         with self._lock:
             now = self._clock()
+            deadline = None if lease_timeout is None else now + lease_timeout
             for _ in range(max_items):
                 if not self._ready_len():
                     break
-                leases.append(self._lease_entry(lease_timeout, now))
+                item, enqueued_at, deliveries, lane = self._ready_pop()
+                lease = self._leases[item] = Lease(
+                    item, deadline, enqueued_at, deliveries + 1, lane)
+                leases.append(lease)
+                if deliveries:
+                    self.total_redelivered += 1
             if leases and self._events:
                 self._events.emit("queue", "queue.lease_many",
                                   self._snapshot(count=len(leases)))
         return leases
 
-    def ack(self, lease_id: int) -> bool:
+    def ack(self, lease_id: Any) -> bool:
         """Complete a lease; the item will never be redelivered."""
         return self.ack_many((lease_id,)) == 1
 
-    def ack_many(self, lease_ids: Iterable[int]) -> int:
+    def ack_many(self, lease_ids: Iterable[Any]) -> int:
         """Complete a wave of leases under one lock hold; returns how
         many were still open.  A subscriber still sees one ``queue.ack``
         (or ``queue.ack_rejected``) snapshot per lease."""
@@ -267,72 +243,46 @@ class ReliableQueue:
                     events.emit("queue", "queue.ack", self._snapshot())
         return acked
 
-    def nack(self, lease_id: int, wake: bool = True) -> bool:
-        """Return a leased item to the front of the queue for redelivery;
-        ``wake=False`` for a consumer handing back its own failed pass."""
+    def requeue(
+        self,
+        items: Iterable[Any],
+        keep: Callable[[Any], bool] | None = None,
+        wake: bool = True,
+    ) -> tuple[list[Any], list[Any]]:
+        """Return the leases of ``items`` to the front of their lanes under
+        one lock hold, oldest in front, so redelivery keeps age order; an
+        item not under lease is skipped.  ``keep(item)``, called under the
+        same hold, may refuse an item: its lease stays open for the caller
+        to ack.  Returns ``(requeued, refused)``; ``wake=False`` for a
+        consumer handing back its own failed pass."""
+        events = self._events
         with self._lock:
-            lease = self._leases.pop(lease_id, None)
-            if lease is None:
-                if self._events:
-                    self._events.emit("queue", "queue.nack_rejected",
-                                      self._snapshot(lease_id=lease_id))
-                return False
-            self._ready_push(
-                (lease.item, lease.enqueued_at, lease.deliveries, lease.lane), front=True
-            )
-            self._note_depth()
-            if self._events:
-                self._events.emit("queue", "queue.nack", self._snapshot())
-        if wake:
-            self._fire_wakeup()
-        return True
-
-    def nack_all(self) -> int:
-        """Requeue every outstanding lease (endpoint-disconnect path).
-
-        Items return in age order: oldest ends up at the front.
-        """
-        with self._lock:
-            leases = sorted(self._leases.values(), key=lambda l: l.enqueued_at, reverse=True)
-            for lease in leases:
+            leased = [lease for lease in map(self._leases.get, dict.fromkeys(items))
+                      if lease is not None]
+            back = sorted((lease for lease in leased
+                           if keep is None or keep(lease.item)),
+                          key=lambda lease: lease.enqueued_at, reverse=True)
+            for lease in back:
+                del self._leases[lease.item]
                 self._ready_push(
                     (lease.item, lease.enqueued_at, lease.deliveries, lease.lane),
-                    front=True,
-                )
-            count = len(leases)
-            self._leases.clear()
-            self._note_depth()
-            if count and self._events:
-                self._events.emit("queue", "queue.nack_all", self._snapshot(count=count))
-        if count:
+                    front=True)
+                if events:
+                    events.emit("queue", "queue.nack", self._snapshot())
+            if back:
+                self._note_depth()
+            refused = [lease.item for lease in leased if lease.item in self._leases]
+        if back and wake:
             self._fire_wakeup()
-        return count
+        return [lease.item for lease in back], refused
 
-    def requeue_expired(self) -> int:
-        """Requeue every lease past its visibility deadline."""
+    def holding(self, items: Iterable[Any],
+                fn: Callable[[list[Any]], None]) -> None:
+        """Call ``fn`` with those of ``items`` still under lease, under
+        the queue lock: no requeue interleaves, so nothing ``fn`` marks
+        in flight is ready again."""
         with self._lock:
-            now = self._clock()
-            expired = [
-                l for l in self._leases.values() if l.deadline is not None and l.deadline <= now
-            ]
-            for lease in sorted(expired, key=lambda l: l.enqueued_at, reverse=True):
-                del self._leases[lease.lease_id]
-                self._ready_push(
-                    (lease.item, lease.enqueued_at, lease.deliveries, lease.lane),
-                    front=True,
-                )
-            self._note_depth()
-            if expired and self._events:
-                self._events.emit("queue", "queue.requeue_expired",
-                                  self._snapshot(count=len(expired)))
-        if expired:
-            self._fire_wakeup()
-        return len(expired)
-
-    # -- lifecycle ---------------------------------------------------------------
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
+            fn([item for item in items if item in self._leases])
 
     # -- introspection -------------------------------------------------------------
     def __len__(self) -> int:
@@ -356,11 +306,14 @@ class ReliableQueue:
         with self._lock:
             return len(self._leases)
 
-    def peek_ages(self) -> list[float]:
-        """Queue-delay of every waiting item (diagnostics)."""
+    def leased(self, due: float | None = None) -> list[Any]:
+        """The items under lease; with ``due``, only those whose
+        visibility deadline is at or before it."""
         with self._lock:
-            now = self._clock()
-            return [now - enq for (_, enq, _, _) in self._ready_entries()]
+            if due is None:
+                return list(self._leases)
+            return [item for item, lease in self._leases.items()
+                    if lease.deadline is not None and lease.deadline <= due]
 
 
 class FairReliableQueue(ReliableQueue):
@@ -371,7 +324,7 @@ class FairReliableQueue(ReliableQueue):
     next item under DRR, so a tenant pushing 10× the traffic still only
     gets its weighted share of dispatch slots while other lanes are
     backlogged.  Within a lane, FIFO age order (and front-of-lane
-    redelivery on nack) is preserved, so the at-least-once conservation
+    redelivery on requeue) is preserved, so the at-least-once conservation
     machinery of the base class applies untouched.
 
     Weights come from ``weight_for(lane)``; each round a backlogged lane
@@ -382,8 +335,8 @@ class FairReliableQueue(ReliableQueue):
 
     # The DRR lane state is only touched from the base class's locked
     # push/lease/ack hooks, whose callers (producer and consumer
-    # threads) the role graph attributes to the base class — it sees a
-    # single role here, but the inherited lock is load-bearing.
+    # threads) the role graph attributes to the base class — it sees no
+    # role here, but the inherited lock is load-bearing.
     _GUARDED = {
         **ReliableQueue._GUARDED,
         "_lanes": "_lock",  # lint: ignore[threadroles]
@@ -399,14 +352,11 @@ class FairReliableQueue(ReliableQueue):
         self,
         name: str = "queue",
         clock: Callable[[], float] | None = None,
-        default_lease_timeout: float | None = None,
         quantum: float = 1.0,
         weight_for: Callable[[str], float] | None = None,
         events: EventSpine | None = None,
     ):
-        super().__init__(name=name, clock=clock,
-                         default_lease_timeout=default_lease_timeout,
-                         events=events)
+        super().__init__(name=name, clock=clock, events=events)
         if quantum <= 0:
             raise ValueError("quantum must be positive")
         self._quantum = quantum
@@ -467,8 +417,3 @@ class FairReliableQueue(ReliableQueue):
         for lane in self._active:
             entries.extend(self._lanes[lane])
         return entries
-
-    def lane_depths(self) -> dict[str, int]:
-        """Ready backlog per lane (fairness diagnostics)."""
-        with self._lock:
-            return {lane: len(bucket) for lane, bucket in self._lanes.items()}

@@ -77,7 +77,6 @@ def test_corpus_covers_every_check_both_ways():
         "spill-lifecycle": "spill_good.py",
         "future-resolution": "future_good.py",
         "lock-order": "lockorder_good.py",
-        "credit-balance": "credit_good.py",
         "handler-exhaustiveness": "handlers_good.py",
         "threadroles": "threadrole_good.py",
     }

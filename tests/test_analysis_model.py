@@ -12,7 +12,6 @@ from repro.analysis import model as model_mod
 from repro.analysis import source as source_mod
 from repro.analysis.lockorder import extract_lock_graph
 from repro.analysis.model import build_program, file_model
-from repro.analysis.protocols import check_credit_balance
 from repro.analysis.runner import ALL_CHECKS, GLOBAL_CHECKS, run_analysis
 from repro.analysis.source import parse_source
 from repro.analysis.threadroles import build_role_report
@@ -20,8 +19,7 @@ from repro.analysis.threadroles import build_role_report
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 # ``Outer`` reaches a ``CreditLedger`` through {receiver}; ``_run`` (a
-# worker thread) pokes it under ``_outer_lock``, ``spend`` leaks a
-# consumed credit on the refusal path.
+# worker thread) pokes it under ``_outer_lock``.
 TEMPLATE = '''
 import threading
 from typing import Optional
@@ -31,12 +29,6 @@ class CreditLedger:
     def __init__(self):
         self._lock = threading.Lock()
         self.level = 0
-
-    def consume(self, n):
-        return n
-
-    def release(self, n):
-        return n
 
     def _poke(self):
         with self._lock:
@@ -58,14 +50,6 @@ class Outer:
         {prelude}
         with self._outer_lock:
             {call}
-
-    def spend(self, ok):
-        {prelude}
-        {receiver}.consume(1)
-        if not ok:
-            return False
-        {receiver}.release(1)
-        return True
 '''
 
 #: name -> (extra __init__ params, __init__ body, method prelude, receiver)
@@ -112,11 +96,6 @@ def _assert_all_engines_agree(source):
     assert writes and all(
         a.locks == {"CreditLedger._lock", "Outer._outer_lock"}
         for a in writes)
-    # credit-balance: the same receiver is typed CreditLedger, so the
-    # leaked consume in spend() is seen
-    findings = list(check_credit_balance([source]))
-    assert [f.symbol for f in findings] == ["Outer.spend"]
-    assert "without release/revoke on some path" in findings[0].message
 
 
 @pytest.mark.parametrize("form", sorted(RECEIVER_FORMS))
@@ -180,8 +159,8 @@ def test_model_is_built_at_most_once_per_source_per_run(monkeypatch):
     built = _CountingFileModel.built
     report = run_analysis([REPO_ROOT / "src"], repo_root=REPO_ROOT)
     assert report.files_analyzed > 50
-    # thread-roles, lock-order, credit-balance, guarded-by and
-    # blocking-under-lock all ran; each file's model was built once
+    # thread-roles, lock-order, guarded-by and blocking-under-lock all
+    # ran; each file's model was built once
     assert sorted(built) == sorted(set(built))
     assert len(built) == report.files_analyzed
     # a warm run (parsed sources cached) reuses every model
@@ -189,7 +168,7 @@ def test_model_is_built_at_most_once_per_source_per_run(monkeypatch):
     assert len(built) == report.files_analyzed
     # and so does each model-reading check run on its own
     sources = [entry[1] for entry in source_mod._SOURCE_CACHE.values()]
-    for check in ("lock-order", "credit-balance", "threadroles"):
+    for check in ("lock-order", "threadroles"):
         list(GLOBAL_CHECKS[check](sources))
     for check in ("guarded-by", "blocking-under-lock"):
         for source in sources:

@@ -243,7 +243,7 @@ class TestQueueDepthWatermark:
         leases = [q.lease(lease_timeout=10.0) for _ in range(3)]
         assert q.depth == 2
         assert q.high_watermark == 5          # watermark never recedes
-        q.nack(leases[0].lease_id)
+        q.requeue([leases[0].lease_id])
         assert q.depth == 3
         q.put_many(range(10, 14))
         assert q.depth == 7

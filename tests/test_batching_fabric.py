@@ -223,7 +223,7 @@ class TestLeaseManyOrdering:
         queue.ack(leases[3].lease_id)
         # Nack the failures newest-first so age order lands at the front.
         for item in (4, 2, 1):
-            queue.nack(leases[item].lease_id)
+            queue.requeue([leases[item].lease_id])
         queue.put(99)
         redelivered = queue.lease_many(10)
         assert [lease.item for lease in redelivered] == [1, 2, 4, 99]
@@ -237,7 +237,7 @@ class TestLeaseManyOrdering:
         queue.put(1)
         assert len(fired) == 1
         lease = queue.lease()
-        queue.nack(lease.lease_id)
+        queue.requeue([lease.lease_id])
         assert len(fired) == 2
         queue.put_many([2, 3])
         assert len(fired) == 3

@@ -89,18 +89,16 @@ class TestBrokenInvariantIsCaught:
         world = chaos_world(seed=5)
         ep = world.add_endpoint("ep", nodes=1, workers_per_node=2)
         forwarder = world.hooks["ep"].forwarder
-        queue = world.deployment.service.task_queue(ep)
+        service = world.deployment.service
+        queue = service.task_queue(ep)
 
-        def broken_requeue(reason: str) -> None:
+        def broken_requeue(endpoint_id, task_ids, reason, wake=True):
             # The bug under test: leases are acked (dropped for good)
-            # instead of nacked back into the task queue.
-            with forwarder._lock:
-                leases = dict(forwarder._open_leases)
-                forwarder._open_leases.clear()
-            for _task_id, lease in leases.items():
-                queue.ack(lease.lease_id)
+            # instead of requeued into the task queue.
+            queue.ack_many(task_ids)
+            return []
 
-        forwarder._requeue_outstanding = broken_requeue
+        service.requeue_tasks = broken_requeue
 
         client = world.client()
         fid = client.register_function(slow_double)

@@ -100,7 +100,7 @@ class TestLintFlags:
         assert "[subscription-lifecycle]" in out
         assert "[determinism]" not in out
         assert main(["lint", "--root", str(tmp_path), "--no-baseline",
-                     "--protocols", "credit-balance,handler-exhaustiveness"]
+                     "--protocols", "handler-exhaustiveness"]
                     ) == 0
         assert "0 violation(s)" in capsys.readouterr().out
 

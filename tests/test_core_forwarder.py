@@ -274,6 +274,67 @@ class TestHeartbeatsAndLoss:
         assert stages["result_return"] == pytest.approx(0.5)
 
 
+class TestOneLeaseTable:
+    """What is in flight is the endpoint queue's lease table: a shard
+    kill empties it, and the forwarder's count and credit read it."""
+
+    def test_kill_and_restart_keep_outstanding_on_the_queue(self, world):
+        service, forwarder = world.service, world.forwarder
+        queue = service.task_queue(world.endpoint_id)
+        shard = service.shard_for_endpoint(world.endpoint_id)
+
+        def in_step() -> int:
+            assert forwarder.outstanding == queue.in_flight
+            return queue.in_flight
+
+        ids = {submit(world, i) for i in range(4)}
+        connect_agent(world)
+        world.agent.send(Heartbeat(sender="agent:x", timestamp=world.clock(),
+                                   credit=4))
+        forwarder.step()
+        assert {m.task_id for m in unwrap_tasks(world.agent.recv_all_ready())} == ids
+        assert in_step() == 4
+        assert shard.kill() == 4
+        assert in_step() == 0
+        assert {service.task_by_id(t).state for t in ids} == {TaskState.QUEUED}
+        service.restart_shard(shard.index)
+        stalls = forwarder.credit_stalls
+        forwarder.step()  # the first wave after restart: full credit
+        assert forwarder.credit_stalls == stalls
+        assert {m.task_id for m in unwrap_tasks(world.agent.recv_all_ready())} == ids
+        assert in_step() == 4
+        assert {service.task_by_id(t).state for t in ids} == {TaskState.DISPATCHED}
+        send_results(world.agent, *(ResultMessage(
+            sender="w0", task_id=task_id, success=True, result_buffer=b"r",
+            execution_time=0.0, completed_at=world.clock()) for task_id in ids))
+        forwarder.step()
+        assert in_step() == 0
+        assert queue.conservation_delta() == 0
+
+    def test_kill_between_lease_and_mark_leaves_no_dispatched_ready_id(self, world):
+        service, forwarder = world.service, world.forwarder
+        queue = service.task_queue(world.endpoint_id)
+        shard = service.shard_for_endpoint(world.endpoint_id)
+        connect_agent(world)
+        task_id = submit(world)
+        send = forwarder.channel.send
+
+        def killed_mid_send(message):
+            shard.kill()
+            return send(message)
+
+        forwarder.channel.send = killed_mid_send
+        forwarder.step()
+        forwarder.channel.send = send
+        ready, leased = queue.snapshot_items()
+        assert (ready, leased) == ([task_id], [])
+        assert service.task_by_id(task_id).state is TaskState.QUEUED
+        service.restart_shard(shard.index)
+        forwarder.step()  # redelivered: QUEUED -> DISPATCHED once more
+        assert queue.leased() == [task_id]
+        assert service.task_by_id(task_id).state is TaskState.DISPATCHED
+
+
 class TestSiteContainerConversion:
     """§4.2: a Docker-format key is converted to the site's technology."""
 

@@ -235,32 +235,42 @@ class TestRequeue:
     def test_requeue_rolls_back_state(self, service, user_token, function_id, endpoint_id):
         task_id = submit_one(service, user_token, function_id, endpoint_id)
         queue = service.task_queue(endpoint_id)
-        lease = queue.lease()
+        queue.lease()
         service.tasks_dispatched([service.task_by_id(task_id)])
-        assert service.requeue_task(task_id, reason="endpoint lost")
-        queue.nack(lease.lease_id)
+        assert service.requeue_tasks(endpoint_id, [task_id],
+                                     reason="endpoint lost") == [task_id]
         task = service.task_by_id(task_id)
         assert task.state is TaskState.QUEUED
         assert task.metadata["requeue_reasons"] == ["endpoint lost"]
+        assert queue.leased() == [] and len(queue) == 1  # id ready again
 
     def test_retry_budget_enforced(self, service, user_token, function_id, endpoint_id):
         task_id = submit_one(service, user_token, function_id, endpoint_id,
                              max_retries=1)
+        queue = service.task_queue(endpoint_id)
         # attempt 1
+        queue.lease()
         service.tasks_dispatched([service.task_by_id(task_id)])
-        assert service.requeue_task(task_id, reason="lost")
+        assert service.requeue_tasks(endpoint_id, [task_id], "lost") == [task_id]
         # attempt 2
+        queue.lease()
         service.tasks_dispatched([service.task_by_id(task_id)])
-        assert not service.requeue_task(task_id, reason="lost again")
+        assert service.requeue_tasks(endpoint_id, [task_id], "lost again") == []
         task = service.task_by_id(task_id)
         assert task.state is TaskState.FAILED
         assert "retries exhausted" in task.exception_text
+        assert queue.in_flight == len(queue) == 0  # settled and acked
+        assert queue.conservation_delta() == 0
 
     def test_requeue_terminal_is_noop(self, service, user_token, function_id, endpoint_id):
         task_id = submit_one(service, user_token, function_id, endpoint_id)
+        queue = service.task_queue(endpoint_id)
+        queue.lease()
         service.tasks_dispatched([service.task_by_id(task_id)])
         service.complete_task(task_id, success=True, result_buffer=b"r")
-        assert not service.requeue_task(task_id)
+        assert service.requeue_tasks(endpoint_id, [task_id], "late") == []
+        assert service.task_by_id(task_id).state is TaskState.SUCCESS
+        assert queue.in_flight == len(queue) == 0  # its lease acked
 
 
 class TestServiceConfig:

@@ -151,37 +151,56 @@ class TestSerializerExceptionProperties:
 # Reliable queue: at-least-once delivery under arbitrary ack/nack patterns
 # ---------------------------------------------------------------------------
 class TestQueueProperties:
+    # An item sits in its queue at most once (the service's are task
+    # ids), so the generated items are distinct.
     @given(
-        items=st.lists(st.integers(), min_size=1, max_size=40),
+        items=st.lists(st.integers(), min_size=1, max_size=40, unique=True),
         decisions=st.lists(st.booleans(), min_size=100, max_size=100),
+        requeues=st.lists(st.lists(st.integers(0, 39), max_size=6),
+                          max_size=30),
     )
     @settings(max_examples=80)
-    def test_every_item_eventually_acked_exactly_once(self, items, decisions):
-        """Whatever interleaving of nacks happens, finishing with acks
-        delivers every item at least once and loses nothing."""
+    def test_every_item_eventually_acked_exactly_once(self, items, decisions,
+                                                      requeues):
+        """Whatever interleaving of nacks and requeue-by-ids decisions
+        (over ids leased, ready or already acked) happens, finishing with
+        acks delivers every item and loses nothing — and no id is ever
+        both ready and leased."""
         q = ReliableQueue()
         q.put_many(items)
         delivered = []
         decision_iter = iter(decisions)
+        requeue_iter = iter(requeues)
+
+        def check():
+            ready, leased = q.snapshot_items()
+            assert not set(ready) & set(leased)
+            assert q.conservation_delta() == 0
+
         while len(q) or q.in_flight:
-            lease = q.lease()
-            if lease is None:
-                break
-            if next(decision_iter, True):
-                delivered.append(lease.item)
-                q.ack(lease.lease_id)
-            else:
-                q.nack(lease.lease_id)
+            leases = q.lease_many(2)
+            check()
+            q.requeue([items[i % len(items)] for i in next(requeue_iter, [])])
+            check()
+            for lease in leases:
+                if lease.item not in q.leased():
+                    continue  # the requeue above took it back
+                if next(decision_iter, True):
+                    delivered.append(lease.item)
+                    assert q.ack(lease.lease_id)
+                else:
+                    assert q.requeue([lease.lease_id]) == ([lease.item], [])
+                check()
         assert sorted(delivered) == sorted(items)
         assert q.total_acked == len(items)
 
-    @given(items=st.lists(st.integers(), min_size=1, max_size=30))
+    @given(items=st.lists(st.integers(), min_size=1, max_size=30, unique=True))
     @settings(max_examples=50)
     def test_nack_all_preserves_multiset(self, items):
         q = ReliableQueue()
         q.put_many(items)
         q.lease_many(len(items))
-        q.nack_all()
+        assert sorted(q.requeue(q.leased())[0]) == sorted(items)
         redelivered = [l.item for l in q.lease_many(len(items))]
         assert sorted(redelivered) == sorted(items)
 

@@ -1,13 +1,10 @@
 """Unit tests for the parametric resource-protocol (typestate) engine.
 
-Four layers:
+Three layers:
 
 * port parity — ``lease-ack`` is now an instance of the shared engine
   and must reproduce the PR 4 findings (same lines, same message
   shape) on the lease fixture corpus;
-* the interprocedural must-release summaries behind ``credit-balance``
-  (one-level call-through, receiver typing via annotations and
-  ``self.attr = ClassName(...)`` bindings);
 * the handler-exhaustiveness arming gate;
 * registry coverage — every src module that touches a protocol
   resource must appear in the static site export the runtime
@@ -16,6 +13,7 @@ Four layers:
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -24,8 +22,6 @@ from repro.analysis.protocols import (
     LEASE_PROTOCOL,
     RECEIVER_PROTOCOLS,
     VALUE_PROTOCOLS,
-    _release_summaries,
-    check_credit_balance,
     check_handler_exhaustiveness,
     protocol_sites,
     run_value_protocol,
@@ -99,103 +95,29 @@ def test_registry_protocols_are_wired_into_the_runner():
     assert set(RECEIVER_PROTOCOLS) <= set(GLOBAL_CHECKS)
 
 
-# ----------------------------------------------------------------------
-# interprocedural must-release summaries
-# ----------------------------------------------------------------------
-_SUMMARY_SRC = '''
-class CreditLedger:
-    pass
-
-
-def refund_by_spelling(credits, n):
-    credits.release(n)
-
-
-def refund_by_annotation(ledger: CreditLedger, n):
-    ledger.release(n)
-
-
-class Window:
-    def __init__(self):
-        self.credits = CreditLedger()
-
-    def _abort(self):
-        self.credits.release(1)
-
-    def noop(self):
-        pass
-'''
-
-
-def test_release_summaries_cover_spelling_annotation_and_methods():
-    source = _parse(_SUMMARY_SRC)
-    summaries = _release_summaries([source], {"CreditLedger"})
-    assert summaries == {
-        (None, "refund_by_spelling"),
-        (None, "refund_by_annotation"),
-        ("Window", "_abort"),
-    }
-
-
-_CALL_THROUGH_SRC = '''
-class CreditLedger:
-    pass
-
-
-class Refunder:
-    def give_back(self, window):
-        window.credits.release(1)
-
-
-class Window:
-    def __init__(self):
-        self.credits = CreditLedger()
-        self.refunder = Refunder()
-
-    def dispatch_via_self(self, ok):
-        self.credits.consume(1)
-        if not ok:
-            self._abort()
-            return False
-        self.credits.release(1)
-        return True
-
-    def dispatch_via_typed_attr(self, ok):
-        self.credits.consume(1)
-        if not ok:
-            self.refunder.give_back(self)
-            return False
-        self.credits.release(1)
-        return True
-
-    def _abort(self):
-        self.credits.release(1)
-'''
-
-
-def test_one_level_call_through_closes_the_consume():
-    source = _parse(_CALL_THROUGH_SRC)
-    assert list(check_credit_balance([source])) == []
-
-
-def test_without_the_helper_the_leak_is_reported():
-    broken = _CALL_THROUGH_SRC.replace(
-        "            self._abort()\n", "            pass\n")
-    source = _parse(broken)
-    findings = list(check_credit_balance([source]))
-    assert len(findings) == 1
-    assert findings[0].check == "credit-balance"
-    assert "without release/revoke on some path" in findings[0].message
-    assert "dispatch_via_self" in findings[0].message
-
-
-def test_containment_mode_reports_never_released_ledgers():
-    source = _parse(
-        "def take(window):\n"
-        "    return window.credits.consume(1)\n")
-    findings = list(check_credit_balance([source]))
-    assert len(findings) == 1
-    assert "never released or revoked" in findings[0].message
+def test_every_value_protocol_has_a_subject_in_src():
+    """The analyzer is sized to the fabric: each registered protocol
+    acquires its resource somewhere in ``src/repro``, as its spec's
+    ``acquire_*`` fields spell the acquisition."""
+    acquired: set[str] = set()
+    for source in _src_sources():
+        for node in ast.walk(source.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            for spec in VALUE_PROTOCOLS.values():
+                if isinstance(func, ast.Attribute):
+                    receiver = func.value
+                    last = (receiver.attr if isinstance(receiver, ast.Attribute)
+                            else getattr(receiver, "id", None))
+                    if func.attr in spec.acquire_methods and (
+                            not spec.acquire_receivers
+                            or last in spec.acquire_receivers):
+                        acquired.add(spec.check_id)
+                elif (isinstance(func, ast.Name)
+                        and func.id in spec.acquire_constructors):
+                    acquired.add(spec.check_id)
+    assert acquired == set(VALUE_PROTOCOLS)
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,12 @@ from repro.store import ReliableQueue
 from repro.store.queues import FairReliableQueue
 
 
+def expire(q, clock) -> int:
+    """Requeue every lease past its deadline, as the forwarder does;
+    returns how many went back."""
+    return len(q.requeue(q.leased(due=clock()))[0])
+
+
 class TestBasicFifo:
     def test_put_lease_ack(self, clock):
         q = ReliableQueue(clock=clock)
@@ -53,7 +59,7 @@ class TestBasicFifo:
         q.put_many(range(3))
         leases = q.lease_many(3)
         q.ack(leases[0].lease_id)
-        q.nack(leases[1].lease_id)
+        q.requeue([leases[1].lease_id])
         assert q.total_enqueued == 3
         assert q.total_acked == 1
 
@@ -65,14 +71,14 @@ class TestRedelivery:
         q.put("b")
         lease = q.lease()
         assert lease.item == "a"
-        q.nack(lease.lease_id)
+        q.requeue([lease.lease_id])
         assert q.lease().item == "a"  # redelivered before b
 
     def test_nack_increments_delivery_count(self, clock):
         q = ReliableQueue(clock=clock)
         q.put("a")
         lease = q.lease()
-        q.nack(lease.lease_id)
+        q.requeue([lease.lease_id])
         lease2 = q.lease()
         assert lease2.deliveries == 2
         assert q.total_redelivered == 1
@@ -83,7 +89,7 @@ class TestRedelivery:
         lease = q.lease()
         assert q.ack(lease.lease_id)
         assert not q.ack(lease.lease_id)
-        assert not q.nack(lease.lease_id)
+        assert q.requeue([lease.lease_id]) == ([], [])
 
     def test_nack_all_preserves_age_order(self, clock):
         q = ReliableQueue(clock=clock)
@@ -93,31 +99,33 @@ class TestRedelivery:
         l1 = q.lease()
         l2 = q.lease()
         assert (l1.item, l2.item) == ("old", "new")
-        assert q.nack_all() == 2
+        assert q.requeue(["new", "old"]) == (["new", "old"], [])
         assert q.lease().item == "old"
         assert q.lease().item == "new"
 
     def test_lease_timeout_requeues(self, clock):
-        q = ReliableQueue(clock=clock, default_lease_timeout=5.0)
+        q = ReliableQueue(clock=clock)
         q.put("a")
-        q.lease()
+        q.lease(lease_timeout=5.0)
         clock.advance(6.0)
-        assert q.requeue_expired() == 1
+        assert expire(q, clock) == 1
         assert q.lease().item == "a"
 
     def test_unexpired_lease_not_requeued(self, clock):
-        q = ReliableQueue(clock=clock, default_lease_timeout=5.0)
+        q = ReliableQueue(clock=clock)
         q.put("a")
-        q.lease()
+        q.lease(lease_timeout=5.0)
         clock.advance(4.0)
-        assert q.requeue_expired() == 0
+        assert expire(q, clock) == 0
 
     def test_per_lease_timeout_override(self, clock):
         q = ReliableQueue(clock=clock)
-        q.put("a")
+        q.put_many(["a", "b"])
         q.lease(lease_timeout=1.0)
+        q.lease()  # no timeout: never falls due
         clock.advance(2.0)
-        assert q.requeue_expired() == 1
+        assert q.leased(due=clock()) == ["a"]
+        assert expire(q, clock) == 1
 
 
 class TestBlockingAndLifecycle:
@@ -142,108 +150,76 @@ class TestBlockingAndLifecycle:
         t.join(timeout=5.0)
         assert result == ["wake"]
 
-    def test_close_unblocks_waiters(self):
-        """``close`` wakes nobody — it only refuses later puts.  Whoever
-        closes the queue sets its consumer's event (``Forwarder.stop``
-        does), and the consumer finds nothing to lease."""
-        q = ReliableQueue()
-        stop = threading.Event()
-        fired = []
-        q.wakeup = lambda: fired.append(1)
-        result = []
-
-        def consumer():
-            stop.wait(timeout=10.0)
-            result.append(q.lease())
-
-        t = threading.Thread(target=consumer)
-        t.start()
-        q.close()
-        assert fired == []
-        stop.set()
-        t.join(timeout=5.0)
-        assert result == [None]
-
     def test_every_requeue_path_fires_the_wakeup(self, clock):
-        q = ReliableQueue(clock=clock, default_lease_timeout=1.0)
+        q = ReliableQueue(clock=clock)
         fired = []
         q.wakeup = lambda: fired.append(1)
         q.put_many(["a", "b", "c"])
         assert len(fired) == 1  # one per wave, not per item
         first = q.lease()
-        q.nack(first.lease_id)
+        q.requeue([first.lease_id])
         assert len(fired) == 2
         q.lease_many(3)
-        assert q.nack_all() == 3 and len(fired) == 3
-        q.lease_many(3)
+        assert len(q.requeue(q.leased())[0]) == 3 and len(fired) == 3
+        q.lease_many(3, lease_timeout=1.0)
         clock.advance(2.0)
-        assert q.requeue_expired() == 3 and len(fired) == 4
-        assert q.requeue_expired() == 0 and len(fired) == 4
-
-    def test_put_after_close_raises(self):
-        q = ReliableQueue()
-        q.close()
-        import pytest
-
-        with pytest.raises(RuntimeError):
-            q.put("x")
-
-    def test_peek_ages(self, clock):
-        q = ReliableQueue(clock=clock)
-        q.put("a")
-        clock.advance(3.0)
-        q.put("b")
-        ages = q.peek_ages()
-        assert ages == [3.0, 0.0]
+        assert expire(q, clock) == 3 and len(fired) == 4
+        assert expire(q, clock) == 0 and len(fired) == 4
+        q.lease()
+        assert q.requeue(["a"], wake=False) == (["a"], []) and len(fired) == 4
 
 
 class TestLeaseExpirySemantics:
     """Pin the *lazy* expiry contract around ack timing.
 
     A deadline passing does not by itself revoke a lease: revocation
-    happens only when ``requeue_expired()`` scans.  Consumers that finish
-    late but before a scan may therefore still ack successfully — and the
-    conservation law must hold exactly through every such interleaving.
+    happens only when a consumer requeues the ids ``leased(due=now)``
+    reads.  Consumers that finish late but before that may therefore
+    still ack successfully — and the conservation law must hold exactly
+    through every such interleaving.  A lease is named by its item, so
+    an ack after the item was requeued and leased again retires the
+    fresh lease: the item is done, whichever delivery finished it.
     """
 
     def test_ack_after_deadline_before_scan_succeeds(self, clock):
-        q = ReliableQueue(clock=clock, default_lease_timeout=1.0)
+        q = ReliableQueue(clock=clock)
         q.put("t")
-        lease = q.lease()
+        lease = q.lease(lease_timeout=1.0)
         clock.advance(5.0)  # deadline long past, but nobody scanned
         assert q.ack(lease.lease_id) is True
         assert q.total_acked == 1
-        assert q.requeue_expired() == 0  # nothing left to revoke
+        assert expire(q, clock) == 0  # nothing left to revoke
         assert q.conservation_delta() == 0
 
     def test_ack_after_scan_is_rejected(self, clock):
-        q = ReliableQueue(clock=clock, default_lease_timeout=1.0)
+        q = ReliableQueue(clock=clock)
         q.put("t")
-        lease = q.lease()
+        lease = q.lease(lease_timeout=1.0)
         clock.advance(1.0)
-        assert q.requeue_expired() == 1  # scan revokes the lease
+        assert expire(q, clock) == 1  # scan revokes the lease
         assert q.ack(lease.lease_id) is False
         assert q.total_acked == 0
-        # The item is redelivered under a fresh lease with a bumped count.
+        # The item is redelivered under a fresh lease with a bumped count,
+        # named, like every lease, by its item.
         redelivery = q.lease()
         assert redelivery.item == "t"
         assert redelivery.deliveries == 2
-        assert redelivery.lease_id != lease.lease_id
+        assert redelivery.lease_id == lease.lease_id == "t"
         assert q.total_redelivered == 1
         assert q.conservation_delta() == 0
 
-    def test_late_ack_does_not_touch_redelivered_item(self, clock):
-        q = ReliableQueue(clock=clock, default_lease_timeout=1.0)
+    def test_late_ack_retires_the_redelivered_item(self, clock):
+        q = ReliableQueue(clock=clock)
         q.put("t")
-        stale = q.lease()
+        stale = q.lease(lease_timeout=1.0)
         clock.advance(2.0)
-        q.requeue_expired()
+        expire(q, clock)
         fresh = q.lease()
-        # The stale consumer wakes up and acks its dead lease: rejected,
-        # and the fresh lease must be unaffected.
-        assert q.ack(stale.lease_id) is False
-        assert q.in_flight == 1
-        assert q.ack(fresh.lease_id) is True
+        # The stale consumer finishes after all: its ack names the item,
+        # so it retires the fresh lease, once, and the fresh ack is late.
+        assert q.ack(stale.lease_id) is True
+        assert q.in_flight == 0
+        assert q.ack(fresh.lease_id) is False
         assert q.total_acked == 1
         assert q.conservation_delta() == 0
 
@@ -253,7 +229,7 @@ class TestLeaseExpirySemantics:
         lease = q.lease()
         assert q.ack(lease.lease_id) is True
         assert q.ack(lease.lease_id) is False
-        assert q.nack(lease.lease_id) is False  # nack after ack also dead
+        assert q.requeue([lease.lease_id]) == ([], [])  # requeue after ack also dead
         assert q.total_acked == 1
         assert q.conservation_delta() == 0
 
@@ -261,20 +237,20 @@ class TestLeaseExpirySemantics:
         q = ReliableQueue(clock=clock)
         q.put("t")
         lease = q.lease()
-        assert q.nack(lease.lease_id) is True
+        assert q.requeue([lease.lease_id]) == (["t"], [])
         assert q.ack(lease.lease_id) is False  # lease died with the nack
         assert q.total_acked == 0
         assert len(q) == 1
         assert q.conservation_delta() == 0
 
     def test_conservation_holds_through_expiry_churn(self, clock):
-        q = ReliableQueue(clock=clock, default_lease_timeout=0.5)
+        q = ReliableQueue(clock=clock)
         q.put_many(range(6))
         for _round in range(4):
-            leases = q.lease_many(3)
+            leases = q.lease_many(3, lease_timeout=0.5)
             q.ack(leases[0].lease_id)  # one completes
             clock.advance(1.0)  # rest expire
-            q.requeue_expired()
+            expire(q, clock)
             assert q.conservation_delta() == 0
         assert q.total_acked == 4
         assert q.total_acked + len(q) + q.in_flight == q.total_enqueued
@@ -307,7 +283,7 @@ class TestFairDequeue:
         q.put_many(["b1", "b2"], lane="b")
         first = q.lease()
         assert first.item == "a1"
-        q.nack(first.lease_id)
+        q.requeue([first.lease_id])
         leases = q.lease_many(4)
         assert [l.item for l in leases if l.lane == "a"] == ["a1", "a2"]
         assert [l.item for l in leases if l.lane == "b"] == ["b1", "b2"]
