@@ -73,11 +73,11 @@ class Forwarder:
         the :class:`Wakeup` (no polling).  Defaults to one reading the
         channel's transfer cost; on a zero-cost link the hold is zero.
 
-    Every wave ships as one :class:`TaskBatchMessage` (each distinct
-    function body once per batch, then cached per agent incarnation),
-    capped by the endpoint's credit window from the agent's heartbeats:
-    overload sheds into the service-side queue — bounded and observable
-    — instead of ballooning agent/manager in-flight tables.  A window of
+    Every wave ships as one :class:`TaskBatchMessage` carrying, once,
+    the body of each function its tasks name, capped by the endpoint's
+    credit window from the agent's heartbeats: overload sheds into the
+    service-side queue — bounded and observable — instead of
+    ballooning agent/manager in-flight tables.  A window of
     ``-1`` (not reported by this peer) is unlimited.
     """
 
@@ -122,10 +122,6 @@ class Forwarder:
         # against the queue's lease table, so dispatch never overshoots
         # even when heartbeats are dropped or reordered.
         self._credit_window = -1          # guarded-by: self._lock
-        # function_id -> buffer digest already shipped to the connected
-        # agent incarnation; cleared on every (re-)registration so a new
-        # agent lifetime always receives bodies afresh.
-        self._shipped_buffers: dict[str, int] = {}  # guarded-by: self._lock
         self._lock = threading.RLock()
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
@@ -277,9 +273,6 @@ class Forwarder:
             was_connected = self._agent_connected
             self._agent_name = message.sender
             self._agent_connected = True
-            # New agent lifetime: its buffer table started empty, so the
-            # per-incarnation dedup cache must start empty too.
-            self._shipped_buffers.clear()
         self.incarnation += 1
         self._registered_incarnation = message.incarnation
         self.heartbeats.beat(message.sender)
@@ -487,7 +480,6 @@ class Forwarder:
         mid-batch exception, or left open in the queue by
         ``_commit_batch``.
         """
-        memo: dict[str, bytes] = {}
         ship: dict[str, bytes] = {}
         prepared: list[tuple[TaskMessage, Task]] = []
         try:
@@ -495,7 +487,7 @@ class Forwarder:
             # here, so no later step looks its task up again.
             tasks = self._shard.get_tasks([lease.item for lease in leases])
             for lease, task in zip(leases, tasks):
-                entry = self._prepare_task(queue, lease, task, memo, ship)
+                entry = self._prepare_task(queue, lease, task, ship)
                 if entry is not None:
                     prepared.append(entry)
             if not prepared:
@@ -503,8 +495,7 @@ class Forwarder:
             batch = TaskBatchMessage(
                 sender=self._sender,
                 tasks=tuple(message for message, _task in prepared),
-                function_buffers=dict(ship),
-                incarnation=self._registered_incarnation,
+                function_buffers=ship,
             )
             if not self.channel.send(batch):
                 # Transfer dropped (peer down mid-step).  Nothing was
@@ -514,22 +505,19 @@ class Forwarder:
                 self._requeue([task.task_id for _message, task in prepared],
                               "send failed", wake=False)
                 return 0
-            return self._commit_batch(prepared, ship)
+            return self._commit_batch(prepared)
         except Exception:
             self._requeue([lease.item for lease in leases], "dispatch failed")
             raise
 
     def _prepare_task(self, queue: ReliableQueue, lease: Lease,
-                      task: Task | None, memo: dict[str, bytes],
-                      ship: dict[str, bytes]):
+                      task: Task | None, ship: dict[str, bytes]):
         """Resolve one lease into a stripped task message for the batch.
 
         Returns ``(message, task)`` or ``None`` when the lease
         was disposed here (``task`` is ``None``: its record was purged;
         or it went terminal while queued).  The task's function body is
-        added to ``ship`` unless this agent incarnation already holds
-        it; redeliveries always ship the body so a cache divergence (an
-        envelope lost after the cache recorded it) heals on the retry.
+        added to ``ship``, the wave's envelope table, if not already there.
         """
         if task is None:
             queue.ack(lease.lease_id)
@@ -542,38 +530,26 @@ class Forwarder:
             queue.ack(lease.lease_id)  # cancelled/failed while queued
             return None
         function_id = task.function_id
-        buffer = memo.get(function_id)
-        if buffer is None:
-            buffer = self.service.function_buffer(function_id)
-            memo[function_id] = buffer
         if function_id not in ship:
-            digest = hash(buffer)
-            with self._lock:
-                cached = self._shipped_buffers.get(function_id) == digest
-            if not cached or lease.deliveries > 1:
-                ship[function_id] = buffer
+            ship[function_id] = self.service.function_buffer(function_id)
         message = TaskMessage(
             sender=self._sender,
             task_id=task.task_id,
             function_id=function_id,
-            function_buffer=b"",  # shipped once per batch, cached after
+            function_buffer=b"",  # the body rides the envelope
             payload_buffer=task.payload_buffer,
             container_image=self._site_container(task.container_image),
             submitted_at=task.state_times.get("received", self._clock()),
         )
         return message, task
 
-    def _commit_batch(self, prepared: list[tuple[TaskMessage, Task]],
-                      ship: dict[str, bytes]) -> int:
+    def _commit_batch(self, prepared: list[tuple[TaskMessage, Task]]) -> int:
         """Post-send bookkeeping for a delivered batch envelope.
 
         Only the tasks whose id the queue still leases are marked, under
         its lock: one a shard kill requeued mid-send stays QUEUED, never
         DISPATCHED while its id is ready.
         """
-        with self._lock:
-            for function_id, buffer in ship.items():
-                self._shipped_buffers[function_id] = hash(buffer)
         tasks = {task.task_id: task for _message, task in prepared}
         self._queue.holding(tasks, lambda held: self.service.tasks_dispatched(
             [tasks[task_id] for task_id in held]))

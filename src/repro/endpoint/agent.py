@@ -70,7 +70,6 @@ class FuncXAgent:
         "_pending": "_lock",
         "_assigned": "_lock",
         "_buffers": "_lock",
-        "_manager_shipped": "_lock",
         "_window_version": "_lock",
     }
 
@@ -106,12 +105,10 @@ class FuncXAgent:
         self._pending: deque[tuple[TaskMessage, float]] = deque()
         # task_id -> (manager_id, message, agent-side attempt count)
         self._assigned: dict[str, tuple[str, TaskMessage, int]] = {}
-        # Function-buffer table: bodies arrive in batch envelopes and are
-        # shipped on to each manager once per registration.
+        # Function-buffer table for the tasks this agent holds: bodies
+        # arrive in their tasks' envelopes and ride on in each envelope
+        # sent to a manager.
         self._buffers: dict[str, bytes] = {}
-        # Per-manager record of which buffer version (digest) each manager
-        # already holds; reset when the manager (re-)registers.
-        self._manager_shipped: dict[str, dict[str, int]] = {}
         # Bumped when an input of credit_window() changes (a manager
         # registers, re-advertises, is lost, detached or suspended).
         self._window_version = 0
@@ -229,7 +226,6 @@ class FuncXAgent:
             self._manager_channels.pop(manager_id, None)
             self._views.pop(manager_id, None)
             self._suspended.discard(manager_id)
-            self._manager_shipped.pop(manager_id, None)
             self._window_version += 1
             orphaned = [
                 (task_id, message)
@@ -337,27 +333,27 @@ class FuncXAgent:
             self._wakeup.set()  # cut off at the cap: the rest is next pass's
         for message in messages:
             if isinstance(message, TaskBatchMessage):
-                if message.function_buffers:
-                    with self._lock:
-                        self._buffers.update(message.function_buffers)
-                for task in message.tasks:
-                    self._admit_task(task)
+                self._admit(message)
             elif isinstance(message, CommandMessage) and message.command == "shutdown":
                 self._stop.set()
         return len(messages)
 
-    def _admit_task(self, message: TaskMessage) -> None:
+    def _admit(self, batch: TaskBatchMessage) -> None:
+        """Queue one envelope's tasks.  A task whose body its envelope
+        lacks is a sender bug: it is failed here, never queued."""
+        bodies = batch.function_buffers
+        arrived = self._clock()
+        queued = [(task, arrived) for task in batch.tasks
+                  if task.function_id in bodies]
         with self._lock:
-            known = message.function_id in self._buffers
-        if not known:
-            # Task whose body never arrived (its envelope was dropped or
-            # reordered past it); drop it — the forwarder's lease timeout
-            # redelivers it with the body force-shipped.
-            self._c_buffer_miss.inc()
-            return
-        with self._lock:
-            self._pending.append((message, self._clock()))
-        self._c_received.inc()
+            self._buffers.update(bodies)
+            self._pending.extend(queued)
+        self._c_received.inc(len(queued))
+        for task in batch.tasks:
+            if task.function_id not in bodies:
+                self._c_buffer_miss.inc()
+                self._fail_task(task, f"function body {task.function_id} "
+                                      f"unavailable on {self.name}")
 
     def _drain_managers(self) -> int:
         count = 0
@@ -395,8 +391,6 @@ class FuncXAgent:
                 # carries the real window (workers + prefetch).
                 window=max(0, message.capacity),
             )
-            # A (re-)registered manager starts with an empty buffer cache.
-            self._manager_shipped[manager_id] = {}
             self._window_version += 1
         self.heartbeats.beat(manager_id)
 
@@ -458,7 +452,6 @@ class FuncXAgent:
     def _on_manager_lost(self, manager_id: str) -> None:
         with self._lock:
             self._views.pop(manager_id, None)
-            self._manager_shipped.pop(manager_id, None)
             lost = [
                 (task_id, message, attempts)
                 for task_id, (mid, message, attempts) in self._assigned.items()
@@ -526,32 +519,23 @@ class FuncXAgent:
             assignments.setdefault(chosen.manager_id, []).append(entry)
             channels[chosen.manager_id] = channel
         for manager_id, entries in assignments.items():
-            dispatched += self._send_task_batch(
-                manager_id, channels[manager_id], entries)
+            dispatched += self._send_task_batch(channels[manager_id], entries)
         return dispatched
 
     def _send_task_batch(
         self,
-        manager_id: str,
         channel: ChannelEnd,
         entries: list[tuple[TaskMessage, float]],
     ) -> int:
         """Ship one manager's scheduled tasks as a single coalesced transfer.
 
-        Each distinct function buffer is included at most once, and only
-        when this manager has not already been shipped the same version
-        (digest tracked per manager registration).  Each task travels as
-        a copy carrying the agent's stamps; ``_assigned`` keeps the
-        unstamped message for re-execution.
+        The envelope carries each distinct function body its tasks name,
+        once.  Each task travels as a copy carrying the agent's stamps;
+        ``_assigned`` keeps the unstamped message for re-execution.
         """
-        needed: dict[str, bytes] = {}
         with self._lock:
-            shipped = self._manager_shipped.setdefault(manager_id, {})
-            for message, _arrived in entries:
-                buffer = self._buffers.get(message.function_id)
-                if buffer is not None and message.function_id not in needed:
-                    if shipped.get(message.function_id) != hash(buffer):
-                        needed[message.function_id] = buffer
+            bodies = {message.function_id: self._buffers[message.function_id]
+                      for message, _arrived in entries}
         now = self._clock()
         batch = TaskBatchMessage(
             sender=self.name,
@@ -559,16 +543,11 @@ class FuncXAgent:
                 TaskMessage(**{**vars(message), "agent_in": arrived,
                                "agent_out": now})
                 for message, arrived in entries),
-            function_buffers=needed,
-            incarnation=self.incarnation,
+            function_buffers=bodies,
         )
         if not channel.send(batch):
             # manager channel just went down; watchdog will requeue
             return 0
-        with self._lock:
-            shipped = self._manager_shipped.setdefault(manager_id, {})
-            for function_id, buffer in needed.items():
-                shipped[function_id] = hash(buffer)
         self._c_dispatched.inc(len(entries))
         self._h_dispatch_batch.observe(float(len(entries)))
         if len(entries) > 1:

@@ -24,8 +24,8 @@ worker hands in its result and takes the head of the prefetched queue
 itself, in one hold of the manager's lock (:meth:`Manager._finished`),
 by the routine the loop uses for its idle workers
 (:meth:`Manager._claim_head`).  The loop is on a task's path only for
-an idle worker, a redeploy or a missing body.  The idle set is the
-node's capacity: a worker not in it holds a task.
+an idle worker or a redeploy.  The idle set is the node's capacity: a
+worker not in it holds a task.
 A worker whose finish leaves the node idle ships the node's results
 itself; a busy node's loop batches them (a lone task skips a wake-up).
 """
@@ -115,8 +115,8 @@ class Manager:
         self._idle: dict[str, Worker] = {}           # guarded-by: self._lock
         # Each queued task with the time it reached the node.
         self._pending: deque[tuple[TaskMessage, float]] = deque()  # guarded-by: self._lock
-        # Function-buffer table: bodies arrive once per batch envelope and
-        # are reattached as a task is claimed for a worker.
+        # Function-buffer table for queued tasks: bodies arrive in their
+        # tasks' envelopes and are reattached as a task is claimed.
         self._buffers: dict[str, bytes] = {}         # guarded-by: self._lock
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
@@ -243,11 +243,18 @@ class Manager:
 
     def _admit(self, batch: TaskBatchMessage) -> None:
         """Queue one envelope's tasks; a finishing worker may take the
-        head from here on, before this step's own dispatch pass."""
+        head from here on, before this step's own dispatch pass.  A
+        task whose body its envelope lacks is a sender bug: it is
+        failed here, never queued."""
+        bodies = batch.function_buffers
         arrived = self._clock()
         with self._lock:
-            self._buffers.update(batch.function_buffers)
-            self._pending.extend((task, arrived) for task in batch.tasks)
+            self._buffers.update(bodies)
+            self._pending.extend((task, arrived) for task in batch.tasks
+                                 if task.function_id in bodies)
+        for task in batch.tasks:
+            if task.function_id not in bodies:
+                self._fail_unresolvable(task)
 
     def _collect_results(self) -> int:
         with self._lock:
@@ -283,15 +290,11 @@ class Manager:
 
         The only way a task leaves ``_pending`` for a worker: the loop
         offers its idle workers, a finishing worker offers itself.  The
-        head only (FIFO), only with its body on the node, never once
-        ``_stop`` is set.
+        head only (FIFO), never once ``_stop`` is set.
         """
         if not self._pending or self._stop.is_set():
             return None
         head, arrived = self._pending[0]
-        body = self._buffers.get(head.function_id)
-        if not body:
-            return None
         key = head.container_image or "RAW"
         for worker in candidates:
             if worker.container.key == key:
@@ -304,7 +307,7 @@ class Manager:
         # empty-bodied message it sent, for re-execution.
         # (dataclasses.replace costs 1.4x this.)
         return worker, TaskMessage(**{
-            **vars(head), "function_buffer": body,
+            **vars(head), "function_buffer": self._buffers[head.function_id],
             "manager_in": arrived, "manager_out": self._clock()})
 
     def _finished(self, worker: Worker,
@@ -314,8 +317,8 @@ class Manager:
         In one hold of the lock the result joins ``_done`` and the
         worker takes the head exactly when the loop would have handed it
         that task anyway; otherwise it goes idle and the head — a
-        redeploy (§4.5), a missing body — is the loop's decision.  So a
-        collect never sees a result without the slot it frees.
+        redeploy (§4.5) — is the loop's decision.  So a collect never
+        sees a result without the slot it frees.
 
         A finish that leaves the node idle (nothing pending, every worker
         idle, not stopped) takes ``_done`` and its advertisement in that
@@ -352,37 +355,28 @@ class Manager:
         container, else that container to the longest-idle worker."""
         dispatched = 0
         while True:
-            victim = None
             with self._lock:
                 claim = self._claim_head(self._idle.values())
                 if claim is None:
-                    if not self._pending or self._stop.is_set():
+                    if not self._pending or self._stop.is_set() or not self._idle:
                         break
                     head, _arrived = self._pending[0]
-                    if not self._buffers.get(head.function_id):
-                        self._pending.popleft()
-                    elif self._idle:
-                        victim = next(iter(self._idle.values()))
-                    else:
-                        break
-            if claim is not None:
-                worker, message = claim
-                worker.inbox.put(message)
-            elif victim is not None:
+                    victim = next(iter(self._idle.values()))
+            if claim is None:
                 # Outside the lock (a cold start sleeps); the next pass
                 # finds the head matched, or taken by a finishing worker.
                 self._redeploy(victim, head.container_image or "RAW")
                 continue
-            else:
-                self._fail_unresolvable(head)
+            worker, message = claim
+            worker.inbox.put(message)
             dispatched += 1
         return dispatched
 
     def _fail_unresolvable(self, message: TaskMessage) -> None:
-        """A task whose function body never reached this node.
+        """A task whose envelope lacked its function body.
 
         Reported as a failure result so the task is not silently lost;
-        the client (or agent retry machinery) can resubmit.
+        the client can resubmit.
         """
         self._c_buffer_miss.inc()
         wrapper = RemoteExceptionWrapper(RuntimeError(

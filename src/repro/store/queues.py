@@ -191,17 +191,13 @@ class ReliableQueue:
         return count
 
     # -- consumer side ---------------------------------------------------------
-    def lease(self, lease_timeout: float | None = None) -> Lease | None:
-        """Dequeue the oldest item under a lease, or ``None`` when the
-        ready backlog is empty — it never blocks; a consumer that wants
-        to sleep until there is work points :attr:`wakeup` at its own
-        event.  With ``lease_timeout`` the lease falls due that many
-        seconds on (see :meth:`leased`); without, it never does."""
-        leases = self.lease_many(1, lease_timeout)
-        return leases[0] if leases else None
-
     def lease_many(self, max_items: int, lease_timeout: float | None = None) -> list[Lease]:
-        """Non-blocking bulk lease of up to ``max_items`` (executor batching)."""
+        """Dequeue up to ``max_items`` of the oldest items, each under a
+        lease; an empty list when the ready backlog is empty.  It never
+        blocks: a consumer that wants to sleep until there is work points
+        :attr:`wakeup` at its own event.  With ``lease_timeout`` a lease
+        falls due that many seconds on (see :meth:`leased`); without, it
+        never does."""
         leases: list[Lease] = []
         with self._lock:
             now = self._clock()

@@ -109,27 +109,22 @@ class TaskBatchMessage(Message):
 
     Every task travels in one of these, a lone task as an envelope of
     one.  ``tasks`` carry an empty ``function_buffer``: each distinct
-    function body is shipped at most once per batch in
-    ``function_buffers`` (keyed by ``function_id``) and cached by the
-    receiver for the rest of the sender's incarnation, so repeated
-    invocations of the same function pay the body transfer once.
+    function body ships once per envelope in ``function_buffers``, so
+    an envelope is whole on its own and no sender keeps a record of
+    what its receiver holds.  A task whose body is missing from its
+    envelope is a sender bug; the receiver fails it.
 
     Attributes
     ----------
     tasks:
         The coalesced task messages, dispatch order preserved.
     function_buffers:
-        ``function_id -> serialized body`` for every function whose body
-        the receiver is not already known to hold.
-    incarnation:
-        The sender's registration lifetime; receivers reset their buffer
-        tables when a new incarnation registers, so a stale cache can
-        never serve a body across a reconnect.
+        ``function_id -> serialized body`` for every function the
+        tasks name.
     """
 
     tasks: tuple[TaskMessage, ...] = ()
     function_buffers: dict[str, bytes] = field(default_factory=dict)
-    incarnation: int = 0
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,30 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
+
+from repro.transport.messages import TaskBatchMessage
+
+
+def unwrap_tasks(messages):
+    """Tap a link: the tasks of the ``TaskBatchMessage`` envelopes among
+    ``messages``, each with its body reattached from its own envelope.
+
+    Asserts the wire rule on every envelope read: a task travels
+    stripped, and its envelope carries the body of its function.
+    """
+    tasks = []
+    for message in messages:
+        if not isinstance(message, TaskBatchMessage):
+            continue
+        for task in message.tasks:
+            assert not task.function_buffer
+            assert task.function_id in message.function_buffers
+            tasks.append(replace(task, function_buffer=(
+                message.function_buffers[task.function_id])))
+    return tasks
 
 
 class FakeClock:

@@ -218,6 +218,5 @@ class TestServiceIntegration:
         service = self._service(clock)
         identity, token, fid, ep, payload = self._setup(service)
         service.submit(token, fid, ep, payload)
-        lease = service.task_queue(ep).lease()
-        assert lease is not None
+        (lease,) = service.task_queue(ep).lease_many(1)
         assert lease.lane == identity.identity_id

@@ -240,7 +240,7 @@ class TestQueueDepthWatermark:
         for i in range(5):
             q.put(i)
         assert q.depth == 5 and q.high_watermark == 5
-        leases = [q.lease(lease_timeout=10.0) for _ in range(3)]
+        leases = [q.lease_many(1, lease_timeout=10.0)[0] for _ in range(3)]
         assert q.depth == 2
         assert q.high_watermark == 5          # watermark never recedes
         q.requeue([leases[0].lease_id])

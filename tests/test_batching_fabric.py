@@ -30,6 +30,8 @@ from repro.transport.messages import (
 )
 from repro.transport.wakeup import Wakeup, run_loop
 
+from conftest import unwrap_tasks
+
 
 class TestWakeup:
     def test_set_latches_before_wait(self):
@@ -236,7 +238,7 @@ class TestLeaseManyOrdering:
         queue.wakeup = lambda: fired.append(True)
         queue.put(1)
         assert len(fired) == 1
-        lease = queue.lease()
+        (lease,) = queue.lease_many(1)
         queue.requeue([lease.lease_id])
         assert len(fired) == 2
         queue.put_many([2, 3])
@@ -326,8 +328,7 @@ class TestOnlyEnvelopesOnTheWire:
 
         envelopes = [m for m in crossed
                      if isinstance(m, (TaskBatchMessage, ResultBatchMessage))]
-        tasks = sum(len(m.tasks) for m in envelopes
-                    if isinstance(m, TaskBatchMessage))
+        tasks = len(unwrap_tasks(envelopes))
         results = [r for m in envelopes if isinstance(m, ResultBatchMessage)
                    for r in m.results]
         # service→agent and agent→manager for each of the 34 tasks; every
@@ -335,8 +336,6 @@ class TestOnlyEnvelopesOnTheWire:
         assert tasks == 2 * 34
         assert len(results) == 2 * 33 + 1
         assert [r.sender for r in results if not r.success] == [agent.name]
-        assert all(not task.function_buffer for m in envelopes
-                   if isinstance(m, TaskBatchMessage) for task in m.tasks)
         others = [m for m in crossed if m not in envelopes]
         assert others, "no control traffic was observed"
         assert {type(m) for m in others} <= {

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -16,6 +15,7 @@ from repro.auth import AuthService
 from repro.core.forwarder import Forwarder
 from repro.core.service import FuncXService
 from repro.core.tasks import TaskState, stage_seconds
+from repro.endpoint.agent import FuncXAgent
 from repro.serialize import FuncXSerializer
 from repro.transport.channel import Channel
 from repro.transport.messages import (
@@ -26,19 +26,7 @@ from repro.transport.messages import (
     TaskBatchMessage,
 )
 
-
-def unwrap_tasks(messages):
-    """Expand batch envelopes into per-task messages, bodies reattached."""
-    tasks = []
-    for message in messages:
-        assert isinstance(message, TaskBatchMessage)
-        for task in message.tasks:
-            assert not task.function_buffer  # bodies ride the envelope only
-            tasks.append(replace(
-                task,
-                function_buffer=message.function_buffers.get(
-                    task.function_id, b"")))
-    return tasks
+from conftest import unwrap_tasks
 
 
 def send_results(agent_end, *results):
@@ -77,6 +65,7 @@ def world(clock, request):
     w.clock = clock
     w.service = service
     w.forwarder = forwarder
+    w.channel = channel
     w.agent = agent_end
     w.endpoint_id = endpoint_id
     w.function_id = function_id
@@ -415,7 +404,8 @@ class TestDispatchBatching:
 
 
 class TestFunctionBufferCache:
-    """Batch dispatch ships each function body once and caches per agent."""
+    """Every envelope carries the body of each function its tasks name,
+    once; no sender records what its receiver already holds."""
 
     # 128 is the wave the retired 2x e2e gate drove: what made it fast is
     # this count — one transfer and one body for the whole wave.
@@ -440,7 +430,8 @@ class TestFunctionBufferCache:
         world.forwarder.step()
         (envelope,) = [m for m in world.agent.recv_all_ready()
                        if isinstance(m, TaskBatchMessage)]
-        assert envelope.function_buffers == {}  # agent already holds the body
+        # The agent already holds the body; the envelope carries it anyway.
+        assert list(envelope.function_buffers) == [world.function_id]
 
     def test_reregistration_invalidates_cache(self, world):
         submit(world)
@@ -466,5 +457,25 @@ class TestFunctionBufferCache:
         world.forwarder.step()
         (envelope,) = [m for m in world.agent.recv_all_ready()
                        if isinstance(m, TaskBatchMessage)]
-        # deliveries > 1 forces the body back into the envelope
         assert world.function_id in envelope.function_buffers
+
+    def test_overtaken_envelope_strands_no_task(self, world):
+        """Jitter reorders two waves on the forwarder→agent link: the
+        second envelope, carrying task B, lands before the first, which
+        carries task A.  B's own envelope holds its body, so the agent
+        admits both with no lease timeout to redeliver a dropped one."""
+        agent = FuncXAgent(world.endpoint_id, world.agent, clock=world.clock)
+        agent.register_with_forwarder()
+        world.forwarder.step()
+        first = submit(world)
+        world.channel.set_latency(0.2)
+        world.forwarder.step()
+        world.channel.set_latency(0.0)
+        second = submit(world)
+        world.forwarder.step()
+        agent.step()
+        world.clock.advance(0.2)
+        agent.step()
+        assert agent.tracked_task_ids() == [second, first]
+        assert agent.metrics.value(
+            "agent.buffer_misses", endpoint=world.endpoint_id) == 0

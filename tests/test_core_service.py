@@ -235,7 +235,7 @@ class TestRequeue:
     def test_requeue_rolls_back_state(self, service, user_token, function_id, endpoint_id):
         task_id = submit_one(service, user_token, function_id, endpoint_id)
         queue = service.task_queue(endpoint_id)
-        queue.lease()
+        queue.lease_many(1)
         service.tasks_dispatched([service.task_by_id(task_id)])
         assert service.requeue_tasks(endpoint_id, [task_id],
                                      reason="endpoint lost") == [task_id]
@@ -249,11 +249,11 @@ class TestRequeue:
                              max_retries=1)
         queue = service.task_queue(endpoint_id)
         # attempt 1
-        queue.lease()
+        queue.lease_many(1)
         service.tasks_dispatched([service.task_by_id(task_id)])
         assert service.requeue_tasks(endpoint_id, [task_id], "lost") == [task_id]
         # attempt 2
-        queue.lease()
+        queue.lease_many(1)
         service.tasks_dispatched([service.task_by_id(task_id)])
         assert service.requeue_tasks(endpoint_id, [task_id], "lost again") == []
         task = service.task_by_id(task_id)
@@ -265,7 +265,7 @@ class TestRequeue:
     def test_requeue_terminal_is_noop(self, service, user_token, function_id, endpoint_id):
         task_id = submit_one(service, user_token, function_id, endpoint_id)
         queue = service.task_queue(endpoint_id)
-        queue.lease()
+        queue.lease_many(1)
         service.tasks_dispatched([service.task_by_id(task_id)])
         service.complete_task(task_id, success=True, result_buffer=b"r")
         assert service.requeue_tasks(endpoint_id, [task_id], "late") == []

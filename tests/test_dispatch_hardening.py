@@ -31,6 +31,8 @@ from repro.transport.messages import (
     ResultMessage,
 )
 
+from conftest import unwrap_tasks
+
 
 @pytest.fixture
 def world(clock):
@@ -118,7 +120,6 @@ class TestOrphanLeases:
         assert world.service.forget_task(victim)
         connect_agent(world)
         world.forwarder.step()
-        from test_core_forwarder import unwrap_tasks
         got = {m.task_id for m in unwrap_tasks(world.agent.recv_all_ready())}
         assert got == {first, last}  # batch continued past the orphan
         assert world.forwarder.tasks_forwarded == 2

@@ -29,17 +29,9 @@ from repro.transport.messages import (
     TaskMessage,
 )
 
+from conftest import unwrap_tasks
+
 SERIALIZER = FuncXSerializer()
-
-
-def unwrap_tasks(messages):
-    """Expand batch envelopes into per-task messages, bodies reattached."""
-    return [
-        replace(task, function_buffer=message.function_buffers.get(
-            task.function_id, b""))
-        for message in messages if isinstance(message, TaskBatchMessage)
-        for task in message.tasks
-    ]
 
 
 def unwrap_results(messages):
@@ -340,3 +332,58 @@ class TestAgent:
         agent.step()
         beats = [m for m in forwarder_end.recv_all_ready() if isinstance(m, Heartbeat)]
         assert beats
+
+    def test_task_without_its_body_is_failed_not_dropped(self, agent_world):
+        # An envelope lacking its tasks' body is a sender bug: the agent
+        # reports each such task failed instead of dropping it silently.
+        agent, forwarder_end, _ = agent_world
+        task = replace(task_message(add_one, (1,), task_id="bodiless"),
+                       function_buffer=b"")
+        forwarder_end.send(TaskBatchMessage(sender="test", tasks=(task,)))
+        agent.step()
+        (failure,) = unwrap_results(forwarder_end.recv_all_ready())
+        assert failure.task_id == "bodiless" and not failure.success
+        assert "unavailable" in SERIALIZER.deserialize(
+            failure.result_buffer).exc_str
+        assert agent.tracked_task_ids() == []
+        assert agent.metrics.value("agent.buffer_misses", endpoint="ep-1") == 1
+
+    def test_overtaken_envelope_to_a_manager_runs_both_tasks(self, clock):
+        """Jitter reorders two envelopes on the agent→manager link: the
+        one carrying task B lands before the one carrying task A.  B's
+        own envelope holds its body, so both tasks succeed."""
+        config = EndpointConfig(workers_per_node=2, scale_cold_start=0.0)
+        fwd_channel = Channel(clock=clock)
+        agent = FuncXAgent("ep-1", fwd_channel.right, config=config,
+                           clock=clock)
+        mgr_channel = Channel(clock=clock)
+        agent.attach_manager("mgr1", mgr_channel.right)
+        manager = Manager("mgr1", mgr_channel.left, config, clock=clock)
+        for worker in manager._workers.values():
+            worker.start()
+        try:
+            manager.register()
+            agent.step()
+            forwarder_end = fwd_channel.left
+            mgr_channel.set_latency(0.2)
+            forwarder_end.send(task_batch(task_message(add_one, (1,), "A")))
+            agent.step()
+            mgr_channel.set_latency(0.0)
+            forwarder_end.send(task_batch(task_message(add_one, (2,), "B")))
+            agent.step()
+            manager.step()
+            clock.advance(0.2)
+            results = []
+
+            def both_done():
+                agent.step()
+                results.extend(unwrap_results(forwarder_end.recv_all_ready()))
+                return len(results) == 2
+
+            assert pump(manager.step, both_done)
+            assert {r.task_id: r.success for r in results} == {
+                "A": True, "B": True}
+            assert manager.metrics.value(
+                "manager.buffer_misses", manager="mgr1") == 0
+        finally:
+            manager.stop()

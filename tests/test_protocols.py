@@ -32,6 +32,7 @@ from repro.analysis.runner import (
     iter_python_files,
 )
 from repro.analysis.source import load_source, module_name_for, parse_source
+from repro.analysis.threadroles import build_role_report
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "analysis_fixtures"
@@ -118,6 +119,14 @@ def test_every_value_protocol_has_a_subject_in_src():
                         and func.id in spec.acquire_constructors):
                     acquired.add(spec.check_id)
     assert acquired == set(VALUE_PROTOCOLS)
+
+
+def test_cross_file_checks_have_a_subject_in_src():
+    """The cross-file checks are sized to the fabric too: ``threadroles``
+    finds attributes touched from two roles in ``src/repro``.
+    ``handler-exhaustiveness``'s subject test is
+    :func:`test_real_wire_module_is_fully_consumed_by_src`."""
+    assert len(build_role_report(_src_sources()).shared_attrs()) >= 1
 
 
 # ----------------------------------------------------------------------

@@ -232,15 +232,15 @@ class TestShardedFacade:
         ep = endpoint_on(service, 0)
         task_id = submit_one(service, token, fid, ep)
         queue = service.task_queue(ep)
-        lease = queue.lease()
-        assert lease is not None and lease.item == task_id
+        (lease,) = queue.lease_many(1)
+        assert lease.item == task_id
 
         yanked = service.shards[0].kill()
         assert yanked == 1
         assert not queue.ack(lease.lease_id)  # the old lease is dead
         service.restart_shard(0)
-        redelivered = queue.lease()
-        assert redelivered is not None and redelivered.item == task_id
+        (redelivered,) = queue.lease_many(1)
+        assert redelivered.item == task_id
         assert redelivered.deliveries == 2  # at-least-once redelivery
         assert queue.ack(redelivered.lease_id)
 

@@ -21,8 +21,8 @@ class TestBasicFifo:
     def test_put_lease_ack(self, clock):
         q = ReliableQueue(clock=clock)
         q.put("a")
-        lease = q.lease()
-        assert lease is not None and lease.item == "a"
+        (lease,) = q.lease_many(1)
+        assert lease.item == "a"
         assert q.ack(lease.lease_id)
         assert len(q) == 0 and q.in_flight == 0
 
@@ -30,11 +30,11 @@ class TestBasicFifo:
         q = ReliableQueue(clock=clock)
         for item in "abc":
             q.put(item)
-        assert [q.lease().item for _ in range(3)] == ["a", "b", "c"]
+        assert [q.lease_many(1)[0].item for _ in range(3)] == ["a", "b", "c"]
 
     def test_empty_poll_returns_none(self, clock):
         q = ReliableQueue(clock=clock)
-        assert q.lease() is None
+        assert q.lease_many(1) == []
 
     def test_put_many(self, clock):
         q = ReliableQueue(clock=clock)
@@ -69,24 +69,24 @@ class TestRedelivery:
         q = ReliableQueue(clock=clock)
         q.put("a")
         q.put("b")
-        lease = q.lease()
+        (lease,) = q.lease_many(1)
         assert lease.item == "a"
         q.requeue([lease.lease_id])
-        assert q.lease().item == "a"  # redelivered before b
+        assert q.lease_many(1)[0].item == "a"  # redelivered before b
 
     def test_nack_increments_delivery_count(self, clock):
         q = ReliableQueue(clock=clock)
         q.put("a")
-        lease = q.lease()
+        (lease,) = q.lease_many(1)
         q.requeue([lease.lease_id])
-        lease2 = q.lease()
+        (lease2,) = q.lease_many(1)
         assert lease2.deliveries == 2
         assert q.total_redelivered == 1
 
     def test_double_ack_is_false(self, clock):
         q = ReliableQueue(clock=clock)
         q.put("a")
-        lease = q.lease()
+        (lease,) = q.lease_many(1)
         assert q.ack(lease.lease_id)
         assert not q.ack(lease.lease_id)
         assert q.requeue([lease.lease_id]) == ([], [])
@@ -96,33 +96,33 @@ class TestRedelivery:
         q.put("old")
         clock.advance(1.0)
         q.put("new")
-        l1 = q.lease()
-        l2 = q.lease()
+        (l1,) = q.lease_many(1)
+        (l2,) = q.lease_many(1)
         assert (l1.item, l2.item) == ("old", "new")
         assert q.requeue(["new", "old"]) == (["new", "old"], [])
-        assert q.lease().item == "old"
-        assert q.lease().item == "new"
+        assert q.lease_many(1)[0].item == "old"
+        assert q.lease_many(1)[0].item == "new"
 
     def test_lease_timeout_requeues(self, clock):
         q = ReliableQueue(clock=clock)
         q.put("a")
-        q.lease(lease_timeout=5.0)
+        q.lease_many(1, lease_timeout=5.0)
         clock.advance(6.0)
         assert expire(q, clock) == 1
-        assert q.lease().item == "a"
+        assert q.lease_many(1)[0].item == "a"
 
     def test_unexpired_lease_not_requeued(self, clock):
         q = ReliableQueue(clock=clock)
         q.put("a")
-        q.lease(lease_timeout=5.0)
+        q.lease_many(1, lease_timeout=5.0)
         clock.advance(4.0)
         assert expire(q, clock) == 0
 
     def test_per_lease_timeout_override(self, clock):
         q = ReliableQueue(clock=clock)
         q.put_many(["a", "b"])
-        q.lease(lease_timeout=1.0)
-        q.lease()  # no timeout: never falls due
+        q.lease_many(1, lease_timeout=1.0)
+        q.lease_many(1)  # no timeout: never falls due
         clock.advance(2.0)
         assert q.leased(due=clock()) == ["a"]
         assert expire(q, clock) == 1
@@ -139,9 +139,9 @@ class TestBlockingAndLifecycle:
         result = []
 
         def consumer():
-            assert q.lease() is None  # empty: returns at once
+            assert q.lease_many(1) == []  # empty: returns at once
             ready.wait(timeout=5.0)
-            lease = q.lease()
+            (lease,) = q.lease_many(1)
             result.append(lease.item if lease else None)
 
         t = threading.Thread(target=consumer)
@@ -156,7 +156,7 @@ class TestBlockingAndLifecycle:
         q.wakeup = lambda: fired.append(1)
         q.put_many(["a", "b", "c"])
         assert len(fired) == 1  # one per wave, not per item
-        first = q.lease()
+        (first,) = q.lease_many(1)
         q.requeue([first.lease_id])
         assert len(fired) == 2
         q.lease_many(3)
@@ -165,7 +165,7 @@ class TestBlockingAndLifecycle:
         clock.advance(2.0)
         assert expire(q, clock) == 3 and len(fired) == 4
         assert expire(q, clock) == 0 and len(fired) == 4
-        q.lease()
+        q.lease_many(1)
         assert q.requeue(["a"], wake=False) == (["a"], []) and len(fired) == 4
 
 
@@ -184,7 +184,7 @@ class TestLeaseExpirySemantics:
     def test_ack_after_deadline_before_scan_succeeds(self, clock):
         q = ReliableQueue(clock=clock)
         q.put("t")
-        lease = q.lease(lease_timeout=1.0)
+        (lease,) = q.lease_many(1, lease_timeout=1.0)
         clock.advance(5.0)  # deadline long past, but nobody scanned
         assert q.ack(lease.lease_id) is True
         assert q.total_acked == 1
@@ -194,14 +194,14 @@ class TestLeaseExpirySemantics:
     def test_ack_after_scan_is_rejected(self, clock):
         q = ReliableQueue(clock=clock)
         q.put("t")
-        lease = q.lease(lease_timeout=1.0)
+        (lease,) = q.lease_many(1, lease_timeout=1.0)
         clock.advance(1.0)
         assert expire(q, clock) == 1  # scan revokes the lease
         assert q.ack(lease.lease_id) is False
         assert q.total_acked == 0
         # The item is redelivered under a fresh lease with a bumped count,
         # named, like every lease, by its item.
-        redelivery = q.lease()
+        (redelivery,) = q.lease_many(1)
         assert redelivery.item == "t"
         assert redelivery.deliveries == 2
         assert redelivery.lease_id == lease.lease_id == "t"
@@ -211,10 +211,10 @@ class TestLeaseExpirySemantics:
     def test_late_ack_retires_the_redelivered_item(self, clock):
         q = ReliableQueue(clock=clock)
         q.put("t")
-        stale = q.lease(lease_timeout=1.0)
+        (stale,) = q.lease_many(1, lease_timeout=1.0)
         clock.advance(2.0)
         expire(q, clock)
-        fresh = q.lease()
+        (fresh,) = q.lease_many(1)
         # The stale consumer finishes after all: its ack names the item,
         # so it retires the fresh lease, once, and the fresh ack is late.
         assert q.ack(stale.lease_id) is True
@@ -226,7 +226,7 @@ class TestLeaseExpirySemantics:
     def test_double_ack_counts_once(self, clock):
         q = ReliableQueue(clock=clock)
         q.put("t")
-        lease = q.lease()
+        (lease,) = q.lease_many(1)
         assert q.ack(lease.lease_id) is True
         assert q.ack(lease.lease_id) is False
         assert q.requeue([lease.lease_id]) == ([], [])  # requeue after ack also dead
@@ -236,7 +236,7 @@ class TestLeaseExpirySemantics:
     def test_nack_then_ack_is_rejected(self, clock):
         q = ReliableQueue(clock=clock)
         q.put("t")
-        lease = q.lease()
+        (lease,) = q.lease_many(1)
         assert q.requeue([lease.lease_id]) == (["t"], [])
         assert q.ack(lease.lease_id) is False  # lease died with the nack
         assert q.total_acked == 0
@@ -281,7 +281,7 @@ class TestFairDequeue:
         q = FairReliableQueue(clock=clock)
         q.put_many(["a1", "a2"], lane="a")
         q.put_many(["b1", "b2"], lane="b")
-        first = q.lease()
+        (first,) = q.lease_many(1)
         assert first.item == "a1"
         q.requeue([first.lease_id])
         leases = q.lease_many(4)

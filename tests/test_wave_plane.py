@@ -33,10 +33,9 @@ from repro.transport.messages import (
     Registration,
     ResultBatchMessage,
     ResultMessage,
-    TaskBatchMessage,
 )
 
-from conftest import FakeClock
+from conftest import FakeClock, unwrap_tasks
 
 WAVE = 64
 
@@ -78,9 +77,8 @@ class World:
     def dispatch(self) -> list[str]:
         """One forwarder step; the task ids the agent received."""
         self.forwarder.step()
-        return [task.task_id for message in self.agent.recv_all_ready()
-                if isinstance(message, TaskBatchMessage)
-                for task in message.tasks]
+        return [task.task_id
+                for task in unwrap_tasks(self.agent.recv_all_ready())]
 
     def result(self, task_id: str, success: bool = True) -> ResultMessage:
         return ResultMessage(

@@ -47,6 +47,8 @@ from repro.transport.messages import (
     TaskMessage,
 )
 
+from conftest import unwrap_tasks
+
 WAIT = 30.0
 SERIALIZER = FuncXSerializer()
 DOCKER_A = "docker:image-a"
@@ -262,8 +264,8 @@ class TestWaveThroughOneWorker:
             node.step()
             node.finish("t0")
             node.step()
-            (envelope,) = [m for m in wire if isinstance(m, TaskBatchMessage)]
-            assert envelope.tasks[0].function_buffer == b""
+            (task,) = unwrap_tasks(wire)
+            assert task.function_buffer == HELD_BODY
             assert [r.success for r in node.results()] == [True]
         finally:
             node.close()
@@ -354,39 +356,37 @@ class TestTheLoopsDecisions:
             node.close()
 
     def test_missing_body_is_failed_by_the_loop_not_claimed(self):
+        # An envelope without its tasks' body is a sender bug, even on a
+        # node that already holds the body: the loop fails those tasks
+        # as it admits them, so none is ever queued where a finishing
+        # worker could meet it.
         node = Node(workers=1)
         try:
             node.wave([None])
             node.step()
-            # Queued behind the running task without a manager step, so
-            # the finishing worker is the first to meet the bodyless head.
-            with node.manager._lock:
-                node.manager._buffers.clear()
-            orphan, after = node.wave([None, None], bodies=False)
-            for message in node.manager.channel.recv_all_ready(8):
-                node.manager._admit(message)
-            node.finish("t0")
-            assert node.started == [("m/w0", "t0")]
-            assert list(node.manager._idle) == ["m/w0"]
-            assert node.manager.tracked_task_ids() == [orphan, after]
-
             failed_on = []
             fail = node.manager._fail_unresolvable
 
             def recording_fail(message):
-                failed_on.append(threading.current_thread())
+                failed_on.append((threading.current_thread(),
+                                  node.manager.tracked_task_ids()))
                 fail(message)
 
             node.manager._fail_unresolvable = recording_fail
+            orphan, after = node.wave([None, None], bodies=False)
             node.step()
-            assert failed_on == [threading.current_thread()] * 2
+            assert failed_on == [(threading.current_thread(), [])] * 2
+            assert node.manager.tracked_task_ids() == []
             assert node.counter("manager.buffer_misses") == 2
-            assert node.counter("manager.tasks_self_claimed") == 0
             failures = [r for r in node.results() if not r.success]
             assert [r.task_id for r in failures] == [orphan, after]
             assert {r.sender for r in failures} == {"m"}
             assert "unavailable" in SERIALIZER.deserialize(
                 failures[0].result_buffer).exc_str
+            node.finish("t0")
+            assert node.started == [("m/w0", "t0")]
+            assert node.counter("manager.tasks_self_claimed") == 0
+            node.step()
             assert EXECUTED == ["t0"]
             assert node.quiescent()
         finally:
