@@ -24,7 +24,7 @@ Module map:
 :mod:`cfg`, :mod:`dataflow`, :mod:`protocols`
     Statement-level CFGs, forward dataflow, and the typestate registry
     on top: ``lease-ack``, ``subscription-lifecycle``,
-    ``spill-lifecycle``, ``future-resolution``, plus the cross-file
+    ``future-resolution``, plus the cross-file
     ``handler-exhaustiveness``.
 :mod:`lockorder`, :mod:`threadroles`
     The cross-file lock-acquisition-order graph and the thread-role

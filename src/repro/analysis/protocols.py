@@ -1,9 +1,9 @@
 """Parametric resource-protocol (typestate) engine.
 
 PR 4's lease-ack check hard-wired one acquire/release discipline into a
-CFG + forward-dataflow pass.  The fabric has since grown four more
-resources with exactly that shape — spine/stream subscriptions,
-spilled result payloads, and result futures — so this
+CFG + forward-dataflow pass.  The fabric has since grown more
+resources with exactly that shape — spine/stream subscriptions and
+result futures — so this
 module generalizes the pass into a declarative registry: a
 :class:`ProtocolSpec` names a protocol's acquire sites, release sites,
 escape waivers, and refinements, and one shared engine
@@ -31,7 +31,7 @@ Engine semantics (identical to the PR 4 lease analysis, parameterized):
   elements to the loop variable.
 * ``waive_on_raise`` — protocols whose unreleased value is garbage-
   collectable (futures) treat an explicit ``raise`` as disposal; the
-  strict protocols (subscriptions, spills) do not, which is
+  strict protocols (leases, subscriptions) do not, which is
   exactly how the PR 7 ``_future_for`` subscription leak class is
   caught mechanically.
 
@@ -56,7 +56,6 @@ from repro.analysis.source import SourceFile
 
 LEASE_ACK = "lease-ack"
 SUBSCRIPTION_LIFECYCLE = "subscription-lifecycle"
-SPILL_LIFECYCLE = "spill-lifecycle"
 FUTURE_RESOLUTION = "future-resolution"
 HANDLER_EXHAUSTIVENESS = "handler-exhaustiveness"
 
@@ -84,7 +83,8 @@ class ProtocolSpec:
         Attribute-call names whose result is the tracked resource.
     acquire_receivers:
         When non-empty, an ``acquire_methods`` call only acquires if the
-        receiver's last segment is in this set (``self.spill.put``).
+        receiver's last segment is in this set (``{"queue"}`` admits
+        ``self.queue.put`` and refuses ``self.cache.put``).
     acquire_constructors:
         Bare constructor names that acquire (``FuncXFuture``).
     release_methods:
@@ -143,21 +143,6 @@ SUBSCRIPTION_PROTOCOL = ProtocolSpec(
     ),
 )
 
-SPILL_PROTOCOL = ProtocolSpec(
-    check_id=SPILL_LIFECYCLE,
-    resource="spilled payload ref(s)",
-    release_verbs="deletion or handoff",
-    acquire_methods=frozenset({"put"}),
-    acquire_receivers=frozenset({"spill"}),
-    release_methods=frozenset({"delete", "as_argument"}),
-    hint=(
-        "a spilled DataRef must be deleted (drop_spill on ack or subscriber "
-        "detach) or converted/handed off for delivery on every path, or the "
-        "staging store grows without bound; for deliberate retention add "
-        "`# lint: ignore[spill-lifecycle]` on the acquisition line"
-    ),
-)
-
 FUTURE_PROTOCOL = ProtocolSpec(
     check_id=FUTURE_RESOLUTION,
     resource="future(s)",
@@ -178,8 +163,7 @@ FUTURE_PROTOCOL = ProtocolSpec(
 #: runs as per-file checks.
 VALUE_PROTOCOLS: Dict[str, ProtocolSpec] = {
     spec.check_id: spec
-    for spec in (LEASE_PROTOCOL, SUBSCRIPTION_PROTOCOL, SPILL_PROTOCOL,
-                 FUTURE_PROTOCOL)
+    for spec in (LEASE_PROTOCOL, SUBSCRIPTION_PROTOCOL, FUTURE_PROTOCOL)
 }
 
 #: Global protocol ids handled by dedicated engines below (same
@@ -439,19 +423,6 @@ def check_subscription_lifecycle(source: SourceFile) -> Iterator[Finding]:
     transfers ownership to the holder.
     """
     yield from run_value_protocol(source, SUBSCRIPTION_PROTOCOL)
-
-
-def check_spill_lifecycle(source: SourceFile) -> Iterator[Finding]:
-    """Every DataRef obtained from a spill store's ``put`` must be
-    deleted or handed off (``as_argument``, stored, returned, passed
-    onward) on every path, or the staging store leaks one payload per
-    undelivered result.
-
-    The server-side contract: a spilled payload is deleted when its
-    batch is acked (``drop_spill``) and when an erroring consumer is
-    detached or the subscription closes with the batch undelivered.
-    """
-    yield from run_value_protocol(source, SPILL_PROTOCOL)
 
 
 def check_future_resolution(source: SourceFile) -> Iterator[Finding]:

@@ -20,7 +20,6 @@ from repro.analysis.lockorder import check_lock_order
 from repro.analysis.protocols import (
     check_future_resolution,
     check_handler_exhaustiveness,
-    check_spill_lifecycle,
     check_subscription_lifecycle,
 )
 from repro.analysis.source import SourceFile, load_source, module_name_for
@@ -38,7 +37,6 @@ ALL_CHECKS: dict[str, Check] = {
     "clock-domain": check_clock_domain,
     "lease-ack": check_lease_ack,
     "subscription-lifecycle": check_subscription_lifecycle,
-    "spill-lifecycle": check_spill_lifecycle,
     "future-resolution": check_future_resolution,
 }
 

@@ -367,9 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="run the fabric static analyzer (guarded-by, determinism, "
              "wire-compat, blocking-under-lock, clock-domain, lease-ack, "
-             "subscription-lifecycle, spill-lifecycle, "
-             "future-resolution, lock-order, handler-exhaustiveness, "
-             "threadroles)",
+             "subscription-lifecycle, future-resolution, lock-order, "
+             "handler-exhaustiveness, threadroles)",
         description="Exit codes: 0 = clean, 1 = findings reported, "
                     "2 = usage or internal error (bad baseline, unknown "
                     "check, glob matched nothing).")

@@ -34,7 +34,6 @@ from repro.core.futures import FuncXFuture, wait_all
 from repro.core.stream import DEFAULT_WINDOW, ResultSubscription
 from repro.errors import ResultPurged, TaskCancelled, TaskExecutionFailed
 from repro.metrics.registry import COUNT_BUCKETS
-from repro.staging.transfer import fetch_ref
 from repro.transport.messages import ResultBatchMessage, ResultMessage
 from repro.transport.wakeup import IDLE_FALLBACK, Wakeup
 
@@ -268,18 +267,13 @@ class FuncXExecutor:
                     f"task {message.task_id} cancelled")
             elif message.purged:
                 outcome = ResultPurged(message.task_id)
+            elif not message.success and not message.result_buffer:
+                outcome = TaskExecutionFailed(
+                    message.exception_text or "remote execution failed")
             else:
-                buffer = message.result_buffer
-                if message.result_ref is not None:
-                    # Spilled payload: pull it from the staging store.
-                    buffer = fetch_ref(message.result_ref)
-                if not message.success and not buffer:
-                    outcome = TaskExecutionFailed(
-                        message.exception_text or "remote execution failed")
-                else:
-                    future.set_result(
-                        self.client.serializer.deserialize(buffer))
-                    return
+                future.set_result(self.client.serializer.deserialize(
+                    message.result_buffer))
+                return
             future.set_exception(outcome)
         except RuntimeError:
             self._c_suppressed.inc()  # resolved concurrently (cancel race)

@@ -43,8 +43,8 @@ from repro.core.registry import (
     FunctionRegistry,
 )
 from repro.core.shard import ServiceShard, ShardMap
-from repro.core.stream import DEFAULT_SPILL_THRESHOLD, ResultStreamServer
-from repro.core.tasks import Task, TaskState, stage_seconds
+from repro.core.stream import ResultStreamServer
+from repro.core.tasks import Task, TaskState, new_task_ids, stage_seconds
 from repro.errors import (
     PayloadTooLarge,
     ResultPurged,
@@ -92,10 +92,6 @@ class ServiceConfig:
         model the measured cloud-service overhead (ts in figure 4).
     default_max_retries:
         Retry budget for tasks lost to worker/manager failure.
-    stream_spill_threshold:
-        Result payloads at or above this size (bytes) are delivered on
-        the push stream as staged ``DataRef`` records instead of in-band
-        buffers (see :mod:`repro.core.stream`).
     shards:
         Number of independent service-plane partitions.  ``1`` (the
         default) behaves exactly like the unsharded service.
@@ -105,7 +101,6 @@ class ServiceConfig:
     result_ttl: float = 3600.0
     request_overhead: float = 0.0
     default_max_retries: int = 1
-    stream_spill_threshold: int = DEFAULT_SPILL_THRESHOLD
     shards: int = 1
 
 
@@ -178,10 +173,8 @@ class FuncXService:
             for index in range(self.config.shards)
         ]
         # The push-delivery entry point clients subscribe through: one
-        # delivery thread and one spill store over every shard.
-        self.result_stream = ResultStreamServer(
-            self, clock=self._clock,
-            spill_threshold=self.config.stream_spill_threshold)
+        # delivery thread over every shard.
+        self.result_stream = ResultStreamServer(self, clock=self._clock)
         # The open-task gauge reads each shard's O(1) counter — the old
         # implementation scanned every task record per metrics read.
         self.metrics.gauge("service.tasks_live").set_function(
@@ -373,7 +366,9 @@ class FuncXService:
         resolved: dict[tuple[str, str], tuple[FunctionRecord, ServiceShard]] = {}
         waves: dict[str, tuple[ServiceShard, list[Task]]] = {}
         tasks: list[Task] = []
-        for function_id, endpoint_id, payload in requests:
+        task_ids = new_task_ids(len(requests))
+        for (function_id, endpoint_id, payload), task_id in zip(
+                requests, task_ids):
             if len(payload) > limit:
                 raise PayloadTooLarge(len(payload), limit)
             checked = resolved.get((function_id, endpoint_id))
@@ -386,7 +381,11 @@ class FuncXService:
                     raise ShardDraining(shard.index)
                 checked = resolved[function_id, endpoint_id] = (function, shard)
             function, shard = checked
+            # Embed the owning shard in the id: every later lookup
+            # (status, result, ack, stream watch) routes in O(1) without
+            # a directory.
             task = Task(
+                task_id=self.shard_map.tag(task_id, shard.index),
                 function_id=function_id,
                 endpoint_id=endpoint_id,
                 payload_buffer=payload,
@@ -394,10 +393,6 @@ class FuncXService:
                 owner_id=owner,
                 max_retries=max_retries,
             )
-            # Embed the owning shard in the id: every later lookup
-            # (status, result, ack, stream watch) routes in O(1) without
-            # a directory.
-            task.task_id = self.shard_map.tag(task.task_id, shard.index)
             task.state_times[TaskState.RECEIVED.value] = received_at  # born RECEIVED
             tasks.append(task)
             waves.setdefault(endpoint_id, (shard, []))[1].append(task)

@@ -23,15 +23,13 @@ futures from.  This module is the service side of that stream:
   :class:`~repro.transport.messages.ResultBatchMessage`.  Delivery is
   at-least-once: a batch the client never acks is redelivered, in its
   original order, after :meth:`ResultSubscription.recover`.
-* Results at or above ``spill_threshold`` bytes are spilled to a
-  ``repro.staging`` store and delivered as a ``DataRef`` record, so one
-  huge payload cannot head-of-line-block a batch; the spilled object is
-  deleted when the batch is acked.
+* A result rides its batch inline, whatever its size: the message
+  carries the record's own buffer, nothing is copied or staged.
 * The ack is where result bytes leave the service: it takes the
   subscription off each record's ``readers``, and the ack that brings
-  the count to 0 releases the buffer (a redelivery before that re-spills
-  from it).  A watched result whose bytes or record are gone is
-  delivered as a ``purged`` result.
+  the count to 0 releases the buffer (a redelivery before that reads
+  it again from the record).  A watched result whose bytes or record
+  are gone is delivered as a ``purged`` result.
 
 Consumers are plain callables (in-process stand-ins for a client's
 WebSocket); one that raises is detached and its batch is requeued for
@@ -50,7 +48,6 @@ from typing import TYPE_CHECKING, Callable, Iterable
 from repro.core.tasks import TaskState, uuid4_hex
 from repro.errors import TaskNotFound
 from repro.metrics.registry import COUNT_BUCKETS
-from repro.staging.transfer import DataStore, register_store, unregister_store
 from repro.transport.messages import ResultBatchMessage, ResultMessage
 from repro.transport.wakeup import (
     IDLE_FALLBACK,
@@ -65,10 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.tasks import Task
 
 logger = logging.getLogger(__name__)
-
-#: Result payloads at or above this size (bytes) ship as staged DataRefs
-#: instead of in-band buffers.
-DEFAULT_SPILL_THRESHOLD = 64 * 1024
 
 #: Default per-subscriber window (delivered-unacked results).
 DEFAULT_WINDOW = 64
@@ -170,9 +163,8 @@ class ResultSubscription:
 
         Forgets the batch's task ids (a long-lived subscription does not
         grow with the tasks it has seen), opens the window for the next
-        wave, deletes any payloads spilled for the batch and takes this
-        reader off each record, releasing the result bytes of those it
-        was the last reader of.
+        wave and takes this reader off each record, releasing the result
+        bytes of those it was the last reader of.
         """
         with self._lock:
             task_ids = self._unacked.pop(delivery_id, None)
@@ -182,7 +174,6 @@ class ResultSubscription:
             routed = _by_shard((task_id, watched.pop(task_id))
                                for task_id in task_ids)
             backlog = bool(self._ready)
-        self._server.drop_spills(self.subscriber_id, task_ids)
         for shard, ids in routed.items():
             shard.unwatch(ids, release=True)
         if backlog:
@@ -238,9 +229,7 @@ class ResultSubscription:
     def requeue(self, delivery_id: str | None = None) -> int:
         """Put one delivered-unacked batch (or, for ``None``, all of
         them) back at the front of the ready deque, in delivery order,
-        without a wake-up, and delete their spills: the redelivery
-        re-spills from the record, so an undelivered DataRef must not
-        outlive its batch."""
+        without a wake-up."""
         with self._lock:
             if delivery_id is None:
                 batches = list(self._unacked.values())
@@ -250,7 +239,7 @@ class ResultSubscription:
                 batches = [] if batch is None else [batch]
             task_ids = [task_id for batch in batches for task_id in batch]
             self._ready.extendleft(reversed(task_ids))
-        self._server.requeued(self.subscriber_id, task_ids)
+        self._server.requeued(len(task_ids))
         return len(task_ids)
 
     # -- introspection -------------------------------------------------------
@@ -283,15 +272,10 @@ class ResultSubscription:
                 return
             self._closed = True
             self._consumer = None
-            unacked = [task_id for batch in self._unacked.values()
-                       for task_id in batch]
             self._unacked.clear()
             self._ready.clear()
             routed = _by_shard(self._watched.items())
             self._watched = {}
-        # Nobody can ack the delivered-unacked batches now: delete their
-        # spilled payloads.
-        self._server.drop_spills(self.subscriber_id, unacked)
         for shard, ids in routed.items():
             shard.unwatch(ids, release=False)
         self._server.forget(self)
@@ -311,22 +295,20 @@ class ResultStreamServer:
     """Streams ResultBatchMessages to subscribed clients, window-bounded.
 
     One per :class:`~repro.core.service.FuncXService`, over every shard.
-    It keeps only the subscriptions, the ready set of marked ones and
-    the spill store: what a subscription watches, and which shard each
-    task lives on, its own books hold.  The delivery thread starts
-    lazily with the first subscription and is shut down by
-    :meth:`close` (wired into the deployment's shutdown).
+    It keeps only the subscriptions and the ready set of marked ones:
+    what a subscription watches, and which shard each task lives on,
+    its own books hold.  The delivery thread starts lazily with the
+    first subscription and is shut down by :meth:`close` (wired into
+    the deployment's shutdown).
     """
 
     def __init__(
         self,
         service: "FuncXService",
         clock: Callable[[], float] | None = None,
-        spill_threshold: int = DEFAULT_SPILL_THRESHOLD,
     ):
         self._service = service
         self._clock = clock or time.monotonic  # clock-domain: monotonic
-        self.spill_threshold = spill_threshold
         self._wakeup = Wakeup(clock=self._clock)
         self._lock = threading.Lock()
         self._subs: dict[str, ResultSubscription] = {}  # guarded-by: self._lock
@@ -339,19 +321,15 @@ class ResultStreamServer:
         self._thread: threading.Thread | None = None    # guarded-by: self._lock  # lint: ignore[threadroles]
         self._closed = False                            # guarded-by: self._lock  # lint: ignore[threadroles]
         self._stop = threading.Event()
-        # Spill store for oversized payloads and the delivery thread's
-        # name; uniquely tagged so parallel deployments in one process
-        # never collide in the global registry.
+        # Tells this service's delivery thread apart by name from the
+        # other deployments' in one process.
         self._tag = uuid.uuid4().hex[:8]
-        self.spill = DataStore(f"result-spill-{self._tag}")
-        register_store(self.spill)
         metrics = service.metrics
         self._h_batch = metrics.histogram(
             "stream.batch_size", buckets=COUNT_BUCKETS)
         self._h_delivery = metrics.histogram("stream.delivery_seconds")
         self._c_delivered = metrics.counter("stream.results_delivered")
         self._c_batches = metrics.counter("stream.batches_delivered")
-        self._c_spilled = metrics.counter("stream.results_spilled")
         self._c_redelivered = metrics.counter("stream.redeliveries")
         self._c_consumer_errors = metrics.counter("stream.consumer_errors")
         self._c_credit_stalls = metrics.counter("stream.credit_stalls")
@@ -441,10 +419,10 @@ class ResultStreamServer:
                 for task_id, task in zip(task_ids, shard.get_tasks(task_ids)):
                     results.append(
                         _purged_message(task_id, now) if task is None
-                        else self._result_message(sub, task, now))
+                        else self._result_message(task, now))
         except Exception:
             # Hand the results back in order, unannounced (``step``
-            # re-marks), and drop their spills.
+            # re-marks).
             sub.requeue(delivery_id)
             raise
         batch = ResultBatchMessage(
@@ -472,41 +450,24 @@ class ResultStreamServer:
             max(0.0, now - message.completed_at) for message in results)
         return len(results)
 
-    def _result_message(
-        self, sub: ResultSubscription, task: "Task", now: float
-    ) -> ResultMessage:
+    @staticmethod
+    def _result_message(task: "Task", now: float) -> ResultMessage:
         buffer = task.result_buffer  # read once: an ack may release it
-        purged = buffer is None and task.result_size > 0
-        buffer = buffer or b""
-        ref: dict | None = None
-        if len(buffer) >= self.spill_threshold:
-            data_ref = self.spill.put(
-                buffer, key=f"{sub.subscriber_id}:{task.task_id}")
-            ref = data_ref.as_argument()
-            buffer = b""
-            self._c_spilled.inc()
         return ResultMessage(
             sender="result-stream",
             task_id=task.task_id,
             success=task.state is TaskState.SUCCESS,
-            result_buffer=buffer,
+            result_buffer=buffer or b"",
             execution_time=float(task.metadata.get("execution_time", 0.0)),
             completed_at=task.state_times.get(task.state.value, now),
-            result_ref=ref,
             cancelled=task.state is TaskState.CANCELLED,
             exception_text=task.exception_text or "",
-            purged=purged,
+            purged=buffer is None and task.result_size > 0,
         )
 
-    def drop_spills(self, subscriber_id: str, task_ids: list[str]) -> None:
-        """Delete what was spilled for a batch that is acked or dead."""
-        for task_id in task_ids:
-            self.spill.delete(f"{subscriber_id}:{task_id}")
-
-    def requeued(self, subscriber_id: str, task_ids: list[str]) -> None:
+    def requeued(self, count: int) -> None:
         """A subscription put delivered results back for redelivery."""
-        self._c_redelivered.inc(len(task_ids))
-        self.drop_spills(subscriber_id, task_ids)
+        self._c_redelivered.inc(count)
 
     # -- delivery thread -----------------------------------------------------
     def _ensure_thread(self) -> None:
@@ -534,7 +495,6 @@ class ResultStreamServer:
         self._wakeup.set()
         if thread is not None:
             join_thread(thread, 5.0)
-        unregister_store(self.spill.name)
 
 
 def _purged_message(task_id: str, now: float) -> ResultMessage:

@@ -71,10 +71,21 @@ def uuid4_hex() -> str:
     return "%032x" % (int.from_bytes(os.urandom(16), "big") & _V4_CLEAR | _V4_SET)
 
 
+def new_task_ids(count: int) -> list[str]:
+    """``count`` ``str(uuid.uuid4())`` ids from one ``os.urandom`` call:
+    a submit wave mints its ids with one syscall, not one per task."""
+    raw = os.urandom(16 * count)
+    ids = []
+    for start in range(0, 16 * count, 16):
+        h = "%032x" % (int.from_bytes(raw[start:start + 16], "big")
+                       & _V4_CLEAR | _V4_SET)
+        ids.append(f"{h[:8]}-{h[8:12]}-{h[12:16]}-{h[16:20]}-{h[20:]}")
+    return ids
+
+
 def new_task_id() -> str:
     """``str(uuid.uuid4())``, without building a ``uuid.UUID``."""
-    h = uuid4_hex()
-    return f"{h[:8]}-{h[8:12]}-{h[12:16]}-{h[16:20]}-{h[20:]}"
+    return new_task_ids(1)[0]
 
 
 #: What a shard calls, once per completing wave, with the records of the

@@ -146,11 +146,11 @@ def fetch_ref(record: dict) -> bytes:
 
 
 def unregister_store(name: str) -> bool:
-    """Remove a store from the resolution table (stream-spill teardown).
+    """Remove a store from the resolution table.
 
     Returns ``True`` when the name was registered.  Lets short-lived
-    stores (a service's result-spill area) leave the process-level
-    registry when their owner shuts down instead of accreting forever.
+    stores leave the process-level registry when their owner shuts down
+    instead of accreting forever.
     """
     with _REGISTRY_LOCK:
         return _STORE_REGISTRY.pop(name, None) is not None

@@ -82,10 +82,8 @@ class ResultMessage(Message):  # lint: ignore[handler-exhaustiveness]
     execution_time: float = 0.0
     worker_id: str = ""
     completed_at: float = 0.0
-    #: Set on the client-facing result stream when the payload was
-    #: spilled to a staging store: a ``DataRef.as_argument()`` record the
-    #: receiver resolves via ``repro.staging.fetch_ref``; the
-    #: ``result_buffer`` ships empty in that case.
+    #: Always ``None``: every result rides ``result_buffer`` inline.  Kept
+    #: only because the benchmark's traced drive still reads it.
     result_ref: dict | None = None
     #: The task reached CANCELLED instead of SUCCESS/FAILED; receivers
     #: resolve the handle with ``TaskCancelled``.

@@ -74,7 +74,6 @@ def test_corpus_covers_every_check_both_ways():
         "clock-domain": "clock_good.py",
         "lease-ack": "lease_good.py",
         "subscription-lifecycle": "subscription_good.py",
-        "spill-lifecycle": "spill_good.py",
         "future-resolution": "future_good.py",
         "lock-order": "lockorder_good.py",
         "handler-exhaustiveness": "handlers_good.py",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.auth import AuthService, Scope
@@ -124,11 +126,17 @@ class TestSubmission:
         with pytest.raises(AuthorizationFailed):
             submit_one(service, user_token, fid, endpoint_id)
 
-    def test_batch_submission(self, service, user_token, function_id, endpoint_id):
+    def test_batch_submission(self, service, user_token, function_id,
+                              endpoint_id, monkeypatch):
         payload = FuncXSerializer().serialize(([2], {}))
+        reads = []
+        urandom = os.urandom
+        monkeypatch.setattr(os, "urandom",
+                            lambda size: reads.append(size) or urandom(size))
         ids = service.submit_batch(
             user_token, [(function_id, endpoint_id, payload)] * 5
         )
+        assert reads == [16 * 5]  # one syscall mints the wave's ids
         assert len(ids) == len(set(ids)) == 5
         assert len(service.task_queue(endpoint_id)) == 5
 

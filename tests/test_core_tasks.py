@@ -7,7 +7,7 @@ import uuid
 import pytest
 
 from repro.core.shard import ShardMap
-from repro.core.tasks import Task, TaskState, uuid4_hex
+from repro.core.tasks import Task, TaskState, new_task_ids, uuid4_hex
 
 
 def fresh_task(**kwargs) -> Task:
@@ -142,6 +142,14 @@ class TestTaskIds:
 
     def test_task_ids_are_uuid4_strings(self):
         ids = [fresh_task().task_id for _ in range(self.N)]
+        for task_id in ids:
+            parsed = uuid.UUID(task_id)
+            assert str(parsed) == task_id
+            self.assert_uuid4(parsed)
+        assert len(set(ids)) == self.N
+
+    def test_wave_ids_are_uuid4_strings(self):
+        ids = new_task_ids(self.N)
         for task_id in ids:
             parsed = uuid.UUID(task_id)
             assert str(parsed) == task_id

@@ -5,10 +5,11 @@ propagation, subscription-leak regression)."""
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
-from repro import LocalDeployment, ServiceConfig
+from repro import LocalDeployment
 from repro.core.client import FuncXClient
 from repro.core.executor import FuncXExecutor
 from repro.errors import (
@@ -166,20 +167,24 @@ class TestExecutor:
             "service.memo_completions").value >= 1
 
     def test_spilled_result_round_trips(self, deployment=None):
-        with LocalDeployment(
-                service_config=ServiceConfig(stream_spill_threshold=256)
-        ) as dep:
+        # A >= 64 KiB result arrives inline and its ack releases it.
+        with LocalDeployment() as dep:
             client = dep.client()
-            ep = dep.create_endpoint("spill-ep", nodes=1)
+            ep = dep.create_endpoint("big-ep", nodes=1)
 
             def big(n):
                 return b"z" * n
 
             with client.executor(ep) as executor:
-                assert executor.submit(big, 10_000).result(
-                    timeout=30) == b"z" * 10_000
-            assert dep.metrics.counter("stream.results_spilled").value >= 1
-            assert len(dep.service.result_stream.spill) == 0
+                future = executor.submit(big, 64 * 1024)
+                assert future.result(timeout=30) == b"z" * (64 * 1024)
+                record = dep.service.task_by_id(future.task_id)
+                deadline = time.monotonic() + 30
+                while not record.released and time.monotonic() < deadline:
+                    time.sleep(0.005)  # the ack follows the resolution
+                assert record.released and record.readers == 0
+            assert dep.metrics.counter(
+                "service.results_purged").value == 1
 
     def test_batch_size_validated(self, client, endpoint_id):
         with pytest.raises(ValueError):

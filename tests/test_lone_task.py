@@ -457,23 +457,25 @@ class TestRaisingPass:
     def test_thread_survives_and_nothing_is_released_twice(
             self, service, submit, monkeypatch):
         server = service.result_stream
-        big = b"x" * server.spill_threshold
+        big = b"x" * (64 * 1024)
         sub = server.subscribe()
         consumer = Consumer(sub)
         task_ids = [submit(), submit()]
         sub.watch_many(task_ids)
+        records = [service.task_by_id(task_id) for task_id in task_ids]
         build = server._result_message
         raised = []
 
-        def full_store(sub_, task, now):
-            message = build(sub_, task, now)
+        def fail_late(task, now):
+            message = build(task, now)
             if task.task_id == task_ids[1] and not raised:
-                # Both results of the wave are spilled by now.
-                raised.append(len(server.spill))
-                raise OSError("spill store full")
+                # Both results of the wave are built by now.
+                raised.append([(record.readers, record.released)
+                               for record in records])
+                raise OSError("delivery failed")
             return message
 
-        server._result_message = full_store
+        server._result_message = fail_late
         failed = threading.Event()
         log = logging.getLogger("repro.transport.wakeup")
         monkeypatch.setattr(
@@ -481,10 +483,11 @@ class TestRaisingPass:
         service.complete_tasks(service.shards[0], [
             (task_id, True, big, None, 0.0, {}) for task_id in task_ids])
         assert failed.wait(WAIT)
-        assert raised == [2] and server._thread.is_alive()
-        # The failed pass gave back its leases and spills and woke
-        # nobody; the next result's wake-up is the next pass, served by
-        # the same thread, and it carries the two it owes.
+        assert raised == [[(1, False), (1, False)]]
+        assert server._thread.is_alive()
+        # The failed pass gave back its results and woke nobody; the
+        # next result's wake-up is the next pass, served by the same
+        # thread, and it carries the two it owes.
         healthy = submit()
         sub.watch(healthy)
         complete(service, healthy)
@@ -493,12 +496,16 @@ class TestRaisingPass:
             delivered += [m.task_id for m in consumer.await_batch().results]
         assert delivered == task_ids + [healthy]
         assert server._thread.is_alive()
-        # Nothing released twice: the retry consumed the window once and
-        # the acks returned all of it.
+        # Nothing released twice: the retry consumed the window once, the
+        # acks (made inside the consumer call) returned all of it, and
+        # each record lost its one reader and its bytes exactly once.
         assert service.metrics.counter("stream.redeliveries").value == 2
         assert sub.window - sub.unacked_results == sub.window
         assert sub.backlog == 0 and sub.unacked_results == 0
-        assert len(server.spill) == 0
+        records.append(service.task_by_id(healthy))
+        assert [(record.readers, record.released) for record in records] == [
+            (0, True)] * 3
+        assert service.metrics.counter("service.results_purged").value == 3
 
     def test_raise_leaves_other_marked_subscriptions_their_turn(
             self, service, submit):
@@ -514,9 +521,9 @@ class TestRaisingPass:
         complete(service, good_task)
         build = server._result_message
 
-        def raise_once(sub_, task, now):
+        def raise_once(task, now):
             server._result_message = build
-            raise OSError("spill store full")
+            raise OSError("delivery failed")
 
         server._result_message = raise_once
         with pytest.raises(OSError):
@@ -540,11 +547,11 @@ class TestRaisingPass:
         complete(service, task_id)
         builds = []
 
-        def always_full(sub_, task, now):
+        def always_fail(task, now):
             builds.append(task.task_id)
-            raise OSError("spill store full")
+            raise OSError("delivery failed")
 
-        server._result_message = always_full
+        server._result_message = always_fail
         stop = threading.Event()
         latched = []
 

@@ -21,7 +21,6 @@ from repro.core.stream import MAX_BATCH
 from repro.core.tasks import TaskState
 from repro.errors import TaskCancelled, TaskNotFound
 from repro.serialize import FuncXSerializer
-from repro.staging.transfer import fetch_ref
 
 
 @pytest.fixture
@@ -217,33 +216,30 @@ class TestSubscription:
         assert collector.batches[-1].delivery_id != first_delivery
         assert sorted(collector.task_ids) == sorted(task_ids * 2)
 
-    def test_large_result_spills_to_staging(self, clock, user_token=None):
-        service = FuncXService(
-            auth=AuthService(clock=clock), clock=clock,
-            config=ServiceConfig(stream_spill_threshold=64))
-        identity = service.auth.register_identity("alice")
-        token = service.auth.native_client_flow(identity).token
-        _eid, ep_token = service.auth.endpoint_client_flow("ep")
-        endpoint_id = service.register_endpoint(ep_token.token, name="ep")
-        function_id = service.register_function(
-            token, "f", FuncXSerializer().serialize_function(lambda: None),
-            public=True)
+    def test_large_result_spills_to_staging(self, service, user_token,
+                                            function_id, endpoint_id):
+        # A >= 64 KiB result arrives inline: the message carries the
+        # record's own bytes object, and the ack releases it.
         sub = service.result_stream.subscribe(auto_deliver=False)
         collector = Collector()
         sub.attach(collector)
-        payload = FuncXSerializer().serialize(([1], {}))
-        task_id = service.submit(token, function_id, endpoint_id, payload)
+        task_id = submit_one(service, user_token, function_id, endpoint_id)
         sub.watch(task_id)
-        big = b"x" * 1000
-        service.complete_task(task_id, success=True, result_buffer=big)
+        service.complete_task(
+            task_id, success=True, result_buffer=b"x" * (64 * 1024))
+        record = service.task_by_id(task_id)
         assert service.result_stream.step() == 1
         (message,) = collector.batches[0].results
-        assert message.result_buffer == b""          # shipped out of band
-        assert message.result_ref is not None
-        assert fetch_ref(message.result_ref) == big  # round-trips
-        assert service.metrics.counter("stream.results_spilled").value == 1
+        assert message.result_buffer is record.result_buffer
+        assert message.result_ref is None
+        assert record.readers == 1 and not record.released
         sub.ack(collector.batches[0].delivery_id)
-        assert len(service.result_stream.spill) == 0  # cleaned on ack
+        assert record.readers == 0 and record.released
+        assert record.result_buffer is None
+
+    def test_the_spill_knob_is_gone(self):
+        with pytest.raises(TypeError):
+            ServiceConfig(stream_spill_threshold=64)
 
     def test_failed_task_streams_failure(self, service, user_token,
                                          function_id, endpoint_id):
@@ -578,64 +574,55 @@ class TestStreamChaos:
 
 class TestDetachCleanup:
     """The erroring-consumer detach and close paths must give credits
-    back to the window AND delete any payload spilled for the batch —
-    the protocol audit's stream findings (credit + spill lifecycle)."""
+    back to the window, and hold a large result on its record exactly as
+    long as a reader is left."""
 
-    @staticmethod
-    def _spilling_service(clock):
-        service = FuncXService(
-            auth=AuthService(clock=clock), clock=clock,
-            config=ServiceConfig(stream_spill_threshold=64))
-        identity = service.auth.register_identity("alice")
-        token = service.auth.native_client_flow(identity).token
-        _eid, ep_token = service.auth.endpoint_client_flow("ep")
-        endpoint_id = service.register_endpoint(ep_token.token, name="ep")
-        function_id = service.register_function(
-            token, "f", FuncXSerializer().serialize_function(lambda: None),
-            public=True)
-        return service, token, endpoint_id, function_id
+    BIG = 64 * 1024
 
-    def test_erroring_consumer_restores_credits_and_drops_spill(self, clock):
-        service, token, endpoint_id, function_id = self._spilling_service(clock)
+    def test_erroring_consumer_restores_credits_and_drops_spill(
+            self, service, user_token, function_id, endpoint_id):
         sub = service.result_stream.subscribe(auto_deliver=False)
         window = sub.window - sub.unacked_results
         sub.attach(lambda batch: (_ for _ in ()).throw(OSError("dropped")))
-        payload = FuncXSerializer().serialize(([1], {}))
-        task_id = service.submit(token, function_id, endpoint_id, payload)
+        task_id = submit_one(service, user_token, function_id, endpoint_id)
         sub.watch(task_id)
-        big = b"x" * 1000
+        big = b"x" * self.BIG
         service.complete_task(task_id, success=True, result_buffer=big)
+        record = service.task_by_id(task_id)
         assert service.result_stream.step() == 0  # delivery failed, detached
         assert sub.consumer is None
-        # The failed delivery must not pin the credit window or leave the
-        # undelivered payload in the staging store.
+        # The failed delivery must not pin the credit window, and the
+        # record keeps the bytes for the redelivery.
         assert sub.window - sub.unacked_results == window
-        assert len(service.result_stream.spill) == 0
-        # Reconnect: redelivery re-spills from the task record.
+        assert record.readers == 1 and not record.released
+        # Reconnect: the redelivery reads the result from the record.
         collector = Collector()
         sub.attach(collector)
         assert service.result_stream.step() == 1
         (message,) = collector.batches[0].results
-        assert fetch_ref(message.result_ref) == big
+        assert message.result_buffer == big
         sub.ack(collector.batches[0].delivery_id)
-        assert len(service.result_stream.spill) == 0
+        assert record.readers == 0 and record.released
         assert sub.window - sub.unacked_results == window
 
-    def test_close_with_unacked_spilled_batch_cleans_up(self, clock):
-        service, token, endpoint_id, function_id = self._spilling_service(clock)
+    def test_close_with_unacked_spilled_batch_cleans_up(
+            self, service, user_token, function_id, endpoint_id):
         sub = service.result_stream.subscribe(auto_deliver=False)
         window = sub.window - sub.unacked_results
         collector = Collector()
         sub.attach(collector)
-        payload = FuncXSerializer().serialize(([1], {}))
-        task_id = service.submit(token, function_id, endpoint_id, payload)
+        task_id = submit_one(service, user_token, function_id, endpoint_id)
         sub.watch(task_id)
-        service.complete_task(task_id, success=True, result_buffer=b"y" * 1000)
+        service.complete_task(
+            task_id, success=True, result_buffer=b"y" * self.BIG)
         assert service.result_stream.step() == 1
         assert sub.unacked_results == 1
         # Close without acking: the subscription's last act returns its
-        # credits and deletes the spilled payload it never delivered.
+        # credits and takes its reader off the record, releasing nothing:
+        # the bytes stay for get_result until they expire.
         sub.close()
         assert sub.window - sub.unacked_results == window
-        assert len(service.result_stream.spill) == 0
+        record = service.task_by_id(task_id)
+        assert record.readers == 0 and not record.released
+        assert record.result_buffer == b"y" * self.BIG
         assert service.result_stream.subscription_count() == 0
