@@ -104,7 +104,7 @@ class UsageLedger:
                     user_id=task.owner_id,
                     function_id=task.function_id,
                     endpoint_id=task.endpoint_id,
-                    execution_seconds=float(task.metadata.get("execution_time", 0.0)),
+                    execution_seconds=task.execution_time,
                     failed=task.state is TaskState.FAILED,
                     memo_hit=task.memo_hit,
                 )

@@ -798,7 +798,7 @@ class FuncXService:
         task.result_buffer = result_buffer or None
         task.result_size = len(result_buffer)
         task.exception_text = exception_text
-        task.metadata["execution_time"] = execution_time
+        task.execution_time = execution_time
         self._c_completed.inc()
         if self.events:
             self.events.emit("service", "task.completed", {

@@ -458,7 +458,7 @@ class ResultStreamServer:
             task_id=task.task_id,
             success=task.state is TaskState.SUCCESS,
             result_buffer=buffer or b"",
-            execution_time=float(task.metadata.get("execution_time", 0.0)),
+            execution_time=task.execution_time,
             completed_at=task.state_times.get(task.state.value, now),
             cancelled=task.state is TaskState.CANCELLED,
             exception_text=task.exception_text or "",

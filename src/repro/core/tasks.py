@@ -14,6 +14,9 @@ A *task* is one invocation of a registered function.  Its path is:
 own transitions, and the winning result brings the agent, manager and
 worker stamps (:func:`hop_stamps`), so the latency breakdown (figure 4)
 reads ts/tf/te/tw and the per-component :data:`STAGES` off the record.
+A finished record stays in its shard's table for ``result_ttl``, so it
+stamps each state once (a re-entry adds ``last_<state>``), keeps
+``execution_time`` as a field and an empty ``metadata``.
 """
 
 from __future__ import annotations
@@ -92,9 +95,15 @@ def new_task_id() -> str:
 #: wave it waits on.
 Waiter = Callable[[list["Task"]], None]
 
+#: ``state_times`` key of each state's latest entry, written only when
+#: the state is entered again.
+_LAST: dict[TaskState, str] = {state: f"last_{state.value}" for state in TaskState}
+
 #: The timeline's stages, each ``(stage, from, to)``: the interval between
-#: two ``state_times`` stamps, ``to=None`` meaning the terminal state's.
-#: A stage missing a stamp (a hop that did not stamp) is left out.
+#: two stamps (read by :func:`stamp`), ``to=None`` meaning the terminal
+#: state's.  A stage missing a stamp (a hop that did not stamp), or ending
+#: before it starts (a result that wins after a requeue, before any
+#: redispatch), is left out.
 STAGES: tuple[tuple[str, str, str | None], ...] = (
     ("service", "received", "queued"),
     ("forwarder.dispatch", "last_queued", "last_dispatched"),
@@ -117,18 +126,27 @@ def hop_stamps(result: "ResultMessage") -> dict[str, float]:
     return {key: at for key, at in stamps.items() if at}
 
 
+def stamp(state_times: dict[str, float], key: str) -> float | None:
+    """The ``key`` stamp of one timeline; a missing ``last_<state>`` reads
+    as ``<state>``: a state entered once is its own last."""
+    at = state_times.get(key)
+    if at is None and key.startswith("last_"):
+        return state_times.get(key[5:])
+    return at
+
+
 def stage_seconds(state_times: dict[str, float], state: str) -> dict[str, float]:
     """Stage → seconds on one timeline, in :data:`STAGES` order; ``state``
     is the record's state (the key of its terminal stamp)."""
     out: dict[str, float] = {}
     for stage, start, end in STAGES:
-        began, ended = state_times.get(start), state_times.get(end or state)
-        if began is not None and ended is not None:
+        began, ended = stamp(state_times, start), stamp(state_times, end or state)
+        if began is not None and ended is not None and ended >= began:
             out[stage] = ended - began
     return out
 
 
-@dataclass
+@dataclass(slots=True)
 class Task:
     """One function invocation and its full audit trail.
 
@@ -153,6 +171,11 @@ class Task:
     max_retries:
         Re-execution budget when workers/managers are lost ("lost tasks
         can be re-executed (if permitted)", §4.3).
+    execution_time:
+        Seconds the function ran, as the applied result reports it.
+    metadata:
+        Only what a requeue (``requeue_reasons``, ``queued_times``) or a
+        memoized submit (``memoize``) adds; empty on the common path.
     """
 
     function_id: str
@@ -170,6 +193,7 @@ class Task:
     expires_at: float | None = None
     exception_text: str | None = None
     memo_hit: bool = False
+    execution_time: float = 0.0
     state_times: dict[str, float] = field(default_factory=dict)
     metadata: dict[str, Any] = field(default_factory=dict)
     #: ``callback(tasks)``s to fire when the task turns terminal, ``None``
@@ -202,13 +226,16 @@ class Task:
         # pipeline stage at a time; the ReliableQueue lease that moves it
         # between stages provides the happens-before edge for this write.
         self.state = new_state  # handoff
-        # Record *first* entry per state except QUEUED (redelivery re-queues;
-        # keep every queue entry time in the audit list).
+        # A re-entry (a requeue, a redispatch) stamps ``last_<state>``; the
+        # second queue entry starts the list of every queue entry time.
+        times = self.state_times
         key = new_state.value
+        if key not in times:
+            times[key] = now
+            return
+        times[_LAST[new_state]] = now
         if new_state is TaskState.QUEUED:
-            self.metadata.setdefault("queued_times", []).append(now)
-        self.state_times.setdefault(key, now)
-        self.state_times[f"last_{key}"] = now
+            self.metadata.setdefault("queued_times", [times[key]]).append(now)
 
     def stage_time(self, state: TaskState) -> float | None:
         return self.state_times.get(state.value)
@@ -216,15 +243,12 @@ class Task:
     # -- derived latencies (figure 4 decomposition) -------------------------
     def total_latency(self) -> float | None:
         """End-to-end time from reception to terminal state."""
-        start = self.state_times.get(TaskState.RECEIVED.value)
-        end = None
-        for terminal in (TaskState.SUCCESS, TaskState.FAILED, TaskState.CANCELLED):
-            end = self.state_times.get(terminal.value)
-            if end is not None:
-                break
-        if start is None or end is None:
+        times = self.state_times
+        end = next((times[key] for key in ("success", "failed", "cancelled")
+                    if key in times), None)
+        if "received" not in times or end is None:
             return None
-        return end - start
+        return end - times["received"]
 
     def breakdown(self) -> dict[str, float]:
         """Stage durations keyed ts/tf/te/tw where measurable.
@@ -240,26 +264,13 @@ class Task:
         state.
         """
         times = self.state_times
-        out: dict[str, float] = {}
-
-        def span(a: str, b: str) -> float | None:
-            if a in times and b in times:
-                return times[b] - times[a]
-            return None
-
-        worker_out = "worker_out" if "worker_out" in times else TaskState.SUCCESS.value
-        ts = span(TaskState.RECEIVED.value, TaskState.QUEUED.value)
-        tf = span(TaskState.QUEUED.value, TaskState.DISPATCHED.value)
-        te = span(TaskState.DISPATCHED.value, TaskState.RUNNING.value)
-        tw = span(TaskState.RUNNING.value, worker_out)
-        if ts is not None:
-            out["ts"] = ts
-        if tf is not None:
-            out["tf"] = tf
-        if te is not None:
-            out["te"] = te + (span(worker_out, TaskState.SUCCESS.value) or 0.0)
-        if tw is not None:
-            out["tw"] = tw
+        worker_out = "worker_out" if "worker_out" in times else "success"
+        spans = {"ts": ("received", "queued"), "tf": ("queued", "dispatched"),
+                 "te": ("dispatched", "running"), "tw": ("running", worker_out)}
+        out = {name: times[b] - times[a] for name, (a, b) in spans.items()
+               if a in times and b in times}
+        if "te" in out and worker_out in times and "success" in times:
+            out["te"] += times["success"] - times[worker_out]
         return out
 
     @property

@@ -137,22 +137,6 @@ class TraceContext:
             self.spans.append(span)
             return span
 
-    def record_late(self, name: str, component: str, start: float, end: float,
-                    attempt: int = 0, **annotations: Any) -> Span:
-        """Record a span that legitimately happens *after* finalization.
-
-        The trace closes at the task's terminal transition, but the
-        result-stream tail (service→client push delivery) runs after
-        that.  Unlike :meth:`record`, a closed trace accepts the span —
-        it shows up in :attr:`spans` without reopening the trace or
-        shifting :meth:`total`.
-        """
-        with self._lock:
-            span = Span(name=name, component=component, start=start, end=end,
-                        attempt=attempt, annotations=dict(annotations))
-            self.spans.append(span)
-            return span
-
     def close(self, at: float) -> None:
         """Finalize the trace; subsequent recording becomes a no-op."""
         with self._lock:

@@ -214,7 +214,7 @@ class TestDuplicateResults:
         assert task.state is TaskState.SUCCESS
         assert task.result_buffer == first_buf
         assert task.state_times == timeline
-        assert task.metadata["execution_time"] == pytest.approx(0.1)
+        assert task.execution_time == pytest.approx(0.1)
         assert world.service.tasks_completed == 1
         assert world.service.duplicate_results == 1
         assert world.forwarder.results_returned == 1
