@@ -27,16 +27,18 @@ Module map:
     ``future-resolution``, plus the cross-file
     ``handler-exhaustiveness``.
 :mod:`lockorder`, :mod:`threadroles`
-    The cross-file lock-acquisition-order graph and the thread-role
+    The cross-file lock-nesting edges (``lock-order``: the fabric holds
+    one lock at a time, so every edge is a finding) and the thread-role
     race inference.
 :mod:`sanitizer`
     Their runtime twins (``SanitizedLock`` and the three recorders),
-    opt-in via ``LocalDeployment(sanitize_locks=True)``.
+    opt-in via ``LocalDeployment(sanitize_locks=True)``; any nesting a
+    live run makes escapes the static edge set.
 """
 
 from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.findings import Finding
-from repro.analysis.lockorder import LockOrderGraph, extract_lock_graph
+from repro.analysis.lockorder import extract_lock_graph
 from repro.analysis.runner import (
     ALL_CHECKS,
     GLOBAL_CHECKS,
@@ -68,7 +70,6 @@ __all__ = [
     "Baseline",
     "BaselineEntry",
     "Finding",
-    "LockOrderGraph",
     "LockOrderRecorder",
     "ROLES",
     "RoleReport",

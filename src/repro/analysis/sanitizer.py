@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.lockorder import LockOrderGraph, Witness, extract_lock_graph
+from repro.analysis.lockorder import extract_lock_graph
 from repro.analysis.protocols import protocol_sites
 from repro.analysis.source import SourceFile
 from repro.analysis.threadroles import build_role_report, role_for_thread
@@ -70,19 +70,6 @@ class RuntimeRecorder:
 
 
 @dataclass(frozen=True)
-class CycleReport:
-    """A runtime-observed lock-order cycle (potential deadlock)."""
-
-    nodes: Tuple[str, ...]
-    edges: Tuple[Tuple[str, str], ...]
-    thread: str
-
-    def format(self) -> str:
-        path = " -> ".join(self.nodes + (self.nodes[0],))
-        return f"lock-order cycle observed at runtime ({self.thread}): {path}"
-
-
-@dataclass(frozen=True)
 class HoldOutlier:
     lock: str
     seconds: float
@@ -93,17 +80,13 @@ class LockOrderRecorder(RuntimeRecorder):
     """The dynamic half of the lock-order check, fed by
     :class:`SanitizedLock`.
 
-    Keeps a per-thread acquisition stack, records order edges (held ->
-    newly acquired) with the acquiring thread as witness, detects cycles
-    **live** on every new edge (a cycle means two threads have
-    demonstrably acquired the same locks in opposite orders), flags
-    lock-hold-time outliers, and exports acquisition/contention counters
-    and wait/hold histograms.  Edges are kept per *instance* (two
-    ``ReliableQueue`` locks are different nodes, so a real A-then-B /
-    B-then-A inversion between two queues is caught); the recorded
-    events are the per-*class* edges, exported by :meth:`class_graph` in
-    the ``ClassName.attr`` vocabulary of the static graph (class-level
-    self-edges dropped: the static side cannot tell instances apart).
+    Keeps a per-thread acquisition stack and counts one edge event per
+    lock acquired while another is held, keyed ``(held, acquired)`` in
+    the ``ClassName.attr`` vocabulary of the static graph.  Re-entering
+    the same lock is not an edge; nesting two *instances* of one class
+    is, and since the static side drops self-edges, it always escapes.
+    Also flags lock-hold-time outliers and exports acquisition and
+    contention counters and wait/hold histograms.
     """
 
     counter_name = "sanitizer.lock_acquisitions"
@@ -112,23 +95,12 @@ class LockOrderRecorder(RuntimeRecorder):
         super().__init__(metrics)
         self._clock = clock or time.monotonic  # clock-domain: monotonic
         self._tls = threading.local()
-        self._instance_edges: Dict[Tuple[str, str], int] = {}
-        self._edge_threads: Dict[Tuple[str, str], set] = {}
-        self._instance_counter = 0
-        self.cycles: List[CycleReport] = []
         self.outliers: List[HoldOutlier] = []
         self.acquisitions = 0
         self._c_contended = self._metrics.counter("sanitizer.lock_contention")
-        self._c_cycles = self._metrics.counter("sanitizer.lock_order_cycles")
         self._c_outliers = self._metrics.counter("sanitizer.lock_hold_outliers")
         self._h_wait = self._metrics.histogram("sanitizer.lock_wait_seconds")
         self._h_hold = self._metrics.histogram("sanitizer.lock_hold_seconds")
-
-    # -- wiring ---------------------------------------------------------------
-    def next_instance_id(self) -> int:
-        with self._mutex:
-            self._instance_counter += 1
-            return self._instance_counter
 
     def _stack(self) -> List[Tuple["SanitizedLock", float]]:
         stack = getattr(self._tls, "stack", None)
@@ -140,13 +112,12 @@ class LockOrderRecorder(RuntimeRecorder):
     # -- events ---------------------------------------------------------------
     def on_acquired(self, lock: "SanitizedLock", waited: float) -> None:
         stack = self._stack()
-        thread = threading.current_thread().name
         with self._mutex:
             self.acquisitions += 1
             for held, _t0 in stack:
-                if held.instance_name == lock.instance_name:
-                    continue  # RLock re-entry: not an order edge
-                self._add_edge(held, lock, thread)
+                if held is not lock:  # RLock re-entry: not an order edge
+                    key = (held.class_name, lock.class_name)
+                    self._events[key] = self._events.get(key, 0) + 1
         stack.append((lock, self._clock()))
         self._c_events.inc()
         self._h_wait.observe(waited)
@@ -172,69 +143,13 @@ class LockOrderRecorder(RuntimeRecorder):
                 self.outliers.append(outlier)
             self._c_outliers.inc()
 
-    def _add_edge(self, held: "SanitizedLock", acquired: "SanitizedLock",
-                  thread: str) -> None:
-        # caller holds self._mutex
-        ikey = (held.instance_name, acquired.instance_name)
-        fresh = ikey not in self._instance_edges
-        self._instance_edges[ikey] = self._instance_edges.get(ikey, 0) + 1
-        ckey = (held.class_name, acquired.class_name)
-        self._events[ckey] = self._events.get(ckey, 0) + 1
-        self._edge_threads.setdefault(ckey, set()).add(thread)
-        if fresh:
-            cycle = self._find_cycle(ikey)
-            if cycle is not None:
-                self.cycles.append(CycleReport(
-                    nodes=tuple(cycle),
-                    edges=tuple(zip(cycle, cycle[1:] + [cycle[0]])),
-                    thread=thread,
-                ))
-                self._c_cycles.inc()
-
-    def _find_cycle(self, new_edge: Tuple[str, str]) -> Optional[List[str]]:
-        """A path acquired -> ... -> held closes a cycle through the new
-        held -> acquired edge.  Caller holds self._mutex."""
-        src, dst = new_edge
-        # DFS from dst looking for src.
-        stack: List[Tuple[str, List[str]]] = [(dst, [src, dst])]
-        succs: Dict[str, List[str]] = {}
-        for a, b in self._instance_edges:
-            succs.setdefault(a, []).append(b)
-        seen = {dst}
-        while stack:
-            node, path = stack.pop()
-            for nxt in sorted(succs.get(node, ())):
-                if nxt == src:
-                    return path
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append((nxt, path + [nxt]))
-        return None
-
-    # -- export ---------------------------------------------------------------
-    def class_graph(self) -> LockOrderGraph:
-        """The observed order edges, collapsed to ``ClassName.attr``
-        nodes (self-edges dropped) for comparison with the static graph."""
-        graph = LockOrderGraph()
-        with self._mutex:
-            for (src, dst), count in sorted(self._events.items()):
-                graph.add_edge(src, dst, Witness(
-                    path="<runtime>",
-                    line=0,
-                    symbol=",".join(sorted(self._edge_threads[(src, dst)])),
-                    detail=f"observed {count}x at runtime",
-                ))
-        return graph
-
-    def instance_edges(self) -> Dict[Tuple[str, str], int]:
-        with self._mutex:
-            return dict(sorted(self._instance_edges.items()))
-
+    # -- views ----------------------------------------------------------------
     def observed(self) -> set:
-        return set(self.class_graph().edges)
+        """The distinct ``(held, acquired)`` edges seen at runtime."""
+        return set(self.events())
 
     def static(self, sources: Sequence[SourceFile]) -> set:
-        return set(extract_lock_graph(sources).edges)
+        return set(extract_lock_graph(sources))
 
 
 class SanitizedLock:
@@ -251,7 +166,6 @@ class SanitizedLock:
                  recorder: LockOrderRecorder) -> None:
         self._inner = inner
         self.class_name = class_name
-        self.instance_name = f"{class_name}#{recorder.next_instance_id()}"
         self._recorder = recorder
 
     # -- lock protocol --------------------------------------------------------

@@ -580,7 +580,6 @@ class FuncXAgent:
             Heartbeat(
                 sender=self.name,
                 timestamp=now,
-                outstanding_tasks=self.outstanding_count(),
                 incarnation=self.incarnation,
                 credit=credit,
             )

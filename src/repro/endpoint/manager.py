@@ -485,9 +485,7 @@ class Manager:
         if now - self._last_heartbeat < period:
             return
         self._last_heartbeat = now
-        beat = Heartbeat(
-            sender=self.manager_id, timestamp=now,
-            outstanding_tasks=self.outstanding)
+        beat = Heartbeat(sender=self.manager_id, timestamp=now)
         self.warm_pool.evict_expired(now)
         # Piggyback the periodic advertisement on the heartbeat: one
         # coalesced transfer instead of two back-to-back messages.

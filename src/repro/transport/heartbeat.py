@@ -31,12 +31,6 @@ class HeartbeatTracker:
         How many missed periods before a component is declared lost.
     clock:
         Injectable time source (monotonic or simulation clock).
-    monotonic:
-        Declares which clock domain ``clock`` belongs to.  Liveness
-        deadlines are computed by subtracting clock readings, which is
-        only meaningful within one domain; pass ``monotonic=False`` when
-        feeding wall-clock timestamps (e.g. replaying recorded beats) so
-        the mismatch is explicit at the construction site.
     """
 
     def __init__(
@@ -44,7 +38,6 @@ class HeartbeatTracker:
         period: float = 1.0,
         grace_periods: int = 3,
         clock: Callable[[], float] | None = None,
-        monotonic: bool = True,
     ):
         if period <= 0:
             raise ValueError("heartbeat period must be positive")
@@ -54,7 +47,6 @@ class HeartbeatTracker:
 
         self.period = period
         self.grace_periods = grace_periods
-        self.monotonic = monotonic
         self._clock = clock or _time.monotonic  # clock-domain: monotonic
         self._records: dict[str, _BeatRecord] = {}
 

@@ -159,7 +159,6 @@ class Heartbeat(Message):
     """
 
     timestamp: float = 0.0
-    outstanding_tasks: int = 0
     incarnation: int = 0
     credit: int = -1
 

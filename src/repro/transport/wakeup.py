@@ -15,8 +15,9 @@ is only a liveness/heartbeat fallback.
 
 A waiter blocks on a C ``Lock`` that a signal releases, never in a
 ``threading.Condition``'s Python frames.  The state lock is a *leaf*
-(the latch is taken under it only without blocking), so wiring wakeups
-across components cannot create lock-order cycles.
+(the latch is taken under it only without blocking), and a component
+fires its wakeup after releasing its own lock, so wiring wakeups across
+components nests no two locks.
 """
 
 from __future__ import annotations

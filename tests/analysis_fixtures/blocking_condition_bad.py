@@ -1,7 +1,8 @@
 # module: fixtures.blocking_condition
 # Known-bad corpus for blocking-under-lock over conditions: a wait on a
 # condition releases only the lock it was built over, so a wait while
-# holding any other lock still blocks under that lock.
+# holding any other lock still blocks under that lock.  Holding two
+# locks at once is itself a lock-order finding.
 import threading
 
 
@@ -15,7 +16,7 @@ class Inbox:
 
     def recv_under_stats(self):
         with self._stats_lock:
-            with self._lock:
+            with self._lock:  # EXPECT: lock-order
                 while not self._items:
                     self._arrival.wait()  # EXPECT: blocking-under-lock
                 return self._items.pop()

@@ -1,7 +1,7 @@
 # module: fixtures.lockorder
 # Known-bad corpus for the lock-order check: two classes that acquire
 # each other's locks in opposite orders — the classic ABBA deadlock.
-# The cycle is reported once, anchored on the first witness edge.
+# Each nesting is its own finding, anchored where the inner lock is taken.
 import threading
 
 
@@ -27,5 +27,5 @@ class Right:
 
     def poke(self):
         with self._peer_lock:
-            with self.left._lock:  # opposite order: Right then Left
+            with self.left._lock:  # EXPECT: lock-order
                 self.depth += 1

@@ -1,24 +1,28 @@
 # module: fixtures.lockorder
-# Known-good corpus for the lock-order check: every code path acquires
-# the two locks in the same global order (Outer before Inner), including
-# the multi-item `with a, b:` form, which acquires left-to-right.
+# Known-good corpus for the lock-order check: every code path holds one
+# lock at a time.  It snapshots what it needs under the first lock,
+# releases it, then takes the second; re-entering the same RLock is
+# not a nesting.
 import threading
 
 
 class Outer:
     def __init__(self, inner: Inner):
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self.inner = inner
+        self.seen = 0
 
-    def nested(self):
+    def flat(self):
         with self._lock:
-            with self.inner._pool_lock:
-                return self.inner.size
-
-    def multi_item(self):
-        # `with a, b:` acquires a then b — same order as nested().
-        with self._lock, self.inner._pool_lock:
+            self.seen += 1
+        with self.inner._pool_lock:
             return self.inner.size
+
+    def call_out(self):
+        with self._lock:
+            seen = self.seen
+        self.inner.grow()
+        return seen
 
     def reentrant(self):
         with self._lock:

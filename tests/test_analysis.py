@@ -153,8 +153,8 @@ def test_reintroduced_leaked_lease_in_forwarder_is_flagged():
 
 def test_reintroduced_lock_order_cycle_is_flagged():
     """Appending a pair of classes that acquire each other's locks in
-    opposite orders to a src file must produce a lock-order cycle
-    finding against the full source tree."""
+    opposite orders to a src file must produce one lock-order finding
+    per nesting against the full source tree."""
     from repro.analysis.lockorder import check_lock_order
     from repro.analysis.runner import iter_python_files
     from repro.analysis.source import load_source, module_name_for
@@ -196,9 +196,12 @@ class _ReproPeer:
             sources.append(load_source(file_path, rel,
                                        module_name_for(file_path)))
     findings = [f for f in check_lock_order(sources)]
-    assert len(findings) == 1, [f.message for f in findings]
-    assert "_ReproGrip._grip_lock" in findings[0].message
-    assert "_ReproPeer._peer_lock" in findings[0].message
+    assert [(f.symbol, f.message) for f in findings] == [
+        ("_ReproGrip.poke",
+         "acquires _ReproPeer._peer_lock while holding _ReproGrip._grip_lock"),
+        ("_ReproPeer.poke",
+         "acquires _ReproGrip._grip_lock while holding _ReproPeer._peer_lock"),
+    ]
 
 
 def test_reintroduced_raw_time_call_in_core_is_flagged():

@@ -157,12 +157,13 @@ class TestHeartbeatSkew:
 class TestSanitizedChaosRun:
     """The runtime lock-order sanitizer rides a full fault-plan run: every
     lock-acquisition-order edge actually observed must already be known
-    to the static lock-order graph (no cycles, no surprise nesting)."""
+    to the static lock-order graph.  The fabric holds one lock at a time,
+    so that graph is empty and any nesting escapes, including one between
+    two instances of one class."""
 
     def test_runtime_lock_graph_is_subgraph_of_static(self, chaos_world):
         from pathlib import Path
 
-        from repro.analysis.lockorder import extract_lock_graph
         from repro.analysis.runner import iter_python_files
         from repro.analysis.source import load_source, module_name_for
 
@@ -186,17 +187,12 @@ class TestSanitizedChaosRun:
         recorder = world.deployment.lock_recorder
         assert recorder is not None
         assert recorder.acquisitions > 0
-        assert recorder.cycles == [], [c.format() for c in recorder.cycles]
 
         repo_root = Path(__file__).resolve().parent.parent
         sources = [load_source(p, str(p.relative_to(repo_root)),
                                module_name_for(p))
                    for p in iter_python_files(repo_root / "src")]
-        static = extract_lock_graph(sources)
-        runtime = recorder.class_graph()
-        assert runtime.is_subgraph_of(static), (
-            f"runtime lock-order edges unknown to the static graph: "
-            f"{runtime.missing_from(static)}")
+        assert recorder.escapes(sources) == []
 
     def test_runtime_cross_role_attrs_within_static_shared_set(self, chaos_world):
         """Thread-role acceptance gate: every attribute the AccessRecorder

@@ -17,11 +17,15 @@ import ast
 import re
 from pathlib import Path
 
-from repro.analysis.checks import check_lease_ack
+import pytest
+
+from repro.analysis.checks import check_lease_ack, in_determinism_scope
+from repro.analysis.model import build_program, resolved
 from repro.analysis.protocols import (
     LEASE_PROTOCOL,
     RECEIVER_PROTOCOLS,
     VALUE_PROTOCOLS,
+    WIRE_MODULE,
     check_handler_exhaustiveness,
     protocol_sites,
     run_value_protocol,
@@ -127,6 +131,49 @@ def test_cross_file_checks_have_a_subject_in_src():
     ``handler-exhaustiveness``'s subject test is
     :func:`test_real_wire_module_is_fully_consumed_by_src`."""
     assert len(build_role_report(_src_sources()).shared_attrs()) >= 1
+
+
+def _message_dataclasses(sources):
+    return [node for source in sources if source.module == WIRE_MODULE
+            for node in ast.walk(source.tree)
+            if isinstance(node, ast.ClassDef)
+            and any("dataclass" in ast.unparse(d) for d in node.decorator_list)]
+
+
+def _calls_under_lock(sources, resolved_only=False):
+    return [call for fn in build_program(sources).all_functions
+            for call in fn.calls
+            if call.held and (not resolved_only or (
+                call.callee is not None and resolved(call.held)))]
+
+
+def _lock_order_subject(sources):
+    """Both halves of the rule: a lock taken, and a resolved call made
+    while one is held (a call-through nesting would be found there)."""
+    acquired = [a for fn in build_program(sources).all_functions
+                for a in fn.acquires]
+    return min(len(acquired), len(_calls_under_lock(sources, True)))
+
+
+#: What each lexical check (and ``lock-order``) reads in ``src/repro``;
+#: none of them may pass only because it has nothing to look at.
+LEXICAL_SUBJECTS = {
+    "guarded-by": lambda sources: sum(
+        len(source.guard_comments) for source in sources),
+    "determinism": lambda sources: sum(
+        in_determinism_scope(source.module) for source in sources),
+    "wire-compat": lambda sources: len(_message_dataclasses(sources)),
+    "blocking-under-lock": lambda sources: len(_calls_under_lock(sources)),
+    "clock-domain": lambda sources: sum(
+        len(source.clock_domains) for source in sources),
+    "lock-order": _lock_order_subject,
+}
+
+
+@pytest.mark.parametrize("check", sorted(LEXICAL_SUBJECTS))
+def test_lexical_checks_have_a_subject_in_src(check):
+    assert check in set(ALL_CHECKS) | set(GLOBAL_CHECKS)
+    assert LEXICAL_SUBJECTS[check](_src_sources()) >= 1
 
 
 # ----------------------------------------------------------------------
