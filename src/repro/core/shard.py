@@ -12,11 +12,14 @@ module is that partitioning for the reproduction:
   owning shard without a directory lookup.
 * :class:`ServiceShard` — one partition: its own lock, task table,
   per-endpoint task :class:`~repro.store.queues.ReliableQueue`, expiry
-  deque, and incrementally-maintained counters (open tasks,
+  map, and incrementally-maintained counters (open tasks,
   per-endpoint outstanding, retained payload bytes) so the hot paths
   that used to scan the global task table are O(1).  Bytes and records
   leave here: arguments at the terminal state, results on the ack of
   the record's last stream reader, the record ``result_ttl`` later.
+* :class:`RetiredRows` — where a record goes when that ack leaves it
+  without result bytes: one packed row of ~230 B instead of a
+  :class:`~repro.core.tasks.Task`, read back as a fresh ``Task`` view.
 
 The facade (:class:`~repro.core.service.FuncXService`) owns every
 policy decision (auth, validation, memoization, completion semantics)
@@ -27,13 +30,16 @@ partitioned state + accounting, and runs no thread.
 from __future__ import annotations
 
 import bisect
+import math
 import threading
 import time
 import zlib
-from collections import deque
+from array import array
+from itertools import chain
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.core.tasks import Task, Waiter
+from repro.core.tasks import Task, TaskState, Waiter
 from repro.errors import TaskNotFound
 from repro.store.queues import FairReliableQueue, ReliableQueue
 
@@ -111,11 +117,175 @@ class ShardMap:
         return f"{task_id}{_SHARD_TAG}{shard_index}"
 
 
+#: The states a row holds, by state code (-1 marks a dead row), and each
+#: code's ten timeline slots in the order a tiny task stamps them.
+_TERMINAL = (TaskState.SUCCESS, TaskState.FAILED, TaskState.CANCELLED)
+_SLOTS = tuple(("received", "queued", "dispatched", state.value, "agent_in",
+                "agent_out", "manager_in", "manager_out", "running",
+                "worker_out") for state in _TERMINAL)
+_SLOT_SETS = tuple(map(frozenset, _SLOTS))
+_NANS = (math.nan,) * 10
+#: The ``Task`` fields kept in a column each, with their typecodes; the
+#: last is the row's deadline.
+_FIELDS = {"memo_hit": "b", "attempts": "i", "payload_size": "q",
+           "result_size": "q", "execution_time": "d", "expires_at": "d"}
+_fields = attrgetter(*_FIELDS)
+_shape = attrgetter("function_id", "endpoint_id", "owner_id",
+                    "container_image", "max_retries")
+
+
+def _row_key(task_id: str, suffix: str) -> int | str:
+    """A row's key: the uuid of an id minted with the shard's tag
+    ``suffix`` as an int, any other id as itself."""
+    if task_id[36:] == suffix and task_id[8:24:5] == "----":
+        h = task_id[:36].replace("-", "")
+        try:
+            key = int(h, 16)
+        except ValueError:
+            return task_id
+        if "%032x" % key == h:  # lowercase, no sign, prefix or "_"
+            return key
+    return task_id
+
+
+def _row_id(key: int | str, suffix: str) -> str:
+    if isinstance(key, str):
+        return key
+    h = "%032x" % key
+    return f"{h[:8]}-{h[8:12]}-{h[12:16]}-{h[16:20]}-{h[20:]}{suffix}"
+
+
+class RetiredRows:
+    """One shard's released records, a packed row each.
+
+    A record whose last stream reader acked it, holding no result bytes,
+    moves here from the shard's table: its uuid packed into an int key,
+    ``array`` columns (state, :data:`_FIELDS`, a ten-stamp timeline with
+    NaN for a missing stamp), an index into interned ``(function,
+    endpoint, owner, image, retries)`` shapes, and a sparse side entry
+    for the rare rest (``last_*`` stamps, ``exception_text``,
+    ``metadata``).  Readers get a fresh read-only :class:`Task` view.
+    The index is in expiry order: its due prefix is popped and a re-arm
+    reinserts, so a row joining at its ack expires up to that ack's delay
+    late.  Used only under the owning shard's lock.
+    """
+
+    #: Compact once this many rows are dead and they are half the rows.
+    COMPACT_AT = 4096
+
+    def __init__(self, suffix: str):
+        self._suffix = suffix
+        self._index: dict[int | str, int] = {}  # key -> row, expiry order
+        self._shapes: dict[tuple, int] = {}  # shape -> its index
+        self._shape_list: list[tuple] = []  # index -> shape
+        self._sparse: dict[int | str, tuple[dict, str | None, dict]] = {}
+        self._state, self._shape, self._times = (
+            array("b"), array("i"), array("d"))
+        self._columns = tuple(map(array, _FIELDS.values()))
+
+    def retire(self, tasks: list[Task]) -> None:
+        """Append a row per released terminal record, a column at a time."""
+        keys = [_row_key(task.task_id, self._suffix) for task in tasks]
+        start = len(self._state)
+        self._index.update(zip(keys, range(start, start + len(keys))))
+        shapes = self._shapes
+        ids = list(map(shapes.get, map(_shape, tasks)))
+        if None in ids:
+            ids = [shapes.setdefault(shape, len(shapes))
+                   for shape in map(_shape, tasks)]
+            self._shape_list[:] = shapes
+        codes = [0 if task.state is _TERMINAL[0]
+                 else 1 if task.state is _TERMINAL[1] else 2 for task in tasks]
+        for task, code, key in zip(tasks, codes, keys):
+            stamps, slots = task.state_times, _SLOT_SETS[code]
+            if (task.exception_text is not None or task.metadata
+                    or not stamps.keys() <= slots):
+                self._sparse[key] = (
+                    {k: at for k, at in stamps.items() if k not in slots},
+                    task.exception_text, task.metadata)
+        # ``fromlist`` sizes a column once; ``extend`` grows it per item.
+        self._times.fromlist([at for task, code in zip(tasks, codes) for at in
+                              map(task.state_times.get, _SLOTS[code], _NANS)])
+        self._state.fromlist(codes)
+        self._shape.fromlist(ids)
+        for column, values in zip(self._columns, zip(*map(_fields, tasks))):
+            column.fromlist([*values])
+
+    def view(self, task_id: str) -> Task | None:
+        """A fresh ``Task`` for a retired id; ``None`` for any other."""
+        key = _row_key(task_id, self._suffix)
+        row = self._index.get(key)
+        if row is None:
+            return None
+        code = self._state[row]
+        stamps, text, metadata = self._sparse.get(key, ({}, None, {}))
+        times = {slot: at for slot, at in zip(
+            _SLOTS[code], self._times[row * 10:row * 10 + 10]) if at == at}
+        function_id, endpoint_id, owner_id, image, retries = \
+            self._shape_list[self._shape[row]]
+        task = Task(function_id, endpoint_id, b"", image, owner_id, task_id,
+                    _TERMINAL[code], retries, state_times=times | stamps,
+                    exception_text=text, metadata=metadata)
+        for field, column in zip(_FIELDS, self._columns):
+            setattr(task, field, column[row])
+        task.memo_hit = bool(task.memo_hit)
+        return task
+
+    def views(self) -> list[Task | None]:
+        return [self.view(_row_id(key, self._suffix)) for key in self._index]
+
+    def count_states(self, counts: dict[str, int]) -> None:
+        """Add the rows of each state to ``counts``."""
+        for code, state in enumerate(_TERMINAL):
+            counts[state.value] += self._state.count(code)
+
+    def rearm(self, task_id: str, deadline: float) -> None:
+        """A retrieval: the row now expires at ``deadline``, last in order."""
+        key = _row_key(task_id, self._suffix)
+        row = self._index.pop(key, None)
+        if row is not None:
+            self._index[key] = row
+            self._columns[-1][row] = deadline
+
+    def pop(self, task_id: str) -> Task | None:
+        """Remove a retired id's row; returns its view."""
+        task = self.view(task_id)
+        if task is not None:
+            self._remove([_row_key(task_id, self._suffix)])
+        return task
+
+    def expire(self, now: float) -> tuple[list[str], float]:
+        """Remove the due prefix of the index; returns its task ids and
+        the next deadline (``inf`` when no row is left)."""
+        deadlines, due, upcoming = self._columns[-1], [], math.inf
+        for key, row in self._index.items():
+            if deadlines[row] > now:
+                upcoming = deadlines[row]
+                break
+            due.append(key)
+        self._remove(due)
+        return [_row_id(key, self._suffix) for key in due], upcoming
+
+    def _remove(self, keys: list[int | str]) -> None:
+        for key in keys:
+            self._state[self._index.pop(key)] = -1
+            self._sparse.pop(key, None)
+        dead = len(self._state) - len(self._index)
+        if dead > self.COMPACT_AT and 2 * dead >= len(self._state):
+            # Drop the dead rows in place; the live ones keep their order.
+            keys, rows = list(self._index), list(self._index.values())
+            for column in (self._state, self._shape, self._times, *self._columns):
+                width = 10 if column is self._times else 1
+                column[:] = array(column.typecode, chain.from_iterable(
+                    column[row * width:row * width + width] for row in rows))
+            self._index.update(zip(keys, range(len(keys))))
+
+
 class ServiceShard:
     """One partition of the service plane's task state.
 
-    Owns the task table, the per-endpoint task queues, the expiry deque
-    and an O(1) accounting block; no thread.  All
+    Owns the task table, its :class:`RetiredRows`, the per-endpoint
+    task queues, the expiry map and an O(1) accounting block; no thread.  All
     mutation goes through the facade, which routes by
     :class:`ShardMap`; the shard enforces nothing but its own
     bookkeeping invariant::
@@ -136,7 +306,9 @@ class ServiceShard:
         "_forgotten_open": "_lock",
         "_open": "_lock",
         "_retained": "_lock",
-        "_expiry": "_lock",
+        "_deadlines": "_lock",
+        "_due": "_lock",
+        "_rows": "_lock",
     }
 
     def __init__(
@@ -160,11 +332,12 @@ class ServiceShard:
         self._open = 0
         self._outstanding: dict[str, int] = {}  # endpoint_id -> open tasks
         self._retained = 0  # argument + result bytes the records hold
-        # (deadline, task_id), in deadline order since the clock only
-        # moves forward and ``result_ttl`` is one constant.  An entry is
-        # live while it equals its record's ``expires_at``: a retrieval
-        # re-arms the record and strands the older entry.
-        self._expiry: deque[tuple[float, str]] = deque()
+        # task id -> deadline of each armed record still held as a Task,
+        # in deadline order since the clock only moves forward and
+        # ``result_ttl`` is one constant: a re-arm deletes and reinserts.
+        self._deadlines: dict[str, float] = {}
+        self._rows = RetiredRows(f"{_SHARD_TAG}{index}")
+        self._due = math.inf  # no later than the earliest deadline
         # Submitting threads read this while chaos/admin threads flip
         # it; both classify as role "main", so the lock is load-bearing
         # even though role inference sees a single role.
@@ -214,9 +387,11 @@ class ServiceShard:
         self._c_received.inc(len(tasks))
 
     def get_tasks(self, task_ids: Iterable[str]) -> list[Task | None]:
-        """The records for ``task_ids``, in order; ``None`` where unknown."""
+        """The records for ``task_ids``, in order; ``None`` where unknown
+        (a retired id reads as a fresh view of its row)."""
         with self._lock:
-            return [self._tasks.get(task_id) for task_id in task_ids]
+            return [task if (task := self._tasks.get(task_id)) is not None
+                    else self._rows.view(task_id) for task_id in task_ids]
 
     def pop_task(self, task_id: str) -> Task | None:
         """Remove a task record (forget path); fixes up open counters."""
@@ -227,14 +402,18 @@ class ServiceShard:
         """The one way a record leaves the table (forget or expiry)."""
         task = self._tasks.pop(task_id, None)
         if task is None:
-            return None
-        if not task.state.terminal:
+            task = self._rows.pop(task_id)
+            if task is None:
+                return None
+        elif not task.state.terminal:
             # Forgetting an open task removes it from the conserved
             # population — tracked separately so the accounting
             # identity still closes.
             self._forgotten_open += 1
             self._open -= 1
             self._dec_outstanding(task.endpoint_id)
+        else:
+            self._deadlines.pop(task_id, None)
         self._retained -= len(task.payload_buffer)
         if task.expires_at is not None and task.result_buffer is not None:
             self._retained -= task.result_size
@@ -255,7 +434,9 @@ class ServiceShard:
         with self._lock:
             task = self._tasks.get(task_id)
             if task is None:
-                raise TaskNotFound(task_id)
+                task = self._rows.view(task_id)
+                if task is None:
+                    raise TaskNotFound(task_id)
             if self._park(task, callback):
                 return
         callback([task])
@@ -278,7 +459,8 @@ class ServiceShard:
         has since left.  Raises :class:`TaskNotFound`, registering
         nothing, for a missing id it never minted."""
         with self._lock:
-            tasks = [self._tasks.get(task_id) for task_id in task_ids]
+            tasks = [task if (task := self._tasks.get(task_id)) is not None
+                     else self._rows.view(task_id) for task_id in task_ids]
             minted = self.service.shard_map.minted
             for task_id, task in zip(task_ids, tasks):
                 if task is None and not minted(task_id):
@@ -294,19 +476,27 @@ class ServiceShard:
     def unwatch(self, task_ids: Iterable[str], release: bool) -> None:
         """Each record loses a reader; with ``release`` (an ack) the
         result bytes of a record left without one go, and the record
-        stays until it expires."""
+        becomes a row of :class:`RetiredRows` until it expires."""
         released = 0
+        retiring: list[Task] = []
         with self._lock:
+            tasks, deadlines = self._tasks, self._deadlines
             for task_id in task_ids:
-                task = self._tasks.get(task_id)
+                task = tasks.get(task_id)
                 if task is None:
                     continue
                 task.readers -= 1
-                if (release and not task.readers
-                        and task.result_buffer is not None):
+                if not release or task.readers:
+                    continue
+                if task.result_buffer is not None:
                     self._retained -= task.result_size
                     task.result_buffer = None
                     released += 1
+                if task.expires_at is not None:
+                    del tasks[task_id], deadlines[task_id]
+                    retiring.append(task)
+            if retiring:
+                self._rows.retire(retiring)
         self._c_purged.inc(released)
 
     def withdraw(self, task: Task, callback: Waiter) -> None:
@@ -350,7 +540,7 @@ class ServiceShard:
                 if events:
                     events.emit("shard", "shard.accounting",
                                 self._accounting("terminal", task.task_id))
-            due = bool(self._expiry) and self._expiry[0][0] <= now
+            due = self._due <= now
         self._c_terminated.inc(count)
         if due:
             self.sweep()
@@ -358,20 +548,29 @@ class ServiceShard:
 
     def _arm(self, task: Task, now: float) -> None:  # guarded-by: self._lock
         task.expires_at = deadline = now + self.service.config.result_ttl
-        self._expiry.append((deadline, task.task_id))
+        self._deadlines[task.task_id] = deadline
+        if deadline < self._due:
+            self._due = deadline
 
     def sweep(self) -> int:
         """Drop every expired terminal record; returns how many."""
-        expired = 0
         with self._lock:
-            expiry = self._expiry
             now = self._clock()
-            while expiry and expiry[0][0] <= now:
-                deadline, task_id = expiry.popleft()
-                task = self._tasks.get(task_id)
-                if task is not None and task.expires_at == deadline:
-                    self._drop(task_id, "expire")
-                    expired += 1
+            due: list[str] = []
+            for task_id, deadline in self._deadlines.items():
+                if deadline > now:
+                    break
+                due.append(task_id)
+            for task_id in due:
+                self._drop(task_id, "expire")
+            retired, upcoming = self._rows.expire(now)
+            if self._events:
+                for task_id in retired:
+                    self._events.emit("shard", "shard.accounting",
+                                      self._accounting("expire", task_id))
+            self._due = min(next(iter(self._deadlines.values()), math.inf),
+                            upcoming)
+        expired = len(due) + len(retired)
         self._c_expired.inc(expired)
         return expired
 
@@ -379,8 +578,13 @@ class ServiceShard:
         """``get_result`` read a terminal task: its record now expires
         ``result_ttl`` after this retrieval."""
         with self._lock:
-            if task.expires_at is not None:
+            if task.expires_at is None:
+                return
+            if self._deadlines.pop(task.task_id, None) is not None:
                 self._arm(task, self._clock())
+            else:  # retired, or gone
+                self._rows.rearm(task.task_id, self._clock()
+                                 + self.service.config.result_ttl)
 
     def _dec_outstanding(self, endpoint_id: str) -> None:  # guarded-by: self._lock
         count = self._outstanding.get(endpoint_id, 0) - 1
@@ -391,7 +595,14 @@ class ServiceShard:
 
     def iter_tasks(self) -> list[Task]:
         with self._lock:
-            return list(self._tasks.values())
+            return list(self._tasks.values()) + self._rows.views()
+
+    def count_states(self, counts: dict[str, int]) -> None:
+        """Add this shard's records of each state to ``counts``."""
+        with self._lock:
+            for task in self._tasks.values():
+                counts[task.state.value] += 1
+            self._rows.count_states(counts)
 
     # -- O(1) accounting reads ----------------------------------------------
     def open_tasks(self) -> int:

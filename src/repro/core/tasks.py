@@ -14,9 +14,12 @@ A *task* is one invocation of a registered function.  Its path is:
 own transitions, and the winning result brings the agent, manager and
 worker stamps (:func:`hop_stamps`), so the latency breakdown (figure 4)
 reads ts/tf/te/tw and the per-component :data:`STAGES` off the record.
-A finished record stays in its shard's table for ``result_ttl``, so it
-stamps each state once (a re-entry adds ``last_<state>``), keeps
-``execution_time`` as a field and an empty ``metadata``.
+A finished record stays in its shard for ``result_ttl``, so it stamps
+each state once (a re-entry adds ``last_<state>``), keeps
+``execution_time`` as a field and an empty ``metadata``; once a stream
+ack releases its result, the shard keeps it as a packed row
+(:class:`~repro.core.shard.RetiredRows`) and builds a ``Task`` view
+of it on demand.
 """
 
 from __future__ import annotations

@@ -144,8 +144,8 @@ class Dashboard:
     def state_counts(self) -> dict[str, int]:
         """How many tasks are currently in each lifecycle state."""
         counts: dict[str, int] = {state.value: 0 for state in TaskState}
-        for task in self.service.iter_tasks():
-            counts[task.state.value] += 1
+        for shard in self.service.shards:
+            shard.count_states(counts)
         return counts
 
     def endpoint_load(self) -> dict[str, dict[str, int | bool]]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro import LocalDeployment
@@ -80,11 +82,21 @@ class TestDashboard:
             done = client.submit(fid, live, 1)
             assert done.result(timeout=30) == 1
             client.run(fid, lazy, 2)  # stays queued
+            # Streamed and acked: these records are released, kept as rows.
+            purged = dep.service.metrics.counter("service.results_purged")
+            with client.executor(live) as executor:
+                futures = [executor.submit(fid, i) for i in range(3)]
+                assert [f.result(timeout=30) for f in futures] == [0, 1, 2]
+            deadline = time.monotonic() + 30
+            while purged.value < 3 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert sum(task.released for task in dep.service.iter_tasks()) == 3
 
             dash = Dashboard(dep.service)
             counts = dash.state_counts()
-            assert counts[TaskState.SUCCESS.value] == 1
+            assert counts[TaskState.SUCCESS.value] == 4
             assert counts[TaskState.QUEUED.value] == 1
+            assert sum(counts.values()) == 5
 
             load = dash.endpoint_load()
             assert load[lazy]["queued"] == 1
