@@ -31,8 +31,9 @@ Built-in invariants (tentpole spec):
   ``shard.accounting`` event.
 * **cross-shard-conservation** — at quiescence the shard partition
   covers the task population exactly: summed shard counters match the
-  facade counters and a direct table scan, and every task record lives
-  on the shard its id routes to.
+  facade counters and a direct table scan, every task record lives
+  on the shard its id routes to, and each shard's ``retained_bytes``
+  is the argument and result bytes its records hold, rows included.
 """
 
 from __future__ import annotations
@@ -330,6 +331,9 @@ class CrossShardConservation(Invariant):
       id routes to, and the non-terminal population matches the summed
       ``open``).
 
+    * a **byte recount** (each shard's ``retained_bytes`` is what its
+      records, ``Task`` objects and rows alike, hold).
+
     Divergence means a task was double-counted across shards, landed on
     the wrong partition, or escaped the shard map entirely.
     """
@@ -354,7 +358,14 @@ class CrossShardConservation(Invariant):
         open_scan = 0
         misrouted = 0
         for shard in service.shards:
-            for task in shard.iter_tasks():
+            tasks = shard.iter_tasks()
+            held = sum(len(t.payload_buffer) + len(t.result_buffer or b"")
+                       for t in tasks)
+            if held != (retained := shard.retained_bytes()):
+                record(f"shard {shard.index} counts {retained} retained byte(s)"
+                       f" but its records hold {held}",
+                       {"shard": shard.index, "held": held, "retained": retained})
+            for task in tasks:
                 if not task.state.terminal:
                     open_scan += 1
                 owner = service.shard_map.shard_for_task(task.task_id)

@@ -17,8 +17,9 @@ module is that partitioning for the reproduction:
   that used to scan the global task table are O(1).  Bytes and records
   leave here: arguments at the terminal state, results on the ack of
   the record's last stream reader, the record ``result_ttl`` later.
-* :class:`RetiredRows` — where a record goes when that ack leaves it
-  without result bytes: one packed row of ~230 B instead of a
+* :class:`RetiredRows` — where a finished record goes, at its last
+  stream reader's ack or, unread, with a batch of :data:`RETIRE_BATCH`
+  (keeping its result bytes): one packed row of ~230 B instead of a
   :class:`~repro.core.tasks.Task`, read back as a fresh ``Task`` view.
 
 The facade (:class:`~repro.core.service.FuncXService`) owns every
@@ -155,18 +156,24 @@ def _row_id(key: int | str, suffix: str) -> str:
     return f"{h[:8]}-{h[8:12]}-{h[12:16]}-{h[16:20]}-{h[20:]}{suffix}"
 
 
-class RetiredRows:
-    """One shard's released records, a packed row each.
+#: Records no stream reads retire to rows this many at a time.
+RETIRE_BATCH = 256
 
-    A record whose last stream reader acked it, holding no result bytes,
-    moves here from the shard's table: its uuid packed into an int key,
-    ``array`` columns (state, :data:`_FIELDS`, a ten-stamp timeline with
-    NaN for a missing stamp), an index into interned ``(function,
-    endpoint, owner, image, retries)`` shapes, and a sparse side entry
-    for the rare rest (``last_*`` stamps, ``exception_text``,
-    ``metadata``).  Readers get a fresh read-only :class:`Task` view.
-    The index is in expiry order: its due prefix is popped and a re-arm
-    reinserts, so a row joining at its ack expires up to that ack's delay
+
+class RetiredRows:
+    """One shard's finished records, a packed row each.
+
+    A record moves here from the shard's table when its last stream
+    reader acks it, or in a batch when no stream reads it: its uuid
+    packed into an int key, ``array`` columns (state, :data:`_FIELDS`,
+    a ten-stamp timeline with NaN for a missing stamp), an index into
+    interned ``(function, endpoint, owner, image, retries)`` shapes, a
+    sparse side entry for the rare rest (``last_*`` stamps,
+    ``exception_text``, ``metadata``) and a side map for result bytes
+    not yet released, with a count of the late watches reading them.
+    Readers get a fresh read-only :class:`Task` view.  The index is in
+    expiry order: its due prefix is popped and a re-arm reinserts, so a
+    row joining at its ack (or with its batch) expires up to that delay
     late.  Used only under the owning shard's lock.
     """
 
@@ -179,13 +186,20 @@ class RetiredRows:
         self._shapes: dict[tuple, int] = {}  # shape -> its index
         self._shape_list: list[tuple] = []  # index -> shape
         self._sparse: dict[int | str, tuple[dict, str | None, dict]] = {}
+        self._results: dict[int | str, bytes] = {}  # key -> result bytes
+        self._readers: dict[int | str, int] = {}  # key -> late watches
+        self.held = 0  # bytes in ``_results``  # guarded-by: ServiceShard._lock
         self._state, self._shape, self._times = (
             array("b"), array("i"), array("d"))
         self._columns = tuple(map(array, _FIELDS.values()))
 
-    def retire(self, tasks: list[Task]) -> None:
-        """Append a row per released terminal record, a column at a time."""
+    def retire(self, tasks: list[Task]) -> None:  # guarded-by: ServiceShard._lock
+        """Append a row per terminal record, a column at a time."""
         keys = [_row_key(task.task_id, self._suffix) for task in tasks]
+        held = {key: task.result_buffer for key, task in zip(keys, tasks)
+                if task.result_buffer is not None}
+        self._results.update(held)
+        self.held += sum(map(len, held.values()))
         start = len(self._state)
         self._index.update(zip(keys, range(start, start + len(keys))))
         shapes = self._shapes
@@ -225,6 +239,7 @@ class RetiredRows:
             self._shape_list[self._shape[row]]
         task = Task(function_id, endpoint_id, b"", image, owner_id, task_id,
                     _TERMINAL[code], retries, state_times=times | stamps,
+                    result_buffer=self._results.get(key),
                     exception_text=text, metadata=metadata)
         for field, column in zip(_FIELDS, self._columns):
             setattr(task, field, column[row])
@@ -238,6 +253,24 @@ class RetiredRows:
         """Add the rows of each state to ``counts``."""
         for code, state in enumerate(_TERMINAL):
             counts[state.value] += self._state.count(code)
+
+    def watch(self, task_id: str) -> None:
+        """A late stream watch: a reader of the row's bytes, if it has any."""
+        key = _row_key(task_id, self._suffix)
+        if key in self._results:
+            self._readers[key] = self._readers.get(key, 0) + 1
+
+    def unwatch(self, task_id: str, release: bool) -> int:  # guarded-by: ServiceShard._lock
+        """A late watch is done; returns the bytes its ack released, as
+        the last reader (0 for anything else)."""
+        key = _row_key(task_id, self._suffix)
+        readers = self._readers.pop(key, 0) - 1
+        if readers > 0:
+            self._readers[key] = readers
+        elif readers == 0 and release:
+            self.held -= (freed := len(self._results.pop(key)))
+            return freed
+        return 0
 
     def rearm(self, task_id: str, deadline: float) -> None:
         """A retrieval: the row now expires at ``deadline``, last in order."""
@@ -266,10 +299,12 @@ class RetiredRows:
         self._remove(due)
         return [_row_id(key, self._suffix) for key in due], upcoming
 
-    def _remove(self, keys: list[int | str]) -> None:
+    def _remove(self, keys: list[int | str]) -> None:  # guarded-by: ServiceShard._lock
         for key in keys:
             self._state[self._index.pop(key)] = -1
             self._sparse.pop(key, None)
+            self._readers.pop(key, None)
+            self.held -= len(self._results.pop(key, b""))
         dead = len(self._state) - len(self._index)
         if dead > self.COMPACT_AT and 2 * dead >= len(self._state):
             # Drop the dead rows in place; the live ones keep their order.
@@ -309,6 +344,7 @@ class ServiceShard:
         "_deadlines": "_lock",
         "_due": "_lock",
         "_rows": "_lock",
+        "_unread": "_lock",
     }
 
     def __init__(
@@ -337,6 +373,7 @@ class ServiceShard:
         # ``result_ttl`` is one constant: a re-arm deletes and reinserts.
         self._deadlines: dict[str, float] = {}
         self._rows = RetiredRows(f"{_SHARD_TAG}{index}")
+        self._unread: dict[str, Task] = {}  # finished, no reader, in order
         self._due = math.inf  # no later than the earliest deadline
         # Submitting threads read this while chaos/admin threads flip
         # it; both classify as role "main", so the lock is load-bearing
@@ -414,6 +451,7 @@ class ServiceShard:
             self._dec_outstanding(task.endpoint_id)
         else:
             self._deadlines.pop(task_id, None)
+            self._unread.pop(task_id, None)
         self._retained -= len(task.payload_buffer)
         if task.expires_at is not None and task.result_buffer is not None:
             self._retained -= task.result_size
@@ -468,7 +506,11 @@ class ServiceShard:
             ready: list[str] = []
             for task_id, task in zip(task_ids, tasks):
                 if task is not None:
-                    task.readers += 1
+                    task.readers += 1  # a row's view drops it; the row counts
+                    if task_id not in self._tasks:
+                        self._rows.watch(task_id)
+                    elif self._unread:
+                        self._unread.pop(task_id, None)  # retires on its ack
                 if task is None or not self._park(task, callback):
                     ready.append(task_id)
         return ready
@@ -483,7 +525,10 @@ class ServiceShard:
             tasks, deadlines = self._tasks, self._deadlines
             for task_id in task_ids:
                 task = tasks.get(task_id)
-                if task is None:
+                if task is None:  # a row, or gone
+                    freed = self._rows.unwatch(task_id, release)
+                    self._retained -= freed
+                    released += freed > 0
                     continue
                 task.readers -= 1
                 if not release or task.readers:
@@ -513,14 +558,22 @@ class ServiceShard:
         goes (nothing dispatches a terminal task), the result buffer
         starts counting, the record is given its expiry — and the wave
         sweeps what has expired, so the table is bounded by completion
-        rate times ``result_ttl`` with no thread and no timer.  Returns
-        each waiter of the wave with its tasks, for the caller to call
-        once it holds no lock — once per waiter."""
+        rate times ``result_ttl`` with no thread and no timer.  A record no
+        stream reads joins ``_unread``, retired with ``RETIRE_BATCH`` by
+        the wave that finds them there: before its own records join, so
+        its waiters read live records.  Returns each waiter of the wave
+        with its tasks, for the caller to call once it holds no lock."""
         count = 0
         waiting: dict[Waiter, list[Task]] = {}
         events = self._events
         with self._lock:
             now = self._clock()
+            unread = self._unread
+            if len(unread) >= RETIRE_BATCH:
+                for task_id in unread:
+                    del self._tasks[task_id], self._deadlines[task_id]
+                self._rows.retire([*unread.values()])
+                unread.clear()
             for task in tasks:
                 if task.waiters is not None:
                     for waiter in task.waiters:
@@ -536,6 +589,8 @@ class ServiceShard:
                 if task.result_buffer is not None:
                     self._retained += task.result_size
                 self._arm(task, now)
+                if not task.readers:
+                    unread[task.task_id] = task
                 count += 1
                 if events:
                     events.emit("shard", "shard.accounting",
@@ -563,7 +618,9 @@ class ServiceShard:
                 due.append(task_id)
             for task_id in due:
                 self._drop(task_id, "expire")
+            held = self._rows.held
             retired, upcoming = self._rows.expire(now)
+            self._retained -= held - self._rows.held
             if self._events:
                 for task_id in retired:
                     self._events.emit("shard", "shard.accounting",

@@ -16,10 +16,10 @@ worker stamps (:func:`hop_stamps`), so the latency breakdown (figure 4)
 reads ts/tf/te/tw and the per-component :data:`STAGES` off the record.
 A finished record stays in its shard for ``result_ttl``, so it stamps
 each state once (a re-entry adds ``last_<state>``), keeps
-``execution_time`` as a field and an empty ``metadata``; once a stream
-ack releases its result, the shard keeps it as a packed row
-(:class:`~repro.core.shard.RetiredRows`) and builds a ``Task`` view
-of it on demand.
+``execution_time`` as a field and an empty ``metadata``; then the shard
+keeps it as a packed row (:class:`~repro.core.shard.RetiredRows`), once
+a stream ack releases its result or, unread, with its batch, and builds
+a ``Task`` view of it on demand.
 """
 
 from __future__ import annotations

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
+from repro.auth import AuthService
 from repro.chaos import FaultStep, InvariantRegistry
-from repro.chaos.invariants import Invariant
+from repro.chaos.invariants import CrossShardConservation, Invariant
+from repro.core.service import FuncXService, ServiceConfig
 from repro.observability.events import EventSpine
+from repro.serialize import FuncXSerializer
 
 
 def queue_event(registry, *, enqueued, acked, in_flight, ready,
@@ -194,3 +199,31 @@ class TestRegistryMechanics:
         new = registry.check_final(None)
         assert len(new) == 1
         assert new[0].invariant == "final-only"
+
+
+def double(x):
+    return 2 * x
+
+
+class TestCrossShardBytes:
+    def test_a_result_that_leaves_its_count_behind_is_flagged(self, clock):
+        service = FuncXService(auth=AuthService(clock=clock), clock=clock,
+                               config=ServiceConfig(shards=2))
+        token = service.auth.native_client_flow(
+            service.auth.register_identity("alice")).token
+        _identity, ep_token = service.auth.endpoint_client_flow("ep")
+        endpoint_id = service.register_endpoint(ep_token.token, name="ep")
+        function_id = service.register_function(
+            token, "double", FuncXSerializer().serialize_function(double),
+            public=True)
+        payload = FuncXSerializer().serialize(([1], {}))
+        done, _open = (service.submit(token, function_id, endpoint_id,
+                                        payload) for _ in range(2))
+        service.complete_task(done, True, b"r" * 10)
+        world = SimpleNamespace(deployment=SimpleNamespace(service=service))
+        registry = InvariantRegistry([CrossShardConservation()])
+        assert registry.check_final(world) == []
+        service.task_by_id(done).result_buffer = None  # uncounted
+        [violation] = registry.check_final(world)
+        assert violation.invariant == "cross-shard-conservation"
+        assert violation.details["retained"] - violation.details["held"] == 10

@@ -2,11 +2,12 @@
 
 Every terminal record stays in its shard for ``result_ttl``, so the
 service's memory is completion rate x TTL x bytes per record.  A record
-nobody streams keeps its slotted :class:`~repro.core.tasks.Task`, its
-ten-stamp timeline and an empty ``metadata``; a record whose stream
-reader acked it keeps one row of its shard's
-:class:`~repro.core.shard.RetiredRows`.  These tests hold both budgets,
-counted by ``tracemalloc`` over a live run, not read off an RSS.
+whose stream reader acked it keeps one row of its shard's
+:class:`~repro.core.shard.RetiredRows`; a record nobody streams keeps a
+row too, plus its result bytes, once its batch of
+:data:`~repro.core.shard.RETIRE_BATCH` retires.  These tests hold both
+budgets, counted by ``tracemalloc`` over a live run, not read off an
+RSS.
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ from repro.metrics.registry import RESERVOIR_SIZE
 #: Past every histogram's reservoir, so the window counts records only.
 WARMUP = RESERVOIR_SIZE + 500
 COUNT = 2000
-#: Bytes a finished tiny task that no stream watches may keep: 1,161
-#: measured on x86_64 with CPython 3.11.7 (with 500 tasks of warm-up,
-#: the reservoirs still filling), where a ``__dict__`` record that
-#: stamped every state twice and kept ``execution_time`` in
-#: ``metadata`` kept 1,733.
-BUDGET = 1300
+#: Bytes a finished tiny task that no stream watches may keep, its
+#: result bytes and its share of the batch not yet retired included:
+#: ~400 measured on x86_64 with CPython 3.11.7, where its slotted
+#: ``Task`` kept ~946 (and a ``__dict__`` record 1,733).
+BUDGET = 450
 #: Bytes a released tiny record may keep as a row: ~236 measured on
 #: x86_64 with CPython 3.11.7, where its ``Task`` kept ~840.
 RELEASED_BUDGET = 250
@@ -88,8 +88,9 @@ def streamed(client, executor, function_id, service, count: int) -> None:
 
 
 def unwatched(client, executor, function_id, service, count: int) -> None:
-    """``client.submit().result()``: no stream watches, the record stays
-    a ``Task``."""
+    """``client.submit().result()``: no stream watches; the caller reads
+    the live ``Task``, which retires to a row holding its result bytes
+    with the next batch."""
     endpoint = executor.endpoint_id
     futures = [client.submit(function_id, endpoint, i) for i in range(count)]
     assert [f.result(timeout=60) for f in futures] == list(range(count))

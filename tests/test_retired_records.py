@@ -1,11 +1,13 @@
-"""A released record answers as it did while it was a ``Task``.
+"""A retired record answers as it did while it was a ``Task``.
 
 When the stream ack that brings a record's readers to 0 leaves it with no
 result bytes, its shard keeps it as one row of
 :class:`~repro.core.shard.RetiredRows` and hands out a fresh ``Task``
-view.  For each record shape below, every reader must answer exactly as
-the ``Task`` it replaced would have: that object, held from before the
-ack, is what the record was at release.
+view.  A record no stream reads retires too, bytes and all, with the
+next :data:`~repro.core.shard.RETIRE_BATCH` of them.  For each record
+shape below, every reader must answer exactly as the ``Task`` it
+replaced would have: that object, held from before the retirement, is
+what the record was then.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import pytest
 from repro.auth import AuthService
 from repro.cli import main
 from repro.core.service import FuncXService, ServiceConfig
-from repro.core.shard import RetiredRows
+from repro.core.shard import RETIRE_BATCH, RetiredRows
 from repro.core.stream import ResultStreamServer
 from repro.core.tasks import Task, TaskState, new_task_id
 from repro.errors import (
@@ -27,8 +29,11 @@ from repro.errors import (
     TaskExecutionFailed,
     TaskNotFound,
 )
+from repro.fabric import LocalDeployment
 from repro.monitoring import Dashboard
 from repro.serialize import FuncXSerializer
+from test_retention import held as held_bytes
+from test_retention import retained
 
 TTL = 100.0
 
@@ -357,3 +362,174 @@ def test_compaction_keeps_the_live_rows(monkeypatch):
     rows.count_states(counts)
     assert counts["success"] == 6
     assert rows.expire(9.0) == ([], 10.0)
+
+
+# -- records no stream reads --------------------------------------------------
+def retire_unread(service, clock, token, function_id, endpoint_id,
+                  task_id) -> Task:
+    """Retire the unread queue ``task_id`` waits in (``RETIRE_BATCH`` is
+    1) with the next terminal wave on its shard: a cancel.  Returns the
+    ``Task`` the shard held up to then."""
+    shard = service.shard_for_task(task_id)
+    [held] = shard.get_tasks([task_id])
+    clock.advance(0.25)
+    service.cancel_task(token, submit(service, token, function_id,
+                                      endpoint_id))
+    [view] = shard.get_tasks([task_id])
+    assert view is not held and view.result_buffer == held.result_buffer
+    return held
+
+
+def watch_and_deliver(service, task_id):
+    sub = service.result_stream.subscribe(auto_deliver=False)
+    collector = Collector()
+    sub.attach(collector)
+    sub.watch(task_id)
+    assert service.result_stream.step() == 1
+    return sub, collector.batches[-1]
+
+
+def read(service, token, task_id, held, error):
+    """``get_result`` on an unread row: the bytes it kept, or ``error``."""
+    if held.result_buffer is not None:
+        assert service.get_result(token, task_id) == held.result_buffer
+    else:
+        message = expect_raises(lambda: service.get_result(token, task_id),
+                                error)
+        assert message == str(error(held.exception_text))
+
+
+class TestAnUnreadRowAnswersTheSame(TestReadersAnswerTheSame):
+    """The readers above, on a record retired with no stream: one that
+    kept result bytes hands them back until a late watch's ack."""
+
+    @pytest.fixture(params=SHAPES, ids=[shape.__name__ for shape in SHAPES])
+    def retired(self, request, monkeypatch, service, clock, token,
+                function_id, endpoint_id):
+        monkeypatch.setattr("repro.core.shard.RETIRE_BATCH", 1)
+        task_id, error = request.param(service, clock, token, function_id,
+                                       endpoint_id)
+        return task_id, retire_unread(service, clock, token, function_id,
+                                      endpoint_id, task_id), error
+
+    def test_get_result(self, service, clock, token, retired):
+        task_id, held, error = retired
+        clock.advance(1.0)
+        read(service, token, task_id, held, error)
+        assert service.task_by_id(task_id).expires_at == clock() + TTL
+        assert retained(service) == held_bytes(service)
+
+    def test_a_new_watch_delivers_the_same_message(self, service, clock,
+                                                   token, retired):
+        task_id, held, _error = retired
+        sub, batch = watch_and_deliver(service, task_id)
+        [message] = batch.results
+        assert message == ResultStreamServer._result_message(held, clock())
+        purged = service.metrics.counter("service.results_purged").value
+        sub.ack(batch.delivery_id)
+        assert sub.watched == 0
+        released = held.result_buffer is not None
+        assert service.metrics.counter(
+            "service.results_purged").value == purged + released
+        assert service.task_by_id(task_id).released is released
+        assert retained(service) == held_bytes(service)
+        if released:
+            with pytest.raises(ResultPurged):
+                service.get_result(token, task_id)
+
+    def test_expiry_and_a_retrieval_rearms(self, service, clock, token,
+                                           retired):
+        task_id, held, error = retired
+        clock.advance(TTL / 2)
+        read(service, token, task_id, held, error)  # re-arms the row
+        clock.advance(TTL / 2 + 1)
+        service.purge()  # past the first deadline only
+        assert service.status(token, task_id) is held.state
+        assert retained(service) == held_bytes(service)
+        clock.advance(TTL / 2)
+        assert service.purge() >= 1
+        with pytest.raises(TaskNotFound):
+            service.status(token, task_id)
+        assert retained(service) == held_bytes(service)
+
+    def test_forget(self, service, token, retired):
+        super().test_forget(service, token, retired)
+        assert retained(service) == held_bytes(service)
+
+
+@pytest.fixture
+def unread(monkeypatch, service, clock, token, function_id, endpoint_id):
+    """A tiny success retired with no stream, holding its result bytes."""
+    monkeypatch.setattr("repro.core.shard.RETIRE_BATCH", 1)
+    task_id, _error = tiny_success(service, clock, token, function_id,
+                                   endpoint_id)
+    retire_unread(service, clock, token, function_id, endpoint_id, task_id)
+    assert retained(service) == held_bytes(service) == 1
+    return task_id
+
+
+def test_two_late_watchers_release_on_the_second_ack(service, token, unread):
+    purged = service.metrics.counter("service.results_purged")
+    first, first_batch = watch_and_deliver(service, unread)
+    second, second_batch = watch_and_deliver(service, unread)
+    first.ack(first_batch.delivery_id)
+    assert service.get_result(token, unread) == b"r"
+    assert (retained(service), purged.value) == (1, 0)
+    second.ack(second_batch.delivery_id)
+    assert (retained(service), held_bytes(service), purged.value) == (0, 0, 1)
+    with pytest.raises(ResultPurged):
+        service.get_result(token, unread)
+
+
+def test_a_late_watcher_that_closes_releases_nothing(service, token, unread):
+    sub, _batch = watch_and_deliver(service, unread)
+    sub.close()
+    assert service.get_result(token, unread) == b"r"
+    assert retained(service) == held_bytes(service) == 1
+    assert service.metrics.counter("service.results_purged").value == 0
+    # A new watch after the close is the only reader: its ack releases.
+    sub, batch = watch_and_deliver(service, unread)
+    sub.ack(batch.delivery_id)
+    assert retained(service) == held_bytes(service) == 0
+
+
+def test_a_row_with_bytes_expires_with_them(service, clock, unread):
+    clock.advance(TTL + 1)
+    assert service.purge() >= 1
+    assert retained(service) == held_bytes(service) == 0
+    assert service.metrics.counter("service.results_purged").value == 0
+
+
+def test_a_row_with_bytes_is_forgotten_with_them(service, unread):
+    assert service.forget_task(unread) is True
+    assert retained(service) == held_bytes(service) == 0
+
+
+def identity(x):
+    return x
+
+
+def test_serial_results_retire_in_batches_and_are_read_live(monkeypatch):
+    """600 ``client.submit().result()`` tasks on one shard: each result is
+    read from its live record, and the records retire ``RETIRE_BATCH``
+    at a time, never one by one."""
+    calls = {"retire": 0, "view": 0}
+    for name in calls:
+        method = getattr(RetiredRows, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(RetiredRows, name, counted)
+    count = 600
+    with LocalDeployment() as deployment:
+        client = deployment.client()
+        endpoint = deployment.create_endpoint("serial", nodes=1)
+        function_id = client.register_function(identity)
+        for i in range(count):
+            assert client.submit(function_id, endpoint, i).result(
+                timeout=30) == i
+        [shard] = deployment.service.shards
+        assert len(shard._unread) == count - RETIRE_BATCH * calls["retire"]
+    assert calls == {"retire": math.ceil(count / RETIRE_BATCH) - 1, "view": 0}
