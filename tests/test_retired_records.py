@@ -327,12 +327,13 @@ def finished_task(task_id: str, **fields) -> Task:
     return task
 
 
+# Fixed uuid4s, not fresh ones, so each case keeps its name from run to run.
 @pytest.mark.parametrize("task_id", [
-    f"{new_task_id()}-s0",           # minted here: the uuid packs
-    f"{new_task_id()}-s1",           # another shard's tag
-    f"{new_task_id().upper()}-s0",   # uppercase does not round-trip
+    "538061c6-476b-4055-9fd5-0de2167de87b-s0",  # this shard's: the uuid packs
+    "d945b2ad-af30-4192-a55d-d779bb3843f4-s1",  # another shard's tag
+    "93067D1F-E63D-473E-912A-E4CF5221A4C6-s0",  # uppercase does not round-trip
     "hand-built",
-    f"{new_task_id()}",
+    "1656e74f-883c-4b80-b80c-bbf6b8e4cb12",
 ])
 def test_any_id_reads_back(task_id):
     rows = RetiredRows("-s0")
