@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import json
 import threading
+from array import array
 from bisect import bisect_left
 import time
 from collections import Counter as Multiset, deque
 from functools import partial, reduce
-from itertools import islice
+from itertools import count as numbered, islice
+from math import isnan
 from operator import add
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator
@@ -46,6 +48,12 @@ RESERVOIR_SIZE = 4096
 #: Unfolded records a histogram lets pile up before the recording
 #: thread folds them into its buckets: the bound on its backlog.
 FOLD_AT = 256
+
+#: Each histogram's fold phase: the n-th built folds when its record
+#: count plus n reaches a multiple of :data:`FOLD_AT`, so histograms fed
+#: one value per task, built fewer than ``FOLD_AT`` apart, never fold on
+#: the same task.
+_phases = numbered()
 
 
 def _label_key(labels: dict[str, Any]) -> LabelKey:
@@ -128,13 +136,15 @@ class Histogram:
     """A distribution: bucketed counts plus a bounded sample reservoir.
 
     Buckets give cheap fixed-memory distribution export; the reservoir
-    (most recent :data:`RESERVOIR_SIZE` observations) backs the
-    mean/percentile summaries the CLI and benches print.
+    (most recent :data:`RESERVOIR_SIZE` observations, a ring of
+    doubles) backs the mean/percentile summaries the CLI and benches
+    print.
 
     Recording takes no lock: it appends to an unfolded ``deque``
-    (``append`` is atomic) that every read, and the recorder once
-    :data:`FOLD_AT` values wait, folds in under the lock in recording
-    order, so reads see what recording under the lock would have given.
+    (``append`` is atomic) that every read, and the recorder at the
+    histogram's fold phase (at most :data:`FOLD_AT` values on), folds in
+    under the lock in recording order, so reads see what recording
+    under the lock would have given.
     """
 
     kind = "histogram"
@@ -149,20 +159,22 @@ class Histogram:
         self._sum = 0.0
         self._min = float("inf")
         self._max = float("-inf")
-        self._samples: deque[float] = deque(maxlen=RESERVOIR_SIZE)
+        self._ring = array("d")  # grows to RESERVOIR_SIZE, then wraps
+        self._head = 0           # the oldest sample once it wraps
         self._unfolded: deque[float] = deque()
+        self._lag = next(_phases) % FOLD_AT  # records into the fold period
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
         self._unfolded.append(value)
-        if len(self._unfolded) >= FOLD_AT:
+        if len(self._unfolded) + self._lag >= FOLD_AT:
             with self._lock:
                 self._fold_locked()
 
     def observe_many(self, values: Iterable[float]) -> None:
         """Record a wave of observations."""
         self._unfolded.extend(values)
-        if len(self._unfolded) >= FOLD_AT:
+        if len(self._unfolded) + self._lag >= FOLD_AT:
             with self._lock:
                 self._fold_locked()
 
@@ -177,14 +189,33 @@ class Histogram:
         # ``None`` is never recorded: the drain's stop value, unreached.
         values = list(islice(iter(unfolded.popleft, None), backlog))
         self._count += backlog
+        self._lag = (self._lag + backlog) % FOLD_AT
         self._sum = reduce(add, values, self._sum)
         self._min = min(self._min, min(values))  # ties keep the first,
         self._max = max(self._max, max(values))  # as the loop's < and >
-        self._samples.extend(values)
+        self._keep(values)
         # Bucket i holds values in (bound[i-1], bound[i]]; past the last, +inf.
         bucket_of = partial(bisect_left, self.buckets)
         for index, hits in Multiset(map(bucket_of, values)).items():
             self._bucket_counts[index] += hits
+
+    def _keep(self, values: list[float]) -> None:  # guarded-by: self._lock
+        """Write ``values`` into the reservoir ring in order, over its
+        oldest once it is full."""
+        ring = self._ring
+        fill = RESERVOIR_SIZE - len(ring)
+        ring.extend(values[:fill])
+        rest = values[fill:][-RESERVOIR_SIZE:]
+        while rest:  # at most twice: up to the end, then from the start
+            head = self._head
+            written = rest[:RESERVOIR_SIZE - head]
+            ring[head:head + len(written)] = array("d", written)
+            self._head = (head + len(written)) % RESERVOIR_SIZE
+            rest = rest[len(written):]
+
+    def _kept(self) -> list[float]:  # guarded-by: self._lock
+        """The reservoir ring, oldest first."""
+        return self._ring[self._head:].tolist() + self._ring[:self._head].tolist()
 
     @property
     def count(self) -> int:
@@ -202,32 +233,24 @@ class Histogram:
         """The sample reservoir, oldest first."""
         with self._lock:
             self._fold_locked()
-            return list(self._samples)
+            return self._kept()
+
+    def _folded(self) -> tuple:  # guarded-by: self._lock
+        """What a summary reads, from one fold."""
+        self._fold_locked()
+        return self._count, self._sum, self._min, self._max, self._ring.tolist()
 
     def summary(self) -> dict[str, float]:
         """Mean/median/p95/p99/min/max over the sample reservoir."""
-        import numpy as np
-
         with self._lock:
-            self._fold_locked()
-            if not self._count:
-                return {"count": 0}
-            samples = np.asarray(self._samples, dtype=float)
-            count, total = self._count, self._sum
-            minimum, maximum = self._min, self._max
-        return {
-            "count": count,
-            "mean": total / count,
-            "min": minimum,
-            "max": maximum,
-            "median": float(np.median(samples)),
-            "p95": float(np.percentile(samples, 95)),
-            "p99": float(np.percentile(samples, 99)),
-        }
+            folded = self._folded()
+        return _summarize(*folded)
 
     def snapshot(self) -> dict[str, Any]:
+        """Every field from one fold: a record landing meanwhile is in
+        none of them."""
         with self._lock:
-            self._fold_locked()
+            folded = self._folded()
             buckets = {str(b): c for b, c in zip(self.buckets, self._bucket_counts)}
             buckets["+inf"] = self._bucket_counts[-1]
             record = {
@@ -238,9 +261,43 @@ class Histogram:
                 "buckets": buckets,
             }
         if record["count"]:
-            record.update({k: v for k, v in self.summary().items()
+            record.update({k: v for k, v in _summarize(*folded).items()
                            if k not in record})
         return record
+
+
+def _summarize(count: int, total: float, minimum: float, maximum: float,
+               samples: list[float]) -> dict[str, float]:
+    """The summary of one fold; sorts ``samples`` in place.  Median and
+    percentiles are numpy's ``median`` and linear ``percentile``,
+    operation for operation: equal to the bit wherever numpy's answer
+    does not depend on how its partition orders ``0.0`` and ``-0.0``."""
+    if not count:
+        return {"count": 0}
+    samples.sort()
+    if any(map(isnan, samples)):  # numpy's answer whenever a NaN is kept
+        median = p95 = p99 = float("nan")
+    else:
+        middle = len(samples) // 2
+        # numpy's mean of the middle one or two, summed from +0.0.
+        median = (0.0 + samples[middle] if len(samples) % 2 else
+                  (0.0 + samples[middle - 1] + samples[middle]) / 2)
+        p95, p99 = _percentile(samples, 0.95), _percentile(samples, 0.99)
+    return {"count": count, "mean": total / count, "min": minimum,
+            "max": maximum, "median": median, "p95": p95, "p99": p99}
+
+
+def _percentile(ordered: list[float], q: float) -> float:
+    """numpy's linear percentile ``q`` of sorted values: ``_lerp`` at
+    index (n - 1) * q.  For a lone value numpy lerps from index -1 to
+    the top value at weight 1, which ``last - 1`` reproduces."""
+    last = len(ordered) - 1
+    position = last * q
+    low = min(int(position), last - 1)
+    a, b = ordered[low], ordered[low + 1]
+    t = position - low
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
 class MetricsRegistry:

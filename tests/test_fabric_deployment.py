@@ -216,3 +216,43 @@ class TestTopLevelApi:
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
+
+    def test_reading_a_deployments_metrics_never_imports_numpy(self):
+        """Histogram summaries are computed without NumPy, so a
+        deployment's metrics export as snapshot, text and JSON-lines
+        after client and executor tasks with NumPy never imported."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = (
+            "import os, sys, tempfile\n"
+            "from repro.fabric import LocalDeployment\n"
+            "def inc(x):\n"
+            "    return x + 1\n"
+            "with LocalDeployment() as deployment:\n"
+            "    client = deployment.client()\n"
+            "    endpoint = deployment.create_endpoint('e', nodes=1)\n"
+            "    function_id = client.register_function(inc)\n"
+            "    for i in range(5):\n"
+            "        assert client.submit(function_id, endpoint, i)"
+            ".result(timeout=30) == i + 1\n"
+            "    with client.executor(endpoint) as executor:\n"
+            "        futures = [executor.submit(inc, i) for i in range(5)]\n"
+            "        assert [f.result(timeout=30) for f in futures] == "
+            "[1, 2, 3, 4, 5]\n"
+            "    metrics = deployment.metrics\n"
+            "    records = metrics.snapshot()\n"
+            "    summarized = [r for r in records if r.get('p99') is not None]\n"
+            "    assert summarized, records\n"
+            "    assert 'task.total_seconds' in metrics.render_text()\n"
+            "    with tempfile.TemporaryDirectory() as scratch:\n"
+            "        path = os.path.join(scratch, 'metrics.jsonl')\n"
+            "        assert metrics.dump_jsonl(path) == len(records)\n"
+            "assert 'numpy' not in sys.modules\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr

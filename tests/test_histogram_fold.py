@@ -3,17 +3,21 @@
 ``Histogram.observe``/``observe_many`` append to an unfolded backlog;
 every read (``count``, ``total``, ``samples``, ``summary``,
 ``snapshot``) folds it under the lock, and the recording thread folds
-in bulk once the backlog reaches ``FOLD_AT``.  Pinned here:
+in bulk at the histogram's own phase, before the backlog reaches
+``FOLD_AT``.  Pinned here:
 
 * differential: any schedule of records and reads, each run on the
   thread it names, reads exactly what the eager histogram (every record
-  under the lock, kept below as the reference) reads;
+  under the lock, summarized by numpy, kept below as the reference)
+  reads;
 * truly concurrent recorders lose nothing;
 * the backlog stays bounded: below ``FOLD_AT`` whenever a lone
   recorder returns, and at most one pending value per recording thread
   above that while several record at once;
 * the bulk fold in builtins leaves exactly the state the per-value
-  fold loop (kept below) left, infinities included.
+  fold loop (kept below) left, infinities included;
+* a snapshot takes every field from one fold;
+* histograms fed one record per task fold on different tasks.
 """
 
 from __future__ import annotations
@@ -21,13 +25,14 @@ from __future__ import annotations
 import queue
 import threading
 from bisect import bisect_left
-from collections import deque
+from collections import Counter as Multiset, deque
 from typing import Any, Iterable
 from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.fabric import LocalDeployment
 from repro.metrics import registry
 from repro.metrics.registry import (
     COUNT_BUCKETS,
@@ -136,7 +141,7 @@ class LoopFoldHistogram(Histogram):
                 self._min = value
             if value > self._max:
                 self._max = value
-            self._samples.append(value)
+            self._keep([value])
             # First bucket whose bound is >= value; past the last, +inf.
             self._bucket_counts[bisect_left(self.buckets, value)] += 1
 
@@ -148,7 +153,7 @@ def folded_state(histogram):
         histogram._fold_locked()
         return repr((histogram._count, histogram._sum, histogram._min,
                      histogram._max, histogram._bucket_counts,
-                     list(histogram._samples)))
+                     histogram._kept()))
 
 
 class Lanes:
@@ -199,6 +204,11 @@ OPERATIONS = st.one_of(
 )
 
 
+#: Waves that fill the reservoir ring and wrap it, one larger than it.
+FILL = [float(i % 97) for i in range(RESERVOIR_SIZE - 5)]
+BEYOND = [float(i % 89) * 0.5 for i in range(RESERVOIR_SIZE + 300)]
+
+
 def apply(histogram, kind, argument):
     if kind in ("observe", "observe_many"):
         return getattr(histogram, kind)(argument)
@@ -212,6 +222,27 @@ class TestAgainstTheEagerHistogram:
            fold_at=st.integers(1, 9),
            buckets=st.sampled_from([None, COUNT_BUCKETS]))
     @settings(max_examples=150, deadline=None)
+    # numpy's median of a lone -0.0 or an even run of them is 0.0, its
+    # p95/p99 are -0.0; ties of 0.0 and -0.0.
+    @example(schedule=[(0, "observe", -0.0), (1, "summary", None),
+                       (2, "observe_many", [-0.0]), (0, "snapshot", None),
+                       (1, "observe_many", [-0.0, -0.0]), (2, "summary", None)],
+             fold_at=2, buckets=None)
+    @example(schedule=[(0, "observe_many", [0.0, -0.0]), (1, "summary", None),
+                       (2, "observe", -0.0), (0, "snapshot", None),
+                       (1, "observe_many", [-0.0, 0.0, 1.0]),
+                       (2, "summary", None)],
+             fold_at=3, buckets=None)
+    # The ring fills, then wraps once and again.
+    @example(schedule=[(0, "observe_many", FILL), (1, "samples", None),
+                       (2, "observe_many", [0.25] * 12), (0, "summary", None),
+                       (1, "observe", 3.0), (2, "samples", None),
+                       (0, "observe_many", FILL), (1, "snapshot", None)],
+             fold_at=9, buckets=None)
+    # One wave larger than the ring: only its newest values stay.
+    @example(schedule=[(0, "observe", 7.5), (1, "observe_many", BEYOND),
+                       (2, "samples", None), (0, "snapshot", None)],
+             fold_at=4, buckets=COUNT_BUCKETS)
     def test_any_schedule_reads_what_eager_recording_reads(
             self, schedule, fold_at, buckets):
         lazy = Histogram("h", (("k", "v"),), buckets=buckets)
@@ -347,6 +378,79 @@ class TestBacklogBound:
         sampler.join(WAIT)
         assert peak[0] <= FOLD_AT - 1 + threads
         assert histogram.count == threads * per_thread
+
+
+class InjectOnRelease:
+    """A histogram's lock that lets a recorder append one value the
+    first time it is released: a record landing between two reads."""
+
+    def __init__(self, histogram, value: float):
+        self._histogram, self._lock = histogram, histogram._lock
+        self._pending = [value]
+
+    def __enter__(self):
+        self._lock.acquire()
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+        while self._pending:
+            self._histogram._unfolded.append(self._pending.pop())
+
+
+class TestOneFoldPerSnapshot:
+    def test_a_record_between_two_reads_is_in_no_field(self):
+        histogram = Histogram("h")
+        histogram.observe_many([1.0, 2.0])
+        histogram._lock = InjectOnRelease(histogram, 10.0)
+        snapshot = histogram.snapshot()
+        eager = EagerHistogram("h")
+        eager.observe_many([1.0, 2.0])
+        assert repr(snapshot) == repr(eager.snapshot())
+        assert snapshot["mean"] == snapshot["sum"] / snapshot["count"]
+        assert histogram.count == 3                   # folded by the next read
+
+    def test_a_summary_reads_one_fold_too(self):
+        histogram = Histogram("h")
+        histogram.observe(4.0)
+        histogram._lock = InjectOnRelease(histogram, 8.0)
+        assert histogram.summary() == {
+            "count": 1, "mean": 4.0, "min": 4.0, "max": 4.0,
+            "median": 4.0, "p95": 4.0, "p99": 4.0}
+
+
+def identity(x):
+    return x
+
+
+class TestStaggeredFolds:
+    def test_no_task_carries_two_folds(self):
+        """Over 3 x FOLD_AT one-task waves, every histogram fed one
+        record per task folds at its own record index."""
+        tasks = 3 * FOLD_AT
+        folds = []  # (histogram, its record count at the fold)
+        fold = Histogram._fold_locked
+
+        def counted(histogram):
+            if histogram._unfolded:
+                folds.append((histogram,
+                              histogram._count + len(histogram._unfolded)))
+            fold(histogram)
+
+        with LocalDeployment() as deployment:
+            client = deployment.client()
+            endpoint = deployment.create_endpoint("folds", nodes=1)
+            function_id = client.register_function(identity)
+            with mock.patch.object(Histogram, "_fold_locked", counted):
+                for i in range(tasks):
+                    assert client.submit(function_id, endpoint, i).result(
+                        timeout=WAIT) == i
+            per_task = {metric for metric in deployment.metrics.instruments()
+                        if metric.kind == "histogram" and metric.count == tasks}
+        assert len(per_task) >= 8       # the task's stages and total at least
+        assert {histogram for histogram, _ in folds} == per_task
+        folds_per_task = Multiset(index for _, index in folds)
+        assert max(folds_per_task.values()) == 1, folds_per_task.most_common(3)
+        assert len(folds) >= len(per_task) * (tasks // FOLD_AT - 1)
 
 
 class TestSamplesReader:
