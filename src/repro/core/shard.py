@@ -518,7 +518,9 @@ class ServiceShard:
     def unwatch(self, task_ids: Iterable[str], release: bool) -> None:
         """Each record loses a reader; with ``release`` (an ack) the
         result bytes of a record left without one go, and the record
-        becomes a row of :class:`RetiredRows` until it expires."""
+        becomes a row of :class:`RetiredRows` until it expires.  Without
+        (a close), a finished record left without a reader joins
+        ``_unread`` and retires with it, keeping its bytes."""
         released = 0
         retiring: list[Task] = []
         with self._lock:
@@ -531,7 +533,11 @@ class ServiceShard:
                     released += freed > 0
                     continue
                 task.readers -= 1
-                if not release or task.readers:
+                if task.readers:
+                    continue
+                if not release:
+                    if task.expires_at is not None:
+                        self._unread[task_id] = task
                     continue
                 if task.result_buffer is not None:
                     self._retained -= task.result_size

@@ -17,11 +17,11 @@ from __future__ import annotations
 import json
 import threading
 from array import array
-from bisect import bisect_left
+from bisect import bisect_right
 import time
-from collections import Counter as Multiset, deque
-from functools import partial, reduce
-from itertools import count as numbered, islice
+from collections import deque
+from functools import reduce
+from itertools import count as numbered, filterfalse, islice
 from math import isnan
 from operator import add
 from contextlib import contextmanager
@@ -190,14 +190,27 @@ class Histogram:
         values = list(islice(iter(unfolded.popleft, None), backlog))
         self._count += backlog
         self._lag = (self._lag + backlog) % FOLD_AT
-        self._sum = reduce(add, values, self._sum)
+        self._sum = total = reduce(add, values, self._sum)
         self._min = min(self._min, min(values))  # ties keep the first,
         self._max = max(self._max, max(values))  # as the loop's < and >
         self._keep(values)
-        # Bucket i holds values in (bound[i-1], bound[i]]; past the last, +inf.
-        bucket_of = partial(bisect_left, self.buckets)
-        for index, hits in Multiset(map(bucket_of, values)).items():
-            self._bucket_counts[index] += hits
+        # Bucket i holds values in (bound[i-1], bound[i]]; past the last,
+        # +inf.  Counted off one sorted copy: the values up to a bound end
+        # where ``bisect_right`` puts it.  A NaN, which ``bisect_left``
+        # puts in bucket 0, would unsort the copy; only a NaN sum can
+        # hide one.
+        if total == total:
+            ordered = sorted(values)
+        else:
+            ordered = sorted(filterfalse(isnan, values))
+        counts = self._bucket_counts
+        counts[0] += backlog - len(ordered)
+        below = 0
+        for index, bound in enumerate(self.buckets):
+            upto = bisect_right(ordered, bound, below)
+            counts[index] += upto - below
+            below = upto
+        counts[-1] += len(ordered) - below
 
     def _keep(self, values: list[float]) -> None:  # guarded-by: self._lock
         """Write ``values`` into the reservoir ring in order, over its

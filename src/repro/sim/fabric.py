@@ -16,14 +16,27 @@ every hop (arrival, finish, result, credit return) as the wave they were
 dispatched in, so the heap sees ~100k entries for that run: five per
 dispatch chunk, not four per task.  Tasks whose timings differ travel as
 waves of one; the schedule is the same either way.
+
+A task is a row of the fabric's :class:`TaskTable`, not an object: the
+handlers, the agent's pending runs, the managers' queues and the waves
+pass row numbers, and a task keeps ~60 B — seven column slots and its
+place in the completion order — where a slotted object per task kept
+~170.  What a submission gives all its tasks (creation time, duration,
+container, memo keys) is stored once per submission.  :class:`SimTask`
+is a read-only view of one row.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
+from bisect import bisect_right
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain, repeat
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -32,40 +45,187 @@ from repro.sim.platform import SimPlatform
 from repro.workloads.generators import ArrivalEvent
 
 
+class _Run(NamedTuple):
+    """What one submission gives all its tasks: rows from ``start`` on."""
+
+    start: int
+    created: float
+    duration: float
+    container_key: str
+    memo_keys: list | None  # one per task, or none at all
+
+
+class TaskTable:
+    """Every task of one fabric, one row each.
+
+    The stamps and the attempt count, which the handlers read and write
+    task by task, are list columns: a wave stores the one ``loop.now``
+    float in all its rows, so a slot costs 8 B, and a list subscript is
+    the cheapest store CPython has short of a slot (an ``array`` boxes
+    every read).  The id and ``memo_hit``, never read on the way, are
+    packed (``array('q')``, ``bytearray``).  ``order`` holds the rows in
+    completion order; ``runs`` one :class:`_Run` per submission, found by
+    ``starts``.
+    """
+
+    __slots__ = ("task_id", "service_done", "dispatched", "started",
+                 "completed", "attempts", "memo_hit", "order", "starts",
+                 "runs")
+
+    def __init__(self):
+        self.task_id = array("q")
+        self.service_done: list[float] = []
+        self.dispatched: list[float] = []
+        self.started: list[float] = []
+        self.completed: list[float] = []
+        self.attempts: list[int] = []
+        self.memo_hit = bytearray()
+        self.order = array("i")
+        self.starts: list[int] = []
+        self.runs: list[_Run] = []
+
+    def __len__(self) -> int:
+        return len(self.attempts)
+
+    def add(self, ids: Sequence[int], created: float, duration: float,
+            container_key: str = "RAW", memo_keys: list | None = None) -> range:
+        """Append one submission's rows, unstamped; returns them."""
+        start, count = len(self.attempts), len(ids)
+        self.task_id.extend(ids)
+        for column in (self.service_done, self.dispatched, self.started,
+                       self.completed):
+            column.extend(repeat(-1.0, count))
+        self.attempts.extend(repeat(0, count))
+        self.memo_hit.extend(bytes(count))
+        self.starts.append(start)
+        self.runs.append(_Run(start, created, duration, container_key, memo_keys))
+        return range(start, start + count)
+
+    def run_of(self, row: int) -> _Run:
+        return self.runs[bisect_right(self.starts, row) - 1]
+
+    def memo_key(self, row: int) -> int | None:
+        run = self.run_of(row)
+        return None if run.memo_keys is None else run.memo_keys[row - run.start]
+
+
+def _column(name: str) -> property:
+    column = attrgetter(name)
+    return property(lambda task: column(task._table)[task._row])
+
+
+def _constant(name: str) -> property:
+    field = attrgetter(name)
+    return property(lambda task: field(task._table.run_of(task._row)))
+
+
 class SimTask:
-    """One simulated task and its timestamps."""
+    """One simulated task and its timestamps: a read-only view of its
+    row of a :class:`TaskTable`, reading what the row holds now."""
 
-    __slots__ = (
-        "task_id",
-        "duration",
-        "container_key",
-        "memo_key",
-        "created",
-        "service_done",
-        "dispatched",
-        "started",
-        "completed",
-        "attempts",
-        "memo_hit",
-    )
+    __slots__ = ("_table", "_row")
 
-    def __init__(self, task_id: int, duration: float, container_key: str = "RAW",
-                 memo_key: int | None = None, created: float = 0.0):
-        self.task_id = task_id
-        self.duration = duration
-        self.container_key = container_key
-        self.memo_key = memo_key
-        self.created = created
-        self.service_done = -1.0
-        self.dispatched = -1.0
-        self.started = -1.0
-        self.completed = -1.0
-        self.attempts = 0
-        self.memo_hit = False
+    def __init__(self, table: TaskTable, row: int):
+        self._table = table
+        self._row = row
+
+    task_id = _column("task_id")
+    service_done = _column("service_done")
+    dispatched = _column("dispatched")
+    started = _column("started")
+    completed = _column("completed")
+    attempts = _column("attempts")
+    created = _constant("created")
+    duration = _constant("duration")
+    container_key = _constant("container_key")
+
+    @property
+    def memo_hit(self) -> bool:
+        return bool(self._table.memo_hit[self._row])
+
+    @property
+    def memo_key(self) -> int | None:
+        return self._table.memo_key(self._row)
 
     @property
     def latency(self) -> float:
         return self.completed - self.created
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, SimTask) and other._table is self._table
+                and other._row == self._row)
+
+    def __hash__(self) -> int:
+        return hash((id(self._table), self._row))
+
+
+class SimTasks(Sequence):
+    """Views of some rows of a :class:`TaskTable`, in order; a fresh
+    :class:`SimTask` per access."""
+
+    __slots__ = ("_table", "_rows")
+
+    def __init__(self, table: TaskTable, rows: Sequence[int]):
+        self._table = table
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SimTasks(self._table, self._rows[index])
+        return SimTask(self._table, self._rows[index])
+
+    def __iter__(self) -> Iterator[SimTask]:
+        return map(SimTask, repeat(self._table), self._rows)
+
+
+class _Pending:
+    """The agent's queue: runs of rows (``range``s) as submitted, and
+    single rows a recovery hands back (runs of one)."""
+
+    __slots__ = ("_runs", "_size")
+
+    def __init__(self):
+        self._runs: deque[range] = deque()
+        # The simulation is one thread: handlers only run inside ``run``.
+        self._size = 0  # thread-confined: sim-loop
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[int]:
+        return chain.from_iterable(self._runs)
+
+    def extend(self, rows: range) -> None:
+        self._runs.append(rows)
+        self._size += len(rows)
+
+    def append(self, row: int) -> None:
+        self.extend(range(row, row + 1))
+
+    def appendleft(self, row: int) -> None:
+        self._runs.appendleft(range(row, row + 1))
+        self._size += 1
+
+    def take(self, count: int) -> list[int]:
+        """Pop the first ``count`` rows (at most ``len(self)``)."""
+        rows: list[int] = []
+        runs = self._runs
+        while len(rows) < count:
+            head, wanted = runs[0], count - len(rows)
+            if len(head) > wanted:
+                rows += head[:wanted]
+                runs[0] = head[wanted:]
+            else:
+                rows += runs.popleft()
+        self._size -= count
+        return rows
+
+    def clear(self) -> None:
+        self._runs.clear()
+        self._size = 0
 
 
 @dataclass(frozen=True)
@@ -107,7 +267,8 @@ class SimReport:
 
 
 class _SimManager:
-    """Per-node state: workers, local queue, dispatch credit."""
+    """Per-node state: workers, local queue, dispatch credit (the queue
+    and the running set hold task rows)."""
 
     __slots__ = (
         "index",
@@ -124,10 +285,10 @@ class _SimManager:
         self.index = index
         self.workers = workers
         self.idle = workers
-        self.queue: deque[SimTask] = deque()
+        self.queue: deque[int] = deque()
         self.credit = credit           # tasks the agent may still send
         self.alive = True
-        self.running: set[SimTask] = set()
+        self.running: set[int] = set()
         self.deployed: set[str] = {"RAW"}
 
 
@@ -197,16 +358,17 @@ class SimFabric:
         credit = self._initial_credit(workers)
         self.managers = [_SimManager(i, workers, credit) for i in range(managers)]
         self._ready: deque[_SimManager] = deque(m for m in self.managers)
-        self.pending: deque[SimTask] = deque()
+        self.tasks = TaskTable()
+        self.pending = _Pending()
         self.endpoint_alive = True
-        self._service_held: deque[SimTask] = deque()
+        self._service_held: deque[int] = deque()
         self._agent_busy = False
         self._service_available_at = 0.0
         self._memo_cache: set[int] = set()
         self._memo_seen: set[int] = set()
         # results
-        self.completed: list[SimTask] = []
-        self._outstanding: dict[SimTask, _SimManager] = {}
+        self.completed = SimTasks(self.tasks, self.tasks.order)
+        self._outstanding: dict[int, _SimManager] = {}
         self.memo_hits = 0
         self.reexecutions = 0
         self._first_submit: float | None = None
@@ -240,7 +402,7 @@ class SimFabric:
         container_key: str = "RAW",
         memo_keys: Iterable[int] | None = None,
         through_service: bool = False,
-    ) -> list[SimTask]:
+    ) -> SimTasks:
         """Submit ``count`` identical tasks at time ``at``.
 
         With ``through_service`` each task pays the serialized service
@@ -248,74 +410,70 @@ class SimFabric:
         experiment); otherwise tasks materialize directly in the agent's
         pending queue, matching the paper's agent-focused scaling runs.
         """
-        keys = list(memo_keys) if memo_keys is not None else [None] * count
-        if len(keys) != count:
+        keys = list(memo_keys) if memo_keys is not None else None
+        if keys is not None and len(keys) != count:
             raise ValueError("memo_keys length must equal count")
-        tasks = [
-            SimTask(i, duration, container_key=container_key, memo_key=keys[i], created=at)
-            for i in range(count)
-        ]
-        self.loop.at(at, self._arrive_many, tasks, through_service)
-        return tasks
+        rows = self.tasks.add(range(count), at, duration, container_key, keys)
+        self.loop.at(at, self._arrive_many, rows, through_service)
+        return SimTasks(self.tasks, rows)
 
     def submit_stream(
         self,
         arrivals: Iterable[ArrivalEvent],
         through_service: bool = False,
-    ) -> list[SimTask]:
+    ) -> SimTasks:
         """Submit tasks per an arrival schedule (fault-tolerance runs)."""
-        tasks = []
+        first = len(self.tasks)
         for event in arrivals:
-            task = SimTask(event.index, event.duration, created=event.time)
-            tasks.append(task)
-            self.loop.at(event.time, self._arrive_many, [task], through_service)
-        return tasks
+            rows = self.tasks.add((event.index,), event.time, event.duration)
+            self.loop.at(event.time, self._arrive_many, rows, through_service)
+        return SimTasks(self.tasks, range(first, len(self.tasks)))
 
-    def _arrive_many(self, tasks: list[SimTask], through_service: bool) -> None:
+    def _arrive_many(self, rows: range, through_service: bool) -> None:
         now = self.loop.now
         if self._first_submit is None:
             self._first_submit = now
+        table = self.tasks
         if not through_service:
-            for task in tasks:
-                task.service_done = now
-                self.pending.append(task)
+            table.service_done[rows.start:rows.stop] = [now] * len(rows)
+            self.pending.extend(rows)
             self._try_dispatch()
             return
         # Serialized service pipeline: each request costs service_overhead.
         overhead = self.platform.service_overhead
-        for task in tasks:
+        for row in rows:
             t = max(now, self._service_available_at) + overhead
             self._service_available_at = t
-            if self.memoize and task.memo_key is not None and self._memo_lookup(task):
-                task.memo_hit = True
+            key = table.memo_key(row)
+            if self.memoize and key is not None and self._memo_lookup(key):
+                table.memo_hit[row] = 1
                 self.memo_hits += 1
-                self.loop.at(t, self._complete_at_service, task)
+                self.loop.at(t, self._complete_at_service, row)
             else:
-                self.loop.at(t, self._enter_pending, task)
+                self.loop.at(t, self._enter_pending, row)
 
-    def _memo_lookup(self, task: SimTask) -> bool:
-        assert task.memo_key is not None
-        if task.memo_key in self._memo_cache:
+    def _memo_lookup(self, key: int) -> bool:
+        if key in self._memo_cache:
             return True
         if self.memo_prewarmed:
             # Repeats hit even before first completion (Table 3 setup).
-            if task.memo_key in self._memo_seen:
+            if key in self._memo_seen:
                 return True
-            self._memo_seen.add(task.memo_key)
+            self._memo_seen.add(key)
         return False
 
-    def _complete_at_service(self, task: SimTask) -> None:
-        task.service_done = self.loop.now
-        task.completed = self.loop.now
-        self.completed.append(task)
+    def _complete_at_service(self, row: int) -> None:
+        table = self.tasks
+        table.service_done[row] = table.completed[row] = self.loop.now
+        table.order.append(row)
 
-    def _enter_pending(self, task: SimTask) -> None:
-        task.service_done = self.loop.now
+    def _enter_pending(self, row: int) -> None:
+        self.tasks.service_done[row] = self.loop.now
         if self.endpoint_alive:
-            self.pending.append(task)
+            self.pending.append(row)
             self._try_dispatch()
         else:
-            self._service_held.append(task)
+            self._service_held.append(row)
 
     # ------------------------------------------------------------------
     # agent dispatch pipeline
@@ -323,36 +481,42 @@ class SimFabric:
     def _try_dispatch(self) -> None:
         if self._agent_busy or not self.endpoint_alive or not self.pending:
             return
-        assignments: list[tuple[SimTask, _SimManager]] = []
+        # The managers are chosen first; the pending head goes to them in
+        # order, so a chunk takes its rows in one slice of a run.
+        chosen: list[_SimManager] = []
         ready = self._ready
-        while self.pending and len(assignments) < self.DISPATCH_CHUNK and ready:
+        wanted = min(len(self.pending), self.DISPATCH_CHUNK)
+        while len(chosen) < wanted and ready:
             manager = ready[0]
             if not manager.alive or manager.credit <= 0:
                 ready.popleft()
                 continue
-            task = self.pending.popleft()
             manager.credit -= 1
-            assignments.append((task, manager))
+            chosen.append(manager)
             if manager.credit <= 0:
                 ready.popleft()
             else:
                 ready.rotate(-1)  # spread load across managers
-        if not assignments:
+        if not chosen:
             return
         self._agent_busy = True
-        cost = len(assignments) * self.platform.agent_dispatch_overhead
-        self.loop.schedule(cost, self._finish_dispatch, assignments)
+        cost = len(chosen) * self.platform.agent_dispatch_overhead
+        self.loop.schedule(cost, self._finish_dispatch,
+                           self.pending.take(len(chosen)), chosen)
 
-    def _finish_dispatch(self, assignments: list[tuple[SimTask, _SimManager]]) -> None:
+    def _finish_dispatch(self, rows: list[int], managers: list[_SimManager]) -> None:
         self._agent_busy = False
         now = self.loop.now
         join = self.loop.join
+        arrive = self._arrive_at_managers
         travel = self.platform.dispatch_latency
-        for task, manager in assignments:
-            task.dispatched = now
-            task.attempts += 1
-            self._outstanding[task] = manager
-            join(travel, self._arrive_at_managers, (task, manager, task.attempts))
+        table, outstanding = self.tasks, self._outstanding
+        dispatched, attempts = table.dispatched, table.attempts
+        for row, manager in zip(rows, managers):
+            dispatched[row] = now
+            attempts[row] = attempt = attempts[row] + 1
+            outstanding[row] = manager
+            join(travel, arrive, (row, manager, attempt))
         self._try_dispatch()
 
     # ------------------------------------------------------------------
@@ -362,35 +526,40 @@ class SimFabric:
     # one heap entry because they fire at the same instant — and walk it in
     # schedule order: a dispatch chunk when durations are equal, a single
     # task when they differ.
-    def _arrive_at_managers(self, wave: list[tuple[SimTask, _SimManager, int]]) -> None:
-        for task, manager, attempt in wave:
-            if task.attempts != attempt or task.completed >= 0:
+    def _arrive_at_managers(self, wave: list[tuple[int, _SimManager, int]]) -> None:
+        table = self.tasks
+        attempts, completed = table.attempts, table.completed
+        starts, runs = table.starts, table.runs
+        for row, manager, attempt in wave:
+            if attempts[row] != attempt or completed[row] >= 0:
                 continue  # stale delivery from a pre-failure dispatch
             if not manager.alive or not self.endpoint_alive:
                 # Delivered into a component that already failed: the failure
                 # sweep has run, so the watchdog reclaims it on its next pass.
-                self._outstanding.pop(task, None)
+                self._outstanding.pop(row, None)
                 self.loop.schedule(self.detection_delay, self._reexecute,
-                                   [(task, task.attempts)])
+                                   [(row, attempt)])
                 continue
+            run = runs[bisect_right(starts, row) - 1]  # run_of, inlined
             cold = 0.0
-            if task.container_key not in manager.deployed:
-                manager.deployed.add(task.container_key)
+            if run.container_key not in manager.deployed:
+                manager.deployed.add(run.container_key)
                 cold = self.platform.container_cold_start
             if manager.idle > 0:
                 manager.idle -= 1
-                self.loop.join(self._start_task(task, manager, cold),
-                               self._finish_tasks, (task, manager))
+                self.loop.join(self._start_task(row, manager, run.duration, cold),
+                               self._finish_tasks, (row, manager))
             else:
-                manager.queue.append(task)
+                manager.queue.append(row)
 
-    def _start_task(self, task: SimTask, manager: _SimManager, cold: float = 0.0) -> float:
+    def _start_task(self, row: int, manager: _SimManager, duration: float,
+                    cold: float = 0.0) -> float:
         """Occupy a worker now; returns the delay to the task's finish."""
-        task.started = self.loop.now
-        manager.running.add(task)
-        return cold + task.duration + self.platform.worker_overhead
+        self.tasks.started[row] = self.loop.now
+        manager.running.add(row)
+        return cold + duration + self.platform.worker_overhead
 
-    def _finish_tasks(self, wave: list[tuple[SimTask, _SimManager]]) -> None:
+    def _finish_tasks(self, wave: list[tuple[int, _SimManager]]) -> None:
         # State changes task by task, in wave order; only the *scheduling*
         # is grouped by kind — results, then the finishes of queued tasks
         # that start now, then credit returns — so that a wave's results
@@ -409,7 +578,7 @@ class SimFabric:
             if self.internal_batching
             else self.platform.single_task_cycle
         )
-        started: list[tuple[float, tuple[SimTask, _SimManager]]] = []
+        started: list[tuple[float, tuple[int, _SimManager]]] = []
         freed: list[_SimManager] = []
 
         def flush() -> None:
@@ -420,22 +589,23 @@ class SimFabric:
             started.clear()
             freed.clear()
 
-        for task, manager in wave:
-            if task not in manager.running:
+        run_of = self.tasks.run_of
+        for row, manager in wave:
+            if row not in manager.running:
                 continue  # lost with a failed component; the slot was reset
             # The worker genuinely ran this attempt, so the slot is always
             # freed; the *result* is sent even for superseded attempts (a
             # real worker cannot know it was re-dispatched) and
             # deduplicated at the agent — first completion wins
             # (at-least-once semantics).
-            manager.running.discard(task)
-            join(result_delay, self._results_at_agent, task)
+            manager.running.discard(row)
+            join(result_delay, self._results_at_agent, row)
             # The freed slot's capacity becomes visible to the agent after
             # an advertisement round trip; a queued (prefetched) task
             # starts now.
             if manager.queue:
                 queued = manager.queue.popleft()
-                runtime = self._start_task(queued, manager)
+                runtime = self._start_task(queued, manager, run_of(queued).duration)
                 if runtime == refill:
                     flush()
                 started.append((runtime, (queued, manager)))
@@ -455,16 +625,18 @@ class SimFabric:
                 self._ready.append(manager)
             self._try_dispatch()
 
-    def _results_at_agent(self, wave: list[SimTask]) -> None:
+    def _results_at_agent(self, wave: list[int]) -> None:
         now = self.loop.now
-        for task in wave:
-            self._outstanding.pop(task, None)
-            if task.completed >= 0:
+        table, outstanding = self.tasks, self._outstanding
+        completed, order = table.completed, table.order
+        for row in wave:
+            outstanding.pop(row, None)
+            if completed[row] >= 0:
                 continue  # duplicate result from a superseded attempt
-            if self.memoize and task.memo_key is not None:
-                self._memo_cache.add(task.memo_key)
-            task.completed = now
-            self.completed.append(task)
+            if self.memoize and (key := table.memo_key(row)) is not None:
+                self._memo_cache.add(key)
+            completed[row] = now
+            order.append(row)
 
     # ------------------------------------------------------------------
     # failure injection (§5.4)
@@ -486,9 +658,11 @@ class SimFabric:
     def _fail_manager(self, index: int) -> None:
         manager = self.managers[index]
         manager.alive = False
-        lost = [(t, t.attempts) for t, m in self._outstanding.items() if m is manager]
-        for task, _attempt in lost:
-            del self._outstanding[task]
+        attempts = self.tasks.attempts
+        lost = [(row, attempts[row]) for row, m in self._outstanding.items()
+                if m is manager]
+        for row, _attempt in lost:
+            del self._outstanding[row]
         manager.running.clear()
         manager.queue.clear()
         manager.idle = 0
@@ -497,14 +671,15 @@ class SimFabric:
         # re-executes the tracked tasks (§4.3).
         self.loop.schedule(self.detection_delay, self._reexecute, lost)
 
-    def _reexecute(self, tasks: list[tuple[SimTask, int]]) -> None:
-        for task, attempt_at_loss in tasks:
-            if task.completed >= 0:
+    def _reexecute(self, tasks: list[tuple[int, int]]) -> None:
+        table = self.tasks
+        for row, attempt_at_loss in tasks:
+            if table.completed[row] >= 0:
                 continue
-            if task.attempts != attempt_at_loss:
+            if table.attempts[row] != attempt_at_loss:
                 continue  # another recovery path already re-dispatched it
             self.reexecutions += 1
-            self.pending.appendleft(task)
+            self.pending.appendleft(row)
         self._try_dispatch()
 
     def _recover_manager(self, index: int) -> None:
@@ -517,32 +692,34 @@ class SimFabric:
 
     def _fail_endpoint(self) -> None:
         self.endpoint_alive = False
-        lost = [(t, t.attempts) for t in self._outstanding]
+        attempts = self.tasks.attempts
+        lost = [(row, attempts[row]) for row in self._outstanding]
         self._outstanding.clear()
         for manager in self.managers:
             manager.running.clear()
             manager.queue.clear()
             manager.idle = 0
             manager.credit = 0
-        lost.extend((t, t.attempts) for t in self.pending)
+        lost.extend((row, attempts[row]) for row in self.pending)
         self.pending.clear()
         # The forwarder requeues outstanding tasks after missing
         # heartbeats (§4.1); they re-enter once the endpoint returns.
         self.loop.schedule(self.detection_delay, self._hold_at_service, lost)
 
-    def _hold_at_service(self, tasks: list[tuple[SimTask, int]]) -> None:
+    def _hold_at_service(self, tasks: list[tuple[int, int]]) -> None:
         # The forwarder's requeue sweep may land after the endpoint has
         # already recovered — route straight back to dispatch in that case.
-        for task, attempt_at_loss in tasks:
-            if task.completed >= 0:
+        table = self.tasks
+        for row, attempt_at_loss in tasks:
+            if table.completed[row] >= 0:
                 continue
-            if task.attempts != attempt_at_loss:
+            if table.attempts[row] != attempt_at_loss:
                 continue  # already re-dispatched by another recovery path
             if self.endpoint_alive:
-                self.pending.append(task)
+                self.pending.append(row)
                 self.reexecutions += 1
             else:
-                self._service_held.append(task)
+                self._service_held.append(row)
         if self.endpoint_alive:
             self._try_dispatch()
 
@@ -553,10 +730,11 @@ class SimFabric:
             manager.idle = manager.workers
             manager.credit = self._initial_credit(manager.workers)
         self._ready = deque(self.managers)
+        completed = self.tasks.completed
         while self._service_held:
-            task = self._service_held.popleft()
-            if task.completed < 0:
-                self.pending.append(task)
+            row = self._service_held.popleft()
+            if completed[row] < 0:
+                self.pending.append(row)
                 self.reexecutions += 1
         self._try_dispatch()
 
@@ -566,8 +744,12 @@ class SimFabric:
     def run(self, until: float | None = None, max_events: int | None = None) -> SimReport:
         """Run the simulation to completion (or a horizon) and report."""
         self.loop.run(until=until, max_events=max_events)
-        completions = np.array([t.completed for t in self.completed], dtype=float)
-        latencies = np.array([t.latency for t in self.completed], dtype=float)
+        table = self.tasks
+        order = np.array(table.order, dtype=np.intp)
+        completions = np.array(table.completed, dtype=float)[order]
+        sizes = np.diff([*table.starts, len(table)])
+        created = np.repeat([run.created for run in table.runs], sizes)
+        latencies = completions - created[order]
         start = self._first_submit or 0.0
         end = float(completions.max()) if completions.size else start
         span = max(end - start, 1e-12)

@@ -15,7 +15,9 @@ in bulk at the histogram's own phase, before the backlog reaches
   recorder returns, and at most one pending value per recording thread
   above that while several record at once;
 * the bulk fold in builtins leaves exactly the state the per-value
-  fold loop (kept below) left, infinities included;
+  fold loop (kept below) left, infinities included, and its bucket
+  tally counts NaN, signed zeros and values on a bound as ``bisect_left``
+  per value does;
 * a snapshot takes every field from one fold;
 * histograms fed one record per task fold on different tasks.
 """
@@ -292,6 +294,34 @@ class TestBulkFoldAgainstTheLoop:
             bulk.observe_many(wave)
             loop.observe_many(wave)
             assert folded_state(bulk) == folded_state(loop)
+
+
+NAN = float("nan")
+TALLIED = st.one_of(
+    st.floats(),  # NaN included
+    st.sampled_from([NAN, float("inf"), float("-inf"), -0.0, 0.0,
+                     *registry.DEFAULT_BUCKETS, *COUNT_BUCKETS]))
+
+
+class TestBucketTally:
+    """The fold counts buckets off one sorted copy of the wave: it must
+    count what ``bisect_left`` per value counts, NaN in bucket 0."""
+
+    @given(waves=st.lists(st.lists(TALLIED, max_size=300), max_size=4),
+           buckets=st.sampled_from([None, COUNT_BUCKETS]))
+    @settings(max_examples=300, deadline=None)
+    @example(waves=[[NAN], [0.001, -0.0]], buckets=None)  # a NaN sum ahead
+    @example(waves=[[float("inf"), float("-inf"), 1.0]], buckets=COUNT_BUCKETS)
+    def test_counts_equal_the_per_value_tally(self, waves, buckets):
+        histogram = Histogram("h", buckets=buckets)
+        expected = [0] * (len(histogram.buckets) + 1)
+        for wave in waves:
+            histogram.observe_many(wave)
+            for value in wave:
+                expected[bisect_left(histogram.buckets, value)] += 1
+            with histogram._lock:
+                histogram._fold_locked()
+                assert histogram._bucket_counts == expected
 
 
 class TestConcurrentRecorders:

@@ -534,3 +534,32 @@ def test_serial_results_retire_in_batches_and_are_read_live(monkeypatch):
         [shard] = deployment.service.shards
         assert len(shard._unread) == count - RETIRE_BATCH * calls["retire"]
     assert calls == {"retire": math.ceil(count / RETIRE_BATCH) - 1, "view": 0}
+
+
+def test_a_watch_closed_unacked_leaves_its_records_to_retire_unread(
+        monkeypatch, service, clock, token, function_id, endpoint_id):
+    """A finished record whose only stream reader closed without an ack
+    joins the unread queue: the next ``RETIRE_BATCH`` completions retire
+    it as a row, and the row keeps its result bytes for ``get_result``."""
+    monkeypatch.setattr("repro.core.shard.RETIRE_BATCH", 2)
+    sub = service.result_stream.subscribe(auto_deliver=False)
+    collector = Collector()
+    sub.attach(collector)
+    watched = []
+    for value in (b"first", b"second"):
+        task_id = submit(service, token, function_id, endpoint_id)
+        sub.watch(task_id)
+        dispatch(service, clock, endpoint_id, task_id)
+        finish(service, clock, task_id, result=value)
+        watched.append((task_id, value))
+    service.result_stream.step()
+    assert sum(len(batch.results) for batch in collector.batches) == 2
+    sub.close()  # delivered, never acked
+    shard = service.shard_for_endpoint(endpoint_id)
+    assert all(task_id in shard._tasks for task_id, _value in watched)
+    for _ in range(2):  # RETIRE_BATCH more completions on that shard
+        tiny_success(service, clock, token, function_id, endpoint_id)
+    for task_id, value in watched:
+        assert task_id not in shard._tasks  # a row now
+        assert service.get_result(token, task_id) == value
+    assert retained(service) == held_bytes(service)

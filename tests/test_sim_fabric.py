@@ -68,6 +68,65 @@ class TestBasicExecution:
             fab.submit_batch(3, memo_keys=[1])
 
 
+class TestTaskViews:
+    """A task is a row of the fabric's table; what the fabric hands out
+    is a read-only view that reads the row as it is now."""
+
+    def test_completed_is_a_sequence_of_views(self):
+        fab = SimFabric(THETA, managers=1, workers_per_manager=4)
+        fab.submit_batch(10, duration=0.01)
+        fab.run()
+        done = fab.completed
+        assert len(done) == 10
+        tasks = list(done)
+        assert sorted(t.task_id for t in tasks) == list(range(10))
+        assert done[0] == tasks[0] and done[-1] == tasks[-1]
+        assert done[0] is not done[0]  # a fresh view per access
+        assert [t.task_id for t in done[2:5]] == [t.task_id for t in tasks[2:5]]
+        times = [t.completed for t in done]
+        assert times == sorted(times) and min(times) > 0
+
+    def test_submitted_views_read_the_final_stamps(self):
+        fab = SimFabric(THETA, managers=1, workers_per_manager=2)
+        batch = fab.submit_batch(4, duration=0.5, at=1.0, container_key="RAW")
+        stream = fab.submit_stream(uniform_rate_arrivals(rate=10, total=3, duration=0.25))
+        assert [t.completed for t in batch] == [-1.0] * 4
+        assert batch[0].attempts == 0
+        fab.run()
+        for task in [*batch, *stream]:
+            assert task.attempts == 1
+            assert task.created <= task.service_done <= task.dispatched
+            assert task.dispatched <= task.started < task.completed
+            assert task.latency == task.completed - task.created
+            assert task.memo_hit is False and task.memo_key is None
+        assert {t.created for t in batch} == {1.0}
+        assert {t.duration for t in batch} == {0.5}
+        assert [t.task_id for t in stream] == [0, 1, 2]
+        assert [t.created for t in stream] == [0.0, 0.1, 0.2]
+        assert set(fab.completed) == {*batch, *stream}
+
+    def test_a_memo_hit_reads_through_the_view(self):
+        fab = SimFabric(THETA, managers=1, memoize=True)
+        tasks = fab.submit_batch(3, duration=0.1, memo_keys=[5, 5, 6],
+                                 through_service=True)
+        fab.run()
+        assert [t.memo_key for t in tasks] == [5, 5, 6]
+        assert [t.memo_hit for t in tasks] == [False, True, False]
+        assert tasks[1].dispatched == -1.0 and tasks[1].attempts == 0
+
+    def test_a_view_is_read_only(self):
+        fab = SimFabric(THETA, managers=1)
+        [task] = fab.submit_batch(1, duration=0.1)
+        fab.run()
+        for name in ("completed", "attempts", "task_id", "created", "latency",
+                     "memo_hit", "duration"):
+            with pytest.raises(AttributeError):
+                setattr(task, name, 0)
+        with pytest.raises(AttributeError):
+            task.note = "x"
+        assert task.attempts == 1
+
+
 class TestBatchingKnobs:
     def test_internal_batching_dramatically_faster(self):
         def completion(batching):
