@@ -283,21 +283,22 @@ def _summarize(count: int, total: float, minimum: float, maximum: float,
                samples: list[float]) -> dict[str, float]:
     """The summary of one fold; sorts ``samples`` in place.  Median and
     percentiles are numpy's ``median`` and linear ``percentile``,
-    operation for operation: equal to the bit wherever numpy's answer
-    does not depend on how its partition orders ``0.0`` and ``-0.0``."""
+    operation for operation, and equal to the bit but for a zero, which
+    is always +0.0: numpy's sign there depends on how its partition
+    orders ``0.0`` and ``-0.0``."""
     if not count:
         return {"count": 0}
     samples.sort()
     if any(map(isnan, samples)):  # numpy's answer whenever a NaN is kept
         median = p95 = p99 = float("nan")
     else:
-        middle = len(samples) // 2
-        # numpy's mean of the middle one or two, summed from +0.0.
-        median = (0.0 + samples[middle] if len(samples) % 2 else
-                  (0.0 + samples[middle - 1] + samples[middle]) / 2)
+        middle = len(samples) // 2  # numpy's mean of the middle one or two
+        median = (samples[middle] if len(samples) % 2 else
+                  (samples[middle - 1] + samples[middle]) / 2)
         p95, p99 = _percentile(samples, 0.95), _percentile(samples, 0.99)
     return {"count": count, "mean": total / count, "min": minimum,
-            "max": maximum, "median": median, "p95": p95, "p99": p99}
+            "max": maximum, "median": median + 0.0, "p95": p95 + 0.0,
+            "p99": p99 + 0.0}  # x + 0.0 is x, but -0.0 + 0.0 is +0.0
 
 
 def _percentile(ordered: list[float], q: float) -> float:

@@ -14,8 +14,10 @@ The simulation tracks each task individually — a 1.3M-task weak-scaling
 run fires 5.3M logical events, four per task — but moves tasks through
 every hop (arrival, finish, result, credit return) as the wave they were
 dispatched in, so the heap sees ~100k entries for that run: five per
-dispatch chunk, not four per task.  Tasks whose timings differ travel as
-waves of one; the schedule is the same either way.
+dispatch chunk, not four per task.  Each hop hands its wave on in one
+``EventLoop.join`` call per run of equal delays, so scheduling costs one
+call per wave per hop, not one per task.  Tasks whose timings differ
+travel as waves of one; the schedule is the same either way.
 
 A task is a row of the fabric's :class:`TaskTable`, not an object: the
 handlers, the agent's pending runs, the managers' queues and the waves
@@ -34,9 +36,9 @@ from bisect import bisect_right
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple
+from itertools import chain, groupby, repeat
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -507,16 +509,16 @@ class SimFabric:
     def _finish_dispatch(self, rows: list[int], managers: list[_SimManager]) -> None:
         self._agent_busy = False
         now = self.loop.now
-        join = self.loop.join
-        arrive = self._arrive_at_managers
-        travel = self.platform.dispatch_latency
         table, outstanding = self.tasks, self._outstanding
         dispatched, attempts = table.dispatched, table.attempts
+        arrivals = []
         for row, manager in zip(rows, managers):
             dispatched[row] = now
             attempts[row] = attempt = attempts[row] + 1
             outstanding[row] = manager
-            join(travel, arrive, (row, manager, attempt))
+            arrivals.append((row, manager, attempt))
+        self.loop.join(self.platform.dispatch_latency, self._arrive_at_managers,
+                       arrivals)
         self._try_dispatch()
 
     # ------------------------------------------------------------------
@@ -525,11 +527,23 @@ class SimFabric:
     # The handlers below take a wave — the items ``EventLoop.join`` put on
     # one heap entry because they fire at the same instant — and walk it in
     # schedule order: a dispatch chunk when durations are equal, a single
-    # task when they differ.
+    # task when they differ.  Each hands on what it schedules as waves too:
+    # one ``join`` per run of items that share a delay, in the order the
+    # items would have been joined one by one.
+    def _join_runs(self, fn: Callable[[list], None],
+                   timed: list[tuple[float, object]]) -> None:
+        """Join ``(delay, item)`` pairs, one call per run of equal delays."""
+        join = self.loop.join
+        for delay, run in groupby(timed, itemgetter(0)):
+            join(delay, fn, [item for _, item in run])
+        timed.clear()
+
     def _arrive_at_managers(self, wave: list[tuple[int, _SimManager, int]]) -> None:
         table = self.tasks
-        attempts, completed = table.attempts, table.completed
+        now, overhead = self.loop.now, self.platform.worker_overhead
+        attempts, completed, started = table.attempts, table.completed, table.started
         starts, runs = table.starts, table.runs
+        finishes: list[tuple[float, tuple[int, _SimManager]]] = []
         for row, manager, attempt in wave:
             if attempts[row] != attempt or completed[row] >= 0:
                 continue  # stale delivery from a pre-failure dispatch
@@ -537,6 +551,7 @@ class SimFabric:
                 # Delivered into a component that already failed: the failure
                 # sweep has run, so the watchdog reclaims it on its next pass.
                 self._outstanding.pop(row, None)
+                self._join_runs(self._finish_tasks, finishes)
                 self.loop.schedule(self.detection_delay, self._reexecute,
                                    [(row, attempt)])
                 continue
@@ -547,17 +562,12 @@ class SimFabric:
                 cold = self.platform.container_cold_start
             if manager.idle > 0:
                 manager.idle -= 1
-                self.loop.join(self._start_task(row, manager, run.duration, cold),
-                               self._finish_tasks, (row, manager))
+                started[row] = now
+                manager.running.add(row)
+                finishes.append((cold + run.duration + overhead, (row, manager)))
             else:
                 manager.queue.append(row)
-
-    def _start_task(self, row: int, manager: _SimManager, duration: float,
-                    cold: float = 0.0) -> float:
-        """Occupy a worker now; returns the delay to the task's finish."""
-        self.tasks.started[row] = self.loop.now
-        manager.running.add(row)
-        return cold + duration + self.platform.worker_overhead
+        self._join_runs(self._finish_tasks, finishes)
 
     def _finish_tasks(self, wave: list[tuple[int, _SimManager]]) -> None:
         # State changes task by task, in wave order; only the *scheduling*
@@ -571,25 +581,26 @@ class SimFabric:
         # finish may go ahead of the credit returns only if it fires at
         # another instant; one that fires *with* them keeps its place
         # (the flush in the loop).  docs/PERFORMANCE.md §13 has the argument.
-        join = self.loop.join
+        join, now = self.loop.join, self.loop.now
         result_delay = self.platform.dispatch_latency + self.platform.agent_result_overhead
+        overhead = self.platform.worker_overhead
         refill = (
             self.platform.manager_cycle
             if self.internal_batching
             else self.platform.single_task_cycle
         )
-        started: list[tuple[float, tuple[int, _SimManager]]] = []
+        results: list[int] = []
+        starting: list[tuple[float, tuple[int, _SimManager]]] = []
         freed: list[_SimManager] = []
 
         def flush() -> None:
-            for runtime, item in started:
-                join(runtime, self._finish_tasks, item)
-            for manager in freed:
-                join(refill, self._return_credits, manager)
-            started.clear()
+            join(result_delay, self._results_at_agent, results)
+            self._join_runs(self._finish_tasks, starting)
+            join(refill, self._return_credits, freed)
+            results.clear()
             freed.clear()
 
-        run_of = self.tasks.run_of
+        run_of, started = self.tasks.run_of, self.tasks.started
         for row, manager in wave:
             if row not in manager.running:
                 continue  # lost with a failed component; the slot was reset
@@ -599,31 +610,34 @@ class SimFabric:
             # deduplicated at the agent — first completion wins
             # (at-least-once semantics).
             manager.running.discard(row)
-            join(result_delay, self._results_at_agent, row)
+            results.append(row)
             # The freed slot's capacity becomes visible to the agent after
             # an advertisement round trip; a queued (prefetched) task
             # starts now.
             if manager.queue:
                 queued = manager.queue.popleft()
-                runtime = self._start_task(queued, manager, run_of(queued).duration)
+                started[queued] = now
+                manager.running.add(queued)
+                runtime = run_of(queued).duration + overhead
                 if runtime == refill:
                     flush()
-                started.append((runtime, (queued, manager)))
+                starting.append((runtime, (queued, manager)))
             else:
                 manager.idle += 1
             freed.append(manager)
         flush()
 
     def _return_credits(self, wave: list[_SimManager]) -> None:
+        cap = self._initial_credit(wave[0].workers)  # all managers have equal workers
         for manager in wave:
             if not manager.alive:
                 continue
-            cap = self._initial_credit(manager.workers)
-            before = manager.credit
-            manager.credit = min(cap, manager.credit + 1)
-            if before == 0 and manager.credit > 0:
+            if manager.credit == 0:
                 self._ready.append(manager)
-            self._try_dispatch()
+            if manager.credit < cap:
+                manager.credit += 1
+            if not self._agent_busy:
+                self._try_dispatch()
 
     def _results_at_agent(self, wave: list[int]) -> None:
         now = self.loop.now

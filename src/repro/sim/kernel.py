@@ -8,8 +8,10 @@ wave]`` that ``heapq`` orders in C (``seq`` is unique, so a comparison
 never reaches ``fn``); it doubles as the cancellation handle, so an event
 costs one allocation beyond its arguments.  Callers whose events come in
 runs — the same callback at the same instant, scheduled back to back —
-:meth:`EventLoop.join` them into one heap entry, and the heap is paid per
-run, not per event: the weak-scaling run above does ~100k pushes.
+:meth:`EventLoop.join` them into one heap entry, handing over a whole
+wave's items in one call, so the heap and the scheduling calls are both
+paid per wave, not per event: the weak-scaling run above does ~100k pushes
+and as many calls.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from math import inf
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.errors import ClockMonotonicityViolation
 
@@ -76,28 +78,30 @@ class EventLoop:
         heapq.heappush(self._heap, event)
         return event
 
-    def join(self, delay: float, fn: Callable[[list], Any], item: Any) -> None:
-        """Run ``fn([..., item, ...])`` after ``delay`` simulated seconds.
+    def join(self, delay: float, fn: Callable[[list], Any], items: Iterable[Any]) -> None:
+        """Run ``fn([..., *items, ...])`` after ``delay`` simulated seconds.
 
         ``fn`` takes a list of items and must treat ``fn([a, b])`` as
-        ``fn([a]); fn([b])``.  The item rides on the most recently
+        ``fn([a]); fn([b])``.  The items ride on the most recently
         scheduled event iff that event has not fired and has an equal
-        callback and an equal fire time; otherwise it opens a new event.
-        Nothing can sort between two adjacent ``seq`` values at one
-        time, so riding is the same schedule as one event per item — the
-        heap just sees one entry.  Each item counts as one processed
-        event.
+        callback and an equal fire time; otherwise they open one new
+        event (none if there are no items).  Nothing can sort between two
+        adjacent ``seq`` values at one time, so riding is the same
+        schedule as one event per item — the heap just sees one entry,
+        and the caller pays one call per wave.  Each item counts as one
+        processed event.
         """
         if delay < 0:
             raise self._in_the_past(delay)
         time = self.now + delay
         event = self._open
         if event is not None and event[0] == time and event[2] == fn:
-            event[4].append(item)
+            event[4].extend(items)
             return
-        wave = [item]
-        self._open = event = Event((time, next(self._seq), fn, (wave,), wave))
-        heapq.heappush(self._heap, event)
+        wave = list(items)
+        if wave:
+            self._open = event = Event((time, next(self._seq), fn, (wave,), wave))
+            heapq.heappush(self._heap, event)
 
     def at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Run ``fn(*args)`` at absolute simulated time ``time``."""

@@ -108,9 +108,10 @@ class EagerHistogram:
             "mean": total / count,
             "min": minimum,
             "max": maximum,
-            "median": float(np.median(samples)),
-            "p95": float(np.percentile(samples, 95)),
-            "p99": float(np.percentile(samples, 99)),
+            # A zero reads +0.0: numpy's sign there follows its partition.
+            "median": float(np.median(samples)) + 0.0,
+            "p95": float(np.percentile(samples, 95)) + 0.0,
+            "p99": float(np.percentile(samples, 99)) + 0.0,
         }
 
     def snapshot(self) -> dict[str, Any]:
@@ -224,8 +225,9 @@ class TestAgainstTheEagerHistogram:
            fold_at=st.integers(1, 9),
            buckets=st.sampled_from([None, COUNT_BUCKETS]))
     @settings(max_examples=150, deadline=None)
-    # numpy's median of a lone -0.0 or an even run of them is 0.0, its
-    # p95/p99 are -0.0; ties of 0.0 and -0.0.
+    # A zero median/p95/p99 reads +0.0 whatever the signs of the zeros:
+    # a lone -0.0, an even run of them, ties of 0.0 and -0.0, and a run
+    # whose numpy p95 sign depends on its partition order.
     @example(schedule=[(0, "observe", -0.0), (1, "summary", None),
                        (2, "observe_many", [-0.0]), (0, "snapshot", None),
                        (1, "observe_many", [-0.0, -0.0]), (2, "summary", None)],
@@ -235,6 +237,9 @@ class TestAgainstTheEagerHistogram:
                        (1, "observe_many", [-0.0, 0.0, 1.0]),
                        (2, "summary", None)],
              fold_at=3, buckets=None)
+    @example(schedule=[(0, "observe_many", [0.0, -0.0, -1.0, -0.0]),
+                       (1, "summary", None)],
+             fold_at=2, buckets=None)
     # The ring fills, then wraps once and again.
     @example(schedule=[(0, "observe_many", FILL), (1, "samples", None),
                        (2, "observe_many", [0.25] * 12), (0, "summary", None),

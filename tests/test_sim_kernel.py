@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ClockMonotonicityViolation
@@ -140,7 +140,7 @@ class TestJoin:
         loop = EventLoop()
         waves, fn = self._recorder()
         for item in "abc":
-            loop.join(1.0, fn, item)
+            loop.join(1.0, fn, [item])
         assert len(loop._heap) == 1
         assert loop.pending == 3
         assert loop.run() == 3
@@ -159,26 +159,26 @@ class TestJoin:
 
         loop, handler = EventLoop(), Handler()
         assert handler.on_wave is not handler.on_wave
-        loop.join(1.0, handler.on_wave, 1)
-        loop.join(1.0, handler.on_wave, 2)
+        loop.join(1.0, handler.on_wave, [1])
+        loop.join(1.0, handler.on_wave, [2])
         loop.run()
         assert handler.waves == [[1, 2]]
 
     def test_a_schedule_in_between_closes_the_open_event(self):
         loop = EventLoop()
         waves, fn = self._recorder()
-        loop.join(1.0, fn, "a")
+        loop.join(1.0, fn, ["a"])
         loop.schedule(5.0, lambda: None)
-        loop.join(1.0, fn, "b")
+        loop.join(1.0, fn, ["b"])
         loop.run()
         assert waves == [["a"], ["b"]]
 
     def test_a_different_time_opens_a_new_event(self):
         loop = EventLoop()
         waves, fn = self._recorder()
-        loop.join(1.0, fn, "a")
-        loop.join(2.0, fn, "b")
-        loop.join(1.0, fn, "c")  # the 1.0 event is no longer the most recent
+        loop.join(1.0, fn, ["a"])
+        loop.join(2.0, fn, ["b"])
+        loop.join(1.0, fn, ["c"])  # the 1.0 event is no longer the most recent
         loop.run()
         assert waves == [["a"], ["c"], ["b"]]
 
@@ -186,9 +186,9 @@ class TestJoin:
         loop = EventLoop()
         waves, fn = self._recorder()
         other_waves, other = self._recorder()
-        loop.join(1.0, fn, "a")
-        loop.join(1.0, other, "b")
-        loop.join(1.0, fn, "c")
+        loop.join(1.0, fn, ["a"])
+        loop.join(1.0, other, ["b"])
+        loop.join(1.0, fn, ["c"])
         loop.run()
         assert waves == [["a"], ["c"]]
         assert other_waves == [["b"]]
@@ -202,17 +202,29 @@ class TestJoin:
             if wave == ["a"]:
                 # Same callback, same fire time (now + 0) as the event
                 # that is firing right now.
-                loop.join(0.0, fn, "b")
+                loop.join(0.0, fn, ["b"])
 
-        loop.join(1.0, fn, "a")
+        loop.join(1.0, fn, ["a"])
         loop.run()
         assert waves == [["a"], ["b"]]
         assert loop.now == 1.0
 
+    def test_a_wave_rides_as_its_items_would_and_no_items_open_nothing(self):
+        loop = EventLoop()
+        waves, fn = self._recorder()
+        loop.join(1.0, fn, [])
+        assert loop._heap == []
+        loop.join(1.0, fn, ["a", "b"])
+        loop.join(1.0, fn, [])           # leaves the open event open
+        loop.join(1.0, fn, iter("cd"))
+        assert len(loop._heap) == 1 and loop.pending == 4
+        loop.run()
+        assert waves == [["a", "b", "c", "d"]]
+
     def test_negative_delay_rejected(self):
         loop = EventLoop()
         with pytest.raises(ClockMonotonicityViolation):
-            loop.join(-1e-9, lambda wave: None, "x")
+            loop.join(-1e-9, lambda wave: None, ["x"])
         assert loop.pending == 0
 
     def test_fifo_ties_across_schedule_and_join(self):
@@ -220,10 +232,10 @@ class TestJoin:
         order = []
         extend = order.extend
         loop.schedule(1.0, order.append, "s1")
-        loop.join(1.0, extend, "j1")
-        loop.join(1.0, extend, "j2")
+        loop.join(1.0, extend, ["j1"])
+        loop.join(1.0, extend, ["j2"])
         loop.schedule(1.0, order.append, "s2")
-        loop.join(1.0, extend, "j3")
+        loop.join(1.0, extend, ["j3"])
         loop.schedule(0.5, order.append, "early")
         loop.run()
         assert order == ["early", "s1", "j1", "j2", "s2", "j3"]
@@ -232,7 +244,7 @@ class TestJoin:
         loop = EventLoop()
         waves, fn = self._recorder()
         for item in range(5):
-            loop.join(1.0, fn, item)
+            loop.join(1.0, fn, [item])
         loop.schedule(2.0, lambda: None)
         assert loop.pending == 6
         assert loop.run(max_events=2) == 2     # a wave splits at the budget
@@ -248,7 +260,7 @@ class TestJoin:
         loop = EventLoop()
         waves, fn = self._recorder()
         handle = loop.schedule(1.0, fn, ["never"])
-        assert loop.join(1.0, fn, "rider") is None
+        assert loop.join(1.0, fn, ["rider"]) is None
         handle.cancel()
         assert handle.cancelled
         assert loop.next_event_time() == 1.0
@@ -258,56 +270,78 @@ class TestJoin:
     def test_run_until_keeps_a_later_wave_whole(self):
         loop = EventLoop()
         waves, fn = self._recorder()
-        loop.join(1.0, fn, "a")
-        loop.join(1.0, fn, "b")
+        loop.join(1.0, fn, ["a"])
+        loop.join(1.0, fn, ["b"])
         loop.run(until=0.5)
         assert waves == [] and loop.now == 0.5
-        loop.join(0.5, fn, "c")  # same fire time, and the event is still open
+        loop.join(0.5, fn, ["c"])  # same fire time, and the event is still open
         loop.run()
         assert waves == [["a", "b", "c"]]
 
 
 # A random program is a forest: each node fires at parent's fire time plus
-# its delay, through ``join`` or ``schedule``, and schedules its children
-# when it fires.  Delays come from a tiny set so ties are the common case.
+# its delay, through ``join`` or ``schedule``, and launches its children
+# when it fires.  A node marked ``together`` joins each run of its joined
+# children that share a delay and a handler in one call, as the simulator
+# joins a wave; the twin schedules every item on its own.  Delays come from
+# a tiny set so ties are the common case.
 _DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0])
 _NODE = st.recursive(
-    st.tuples(st.booleans(), _DELAYS, st.integers(0, 1), st.just(())),
-    lambda children: st.tuples(st.booleans(), _DELAYS, st.integers(0, 1),
+    st.tuples(st.booleans(), _DELAYS, st.integers(0, 1), st.just(False), st.just(())),
+    lambda children: st.tuples(st.booleans(), _DELAYS, st.integers(0, 1), st.booleans(),
                                st.lists(children, max_size=4).map(tuple)),
     max_leaves=25,
 )
 
 
-def _fired_order(program, use_join: bool) -> list[tuple]:
+def _fired_order(program, together: bool, use_join: bool) -> list[tuple]:
     loop = EventLoop()
     fired = []
 
-    def launch(nodes, path):
-        for index, (joined, delay, which, children) in enumerate(nodes):
-            item = (path + (index,), children)
-            if joined and use_join:
-                loop.join(delay, handlers[which], item)
-            else:
+    def launch(nodes, path, together):
+        run, key = [], None  # joined items waiting to go in one call
+
+        def flush():
+            nonlocal run
+            if run:
+                loop.join(key[0], handlers[key[1]], run)
+                run = []
+
+        for index, (joined, delay, which, gather, children) in enumerate(nodes):
+            item = (path + (index,), gather, children)
+            if not (joined and use_join):
+                flush()
                 loop.schedule(delay, handlers[which], [item])
+                continue
+            if not together or key != (delay, which):
+                flush()
+            run.append(item)
+            key = (delay, which)
+        flush()
 
     def make(which):
         def handler(wave):
-            for path, children in wave:
+            for path, gather, children in wave:
                 fired.append((loop.now, which, path))
-                launch(children, path)
+                launch(children, path, gather)
         return handler
 
     handlers = [make(0), make(1)]
-    launch(program, ())
+    launch(program, (), together)
     loop.run()
     assert loop.events_processed == len(fired)
     return fired
 
 
+_LEAF = (True, 0.5, 0, False, ())
+
+
 class TestJoinIsTheSameSchedule:
-    @given(program=st.lists(_NODE, min_size=1, max_size=8))
+    @given(program=st.lists(_NODE, min_size=1, max_size=8), together=st.booleans())
+    @example(program=[_LEAF, _LEAF, (True, 0.0, 1, True, (_LEAF, _LEAF, (False, 0.5, 0, False, ()),
+                                                          _LEAF)), _LEAF],
+             together=True)
     @settings(max_examples=200, deadline=None)
-    def test_join_fires_items_in_the_order_schedule_would(self, program):
-        assert _fired_order(program, use_join=True) == \
-            _fired_order(program, use_join=False)
+    def test_join_fires_items_in_the_order_schedule_would(self, program, together):
+        assert _fired_order(program, together, use_join=True) == \
+            _fired_order(program, together, use_join=False)

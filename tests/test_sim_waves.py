@@ -1,11 +1,13 @@
 """The simulator pays the heap per wave, not per task.
 
 * a budget, counted: weak scaling does a twelfth of a ``heappush`` per
-  task while ``events_processed`` still counts every logical event, so
-  one-event-per-task-per-hop cannot creep back;
+  task while ``events_processed`` still counts every logical event, and
+  makes one scheduling call per push, so neither one-event-per-task-per-hop
+  nor one-call-per-task-per-hop can creep back;
 * durations that differ still complete, as waves of one;
 * riding along changes nothing: any run equals the same run with every
-  ``join`` replaced by a ``schedule`` of a one-item wave — which is the
+  item of every ``join`` given its own ``schedule`` of a one-item wave,
+  in the order the wave lists them — which is the
   per-task schedule the simulator had before waves — on platforms built
   so that every delay ties with every other;
 
@@ -39,6 +41,20 @@ def _count_pushes(monkeypatch) -> list[int]:
     return pushes
 
 
+def _count_calls(loop: kernel.EventLoop) -> list[int]:
+    """Count ``schedule`` and ``join`` calls (``at`` goes through ``schedule``)."""
+    calls = [0]
+
+    def counted(method):
+        def call(*args):
+            calls[0] += 1
+            return method(*args)
+        return call
+
+    loop.schedule, loop.join = counted(loop.schedule), counted(loop.join)
+    return calls
+
+
 def _spy_wave_sizes(fabric: SimFabric, name: str) -> list[int]:
     sizes, handler = [], getattr(fabric, name)
 
@@ -55,6 +71,7 @@ class TestHeapBudget:
         pushes = _count_pushes(monkeypatch)
         tasks = 16 * CORI.containers_per_node * 10
         fabric = SimFabric(CORI, managers=16)
+        calls = _count_calls(fabric.loop)
         fabric.submit_batch(tasks, duration=1.0)
         report = fabric.run()
         assert report.tasks_completed == tasks == 40_960
@@ -64,6 +81,9 @@ class TestHeapBudget:
         assert pushes[0] == 5 * (tasks // SimFabric.DISPATCH_CHUNK) + 1 == 3_201
         assert pushes[0] <= 0.1 * tasks
         assert report.events_processed == 164_481   # logical events, as before
+        # Calls, not time: every hop hands its wave to one ``join``, so a
+        # call per task (164,481 of them) cannot creep back unseen.
+        assert calls[0] == pushes[0]
 
     def test_mixed_durations_complete_as_waves_of_one(self, monkeypatch):
         pushes = _count_pushes(monkeypatch)
@@ -149,8 +169,9 @@ def test_any_run_equals_the_same_run_with_no_riders(
         if not ride:
             loop = fabric.loop
 
-            def join(delay, fn, item):
-                loop.schedule(delay, fn, [item])
+            def join(delay, fn, items):
+                for item in items:
+                    loop.schedule(delay, fn, [item])
 
             loop.join = join
         fabric.submit_batch(batch, duration=_TICK, memo_keys=[i % 7 for i in range(batch)],
