@@ -15,7 +15,7 @@ import numpy as np
 
 from benchmarks.harness import ExperimentReport
 from repro.providers import KubernetesProvider, SimpleScalingStrategy
-from repro.sim import ElasticitySimulation
+from repro.sim.elasticity import ElasticitySimulation
 from repro.workloads.generators import burst_arrivals
 
 HORIZON = 420.0

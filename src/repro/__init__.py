@@ -9,6 +9,8 @@ The package builds the full system from scratch on two fabrics:
 * a **simulated fabric** (:mod:`repro.sim`) — a discrete-event simulator
   driving the same protocol logic at supercomputer scale (131k workers).
 
+Its names resolve on first use, so a simulation never loads the live fabric.
+
 Quickstart::
 
     from repro import LocalDeployment
@@ -24,41 +26,40 @@ Quickstart::
         print(fc.wait_for(task))   # -> 42
 """
 
-from repro.accounting import UsageLedger
-from repro.core.client import FuncXClient
-from repro.core.executor import FuncXExecutor
-from repro.core.futures import FuncXFuture
-from repro.core.service import FuncXService, ServiceConfig
-from repro.core.tasks import Task, TaskState
-from repro.endpoint.config import EndpointConfig
-from repro.endpoint.endpoint import Endpoint
-from repro.core.rest import RestApi
-from repro.fabric import DeploymentTimings, LocalDeployment
-from repro.federation import FederatedExecutor
-from repro.metrics.registry import MetricsRegistry
-from repro.monitoring import Dashboard, TaskEventLog
-from repro.serialize import FuncXSerializer
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "FuncXClient",
-    "FuncXExecutor",
-    "FuncXFuture",
-    "FuncXService",
-    "ServiceConfig",
-    "Task",
-    "TaskState",
-    "EndpointConfig",
-    "Endpoint",
-    "LocalDeployment",
-    "DeploymentTimings",
-    "FuncXSerializer",
-    "RestApi",
-    "FederatedExecutor",
-    "UsageLedger",
-    "TaskEventLog",
-    "Dashboard",
-    "MetricsRegistry",
-    "__version__",
-]
+_EXPORTS = {
+    "FuncXClient": "repro.core.client",
+    "FuncXExecutor": "repro.core.executor",
+    "FuncXFuture": "repro.core.futures",
+    "FuncXService": "repro.core.service",
+    "ServiceConfig": "repro.core.service",
+    "Task": "repro.core.tasks",
+    "TaskState": "repro.core.tasks",
+    "EndpointConfig": "repro.endpoint.config",
+    "Endpoint": "repro.endpoint.endpoint",
+    "LocalDeployment": "repro.fabric",
+    "DeploymentTimings": "repro.fabric",
+    "FuncXSerializer": "repro.serialize",
+    "RestApi": "repro.core.rest",
+    "FederatedExecutor": "repro.federation",
+    "UsageLedger": "repro.accounting",
+    "TaskEventLog": "repro.monitoring",
+    "Dashboard": "repro.monitoring",
+    "MetricsRegistry": "repro.metrics.registry",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value = getattr(import_module(_EXPORTS[name]), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return __all__

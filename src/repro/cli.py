@@ -133,7 +133,7 @@ def _cmd_scale(args: argparse.Namespace) -> int:
 
 
 def _cmd_elasticity(args: argparse.Namespace) -> int:
-    from repro.sim import ElasticitySimulation
+    from repro.sim.elasticity import ElasticitySimulation
     from repro.workloads.generators import burst_arrivals
 
     sim = ElasticitySimulation()

@@ -14,7 +14,6 @@ time.
 from repro.sim.kernel import Event, EventLoop
 from repro.sim.platform import PLATFORMS, SimPlatform
 from repro.sim.fabric import FailureSchedule, SimFabric, SimReport, SimTask
-from repro.sim.elasticity import ElasticitySimulation, PodTimelines
 
 __all__ = [
     "EventLoop",
@@ -25,6 +24,4 @@ __all__ = [
     "SimTask",
     "SimReport",
     "FailureSchedule",
-    "ElasticitySimulation",
-    "PodTimelines",
 ]

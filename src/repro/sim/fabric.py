@@ -21,11 +21,11 @@ travel as waves of one; the schedule is the same either way.
 
 A task is a row of the fabric's :class:`TaskTable`, not an object: the
 handlers, the agent's pending runs, the managers' queues and the waves
-pass row numbers, and a task keeps ~60 B — seven column slots and its
+pass row numbers, and a task keeps ~54 B — six column slots and its
 place in the completion order — where a slotted object per task kept
-~170.  What a submission gives all its tasks (creation time, duration,
-container, memo keys) is stored once per submission.  :class:`SimTask`
-is a read-only view of one row.
+~170.  What a submission gives all its tasks (ids, creation time,
+duration, container, memo keys) is stored once per submission.
+:class:`SimTask` is a read-only view of one row.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ class _Run(NamedTuple):
     """What one submission gives all its tasks: rows from ``start`` on."""
 
     start: int
+    ids: Sequence[int]  # one per task, as submitted (a range or a tuple)
     created: float
     duration: float
     container_key: str
@@ -64,18 +65,16 @@ class TaskTable:
     task by task, are list columns: a wave stores the one ``loop.now``
     float in all its rows, so a slot costs 8 B, and a list subscript is
     the cheapest store CPython has short of a slot (an ``array`` boxes
-    every read).  The id and ``memo_hit``, never read on the way, are
-    packed (``array('q')``, ``bytearray``).  ``order`` holds the rows in
-    completion order; ``runs`` one :class:`_Run` per submission, found by
-    ``starts``.
+    every read).  ``memo_hit``, never read on the way, is packed
+    (``bytearray``).  ``order`` holds the rows in completion order;
+    ``runs`` one :class:`_Run` per submission, found by ``starts``.  Task
+    ids live per submission: a run keeps the ids it was given.
     """
 
-    __slots__ = ("task_id", "service_done", "dispatched", "started",
-                 "completed", "attempts", "memo_hit", "order", "starts",
-                 "runs")
+    __slots__ = ("service_done", "dispatched", "started", "completed",
+                 "attempts", "memo_hit", "order", "starts", "runs")
 
     def __init__(self):
-        self.task_id = array("q")
         self.service_done: list[float] = []
         self.dispatched: list[float] = []
         self.started: list[float] = []
@@ -93,14 +92,13 @@ class TaskTable:
             container_key: str = "RAW", memo_keys: list | None = None) -> range:
         """Append one submission's rows, unstamped; returns them."""
         start, count = len(self.attempts), len(ids)
-        self.task_id.extend(ids)
         for column in (self.service_done, self.dispatched, self.started,
                        self.completed):
             column.extend(repeat(-1.0, count))
         self.attempts.extend(repeat(0, count))
         self.memo_hit.extend(bytes(count))
         self.starts.append(start)
-        self.runs.append(_Run(start, created, duration, container_key, memo_keys))
+        self.runs.append(_Run(start, ids, created, duration, container_key, memo_keys))
         return range(start, start + count)
 
     def run_of(self, row: int) -> _Run:
@@ -131,7 +129,6 @@ class SimTask:
         self._table = table
         self._row = row
 
-    task_id = _column("task_id")
     service_done = _column("service_done")
     dispatched = _column("dispatched")
     started = _column("started")
@@ -144,6 +141,11 @@ class SimTask:
     @property
     def memo_hit(self) -> bool:
         return bool(self._table.memo_hit[self._row])
+
+    @property
+    def task_id(self) -> int:
+        run = self._table.run_of(self._row)
+        return run.ids[self._row - run.start]
 
     @property
     def memo_key(self) -> int | None:

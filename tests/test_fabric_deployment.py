@@ -189,6 +189,31 @@ class TestTopLevelApi:
                      "UsageLedger", "TaskEventLog", "Dashboard", "RestApi"):
             assert name in repro.__all__
 
+    def test_importing_the_package_or_the_simulator_loads_no_fabric(self):
+        """``import repro`` resolves its names on first use, so it loads
+        no other ``repro`` module, and the simulator stands alone."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = (
+            "import sys\n"
+            "import repro\n"
+            "loaded = [m for m in sys.modules if m.startswith('repro.')]\n"
+            "assert not loaded, loaded\n"
+            "assert set(repro.__all__) <= set(dir(repro))\n"
+            "from repro.sim import SimFabric\n"
+            "from repro.sim.platform import CORI\n"
+            "for name in ('core', 'endpoint', 'fabric', 'providers',\n"
+            "             'accounting', 'federation'):\n"
+            "    assert 'repro.' + name not in sys.modules, name\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
     def test_a_deployment_that_sees_no_array_never_imports_numpy(self):
         """Importing the fabric, standing a deployment up and running a
         task load no NumPy: the statistics helpers import it on first

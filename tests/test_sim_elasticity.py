@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.providers import KubernetesProvider, SimpleScalingStrategy
-from repro.sim import ElasticitySimulation
+from repro.sim.elasticity import ElasticitySimulation
 from repro.workloads.generators import burst_arrivals
 
 

@@ -2,7 +2,7 @@
 
 * after the 40,960-task weak-Cori run (16 nodes, the golden replay's
   ``weak_cori_16_nodes``) the fabric keeps at most ``BUDGET`` bytes per
-  task — ~62 measured on CPython 3.11.7; one slotted object per task
+  task — ~54 measured on CPython 3.11.7; one slotted object per task
   kept ~169;
 * ``submit_batch`` allocates a handful of blocks, whatever its count:
   no per-task object exists before a task is read.
@@ -18,7 +18,7 @@ import numpy as np  # noqa: F401  (imported before tracing starts)
 from repro.sim import SimFabric
 from repro.sim.platform import CORI
 
-BUDGET = 100  # bytes retained per task
+BUDGET = 60  # bytes retained per task
 TASKS = 16 * CORI.containers_per_node * 10
 
 
