@@ -70,7 +70,7 @@ def measure_case(duration: float, batch_sizes: list[int]) -> dict[int, float]:
 
 
 def test_fig10_batching_case_studies(benchmark):
-    batch_sizes = [1, 16, 256] if quick_mode() else BATCH_SIZES
+    batch_sizes = [1, 16] if quick_mode() else BATCH_SIZES
 
     def sweep():
         rows = {}

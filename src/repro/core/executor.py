@@ -8,11 +8,12 @@ subscription-based result stream instead of polling.  This module is that shape 
 * :meth:`FuncXExecutor.submit` accepts a callable (auto-registered once
   and cached) or a registered function id, appends the call to a pending
   wave, and returns a :class:`~repro.core.futures.FuncXFuture`.
-* A background batching thread — woken by the call that finds the
-  pending wave empty, held briefly once a burst has shown itself so the
-  rest of it coalesces — drains pending calls into
-  ``submit_batch`` waves (one authenticated request per wave,
-  amortizing per-request overhead, §5.2.4).
+* A background batching thread, woken by the call that finds the
+  pending wave empty, drains pending calls into ``submit_batch`` waves
+  (one authenticated request per wave, amortizing per-request overhead,
+  §5.2.4).  Its link is its own synchronous submit: calls that arrive
+  while a wave is inside it gather for the next wave, which leaves as
+  soon as that submit returns.
 * Task ids returned by the wave are watched on the executor's
   :class:`~repro.core.stream.ResultSubscription`; completions stream
   back as ``ResultBatchMessage``\\ s and resolve the futures.  No
@@ -64,15 +65,14 @@ class FuncXExecutor:
         Every submission targets this endpoint.
     batch_size:
         Cap on calls per ``submit_batch`` wave.
-    batch_interval:
-        Nagle hold, a ceiling: the longest a call waits for company.  The
-        batcher sleeps it only after a wave that carried more than one
-        call; a call that travels alone is submitted at once.
     window:
         Credit window for the result subscription (delivered-unacked
         results the stream may hold against this executor).
     memoize:
         Forwarded to ``submit_batch``.
+    sleeper:
+        Accepted and unused: the batcher never sleeps.  It stays only
+        because the benchmark drive ``executor_submit`` still passes it.
     """
 
     def __init__(
@@ -80,7 +80,6 @@ class FuncXExecutor:
         client: "FuncXClient",
         endpoint_id: str,
         batch_size: int = 64,
-        batch_interval: float = 0.002,
         window: int = DEFAULT_WINDOW,
         memoize: bool = False,
         clock: Callable[[], float] | None = None,
@@ -91,10 +90,8 @@ class FuncXExecutor:
         self.client = client
         self.endpoint_id = endpoint_id
         self.batch_size = batch_size
-        self.batch_interval = batch_interval
         self.memoize = memoize
         self._clock = clock or time.monotonic  # clock-domain: monotonic
-        self._sleep = sleeper or time.sleep
         self._wakeup = Wakeup(clock=self._clock)
         self._lock = threading.Lock()
         self._pending: list[_PendingCall] = []          # guarded-by: self._lock
@@ -106,7 +103,6 @@ class FuncXExecutor:
         metrics = client.service.metrics
         self._h_wave = metrics.histogram(
             "executor.submit_batch_size", buckets=COUNT_BUCKETS)
-        self._h_hold = metrics.histogram("executor.wave_hold_seconds")
         self._c_submitted = metrics.counter("executor.tasks_submitted")
         self._c_suppressed = metrics.counter("executor.suppressed_deliveries")
         # Stream wiring: the subscription delivers straight into
@@ -179,36 +175,27 @@ class FuncXExecutor:
     # batching thread
     # ------------------------------------------------------------------
     def _batcher(self) -> None:
-        # Evidence that a burst is under way: the last wave had company.
-        company = False
         while True:
             self._wakeup.wait(IDLE_FALLBACK)
             with self._lock:
                 have_pending = bool(self._pending)
                 stopping = self._shutdown
             if have_pending:
-                hold = self.batch_interval if company and not stopping else 0.0
-                if hold > 0:
-                    # Nagle hold: let the burst finish joining the wave.
-                    self._sleep(hold)
-                self._h_hold.observe(hold)
-                company = self._drain() > 1
+                self._drain()
             elif stopping:
                 return
 
-    def _drain(self) -> int:
+    def _drain(self) -> None:
         with self._lock:
             wave = self._pending
             self._pending = []
-        total = 0
         for start in range(0, len(wave), self.batch_size):
-            total += self._submit_chunk(wave[start:start + self.batch_size])
-        return total
+            self._submit_chunk(wave[start:start + self.batch_size])
 
-    def _submit_chunk(self, chunk: list[_PendingCall]) -> int:
+    def _submit_chunk(self, chunk: list[_PendingCall]) -> None:
         live = [entry for entry in chunk if not entry.future.done()]
         if not live:
-            return 0
+            return
         calls = [(entry.function_id, self.endpoint_id, entry.args, entry.kwargs)
                  for entry in live]
         try:
@@ -219,7 +206,7 @@ class FuncXExecutor:
                     entry.future.set_exception(exc)
                 except RuntimeError:
                     pass  # cancelled while the wave was being rejected
-            return 0
+            return
         self._h_wave.observe(float(len(task_ids)))
         self._c_submitted.inc(len(task_ids))
         watched: dict[str, FuncXFuture] = {}
@@ -241,7 +228,6 @@ class FuncXExecutor:
         with self._lock:
             self._futures.update(watched)
         self.subscription.watch_many(watched)
-        return len(task_ids)
 
     # ------------------------------------------------------------------
     # result stream consumer

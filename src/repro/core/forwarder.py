@@ -19,7 +19,6 @@ import logging
 import threading
 from typing import Callable
 
-from repro.core.flowcontrol import WavePolicy
 from repro.core.service import FuncXService
 from repro.core.shard import ServiceShard
 from repro.core.tasks import Task, hop_stamps
@@ -65,20 +64,17 @@ class Forwarder:
         the forwarder re-dispatches any task whose result hasn't arrived
         in time.  Duplicated execution is safe: the service keeps the
         first completion (at-least-once semantics).  ``None`` disables.
-    wave_policy:
-        The adaptive Nagle policy sizing dispatch waves
-        (:class:`~repro.core.flowcontrol.WavePolicy`): hold a wave up to
-        T seconds or N tasks, T scaled from the link's transfer cost and
-        N from the observed arrival rate, with holds scheduled through
-        the :class:`Wakeup` (no polling).  Defaults to one reading the
-        channel's transfer cost; on a zero-cost link the hold is zero.
 
-    Every wave ships as one :class:`TaskBatchMessage` carrying, once,
-    the body of each function its tasks name, capped by the endpoint's
-    credit window from the agent's heartbeats: overload sheds into the
-    service-side queue — bounded and observable — instead of
-    ballooning agent/manager in-flight tables.  A window of
-    ``-1`` (not reported by this peer) is unlimited.
+    A wave leaves as soon as the link toward the agent is free (Nagle's
+    rule): on an idle link at once, on a busy one at the instant its
+    last transfer ends (:attr:`ChannelEnd.link_free_at`, woken through
+    the :class:`Wakeup`, no polling), carrying whatever gathered
+    meanwhile.  Every wave ships as one :class:`TaskBatchMessage`
+    carrying, once, the body of each function its tasks name, capped by
+    the endpoint's credit window from the agent's heartbeats: overload
+    sheds into the service-side queue — bounded and observable — instead
+    of ballooning agent/manager in-flight tables.  A window of ``-1``
+    (not reported by this peer) is unlimited.
     """
 
     def __init__(
@@ -90,7 +86,6 @@ class Forwarder:
         heartbeat_grace: int = 3,
         max_dispatch_per_step: int = 1024,
         lease_timeout: float | None = None,
-        wave_policy: WavePolicy | None = None,
         clock: Callable[[], float] | None = None,
     ):
         self.service = service
@@ -112,8 +107,9 @@ class Forwarder:
         self._heartbeat_period = heartbeat_period
         self.max_dispatch_per_step = max_dispatch_per_step
         self.lease_timeout = lease_timeout
-        self._wave_policy = wave_policy or WavePolicy(
-            link_cost=lambda: channel_end.transfer_cost)
+        # When the wave now gathering first found the link busy (None:
+        # it has not waited).
+        self._held_since: float | None = None  # thread-confined: forwarder-loop
         self._wakeup = Wakeup(clock=self._clock)
         self._agent_connected = False     # guarded-by: self._lock
         self._agent_name: str | None = None  # guarded-by: self._lock
@@ -431,10 +427,11 @@ class Forwarder:
         record was purged — would strand every lease behind it until the
         visibility timeout, or forever when leases don't expire.
 
-        The wave is capped by the endpoint's remaining credit and may
-        additionally be held (bounded, via ``Wakeup.set_at`` — no
-        polling) to fill closer to the arrival rate × hold-budget product
-        before paying the link's per-transfer cost.
+        The wave is capped by the endpoint's remaining credit.  While the
+        link toward the agent is still carrying the last transfer, the
+        wave gathers: the step returns and the ``Wakeup`` is set for the
+        instant the link frees.  ``dispatch.wave_hold_seconds`` records
+        that wait per wave (0 on an idle link).
         """
         queue = self._queue
         depth = queue.depth
@@ -443,17 +440,19 @@ class Forwarder:
         budget, window, in_flight = self._wave_budget(depth)
         if budget <= 0:
             return 0
-        decision = self._wave_policy.decide(
-            depth=depth, budget=budget,
-            enqueued_total=queue.total_enqueued, now=self._clock())
-        if decision.size <= 0:
-            if decision.hold_until is not None:
-                # Wave held to fill; re-evaluate when the hold ripens.
-                self._wakeup.set_at(decision.hold_until)
-            return 0
-        self._h_wave_hold.observe(decision.held_for)
-        pending = queue.lease_many(min(budget, decision.size),
-                                   lease_timeout=self.lease_timeout)
+        free_at = self.channel.link_free_at
+        if free_at:
+            now = self._clock()
+            if free_at > now:
+                if self._held_since is None:
+                    self._held_since = now
+                self._wakeup.set_at(free_at)
+                return 0
+        held_since = self._held_since
+        self._held_since = None
+        self._h_wave_hold.observe(
+            0.0 if held_since is None else self._clock() - held_since)
+        pending = queue.lease_many(budget, lease_timeout=self.lease_timeout)
         if not pending:
             return 0
         dispatched = self._dispatch_batch(queue, pending)

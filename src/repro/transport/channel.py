@@ -63,15 +63,18 @@ class ChannelEnd:
         self.wakeup: Callable[[float], None] | None = None
 
     @property
-    def transfer_cost(self) -> float:
-        """The bound channel's per-transfer link occupancy (0 if unbound).
+    def link_free_at(self) -> float:
+        """The instant the link toward the peer is free again: the end of
+        the last transfer this end sent on it (0 on a zero-cost link).
 
-        Senders sizing coalesced waves (the forwarder's adaptive Nagle
-        policy) read this to scale their hold budget to what a transfer
-        actually costs on this link.
+        A sender that gathers while the link is busy (the forwarder's
+        dispatch) reads this; an instant already past means idle now.
         """
-        channel = self._channel
-        return channel.transfer_cost if channel is not None else 0.0
+        peer = self._peer
+        if peer is None:
+            return 0.0
+        with peer._lock:
+            return peer._busy_until
 
     # -- wiring -----------------------------------------------------------
     def _bind(self, peer: "ChannelEnd", channel: "Channel") -> None:

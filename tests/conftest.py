@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import threading
 from dataclasses import replace
 
 import pytest
 
 from repro.transport.messages import TaskBatchMessage
+
+TURNSTILE_WAIT = 30.0
 
 
 def unwrap_tasks(messages):
@@ -26,6 +29,36 @@ def unwrap_tasks(messages):
             tasks.append(replace(task, function_buffer=(
                 message.function_buffers[task.function_id])))
     return tasks
+
+
+class Turnstile:
+    """Stands in the batcher's ``batch_run``: each wave reports itself
+    and waits to be let through, so the test decides what joins the
+    next one.  ``open()`` lets everything through from then on."""
+
+    def __init__(self, client):
+        self._batch_run = client.batch_run
+        self._entered = threading.Semaphore(0)
+        self._go = threading.Semaphore(0)
+        self._open = threading.Event()
+        client.batch_run = self
+
+    def __call__(self, calls, **kwargs):
+        self._entered.release()
+        if not self._open.is_set():
+            assert self._go.acquire(timeout=TURNSTILE_WAIT)
+        return self._batch_run(calls, **kwargs)
+
+    def await_wave(self):
+        """Block until the batcher stands inside its next submit."""
+        assert self._entered.acquire(timeout=TURNSTILE_WAIT)
+
+    def let_through(self):
+        self._go.release()
+
+    def open(self):
+        self._open.set()
+        self._go.release()
 
 
 class FakeClock:

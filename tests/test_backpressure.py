@@ -7,10 +7,12 @@ the in-flight population without bound.  This module proves it three ways:
 * a chaos overload run — sustained mismatch with message drops and
   manager churn, checked by the ``bounded-in-flight`` invariant and by
   sampling the forwarder's open-lease table directly;
-* hypothesis properties — the wave policy's hold is always bounded so
-  a stalled consumer can never deadlock dispatch (liveness via
-  injectable clocks);
-* live credit flow — the same policy on a real :class:`LocalDeployment`:
+* the link rule, stepped under a fake clock — a wave waits only while
+  the link toward the agent is busy: a lone task is never held, a burst
+  on a busy link gathers at least its arrivals per transfer time, and a
+  held wave leaves at the instant the link frees, never later (a
+  hypothesis property: the liveness bound);
+* live credit flow on a real :class:`LocalDeployment`:
   the forwarder's window converges to the agent's advertisement and a
   mismatch sheds into the service queue.
 
@@ -26,9 +28,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import DeploymentTimings, EndpointConfig, LocalDeployment
+from repro.auth import AuthService
 from repro.chaos import FaultPlan, FaultStep
-from repro.core.flowcontrol import WavePolicy
+from repro.core.forwarder import Forwarder
+from repro.core.service import FuncXService
+from repro.serialize import FuncXSerializer
 from repro.store.queues import ReliableQueue
+from repro.transport.channel import Channel
+from repro.transport.messages import Heartbeat, Registration, TaskBatchMessage
+
+from tests.conftest import FakeClock
 
 pytestmark = pytest.mark.chaos
 
@@ -168,69 +177,163 @@ class TestChaosOverload:
         assert report.ok, report.describe()
 
 
-class TestWavePolicyLiveness:
-    """The Nagle hold is bounded; a stalled consumer cannot deadlock it."""
+#: Transfer time and arrival gap, exact in binary: 4 arrivals per transfer.
+COST = 2.0 ** -9
+GAP = 2.0 ** -11
 
-    def test_zero_link_cost_dispatches_immediately(self):
-        policy = WavePolicy(link_cost=lambda: 0.0)
-        decision = policy.decide(depth=1, budget=8, enqueued_total=1, now=0.0)
-        assert decision.size == 1
-        assert decision.hold_until is None
 
-    def test_zero_budget_never_starts_a_hold(self):
-        # Stalled workers => zero credit.  The policy must not park a
-        # hold deadline; the instant credit returns, dispatch proceeds.
-        policy = WavePolicy(link_cost=lambda: 0.001)
-        stalled = policy.decide(depth=5, budget=0, enqueued_total=5, now=0.0)
-        assert stalled.size == 0
-        assert stalled.hold_until is None
-        resumed = policy.decide(depth=5, budget=2, enqueued_total=5, now=0.001)
-        assert resumed.size == 2
+class LinkWorld:
+    """A forwarder stepped under a fake clock over a link of ``cost``
+    seconds per transfer, with a registered agent end the test reads.
+    Not started, so only the forwarder's own schedules arm its
+    ``Wakeup``."""
 
-    def test_hold_deadline_forces_dispatch(self):
-        policy = WavePolicy(link_cost=lambda: 0.002)
-        # Teach the EWMA a high arrival rate so fill > depth.
-        policy.decide(depth=0, budget=8, enqueued_total=0, now=0.0)
-        policy.decide(depth=0, budget=8, enqueued_total=1000, now=0.001)
-        held = policy.decide(depth=1, budget=64, enqueued_total=1000, now=0.002)
-        assert held.size == 0
-        assert held.hold_until is not None
-        assert held.hold_until <= 0.002 + policy.hold_cap + 1e-12
-        fired = policy.decide(depth=1, budget=64, enqueued_total=1000,
-                              now=held.hold_until)
-        assert fired.size == 1
-        assert fired.held_for == pytest.approx(policy.hold_budget())
+    def __init__(self, cost):
+        self.clock = FakeClock()
+        self.service = FuncXService(auth=AuthService(clock=self.clock),
+                                    clock=self.clock)
+        auth = self.service.auth
+        token = auth.native_client_flow(auth.register_identity("alice")).token
+        _identity, ep_token = auth.endpoint_client_flow("ep")
+        endpoint_id = self.service.register_endpoint(ep_token.token, name="ep")
+        serializer = FuncXSerializer()
+        function_id = self.service.register_function(
+            token, "double", serializer.serialize_function(double),
+            public=True)
+        payload = serializer.serialize(([1], {}))
+        self.submit = lambda n: self.service.submit_batch(
+            token, [(function_id, endpoint_id, payload)] * n)
+        self.channel = Channel(clock=self.clock, transfer_cost=cost)
+        self.forwarder = Forwarder(self.service, endpoint_id,
+                                   self.channel.left, clock=self.clock)
+        self.channel.right.send(Registration(sender="agent:x",
+                                             component_type="endpoint"))
+        self.clock.advance(cost)            # the registration's own transfer
+        self.forwarder.step()
+        assert self.forwarder.agent_connected
+        self.waves: list[int] = []
+
+    def step(self):
+        """Step the forwarder, then note each wave that reached the agent."""
+        self.forwarder.step()
+        self.waves += [len(message.tasks) for message
+                       in self.channel.right.recv_all_ready()
+                       if isinstance(message, TaskBatchMessage)]
+
+    def advance_to(self, when):
+        self.clock.advance(when - self.clock.now)
+
+    def holds(self):
+        return self.service.metrics.histogram(
+            "dispatch.wave_hold_seconds", component="forwarder",
+            endpoint=self.forwarder.endpoint_id).samples()
+
+    def close(self):
+        self.service.close()
+
+
+class TestLinkRule:
+    """A wave waits only while the link toward the agent is busy."""
+
+    def test_lone_task_on_a_costed_link_is_not_held(self):
+        world = LinkWorld(COST)
+        try:
+            for _ in range(5):
+                world.submit(1)
+                world.step()                # sent, still on the wire
+                world.clock.advance(COST)
+                world.step()                # delivered
+            assert world.waves == [1] * 5
+            assert world.holds() == [0.0] * 5
+        finally:
+            world.close()
+
+    def test_burst_on_a_busy_link_gathers_its_arrivals_per_transfer(self):
+        # One arrival every GAP, a step after each: each wave behind the
+        # first leaves when the link frees, with the COST / GAP arrivals
+        # that came while it was busy.
+        world = LinkWorld(COST)
+        try:
+            for _ in range(400):
+                world.submit(1)
+                world.step()
+                world.clock.advance(GAP)
+            for _ in range(2):              # the last wave, then its transfer
+                world.clock.advance(COST)
+                world.step()
+            assert sum(world.waves) == 400
+            # The first wave found the link idle, the last is what was
+            # left when the arrivals stopped.
+            held = world.waves[1:-1]
+            assert world.waves[0] == 1
+            assert min(held) >= COST / GAP
+        finally:
+            world.close()
+
+    def test_zero_credit_starts_no_hold(self):
+        # A wave stopped by credit is not waiting for the link: the
+        # stall records no link wait, however long it lasts.
+        world = LinkWorld(COST)
+        try:
+            world.channel.right.send(Heartbeat(sender="agent:x", credit=1))
+            world.clock.advance(COST)
+            world.submit(3)
+            world.step()                    # one task: the window's worth
+            for _ in range(4):              # stalled across the link's end
+                world.clock.advance(COST / 2)
+                world.step()
+            world.channel.right.send(Heartbeat(sender="agent:x", credit=3))
+            world.clock.advance(COST)
+            world.step()
+            world.clock.advance(COST)
+            world.step()
+            assert world.waves == [1, 2]
+            assert world.holds() == [0.0, 0.0]
+        finally:
+            world.close()
 
     @given(
-        steps=st.lists(
-            st.tuples(st.integers(1, 32),      # depth
-                      st.integers(1, 16),      # budget
-                      st.integers(0, 50)),     # arrivals since last step
-            min_size=1, max_size=40),
-        cost=st.floats(min_value=0.0001, max_value=0.01),
+        steps=st.lists(st.tuples(st.integers(0, 8),      # arrivals
+                                 st.integers(0, 16)),    # gap, in ticks
+                       min_size=1, max_size=30),
+        cost_ticks=st.integers(1, 16),
     )
-    @settings(max_examples=100, deadline=None)
-    def test_every_hold_resolves_within_the_cap(self, steps, cost):
-        policy = WavePolicy(link_cost=lambda: cost)
-        now = 0.0
-        enqueued = 0
-        for depth, budget, arrivals in steps:
-            enqueued += arrivals
-            decision = policy.decide(depth=depth, budget=budget,
-                                     enqueued_total=enqueued, now=now)
-            if decision.size == 0:
-                # A held wave always names a deadline within the cap,
-                # and at that deadline it must dispatch.
-                assert decision.hold_until is not None
-                assert decision.hold_until <= now + policy.hold_cap + 1e-9
-                fired = policy.decide(depth=depth, budget=budget,
-                                      enqueued_total=enqueued,
-                                      now=decision.hold_until)
-                assert 0 < fired.size <= min(depth, budget)
-                now = decision.hold_until
-            else:
-                assert decision.size <= min(depth, budget)
-            now += 0.0005
+    @settings(max_examples=60, deadline=None)
+    def test_held_wave_leaves_when_the_link_frees_never_later(
+            self, steps, cost_ticks):
+        tick = 2.0 ** -12
+        world = LinkWorld(cost_ticks * tick)
+        queue = world.service.task_queue(world.forwarder.endpoint_id)
+        try:
+            for arrivals, gap in steps:
+                if arrivals:
+                    world.submit(arrivals)
+                world.step()
+                free_at = world.channel.left.link_free_at
+                if queue.depth:
+                    # Held: only because the link is busy, and woken at
+                    # the instant it frees, not before.
+                    assert free_at > world.clock.now
+                    assert not world.forwarder._wakeup.wait(0)
+                    world.advance_to(free_at)
+                    assert world.forwarder._wakeup.wait(0)
+                    world.step()
+                    assert queue.depth == 0
+                world.clock.advance(gap * tick)
+            # No wave waits out more than the one transfer in progress.
+            assert all(0.0 <= hold <= cost_ticks * tick
+                       for hold in world.holds())
+        finally:
+            world.close()
+
+    def test_removed_policy_knob_is_rejected(self):
+        world = LinkWorld(COST)
+        try:
+            with pytest.raises(TypeError):
+                Forwarder(world.service, world.forwarder.endpoint_id,
+                          Channel().left, wave_policy=object())
+        finally:
+            world.close()
 
 
 class TestQueueDepthWatermark:

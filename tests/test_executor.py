@@ -19,7 +19,7 @@ from repro.errors import (
     TaskPending,
 )
 
-from tests.conftest import FakeClock
+from tests.conftest import FakeClock, Turnstile
 
 
 def double(x):
@@ -71,13 +71,22 @@ class TestExecutor:
         assert metrics.counter("executor.tasks_submitted").value == 10
 
     def test_burst_coalesces_into_waves(self, client, endpoint_id):
-        with client.executor(endpoint_id, batch_interval=0.05) as executor:
-            futures = [executor.submit(double, i) for i in range(32)]
-            for f in futures:
-                f.result(timeout=30)
-        summary = client.service.metrics.histogram(
-            "executor.submit_batch_size").summary()
-        assert summary["max"] > 1  # the burst rode shared waves
+        # The burst is made while the first wave stands inside the
+        # batcher's submit: it rides the next wave whole, with no timing.
+        turnstile = Turnstile(client)
+        with client.executor(endpoint_id) as executor:
+            futures = [executor.submit(double, 0)]
+            turnstile.await_wave()
+            futures += [executor.submit(double, i) for i in range(1, 32)]
+            turnstile.open()
+            assert [f.result(timeout=30) for f in futures] == [
+                2 * i for i in range(32)]
+        assert client.service.metrics.histogram(
+            "executor.submit_batch_size").samples() == [1.0, 31.0]
+
+    def test_removed_hold_knob_is_rejected(self, client, endpoint_id):
+        with pytest.raises(TypeError):
+            client.executor(endpoint_id, batch_interval=0.002)
 
     def test_registered_function_id_accepted(self, client, endpoint_id):
         fid = client.register_function(double, public=True)
@@ -140,7 +149,7 @@ class TestExecutor:
             t.sleep(0.5)
             return x
 
-        with client.executor(endpoint_id, batch_interval=0.0) as executor:
+        with client.executor(endpoint_id) as executor:
             blocker = executor.submit(slow, 0)      # occupies the worker
             victim = executor.submit(slow, 1)       # stays QUEUED
             deadline_future = victim

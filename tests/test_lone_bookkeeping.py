@@ -9,7 +9,8 @@ heartbeats):
   credit-window sum run when a deadline or a beat is due, not per step;
 * ``HeartbeatTracker.is_alive`` is the agent's one look per scheduled
   task plus one per due beat;
-* no wave is sized on an empty ready queue;
+* the link toward the agent is read at most once per forwarder step,
+  and only with a wave to send;
 * admission looks no instrument up by name;
 * recording a number takes no histogram lock; the bulk fold that keeps
   the unfolded backlog bounded is the only record-path acquisition.
@@ -31,13 +32,12 @@ import pytest
 
 from repro import LocalDeployment
 from repro.auth import AuthService
-from repro.core.flowcontrol import WavePolicy
 from repro.core.forwarder import Forwarder
 from repro.core.service import FuncXService
 from repro.endpoint.agent import FuncXAgent
 from repro.endpoint.config import EndpointConfig
 from repro.metrics.registry import Histogram, MetricsRegistry
-from repro.transport.channel import Channel
+from repro.transport.channel import Channel, ChannelEnd
 from repro.transport.heartbeat import HeartbeatTracker
 from repro.transport.messages import Heartbeat, Registration
 
@@ -98,7 +98,14 @@ def counts(monkeypatch):
     count(HeartbeatTracker, "lost_components", "lost_components")
     count(HeartbeatTracker, "is_alive", "is_alive")
     count(FuncXAgent, "credit_window", "credit_window")
-    count(WavePolicy, "decide", "decide")
+    count(Forwarder, "step", "forwarder_steps")
+    link_free_at = ChannelEnd.link_free_at.fget
+
+    def counted_link_read(self):
+        counts["link_reads"] += 1
+        return link_free_at(self)
+
+    monkeypatch.setattr(ChannelEnd, "link_free_at", property(counted_link_read))
     count(MetricsRegistry, "_get_or_create", "get_or_create")
 
     recording = threading.local()
@@ -157,7 +164,8 @@ class TestLoneTaskBookkeeping:
         assert seen.get("credit_window", 0) <= min(
             0.05 * SERIAL, beats_due), text
         assert seen.get("is_alive", 0) <= SERIAL + beats_due, text
-        assert seen.get("decide", 0) <= SERIAL, text
+        assert seen.get("link_reads", 0) <= min(
+            SERIAL, seen["forwarder_steps"]), text
         assert seen.get("get_or_create", 0) == 0, text
         assert seen["records"] >= 10 * SERIAL, text
         assert seen.get("histogram_lock", 0) <= 0.1 * SERIAL, text

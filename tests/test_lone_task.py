@@ -4,10 +4,11 @@ over one subscription.
 Everything here is a count (the ``tests/test_wave_plane.py`` convention)
 and nothing sleeps to synchronise:
 
-* the executor's Nagle hold is paid only by a wave that follows a wave
-  with company — read off ``executor.wave_hold_seconds`` and a counting
-  ``sleeper=``, with the batcher's submits let through one wave at a
-  time where the test needs a particular wave shape;
+* the executor holds no wave: a call that finds the batcher idle
+  leaves alone, and calls made while a wave is inside the batcher's
+  submit leave as the very next wave — read off the wave sizes and a
+  counting ``sleeper=`` that is never called, with the batcher's
+  submits let through one wave at a time by a ``Turnstile``;
 * the result stream's pass visits only marked subscriptions — counted
   as ``_deliver`` and ``take`` calls;
 * an ack marks its subscription only over a backlog;
@@ -28,6 +29,8 @@ from repro.core.service import FuncXService
 from repro.serialize import FuncXSerializer
 from repro.transport.wakeup import IDLE_FALLBACK, run_loop
 
+from tests.conftest import Turnstile
+
 WAIT = 30.0
 
 
@@ -36,38 +39,8 @@ def double(x):
 
 
 # ======================================================================
-# the executor's hold
+# the executor holds no wave
 # ======================================================================
-class Turnstile:
-    """Stands in the batcher's ``batch_run``: each wave reports itself
-    and waits to be let through, so the test decides what joins the
-    next one.  ``open()`` lets everything through from then on."""
-
-    def __init__(self, client):
-        self._batch_run = client.batch_run
-        self._entered = threading.Semaphore(0)
-        self._go = threading.Semaphore(0)
-        self._open = threading.Event()
-        client.batch_run = self
-
-    def __call__(self, calls, **kwargs):
-        self._entered.release()
-        if not self._open.is_set():
-            assert self._go.acquire(timeout=WAIT)
-        return self._batch_run(calls, **kwargs)
-
-    def await_wave(self):
-        """Block until the batcher stands inside its next submit."""
-        assert self._entered.acquire(timeout=WAIT)
-
-    def let_through(self):
-        self._go.release()
-
-    def open(self):
-        self._open.set()
-        self._go.release()
-
-
 @pytest.fixture
 def deployment():
     with LocalDeployment() as dep:
@@ -77,12 +50,6 @@ def deployment():
 @pytest.fixture
 def endpoint_id(deployment):
     return deployment.create_endpoint("lone-ep", nodes=1)
-
-
-def holds(deployment):
-    """Every wave's hold so far, oldest first."""
-    return deployment.service.metrics.histogram(
-        "executor.wave_hold_seconds").samples()
 
 
 def wave_sizes(deployment):
@@ -98,59 +65,44 @@ class TestExecutorHold:
             for i in range(12):
                 assert executor.submit(double, i).result(timeout=WAIT) == 2 * i
         assert wave_sizes(deployment) == [1.0] * 12
-        assert holds(deployment) == [0.0] * 12
         assert sleeps == []
 
-    def test_burst_holds_only_after_a_wave_with_company(
+    def test_burst_behind_a_wave_in_flight_leaves_as_the_next_wave(
             self, deployment, endpoint_id):
         sleeps = []
         client = deployment.client()
         turnstile = Turnstile(client)
-        executor = client.executor(endpoint_id, sleeper=sleeps.append)
-        interval = executor.batch_interval
-        with executor:
-            # 64 calls from this thread.  The first wave leaves with what
-            # had joined (one call), the second with the 31 that arrived
-            # behind it — neither follows a wave with company.
+        with client.executor(endpoint_id, sleeper=sleeps.append) as executor:
+            # The first call finds the batcher idle and leaves alone; the
+            # 31 made while it stands inside its submit are the next wave,
+            # and the 32 made behind that one the wave after.
             futures = [executor.submit(double, 0)]
             turnstile.await_wave()
             futures += [executor.submit(double, i) for i in range(1, 32)]
             turnstile.let_through()
             turnstile.await_wave()
-            assert sleeps == []
-            # The rest of the burst follows a wave of 31: held, once.
             futures += [executor.submit(double, i) for i in range(32, 64)]
             turnstile.let_through()
             turnstile.await_wave()
-            assert sleeps == [interval]
             turnstile.open()
             assert [f.result(timeout=WAIT) for f in futures] == [
                 2 * i for i in range(64)]
             assert wave_sizes(deployment) == [1.0, 31.0, 32.0]
-            assert holds(deployment) == [0.0, 0.0, interval]
-            # A lone call behind the burst's last multi-call wave cannot
-            # know the burst is over: held once.  The one behind *it* is
-            # behind a lone wave: not held.
+            # A lone call behind the burst leaves at once, alone.
             assert executor.submit(double, 64).result(timeout=WAIT) == 128
-            assert sleeps == [interval, interval]
-            assert executor.submit(double, 65).result(timeout=WAIT) == 130
-            assert sleeps == [interval, interval]
-        assert wave_sizes(deployment) == [1.0, 31.0, 32.0, 1.0, 1.0]
-        assert holds(deployment) == [0.0, 0.0, interval, interval, 0.0]
+        assert wave_sizes(deployment) == [1.0, 31.0, 32.0, 1.0]
+        assert sleeps == []
 
-    def test_free_running_burst_never_holds_longer_than_the_interval(
-            self, deployment, endpoint_id):
+    def test_free_running_burst_never_sleeps(self, deployment, endpoint_id):
         # No turnstile: whatever waves the scheduler makes of the burst,
-        # a hold is the interval or nothing, and one sleep per held wave.
+        # the batcher never sleeps between them.
         sleeps = []
         client = deployment.client()
-        with client.executor(endpoint_id, batch_interval=0.001,
-                             sleeper=sleeps.append) as executor:
+        with client.executor(endpoint_id, sleeper=sleeps.append) as executor:
             futures = [executor.submit(double, i) for i in range(64)]
             assert [f.result(timeout=WAIT) for f in futures] == [
                 2 * i for i in range(64)]
-        assert set(holds(deployment)) <= {0.0, 0.001}
-        assert sleeps == [hold for hold in holds(deployment) if hold]
+        assert sleeps == []
         assert sum(wave_sizes(deployment)) == 64
 
     def test_call_landing_behind_the_drain_keeps_its_edge(

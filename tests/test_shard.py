@@ -403,7 +403,7 @@ class TestLiveMultiShard:
             endpoints = start_endpoint_per_shard(deployment)
             fid = client.register_function(lambda x: x * 2)
             executors = [
-                stack.enter_context(client.executor(ep, batch_interval=0.0))
+                stack.enter_context(client.executor(ep))
                 for ep in endpoints]
             futures = [executor.submit(fid, i)
                        for i in range(3) for executor in executors]
@@ -420,7 +420,7 @@ class TestLiveMultiShard:
             client = deployment.client()
             fid = client.register_function(lambda x: x + 1)
             for ep in start_endpoint_per_shard(deployment):
-                with client.executor(ep, batch_interval=0.0) as executor:
+                with client.executor(ep) as executor:
                     futures = [executor.submit(fid, i) for i in range(3)]
                     assert [f.result(timeout=30) for f in futures] == [1, 2, 3]
         finally:
