@@ -10,8 +10,9 @@ the in-flight population without bound.  This module proves it three ways:
 * the link rule, stepped under a fake clock — a wave waits only while
   the link toward the agent is busy: a lone task is never held, a burst
   on a busy link gathers at least its arrivals per transfer time, and a
-  held wave leaves at the instant the link frees, never later (a
-  hypothesis property: the liveness bound);
+  held wave leaves at the instant the link frees, never later, and every
+  hold resolves within one transfer (hypothesis properties: the liveness
+  bound);
 * live credit flow on a real :class:`LocalDeployment`:
   the forwarder's window converges to the agent's advertisement and a
   mismatch sheds into the service queue.
@@ -321,6 +322,43 @@ class TestLinkRule:
                     assert queue.depth == 0
                 world.clock.advance(gap * tick)
             # No wave waits out more than the one transfer in progress.
+            assert all(0.0 <= hold <= cost_ticks * tick
+                       for hold in world.holds())
+        finally:
+            world.close()
+
+    @given(
+        steps=st.lists(st.tuples(st.integers(0, 8),      # arrivals
+                                 st.integers(0, 16)),    # gap, in ticks
+                       min_size=1, max_size=30),
+        cost_ticks=st.integers(1, 16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_hold_resolves_within_one_transfer(self, steps, cost_ticks):
+        # Stepped only on an arrival or when the forwarder's own Wakeup
+        # fires, as its loop would be: every task still reaches the
+        # agent, and no wave waits longer than one transfer.
+        tick = 2.0 ** -12
+        world = LinkWorld(cost_ticks * tick)
+        queue = world.service.task_queue(world.forwarder.endpoint_id)
+
+        def run_ticks(n):
+            for _ in range(n):
+                world.clock.advance(tick)
+                if world.forwarder._wakeup.wait(0):
+                    world.step()
+
+        try:
+            for arrivals, gap in steps:
+                if arrivals:
+                    world.submit(arrivals)
+                world.step()
+                run_ticks(gap)
+            run_ticks(cost_ticks + 1)       # the last hold runs out
+            assert queue.depth == 0
+            world.clock.advance(cost_ticks * tick)
+            world.step()                    # the last wave is delivered
+            assert sum(world.waves) == sum(n for n, _gap in steps)
             assert all(0.0 <= hold <= cost_ticks * tick
                        for hold in world.holds())
         finally:
